@@ -202,7 +202,7 @@ def _pair_analysis(space, mapping, point_set, eps_grid, workers=1):
     nodes = [space.index(p) for p in pts]
     images = [space.index(apply(mapping, q)) for q in space.points]
     return scan.table_pair_analysis(space.dist_table, nodes, images, eps_grid,
-                                    pts, space.exact, workers)
+                                    pts, space.exact, workers, lattice=space.lattice)
 
 
 def _triple_analysis(space, mapping, point_set, eps_grid, workers=1):
@@ -215,7 +215,7 @@ def _triple_analysis(space, mapping, point_set, eps_grid, workers=1):
     nodes = [space.index(p) for p in pts]
     images = [space.index(apply(mapping, q)) for q in space.points]
     return scan.table_triple_analysis(space.dist_table, nodes, images, eps_grid,
-                                      pts, space.exact, workers)
+                                      pts, space.exact, workers, lattice=space.lattice)
 
 
 def _scope_of(space) -> str:

@@ -70,10 +70,12 @@ class SelfMap:
             raise InputError(f"malformed map document: {exc}") from exc
         if len(images) != space.size:
             raise InputError("map table must cover every point")
-        try:
-            table = tuple(space.points[int(i)] for i in images)
-        except (IndexError, ValueError) as exc:
-            raise InputError(f"map image index out of range: {exc}") from exc
+        for i in images:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise InputError(f"map image index {i!r} is not an integer")
+            if not 0 <= i < space.size:
+                raise InputError(f"map image index {i} out of range 0..{space.size - 1}")
+        table = tuple(space.points[i] for i in images)
         return cls(space=space, name=doc.get("name", "table_map"), table=table)
 
 

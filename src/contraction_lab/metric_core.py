@@ -10,12 +10,21 @@ tolerance ETA.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence, Union
 
+import numpy as np
+
 ETA = 1e-12  # margin required for strict-inequality verdicts in float mode
+FLOAT_LIMIT = sys.float_info.max / 3   # larger float distances overflow perimeters
+LATTICE_LIMIT = 2 ** 53   # 3 * max |numerator| stays below this on the int64 lattice
+# nonzero |entries| of a float lattice: products and quotients of perimeters stay normal
+FLOAT_LATTICE_RANGE = (2.0 ** -200, 2.0 ** 200)
 
 Scalar = Union[Fraction, float, int]
 
@@ -46,6 +55,12 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot parse scalar {value!r}") from exc
         raise InputError(f"cannot parse scalar {value!r}")
+    if isinstance(value, str) and "/" in value:
+        # "p/q" in float mode: the correctly rounded float of the exact quotient
+        try:
+            return float(Fraction(value.strip()))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InputError(f"cannot parse scalar {value!r}") from exc
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -96,16 +111,18 @@ class ValidationReport:
     positivity: tuple = ()          # (i, j, value): off-diagonal <= 0
     symmetry: tuple = ()            # (i, j, d_ij, d_ji)
     triangle: tuple = ()            # (i, j, k, d_ik, d_ij + d_jk)
+    finite: tuple = ()              # (i, j, value): float NaN, inf or |value| > FLOAT_LIMIT
 
     @property
     def ok(self) -> bool:
-        return not (self.diagonal or self.positivity or self.symmetry or self.triangle)
+        return not (self.diagonal or self.positivity or self.symmetry or self.triangle
+                    or self.finite)
 
     def summary(self) -> str:
         if self.ok:
             return "metric: all axioms hold"
         parts = []
-        for name in ("diagonal", "positivity", "symmetry", "triangle"):
+        for name in ("finite", "diagonal", "positivity", "symmetry", "triangle"):
             items = getattr(self, name)
             if items:
                 parts.append(f"{name}: {len(items)} violation(s), first {items[0]}")
@@ -159,8 +176,13 @@ class FiniteMetricSpace:
     def point_set(self) -> tuple:
         return self.points
 
+    @cached_property
+    def lattice(self):
+        """The table's Lattice, or None when the scans must run their loops."""
+        return table_lattice(self.dist_table, self.exact)
+
     def validate(self) -> ValidationReport:
-        return validate_metric(self.dist_table, exact=self.exact)
+        return validate_metric(self.dist_table, exact=self.exact, lattice=self.lattice)
 
     def to_json(self) -> dict:
         return {
@@ -248,6 +270,63 @@ class SampledSpace:
 
 
 # ---------------------------------------------------------------------------
+# the integer lattice of a finite table
+
+@dataclass(frozen=True)
+class Lattice:
+    """A distance table as one numpy array.
+
+    Exact tables become int64 numerators over the lcm ``scale`` of their
+    denominators, so sums and comparisons are exact integer operations; float
+    tables stay float64 with ``scale`` 1, and numpy's IEEE arithmetic gives
+    the same bits as Python's for each sum taken in the same order.
+    """
+
+    values: np.ndarray
+    scale: int
+    exact: bool
+
+    def scalar(self, v):
+        """The table scalar for one lattice value."""
+        return Fraction(int(v), self.scale) if self.exact else float(v)
+
+
+def table_lattice(dist_table, exact: bool):
+    """Convert a square table to its Lattice, or None when loops must run.
+
+    None is returned for entries of any other type than the mode's own
+    (Fraction, or float), for exact tables whose perimeters would reach 2**53
+    (3 * max |numerator| >= LATTICE_LIMIT, beyond which int64 sums and float64
+    ratios stop being exact), and for float tables with NaN, inf, or a nonzero
+    entry outside FLOAT_LATTICE_RANGE, where perimeter products could
+    overflow or lose precision.
+    """
+    n = len(dist_table)
+    entries = [v for row in dist_table for v in row]
+    if exact:
+        if not all(type(v) is Fraction for v in entries):
+            return None
+        scale = math.lcm(*{v.denominator for v in entries})
+        try:
+            values = np.fromiter((v.numerator * (scale // v.denominator) for v in entries),
+                                 dtype=np.int64, count=len(entries))
+        except OverflowError:
+            return None
+        if len(entries) and 3 * max(int(values.max()), -int(values.min())) >= LATTICE_LIMIT:
+            return None
+    else:
+        if not all(type(v) is float for v in entries):
+            return None
+        values = np.array(entries, dtype=np.float64)
+        size = np.abs(values)
+        lo, hi = FLOAT_LATTICE_RANGE
+        if not ((size == 0) | ((size >= lo) & (size <= hi))).all():
+            return None
+        scale = 1
+    return Lattice(values=values.reshape(n, n), scale=scale, exact=exact)
+
+
+# ---------------------------------------------------------------------------
 # operations
 
 def perimeter(space, a, b, c) -> Scalar:
@@ -263,15 +342,35 @@ def max_side(space, a, b, c) -> Scalar:
     return max(space.distance(a, b), space.distance(b, c), space.distance(a, c))
 
 
-def validate_metric(dist_table: Sequence[Sequence[Scalar]], exact: bool = True) -> ValidationReport:
+def validate_metric(dist_table: Sequence[Sequence[Scalar]], exact: bool = True,
+                    lattice=None) -> ValidationReport:
     """List every violated metric axiom with a concrete witness.
 
     The report is empty exactly when the table is a metric.  Float tables
-    only report violations exceeding the ETA margin.
+    only report violations exceeding the ETA margin, and report every NaN,
+    infinite or overflowing (beyond FLOAT_LIMIT) entry.  ``lattice`` is the
+    table's precomputed Lattice; without one it is computed here.  Tables
+    without a lattice are checked by the reference loops.
     """
     n = len(dist_table)
     if any(len(row) != n for row in dist_table):
         raise InputError("distance table must be square")
+    finite = ()
+    if not exact:
+        finite = tuple((i, j, v) for i, row in enumerate(dist_table)
+                       for j, v in enumerate(row) if not abs(v) <= FLOAT_LIMIT)
+    if lattice is None:
+        lattice = table_lattice(dist_table, exact)
+    if lattice is None:
+        axioms = _metric_violations_loops(dist_table, exact)
+    else:
+        axioms = _metric_violations_lattice(dist_table, lattice)
+    return ValidationReport(size=n, finite=finite, **axioms)
+
+
+def _metric_violations_loops(dist_table, exact):
+    """Per-axiom violation lists by direct enumeration (the reference)."""
+    n = len(dist_table)
     slack = 0 if exact else ETA
     diagonal = []
     positivity = []
@@ -295,13 +394,44 @@ def validate_metric(dist_table: Sequence[Sequence[Scalar]], exact: bool = True) 
                     continue
                 if dist_table[i][k] > dij + dist_table[j][k] + slack:
                     triangle.append((i, j, k, dist_table[i][k], dij + dist_table[j][k]))
-    return ValidationReport(
-        size=n,
-        diagonal=tuple(diagonal),
-        positivity=tuple(positivity),
-        symmetry=tuple(symmetry),
-        triangle=tuple(triangle),
-    )
+    return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
+            "symmetry": tuple(symmetry), "triangle": tuple(triangle)}
+
+
+def _metric_violations_lattice(dist_table, lattice):
+    """The same lists as the reference loops, found by numpy masks.
+
+    Masks locate the violations in the reference order; each witness is then
+    read from the table itself, so entries match the loops exactly.
+    """
+    d = lattice.values
+    n = len(d)
+    slack = 0 if lattice.exact else ETA
+    diagonal = [(i, dist_table[i][i])
+                for i in np.flatnonzero(np.abs(np.diagonal(d)) > slack).tolist()]
+    rows, cols = np.triu_indices(n, 1)
+    upper = d[rows, cols]
+    lower = d[cols, rows]
+    hits = upper <= slack
+    positivity = [(i, j, dist_table[i][j])
+                  for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
+    hits = np.abs(upper - lower) > slack
+    symmetry = [(i, j, dist_table[i][j], dist_table[j][i])
+                for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
+    triangle = []
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        # bad[j, k]: d_ik > d_ij + d_jk (+ slack), for j, k distinct from i and each other
+        bad = d[i][None, :] > d[i][:, None] + d + slack
+        bad &= off_diagonal
+        bad[i, :] = False
+        bad[:, i] = False
+        js, ks = np.nonzero(bad)
+        row = dist_table[i]
+        for j, k in zip(js.tolist(), ks.tolist()):
+            triangle.append((i, j, k, row[k], row[j] + dist_table[j][k]))
+    return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
+            "symmetry": tuple(symmetry), "triangle": tuple(triangle)}
 
 
 def metric_repair(table: Sequence[Sequence[Scalar]], points=None, mode: str = "exact") -> FiniteMetricSpace:

@@ -2,8 +2,18 @@
 
 Two engines back the classifiers:
 
-* a table engine for finite spaces, running entirely in the space's scalar
-  arithmetic (exact for rational tables), and
+* a table engine for finite spaces.  The distance table is converted once
+  to a lattice (metric_core.table_lattice): int64 numerators over the lcm of
+  its denominators for exact tables, float64 for float tables.  Pairs, and
+  triples in blocks of whole outer indices, are then scanned as numpy
+  passes in lexicographic order: perimeters are summed in the reference
+  order, eps buckets are found by searchsorted against lattice thresholds,
+  and each bucket's supremum is settled among the few items tied with its
+  float maximum (see _LatticeReduction).  Every value, witness and count
+  equals that of the pure-Python reference loops (_table_loops), which run
+  instead when a table has no lattice (numerators too large for int64
+  perimeters, non-finite or extreme floats, other scalar types) or a pair
+  distance <= 0, and which the tests compare against.
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
@@ -13,13 +23,16 @@ Two engines back the classifiers:
   witness; qualification thresholds (distance >= eps) are decided in integer
   arithmetic, so bucket membership never suffers float boundary errors.
 
-Enumeration is partitioned into chunks with an associative merge; results are
-independent of the chunk and worker count.  Supremum ties break toward the
+The line engine partitions its float pass into chunks with an order-free
+merge, so its results are independent of the chunk and worker count; the
+table engine runs in one thread.  Supremum ties break toward the
 lexicographically smallest witness.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,10 +40,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metric_core import ETA, InputError
+from .metric_core import ETA, LATTICE_LIMIT, InputError, table_lattice
 
 FLOAT_SLACK = 1e-9       # screen width when exactifying float-located suprema
 CANDIDATE_CAP = 50_000   # max float-tied candidates examined per bucket
+FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
+TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -55,7 +71,7 @@ class EnumAnalysis:
 
 
 class _Partial:
-    """Chunk-local reduction state; merged associatively."""
+    """Reduction state of one enumeration pass or chunk."""
 
     __slots__ = ("best", "counts", "strict", "total")
 
@@ -73,23 +89,6 @@ def _better(num_a, den_a, wit_a, num_b, den_b, wit_b):
     if lhs != rhs:
         return lhs > rhs
     return wit_a < wit_b
-
-
-def _merge(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        for b, entry in enumerate(p.best):
-            if entry is None:
-                continue
-            cur = out.best[b]
-            if cur is None or _better(entry[0], entry[1], entry[2], cur[0], cur[1], cur[2]):
-                out.best[b] = entry
-        for b in range(len(out.counts)):
-            out.counts[b] += p.counts[b]
-        if p.strict is not None and (out.strict is None or p.strict[0] < out.strict[0]):
-            out.strict = p.strict
-        out.total += p.total
-    return out
 
 
 def _chunk_ranges(n, pieces):
@@ -181,6 +180,223 @@ def _table_triples_chunk(dist, nodes, images, eps, exact, a_range):
                 if part.strict is None and pt >= p - strict_slack:
                     part.strict = ((a, b_pos, c_pos), p, pt)
     return part
+
+
+def _table_loops(kind, dist, nodes, images, eps, points, exact):
+    """The reference table enumeration: one pure-Python pass in the table's scalars."""
+    m = len(nodes)
+    if kind == "pairwise":
+        part = _table_pairs_chunk(dist, nodes, images, eps, exact, (0, m - 1))
+    else:
+        part = _table_triples_chunk(dist, nodes, images, eps, exact, (0, m - 2))
+    return _finalize(kind, eps, part.best, part.counts, part.strict, part.total,
+                     points, exact)
+
+
+def _lattice_thresholds(eps, lattice):
+    """Per eps value, the least lattice value v with scalar(v) >= eps.
+
+    searchsorted(thresholds, v, "right") then equals bisect_right(eps,
+    scalar(v)) for every lattice value v.  Exact thresholds are capped at
+    LATTICE_LIMIT, above every lattice value.
+    """
+    if lattice.exact:
+        return np.array([min(_ceil_div(f.numerator * lattice.scale, f.denominator),
+                             LATTICE_LIMIT) for f in map(Fraction, eps)], dtype=np.int64)
+    out = []
+    for f in map(Fraction, eps):
+        x = float(min(f, _FLOAT_MAX))
+        if x < f:
+            x = math.nextafter(x, math.inf)
+        out.append(x)
+    return np.array(out, dtype=np.float64)
+
+
+class _LatticeReduction:
+    """Bucket counts, per-bucket suprema and the strict violation over lattice items.
+
+    Items arrive in lexicographic witness order, a block of arrays at a time,
+    and the result equals the reference loops' sequential reduction:
+
+    * Exact mode: a float64 quotient of two ints below 2**53 is correctly
+      rounded, hence monotone in the exact ratio, so the exact bucket maximum
+      is among the items whose float ratio equals the bucket's float maximum.
+      Those are compared exactly; the lex-first one wins ties.
+    * Float mode: the loops compare float cross products.  Rounding is
+      monotone, so an item whose float quotient is below the running entry's
+      never replaces it, and the bucket maximum replaces every entry more
+      than a few ulps below it.  Items below the band, a relative FLOAT_BAND
+      under the maximum (seven orders above rounding), therefore cannot
+      change the result; the items in it are folded into the running entry
+      with the loops' own cross-multiplication.  FLOAT_LATTICE_RANGE keeps
+      those products and quotients normal.
+    """
+
+    def __init__(self, lattice, eps):
+        self.lattice = lattice
+        self.thresholds = _lattice_thresholds(eps, lattice)
+        self.part = _Partial(len(eps) + 1)
+        self.slack = 0 if lattice.exact else ETA
+
+    def feed(self, num, den, longest, witness):
+        """Add items: image measure num, measure den > 0, qualification measure longest.
+
+        longest is the pair distance, or the triple's longest side; witness(t)
+        gives item t's witness indices.
+        """
+        part = self.part
+        nb = len(part.counts)
+        bucket = np.searchsorted(self.thresholds, longest, side="right")
+        part.total += len(bucket)
+        if part.strict is None:
+            hits = np.flatnonzero(num >= den - self.slack)
+            if len(hits):
+                t = hits[0]
+                part.strict = (witness(t), den[t].item(), num[t].item())
+        ratio = num / den
+        counts = np.bincount(bucket, minlength=nb).tolist()
+        for b, count in enumerate(counts):
+            if not count:
+                continue
+            part.counts[b] += count
+            items = np.flatnonzero(bucket == b)
+            r = ratio[items]
+            top = r.max()
+            if self.lattice.exact:
+                entry = _exact_best(num, den, items[r == top], witness)
+                cur = part.best[b]
+                if cur is None or _better(*entry, *cur):
+                    part.best[b] = entry
+            else:
+                floor = top * (1 - FLOAT_BAND) if top > 0 else top * (1 + FLOAT_BAND)
+                part.best[b] = _float_fold(num, den, items[r >= floor], witness,
+                                           part.best[b])
+
+    def result(self, kind, eps, points):
+        def scalars(entry):
+            if entry is None:
+                return None
+            num, den, wit = entry
+            return self.lattice.scalar(num), self.lattice.scalar(den), wit
+
+        part = self.part
+        strict = None
+        if part.strict is not None:
+            wit, measure, image_measure = part.strict
+            strict = (wit, self.lattice.scalar(measure), self.lattice.scalar(image_measure))
+        return _finalize(kind, eps, [scalars(e) for e in part.best], part.counts, strict,
+                         part.total, points, self.lattice.exact)
+
+
+def _exact_best(num, den, cands, witness):
+    """Exact maximum over float-tied candidates (in lex order), lex-first on ties."""
+    cn = num[cands]
+    cd = den[cands]
+    g = np.gcd(cn, cd)
+    rn = cn // g
+    rd = cd // g
+    if (rn == rn[0]).all() and (rd == rd[0]).all():
+        t = cands[0]
+        return num[t].item(), den[t].item(), witness(t)
+    best = None
+    for t in cands.tolist():   # distinct ratios that round to one float
+        entry = (num[t].item(), den[t].item(), witness(t))
+        if best is None or _better(*entry, *best):
+            best = entry
+    return best
+
+
+def _float_fold(num, den, cands, witness, cur):
+    """Fold candidates (in lex order) into the running entry as the loops do.
+
+    Every candidate follows cur in lex order, so a tie never replaces it:
+    the next replacement is the first candidate whose cross product wins.
+    """
+    cn = num[cands]
+    cd = den[cands]
+    start = 0
+    if cur is None:
+        cur = (cn[0].item(), cd[0].item(), witness(cands[0]))
+        start = 1
+    while start < len(cands):
+        wins = np.flatnonzero(cn[start:] * cur[1] > cur[0] * cd[start:])
+        if not len(wins):
+            break
+        t = start + int(wins[0])
+        cur = (cn[t].item(), cd[t].item(), witness(cands[t]))
+        start = t + 1
+    return cur
+
+
+def _triple_blocks(m, rows):
+    """Lex-ordered blocks of the triples a < j < k of m points.
+
+    Yields (a, pair) arrays: pair indexes the row-major upper-triangle pairs
+    (rows, cols) for (j, k).  A block holds whole outer indices a, as many as
+    fit in TRIPLE_BLOCK items (at least one), which bounds the temporaries
+    and amortizes numpy's per-call overhead on small tables.
+    """
+    n_pairs = len(rows)
+    starts = np.searchsorted(rows, np.arange(m - 2), side="right")  # first pair with j > a
+    sizes = (n_pairs - starts).tolist()
+    a0 = 0
+    while a0 < m - 2:
+        a1 = a0 + 1
+        total = sizes[a0]
+        while a1 < m - 2 and total + sizes[a1] <= TRIPLE_BLOCK:
+            total += sizes[a1]
+            a1 += 1
+        counts = np.asarray(sizes[a0:a1])
+        a = np.repeat(np.arange(a0, a1), counts)
+        pair = np.arange(total) + np.repeat(starts[a0:a1] - (np.cumsum(counts) - counts),
+                                            counts)
+        yield a, pair
+        a0 = a1
+
+
+def _lattice_scan(kind, lattice, nodes, images, eps, points):
+    """The table enumeration as numpy passes over the lattice.
+
+    Returns None when some pair of nodes is at distance <= 0, where ratios
+    of measures stop being ordered like their cross products.
+    """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    img = np.asarray(images, dtype=np.intp)[nodes]
+    d = lattice.values[np.ix_(nodes, nodes)]
+    t = lattice.values[np.ix_(img, img)]
+    rows, cols = np.triu_indices(len(nodes), 1)
+    d_pair = d[rows, cols]
+    if not (d_pair > 0).all():
+        return None
+    t_pair = t[rows, cols]
+    red = _LatticeReduction(lattice, eps)
+    if kind == "pairwise":
+        red.feed(t_pair, d_pair, d_pair, lambda i: (int(rows[i]), int(cols[i])))
+    else:
+        for a, pair in _triple_blocks(len(nodes), rows):
+            j = rows[pair]
+            k = cols[pair]
+            dij = d[a, j]
+            djk = d_pair[pair]
+            dik = d[a, k]
+            # sums in the loops' order keep float mode bit-identical
+            p = dij + djk + dik
+            pt = t[a, j] + t_pair[pair] + t[a, k]
+            longest = np.maximum(np.maximum(dij, djk), dik)
+            red.feed(pt, p, longest,
+                     lambda i, a=a, j=j, k=k: (int(a[i]), int(j[i]), int(k[i])))
+    return red.result(kind, eps, points)
+
+
+def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
+    if lattice is None:
+        lattice = table_lattice(dist, exact)
+    result = None
+    if lattice is not None:
+        result = _lattice_scan(kind, lattice, nodes, images, eps, points)
+    if result is None:
+        result = _table_loops(kind, dist, nodes, images, eps, points, exact)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -479,30 +695,27 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
 # ---------------------------------------------------------------------------
 # public entry points
 
-def table_pair_analysis(dist, nodes, images, eps, points, exact=True, workers=1):
+def table_pair_analysis(dist, nodes, images, eps, points, exact=True, workers=1,
+                        lattice=None):
+    """Pairwise enumeration of a finite table over the positions ``nodes``.
+
+    ``lattice`` is the table's precomputed Lattice; without one it is
+    computed here.  ``workers`` is accepted for a uniform signature; the
+    table engine runs in one thread.
+    """
     eps = _validate_eps(eps)
-    m = len(nodes)
-    if m < 2:
+    if len(nodes) < 2:
         raise InputError("need at least 2 points")
-    chunks = _chunk_ranges(m - 1, workers * 4 if workers > 1 else 1)
-    parts = _run_chunks(
-        lambda rng: _table_pairs_chunk(dist, nodes, images, eps, exact, rng), chunks, workers)
-    merged = _merge(parts)
-    return _finalize("pairwise", eps, merged.best, merged.counts, merged.strict,
-                     merged.total, points, exact)
+    return _table_analysis("pairwise", dist, nodes, images, eps, points, exact, lattice)
 
 
-def table_triple_analysis(dist, nodes, images, eps, points, exact=True, workers=1):
+def table_triple_analysis(dist, nodes, images, eps, points, exact=True, workers=1,
+                          lattice=None):
+    """Triple (perimeter) enumeration; see table_pair_analysis."""
     eps = _validate_eps(eps)
-    m = len(nodes)
-    if m < 3:
+    if len(nodes) < 3:
         raise InputError("need at least 3 points")
-    chunks = _chunk_ranges(m - 2, workers * 4 if workers > 1 else 1)
-    parts = _run_chunks(
-        lambda rng: _table_triples_chunk(dist, nodes, images, eps, exact, rng), chunks, workers)
-    merged = _merge(parts)
-    return _finalize("triple", eps, merged.best, merged.counts, merged.strict,
-                     merged.total, points, exact)
+    return _table_analysis("triple", dist, nodes, images, eps, points, exact, lattice)
 
 
 def line_pair_analysis(numerators, den, points, images, eps, workers=1):

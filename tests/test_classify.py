@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from contraction_lab import scan
 from contraction_lab.classify import (
     DEFAULT_EPS_GRID,
     NEAR_ONE_RATIO,
@@ -18,7 +20,10 @@ from contraction_lab.map_catalog import SelfMap, apply, catalog
 from contraction_lab.metric_core import (
     FiniteMetricSpace,
     InputError,
+    _metric_violations_loops,
     perimeter,
+    table_lattice,
+    validate_metric,
 )
 from contraction_lab.theorem_lab import SearchConfig, random_instance
 
@@ -80,6 +85,59 @@ def random_finite_instances(n_instances, seed=9):
 
 SMALL_EPS = (F(1, 16), F(1, 4), F(1, 2), F(1), F(2))
 
+# exact numerators whose perimeters pass 2**53, or floats beyond 2**200: the loops run
+FALLBACK_MAGNITUDE = 2 ** 250
+
+
+def random_table(rng, n, den, magnitude=1, offsets=False, exact=True):
+    """A random table of n points, (k * magnitude + r) / den with k in 1..den.
+
+    The k are closed under shortest paths, so without offsets r the table is
+    a metric; den = 3 makes ties abound.  Offsets r < 2**20 (symmetric) break
+    the common factor, turning exact ties into near-ties between numerators
+    of up to 2**51 (3 * 2**51 is still below the 2**53 lattice limit).
+    """
+    k = [[0] * n for _ in range(n)]
+    r = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k[i][j] = k[j][i] = rng.randint(1, den)
+            if offsets:
+                r[i][j] = r[j][i] = rng.randrange(2 ** 20)
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                k[i][j] = min(k[i][j], k[i][m] + k[m][j])
+    cell = (lambda v: F(v, den)) if exact else (lambda v: v / den)
+    return [[cell(k[i][j] * magnitude + r[i][j]) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def table_scans(draw):
+    """A table, a node subset, a self-map and an eps grid for one scan."""
+    n = draw(st.integers(min_value=3, max_value=30))
+    den = draw(st.sampled_from((3, 96)))
+    exact = draw(st.booleans())
+    magnitude, offsets = draw(st.sampled_from(
+        ((1, False), (2 ** 44, True), (FALLBACK_MAGNITUDE, False))))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    table = tuple(tuple(row) for row in random_table(rng, n, den, magnitude, offsets, exact))
+    kind = rng.choice(("uniform", "pool", "constant"))
+    if kind == "uniform":
+        images = [rng.randrange(n) for _ in range(n)]
+    elif kind == "pool":
+        pool = rng.sample(range(n), 3)
+        images = [rng.choice(pool) for _ in range(n)]
+    else:
+        images = [rng.randrange(n)] * n
+        images[rng.randrange(n)] = rng.randrange(n)
+    nodes = sorted(rng.sample(range(n), rng.randint(3, n)))
+    # grid values equal to table entries put measures exactly on bucket edges
+    values = sorted({F(v) for row in table for v in row if v > 0})
+    eps = tuple(sorted(set(rng.sample(values, min(len(values), rng.randint(1, 5))))
+                       | {F(rng.randint(1, 3 * den) * magnitude, den)}))
+    return table, nodes, images, eps, exact, magnitude == FALLBACK_MAGNITUDE
+
 
 class TestEngineAgainstNaiveOracle:
     def test_random_finite_instances(self):
@@ -99,6 +157,82 @@ class TestEngineAgainstNaiveOracle:
                 assert entry.count == want_p["counts"][entry.eps]
             strict = check_pairwise_strict(space, mapping)
             assert strict.passed == (want_p["strict"] is None)
+
+    @given(table_scans())
+    def test_lattice_engine_matches_reference_loops(self, case):
+        table, nodes, images, eps, exact, fallback = case
+        assert (table_lattice(table, exact) is None) == fallback
+        points = tuple(nodes)
+        for kind, engine in (("pairwise", scan.table_pair_analysis),
+                             ("triple", scan.table_triple_analysis)):
+            got = engine(table, nodes, images, eps, points, exact)
+            want = scan._table_loops(kind, table, nodes, images, eps, points, exact)
+            assert got == want
+            assert repr(got) == repr(want)    # same scalar types, not just equal values
+
+    @staticmethod
+    def two_pair_scan(first, second, other, exact):
+        """Pair scan where pairs (0,1) and (2,3) carry (distance, image distance)
+        first and second; every other pair's ratio is at most 1."""
+        table = [[other] * 8 for _ in range(8)]
+        for i in range(8):
+            table[i][i] = 0 * other
+        for (i, j), value in (((0, 1), first[0]), ((4, 5), first[1]),
+                              ((2, 3), second[0]), ((6, 7), second[1])):
+            table[i][j] = table[j][i] = value
+        table = tuple(tuple(row) for row in table)
+        images = [4, 5, 6, 7, 0, 0, 0, 0]
+        nodes = list(range(8))
+        got = scan.table_pair_analysis(table, nodes, images, (F(1),), tuple(nodes), exact)
+        want = scan._table_loops("pairwise", table, nodes, images, (F(1),),
+                                 tuple(nodes), exact)
+        assert table_lattice(table, exact) is not None
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("exact_winner", [(0, 1), (2, 3)])
+    def test_distinct_ratios_on_one_float(self, exact_winner):
+        # consecutive Fibonacci ratios differ by 1/(F72 F73) (Cassini), far
+        # below float resolution; F73/F72 is the larger one
+        fib = [0, 1]
+        while len(fib) < 75:
+            fib.append(fib[-1] + fib[-2])
+        f72, f73, f74 = (F(v) for v in fib[72:75])
+        assert float(f73 / f72) == float(f74 / f73) and f73 / f72 > f74 / f73
+        pairs = ((f72, f73), (f73, f74))
+        if exact_winner == (2, 3):
+            pairs = pairs[::-1]
+        got = self.two_pair_scan(*pairs, other=f74, exact=True)
+        assert got.sup_ratio == f73 / f72
+        assert got.sup_witness[0] == exact_winner
+
+    def test_float_cross_product_tie_keeps_first(self):
+        # 1512/700 = 2106/975 exactly; in floats the first quotient is one
+        # ulp lower, but the cross products tie, so the loops keep (0, 1)
+        first, second = (700 / 96, 1512 / 96), (975 / 96, 2106 / 96)
+        assert first[1] / first[0] < second[1] / second[0]
+        assert first[1] * second[0] == second[1] * first[0]
+        got = self.two_pair_scan(first, second, other=2106 / 96, exact=False)
+        assert got.sup_witness[0] == (0, 1)
+
+    @given(st.integers(min_value=3, max_value=30), st.sampled_from((3, 96)), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_validate_metric_matches_reference_loops(self, n, den, exact, seed):
+        rng = random.Random(seed)
+        table = random_table(rng, n, den, exact=exact)
+        top = max(max(row) for row in table)
+        x, y, z = rng.sample(range(n), 3)
+        table[x][x] = table[x][y]                          # diagonal
+        table[min(y, z)][max(y, z)] = table[y][y]          # positivity and symmetry
+        table[x][z] = 3 * top                              # triangle, via y
+        table = tuple(tuple(row) for row in table)
+        want = _metric_violations_loops(table, exact)
+        assert all(want[axiom] for axiom in ("diagonal", "positivity", "symmetry",
+                                             "triangle"))
+        assert table_lattice(table, exact) is not None
+        report = validate_metric(table, exact)
+        got = {axiom: getattr(report, axiom) for axiom in want}
+        assert repr(got) == repr(want)
 
     def test_halving_map_small_scope(self):
         entry = catalog("floor_half", integer_max=40)

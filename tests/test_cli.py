@@ -87,6 +87,44 @@ class TestClassify:
     def test_missing_target_exits_1(self, tmp_path):
         assert run(["classify", "--out", str(tmp_path)]) == 1
 
+    def test_float_mode_on_rational_instance(self, tmp_path):
+        # k/96 distances are not dyadic, so every float entry is rounded
+        coords = [F(k, 96) for k in (0, 13, 29, 50, 83)]
+        rows = [[abs(a - b) for b in coords] for a in coords]
+        images = [1, 2, 2, 0, 3]
+        docs = {}
+        for mode, cells in (("exact", [[str(v) for v in row] for row in rows]),
+                            ("float", [[float(v) for v in row] for row in rows])):
+            doc = {"space": {"points": list(range(5)), "mode": mode, "dist": cells},
+                   "map": images}
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out-{mode}"
+            assert run(["classify", "--instance", str(path), "--mode", "float",
+                        "--out", str(out)]) == 0
+            docs[mode], _ = read_only_json(out, "classify")
+        assert docs["exact"]["report"] == docs["float"]["report"]
+        assert docs["exact"]["report"]["enumeration_scope"] == "exact"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_float_instance_exits_1(self, tmp_path, capsys, bad):
+        rows = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        rows[0][1] = rows[1][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"space": {"points": [0, 1, 2], "mode": "float",
+                                              "dist": rows}, "map": [1, 0, 1]}))
+        assert run(["classify", "--instance", str(path), "--out", str(tmp_path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True])
+    def test_bad_map_index_exits_1(self, tmp_path, instance_file, capsys, index):
+        doc = json.loads(instance_file.read_text())
+        doc["map"][0] = index
+        path = tmp_path / "bad-map.json"
+        path.write_text(json.dumps(doc))
+        assert run(["classify", "--instance", str(path), "--out", str(tmp_path)]) == 1
+        assert "map image index" in capsys.readouterr().err
+
     def test_float_mode_rejected_for_catalog(self, tmp_path):
         assert run(["classify", "--catalog", "period2_counterexample",
                     "--mode", "float", "--out", str(tmp_path)]) == 1

@@ -55,6 +55,14 @@ class TestScalars:
     def test_parse_float_mode(self):
         assert parse_scalar("0.5", exact=False) == 0.5
 
+    def test_parse_float_mode_rational_strings(self):
+        assert parse_scalar("13/96", exact=False) == 13 / 96
+        # correctly rounded: float(p) / float(q) would round p first
+        assert parse_scalar(f"{2 ** 53 + 1}/3", exact=False) == (2 ** 53 + 1) / 3
+        assert (2 ** 53 + 1) / 3 != float(2 ** 53 + 1) / 3
+        with pytest.raises(InputError):
+            parse_scalar("1/0", exact=False)
+
     def test_parse_garbage(self):
         with pytest.raises(InputError):
             parse_scalar("spam")
@@ -140,6 +148,19 @@ class TestValidateMetric:
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
             validate_metric([[F(0), F(1)], [F(1)]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_float_entries(self, bad):
+        # 1e308 is finite, but a perimeter of three such sides overflows
+        rows = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        rows[0][2] = rows[2][0] = bad
+        report = validate_metric(rows, exact=False)
+        assert not report.ok
+        assert [w[:2] for w in report.finite] == [(0, 2), (2, 0)]
+        assert "finite" in report.summary()
+        doc = {"points": [0, 1, 2], "dist": rows, "mode": "float"}
+        with pytest.raises(InputError, match="finite"):
+            FiniteMetricSpace.from_json(doc)
 
 
 class TestMetricRepair:
