@@ -46,7 +46,6 @@ from .metric_core import (
     InputError,
     InternalConsistencyError,
     SampledSpace,
-    Triple,
     ValidationReport,
     max_side,
     metric_repair,
@@ -86,7 +85,6 @@ __all__ = [
     "SelfMap",
     "TheoremVerdict",
     "THEOREM_IDS",
-    "Triple",
     "ValidationReport",
     "Verdict",
     "apply",

@@ -192,30 +192,21 @@ def _subset_points(space, point_set):
     return tuple(order[i] for i in sorted(order))
 
 
-def _pair_analysis(space, mapping, point_set, eps_grid, workers=1):
+def _analysis(kind, space, mapping, point_set, eps_grid):
+    """The pairwise or triple enumeration of the map over the chosen points."""
     pts = _subset_points(space, point_set)
+    pairwise = kind == "pairwise"
     if isinstance(space, SampledSpace):
         den = space.denominator
         nums = [int(p * den) for p in pts]
         images = [apply(mapping, p) for p in pts]
-        return scan.line_pair_analysis(nums, den, pts, images, eps_grid, workers)
+        engine = scan.line_pair_analysis if pairwise else scan.line_triple_analysis
+        return engine(nums, den, pts, images, eps_grid)
     nodes = [space.index(p) for p in pts]
     images = [space.index(apply(mapping, q)) for q in space.points]
-    return scan.table_pair_analysis(space.dist_table, nodes, images, eps_grid,
-                                    pts, space.exact, workers, lattice=space.lattice)
-
-
-def _triple_analysis(space, mapping, point_set, eps_grid, workers=1):
-    pts = _subset_points(space, point_set)
-    if isinstance(space, SampledSpace):
-        den = space.denominator
-        nums = [int(p * den) for p in pts]
-        images = [apply(mapping, p) for p in pts]
-        return scan.line_triple_analysis(nums, den, pts, images, eps_grid, workers)
-    nodes = [space.index(p) for p in pts]
-    images = [space.index(apply(mapping, q)) for q in space.points]
-    return scan.table_triple_analysis(space.dist_table, nodes, images, eps_grid,
-                                      pts, space.exact, workers, lattice=space.lattice)
+    engine = scan.table_pair_analysis if pairwise else scan.table_triple_analysis
+    return engine(space.dist_table, nodes, images, eps_grid, pts, space.exact,
+                  lattice=space.lattice)
 
 
 def _scope_of(space) -> str:
@@ -329,17 +320,17 @@ def _uniform_verdict(alpha, witness, scope) -> Verdict:
 # ---------------------------------------------------------------------------
 # public operations
 
-def check_pairwise_strict(space, mapping: SelfMap, point_set=None, workers=1) -> Verdict:
+def check_pairwise_strict(space, mapping: SelfMap, point_set=None) -> Verdict:
     """Does every distinct pair move strictly closer under the map?"""
-    analysis = _pair_analysis(space, mapping, point_set, DEFAULT_EPS_GRID, workers)
+    analysis = _analysis("pairwise", space, mapping, point_set, DEFAULT_EPS_GRID)
     return _strict_verdict(analysis, _scope_of(space), "distance")
 
 
 def estimate_large_contraction_modulus(space, mapping: SelfMap, point_set=None,
-                                       eps_grid=None, workers=1):
+                                       eps_grid=None):
     """Pairwise modulus table delta(eps) plus the large-contraction verdict."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    analysis = _pair_analysis(space, mapping, point_set, eps_grid, workers)
+    analysis = _analysis("pairwise", space, mapping, point_set, eps_grid)
     scope = _scope_of(space)
     table = _modulus_table(analysis, _pair_witness)
     strict = _strict_verdict(analysis, scope, "distance")
@@ -347,19 +338,19 @@ def estimate_large_contraction_modulus(space, mapping: SelfMap, point_set=None,
     return table, verdict
 
 
-def estimate_tpc_alpha(space, mapping: SelfMap, point_set=None, workers=1):
+def estimate_tpc_alpha(space, mapping: SelfMap, point_set=None):
     """Supremum of image-to-original perimeter ratios with attaining witness."""
-    analysis = _triple_analysis(space, mapping, point_set, DEFAULT_EPS_GRID, workers)
+    analysis = _analysis("triple", space, mapping, point_set, DEFAULT_EPS_GRID)
     witness = _triple_witness(analysis.sup_witness)
     verdict = _uniform_verdict(analysis.sup_ratio, witness, _scope_of(space))
     return analysis.sup_ratio, witness, verdict
 
 
 def estimate_large_tpc_modulus(space, mapping: SelfMap, point_set=None,
-                               eps_grid=None, workers=1):
+                               eps_grid=None):
     """Triple modulus table delta(eps) plus the large perimeter-contraction verdict."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    analysis = _triple_analysis(space, mapping, point_set, eps_grid, workers)
+    analysis = _analysis("triple", space, mapping, point_set, eps_grid)
     scope = _scope_of(space)
     table = _modulus_table(analysis, _triple_witness)
     strict = _strict_verdict(analysis, scope, "perimeter")
@@ -367,13 +358,13 @@ def estimate_large_tpc_modulus(space, mapping: SelfMap, point_set=None,
     return table, verdict
 
 
-def full_report(space, mapping: SelfMap, point_set=None, eps_grid=None,
-                workers=1) -> ContractionReport:
+def full_report(space, mapping: SelfMap, point_set=None,
+                eps_grid=None) -> ContractionReport:
     """Run all classifiers on one enumeration pass and cross-check implications."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
     scope = _scope_of(space)
-    pair = _pair_analysis(space, mapping, point_set, eps_grid, workers)
-    triple = _triple_analysis(space, mapping, point_set, eps_grid, workers)
+    pair = _analysis("pairwise", space, mapping, point_set, eps_grid)
+    triple = _analysis("triple", space, mapping, point_set, eps_grid)
 
     pairwise_strict = _strict_verdict(pair, scope, "distance")
     pair_table = _modulus_table(pair, _pair_witness)

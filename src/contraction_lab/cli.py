@@ -112,9 +112,9 @@ def _check(checks, check_id, description, expected, computed, ok):
     })
 
 
-def _reproduce_period2(checks, workers):
+def _reproduce_period2(checks):
     entry = catalog("period2_counterexample")
-    report = classify.full_report(entry.space, entry.map, workers=workers)
+    report = classify.full_report(entry.space, entry.map)
     alpha = report.tpc_alpha
     _check(checks, "p2-alpha", "three-point 2-cycle: perimeter ratio is exactly 1/2",
            "1/2", format_scalar(alpha), alpha == Fraction(1, 2))
@@ -148,10 +148,10 @@ def _reproduce_period2(checks, workers):
            trace.halted_by == "period-2" and trace.states == (2, 1, 0, 1, 0))
 
 
-def _reproduce_burton(checks, workers):
+def _reproduce_burton(checks):
     entry = catalog("burton_logistic")
     step = Fraction(entry.params["grid_step"])
-    report = classify.full_report(entry.space, entry.map, workers=workers)
+    report = classify.full_report(entry.space, entry.map)
     _check(checks, "b-large-contraction", "logistic-ratio map: pairwise contraction holds on scope",
            "pass", "pass" if report.large_contraction.passed else "fail",
            report.large_contraction.passed)
@@ -175,11 +175,11 @@ def _reproduce_burton(checks, workers):
            trace.states[200] == Fraction(1, 201))
 
 
-def _reproduce_floor(checks, workers):
+def _reproduce_floor(checks):
     import numpy as np
 
     entry = catalog("floor_half")
-    report = classify.full_report(entry.space, entry.map, workers=workers)
+    report = classify.full_report(entry.space, entry.map)
     strict = report.pairwise_strict
     wit = strict.witness or {}
     _check(checks, "f-pairwise-witness",
@@ -231,10 +231,10 @@ def _reproduce_floor(checks, workers):
            trace.halted_by == "fixed-point" and trace.final_state == 0)
 
 
-def _reproduce_composite(checks, workers):
+def _reproduce_composite(checks):
     entry = catalog("composite")
     index_max = int(entry.params["index_max"])
-    report = classify.full_report(entry.space, entry.map, workers=workers)
+    report = classify.full_report(entry.space, entry.map)
     _check(checks, "c-large-contraction",
            "composite map: pairwise contraction fails on scope (tail ratios approach 1)",
            "fail", "pass" if report.large_contraction.passed else "fail",
@@ -278,11 +278,10 @@ def _reproduce_composite(checks, workers):
 
 def cmd_reproduce(args) -> int:
     checks = []
-    workers = args.workers
-    _reproduce_period2(checks, workers)
-    _reproduce_burton(checks, workers)
-    _reproduce_floor(checks, workers)
-    _reproduce_composite(checks, workers)
+    _reproduce_period2(checks)
+    _reproduce_burton(checks)
+    _reproduce_floor(checks)
+    _reproduce_composite(checks)
     all_pass = all(c["pass"] for c in checks)
     doc = {
         "command": "reproduce",
@@ -309,8 +308,7 @@ def cmd_reproduce(args) -> int:
 def cmd_classify(args) -> int:
     space, mapping, origin = _load_target(args)
     eps_grid = _parse_eps_grid(args.eps_grid)
-    report = classify.full_report(space, mapping, eps_grid=eps_grid,
-                                  workers=args.workers)
+    report = classify.full_report(space, mapping, eps_grid=eps_grid)
     config = {
         "command": "classify",
         "origin": origin,
@@ -382,8 +380,7 @@ def cmd_verify(args) -> int:
     else:
         x0 = space.point_set()[0]
     v = theorem_lab.verdict(args.theorem, space, mapping, x0=x0,
-                            eps_grid=_parse_eps_grid(args.eps_grid),
-                            workers=args.workers)
+                            eps_grid=_parse_eps_grid(args.eps_grid))
     config = {
         "command": "verify",
         "theorem": args.theorem,
@@ -454,12 +451,18 @@ def _add_target_args(p, with_mode=True):
 
 def _add_common_output(p):
     p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as InputError: exit 1, since 2 means a refutation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="contraction-lab",
         description="classify contraction behaviour, run Picard orbits, verify "
                     "fixed-point statements, and search for counterexamples",
@@ -473,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify an instance into the contraction hierarchy")
     _add_target_args(p)
     p.add_argument("--eps-grid", help="comma-separated eps values (e.g. 1/8,1/4,1/2)")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv also writes the modulus tables as CSV")
     _add_common_output(p)
     p.set_defaults(fn=cmd_classify)
 
@@ -507,9 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

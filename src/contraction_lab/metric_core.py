@@ -9,7 +9,6 @@ tolerance ETA.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -85,22 +84,6 @@ def strictly_less(a: Scalar, b: Scalar, exact: bool) -> bool:
 
 # ---------------------------------------------------------------------------
 # domain types
-
-@dataclass(frozen=True)
-class Triple:
-    """Three pairwise-distinct points."""
-
-    x: object
-    y: object
-    z: object
-
-    def __post_init__(self):
-        if self.x == self.y or self.y == self.z or self.x == self.z:
-            raise InputError(f"triple points must be pairwise distinct: {self}")
-
-    def as_tuple(self):
-        return (self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -471,11 +454,3 @@ def metric_repair(table: Sequence[Sequence[Scalar]], points=None, mode: str = "e
         dist_table=tuple(tuple(row) for row in dist),
         mode=mode,
     )
-
-
-def space_from_json_text(text: str) -> FiniteMetricSpace:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
-    return FiniteMetricSpace.from_json(doc)

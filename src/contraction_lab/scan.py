@@ -23,10 +23,7 @@ Two engines back the classifiers:
   witness; qualification thresholds (distance >= eps) are decided in integer
   arithmetic, so bucket membership never suffers float boundary errors.
 
-The line engine partitions its float pass into chunks with an order-free
-merge, so its results are independent of the chunk and worker count; the
-table engine runs in one thread.  Supremum ties break toward the
-lexicographically smallest witness.
+Supremum ties break toward the lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +39,6 @@ import numpy as np
 from .metric_core import ETA, LATTICE_LIMIT, InputError, table_lattice
 
 FLOAT_SLACK = 1e-9       # screen width when exactifying float-located suprema
-CANDIDATE_CAP = 50_000   # max float-tied candidates examined per bucket
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
 _FLOAT_MAX = Fraction(sys.float_info.max)
@@ -71,7 +66,7 @@ class EnumAnalysis:
 
 
 class _Partial:
-    """Reduction state of one enumeration pass or chunk."""
+    """Reduction state of one enumeration pass."""
 
     __slots__ = ("best", "counts", "strict", "total")
 
@@ -91,22 +86,8 @@ def _better(num_a, den_a, wit_a, num_b, den_b, wit_b):
     return wit_a < wit_b
 
 
-def _chunk_ranges(n, pieces):
-    if n <= 0:
-        return [(0, 0)]
-    pieces = max(1, min(pieces, n))
-    step = -(-n // pieces)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _run_chunks(fn, chunks, workers):
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
-
-
-def _validate_eps(eps):
+def _checked_eps(kind, eps, n_points):
+    """The eps grid as a tuple, after checking it and then the point count."""
     eps = tuple(eps)
     if not eps:
         raise InputError("eps grid must be nonempty")
@@ -117,17 +98,30 @@ def _validate_eps(eps):
         raise InputError("eps grid must be ascending")
     if len(set(eps)) != len(eps):
         raise InputError("eps grid values must be distinct")
+    need = 2 if kind == "pairwise" else 3
+    if n_points < need:
+        raise InputError(f"need at least {need} points")
     return eps
+
+
+def _ceil_thresholds(eps, scale, cap):
+    """Per eps value, the least integer m with m/scale >= eps, capped at cap.
+
+    cap lies above every measure the thresholds are compared with, so an
+    eps above all of them leaves its bucket empty (a vacuous entry).
+    """
+    return np.array([min(-(-f.numerator * scale // f.denominator), cap)
+                     for f in map(Fraction, eps)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # table engine (finite spaces)
 
-def _table_pairs_chunk(dist, nodes, images, eps, exact, a_range):
+def _table_pair_loop(dist, nodes, images, eps, exact):
     m = len(nodes)
     part = _Partial(len(eps) + 1)
     strict_slack = 0 if exact else ETA
-    for a in range(*a_range):
+    for a in range(m):
         i = nodes[a]
         di = dist[i]
         dti = dist[images[i]]
@@ -146,11 +140,11 @@ def _table_pairs_chunk(dist, nodes, images, eps, exact, a_range):
     return part
 
 
-def _table_triples_chunk(dist, nodes, images, eps, exact, a_range):
+def _table_triple_loop(dist, nodes, images, eps, exact):
     m = len(nodes)
     part = _Partial(len(eps) + 1)
     strict_slack = 0 if exact else ETA
-    for a in range(*a_range):
+    for a in range(m):
         i = nodes[a]
         di = dist[i]
         dti = dist[images[i]]
@@ -184,11 +178,8 @@ def _table_triples_chunk(dist, nodes, images, eps, exact, a_range):
 
 def _table_loops(kind, dist, nodes, images, eps, points, exact):
     """The reference table enumeration: one pure-Python pass in the table's scalars."""
-    m = len(nodes)
-    if kind == "pairwise":
-        part = _table_pairs_chunk(dist, nodes, images, eps, exact, (0, m - 1))
-    else:
-        part = _table_triples_chunk(dist, nodes, images, eps, exact, (0, m - 2))
+    loop = _table_pair_loop if kind == "pairwise" else _table_triple_loop
+    part = loop(dist, nodes, images, eps, exact)
     return _finalize(kind, eps, part.best, part.counts, part.strict, part.total,
                      points, exact)
 
@@ -201,8 +192,7 @@ def _lattice_thresholds(eps, lattice):
     LATTICE_LIMIT, above every lattice value.
     """
     if lattice.exact:
-        return np.array([min(_ceil_div(f.numerator * lattice.scale, f.denominator),
-                             LATTICE_LIMIT) for f in map(Fraction, eps)], dtype=np.int64)
+        return _ceil_thresholds(eps, lattice.scale, LATTICE_LIMIT)
     out = []
     for f in map(Fraction, eps):
         x = float(min(f, _FLOAT_MAX))
@@ -389,6 +379,7 @@ def _lattice_scan(kind, lattice, nodes, images, eps, points):
 
 
 def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
+    eps = _checked_eps(kind, eps, len(nodes))
     if lattice is None:
         lattice = table_lattice(dist, exact)
     result = None
@@ -402,21 +393,14 @@ def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
 # ---------------------------------------------------------------------------
 # line engine (sampled one-dimensional spaces)
 
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
-def _eps_thresholds(eps, den):
-    """Smallest integer numerator m with m/den >= eps, per grid value."""
-    out = []
-    for e in eps:
-        f = Fraction(e)
-        out.append(_ceil_div(f.numerator * den, f.denominator))
-    return np.asarray(out, dtype=np.int64)
-
-
 class _LineData:
-    """Shared arrays for one sampled-space enumeration."""
+    """Shared arrays for one sampled-space enumeration of one kind.
+
+    Items are grouped by their first index i.  Position h of slice(i) stands
+    for the items whose last index is i + gap + h; spans ascend with h.
+    """
+
+    gap = None
 
     def __init__(self, numerators, den, points, images, eps):
         self.den = den
@@ -424,40 +408,46 @@ class _LineData:
         self.images = tuple(images)    # Fractions
         self.nums = np.asarray(numerators, dtype=np.int64)
         self.tvals = np.array([float(v) for v in images], dtype=np.float64)
-        self.thresholds = _eps_thresholds(eps, den)
         self.n = len(self.points)
+        longest = int(self.nums[-1]) - int(self.nums[0])
+        self.thresholds = _ceil_thresholds(eps, den, longest + 1)
 
-    # exact re-evaluation at a witness -------------------------------------
-    def pair_sides(self, i, j):
-        d = self.points[j] - self.points[i]
-        dt = abs(self.images[j] - self.images[i])
-        return d, dt
 
-    def triple_sides(self, i, j, k):
-        p = 2 * (self.points[k] - self.points[i])
-        ims = (self.images[i], self.images[j], self.images[k])
-        pt = 2 * (max(ims) - min(ims))
-        return p, pt
+class _LinePairs(_LineData):
+    gap = 1
 
-    def exact_best_middle(self, i, k):
-        """Exact max image spread over middle indices, with smallest argmax."""
-        ti = self.images[i]
-        tk = self.images[k]
-        lo = min(ti, tk)
-        hi = max(ti, tk)
-        best = hi - lo
-        best_j = i + 1
-        for j in range(i + 1, k):
-            tj = self.images[j]
-            spread = (tj - lo) if tj > hi else ((hi - tj) if tj < lo else hi - lo)
-            if spread > best:
-                best = spread
-                best_j = j
-        return best, best_j
+    def slice(self, i):
+        """Float ratios and spans of the pairs (i, j), j = i+1..n-1."""
+        span = self.nums[i + 1:] - self.nums[i]
+        ratio = np.abs(self.tvals[i + 1:] - self.tvals[i]) * (float(self.den) / span)
+        return ratio, span
 
-    # float slice over the (i, k) pair reduction ---------------------------
-    def triple_pair_slice(self, i):
-        """Per k in (i+2..n-1): best float ratio over middle points, span, j count."""
+    @staticmethod
+    def items(lo, hi):
+        """Pairs at slice positions lo..hi-1."""
+        return hi - lo
+
+    def sides(self, wit):
+        """Exact (distance, image distance) at a pair witness."""
+        i, j = wit
+        return self.points[j] - self.points[i], abs(self.images[j] - self.images[i])
+
+    def exact_entry(self, i, j):
+        d, dt = self.sides((i, j))
+        return dt, d, (i, j)
+
+    def strict_witness(self, i, j):
+        d, dt = self.sides((i, j))
+        return (i, j) if dt >= d else None
+
+
+class _LineTriples(_LineData):
+    """Triples i < j < k, reduced over j to their (i, k) pairs."""
+
+    gap = 2
+
+    def slice(self, i):
+        """Per k in (i+2..n-1): best float ratio over middle points, and span."""
         tv = self.tvals
         ti = tv[i]
         tk = tv[i + 2:]
@@ -471,160 +461,116 @@ class _LineData:
         ratio = spread * (float(self.den) / span)
         return ratio, span
 
+    @staticmethod
+    def items(lo, hi):
+        """Triples at slice positions lo..hi-1: position h has h + 1 middle points."""
+        return (hi * (hi + 1) - lo * (lo + 1)) // 2
 
-def _line_pairs_phase1(data: _LineData, i_range):
+    def sides(self, wit):
+        """Exact (perimeter, image perimeter) at a triple witness."""
+        i, j, k = wit
+        ims = (self.images[i], self.images[j], self.images[k])
+        return 2 * (self.points[k] - self.points[i]), 2 * (max(ims) - min(ims))
+
+    def exact_entry(self, i, k):
+        """Exact best triple over the middle points of (i, k), smallest argmax."""
+        ti = self.images[i]
+        tk = self.images[k]
+        lo = min(ti, tk)
+        hi = max(ti, tk)
+        best = hi - lo
+        best_j = i + 1
+        for j in range(i + 1, k):
+            tj = self.images[j]
+            spread = (tj - lo) if tj > hi else ((hi - tj) if tj < lo else hi - lo)
+            if spread > best:
+                best = spread
+                best_j = j
+        return 2 * best, 2 * (self.points[k] - self.points[i]), (i, best_j, k)
+
+    def strict_witness(self, i, k):
+        """Lex-first triple (i, j, k) whose perimeter does not decrease, or None."""
+        p = 2 * (self.points[k] - self.points[i])
+        ti = self.images[i]
+        tk = self.images[k]
+        lo = min(ti, tk)
+        hi = max(ti, tk)
+        if 2 * (hi - lo) >= p:
+            return (i, i + 1, k)
+        need_hi = lo + p / 2     # middle image at or above this violates
+        need_lo = hi - p / 2     # ... or at or below this
+        for j in range(i + 1, k):
+            tj = self.images[j]
+            if tj >= need_hi or tj <= need_lo:
+                return (i, j, k)
+        return None
+
+
+_LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
+
+
+def _line_float_pass(data):
+    """Per-bucket float ratio maxima (None when empty) and item counts."""
     nb = len(data.thresholds) + 1
-    part = _Partial(nb)
-    bmax = np.full(nb, -np.inf)
-    den_f = float(data.den)
-    for i in range(*i_range):
-        if i >= data.n - 1:
-            break
-        span = data.nums[i + 1:] - data.nums[i]
-        ratio = np.abs(data.tvals[i + 1:] - data.tvals[i]) * (den_f / span)
-        edges = np.searchsorted(span, data.thresholds, side="left")
-        bounds = np.concatenate(([0], edges, [len(span)]))
-        for b in range(nb):
-            lo, hi = bounds[b], bounds[b + 1]
-            if hi > lo:
-                part.counts[b] += int(hi - lo)
-                seg = float(ratio[lo:hi].max())
-                if seg > bmax[b]:
-                    bmax[b] = seg
-        part.total += len(span)
-    part.best = [None if part.counts[b] == 0 else bmax[b] for b in range(nb)]
-    return part
-
-
-def _line_triples_phase1(data: _LineData, i_range):
-    """Float per-bucket suprema over the (i, k) pair reduction."""
-    nb = len(data.thresholds) + 1
-    part = _Partial(nb)
-    for i in range(*i_range):
-        if i >= data.n - 2:
-            break
-        ratio, span = data.triple_pair_slice(i)
-        edges = np.searchsorted(span, data.thresholds, side="left")
-        bounds = np.concatenate(([0], edges, [len(span)]))
-        n_middle = np.arange(1, len(span) + 1, dtype=np.int64)  # k - i - 1
-        for b in range(nb):
-            lo, hi = bounds[b], bounds[b + 1]
-            if hi > lo:
-                part.counts[b] += int(n_middle[lo:hi].sum())
-                seg = float(ratio[lo:hi].max())
-                if part.best[b] is None or seg > part.best[b]:
-                    part.best[b] = seg
-        part.total += int(n_middle.sum())
-    return part
-
-
-def _merge_float_parts(parts, nb):
     best = [None] * nb
     counts = [0] * nb
-    total = 0
-    for p in parts:
+    for i in range(data.n - data.gap):
+        ratio, span = data.slice(i)
+        edges = np.searchsorted(span, data.thresholds, side="left").tolist()
+        bounds = [0, *edges, len(span)]
         for b in range(nb):
-            if p.best[b] is not None and (best[b] is None or p.best[b] > best[b]):
-                best[b] = p.best[b]
-            counts[b] += p.counts[b]
-        total += p.total
-    return best, counts, total
+            lo, hi = bounds[b], bounds[b + 1]
+            if hi > lo:
+                counts[b] += data.items(lo, hi)
+                seg = float(ratio[lo:hi].max())
+                if best[b] is None or seg > best[b]:
+                    best[b] = seg
+    return best, counts
 
 
-def _line_exact_pairs_bucket(data: _LineData, bucket_id, floor_value):
-    """Exact supremum entry for one pairwise bucket, lex-first witness."""
-    slack = FLOAT_SLACK * max(1.0, abs(floor_value))
-    thr = data.thresholds
-    best = None
-    seen = 0
-    den_f = float(data.den)
-    for i in range(data.n - 1):
-        span = data.nums[i + 1:] - data.nums[i]
-        ratio = np.abs(data.tvals[i + 1:] - data.tvals[i]) * (den_f / span)
-        bucket = np.searchsorted(thr, span, side="right")
-        hits = np.nonzero((bucket == bucket_id) & (ratio >= floor_value - slack))[0]
-        for h in hits:
-            j = i + 1 + int(h)
-            d, dt = data.pair_sides(i, j)
-            if best is None or _better(dt, d, (i, j), best[0], best[1], best[2]):
-                best = (dt, d, (i, j))
-            seen += 1
-            if seen >= CANDIDATE_CAP:
-                return best
-    return best
+def _line_exact_bucket(data, bucket_id, floor_value):
+    """Exact supremum entry for one bucket, lex-first witness.
 
-
-def _line_exact_triples_bucket(data: _LineData, bucket_id, floor_value):
-    """Exact supremum entry for one triple bucket, lex-first witness.
-
-    Candidate (i, k) pairs are float-screened; each is then maximized exactly
-    over its middle points.  The screen slack exceeds float rounding by many
-    orders, so the exact supremum is always among the candidates (up to
-    CANDIDATE_CAP float ties).
+    Every item whose float ratio is within FLOAT_SLACK (relative) of the
+    bucket's float maximum is re-evaluated exactly.
     """
     slack = FLOAT_SLACK * max(1.0, abs(floor_value))
     best = None
-    seen = 0
-    for i in range(data.n - 2):
-        ratio, span = data.triple_pair_slice(i)
+    for i in range(data.n - data.gap):
+        ratio, span = data.slice(i)
         bucket = np.searchsorted(data.thresholds, span, side="right")
         hits = np.nonzero((bucket == bucket_id) & (ratio >= floor_value - slack))[0]
-        for h in hits:
-            k = i + 2 + int(h)
-            spread, j = data.exact_best_middle(i, k)
-            p = 2 * (data.points[k] - data.points[i])
-            pt = 2 * spread
-            if best is None or _better(pt, p, (i, j, k), best[0], best[1], best[2]):
-                best = (pt, p, (i, j, k))
-            seen += 1
-            if seen >= CANDIDATE_CAP:
-                return best
+        for h in hits.tolist():
+            entry = data.exact_entry(i, i + data.gap + h)
+            if best is None or _better(*entry, *best):
+                best = entry
     return best
 
 
-def _line_strict_pairs(data: _LineData):
-    """Lex-first pair with non-decreasing image distance, or None."""
-    den_f = float(data.den)
-    for i in range(data.n - 1):
-        span = data.nums[i + 1:] - data.nums[i]
-        ratio = np.abs(data.tvals[i + 1:] - data.tvals[i]) * (den_f / span)
-        hits = np.nonzero(ratio >= 1.0 - FLOAT_SLACK)[0]
-        for h in hits:
-            j = i + 1 + int(h)
-            d, dt = data.pair_sides(i, j)
-            if dt >= d:
-                return ((i, j), d, dt)
-    return None
-
-
-def _line_strict_triples(data: _LineData):
-    """Lex-first triple with non-decreasing perimeter, or None."""
-    for i in range(data.n - 2):
-        ratio, span = data.triple_pair_slice(i)
-        hits = np.nonzero(ratio >= 1.0 - FLOAT_SLACK)[0]
-        found = []
-        for h in hits:
-            k = i + 2 + int(h)
-            p = 2 * (data.points[k] - data.points[i])
-            ti = data.images[i]
-            tk = data.images[k]
-            lo = min(ti, tk)
-            hi = max(ti, tk)
-            if 2 * (hi - lo) >= p:
-                found.append((i + 1, k))
-                continue
-            need_hi = lo + p / 2     # middle image at or above this violates
-            need_lo = hi - p / 2     # ... or at or below this
-            for j in range(i + 1, k):
-                tj = data.images[j]
-                if tj >= need_hi or tj <= need_lo:
-                    found.append((j, k))
-                    break
+def _line_strict(data):
+    """Lex-first item whose image measure is not below its measure, or None."""
+    for i in range(data.n - data.gap):
+        ratio, _ = data.slice(i)
+        hits = np.nonzero(ratio >= 1.0 - FLOAT_SLACK)[0].tolist()
+        found = [w for w in (data.strict_witness(i, i + data.gap + h) for h in hits)
+                 if w is not None]
         if found:
-            j, k = min(found)
-            p, pt = data.triple_sides(i, j, k)
-            return ((i, j, k), p, pt)
+            wit = min(found)
+            return (wit, *data.sides(wit))
     return None
+
+
+def _line_analysis(kind, numerators, den, points, images, eps):
+    eps = _checked_eps(kind, eps, len(numerators))
+    data = _LINE_KINDS[kind](numerators, den, points, images, eps)
+    best_float, counts = _line_float_pass(data)
+    bucket_entries = [None if v is None else _line_exact_bucket(data, b, v)
+                      for b, v in enumerate(best_float)]
+    strict = None
+    if any(v is not None and v >= 1.0 - FLOAT_SLACK for v in best_float):
+        strict = _line_strict(data)
+    return _finalize(kind, eps, bucket_entries, counts, strict, sum(counts),
+                     data.points, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -695,68 +641,25 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
 # ---------------------------------------------------------------------------
 # public entry points
 
-def table_pair_analysis(dist, nodes, images, eps, points, exact=True, workers=1,
-                        lattice=None):
+def table_pair_analysis(dist, nodes, images, eps, points, exact=True, lattice=None):
     """Pairwise enumeration of a finite table over the positions ``nodes``.
 
     ``lattice`` is the table's precomputed Lattice; without one it is
-    computed here.  ``workers`` is accepted for a uniform signature; the
-    table engine runs in one thread.
+    computed here.
     """
-    eps = _validate_eps(eps)
-    if len(nodes) < 2:
-        raise InputError("need at least 2 points")
     return _table_analysis("pairwise", dist, nodes, images, eps, points, exact, lattice)
 
 
-def table_triple_analysis(dist, nodes, images, eps, points, exact=True, workers=1,
-                          lattice=None):
+def table_triple_analysis(dist, nodes, images, eps, points, exact=True, lattice=None):
     """Triple (perimeter) enumeration; see table_pair_analysis."""
-    eps = _validate_eps(eps)
-    if len(nodes) < 3:
-        raise InputError("need at least 3 points")
     return _table_analysis("triple", dist, nodes, images, eps, points, exact, lattice)
 
 
-def line_pair_analysis(numerators, den, points, images, eps, workers=1):
-    eps = _validate_eps(eps)
-    n = len(numerators)
-    if n < 2:
-        raise InputError("need at least 2 points")
-    data = _LineData(numerators, den, points, images, eps)
-    nb = len(data.thresholds) + 1
-    chunks = _chunk_ranges(n - 1, workers * 4 if workers > 1 else 1)
-    parts = _run_chunks(lambda rng: _line_pairs_phase1(data, rng), chunks, workers)
-    best_float, counts, total = _merge_float_parts(parts, nb)
-    bucket_entries = [
-        None if best_float[b] is None else
-        _line_exact_pairs_bucket(data, b, best_float[b])
-        for b in range(nb)
-    ]
-    strict = None
-    if any(v is not None and v >= 1.0 - FLOAT_SLACK for v in best_float):
-        strict = _line_strict_pairs(data)
-    return _finalize("pairwise", eps, bucket_entries, counts, strict, total,
-                     data.points, exact=True)
+def line_pair_analysis(numerators, den, points, images, eps):
+    """Pairwise enumeration of a sampled space: points numerators[i]/den, ascending."""
+    return _line_analysis("pairwise", numerators, den, points, images, eps)
 
 
-def line_triple_analysis(numerators, den, points, images, eps, workers=1):
-    eps = _validate_eps(eps)
-    n = len(numerators)
-    if n < 3:
-        raise InputError("need at least 3 points")
-    data = _LineData(numerators, den, points, images, eps)
-    nb = len(data.thresholds) + 1
-    chunks = _chunk_ranges(n - 2, workers * 4 if workers > 1 else 1)
-    parts = _run_chunks(lambda rng: _line_triples_phase1(data, rng), chunks, workers)
-    best_float, counts, total = _merge_float_parts(parts, nb)
-    bucket_entries = [
-        None if best_float[b] is None else
-        _line_exact_triples_bucket(data, b, best_float[b])
-        for b in range(nb)
-    ]
-    strict = None
-    if any(v is not None and v >= 1.0 - FLOAT_SLACK for v in best_float):
-        strict = _line_strict_triples(data)
-    return _finalize("triple", eps, bucket_entries, counts, strict, total,
-                     data.points, exact=True)
+def line_triple_analysis(numerators, den, points, images, eps):
+    """Triple (perimeter) enumeration; see line_pair_analysis."""
+    return _line_analysis("triple", numerators, den, points, images, eps)

@@ -150,7 +150,7 @@ def _enumerable(space, mapping) -> bool:
 
 
 def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
-            report: classify.ContractionReport = None, workers: int = 1) -> TheoremVerdict:
+            report: classify.ContractionReport = None) -> TheoremVerdict:
     """Evaluate one theorem's hypotheses and conclusion on an instance."""
     if theorem_id not in THEOREM_IDS:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
@@ -158,7 +158,7 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
     notes = []
 
     if report is None:
-        report = classify.full_report(space, mapping, eps_grid=eps_grid, workers=workers)
+        report = classify.full_report(space, mapping, eps_grid=eps_grid)
 
     hypotheses = []
     trace = None

@@ -312,6 +312,26 @@ class TestLineEngineFuzz:
             assert strict.passed == (want_p["strict"] is None)
 
 
+    def test_many_float_tied_candidates_keep_the_exact_supremum(self):
+        # x/2 on 0..329 with the last image raised by 1e-12: every pair's float
+        # ratio lies within the screen of 1/2, so all 54 285 pairs are exact
+        # candidates, and the supremum sits at the lex-last pair (328, 329)
+        n = 330
+        points = [F(i) for i in range(n)]
+        images = [F(i, 2) for i in range(n)]
+        images[-1] += F(1, 10 ** 12)
+        eps = (F(1, 2),)
+        got = scan.line_pair_analysis(list(range(n)), 1, points, images, eps)
+        want, want_wit = None, None
+        for i, j in combinations(range(n), 2):
+            r = abs(images[j] - images[i]) / (points[j] - points[i])
+            if want is None or r > want:
+                want, want_wit = r, (points[i], points[j])
+        assert want == F(500000000001, 1000000000000)
+        assert got.sup_ratio == got.deltas[0] == want
+        assert got.sup_witness[0] == got.delta_witnesses[0][0] == want_wit
+
+
 class TestWitnesses:
     def test_two_cycle_alpha_exact(self):
         entry = catalog("period2_counterexample")
@@ -431,20 +451,6 @@ class TestScalingInvariance:
             assert base_v.passed == new_v.passed
             for a, b in zip(base_t.entries, new_t.entries):
                 assert a.delta == b.delta and a.count == b.count
-
-
-class TestPartitionIndependence:
-    def test_worker_count_does_not_change_reports(self):
-        entry = catalog("burton_logistic", grid_step=F(1, 64))
-        r1 = full_report(entry.space, entry.map, workers=1)
-        r3 = full_report(entry.space, entry.map, workers=3)
-        assert r1.to_json() == r3.to_json()
-
-    def test_worker_count_on_finite_instances(self):
-        space, mapping = random_finite_instances(1, seed=5)[0]
-        r1 = full_report(space, mapping, workers=1)
-        r4 = full_report(space, mapping, workers=4)
-        assert r1.to_json() == r4.to_json()
 
 
 class TestFullReport:

@@ -130,6 +130,28 @@ class TestClassify:
                     "--mode", "float", "--out", str(tmp_path)]) == 1
 
 
+    def test_eps_above_every_distance_is_vacuous(self, tmp_path):
+        assert run(["classify", "--catalog", "floor_half", "--max-n", "16",
+                    "--eps-grid", "1,1e30", "--out", str(tmp_path)]) == 0
+        doc, _ = read_only_json(tmp_path, "classify")
+        for table in ("pairwise_moduli", "triple_moduli"):
+            first, huge = doc["report"][table]["entries"]
+            assert not first["vacuous"] and first["count"] > 0
+            assert huge["vacuous"] and huge["delta"] is None and huge["count"] == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--catalog", "floor_half", "--x0", "4", "--format", "json"],
+        ["classify", "--catalog", "nope"],
+        ["classify", "--catalog", "floor_half", "--workers", "2"],
+    ], ids=["format-on-iterate", "unknown-catalog", "removed-flag"])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestIterate:
     def test_logistic_200_steps(self, tmp_path, capsys):
         assert run(["iterate", "--catalog", "burton_logistic", "--x0", "1",

@@ -10,7 +10,6 @@ from contraction_lab.metric_core import (
     FiniteMetricSpace,
     InputError,
     SampledSpace,
-    Triple,
     format_scalar,
     max_side,
     metric_repair,
@@ -77,15 +76,6 @@ class TestScalars:
         assert strictly_less(F(1, 3), F(1, 2), exact=True)
         assert not strictly_less(0.5, 0.5 + ETA / 2, exact=False)
         assert strictly_less(0.5, 0.5 + 2 * ETA, exact=False)
-
-
-class TestTriple:
-    def test_requires_distinct(self):
-        Triple(0, 1, 2)
-        with pytest.raises(InputError):
-            Triple(0, 0, 2)
-        with pytest.raises(InputError):
-            Triple(0, 1, 0)
 
 
 class TestPerimeter:
