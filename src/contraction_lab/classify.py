@@ -297,12 +297,17 @@ def _modulus_verdict(analysis, table, scope, strict: Verdict, what) -> Verdict:
                                 "sampled scope")
 
 
-def _uniform_verdict(alpha, witness, scope) -> Verdict:
+def _uniform_verdict(alpha, witness, scope, strict: Verdict) -> Verdict:
     if alpha is None:
         raise InputError("no triples enumerated")
     if not alpha < 1:
         return Verdict(False, True, f"perimeter ratio {_fmt(alpha)} reaches 1 at the witness",
                        witness)
+    if not strict.passed:   # float mode: a perimeter within ETA of its image's
+        return Verdict(False, True,
+                       f"perimeter ratio supremum {_fmt(alpha)} is below 1, but the "
+                       f"perimeter does not decrease by the float margin at the witness",
+                       strict.witness)
     if scope == "exact":
         return Verdict(True, True,
                        f"perimeter ratio supremum {_fmt(alpha)} < 1 on the fully "
@@ -341,8 +346,10 @@ def estimate_large_contraction_modulus(space, mapping: SelfMap, point_set=None,
 def estimate_tpc_alpha(space, mapping: SelfMap, point_set=None):
     """Supremum of image-to-original perimeter ratios with attaining witness."""
     analysis = _analysis("triple", space, mapping, point_set, DEFAULT_EPS_GRID)
+    scope = _scope_of(space)
     witness = _triple_witness(analysis.sup_witness)
-    verdict = _uniform_verdict(analysis.sup_ratio, witness, _scope_of(space))
+    strict = _strict_verdict(analysis, scope, "perimeter")
+    verdict = _uniform_verdict(analysis.sup_ratio, witness, scope, strict)
     return analysis.sup_ratio, witness, verdict
 
 
@@ -376,7 +383,7 @@ def full_report(space, mapping: SelfMap, point_set=None,
     large_tpc = _modulus_verdict(triple, triple_table, scope, triple_strict,
                                  "perimeter")
     alpha_witness = _triple_witness(triple.sup_witness)
-    uniform_tpc = _uniform_verdict(triple.sup_ratio, alpha_witness, scope)
+    uniform_tpc = _uniform_verdict(triple.sup_ratio, alpha_witness, scope, triple_strict)
 
     if large_contraction.passed and not pairwise_strict.passed:
         raise InternalConsistencyError(

@@ -18,10 +18,15 @@ Two engines back the classifiers:
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
   through the running extrema of the image values.  That collapses the triple
-  scan to O(n^2) pairs with prefix cumulative max/min.  Suprema are located
-  in float arithmetic and every reported value is re-evaluated exactly at its
-  witness; qualification thresholds (distance >= eps) are decided in integer
-  arithmetic, so bucket membership never suffers float boundary errors.
+  scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Two passes run
+  over the rows of items sharing a first index i.  A float pass keeps the
+  counts and each row's float ratio maximum per eps bucket, in one (rows,
+  buckets) array; an exact pass revisits only the rows that reach some
+  bucket's floor, a proven float error bound below its maximum
+  (_LineData.screen_floors), and there re-evaluates every item at or above
+  its floor exactly, checking strictness alike.  Qualification thresholds
+  (distance >= eps) are decided in integer arithmetic, so bucket membership
+  never suffers float boundary errors.
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +43,7 @@ import numpy as np
 
 from .metric_core import ETA, LATTICE_LIMIT, InputError, table_lattice
 
-FLOAT_SLACK = 1e-9       # screen width when exactifying float-located suprema
+FLOAT_SLACK = 1e-9       # line engine: relative width of the float screen
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
 _FLOAT_MAX = Fraction(sys.float_info.max)
@@ -396,8 +401,9 @@ def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
 class _LineData:
     """Shared arrays for one sampled-space enumeration of one kind.
 
-    Items are grouped by their first index i.  Position h of slice(i) stands
-    for the items whose last index is i + gap + h; spans ascend with h.
+    Items are grouped in rows by their first index i.  Position h of
+    slice(i) stands for the items whose last index is i + gap + h; spans
+    ascend with h.
     """
 
     gap = None
@@ -411,6 +417,42 @@ class _LineData:
         self.n = len(self.points)
         longest = int(self.nums[-1]) - int(self.nums[0])
         self.thresholds = _ceil_thresholds(eps, den, longest + 1)
+        # bucket edges in 1/den units: 0, the thresholds, one past the longest span
+        self.edges = np.concatenate(([0], self.thresholds, [longest + 1]))
+        # least span in each bucket, for the float screen's bound
+        shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
+        self.min_span = np.maximum(shortest, np.concatenate(([0], self.thresholds)))
+        self.numerators = self.nums.tolist()
+
+    def entry(self, wit):
+        """Exact (image measure, measure, witness) at a witness."""
+        measure, image_measure = self.sides(wit)
+        return image_measure, measure, wit
+
+    def screen_floors(self, best):
+        """Per-bucket float floors, given the bucket float maxima F.
+
+        An item below floors[b] is not bucket b's exact maximum, and one
+        below strict_floors[b] does not break strictness.  A float ratio r
+        and its exact ratio R obey |r - R| <= 2u*M*den/span + 5u*R, with
+        u = 2**-53 and M = max |image|: float images and their running extrema
+        are within u*M of exact, an image difference adds one rounding, and
+        den, span, the division and the scaling four more.  So the exact
+        maximum's float ratio is at least F - 4u*M*den/s - 10u*R, s being the
+        bucket's least span, and an item with R >= 1 has r >= 1 - 5u -
+        2u*M*den/s.  The floors take off FLOAT_SLACK * max(1, |F|) and
+        8u*M*den/s, which cover both with room for their own rounding; a
+        bound that overflows turns the screen off.  A relative slack alone
+        fails on large, close images: near 10**12, floats are 2**-13 apart.
+        """
+        absolute = (8 * 2.0 ** -53 * float(np.abs(self.tvals).max()) * float(self.den)
+                    / self.min_span)
+        with np.errstate(invalid="ignore"):
+            floors = best - (FLOAT_SLACK * np.maximum(1.0, np.abs(best)) + absolute)
+        floors[np.isnan(floors)] = -np.inf
+        floors[best == -np.inf] = np.inf            # empty bucket
+        strict_floors = 1.0 - FLOAT_SLACK - absolute
+        return floors, strict_floors
 
 
 class _LinePairs(_LineData):
@@ -423,22 +465,40 @@ class _LinePairs(_LineData):
         return ratio, span
 
     @staticmethod
-    def items(lo, hi):
-        """Pairs at slice positions lo..hi-1."""
-        return hi - lo
+    def items_before(h):
+        """Pairs at slice positions below h."""
+        return h
 
     def sides(self, wit):
         """Exact (distance, image distance) at a pair witness."""
         i, j = wit
         return self.points[j] - self.points[i], abs(self.images[j] - self.images[i])
 
-    def exact_entry(self, i, j):
-        d, dt = self.sides((i, j))
-        return dt, d, (i, j)
+    def row(self, i, reach):
+        return _PairRow(self, i)
 
-    def strict_witness(self, i, j):
-        d, dt = self.sides((i, j))
-        return (i, j) if dt >= d else None
+
+class _PairRow:
+    """Exact evaluation of the pairs (i, i+1+h) of one row.
+
+    An entry's ratio is the image distance over the span in 1/den units,
+    as two ints, which order items like their exact ratios.
+    """
+
+    def __init__(self, data, i):
+        self.data = data
+        self.i = i
+
+    def entry(self, h):
+        """(image distance numerator, its denominator times the span, witness)."""
+        i, j = self.i, self.i + 1 + h
+        images, nums = self.data.images, self.data.numerators
+        dt = abs(images[j] - images[i])
+        return dt.numerator, dt.denominator * (nums[j] - nums[i]), (i, j)
+
+    def strict_witness(self, h):
+        num, den_span, wit = self.entry(h)
+        return wit if num * self.data.den >= den_span else None
 
 
 class _LineTriples(_LineData):
@@ -462,9 +522,9 @@ class _LineTriples(_LineData):
         return ratio, span
 
     @staticmethod
-    def items(lo, hi):
-        """Triples at slice positions lo..hi-1: position h has h + 1 middle points."""
-        return (hi * (hi + 1) - lo * (lo + 1)) // 2
+    def items_before(h):
+        """Triples at slice positions below h: position p has p + 1 middle points."""
+        return h * (h + 1) // 2
 
     def sides(self, wit):
         """Exact (perimeter, image perimeter) at a triple witness."""
@@ -472,103 +532,136 @@ class _LineTriples(_LineData):
         ims = (self.images[i], self.images[j], self.images[k])
         return 2 * (self.points[k] - self.points[i]), 2 * (max(ims) - min(ims))
 
-    def exact_entry(self, i, k):
-        """Exact best triple over the middle points of (i, k), smallest argmax."""
-        ti = self.images[i]
-        tk = self.images[k]
-        lo = min(ti, tk)
-        hi = max(ti, tk)
-        best = hi - lo
-        best_j = i + 1
-        for j in range(i + 1, k):
-            tj = self.images[j]
-            spread = (tj - lo) if tj > hi else ((hi - tj) if tj < lo else hi - lo)
-            if spread > best:
-                best = spread
-                best_j = j
-        return 2 * best, 2 * (self.points[k] - self.points[i]), (i, best_j, k)
+    def row(self, i, reach):
+        return _TripleRow(self, i, reach)
 
-    def strict_witness(self, i, k):
-        """Lex-first triple (i, j, k) whose perimeter does not decrease, or None."""
-        p = 2 * (self.points[k] - self.points[i])
-        ti = self.images[i]
-        tk = self.images[k]
-        lo = min(ti, tk)
-        hi = max(ti, tk)
-        if 2 * (hi - lo) >= p:
-            return (i, i + 1, k)
-        need_hi = lo + p / 2     # middle image at or above this violates
-        need_lo = hi - p / 2     # ... or at or below this
-        for j in range(i + 1, k):
-            tj = self.images[j]
-            if tj >= need_hi or tj <= need_lo:
-                return (i, j, k)
-        return None
+
+class _TripleRow:
+    """Exact evaluation of the triples (i, j, i+2+h) of one row, h <= reach.
+
+    The running maximum and minimum of the middle images j = i+1..i+1+h,
+    each with its first index, are computed once, so each (i, k) is settled
+    in O(1): its best middle point, and its lex-first strict violation by
+    bisection of the monotone running extrema.  A sorted triple's perimeter
+    is twice its span and its image perimeter twice its image spread;
+    entries are ints as in _PairRow.
+    """
+
+    def __init__(self, data, i, reach):
+        self.data = data
+        self.i = i
+        self.top, self.top_at = [], []              # running maximum, first index reaching it
+        self.neg_bottom, self.bottom_at = [], []    # running minimum, negated
+        images = data.images
+        top = bottom = images[i + 1]
+        top_j = bottom_j = i + 1
+        for j in range(i + 1, i + 2 + reach):
+            v = images[j]
+            if v > top:
+                top, top_j = v, j
+            elif v < bottom:
+                bottom, bottom_j = v, j
+            self.top.append(top)
+            self.top_at.append(top_j)
+            self.neg_bottom.append(-bottom)
+            self.bottom_at.append(bottom_j)
+
+    def _ends(self, h):
+        """k = i+2+h, the lower and higher image of i and k, and the span."""
+        i, k = self.i, self.i + 2 + h
+        images, nums = self.data.images, self.data.numerators
+        return k, min(images[i], images[k]), max(images[i], images[k]), nums[k] - nums[i]
+
+    def entry(self, h):
+        """(image spread numerator, its denominator times the span, witness).
+
+        The middle point is the best one, the smallest on ties.
+        """
+        k, lo, hi, span = self._ends(h)
+        ends = hi - lo
+        up = self.top[h] - lo
+        down = hi + self.neg_bottom[h]
+        best = max(ends, up, down)
+        if best == ends:
+            j = self.i + 1
+        elif up != down:
+            j = self.top_at[h] if up > down else self.bottom_at[h]
+        else:
+            j = min(self.top_at[h], self.bottom_at[h])
+        return best.numerator, best.denominator * span, (self.i, j, k)
+
+    def strict_witness(self, h):
+        """Lex-first triple (i, j, i+2+h) whose perimeter does not decrease, or None."""
+        k, lo, hi, span = self._ends(h)
+        half = Fraction(span, self.data.den)
+        if hi - lo >= half:
+            return (self.i, self.i + 1, k)
+        # a middle image at or above lo + half, or at or below hi - half, violates
+        t = min(bisect_left(self.top, lo + half, 0, h + 1),
+                bisect_left(self.neg_bottom, half - hi, 0, h + 1))
+        return (self.i, self.i + 1 + t, k) if t <= h else None
 
 
 _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 
 def _line_float_pass(data):
-    """Per-bucket float ratio maxima (None when empty) and item counts."""
-    nb = len(data.thresholds) + 1
-    best = [None] * nb
-    counts = [0] * nb
-    for i in range(data.n - data.gap):
-        ratio, span = data.slice(i)
-        edges = np.searchsorted(span, data.thresholds, side="left").tolist()
-        bounds = [0, *edges, len(span)]
-        for b in range(nb):
-            lo, hi = bounds[b], bounds[b + 1]
-            if hi > lo:
-                counts[b] += data.items(lo, hi)
-                seg = float(ratio[lo:hi].max())
-                if best[b] is None or seg > best[b]:
-                    best[b] = seg
-    return best, counts
+    """Per row and bucket the float ratio maximum (-inf when empty); bucket item counts."""
+    rows = data.n - data.gap
+    # before[i, e]: the slice(i) positions whose span is below edges[e]
+    before = np.empty((rows, len(data.edges)), dtype=np.int64)
+    starts = np.arange(data.gap, rows + data.gap)
+    for e, edge in enumerate(data.edges.tolist()):
+        before[:, e] = np.searchsorted(data.nums, data.nums[:rows] + edge) - starts
+    np.maximum(before, 0, out=before)
+    counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(len(data.edges))])
+    row_max = np.full((rows, len(data.edges) - 1), -np.inf)
+    for i in range(rows):
+        lo = before[i, :-1]
+        filled = before[i, 1:] > lo
+        ratio, _ = data.slice(i)
+        row_max[i, filled] = np.maximum.reduceat(ratio, lo[filled])
+    return row_max, counts.tolist()
 
 
-def _line_exact_bucket(data, bucket_id, floor_value):
-    """Exact supremum entry for one bucket, lex-first witness.
+def _line_exact_pass(data, row_max, floors, strict_floors):
+    """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
-    Every item whose float ratio is within FLOAT_SLACK (relative) of the
-    bucket's float maximum is re-evaluated exactly.
+    Only rows whose float maximum reaches some bucket's floor, or the strict
+    floor while no violation is known, are visited, once each; there every
+    item at or above its bucket's floor is re-evaluated exactly, and the
+    items at or above the strict floor are checked for strictness.
     """
-    slack = FLOAT_SLACK * max(1.0, abs(floor_value))
-    best = None
-    for i in range(data.n - data.gap):
+    best = [None] * len(floors)
+    strict = None
+    wanted = (row_max >= floors).any(axis=1)
+    suspect = (row_max >= strict_floors).any(axis=1)
+    for i in np.flatnonzero(wanted | suspect).tolist():
+        look = strict is None and suspect[i]
+        if not (look or wanted[i]):
+            continue
         ratio, span = data.slice(i)
         bucket = np.searchsorted(data.thresholds, span, side="right")
-        hits = np.nonzero((bucket == bucket_id) & (ratio >= floor_value - slack))[0]
-        for h in hits.tolist():
-            entry = data.exact_entry(i, i + data.gap + h)
-            if best is None or _better(*entry, *best):
-                best = entry
-    return best
-
-
-def _line_strict(data):
-    """Lex-first item whose image measure is not below its measure, or None."""
-    for i in range(data.n - data.gap):
-        ratio, _ = data.slice(i)
-        hits = np.nonzero(ratio >= 1.0 - FLOAT_SLACK)[0].tolist()
-        found = [w for w in (data.strict_witness(i, i + data.gap + h) for h in hits)
-                 if w is not None]
+        cands = np.flatnonzero(ratio >= floors[bucket]).tolist()
+        suspects = np.flatnonzero(ratio >= strict_floors[bucket]).tolist() if look else []
+        row = data.row(i, max(cands + suspects, default=0))
+        for h, b in zip(cands, bucket[cands].tolist()):
+            entry = row.entry(h)
+            if best[b] is None or _better(*entry, *best[b]):
+                best[b] = entry
+        found = [w for w in map(row.strict_witness, suspects) if w is not None]
         if found:
             wit = min(found)
-            return (wit, *data.sides(wit))
-    return None
+            strict = (wit, *data.sides(wit))
+    return [None if e is None else data.entry(e[2]) for e in best], strict
 
 
 def _line_analysis(kind, numerators, den, points, images, eps):
     eps = _checked_eps(kind, eps, len(numerators))
     data = _LINE_KINDS[kind](numerators, den, points, images, eps)
-    best_float, counts = _line_float_pass(data)
-    bucket_entries = [None if v is None else _line_exact_bucket(data, b, v)
-                      for b, v in enumerate(best_float)]
-    strict = None
-    if any(v is not None and v >= 1.0 - FLOAT_SLACK for v in best_float):
-        strict = _line_strict(data)
+    row_max, counts = _line_float_pass(data)
+    floors, strict_floors = data.screen_floors(row_max.max(axis=0))
+    bucket_entries, strict = _line_exact_pass(data, row_max, floors, strict_floors)
     return _finalize(kind, eps, bucket_entries, counts, strict, sum(counts),
                      data.points, exact=True)
 
@@ -656,7 +749,10 @@ def table_triple_analysis(dist, nodes, images, eps, points, exact=True, lattice=
 
 
 def line_pair_analysis(numerators, den, points, images, eps):
-    """Pairwise enumeration of a sampled space: points numerators[i]/den, ascending."""
+    """Pairwise enumeration of a sampled space: points numerators[i]/den, ascending.
+
+    images[i] is the image of point i, a Fraction or an int.
+    """
     return _line_analysis("pairwise", numerators, den, points, images, eps)
 
 

@@ -276,6 +276,86 @@ class _DictFormula:
         return self.table[x]
 
 
+def naive_line_analysis(kind, points, images, eps):
+    """The line engine's EnumAnalysis, from every item in lex order in Fractions."""
+    size = 2 if kind == "pairwise" else 3
+    scale = 1 if kind == "pairwise" else 2     # distance, or perimeter of sorted points
+    best = [None] * len(eps)
+    counts = [0] * len(eps)
+    sup = strict = None
+    total = 0
+    for wit in combinations(range(len(points)), size):
+        longest = points[wit[-1]] - points[wit[0]]
+        ims = [images[w] for w in wit]
+        measure = scale * longest
+        image_measure = scale * (max(ims) - min(ims))
+        entry = (image_measure / measure, image_measure, measure, wit)
+        total += 1
+        if sup is None or entry[0] > sup[0]:
+            sup = entry
+        if strict is None and image_measure >= measure:
+            strict = (tuple(points[w] for w in wit), measure, image_measure)
+        for b, e in enumerate(eps):
+            if longest >= e:
+                counts[b] += 1
+                if best[b] is None or entry[0] > best[b][0]:
+                    best[b] = entry
+
+    def packed(entry):
+        if entry is None:
+            return None
+        return tuple(points[w] for w in entry[3]), entry[1], entry[2]
+
+    return scan.EnumAnalysis(
+        kind=kind, eps=tuple(eps),
+        deltas=tuple(None if e is None else e[0] for e in best),
+        delta_witnesses=tuple(packed(e) for e in best), counts=tuple(counts),
+        sup_ratio=sup[0], sup_witness=packed(sup), strict_violation=strict, total=total)
+
+
+def middle_point_loop(points, images, i, k):
+    """Best triple over the middle points of (i, k), smallest argmax, and the
+    lex-first triple (i, j, k) whose perimeter does not decrease (or None)."""
+    lo, hi = sorted((images[i], images[k]))
+    best, best_j = hi - lo, i + 1
+    strict = (i, i + 1, k) if hi - lo >= points[k] - points[i] else None
+    for j in range(i + 1, k):
+        spread = max(hi, images[j]) - min(lo, images[j])
+        if spread > best:
+            best, best_j = spread, j
+        if strict is None and spread >= points[k] - points[i]:
+            strict = (i, j, k)
+    return (2 * best, 2 * (points[k] - points[i]), (i, best_j, k)), strict
+
+
+@st.composite
+def line_scans(draw):
+    """A sampled space, images and an eps grid for one line scan."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    den = draw(st.sampled_from((1, 3, 8, 10)))   # 3, 10: spans off the float grid
+    shape = draw(st.sampled_from(("ties", "magnitudes", "strict", "random")))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    nums = sorted(rng.sample(range(4 * n), n))
+    points = [F(k, den) for k in nums]
+    big = [10 ** 12 + F(rng.randint(0, 1000), 10 ** rng.choice((6, 7))) for _ in points]
+    if shape == "ties":            # x/2, one image nudged above its float
+        images = [p / 2 for p in points]
+        images[rng.randrange(n)] += rng.choice((0, F(1, 10 ** 12)))
+    elif shape == "magnitudes":    # offsets near 10**12: the floats cancel
+        images = big
+    elif shape == "strict":        # jumps of at least the distance at several rows
+        images = rng.choice(([p / 2 for p in points], big))
+        for r in rng.sample(range(1, n), rng.randint(2, min(3, n - 1))):
+            images[r] = images[r - 1] + rng.choice((1, 2)) * (points[r] - points[r - 1])
+    else:
+        images = [F(rng.randint(0, 24), 8) for _ in points]
+    # spans put eps on bucket edges; the last value lies above every span
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    eps = set(rng.sample(spans, min(len(spans), rng.randint(1, 4))))
+    eps |= {F(rng.randint(1, 16), 16), points[-1] - points[0] + F(1, den)}
+    return nums, den, points, images, tuple(sorted(eps))
+
+
 class TestLineEngineFuzz:
     def test_random_off_grid_images_match_naive_oracle(self):
         # non-monotone images, many off the sample grid, exercising the
@@ -330,6 +410,74 @@ class TestLineEngineFuzz:
         assert want == F(500000000001, 1000000000000)
         assert got.sup_ratio == got.deltas[0] == want
         assert got.sup_witness[0] == got.delta_witnesses[0][0] == want_wit
+
+    @pytest.mark.parametrize("scale", (10 ** 6, 10 ** 7))
+    def test_cancelling_float_images_keep_the_true_supremum(self, scale):
+        # images near 10**12 that differ by ~10**-4: their float differences
+        # are off by ~10**-4 too, far beyond a screen relative to the ratio
+        rng = random.Random(5)
+        eps = (F(1, 8),)
+        for trial in range(300):
+            nums = sorted(rng.sample(range(40), 6))
+            images = [10 ** 12 + F(rng.randint(0, 1000), scale) for _ in nums]
+            points = [F(k, 8) for k in nums]
+            got = scan.line_pair_analysis(nums, 8, points, images, eps)
+            want = naive_line_analysis("pairwise", points, images, eps)
+            assert repr(got) == repr(want), (scale, trial)
+
+    def test_cancelling_float_images_keep_the_strict_violation(self):
+        # jumps of exactly the distance between images near 10**12, at spans
+        # k/3 off the float grid: a violation's float ratio can read 1 - 10**-4
+        rng = random.Random(7)
+        eps = (F(1, 3),)
+        for trial in range(200):
+            nums = sorted(rng.sample(range(40), 8))
+            points = [F(k, 3) for k in nums]
+            images = [10 ** 12 + F(rng.randint(0, 1000), 10 ** 6) for _ in nums]
+            for r in rng.sample(range(1, 8), 3):
+                images[r] = images[r - 1] + points[r] - points[r - 1]
+            for kind, engine in (("pairwise", scan.line_pair_analysis),
+                                 ("triple", scan.line_triple_analysis)):
+                got = engine(nums, 3, points, images, eps)
+                want = naive_line_analysis(kind, points, images, eps)
+                assert repr(got) == repr(want), (kind, trial)
+
+    @given(line_scans())
+    def test_line_scans_match_fraction_oracle(self, case):
+        nums, den, points, images, eps = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            got = engine(nums, den, points, images, eps)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+
+    @given(line_scans())
+    def test_triple_rows_match_middle_point_loop(self, case):
+        nums, den, points, images, eps = case
+        data = scan._LineTriples(nums, den, points, images, eps)
+        n = len(points)
+        for i in range(n - 2):
+            row = data.row(i, n - 3 - i)
+            for k in range(i + 2, n):
+                entry, strict = middle_point_loop(points, images, i, k)
+                num, span_den, wit = row.entry(k - i - 2)
+                assert data.entry(wit) == entry
+                # the int entry is the exact ratio over den (spans in 1/den units)
+                assert F(num, span_den) * den == entry[0] / entry[1]
+                assert row.strict_witness(k - i - 2) == strict
+
+    def test_many_float_tied_triples_settle_per_row(self):
+        # x/2 on 0..159 with the last image raised by 1e-12: every (i, k) is
+        # an exact candidate; the supremum needs the smallest span at k = 159
+        n = 160
+        points = [F(i) for i in range(n)]
+        images = [F(i, 2) for i in range(n)]
+        images[-1] += F(1, 10 ** 12)
+        got = scan.line_triple_analysis(list(range(n)), 1, points, images, (F(2),))
+        want = F(1000000000001, 2000000000000)
+        assert got.sup_ratio == got.deltas[0] == want
+        assert got.sup_witness[0] == got.delta_witnesses[0][0] == (F(157), F(158), F(159))
+        assert got.strict_violation is None
 
 
 class TestWitnesses:
@@ -523,6 +671,24 @@ class TestScopeThreshold:
         assert scope_threshold(F(1)) == NEAR_ONE_RATIO
         assert scope_threshold(F(2)) == NEAR_ONE_RATIO
         assert scope_threshold(F(1, 512)) == 1 - F(1, 2048)
+
+    def test_float_uniform_verdict_needs_the_strict_margin(self):
+        # 11/96 + 4/96 + 7/96 sums to 0.22916666666666669 in floats, and the
+        # image perimeter 2 * 11/96 to 0.22916666666666666: the ratio is below
+        # 1 by one ulp, while the perimeter does not decrease by ETA
+        table = ((0.0, 11 / 96, 7 / 96), (11 / 96, 0.0, 4 / 96), (7 / 96, 4 / 96, 0.0))
+        space = FiniteMetricSpace(points=(0, 1, 2), dist_table=table, mode="float")
+        mapping = SelfMap(space=space, name="fold", table=(0, 1, 1))
+        report = full_report(space, mapping)
+        assert report.tpc_alpha == 0.9999999999999999
+        assert not report.triple_strict.passed
+        assert not report.large_tpc.passed
+        assert not report.uniform_tpc.passed
+        witness = report.uniform_tpc.witness
+        assert (witness["perimeter"], witness["image_perimeter"]) == (
+            0.22916666666666669, 0.22916666666666666)
+        _, _, uniform = estimate_tpc_alpha(space, mapping)
+        assert uniform == report.uniform_tpc
 
     def test_float_mode_strictness_margin(self):
         # equal distances in float mode must fail the strict check
