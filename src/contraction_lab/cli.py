@@ -63,7 +63,14 @@ def _parse_size_range(text):
 
 
 def _load_target(args):
-    """Resolve --catalog/--instance into (space, map, instance_doc)."""
+    """Resolve --catalog/--instance into (space, map, origin, key).
+
+    ``origin`` goes into the output document and ``key`` into the hash that
+    names the output file.  A catalog target is its own key.  An instance is
+    keyed by its content, the stored space and the map's image indices, so
+    one instance gets one name under any path, and two instances written in
+    turn to one path get two.
+    """
     if getattr(args, "catalog", None) and getattr(args, "instance", None):
         raise InputError("give either --catalog or --instance, not both")
     if getattr(args, "catalog", None):
@@ -76,7 +83,8 @@ def _load_target(args):
             integer_max=getattr(args, "max_n", None),
             index_max=getattr(args, "max_n", None),
         )
-        return entry.space, entry.map, {"catalog": entry.id, "params": entry.params}
+        origin = {"catalog": entry.id, "params": entry.params}
+        return entry.space, entry.map, origin, origin
     if getattr(args, "instance", None):
         space, mapping = load_instance(args.instance)
         if getattr(args, "mode", None) and args.mode != space.mode:
@@ -85,7 +93,9 @@ def _load_target(args):
             from .map_catalog import SelfMap
             mapping = SelfMap.from_json(doc)
             space = mapping.space
-        return space, mapping, {"instance": str(args.instance)}
+        images = [space.index(img) for img in mapping.table]
+        key = {"instance_content": [space.fingerprint(), images]}
+        return space, mapping, {"instance": str(args.instance)}, key
     raise InputError("one of --catalog or --instance is required")
 
 
@@ -306,12 +316,12 @@ def cmd_reproduce(args) -> int:
 # classify / iterate / verify / search
 
 def cmd_classify(args) -> int:
-    space, mapping, origin = _load_target(args)
+    space, mapping, origin, key = _load_target(args)
     eps_grid = _parse_eps_grid(args.eps_grid)
     report = classify.full_report(space, mapping, eps_grid=eps_grid)
     config = {
         "command": "classify",
-        "origin": origin,
+        "origin": key,
         "eps_grid": [str(e) for e in (eps_grid or classify.DEFAULT_EPS_GRID)],
         "format": args.format,
     }
@@ -334,7 +344,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    space, mapping, origin = _load_target(args)
+    space, mapping, origin, key = _load_target(args)
     x0 = resolve_point(space, args.x0)
     tol = parse_scalar(args.tol, exact=space.exact)
     trace = dynamics.picard_orbit(mapping, x0, max_steps=args.steps, residual_tol=tol)
@@ -346,7 +356,7 @@ def cmd_iterate(args) -> int:
     ok_dist, dist_wit, dist_detail = dynamics.check_distinct_iterates(trace)
     config = {
         "command": "iterate",
-        "origin": origin,
+        "origin": key,
         "x0": str(args.x0),
         "steps": args.steps,
         "tol": str(args.tol),
@@ -374,7 +384,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    space, mapping, origin = _load_target(args)
+    space, mapping, origin, key = _load_target(args)
     if args.x0 is not None:
         x0 = resolve_point(space, args.x0)
     else:
@@ -384,7 +394,7 @@ def cmd_verify(args) -> int:
     config = {
         "command": "verify",
         "theorem": args.theorem,
-        "origin": origin,
+        "origin": key,
         "x0": str(args.x0),
         "eps_grid": args.eps_grid,
     }

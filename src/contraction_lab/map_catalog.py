@@ -68,6 +68,8 @@ class SelfMap:
             images = doc["map"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed map document: {exc}") from exc
+        if not isinstance(images, list):
+            raise InputError("map must be a JSON array of point indices")
         if len(images) != space.size:
             raise InputError("map table must cover every point")
         for i in images:
@@ -256,7 +258,7 @@ def load_instance(path) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON or UTF-8, or an int past Python's digit limit
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
     mapping = SelfMap.from_json(doc)
     return mapping.space, mapping

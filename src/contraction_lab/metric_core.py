@@ -1,21 +1,27 @@
 """Metric spaces with exact or tolerance-based arithmetic.
 
-Two space representations are provided: finite spaces backed by an explicit
-distance table, and sampled one-dimensional spaces whose points are rational
-coordinates under the absolute-difference metric.  All strict-inequality
+Two space representations are provided: finite spaces backed by a distance
+table, and sampled one-dimensional spaces whose points are rational
+coordinates under the absolute-difference metric.  A finite space loaded
+from JSON is stored as its lattice (int64 numerators over one scale, or
+float64), parsed straight from the document; its table rows of Fractions
+or floats are built only when read.  All strict-inequality
 decisions are exact in rational mode; float mode compares with a fixed
 tolerance ETA.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,7 +68,7 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
             raise InputError(f"cannot parse scalar {value!r}") from exc
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"cannot parse scalar {value!r}") from exc
 
 
@@ -112,29 +118,70 @@ class ValidationReport:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
     """Point labels plus a symmetric distance table.
 
     In exact mode entries are Fractions and every comparison is decided
     exactly; in float mode entries are floats compared with tolerance ETA.
+    A space built from a table keeps that table as ``dist_table``.  A space
+    loaded by from_json stores its table as its Lattice only: ``dist_table``
+    is then a view whose rows are built from the lattice on first read and
+    cached, and ``distance`` indexes the same cached rows.
     """
 
-    points: tuple
-    dist_table: tuple
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise InputError(f"unknown arithmetic mode {self.mode!r}")
-        if len(set(self.points)) != len(self.points):
-            raise InputError("point labels must be distinct")
-        if len(self.points) < 3:
-            raise InputError("a metric space here carries at least 3 points")
+    def __init__(self, points, dist_table, mode: str = "exact"):
+        self._init_points(points, mode)
         n = len(self.points)
-        if any(len(row) != n for row in self.dist_table) or len(self.dist_table) != n:
+        if any(len(row) != n for row in dist_table) or len(dist_table) != n:
             raise InputError("distance table must be square and match the point count")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        self.dist_table = dist_table
+        self._rows = dist_table
+
+    def _init_points(self, points, mode):
+        if mode not in ("exact", "float"):
+            raise InputError(f"unknown arithmetic mode {mode!r}")
+        if len(set(points)) != len(points):
+            raise InputError("point labels must be distinct")
+        if len(points) < 3:
+            raise InputError("a metric space here carries at least 3 points")
+        self.points = tuple(points)
+        self.mode = mode
+        self._index = {p: i for i, p in enumerate(self.points)}
+
+    @classmethod
+    def _from_lattice(cls, points, lattice, mode):
+        """A space stored as its n x n lattice; rows are built on read."""
+        space = cls.__new__(cls)
+        space._init_points(points, mode)
+        space.lattice = lattice
+        space._rows = [None] * len(space.points)
+        space.dist_table = _LatticeRows(space)
+        return space
+
+    def _row(self, i):
+        """Row i of the table, built from the lattice on its first read."""
+        row = self._rows[i]
+        if row is None:
+            lattice = self.lattice
+            values = lattice.values[i].tolist()
+            if lattice.exact:
+                row = tuple(Fraction(v, lattice.scale) for v in values)
+            else:
+                row = tuple(values)
+            self._rows[i] = row
+        return row
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMetricSpace):
+            return NotImplemented
+        return (self.points == other.points and self.mode == other.mode
+                and tuple(self.dist_table) == tuple(other.dist_table))
+
+    def __hash__(self):
+        return hash((self.points, self.mode))
+
+    def __repr__(self):
+        return f"FiniteMetricSpace(points={self.points!r}, mode={self.mode!r})"
 
     @property
     def exact(self) -> bool:
@@ -151,7 +198,17 @@ class FiniteMetricSpace:
             raise InputError(f"unknown point identifier {label!r}") from None
 
     def distance(self, a, b) -> Scalar:
-        return self.dist_table[self.index(a)][self.index(b)]
+        # the hot path of orbit and sweep checks: two dict lookups, one row index
+        index = self._index
+        try:
+            i = index[a]
+            j = index[b]
+        except KeyError:
+            i, j = self.index(a), self.index(b)     # raises InputError for the unknown label
+        row = self._rows[i]
+        if row is None:
+            row = self._row(i)
+        return row[j]
 
     def eq(self, a, b) -> bool:
         return self.index(a) == self.index(b)
@@ -167,6 +224,21 @@ class FiniteMetricSpace:
     def validate(self) -> ValidationReport:
         return validate_metric(self.dist_table, exact=self.exact, lattice=self.lattice)
 
+    def fingerprint(self) -> str:
+        """A sha256 hex digest of the stored form: mode, points and table.
+
+        The table enters as its lattice (scale and values) when it has one,
+        so no row is built; otherwise as its formatted rows.
+        """
+        h = hashlib.sha256(json.dumps([self.mode, list(self.points)], default=str).encode())
+        lattice = self.lattice
+        if lattice is None:
+            h.update(json.dumps(self.to_json()["dist"]).encode())
+        else:
+            h.update(f"{lattice.scale}:".encode())
+            h.update(lattice.values.tobytes())
+        return h.hexdigest()
+
     def to_json(self) -> dict:
         return {
             "points": list(self.points),
@@ -176,19 +248,60 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteMetricSpace":
+        """Load and validate a space document.
+
+        An exact table of "p/q" strings and ints, or a float table of JSON
+        numbers, is read straight into its Lattice (see _ratio_lattice and
+        _float_lattice).  Any other table, or one without a lattice, is
+        parsed entry by entry with parse_scalar.
+        """
         try:
-            points = tuple(doc["points"])
+            points = doc["points"]
             mode = doc.get("mode", "exact")
             rows = doc["dist"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed space document: {exc}") from exc
+        if not isinstance(points, list):
+            raise InputError("space points must be a JSON array")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InputError("distance table must be a JSON array of row arrays")
         exact = mode == "exact"
-        table = tuple(tuple(parse_scalar(v, exact) for v in row) for row in rows)
-        space = cls(points=points, dist_table=table, mode=mode)
+        n = len(points)
+        lattice = None
+        if mode in ("exact", "float") and n >= 3 and len(rows) == n and all(
+                len(row) == n for row in rows):
+            lattice = _ratio_lattice(rows) if exact else _float_lattice(rows)
+        if lattice is not None:
+            space = cls._from_lattice(points, lattice, mode)
+        else:
+            table = tuple(tuple(parse_scalar(v, exact) for v in row) for row in rows)
+            space = cls(points=tuple(points), dist_table=table, mode=mode)
         report = space.validate()
         if not report.ok:
             raise InputError(f"distance table is not a metric ({report.summary()})")
         return space
+
+
+class _LatticeRows(Sequence):
+    """The dist_table of a lattice-stored space: row i is built on its first read."""
+
+    __slots__ = ("_space",)
+
+    def __init__(self, space):
+        self._space = space
+
+    def __len__(self):
+        return len(self._space._rows)
+
+    def __getitem__(self, i):
+        return self._space._row(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -297,16 +410,94 @@ def table_lattice(dist_table, exact: bool):
             return None
         if len(entries) and 3 * max(int(values.max()), -int(values.min())) >= LATTICE_LIMIT:
             return None
-    else:
-        if not all(type(v) is float for v in entries):
+        return Lattice(values=values.reshape(n, n), scale=scale, exact=True)
+    if not all(type(v) is float for v in entries):
+        return None
+    return _float_array_lattice(np.array(entries, dtype=np.float64).reshape(n, n))
+
+
+def _float_array_lattice(values):
+    """The Lattice of a float64 table, or None when a nonzero |entry| lies
+    outside FLOAT_LATTICE_RANGE (NaN and inf included)."""
+    size = np.abs(values)
+    lo, hi = FLOAT_LATTICE_RANGE
+    if not ((size == 0) | ((size >= lo) & (size <= hi))).all():
+        return None
+    return Lattice(values=values, scale=1, exact=False)
+
+
+_RATIO_CHARS = "0123456789+-/"
+_RATIO_TYPES = {str, int}
+_FLOAT_TYPES = {float, int}
+
+
+def _ratio_lattice(rows):
+    """The exact Lattice of a square table of "[+-]digits[/digits]" strings and ints.
+
+    Entries are split into int numerators and denominators without building
+    Fractions, reduced by their gcd, and put over the lcm of the
+    denominators: the same Lattice that table_lattice gives for the parsed
+    table.  None when an entry has any other form or a zero denominator,
+    and whenever the lattice would not exist: int64 overflow, or a scale or
+    3 * max |value| of at least LATTICE_LIMIT (an unreduced numerator that
+    large also gives None, which keeps the int64 steps exact).  The caller
+    then parses the table with parse_scalar, which raises its errors, and
+    table_lattice decides.
+    """
+    nums = []
+    dens = []
+    try:
+        for row in rows:
+            types = set(map(type, row))
+            if not types <= _RATIO_TYPES:
+                return None
+            cells = row if types == {str} else [str(v) for v in row]
+            text = "".join(cells)
+            # only digits, signs and slashes, and no sign after a slash: the
+            # cells int() then splits are exactly "[+-]digits[/digits]"
+            if text.strip(_RATIO_CHARS) or "/+" in text or "/-" in text:
+                return None
+            for cell in cells:
+                num, slash, den = cell.partition("/")
+                nums.append(int(num))
+                dens.append(int(den) if slash else 1)
+        num = np.array(nums, dtype=np.int64)
+        den = np.array(dens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    limit = (LATTICE_LIMIT - 1) // 3       # 3 * |value| < LATTICE_LIMIT
+    if not den.all() or num.min() < -limit or num.max() > limit:
+        return None
+    g = np.gcd(num, den)                   # gcd(0, q) = q: zero becomes 0/1, as in Fraction
+    num //= g
+    den //= g
+    scale = 1
+    for q in np.unique(den).tolist():
+        scale = math.lcm(scale, q)
+        if scale >= LATTICE_LIMIT:
             return None
-        values = np.array(entries, dtype=np.float64)
-        size = np.abs(values)
-        lo, hi = FLOAT_LATTICE_RANGE
-        if not ((size == 0) | ((size >= lo) & (size <= hi))).all():
-            return None
-        scale = 1
-    return Lattice(values=values.reshape(n, n), scale=scale, exact=exact)
+    mult = scale // den
+    if (np.abs(num) > limit // mult).any():
+        return None
+    n = len(rows)
+    return Lattice(values=(num * mult).reshape(n, n), scale=scale, exact=True)
+
+
+def _float_lattice(rows):
+    """The float Lattice of a square table of JSON numbers, or None.
+
+    The numbers go to one float64 array; the FLOAT_LATTICE_RANGE check runs
+    on it, and since that range excludes NaN, inf and values beyond
+    FLOAT_LIMIT, a table that passes has no non-finite entry either.  None
+    for any other entry type (strings, bools) or a value outside the range.
+    """
+    if any(not set(map(type, row)) <= _FLOAT_TYPES for row in rows):
+        return None
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        return None
+    return _float_array_lattice(values)
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +523,24 @@ def validate_metric(dist_table: Sequence[Sequence[Scalar]], exact: bool = True,
     The report is empty exactly when the table is a metric.  Float tables
     only report violations exceeding the ETA margin, and report every NaN,
     infinite or overflowing (beyond FLOAT_LIMIT) entry.  ``lattice`` is the
-    table's precomputed Lattice; without one it is computed here.  Tables
-    without a lattice are checked by the reference loops.
+    table's precomputed Lattice, square by construction; without one it is
+    computed here.  Tables without a lattice are checked by the reference
+    loops.  With a lattice, table entries are read only as witnesses of
+    violations.
     """
     n = len(dist_table)
-    if any(len(row) != n for row in dist_table):
-        raise InputError("distance table must be square")
-    finite = ()
-    if not exact:
-        finite = tuple((i, j, v) for i, row in enumerate(dist_table)
-                       for j, v in enumerate(row) if not abs(v) <= FLOAT_LIMIT)
     if lattice is None:
+        if any(len(row) != n for row in dist_table):
+            raise InputError("distance table must be square")
         lattice = table_lattice(dist_table, exact)
+    finite = ()
     if lattice is None:
+        if not exact:
+            finite = tuple((i, j, v) for i, row in enumerate(dist_table)
+                           for j, v in enumerate(row) if not abs(v) <= FLOAT_LIMIT)
         axioms = _metric_violations_loops(dist_table, exact)
     else:
+        # FLOAT_LATTICE_RANGE excludes NaN, inf and |v| > FLOAT_LIMIT: no finite entries
         axioms = _metric_violations_lattice(dist_table, lattice)
     return ValidationReport(size=n, finite=finite, **axioms)
 
@@ -410,8 +604,8 @@ def _metric_violations_lattice(dist_table, lattice):
         bad[i, :] = False
         bad[:, i] = False
         js, ks = np.nonzero(bad)
-        row = dist_table[i]
         for j, k in zip(js.tolist(), ks.tolist()):
+            row = dist_table[i]
             triangle.append((i, j, k, row[k], row[j] + dist_table[j][k]))
     return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
             "symmetry": tuple(symmetry), "triangle": tuple(triangle)}

@@ -2,11 +2,13 @@
 
 Two engines back the classifiers:
 
-* a table engine for finite spaces.  The distance table is converted once
-  to a lattice (metric_core.table_lattice): int64 numerators over the lcm of
-  its denominators for exact tables, float64 for float tables.  Pairs, and
-  triples in blocks of whole outer indices, are then scanned as numpy
-  passes in lexicographic order: perimeters are summed in the reference
+* a table engine for finite spaces.  It reads the space's lattice
+  (metric_core.Lattice): int64 numerators over the lcm of the table's
+  denominators for exact tables, float64 for float tables.  A space loaded
+  from JSON is stored as its lattice; one built from a table of scalars
+  converts it once (metric_core.table_lattice).  Pairs, and triples in
+  blocks of whole outer indices, are scanned as numpy passes in
+  lexicographic order: perimeters are summed in the reference
   order, eps buckets are found by searchsorted against lattice thresholds,
   and each bucket's supremum is settled among the few items tied with its
   float maximum (see _LatticeReduction).  Every value, witness and count

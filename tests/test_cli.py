@@ -125,6 +125,59 @@ class TestClassify:
         assert run(["classify", "--instance", str(path), "--out", str(tmp_path)]) == 1
         assert "map image index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("map", None, "map must be a JSON array"),
+        ("map", 3, "map must be a JSON array"),
+        ("map", "0001", "map must be a JSON array"),
+        ("dist", ["0137", "1026", "3204", "7640"], "row arrays"),
+        ("dist", "0137", "row arrays"),
+        ("points", "abcd", "points must be a JSON array"),
+        ("mode", "float", "cannot parse scalar"),
+    ], ids=["map-null", "map-int", "map-string", "dist-row-strings", "dist-string",
+            "points-string", "float-int-overflow"])
+    def test_malformed_document_exits_1(self, tmp_path, instance_file, capsys, field,
+                                        value, message):
+        doc = json.loads(instance_file.read_text())
+        if field == "map":
+            doc["map"] = value
+        else:
+            doc["space"][field] = value
+        if field == "mode":
+            doc["space"]["dist"][0][3] = doc["space"]["dist"][3][0] = 10 ** 400
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["classify", "--instance", str(path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"map": \xff}', b'{"map": 1' + b"1" * 5000 + b"}"],
+                             ids=["not-utf8", "int-past-digit-limit"])
+    def test_unreadable_json_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run(["classify", "--instance", str(path), "--out", str(tmp_path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_instance_outputs_are_named_by_content(self, tmp_path, instance_file):
+        # two instances written in turn to one path keep two reports
+        first = json.loads(instance_file.read_text())
+        second = json.loads(instance_file.read_text())
+        second["map"] = [1, 1, 1, 0]
+        out = tmp_path / "out"
+        for doc in (first, second):
+            instance_file.write_text(json.dumps(doc))
+            assert run(["classify", "--instance", str(instance_file), "--out", str(out)]) == 0
+        assert len(list(out.glob("classify-*.json"))) == 2
+
+    def test_one_instance_under_two_paths_has_one_name(self, tmp_path, instance_file):
+        copy = tmp_path / "copy.json"
+        copy.write_text(instance_file.read_text())
+        out = tmp_path / "out"
+        for path in (instance_file, copy):
+            assert run(["verify", "--theorem", "corrected_main", "--instance", str(path),
+                        "--out", str(out)]) == 0
+        doc, _ = read_only_json(out, "verify")
+        assert doc["origin"] == {"instance": str(copy)}
+
     def test_float_mode_rejected_for_catalog(self, tmp_path):
         assert run(["classify", "--catalog", "period2_counterexample",
                     "--mode", "float", "--out", str(tmp_path)]) == 1

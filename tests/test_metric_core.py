@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from contraction_lab.classify import full_report
+from contraction_lab.map_catalog import SelfMap
 from contraction_lab.metric_core import (
     ETA,
     FiniteMetricSpace,
@@ -255,3 +259,198 @@ class TestSampledSpace:
     def test_finite_view_is_a_metric(self):
         space = SampledSpace("grid", denominator=8, numerators=(0, 1, 5, 8))
         assert space.as_finite().validate().ok
+
+
+# ---------------------------------------------------------------------------
+# loading a table straight to its lattice, against the parse_scalar path
+
+def reference_from_json(doc):
+    """The load path that parses every entry with parse_scalar (the oracle)."""
+    mode = doc.get("mode", "exact")
+    exact = mode == "exact"
+    table = tuple(tuple(parse_scalar(v, exact) for v in row) for row in doc["dist"])
+    space = FiniteMetricSpace(points=tuple(doc["points"]), dist_table=table, mode=mode)
+    report = space.validate()
+    if not report.ok:
+        raise InputError(f"distance table is not a metric ({report.summary()})")
+    return space
+
+
+def same_lattice(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.scale == b.scale and a.exact == b.exact and a.values.dtype == b.values.dtype
+            and np.array_equal(a.values, b.values))
+
+
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_BIG_PRIMES = (134217689, 134217649, 134217617, 134217613)   # lcm of two >= 2**53
+_EXACT_CELLS = ("unreduced", "signed", "signed_den", "zeros", "spaces",
+                "underscore", "arabic", "int", "float", "zero_den", "minus_zero",
+                "big_num", "big_unreduced", "big_prime", "junk", "bool", "null")
+_FLOAT_CELLS = ("int", "string", "ratio", "nan", "inf", "huge",
+                "tiny", "minus_zero", "big_int", "junk", "bool")
+
+
+@st.composite
+def cell(draw, num, den, exact, kind):
+    """One table entry for the value num/den: plain, or rendered as ``kind``."""
+    kind = draw(st.sampled_from(("plain", "plain", "plain", kind)))
+    value = F(num, den)
+    if kind == "plain":
+        return str(value) if exact else num / den
+    if kind == "unreduced":
+        k = draw(st.integers(2, 5))
+        return f"{num * k}/{den * k}"
+    if kind == "signed":
+        return f"+{value}"
+    if kind == "signed_den":
+        return f"{value.numerator}/{draw(st.sampled_from('+-'))}{value.denominator}"
+    if kind == "zeros":
+        return f"00{value.numerator}/0{value.denominator}"
+    if kind == "spaces":
+        return f" {value.numerator} / {value.denominator} "
+    if kind == "underscore":
+        return f"{value.numerator}_0/{value.denominator}"
+    if kind == "arabic":
+        return str(value).translate(_ARABIC)
+    if kind == "int":
+        return num // den
+    if kind == "float":
+        return num / den
+    if kind == "zero_den":
+        return f"{num}/0"
+    if kind == "minus_zero":
+        return "-0" if exact else -0.0
+    if kind == "big_num":
+        return f"{2 ** 63 + num}/{den}"
+    if kind == "big_unreduced":
+        return f"{num * 2 ** 40}/{den * 2 ** 40}"
+    if kind == "big_prime":
+        p = _BIG_PRIMES[num % len(_BIG_PRIMES)]        # several per table
+        return f"{num * p // den}/{p}"
+    if kind == "junk":
+        return draw(st.text(max_size=4))
+    if kind == "bool":
+        return True
+    if kind == "null":
+        return None
+    if kind == "string":
+        return repr(num / den)
+    if kind == "ratio":
+        return f"{num}/{den}"
+    if kind == "nan":
+        return float("nan")
+    if kind == "inf":
+        return float("inf")
+    if kind == "huge":
+        return 1e308
+    if kind == "tiny":
+        return 1e-300
+    return 10 ** 400                     # big_int: no float holds it
+
+
+@st.composite
+def instance_docs(draw, exact, kind):
+    """Space documents with entries rendered as ``kind`` among plain ones.
+
+    The table is closed under shortest paths, or has every off-diagonal
+    distance in [1, 2) (a metric whatever its values there), or is raw; a
+    scale factor takes some tables off the lattice (past 2**53 exact, or
+    past 2**200 in float mode).  Entry (j, i) repeats entry (i, j), so
+    renderings that change a value keep the table symmetric.
+    """
+    n = draw(st.integers(3, 6))
+    den = draw(st.sampled_from((1, 2, 3, 96)))
+    shape = draw(st.sampled_from(("closed", "unit", "raw")))
+    raw = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        raw[i][j] = raw[j][i] = (den + draw(st.integers(0, den - 1)) if shape == "unit"
+                                 else draw(st.integers(1, 3 * den)))
+    if shape == "closed":
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    raw[i][j] = min(raw[i][j], raw[i][k] + raw[k][j])
+    if exact:
+        factor = draw(st.sampled_from((1, 1, 1, 2 ** 60)))
+    else:
+        factor = draw(st.sampled_from((1, 1, 1, 2 ** 250)))
+        den *= draw(st.sampled_from((1, 2 ** 500)))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(cell(raw[i][j] * factor, den, exact, kind))
+    doc = {"points": list(range(n)), "dist": rows}
+    if not exact or draw(st.booleans()):
+        doc["mode"] = "exact" if exact else "float"
+    return json.loads(json.dumps(doc)) if draw(st.booleans()) else doc
+
+
+class TestLatticeLoad:
+    @pytest.mark.parametrize("exact, kind", [(True, k) for k in ("plain",) + _EXACT_CELLS]
+                             + [(False, k) for k in ("plain",) + _FLOAT_CELLS])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_matches_the_parse_scalar_path(self, exact, kind, data):
+        doc = data.draw(instance_docs(exact, kind))
+        try:
+            expected = reference_from_json(doc)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                FiniteMetricSpace.from_json(doc)
+            assert str(got.value) == str(exc)
+            return
+        space = FiniteMetricSpace.from_json(doc)
+        assert same_lattice(space.lattice, expected.lattice)
+        assert space.validate() == expected.validate()
+        assert space.dist_table == expected.dist_table
+        assert space.to_json() == expected.to_json()
+        assert space == expected
+        a, b = space.points[0], space.points[-1]
+        assert space.distance(a, b) == expected.distance(a, b)
+
+    def test_scale_beyond_int64_falls_back(self):
+        # distances 1 + 1/p over three primes near 2**27: the lcm is ~2**81
+        p = _BIG_PRIMES
+        near_one = [[None, p[0], p[1], p[2]], [p[0], None, p[2], p[1]],
+                    [p[1], p[2], None, p[0]], [p[2], p[1], p[0], None]]
+        doc = {"points": [0, 1, 2, 3],
+               "dist": [[f"{q + 1}/{q}" if q else "0" for q in row] for row in near_one]}
+        space = FiniteMetricSpace.from_json(doc)
+        assert space.lattice is None
+        assert space == reference_from_json(doc)
+
+    @pytest.mark.parametrize("mode, cell, expected", [
+        ("exact", lambda v: str(F(v, 96)), F(3, 96)),
+        ("float", lambda v: v / 96, 3 / 96),
+    ], ids=["exact", "float"])
+    def test_plain_tables_load_as_lattices(self, mode, cell, expected):
+        raw = [[abs(i - j) for j in range(4)] for i in range(4)]
+        space = FiniteMetricSpace.from_json(
+            {"points": [0, 1, 2, 3], "mode": mode,
+             "dist": [[cell(v) for v in row] for row in raw]})
+        assert all(row is None for row in space._rows)
+        assert space.distance(0, 3) == expected
+        assert [row is None for row in space._rows] == [False, True, True, True]
+
+    def test_clean_instance_builds_no_rows(self):
+        # validation and both scans run on the lattice; a row is built only
+        # when a witness of a violation or a distance is read
+        rng = random.Random(40)
+        n = 40
+        raw = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            raw[i][j] = raw[j][i] = rng.randint(1, 96)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    raw[i][j] = min(raw[i][j], raw[i][k] + raw[k][j])
+        doc = {"space": {"points": list(range(n)),
+                         "dist": [[str(F(v, 96)) for v in row] for row in raw]},
+               "map": [rng.randrange(n) for _ in range(n)]}
+        mapping = SelfMap.from_json(doc)
+        space = mapping.space
+        assert space.validate().ok
+        full_report(space, mapping)
+        assert all(row is None for row in space._rows)
