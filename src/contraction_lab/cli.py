@@ -19,6 +19,7 @@ from pathlib import Path
 from . import classify, dynamics, theorem_lab
 from .map_catalog import (
     CATALOG_IDS,
+    SelfMap,
     catalog,
     load_instance,
     resolve_point,
@@ -54,6 +55,31 @@ def _parse_eps_grid(text):
     return tuple(Fraction(parse_scalar(v, exact=True)) for v in values if v)
 
 
+def _rational_arg(text):
+    """An argparse type: a "p/q" or decimal string as a Fraction."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _tolerance_arg(text):
+    """An argparse type: a nonnegative number, kept as text.
+
+    The value itself is parsed once the space's mode is known.
+    """
+    try:
+        ok = Fraction(text.strip()) >= 0
+    except (ValueError, ZeroDivisionError):
+        try:
+            ok = float(text) >= 0       # "inf" passes, NaN does not
+        except ValueError:
+            ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"tolerance must be a nonnegative number: {text!r}")
+    return text
+
+
 def _parse_size_range(text):
     try:
         lo, hi = text.split("..")
@@ -79,7 +105,7 @@ def _load_target(args):
                              "--instance files only")
         entry = catalog(
             args.catalog,
-            grid_step=Fraction(args.grid_step) if getattr(args, "grid_step", None) else None,
+            grid_step=getattr(args, "grid_step", None),
             integer_max=getattr(args, "max_n", None),
             index_max=getattr(args, "max_n", None),
         )
@@ -88,11 +114,8 @@ def _load_target(args):
     if getattr(args, "instance", None):
         space, mapping = load_instance(args.instance)
         if getattr(args, "mode", None) and args.mode != space.mode:
-            doc = mapping.to_json()
-            doc["space"]["mode"] = args.mode
-            from .map_catalog import SelfMap
-            mapping = SelfMap.from_json(doc)
-            space = mapping.space
+            space = space.in_mode(args.mode)
+            mapping = SelfMap(space=space, name=mapping.name, table=mapping.table)
         images = [space.index(img) for img in mapping.table]
         key = {"instance_content": [space.fingerprint(), images]}
         return space, mapping, {"instance": str(args.instance)}, key
@@ -451,7 +474,8 @@ def cmd_search(args) -> int:
 def _add_target_args(p, with_mode=True):
     p.add_argument("--catalog", choices=CATALOG_IDS, help="catalog instance id")
     p.add_argument("--instance", help="path to a JSON instance file")
-    p.add_argument("--grid-step", help="grid step for sampled catalog spaces (e.g. 1/512)")
+    p.add_argument("--grid-step", type=_rational_arg,
+                   help="grid step for sampled catalog spaces (e.g. 1/512)")
     p.add_argument("--max-n", type=int,
                    help="truncation for integer-backed catalog spaces")
     if with_mode:
@@ -495,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_args(p)
     p.add_argument("--x0", required=True, help="start point (label or p/q)")
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--tol", default="1/10000000000",
+    p.add_argument("--tol", type=_tolerance_arg, default="1/10000000000",
                    help="residual tolerance (default 1e-10 as a rational)")
     _add_common_output(p)
     p.set_defaults(fn=cmd_iterate)

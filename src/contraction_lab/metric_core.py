@@ -276,10 +276,30 @@ class FiniteMetricSpace:
         else:
             table = tuple(tuple(parse_scalar(v, exact) for v in row) for row in rows)
             space = cls(points=tuple(points), dist_table=table, mode=mode)
-        report = space.validate()
+        return space._validated()
+
+    def in_mode(self, mode: str) -> "FiniteMetricSpace":
+        """This space in the given arithmetic mode, validated as from_json validates.
+
+        An exact table with a lattice becomes float64 by dividing the lattice
+        by its scale: both are below 2**53, so each quotient is the correctly
+        rounded float of the exact distance, as parsing its "p/q" string
+        gives.  Any other table goes through its JSON document.
+        """
+        lattice = self.lattice
+        if mode == "float" and lattice is not None and lattice.exact:
+            floats = _float_array_lattice(lattice.values / lattice.scale)
+            if floats is not None:
+                return FiniteMetricSpace._from_lattice(self.points, floats, mode)._validated()
+        doc = self.to_json()
+        doc["mode"] = mode
+        return FiniteMetricSpace.from_json(doc)
+
+    def _validated(self):
+        report = self.validate()
         if not report.ok:
             raise InputError(f"distance table is not a metric ({report.summary()})")
-        return space
+        return self
 
 
 class _LatticeRows(Sequence):

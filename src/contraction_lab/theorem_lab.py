@@ -7,6 +7,14 @@ leave the sample).  Refutation search runs verdicts over a deterministic
 stream of random finite instances; the three-point 2-cycle instance is always
 prepended so the search against the uncorrected statement is guaranteed a
 hit.
+
+The validation sweep (run_validation) checks the same statements on that
+stream in grouped numpy passes: the instances of one size are stacked into
+one int64 array over the configured denominator, and the verdict flags,
+fixed points, orbits and orbit checks are computed for the whole stack at
+once.  Each call recomputes trial 0 through the per-trial path (the
+classifiers, the fixed-point and period-2 scans and Picard orbits) and fails
+if the batch disagrees with it.
 """
 
 from __future__ import annotations
@@ -14,17 +22,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from . import classify, dynamics
+import numpy as np
+
+from . import classify, dynamics, scan
 from .map_catalog import SelfMap, apply, catalog
 from .metric_core import (
+    LATTICE_LIMIT,
     FiniteMetricSpace,
     InputError,
+    InternalConsistencyError,
     SampledSpace,
     format_scalar,
-    max_side,
     metric_repair,
-    perimeter,
 )
 
 THEOREM_IDS = ("burton", "petrov", "mesmouli_uncorrected", "corrected_main")
@@ -268,6 +279,8 @@ class SearchConfig:
             raise InputError("size range is empty")
         if self.trials < 0:
             raise InputError("trial count must be nonnegative")
+        if self.denominator < 1:
+            raise InputError("denominator must be a positive integer")
         if self.map_bias not in ("uniform", "period2"):
             raise InputError(f"unknown map bias {self.map_bias!r}")
 
@@ -282,22 +295,17 @@ class SearchConfig:
         }
 
 
-def random_instance(config: SearchConfig, trial_index: int):
-    """Deterministic (seed, trial) -> (space, map); the table is repaired to a metric."""
-    if trial_index >= config.trials:
-        raise InputError("trial index exceeds the configured trial count")
+def _draw(config: SearchConfig, trial_index: int):
+    """One trial's random draws: (n, ks, images).
+
+    ks holds the raw distances k/den of the pairs i < j in row-major order.
+    random_instance and run_validation both draw through here, so their
+    streams agree call for call.
+    """
     rng = random.Random(f"{config.seed}:{trial_index}")
     n = rng.randint(config.size_min, config.size_max)
     den = config.denominator
-    raw = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            k = rng.randint(1, den)
-            raw[i][j] = k
-            raw[j][i] = k
-    repaired = metric_repair(raw)  # integer shortest-path closure
-    table = tuple(tuple(Fraction(v, den) for v in row) for row in repaired.dist_table)
-    space = FiniteMetricSpace(points=tuple(range(n)), dist_table=table, mode="exact")
+    ks = [rng.randint(1, den) for _ in range(n * (n - 1) // 2)]
     images = [rng.randrange(n) for _ in range(n)]
     if config.map_bias == "period2":
         a = rng.randrange(n)
@@ -306,6 +314,21 @@ def random_instance(config: SearchConfig, trial_index: int):
             b += 1
         images[a] = b
         images[b] = a
+    return n, ks, images
+
+
+def random_instance(config: SearchConfig, trial_index: int):
+    """Deterministic (seed, trial) -> (space, map); the table is repaired to a metric."""
+    if trial_index >= config.trials:
+        raise InputError("trial index exceeds the configured trial count")
+    n, ks, images = _draw(config, trial_index)
+    raw = [[0] * n for _ in range(n)]
+    for (i, j), k in zip(combinations(range(n), 2), ks):
+        raw[i][j] = raw[j][i] = k
+    repaired = metric_repair(raw)  # integer shortest-path closure
+    den = config.denominator
+    table = tuple(tuple(Fraction(v, den) for v in row) for row in repaired.dist_table)
+    space = FiniteMetricSpace(points=tuple(range(n)), dist_table=table, mode="exact")
     mapping = SelfMap(space=space, name=f"random[{config.seed}:{trial_index}]",
                       table=tuple(images))
     return space, mapping
@@ -435,7 +458,11 @@ def minimize_refutation(space: FiniteMetricSpace, mapping: SelfMap,
 # ---------------------------------------------------------------------------
 # randomized theorem validation (the empirical main-result check)
 
-def run_validation(config: SearchConfig, check_orbits: bool = True) -> dict:
+SWEEP_ITEMS = 1 << 18    # instances x n**3 per batch of run_validation
+HALTS = ("fixed-point", "period-2", "budget")
+
+
+def run_validation(config: SearchConfig) -> dict:
     """Sweep the trial stream and validate every theorem-backed invariant.
 
     Counters cover: corrected-theorem conclusion (1..2 fixed points whenever
@@ -444,6 +471,15 @@ def run_validation(config: SearchConfig, check_orbits: bool = True) -> dict:
     contractions, Picard halting behaviour against the enumerated fixed-point
     set, strict perimeter decrease along orbits, the pair-vs-perimeter
     domination, and the perimeter/3 bound on every triple.
+
+    The instances are drawn in trial order and grouped by size; each group
+    runs through _sweep_batch in batches of at most SWEEP_ITEMS // n**3
+    instances, and the violation lists are put back in trial order.  Trial 0
+    is then recomputed through the per-trial path (random_instance,
+    classify.full_report, the fixed-point and period-2 scans, and a Picard
+    orbit from every start point), and InternalConsistencyError is raised if
+    its verdict flags, fixed points, period-2 points or orbit halts differ
+    from the batch's.
     """
     out = {
         "trials": config.trials,
@@ -461,70 +497,238 @@ def run_validation(config: SearchConfig, check_orbits: bool = True) -> dict:
         "perimeter_third_violations": [],
         "orbits_checked": 0,
     }
+    if 3 * config.denominator > np.iinfo(np.int64).max:
+        raise InputError("the validation sweep sums three distances in int64: "
+                         "the denominator must be below 2**63 / 3")
+    groups = {}
     for trial in range(config.trials):
-        space, mapping = random_instance(config, trial)
-        report = classify.full_report(space, mapping)
-        fps = dynamics.enumerate_fixed_points(space, mapping)
-        period2 = dynamics.detect_period2(space, mapping)
-
-        _check_perimeter_third(space, out, trial)
-
-        if report.large_contraction.passed:
-            out["large_contraction_pass"] += 1
-            if len(fps) != 1:
-                out["burton_uniqueness_violations"].append(
-                    {"trial": trial, "fixed_points": [_fmt_point(p) for p in fps]})
-        if report.uniform_tpc.passed and not period2:
-            out["uniform_tpc_pass"] += 1
-            if not 1 <= len(fps) <= 2:
-                out["petrov_count_violations"].append(
-                    {"trial": trial, "fixed_points": [_fmt_point(p) for p in fps]})
-        corrected_ok = report.large_tpc.passed and not period2
-        if corrected_ok:
-            out["corrected_hypotheses_pass"] += 1
-            if not 1 <= len(fps) <= 2:
-                out["corrected_conclusion_violations"].append(
-                    {"trial": trial, "fixed_points": [_fmt_point(p) for p in fps]})
-            if len(fps) == 2:
-                out["two_fixed_point_trials"].append(trial)
-
-        if not check_orbits:
-            continue
-        for x0 in space.points:
-            trace = dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
-                                          residual_tol=Fraction(0))
-            out["orbits_checked"] += 1
-            if trace.halted_by == "fixed-point" and trace.final_state not in fps:
-                out["halt_membership_violations"].append({"trial": trial, "x0": x0})
-            for m in range(len(trace.states) - 1):
-                for n in range(m):
-                    lhs = space.distance(trace.states[m], trace.states[n])
-                    rhs = perimeter(space, trace.states[m + 1], trace.states[m],
-                                    trace.states[n])
-                    if lhs > rhs:
-                        out["pair_domination_violations"].append(
-                            {"trial": trial, "x0": x0, "m": m, "n": n})
-            if corrected_ok:
-                if trace.halted_by != "fixed-point" or len(trace.states) > space.size + 1:
-                    out["orbit_halt_violations"].append({"trial": trial, "x0": x0,
-                                                         "halted_by": trace.halted_by})
-                if len(trace.perimeters) >= 2:
-                    ok, idx, _ = dynamics.check_perimeter_decrease(trace)
-                    if not ok:
-                        out["perimeter_decrease_violations"].append(
-                            {"trial": trial, "x0": x0, "index": idx})
+        n, ks, images = _draw(config, trial)
+        group = groups.setdefault(n, ([], [], []))
+        group[0].append(trial)
+        group[1].append(ks)
+        group[2].append(images)
+    first = None
+    for n, (trials, ks, images) in groups.items():
+        size = max(1, SWEEP_ITEMS // n ** 3)
+        for s in range(0, len(trials), size):
+            dist = _closed_tables(n, np.array(ks[s:s + size], dtype=np.int64))
+            found = _sweep_batch(out, trials[s:s + size], dist,
+                                 np.array(images[s:s + size], dtype=np.intp),
+                                 config.denominator)
+            if trials[s] == 0:
+                first = found
+    for key, value in out.items():
+        if key == "two_fixed_point_trials":
+            value.sort()
+        elif isinstance(value, list):
+            value.sort(key=lambda entry: entry["trial"])   # stable: keeps (x0, m, n) order
+    if first is not None:
+        _audit_first_trial(config, first)
     return out
 
 
-def _check_perimeter_third(space, out, trial):
-    pts = space.points
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                p = perimeter(space, pts[i], pts[j], pts[k])
-                side = max_side(space, pts[i], pts[j], pts[k])
-                if p > 3 * side:
-                    out["perimeter_third_violations"].append(
-                        {"trial": trial, "triple": (i, j, k)})
-                    return
+def _closed_tables(n, ks):
+    """metric_repair on a stack of tables given by their upper-triangle ks.
+
+    Its input checks (zero diagonal, symmetric, positive off the diagonal),
+    then its shortest-path closure in Floyd-Warshall order, on (B, n, n)
+    int64 arrays.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    raw = np.zeros((len(ks), n, n), dtype=np.int64)
+    raw[:, rows, cols] = ks
+    raw[:, cols, rows] = ks
+    diagonal = np.arange(n)
+    if raw[:, diagonal, diagonal].any():
+        raise InputError("diagonal entries must be zero")
+    if (raw[:, rows, cols] != raw[:, cols, rows]).any():
+        raise InputError("table must be symmetric")
+    if not (raw[:, rows, cols] > 0).all():
+        raise InputError("off-diagonal entries must be positive (points are distinct)")
+    for k in range(n):
+        np.minimum(raw, raw[:, :, k, None] + raw[:, None, k, :], out=raw)
+    return raw
+
+
+def _sweep_batch(out, trials, dist, images, den):
+    """run_validation's checks on a stack of B instances of one size n.
+
+    trials lists the instances' trial numbers in order, dist holds their
+    (B, n, n) int64 tables in units of 1/den, and images their (B, n) maps
+    (point i is label i).  Counters are added to out, and violation entries
+    appended in (trial, x0, m, n) order, from Python ints.
+
+    The verdict flags follow classify.full_report's exact-scope rules.  With
+    every triple perimeter positive (true of every closed table; an
+    InputError otherwise) an item's ratio reaches 1 exactly when the item
+    fails the strict test, and a bucket's delta reaches 1 exactly when an item
+    of its suffix of buckets does.  The suffixes are nested, so each large
+    verdict needs only the items of the first grid bucket.  Pairs below the
+    first eps never enter a modulus, so pair distances may have any sign.
+
+    Returns the first instance's record for the audit: its
+    (large_contraction, large_tpc, uniform_tpc) flags, fixed points, period-2
+    points, and (halted_by, number of states) per start point.
+    """
+    count, n = images.shape
+    pts = np.arange(n)
+    b2 = np.arange(count)[:, None]
+    b3 = b2[:, :, None]
+    image_dist = dist[b3, images[:, :, None], images[:, None, :]]   # d(Tx, Ty)
+    first_eps = scan._ceil_thresholds(classify.DEFAULT_EPS_GRID, den, LATTICE_LIMIT)
+
+    def qualifies(measure):     # measure >= the first grid eps
+        return np.searchsorted(first_eps, measure, side="right") >= 1
+
+    rows, cols = np.triu_indices(n, 1)
+    d_pair = dist[:, rows, cols]
+    t_pair = image_dist[:, rows, cols]
+    fails = t_pair >= d_pair
+    pair_strict = ~fails.any(1)
+    large_contraction = pair_strict & ~(fails & qualifies(d_pair)).any(1)
+
+    triple_fails = np.zeros(count, dtype=bool)
+    qualified_fails = np.zeros(count, dtype=bool)
+    third = {}          # instance -> its lex-first triple with perimeter > 3 x longest side
+    for a, pair in scan._triple_blocks(n, rows):
+        j = rows[pair]
+        k = cols[pair]
+        dij = dist[:, a, j]
+        djk = d_pair[:, pair]
+        dik = dist[:, a, k]
+        p = dij + djk + dik
+        if not (p > 0).all():
+            raise InputError("the sweep's verdict rules need positive triple perimeters")
+        pt = image_dist[:, a, j] + t_pair[:, pair] + image_dist[:, a, k]
+        longest = np.maximum(np.maximum(dij, djk), dik)
+        fails = pt >= p
+        triple_fails |= fails.any(1)
+        qualified_fails |= (fails & qualifies(longest)).any(1)
+        over = p > 3 * longest
+        for b, t in zip(*np.nonzero(over)):
+            third.setdefault(int(b), (int(a[t]), int(j[t]), int(k[t])))
+    triple_strict = ~triple_fails
+    large_tpc = triple_strict & ~qualified_fails
+    alpha_below_one = ~triple_fails       # no triple's ratio reaches 1
+    uniform_tpc = alpha_below_one & triple_strict
+    if (large_contraction & ~pair_strict).any():
+        raise InternalConsistencyError(
+            "large-contraction verdict passed while the pairwise strict check failed")
+    if (large_tpc & ~triple_strict).any():
+        raise InternalConsistencyError(
+            "large perimeter-contraction verdict passed while the strict triple check failed")
+    if (uniform_tpc & ~large_tpc).any():
+        raise InternalConsistencyError(
+            "uniform perimeter verdict passed while the large perimeter verdict failed")
+
+    fixed = images == pts
+    period2 = (np.take_along_axis(images, images, 1) == pts) & ~fixed
+    no_period2 = ~period2.any(1)
+    corrected = large_tpc & no_period2
+
+    # Orbits, as picard_orbit runs them with max_steps = n + 2 and residual
+    # tolerance 0.  orbit[b, x0, i] is state i from x0; a run halts at the
+    # first state with d(x, Tx) <= 0 (fixed point), else with T(Tx) = x
+    # (period 2: Tx, x, Tx are recorded next, which are the following states
+    # of the orbit), else at state n + 2 (budget).  An orbit on n points is
+    # in its cycle by state n - 1, so a period-2 halt keeps within the n + 3
+    # states of a budget halt.
+    steps = n + 3
+    orbit = np.empty((count, n, steps + 1), dtype=np.intp)
+    orbit[:, :, 0] = pts
+    for i in range(steps):
+        orbit[:, :, i + 1] = images[b2, orbit[:, :, i]]
+    x = orbit[:, :, :steps]
+    tx = orbit[:, :, 1:]
+    at_fixed = dist[b3, x, tx] <= 0
+    at_period2 = images[b3, tx] == x
+    halts = at_fixed | at_period2
+    halts[:, :, -1] = True
+    halt = halts.argmax(2)[:, :, None]
+    by_fixed = np.take_along_axis(at_fixed, halt, 2)[:, :, 0]
+    by_period2 = ~by_fixed & np.take_along_axis(at_period2, halt, 2)[:, :, 0]
+    final = np.take_along_axis(orbit, halt, 2)[:, :, 0]
+    halt = halt[:, :, 0]
+    length = np.where(by_period2, halt + 4, halt + 1)
+    halted_by = np.where(by_fixed, 0, np.where(by_period2, 1, 2))
+    membership = by_fixed & ~fixed[b2, final]
+    orbit_halt = corrected[:, None] & (~by_fixed | (length > n + 1))
+
+    # d(x_m, x_n) <= P(x_{m+1}, x_m, x_n) for n < m, m + 1 < length
+    m_idx, n_idx = np.tril_indices(steps - 1, -1)
+    s_m = orbit[:, :, m_idx]
+    s_n = orbit[:, :, n_idx]
+    s_next = orbit[:, :, m_idx + 1]
+    lhs = dist[b3, s_m, s_n]
+    rhs = dist[b3, s_next, s_m] + dist[b3, s_m, s_n] + dist[b3, s_next, s_n]
+    domination = (lhs > rhs) & (m_idx + 1 < length[:, :, None])
+
+    # check_perimeter_decrease on P_i = P(x_i, x_{i+1}, x_{i+2}), i < length - 2
+    s0, s1, s2 = orbit[:, :, :steps - 2], orbit[:, :, 1:steps - 1], orbit[:, :, 2:steps]
+    per = dist[b3, s0, s1] + dist[b3, s1, s2] + dist[b3, s0, s2]
+    n_per = (length - 2)[:, :, None]
+    recorded = np.arange(steps - 2) < n_per
+    no_drop = (per[:, :, 1:] >= per[:, :, :-1]) & recorded[:, :, 1:]
+    decrease = (corrected[:, None] & (n_per[:, :, 0] >= 2)
+                & ((per != 0) & recorded).any(2) & no_drop.any(2))
+    first_no_drop = no_drop.argmax(2)
+
+    trials = list(trials)
+    fixed_points = [tuple(np.flatnonzero(row).tolist()) for row in fixed]
+    for b, (trial, fps, burton, petrov, main) in enumerate(zip(
+            trials, fixed_points, large_contraction.tolist(),
+            (uniform_tpc & no_period2).tolist(), corrected.tolist())):
+        if burton:
+            out["large_contraction_pass"] += 1
+            if len(fps) != 1:
+                out["burton_uniqueness_violations"].append(
+                    {"trial": trial, "fixed_points": list(fps)})
+        if petrov:
+            out["uniform_tpc_pass"] += 1
+            if not 1 <= len(fps) <= 2:
+                out["petrov_count_violations"].append(
+                    {"trial": trial, "fixed_points": list(fps)})
+        if main:
+            out["corrected_hypotheses_pass"] += 1
+            if not 1 <= len(fps) <= 2:
+                out["corrected_conclusion_violations"].append(
+                    {"trial": trial, "fixed_points": list(fps)})
+            if len(fps) == 2:
+                out["two_fixed_point_trials"].append(trial)
+        if b in third:
+            out["perimeter_third_violations"].append({"trial": trial, "triple": third[b]})
+    out["orbits_checked"] += count * n
+    for b, x0 in zip(*np.nonzero(membership)):
+        out["halt_membership_violations"].append({"trial": trials[b], "x0": int(x0)})
+    for b, x0, q in zip(*np.nonzero(domination)):
+        out["pair_domination_violations"].append(
+            {"trial": trials[b], "x0": int(x0), "m": int(m_idx[q]), "n": int(n_idx[q])})
+    for b, x0 in zip(*np.nonzero(orbit_halt)):
+        out["orbit_halt_violations"].append(
+            {"trial": trials[b], "x0": int(x0), "halted_by": HALTS[halted_by[b, x0]]})
+    for b, x0 in zip(*np.nonzero(decrease)):
+        out["perimeter_decrease_violations"].append(
+            {"trial": trials[b], "x0": int(x0), "index": int(first_no_drop[b, x0])})
+
+    flags = (bool(large_contraction[0]), bool(large_tpc[0]), bool(uniform_tpc[0]))
+    runs = tuple((HALTS[h], s) for h, s in zip(halted_by[0].tolist(), length[0].tolist()))
+    return flags, fixed_points[0], tuple(np.flatnonzero(period2[0]).tolist()), runs
+
+
+def _audit_first_trial(config, batch):
+    """Recompute trial 0 through the per-trial path and compare it with the batch's record."""
+    space, mapping = random_instance(config, 0)
+    report = classify.full_report(space, mapping)
+    flags = (report.large_contraction.passed, report.large_tpc.passed,
+             report.uniform_tpc.passed)
+    runs = []
+    for x0 in space.points:
+        trace = dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
+                                      residual_tol=Fraction(0))
+        runs.append((trace.halted_by, len(trace.states)))
+    per_trial = (flags, dynamics.enumerate_fixed_points(space, mapping),
+                 dynamics.detect_period2(space, mapping), tuple(runs))
+    if per_trial != batch:
+        raise InternalConsistencyError(
+            f"the batched sweep disagrees with the per-trial path on trial 0: "
+            f"{batch} != {per_trial}")

@@ -12,16 +12,18 @@ spec.loader.exec_module(bench_pairs)
 ENV = {"nproc": 2, "cpu_model": "test cpu", "python": "3.11.7"}
 
 
-def write_result(checkout, seed, ops, setup, rss, problems=()):
+def write_result(checkout, seed, ops, setup, rss, problems=(), trace=0):
     results = checkout / ".bench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     metrics = {"ops_per_s": {"value": ops, "unit": "1/s"},
                "setup_s": {"value": setup, "unit": "s"},
                "peak_rss_mib": {"value": rss, "unit": "MiB"},
                "ok_ratio": {"value": 1.0, "unit": "ratio"}}
-    record = {"workload": "table-load", "seed": seed, "trace": 0, "env": ENV,
+    if trace:
+        metrics = {"classify.full_report.calls": {"value": 3, "unit": "count"}}
+    record = {"workload": "table-load", "seed": seed, "trace": trace, "env": ENV,
               "metrics": metrics, "problems": list(problems)}
-    (results / f"table-load-seed{seed}-trace0.json").write_text(json.dumps(record))
+    (results / f"table-load-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
 def test_one_pair_summary(tmp_path):
@@ -56,5 +58,24 @@ def test_runs_with_problems_are_refused(tmp_path, capsys):
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"), "--label", "demo",
                              "--out", str(tmp_path / "out.json")]) == 1
+    assert "reports problems" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_traced_runs_are_recorded_and_checked(tmp_path, capsys):
+    for side in ("parent", "change"):
+        write_result(tmp_path / side, 7, ops=35.0, setup=0.30, rss=40.0)
+    write_result(tmp_path / "change", 9, ops=0, setup=0, rss=0, trace=1)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--label", "demo", "--out", str(tmp_path / "out.json")]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads((tmp_path / "out.json").read_text())["workloads"]["table-load"]
+    assert [p["seed"] for p in entry["pairs"]] == [7]
+    assert entry["traced"] == {"parent": [], "change": [{"seed": 9, "correct": True}]}
+
+    (tmp_path / "out.json").unlink()
+    write_result(tmp_path / "parent", 9, ops=0, setup=0, rss=0, trace=1,
+                 problems=["expected span classify.full_report never fired"])
+    assert bench_pairs.main(argv) == 1
     assert "reports problems" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()

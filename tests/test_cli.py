@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from contraction_lab.cli import main
 from contraction_lab.map_catalog import catalog
-from contraction_lab.metric_core import FiniteMetricSpace
+from contraction_lab.metric_core import FiniteMetricSpace, metric_repair
 from contraction_lab.map_catalog import SelfMap
 
 
@@ -106,6 +107,36 @@ class TestClassify:
         assert docs["exact"]["report"] == docs["float"]["report"]
         assert docs["exact"]["report"]["enumeration_scope"] == "exact"
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_float_mode_converts_the_lattice_as_the_document_does(self, tmp_path, seed):
+        # --mode float on an exact n = 40 file gives the documents, and names,
+        # of the same instance stored with mode "float" in its JSON document
+        rng = random.Random(seed)
+        n = 40
+        raw = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                raw[i][j] = raw[j][i] = rng.randint(1, 96)
+        space = metric_repair([[F(v, 96) for v in row] for row in raw])
+        mapping = SelfMap(space=space, name="random", table=tuple(
+            rng.randrange(n) for _ in range(n)))
+        exact_path = tmp_path / "exact.json"
+        exact_path.write_text(json.dumps(mapping.to_json()))
+        doc = mapping.to_json()
+        doc["space"]["mode"] = "float"
+        float_path = tmp_path / "float.json"
+        float_path.write_text(json.dumps(doc))
+        for argv in (["classify"], ["verify", "--theorem", "corrected_main"]):
+            converted, stored = tmp_path / f"{argv[0]}-a", tmp_path / f"{argv[0]}-b"
+            assert run(argv + ["--instance", str(exact_path), "--mode", "float",
+                               "--out", str(converted)]) == 0
+            assert run(argv + ["--instance", str(float_path), "--out", str(stored)]) == 0
+            doc_a, path_a = read_only_json(converted, argv[0])
+            doc_b, path_b = read_only_json(stored, argv[0])
+            assert path_a.name == path_b.name
+            assert doc_a.pop("origin") != doc_b.pop("origin")
+            assert doc_a == doc_b
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
     def test_non_finite_float_instance_exits_1(self, tmp_path, capsys, bad):
         rows = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
@@ -198,7 +229,11 @@ class TestUsageErrors:
         ["iterate", "--catalog", "floor_half", "--x0", "4", "--format", "json"],
         ["classify", "--catalog", "nope"],
         ["classify", "--catalog", "floor_half", "--workers", "2"],
-    ], ids=["format-on-iterate", "unknown-catalog", "removed-flag"])
+        ["classify", "--catalog", "burton_logistic", "--grid-step", "abc"],
+        ["classify", "--catalog", "burton_logistic", "--grid-step", "1/0"],
+        ["iterate", "--catalog", "floor_half", "--x0", "5", "--tol", "-1"],
+    ], ids=["format-on-iterate", "unknown-catalog", "removed-flag", "grid-step-not-a-number",
+            "grid-step-zero-denominator", "negative-tol"])
     def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
         assert run(argv + ["--out", str(tmp_path)]) == 1
         assert "usage:" in capsys.readouterr().err

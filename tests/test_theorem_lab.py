@@ -1,9 +1,19 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
+import numpy as np
 import pytest
 
+from contraction_lab import classify, dynamics, theorem_lab
 from contraction_lab.map_catalog import SelfMap, apply, catalog
-from contraction_lab.metric_core import FiniteMetricSpace, InputError
+from contraction_lab.metric_core import (
+    FiniteMetricSpace,
+    InputError,
+    InternalConsistencyError,
+    max_side,
+    perimeter,
+)
 from contraction_lab.theorem_lab import (
     SearchConfig,
     minimize_refutation,
@@ -148,6 +158,23 @@ class TestRandomInstances:
             SearchConfig(seed=1, trials=1, size_min=2)
         with pytest.raises(InputError):
             SearchConfig(seed=1, trials=1, size_min=5, size_max=4)
+        for denominator in (0, -3):
+            with pytest.raises(InputError, match="denominator"):
+                SearchConfig(seed=1, trials=1, denominator=denominator)
+
+    @pytest.mark.parametrize("bias", ["uniform", "period2"])
+    def test_draws_and_closure_match_random_instance(self, bias):
+        # run_validation's draw and numpy closure against random_instance's
+        # metric_repair, table and map
+        cfg = SearchConfig(seed=41, trials=500, map_bias=bias)
+        for t in range(cfg.trials):
+            space, mapping = random_instance(cfg, t)
+            n, ks, images = theorem_lab._draw(cfg, t)
+            dist = theorem_lab._closed_tables(n, np.array([ks], dtype=np.int64))[0]
+            assert n == space.size
+            assert space.dist_table == tuple(tuple(F(v, cfg.denominator) for v in row)
+                                             for row in dist.tolist())
+            assert mapping.table == tuple(images)
 
     def test_biased_maps_contain_a_two_cycle(self):
         cfg = SearchConfig(seed=11, trials=30, map_bias="period2")
@@ -222,6 +249,129 @@ class TestMinimize:
             minimize_refutation(space, mapping)
 
 
+def empty_sweep(trials):
+    return {
+        "trials": trials,
+        "corrected_hypotheses_pass": 0,
+        "corrected_conclusion_violations": [],
+        "uniform_tpc_pass": 0,
+        "petrov_count_violations": [],
+        "large_contraction_pass": 0,
+        "burton_uniqueness_violations": [],
+        "two_fixed_point_trials": [],
+        "orbit_halt_violations": [],
+        "halt_membership_violations": [],
+        "perimeter_decrease_violations": [],
+        "pair_domination_violations": [],
+        "perimeter_third_violations": [],
+        "orbits_checked": 0,
+    }
+
+
+def oracle_trial(out, trial, space, mapping):
+    """One trial of the per-trial validation loop: the oracle run_validation batches."""
+    report = classify.full_report(space, mapping)
+    fps = dynamics.enumerate_fixed_points(space, mapping)
+    period2 = dynamics.detect_period2(space, mapping)
+
+    pts = space.points
+    for i, j, k in combinations(range(space.size), 3):
+        if perimeter(space, pts[i], pts[j], pts[k]) > 3 * max_side(space, pts[i], pts[j],
+                                                                   pts[k]):
+            out["perimeter_third_violations"].append({"trial": trial, "triple": (i, j, k)})
+            break
+
+    if report.large_contraction.passed:
+        out["large_contraction_pass"] += 1
+        if len(fps) != 1:
+            out["burton_uniqueness_violations"].append(
+                {"trial": trial, "fixed_points": list(fps)})
+    if report.uniform_tpc.passed and not period2:
+        out["uniform_tpc_pass"] += 1
+        if not 1 <= len(fps) <= 2:
+            out["petrov_count_violations"].append(
+                {"trial": trial, "fixed_points": list(fps)})
+    corrected_ok = report.large_tpc.passed and not period2
+    if corrected_ok:
+        out["corrected_hypotheses_pass"] += 1
+        if not 1 <= len(fps) <= 2:
+            out["corrected_conclusion_violations"].append(
+                {"trial": trial, "fixed_points": list(fps)})
+        if len(fps) == 2:
+            out["two_fixed_point_trials"].append(trial)
+
+    for x0 in space.points:
+        trace = dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
+                                      residual_tol=F(0))
+        out["orbits_checked"] += 1
+        if trace.halted_by == "fixed-point" and trace.final_state not in fps:
+            out["halt_membership_violations"].append({"trial": trial, "x0": x0})
+        for m in range(len(trace.states) - 1):
+            for n in range(m):
+                lhs = space.distance(trace.states[m], trace.states[n])
+                rhs = perimeter(space, trace.states[m + 1], trace.states[m],
+                                trace.states[n])
+                if lhs > rhs:
+                    out["pair_domination_violations"].append(
+                        {"trial": trial, "x0": x0, "m": m, "n": n})
+        if corrected_ok:
+            if trace.halted_by != "fixed-point" or len(trace.states) > space.size + 1:
+                out["orbit_halt_violations"].append({"trial": trial, "x0": x0,
+                                                     "halted_by": trace.halted_by})
+            if len(trace.perimeters) >= 2:
+                ok, idx, _ = dynamics.check_perimeter_decrease(trace)
+                if not ok:
+                    out["perimeter_decrease_violations"].append(
+                        {"trial": trial, "x0": x0, "index": idx})
+
+
+def oracle_validation(config):
+    out = empty_sweep(config.trials)
+    for trial in range(config.trials):
+        space, mapping = random_instance(config, trial)
+        oracle_trial(out, trial, space, mapping)
+    return out
+
+
+def table_instance(rows, images, den):
+    n = len(rows)
+    space = FiniteMetricSpace(points=tuple(range(n)),
+                              dist_table=tuple(tuple(F(v, den) for v in row) for row in rows))
+    return space, SelfMap(space=space, name="table", table=tuple(images))
+
+
+def non_metric_instances(rng, n, count):
+    """Integer tables with zero, negative and asymmetric off-diagonal entries.
+
+    The diagonal is zero and every triple perimeter d(i,j) + d(j,k) + d(i,k),
+    i < j < k, is positive.  Maps draw from a few points, which often makes
+    the strict perimeter test pass, and half of them contain a cycle of three.
+    """
+    found = []
+    while len(found) < count:
+        rows = [[0 if i == j else rng.choice((-1, 0, 1, 2, 3, 4)) for j in range(n)]
+                for i in range(n)]
+        if rng.random() < 0.3:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if any(rows[i][j] + rows[j][k] + rows[i][k] <= 0
+               for i, j, k in combinations(range(n), 3)):
+            continue
+        pool = rng.sample(range(n), rng.randint(1, min(n, 3)))
+        images = [rng.choice(pool) for _ in range(n)]
+        if rng.random() < 0.5:
+            a, b, c = rng.sample(range(n), 3)
+            images[a], images[b], images[c] = b, c, a
+        found.append((rows, images))
+    return found
+
+
+# Orbit 3 -> 1 -> 0 -> 2 (fixed) with perimeters P(3, 1, 0) = P(1, 0, 2) = 0:
+# check_perimeter_decrease passes it as vacuous, and the hypotheses of the
+# corrected theorem hold (every sorted triple's perimeter drops under T).
+ZERO_PERIMETER_ORBIT = ([[0, 3, 1, 2], [1, 0, -2, 2], [0, -3, 0, 2], [-2, 1, 2, 0]],
+                        [2, 0, 2, 1])
+
+
 class TestValidationSweep:
     def test_small_sweep_has_no_violations(self):
         out = run_validation(SearchConfig(seed=505, trials=250))
@@ -237,3 +387,70 @@ class TestValidationSweep:
         assert out["corrected_hypotheses_pass"] > 0
         assert out["large_contraction_pass"] > 0
         assert out["orbits_checked"] > 0
+
+    @pytest.mark.parametrize("config", [
+        SearchConfig(seed=505, trials=150),
+        SearchConfig(seed=506, trials=150, map_bias="period2"),
+        SearchConfig(seed=507, trials=8, size_min=3, size_max=40, denominator=3),
+    ], ids=["uniform", "period2", "sizes-3-40-den-3"])
+    def test_batched_sweep_equals_per_trial_oracle(self, config):
+        assert run_validation(config) == oracle_validation(config)
+
+    def test_batch_size_does_not_change_the_result(self, monkeypatch):
+        config = SearchConfig(seed=508, trials=60, size_min=3, size_max=8)
+        whole = run_validation(config)
+        monkeypatch.setattr(theorem_lab, "SWEEP_ITEMS", 100)   # batches of 1..3 instances
+        assert run_validation(config) == whole
+
+    def test_non_metric_tables_fill_every_violation_list(self):
+        # zero distances make fixed-point halts off the fixed-point set,
+        # negative ones break pair domination, and asymmetric tables let a
+        # cycle of three pass the strict perimeter test, so its orbits run to
+        # the budget without a decreasing perimeter
+        rng = random.Random(8)
+        den = 3
+        totals = {}
+        for n in (3, 4, 5, 6):
+            batch, expected = [], empty_sweep(0)
+            extra = [ZERO_PERIMETER_ORBIT] if n == 4 else []
+            for rows, images in extra + non_metric_instances(rng, n, 60):
+                space, mapping = table_instance(rows, images, den)
+                trial_out = empty_sweep(0)
+                try:
+                    oracle_trial(trial_out, len(batch), space, mapping)
+                except ZeroDivisionError:   # a pair sup ratio over distance 0
+                    continue
+                oracle_trial(expected, len(batch), space, mapping)
+                batch.append((rows, images))
+            got = empty_sweep(0)
+            theorem_lab._sweep_batch(got, list(range(len(batch))),
+                                     np.array([r for r, _ in batch], dtype=np.int64),
+                                     np.array([m for _, m in batch], dtype=np.intp), den)
+            assert got == expected
+            for key, value in got.items():
+                totals[key] = totals.get(key, 0) + (len(value) if isinstance(value, list)
+                                                    else value)
+        for key in ("halt_membership_violations", "pair_domination_violations",
+                    "orbit_halt_violations", "perimeter_decrease_violations"):
+            assert totals[key] > 0, key
+
+    def test_int64_sums_bound_the_denominator(self):
+        with pytest.raises(InputError, match="denominator"):
+            run_validation(SearchConfig(seed=1, trials=1, denominator=2 ** 62))
+
+    def test_batch_needs_positive_triple_perimeters(self):
+        rows = [[0, 1, -2], [1, 0, 1], [-2, 1, 0]]
+        with pytest.raises(InputError, match="positive triple perimeters"):
+            theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
+                                     np.array([[0, 0, 0]], dtype=np.intp), 1)
+
+    def test_audit_catches_a_batch_that_drifts(self, monkeypatch):
+        batch = theorem_lab._sweep_batch
+
+        def drifting(out, trials, dist, images, den):
+            flags, fps, period2, runs = batch(out, trials, dist, images, den)
+            return (not flags[0], *flags[1:]), fps, period2, runs
+
+        monkeypatch.setattr(theorem_lab, "_sweep_batch", drifting)
+        with pytest.raises(InternalConsistencyError, match="trial 0"):
+            run_validation(SearchConfig(seed=505, trials=20))

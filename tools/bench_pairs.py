@@ -6,14 +6,17 @@ Usage (from the repository root):
         --label LABEL [--out BENCH_LABEL.json]
 
 Each checkout's ``.bench/results/`` holds the result files that
-``bench/run.py`` wrote there, one ``<workload>-seed<s>-trace0.json`` per
-untraced run.  A pair is a workload and seed run on both checkouts; every
-such pair is recorded.  Per pair the file holds the seed and each side's
-``ops_per_s``, ``setup_s`` and ``peak_rss_mib``; per workload and metric, each
-side's median and quartiles, the change's median relative to the parent's,
-and how many pairs the change won, lost or tied.  The machine's ``env``
-block, which every run records, is copied once; runs from different
-machines, or runs that reported problems, are refused.
+``bench/run.py`` wrote there, one ``<workload>-seed<s>-trace<t>.json`` per
+run: trace 0 for a timed run, trace 1 for a traced one.  A pair is a
+workload and seed run untraced on both checkouts; every such pair is
+recorded.  Per pair the file holds the seed and each side's ``ops_per_s``,
+``setup_s`` and ``peak_rss_mib``; per workload and metric, each side's median
+and quartiles, the change's median relative to the parent's, and how many
+pairs the change won, lost or tied.  Per workload it also lists each side's
+traced runs by seed with their ``correct`` flag (no problems reported).  The
+machine's ``env`` block, which every run records, is copied once; runs from
+different machines, or runs (traced or not) that reported problems, are
+refused.
 """
 
 from __future__ import annotations
@@ -27,19 +30,19 @@ from pathlib import Path
 
 # metric -> which direction is better
 METRICS = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mib": "lower"}
-RESULT_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+RESULT_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
 def read_results(checkout):
-    """{(workload, seed): result record} for the untraced runs of one checkout."""
+    """{(workload, seed, trace): result record} for the runs of one checkout."""
     results = {}
-    for path in sorted((Path(checkout) / ".bench" / "results").glob("*-trace0.json")):
+    for path in sorted((Path(checkout) / ".bench" / "results").glob("*-trace*.json")):
         match = RESULT_NAME.fullmatch(path.name)
         if match:
             record = json.loads(path.read_text(encoding="utf-8"))
             if record["problems"]:
                 raise ValueError(f"{path} reports problems: {record['problems'][:3]}")
-            results[match["workload"], int(match["seed"])] = record
+            results[match["workload"], int(match["seed"]), int(match["trace"])] = record
     return results
 
 
@@ -53,19 +56,23 @@ def spread(values):
 
 def summarize(parent, change, label):
     """The BENCH document for the pairs common to two result sets."""
-    keys = sorted(parent.keys() & change.keys())
+    keys = sorted(k for k in parent.keys() & change.keys() if k[2] == 0)
     if not keys:
         raise ValueError("no workload and seed was run on both checkouts")
     envs = {json.dumps(r["env"], sort_keys=True)
-            for key in keys for r in (parent[key], change[key])}
+            for results in (parent, change) for r in results.values()}
     if len(envs) != 1:
         raise ValueError(f"the runs come from {len(envs)} different environments")
     workloads = {}
-    for workload, seed in keys:
-        sides = {side: {m: results[workload, seed]["metrics"][m]["value"] for m in METRICS}
+    for workload, seed, _ in keys:
+        sides = {side: {m: results[workload, seed, 0]["metrics"][m]["value"] for m in METRICS}
                  for side, results in (("parent", parent), ("change", change))}
         workloads.setdefault(workload, {"pairs": []})["pairs"].append({"seed": seed, **sides})
-    for entry in workloads.values():
+    for workload, entry in workloads.items():
+        entry["traced"] = {side: [{"seed": seed, "correct": not r["problems"]}
+                                  for (w, seed, trace), r in sorted(results.items())
+                                  if w == workload and trace == 1]
+                           for side, results in (("parent", parent), ("change", change))}
         pairs = entry["pairs"]
         entry["summary"] = {}
         for metric, better in METRICS.items():
