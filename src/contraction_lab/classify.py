@@ -192,21 +192,25 @@ def _subset_points(space, point_set):
     return tuple(order[i] for i in sorted(order))
 
 
-def _analysis(kind, space, mapping, point_set, eps_grid):
-    """The pairwise or triple enumeration of the map over the chosen points."""
+def _prepare(space, mapping, point_set):
+    """The chosen points and the map's images: the inputs both scans share."""
     pts = _subset_points(space, point_set)
-    pairwise = kind == "pairwise"
     if isinstance(space, SampledSpace):
         den = space.denominator
-        nums = [int(p * den) for p in pts]
-        images = [apply(mapping, p) for p in pts]
-        engine = scan.line_pair_analysis if pairwise else scan.line_triple_analysis
-        return engine(nums, den, pts, images, eps_grid)
+        return pts, ([int(p * den) for p in pts], den, pts, [apply(mapping, p) for p in pts])
     nodes = [space.index(p) for p in pts]
-    images = [space.index(apply(mapping, q)) for q in space.points]
+    return pts, (nodes, [space.index(apply(mapping, q)) for q in space.points])
+
+
+def _analysis(kind, space, prepared, eps_grid):
+    """The pairwise or triple enumeration of a prepared point set and its images."""
+    pts, args = prepared
+    pairwise = kind == "pairwise"
+    if isinstance(space, SampledSpace):
+        engine = scan.line_pair_analysis if pairwise else scan.line_triple_analysis
+        return engine(*args, eps_grid)
     engine = scan.table_pair_analysis if pairwise else scan.table_triple_analysis
-    return engine(space.dist_table, nodes, images, eps_grid, pts, space.exact,
-                  lattice=space.lattice)
+    return engine(space.dist_table, *args, eps_grid, pts, space.exact, lattice=space.lattice)
 
 
 def _scope_of(space) -> str:
@@ -327,7 +331,8 @@ def _uniform_verdict(alpha, witness, scope, strict: Verdict) -> Verdict:
 
 def check_pairwise_strict(space, mapping: SelfMap, point_set=None) -> Verdict:
     """Does every distinct pair move strictly closer under the map?"""
-    analysis = _analysis("pairwise", space, mapping, point_set, DEFAULT_EPS_GRID)
+    analysis = _analysis("pairwise", space, _prepare(space, mapping, point_set),
+                         DEFAULT_EPS_GRID)
     return _strict_verdict(analysis, _scope_of(space), "distance")
 
 
@@ -335,7 +340,7 @@ def estimate_large_contraction_modulus(space, mapping: SelfMap, point_set=None,
                                        eps_grid=None):
     """Pairwise modulus table delta(eps) plus the large-contraction verdict."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    analysis = _analysis("pairwise", space, mapping, point_set, eps_grid)
+    analysis = _analysis("pairwise", space, _prepare(space, mapping, point_set), eps_grid)
     scope = _scope_of(space)
     table = _modulus_table(analysis, _pair_witness)
     strict = _strict_verdict(analysis, scope, "distance")
@@ -345,7 +350,7 @@ def estimate_large_contraction_modulus(space, mapping: SelfMap, point_set=None,
 
 def estimate_tpc_alpha(space, mapping: SelfMap, point_set=None):
     """Supremum of image-to-original perimeter ratios with attaining witness."""
-    analysis = _analysis("triple", space, mapping, point_set, DEFAULT_EPS_GRID)
+    analysis = _analysis("triple", space, _prepare(space, mapping, point_set), DEFAULT_EPS_GRID)
     scope = _scope_of(space)
     witness = _triple_witness(analysis.sup_witness)
     strict = _strict_verdict(analysis, scope, "perimeter")
@@ -357,7 +362,7 @@ def estimate_large_tpc_modulus(space, mapping: SelfMap, point_set=None,
                                eps_grid=None):
     """Triple modulus table delta(eps) plus the large perimeter-contraction verdict."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    analysis = _analysis("triple", space, mapping, point_set, eps_grid)
+    analysis = _analysis("triple", space, _prepare(space, mapping, point_set), eps_grid)
     scope = _scope_of(space)
     table = _modulus_table(analysis, _triple_witness)
     strict = _strict_verdict(analysis, scope, "perimeter")
@@ -367,11 +372,12 @@ def estimate_large_tpc_modulus(space, mapping: SelfMap, point_set=None,
 
 def full_report(space, mapping: SelfMap, point_set=None,
                 eps_grid=None) -> ContractionReport:
-    """Run all classifiers on one enumeration pass and cross-check implications."""
+    """Run all classifiers on one prepared point set and cross-check implications."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
     scope = _scope_of(space)
-    pair = _analysis("pairwise", space, mapping, point_set, eps_grid)
-    triple = _analysis("triple", space, mapping, point_set, eps_grid)
+    prepared = _prepare(space, mapping, point_set)
+    pair = _analysis("pairwise", space, prepared, eps_grid)
+    triple = _analysis("triple", space, prepared, eps_grid)
 
     pairwise_strict = _strict_verdict(pair, scope, "distance")
     pair_table = _modulus_table(pair, _pair_witness)
@@ -397,7 +403,7 @@ def full_report(space, mapping: SelfMap, point_set=None,
 
     return ContractionReport(
         scope=scope,
-        n_points=len(_subset_points(space, point_set)),
+        n_points=len(prepared[0]),
         eps_grid=eps_grid,
         pairwise_strict=pairwise_strict,
         large_contraction=large_contraction,

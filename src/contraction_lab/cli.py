@@ -88,6 +88,11 @@ def _parse_size_range(text):
         raise InputError(f"size range must look like A..B, got {text!r}") from exc
 
 
+# the truncation flags that each catalog space takes
+_TRUNCATIONS = {"burton_logistic": ("grid_step",), "floor_half": ("max_n",),
+                "period2_counterexample": (), "composite": ("grid_step", "max_n")}
+
+
 def _load_target(args):
     """Resolve --catalog/--instance into (space, map, origin, key).
 
@@ -97,29 +102,35 @@ def _load_target(args):
     one instance gets one name under any path, and two instances written in
     turn to one path get two.
     """
-    if getattr(args, "catalog", None) and getattr(args, "instance", None):
+    target = getattr(args, "catalog", None)
+    instance = getattr(args, "instance", None)
+    if target and instance:
         raise InputError("give either --catalog or --instance, not both")
-    if getattr(args, "catalog", None):
+    if not (target or instance):
+        raise InputError("one of --catalog or --instance is required")
+    for flag in ("grid_step", "max_n"):
+        if getattr(args, flag, None) is not None and flag not in _TRUNCATIONS.get(target, ()):
+            where = f"catalog {target}" if target else "--instance files"
+            raise InputError(f"--{flag.replace('_', '-')} does not apply to {where}")
+    if target:
         if getattr(args, "mode", None) == "float":
             raise InputError("catalog instances are exact; --mode float applies to "
                              "--instance files only")
         entry = catalog(
-            args.catalog,
+            target,
             grid_step=getattr(args, "grid_step", None),
             integer_max=getattr(args, "max_n", None),
             index_max=getattr(args, "max_n", None),
         )
         origin = {"catalog": entry.id, "params": entry.params}
         return entry.space, entry.map, origin, origin
-    if getattr(args, "instance", None):
-        space, mapping = load_instance(args.instance)
-        if getattr(args, "mode", None) and args.mode != space.mode:
-            space = space.in_mode(args.mode)
-            mapping = SelfMap(space=space, name=mapping.name, table=mapping.table)
-        images = [space.index(img) for img in mapping.table]
-        key = {"instance_content": [space.fingerprint(), images]}
-        return space, mapping, {"instance": str(args.instance)}, key
-    raise InputError("one of --catalog or --instance is required")
+    space, mapping = load_instance(instance)
+    if getattr(args, "mode", None) and args.mode != space.mode:
+        space = space.in_mode(args.mode)
+        mapping = SelfMap(space=space, name=mapping.name, table=mapping.table)
+    images = [space.index(img) for img in mapping.table]
+    key = {"instance_content": [space.fingerprint(), images]}
+    return space, mapping, {"instance": str(instance)}, key
 
 
 # ---------------------------------------------------------------------------

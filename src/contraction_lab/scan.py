@@ -14,21 +14,23 @@ Two engines back the classifiers:
   float maximum (see _LatticeReduction).  Every value, witness and count
   equals that of the pure-Python reference loops (_table_loops), which run
   instead when a table has no lattice (numerators too large for int64
-  perimeters, non-finite or extreme floats, other scalar types) or a pair
-  distance <= 0, and which the tests compare against.
+  perimeters, non-finite or extreme floats, other scalar types), and which
+  the tests compare against.  Both refuse a pair of points at distance <= 0.
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
   through the running extrema of the image values.  That collapses the triple
-  scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Two passes run
-  over the rows of items sharing a first index i.  A float pass keeps the
-  counts and each row's float ratio maximum per eps bucket, in one (rows,
-  buckets) array; an exact pass revisits only the rows that reach some
-  bucket's floor, a proven float error bound below its maximum
-  (_LineData.screen_floors), and there re-evaluates every item at or above
-  its floor exactly, checking strictness alike.  Qualification thresholds
-  (distance >= eps) are decided in integer arithmetic, so bucket membership
-  never suffers float boundary errors.
+  scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Items sharing
+  a first index i form a row, and both passes compute the float ratios of a
+  block of rows as one (rows, columns) tile of at most LINE_TILE items
+  (_LineData.tile).  A float pass keeps the counts and each row's float
+  ratio maximum per eps bucket, in one (rows, buckets) array; an exact pass
+  tiles only the rows that reach some bucket's floor, a proven float error
+  bound below its maximum (_LineData.screen_floors), and there re-evaluates
+  every item at or above its floor exactly, checking strictness alike, in
+  row order.  Qualification thresholds (distance >= eps) are decided in
+  integer arithmetic, so bucket membership never suffers float boundary
+  errors.
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -40,6 +42,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from .metric_core import ETA, LATTICE_LIMIT, InputError, table_lattice
 FLOAT_SLACK = 1e-9       # line engine: relative width of the float screen
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
+LINE_TILE = 1 << 15      # float ratios per tile of the line engine
 _FLOAT_MAX = Fraction(sys.float_info.max)
 
 
@@ -83,6 +87,17 @@ class _Partial:
         self.strict = None               # (witness_indices, measure, image_measure)
         self.total = 0
 
+    def add(self, image_measure, measure, longest, wit, eps, slack):
+        """Fold in one item, after every item lexicographically before it."""
+        b = bisect_right(eps, longest)
+        self.counts[b] += 1
+        self.total += 1
+        cur = self.best[b]
+        if cur is None or _better(image_measure, measure, wit, *cur):
+            self.best[b] = (image_measure, measure, wit)
+        if self.strict is None and image_measure >= measure - slack:
+            self.strict = (wit, measure, image_measure)
+
 
 def _better(num_a, den_a, wit_a, num_b, den_b, wit_b):
     """True when ratio a beats ratio b (ties go to the smaller witness)."""
@@ -98,9 +113,8 @@ def _checked_eps(kind, eps, n_points):
     eps = tuple(eps)
     if not eps:
         raise InputError("eps grid must be nonempty")
-    for e in eps:
-        if e <= 0:
-            raise InputError("eps grid values must be positive")
+    if any(e <= 0 for e in eps):
+        raise InputError("eps grid values must be positive")
     if list(eps) != sorted(eps):
         raise InputError("eps grid must be ascending")
     if len(set(eps)) != len(eps):
@@ -124,69 +138,29 @@ def _ceil_thresholds(eps, scale, cap):
 # ---------------------------------------------------------------------------
 # table engine (finite spaces)
 
-def _table_pair_loop(dist, nodes, images, eps, exact):
-    m = len(nodes)
-    part = _Partial(len(eps) + 1)
-    strict_slack = 0 if exact else ETA
-    for a in range(m):
-        i = nodes[a]
-        di = dist[i]
-        dti = dist[images[i]]
-        for b_pos in range(a + 1, m):
-            j = nodes[b_pos]
-            d = di[j]
-            dt = dti[images[j]]
-            b = bisect_right(eps, d)
-            part.counts[b] += 1
-            part.total += 1
-            cur = part.best[b]
-            if cur is None or _better(dt, d, (a, b_pos), cur[0], cur[1], cur[2]):
-                part.best[b] = (dt, d, (a, b_pos))
-            if part.strict is None and dt >= d - strict_slack:
-                part.strict = ((a, b_pos), d, dt)
-    return part
-
-
-def _table_triple_loop(dist, nodes, images, eps, exact):
-    m = len(nodes)
-    part = _Partial(len(eps) + 1)
-    strict_slack = 0 if exact else ETA
-    for a in range(m):
-        i = nodes[a]
-        di = dist[i]
-        dti = dist[images[i]]
-        for b_pos in range(a + 1, m):
-            j = nodes[b_pos]
-            dij = di[j]
-            dj = dist[j]
-            tj = images[j]
-            dtij = dti[tj]
-            dtj = dist[tj]
-            for c_pos in range(b_pos + 1, m):
-                k = nodes[c_pos]
-                tk = images[k]
-                p = dij + dj[k] + di[k]
-                pt = dtij + dtj[tk] + dti[tk]
-                side = dij
-                if dj[k] > side:
-                    side = dj[k]
-                if di[k] > side:
-                    side = di[k]
-                b = bisect_right(eps, side)
-                part.counts[b] += 1
-                part.total += 1
-                cur = part.best[b]
-                if cur is None or _better(pt, p, (a, b_pos, c_pos), cur[0], cur[1], cur[2]):
-                    part.best[b] = (pt, p, (a, b_pos, c_pos))
-                if part.strict is None and pt >= p - strict_slack:
-                    part.strict = ((a, b_pos, c_pos), p, pt)
-    return part
+def _nonpositive(points, a, b):
+    return InputError(f"the distance between points {points[a]!r} and {points[b]!r} is not "
+                      f"positive; pair and perimeter ratios need a metric table")
 
 
 def _table_loops(kind, dist, nodes, images, eps, points, exact):
     """The reference table enumeration: one pure-Python pass in the table's scalars."""
-    loop = _table_pair_loop if kind == "pairwise" else _table_triple_loop
-    part = loop(dist, nodes, images, eps, exact)
+    for a, b in combinations(range(len(nodes)), 2):
+        if not dist[nodes[a]][nodes[b]] > 0:
+            raise _nonpositive(points, a, b)
+    part = _Partial(len(eps) + 1)
+    slack = 0 if exact else ETA
+    for wit in combinations(range(len(nodes)), 2 if kind == "pairwise" else 3):
+        ix = [nodes[w] for w in wit]
+        tx = [images[i] for i in ix]
+        if kind == "pairwise":
+            d = dist[ix[0]][ix[1]]
+            part.add(dist[tx[0]][tx[1]], d, d, wit, eps, slack)
+        else:
+            (i, j, k), (ti, tj, tk) = ix, tx
+            dij, djk, dik = dist[i][j], dist[j][k], dist[i][k]
+            part.add(dist[ti][tj] + dist[tj][tk] + dist[ti][tk], dij + djk + dik,
+                     max(dij, djk, dik), wit, eps, slack)
     return _finalize(kind, eps, part.best, part.counts, part.strict, part.total,
                      points, exact)
 
@@ -270,28 +244,21 @@ class _LatticeReduction:
                                            part.best[b])
 
     def result(self, kind, eps, points):
-        def scalars(entry):
-            if entry is None:
-                return None
-            num, den, wit = entry
-            return self.lattice.scalar(num), self.lattice.scalar(den), wit
-
+        scalar = self.lattice.scalar
         part = self.part
-        strict = None
-        if part.strict is not None:
-            wit, measure, image_measure = part.strict
-            strict = (wit, self.lattice.scalar(measure), self.lattice.scalar(image_measure))
-        return _finalize(kind, eps, [scalars(e) for e in part.best], part.counts, strict,
-                         part.total, points, self.lattice.exact)
+        best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2]) for e in part.best]
+        strict = part.strict
+        if strict is not None:
+            strict = (strict[0], scalar(strict[1]), scalar(strict[2]))
+        return _finalize(kind, eps, best, part.counts, strict, part.total, points,
+                         self.lattice.exact)
 
 
 def _exact_best(num, den, cands, witness):
     """Exact maximum over float-tied candidates (in lex order), lex-first on ties."""
-    cn = num[cands]
-    cd = den[cands]
+    cn, cd = num[cands], den[cands]
     g = np.gcd(cn, cd)
-    rn = cn // g
-    rd = cd // g
+    rn, rd = cn // g, cd // g
     if (rn == rn[0]).all() and (rd == rd[0]).all():
         t = cands[0]
         return num[t].item(), den[t].item(), witness(t)
@@ -309,8 +276,7 @@ def _float_fold(num, den, cands, witness, cur):
     Every candidate follows cur in lex order, so a tie never replaces it:
     the next replacement is the first candidate whose cross product wins.
     """
-    cn = num[cands]
-    cd = den[cands]
+    cn, cd = num[cands], den[cands]
     start = 0
     if cur is None:
         cur = (cn[0].item(), cd[0].item(), witness(cands[0]))
@@ -352,11 +318,7 @@ def _triple_blocks(m, rows):
 
 
 def _lattice_scan(kind, lattice, nodes, images, eps, points):
-    """The table enumeration as numpy passes over the lattice.
-
-    Returns None when some pair of nodes is at distance <= 0, where ratios
-    of measures stop being ordered like their cross products.
-    """
+    """The table enumeration as numpy passes over the lattice."""
     nodes = np.asarray(nodes, dtype=np.intp)
     img = np.asarray(images, dtype=np.intp)[nodes]
     d = lattice.values[np.ix_(nodes, nodes)]
@@ -364,18 +326,16 @@ def _lattice_scan(kind, lattice, nodes, images, eps, points):
     rows, cols = np.triu_indices(len(nodes), 1)
     d_pair = d[rows, cols]
     if not (d_pair > 0).all():
-        return None
+        first = int(np.argmin(d_pair > 0))
+        raise _nonpositive(points, rows[first], cols[first])
     t_pair = t[rows, cols]
     red = _LatticeReduction(lattice, eps)
     if kind == "pairwise":
         red.feed(t_pair, d_pair, d_pair, lambda i: (int(rows[i]), int(cols[i])))
     else:
         for a, pair in _triple_blocks(len(nodes), rows):
-            j = rows[pair]
-            k = cols[pair]
-            dij = d[a, j]
-            djk = d_pair[pair]
-            dik = d[a, k]
+            j, k = rows[pair], cols[pair]
+            dij, djk, dik = d[a, j], d_pair[pair], d[a, k]
             # sums in the loops' order keep float mode bit-identical
             p = dij + djk + dik
             pt = t[a, j] + t_pair[pair] + t[a, k]
@@ -389,12 +349,9 @@ def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
     eps = _checked_eps(kind, eps, len(nodes))
     if lattice is None:
         lattice = table_lattice(dist, exact)
-    result = None
     if lattice is not None:
-        result = _lattice_scan(kind, lattice, nodes, images, eps, points)
-    if result is None:
-        result = _table_loops(kind, dist, nodes, images, eps, points, exact)
-    return result
+        return _lattice_scan(kind, lattice, nodes, images, eps, points)
+    return _table_loops(kind, dist, nodes, images, eps, points, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +360,10 @@ def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
 class _LineData:
     """Shared arrays for one sampled-space enumeration of one kind.
 
-    Items are grouped in rows by their first index i.  Position h of
-    slice(i) stands for the items whose last index is i + gap + h; spans
-    ascend with h.
+    Items are grouped in rows by their first index i.  Position h of row i
+    stands for the items whose last index is i + gap + h; spans ascend with
+    h.  Eps bucket b of row i holds positions before[i, b] to before[i, b+1]
+    (bucket 0 lies below eps[0]).
     """
 
     gap = None
@@ -418,13 +376,18 @@ class _LineData:
         self.tvals = np.array([float(v) for v in images], dtype=np.float64)
         self.n = len(self.points)
         longest = int(self.nums[-1]) - int(self.nums[0])
-        self.thresholds = _ceil_thresholds(eps, den, longest + 1)
+        thresholds = _ceil_thresholds(eps, den, longest + 1)
         # bucket edges in 1/den units: 0, the thresholds, one past the longest span
-        self.edges = np.concatenate(([0], self.thresholds, [longest + 1]))
+        edges = np.concatenate(([0], thresholds, [longest + 1]))
+        rows = self.n - self.gap
+        self.before = np.maximum(np.searchsorted(self.nums, self.nums[:rows, None] + edges)
+                                 - np.arange(self.gap, self.n)[:, None], 0)
         # least span in each bucket, for the float screen's bound
         shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
-        self.min_span = np.maximum(shortest, np.concatenate(([0], self.thresholds)))
+        self.min_span = np.maximum(shortest, np.concatenate(([0], thresholds)))
         self.numerators = self.nums.tolist()
+        # tile buffers for the largest tile of blocks(): fresh ones would be faulted in per tile
+        self.work = np.empty((4, min(max(LINE_TILE, rows), rows * rows)))
 
     def entry(self, wit):
         """Exact (image measure, measure, witness) at a witness."""
@@ -456,19 +419,47 @@ class _LineData:
         strict_floors = 1.0 - FLOAT_SLACK - absolute
         return floors, strict_floors
 
+    def blocks(self, rows):
+        """Runs of the ascending rows, each as many as fit in LINE_TILE items (at least one)."""
+        pos = 0
+        while pos < len(rows):
+            step = max(1, LINE_TILE // (self.n - self.gap - int(rows[pos])))
+            yield rows[pos:pos + step]
+            pos += step
+
+    def tile(self, rows):
+        """Float ratios of the items of some ascending rows, as one (rows, columns) array.
+
+        Column c stands for the last index rows[0] + gap + c, so position h
+        of row r sits at column off[r] + h, off = rows - rows[0]; the columns
+        before it hold -inf.  Each ratio is the float that the row-at-a-time
+        formula gives, bit for bit.  The tile is a view of a buffer that the
+        next call overwrites.  Returns (ratios, off).
+        """
+        k0 = int(rows[0]) + self.gap
+        off = rows - rows[0]
+        shape = (len(rows), self.n - k0)
+        ratio, factor, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in self.work)
+        self.spreads(rows, k0, ratio, factor, *scratch)
+        np.subtract(self.nums[k0:], self.nums[rows, None], out=factor)   # int spans, as floats
+        with np.errstate(divide="ignore", invalid="ignore"):   # span <= 0 before off
+            np.divide(float(self.den), factor, out=factor)
+            np.multiply(ratio, factor, out=ratio)
+        ratio[:, :off[-1]][np.arange(off[-1]) < off[:, None]] = -np.inf
+        return ratio, off
+
 
 class _LinePairs(_LineData):
     gap = 1
 
-    def slice(self, i):
-        """Float ratios and spans of the pairs (i, j), j = i+1..n-1."""
-        span = self.nums[i + 1:] - self.nums[i]
-        ratio = np.abs(self.tvals[i + 1:] - self.tvals[i]) * (float(self.den) / span)
-        return ratio, span
+    def spreads(self, rows, k0, out, *scratch):
+        """Float image distances |tv[k] - tv[i]| of the rows i and the last indices k >= k0."""
+        np.subtract(self.tvals[k0:], self.tvals[rows, None], out=out)
+        np.abs(out, out=out)
 
     @staticmethod
     def items_before(h):
-        """Pairs at slice positions below h."""
+        """Pairs at row positions below h."""
         return h
 
     def sides(self, wit):
@@ -488,8 +479,7 @@ class _PairRow:
     """
 
     def __init__(self, data, i):
-        self.data = data
-        self.i = i
+        self.data, self.i = data, i
 
     def entry(self, h):
         """(image distance numerator, its denominator times the span, witness)."""
@@ -508,24 +498,34 @@ class _LineTriples(_LineData):
 
     gap = 2
 
-    def slice(self, i):
-        """Per k in (i+2..n-1): best float ratio over middle points, and span."""
+    def spreads(self, rows, k0, out, low, high, bottom):
+        """Float image spreads of the rows i and the last indices k >= k0, best middle point.
+
+        The row-at-a-time formula, max(hi - lo, top - lo, hi - bottom) with
+        lo, hi the images of i and k and top, bottom the running extrema of
+        the middle images, equals max(Top - lo, hi - Bottom) bit for bit,
+        where Top and Bottom run over tv[i .. k]: max and min are exact and
+        rounding is monotone.  Top and Bottom are split at h1 = max(rows[-1]
+        + 1, k0): each row runs its own over tv[i .. h1-1], and one
+        accumulation over tv[h1 ..] serves every row.
+        """
         tv = self.tvals
-        ti = tv[i]
-        tk = tv[i + 2:]
-        interior = tv[i + 1:self.n - 1]
-        cmax = np.maximum.accumulate(interior)
-        cmin = np.minimum.accumulate(interior)
-        lo = np.minimum(ti, tk)
-        hi = np.maximum(ti, tk)
-        spread = np.maximum(hi - lo, np.maximum(cmax - lo, hi - cmin))
-        span = self.nums[i + 2:] - self.nums[i]
-        ratio = spread * (float(self.den) / span)
-        return ratio, span
+        i0 = int(rows[0])
+        h1 = max(int(rows[-1]) + 1, k0)
+        inside = np.arange(i0, h1) >= rows[:, None]
+        for ufunc, pad, run in ((np.maximum, -np.inf, out), (np.minimum, np.inf, bottom)):
+            head = ufunc.accumulate(np.where(inside, tv[i0:h1], pad), axis=1)
+            run[:, :h1 - k0] = head[:, 2:]
+            ufunc(head[:, -1:], ufunc.accumulate(tv[h1:]), out=run[:, h1 - k0:])
+        np.minimum(tv[rows, None], tv[k0:], out=low)
+        np.maximum(tv[rows, None], tv[k0:], out=high)
+        np.subtract(out, low, out=out)
+        np.subtract(high, bottom, out=bottom)
+        np.maximum(out, bottom, out=out)
 
     @staticmethod
     def items_before(h):
-        """Triples at slice positions below h: position p has p + 1 middle points."""
+        """Triples at row positions below h: position p has p + 1 middle points."""
         return h * (h + 1) // 2
 
     def sides(self, wit):
@@ -550,23 +550,20 @@ class _TripleRow:
     """
 
     def __init__(self, data, i, reach):
-        self.data = data
-        self.i = i
-        self.top, self.top_at = [], []              # running maximum, first index reaching it
-        self.neg_bottom, self.bottom_at = [], []    # running minimum, negated
+        self.data, self.i = data, i
         images = data.images
         top = bottom = images[i + 1]
         top_j = bottom_j = i + 1
+        runs = []
         for j in range(i + 1, i + 2 + reach):
             v = images[j]
             if v > top:
                 top, top_j = v, j
             elif v < bottom:
                 bottom, bottom_j = v, j
-            self.top.append(top)
-            self.top_at.append(top_j)
-            self.neg_bottom.append(-bottom)
-            self.bottom_at.append(bottom_j)
+            runs.append((top, top_j, -bottom, bottom_j))
+        # running maximum, the first index reaching it; running minimum negated, its index
+        self.top, self.top_at, self.neg_bottom, self.bottom_at = zip(*runs)
 
     def _ends(self, h):
         """k = i+2+h, the lower and higher image of i and k, and the span."""
@@ -609,52 +606,76 @@ _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 def _line_float_pass(data):
     """Per row and bucket the float ratio maximum (-inf when empty); bucket item counts."""
-    rows = data.n - data.gap
-    # before[i, e]: the slice(i) positions whose span is below edges[e]
-    before = np.empty((rows, len(data.edges)), dtype=np.int64)
-    starts = np.arange(data.gap, rows + data.gap)
-    for e, edge in enumerate(data.edges.tolist()):
-        before[:, e] = np.searchsorted(data.nums, data.nums[:rows] + edge) - starts
-    np.maximum(before, 0, out=before)
-    counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(len(data.edges))])
-    row_max = np.full((rows, len(data.edges) - 1), -np.inf)
-    for i in range(rows):
-        lo = before[i, :-1]
-        filled = before[i, 1:] > lo
-        ratio, _ = data.slice(i)
-        row_max[i, filled] = np.maximum.reduceat(ratio, lo[filled])
+    before = data.before
+    counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(before.shape[1])])
+    row_max = np.full((len(before), before.shape[1] - 1), -np.inf)
+    for rows in data.blocks(np.arange(len(before))):
+        ratio, off = data.tile(rows)
+        lo = before[rows, :-1]
+        filled = before[rows, 1:] > lo
+        # filled buckets' starts in the flat tile; each reduction runs on into -inf columns
+        starts = lo + (np.arange(len(rows)) * ratio.shape[1] + off)[:, None]
+        row_max[rows[0]:rows[-1] + 1][filled] = np.maximum.reduceat(ratio.ravel(),
+                                                                    starts[filled])
     return row_max, counts.tolist()
+
+
+def _select(ratio, off, before, floor_of):
+    """Per tile row, the row positions and buckets of the items at or above their floor.
+
+    A tile row's segments are the columns before the row, then its buckets
+    (their bounds in before); floor_of[r] holds the floors of row r's segments.
+    """
+    lengths = np.concatenate((off[:, None], np.diff(before, axis=1)), axis=1)
+    flat = np.flatnonzero(ratio.ravel() >= np.repeat(floor_of.ravel(), lengths.ravel()))
+    r, c = np.divmod(flat, ratio.shape[1])
+    segment = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
+    h, bucket = (c - off[r]).tolist(), (segment - 1).tolist()
+    at = np.searchsorted(r, np.arange(len(off) + 1)).tolist()
+    return [(h[a:b], bucket[a:b]) for a, b in zip(at, at[1:])]
 
 
 def _line_exact_pass(data, row_max, floors, strict_floors):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
     Only rows whose float maximum reaches some bucket's floor, or the strict
-    floor while no violation is known, are visited, once each; there every
-    item at or above its bucket's floor is re-evaluated exactly, and the
-    items at or above the strict floor are checked for strictness.
+    floor while no violation is known, are visited, once each and in row
+    order; there every item at or above its bucket's floor is re-evaluated
+    exactly, and the items at or above the strict floor are checked for
+    strictness.  The visited rows are tiled, and their items' buckets read
+    from data.before.
     """
     best = [None] * len(floors)
     strict = None
     wanted = (row_max >= floors).any(axis=1)
     suspect = (row_max >= strict_floors).any(axis=1)
-    for i in np.flatnonzero(wanted | suspect).tolist():
-        look = strict is None and suspect[i]
-        if not (look or wanted[i]):
-            continue
-        ratio, span = data.slice(i)
-        bucket = np.searchsorted(data.thresholds, span, side="right")
-        cands = np.flatnonzero(ratio >= floors[bucket]).tolist()
-        suspects = np.flatnonzero(ratio >= strict_floors[bucket]).tolist() if look else []
-        row = data.row(i, max(cands + suspects, default=0))
-        for h, b in zip(cands, bucket[cands].tolist()):
-            entry = row.entry(h)
-            if best[b] is None or _better(*entry, *best[b]):
-                best[b] = entry
-        found = [w for w in map(row.strict_witness, suspects) if w is not None]
-        if found:
-            wit = min(found)
-            strict = (wit, *data.sides(wit))
+    floor_of = np.concatenate(([np.inf], floors))
+    strict_floor_of = np.concatenate(([np.inf], strict_floors))
+    for rows in data.blocks(np.flatnonzero(wanted | suspect)):
+        if strict is not None:
+            rows = rows[wanted[rows]]
+            if not len(rows):
+                continue
+        ratio, off = data.tile(rows)
+        cands = _select(ratio, off, data.before[rows], np.tile(floor_of, (len(rows), 1)))
+        if strict is None:
+            suspects = _select(ratio, off, data.before[rows],
+                               np.where(suspect[rows, None], strict_floor_of, np.inf))
+        for r, i in enumerate(rows.tolist()):
+            look = strict is None and suspect[i]
+            if not (look or wanted[i]):
+                continue
+            hs, buckets = cands[r]
+            sus = suspects[r][0] if look else []
+            row = data.row(i, max(hs + sus, default=0))
+            for h, b in zip(hs, buckets):
+                entry = row.entry(h)
+                if best[b] is None or _better(*entry, *best[b]):
+                    best[b] = entry
+            found = [w for w in map(row.strict_witness, sus) if w is not None]
+            if found:
+                wit = min(found)
+                strict = (wit, *data.sides(wit))
     return [None if e is None else data.entry(e[2]) for e in best], strict
 
 
@@ -671,51 +692,30 @@ def _line_analysis(kind, numerators, den, points, images, eps):
 # ---------------------------------------------------------------------------
 # assembly
 
-def _suffix_entries(eps, bucket_entries, bucket_counts):
-    """delta(eps[b]) = best over buckets b+1..; vacuous when none qualify."""
-    nb = len(eps)
-    suffix = [None] * (nb + 2)
-    suffix_counts = [0] * (nb + 2)
-    for b in range(len(bucket_entries) - 1, 0, -1):
-        entry = bucket_entries[b]
-        running = suffix[b + 1]
-        if entry is not None and (running is None or
-                                  _better(entry[0], entry[1], entry[2],
-                                          running[0], running[1], running[2])):
-            running = entry
-        suffix[b] = running
-        suffix_counts[b] = suffix_counts[b + 1] + bucket_counts[b]
-    deltas = [suffix[b + 1] for b in range(nb)]
-    counts = [suffix_counts[b + 1] for b in range(nb)]
-    return deltas, counts
-
-
 def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, exact):
-    deltas_raw, counts = _suffix_entries(eps, bucket_entries, bucket_counts)
-    sup_entry = None
-    for entry in bucket_entries:
-        if entry is not None and (sup_entry is None or
-                                  _better(entry[0], entry[1], entry[2],
-                                          sup_entry[0], sup_entry[1], sup_entry[2])):
-            sup_entry = entry
-
-    def ratio_of(num, den):
-        return Fraction(num, den) if exact else num / den
+    """The EnumAnalysis of per-bucket entries; bucket b + 1 holds measures from eps[b]."""
+    def pick(entry, running):
+        better = running is None or (entry is not None and _better(*entry, *running))
+        return entry if better else running
 
     def pack(entry):
         if entry is None:
             return None, None
         num, den, wit = entry
-        pts = tuple(points[w] for w in wit)
-        return ratio_of(num, den), (pts, num, den)
+        ratio = Fraction(num, den) if exact else num / den
+        return ratio, (tuple(points[w] for w in wit), num, den)
 
-    deltas = []
-    witnesses = []
-    for entry in deltas_raw:
-        value, packed = pack(entry)
-        deltas.append(value)
-        witnesses.append(packed)
-    sup_ratio, sup_witness = pack(sup_entry)
+    # delta(eps[b]) is the best over buckets b+1..; vacuous when none qualify
+    suffix, counts, running, count = [], [], None, 0
+    for entry, n_items in zip(bucket_entries[:0:-1], bucket_counts[:0:-1]):
+        running = pick(entry, running)
+        count += n_items
+        suffix.append(pack(running))
+        counts.append(count)
+    sup = None
+    for entry in bucket_entries:
+        sup = pick(entry, sup)
+    sup_ratio, sup_witness = pack(sup)
     strict_out = None
     if strict is not None:
         wit, measure, image_measure = strict
@@ -723,9 +723,9 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
     return EnumAnalysis(
         kind=kind,
         eps=tuple(eps),
-        deltas=tuple(deltas),
-        delta_witnesses=tuple(witnesses),
-        counts=tuple(counts),
+        deltas=tuple(value for value, _ in reversed(suffix)),
+        delta_witnesses=tuple(packed for _, packed in reversed(suffix)),
+        counts=tuple(reversed(counts)),
         sup_ratio=sup_ratio,
         sup_witness=sup_witness,
         strict_violation=strict_out,

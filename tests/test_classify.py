@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,7 @@ from contraction_lab.classify import (
     full_report,
     scope_threshold,
 )
-from contraction_lab.map_catalog import SelfMap, apply, catalog
+from contraction_lab.map_catalog import SelfMap, apply, catalog, composite_action
 from contraction_lab.metric_core import (
     FiniteMetricSpace,
     InputError,
@@ -480,6 +482,119 @@ class TestLineEngineFuzz:
         assert got.strict_violation is None
 
 
+def row_oracle(data, i):
+    """Row i's float ratios, one row at a time, as the line engine once computed them."""
+    tv, nums, den = data.tvals, data.nums, float(data.den)
+    if data.gap == 1:
+        return np.abs(tv[i + 1:] - tv[i]) * (den / (nums[i + 1:] - nums[i]))
+    ti, tk = tv[i], tv[i + 2:]
+    interior = tv[i + 1:data.n - 1]
+    cmax = np.maximum.accumulate(interior)
+    cmin = np.minimum.accumulate(interior)
+    lo = np.minimum(ti, tk)
+    hi = np.maximum(ti, tk)
+    spread = np.maximum(hi - lo, np.maximum(cmax - lo, hi - cmin))
+    return spread * (den / (nums[i + 2:] - nums[i]))
+
+
+def float_pass_oracle(data, eps):
+    """Per-row bucket maxima and bucket counts, one row at a time, from row_oracle."""
+    rows = data.n - data.gap
+    longest = int(data.nums[-1]) - int(data.nums[0])
+    edges = [0, *scan._ceil_thresholds(eps, data.den, longest + 1).tolist(), longest + 1]
+    before = np.empty((rows, len(edges)), dtype=np.int64)
+    for e, edge in enumerate(edges):
+        before[:, e] = np.searchsorted(data.nums, data.nums[:rows] + edge) - np.arange(
+            data.gap, rows + data.gap)
+    np.maximum(before, 0, out=before)
+    counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(len(edges))])
+    row_max = np.full((rows, len(edges) - 1), -np.inf)
+    for i in range(rows):
+        lo = before[i, :-1]
+        filled = before[i, 1:] > lo
+        row_max[i, filled] = np.maximum.reduceat(row_oracle(data, i), lo[filled])
+    return row_max, counts.tolist()
+
+
+@st.composite
+def tile_inputs(draw, max_n):
+    """A line scan's inputs, shaped for the tile kernel, and a tile size.
+
+    Shapes: a unit grid with composite's tail {4m, 4m + 1} (non-uniform
+    spacing), images near 10**12 whose floats cancel, all images tied, x/2
+    (ties within rounding), and small random images.  Tile sizes of one item
+    (a row per block) and a few items break blocks at every row or every
+    few; the default makes whole-row blocks.
+    """
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    shape = draw(st.sampled_from(("composite", "cancelling", "tied", "half", "random")))
+    tile = draw(st.sampled_from((1, 5, 37, scan.LINE_TILE)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    if shape == "composite":
+        den = rng.choice((2, 4, 8))
+        nums = list(range(min(den + 1, n - n // 3)))
+        m = 1
+        while len(nums) < n:
+            nums += [4 * m * den, (4 * m + 1) * den][:n - len(nums)]
+            m += 1
+        points = [F(k, den) for k in nums]
+        images = [composite_action(p) for p in points]
+    else:
+        den = rng.choice((1, 3, 10))
+        nums = sorted(rng.sample(range(4 * n), n))
+        points = [F(k, den) for k in nums]
+        images = {"cancelling": [10 ** 12 + F(rng.randint(0, 1000), 10 ** 6) for _ in nums],
+                  "tied": [F(7, 3)] * n,
+                  "half": [p / 2 for p in points],
+                  "random": [F(rng.randint(0, 24), 8) for _ in nums]}[shape]
+    spans = sorted({points[-1] - p for p in points[:-1]} | {points[1] - points[0]})
+    eps = set(rng.sample(spans, min(len(spans), rng.randint(1, 4))))
+    eps |= {F(rng.randint(1, 16), 16), points[-1] - points[0] + F(1, den)}
+    return nums, den, points, images, tuple(sorted(eps)), tile
+
+
+class TestLineTiles:
+    @given(tile_inputs(max_n=200))
+    def test_tiles_equal_the_row_oracle_bit_for_bit(self, case):
+        nums, den, points, images, eps, tile = case
+        rng = random.Random(len(nums))
+        for kind in ("pairwise", "triple"):
+            with mock.patch.object(scan, "LINE_TILE", tile):
+                data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+                row_max, counts = scan._line_float_pass(data)
+                # the exact pass tiles runs of rows with gaps between them
+                rows = np.arange(data.n - data.gap)
+                some = np.array(sorted(rng.sample(range(len(rows)), (len(rows) + 1) // 2)))
+                for subset in (rows, some):
+                    for block in data.blocks(subset):
+                        ratio, off = data.tile(block)
+                        for r, i in enumerate(block.tolist()):
+                            assert (ratio[r, off[r]:].tobytes()
+                                    == row_oracle(data, i).tobytes()), (kind, i)
+                            assert (ratio[r, :off[r]] == -np.inf).all()
+            want_max, want_counts = float_pass_oracle(data, eps)
+            assert row_max.tobytes() == want_max.tobytes(), kind
+            assert counts == want_counts, kind
+
+    @given(tile_inputs(max_n=30))
+    def test_tiled_scans_match_fraction_oracle(self, case):
+        nums, den, points, images, eps, tile = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            with mock.patch.object(scan, "LINE_TILE", tile):
+                got = engine(nums, den, points, images, eps)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+
+    @pytest.mark.parametrize("tile", (1, 5, 37))
+    def test_small_tiles_keep_the_catalog_reports(self, monkeypatch, tile):
+        entries = [catalog("floor_half", integer_max=70),
+                   catalog("composite", grid_step=F(1, 16), index_max=12)]
+        want = [full_report(e.space, e.map).to_json() for e in entries]
+        monkeypatch.setattr(scan, "LINE_TILE", tile)
+        assert [full_report(e.space, e.map).to_json() for e in entries] == want
+
+
 class TestWitnesses:
     def test_two_cycle_alpha_exact(self):
         entry = catalog("period2_counterexample")
@@ -664,6 +779,20 @@ class TestFullReport:
         entry = catalog("floor_half", integer_max=16)
         with pytest.raises(InputError):
             estimate_tpc_alpha(entry.space, entry.map, point_set=[F(0), F(1), F(99)])
+
+    @pytest.mark.parametrize("scalar", (int, F), ids=["loops", "lattice"])
+    @pytest.mark.parametrize("distance", (0, -1), ids=["zero", "negative"])
+    def test_non_positive_distance_names_the_pair(self, scalar, distance):
+        # a table built in code is not validated; a zero distance used to end
+        # in ZeroDivisionError and a negative one in a mis-ordered supremum
+        rows = ((0, distance, 2), (distance, 0, 2), (2, 2, 0))
+        space = FiniteMetricSpace(points=(0, 1, 2),
+                                  dist_table=tuple(tuple(scalar(v) for v in r) for r in rows))
+        assert (space.lattice is None) == (scalar is int)
+        mapping = SelfMap(space=space, name="cycle", table=(2, 0, 1))
+        for scan_of in (full_report, estimate_tpc_alpha):
+            with pytest.raises(InputError, match="between points 0 and 1 is not positive"):
+                scan_of(space, mapping)
 
 
 class TestScopeThreshold:

@@ -209,6 +209,12 @@ class TestClassify:
         doc, _ = read_only_json(out, "verify")
         assert doc["origin"] == {"instance": str(copy)}
 
+    def test_composite_takes_both_truncation_flags(self, tmp_path):
+        assert run(["classify", "--catalog", "composite", "--grid-step", "1/8", "--max-n", "3",
+                    "--out", str(tmp_path)]) == 0
+        doc, _ = read_only_json(tmp_path, "classify")
+        assert doc["origin"]["params"] == {"grid_step": "1/8", "index_max": 3}
+
     def test_float_mode_rejected_for_catalog(self, tmp_path):
         assert run(["classify", "--catalog", "period2_counterexample",
                     "--mode", "float", "--out", str(tmp_path)]) == 1
@@ -238,6 +244,25 @@ class TestUsageErrors:
         assert run(argv + ["--out", str(tmp_path)]) == 1
         assert "usage:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["classify", "--catalog", "burton_logistic", "--max-n", "8"], "--max-n"),
+        (["classify", "--catalog", "period2_counterexample", "--max-n", "8"], "--max-n"),
+        (["iterate", "--catalog", "period2_counterexample", "--x0", "0",
+          "--grid-step", "1/4"], "--grid-step"),
+        (["verify", "--theorem", "burton", "--catalog", "floor_half",
+          "--grid-step", "1/4"], "--grid-step"),
+        (["classify", "--instance", "INSTANCE", "--max-n", "8"], "--max-n"),
+        (["classify", "--instance", "INSTANCE", "--grid-step", "1/4"], "--grid-step"),
+    ], ids=["max-n-on-burton", "max-n-on-period2", "grid-step-on-period2",
+            "grid-step-on-floor-half", "max-n-on-instance", "grid-step-on-instance"])
+    def test_truncation_flags_the_target_does_not_take_exit_1(self, tmp_path, capsys,
+                                                               instance_file, argv, flag):
+        out = tmp_path / "out"
+        argv = [str(instance_file) if a == "INSTANCE" else a for a in argv]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"error: {flag} does not apply to" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIterate:
