@@ -210,7 +210,7 @@ def _analysis(kind, space, prepared, eps_grid):
         engine = scan.line_pair_analysis if pairwise else scan.line_triple_analysis
         return engine(*args, eps_grid)
     engine = scan.table_pair_analysis if pairwise else scan.table_triple_analysis
-    return engine(space.dist_table, *args, eps_grid, pts, space.exact, lattice=space.lattice)
+    return engine(space.lattice, *args, eps_grid, pts)
 
 
 def _scope_of(space) -> str:

@@ -24,7 +24,7 @@ from .map_catalog import (
     load_instance,
     resolve_point,
 )
-from .metric_core import InputError, format_scalar, parse_scalar
+from .metric_core import InputError, format_point, format_scalar, parse_scalar
 
 
 def _config_hash(doc: dict) -> str:
@@ -440,13 +440,9 @@ def cmd_verify(args) -> int:
     for h in v.hypotheses:
         print(f"  hypothesis {h.name}: {h.status}")
     if v.fixed_points is not None:
-        print(f"  fixed points: {[_fmt_cli_point(p) for p in v.fixed_points]}")
+        print(f"  fixed points: {[format_point(p) for p in v.fixed_points]}")
     print(f"wrote: {path}")
     return 2 if v.status == "refuted" else 0
-
-
-def _fmt_cli_point(p):
-    return str(p) if isinstance(p, Fraction) else p
 
 
 def cmd_search(args) -> int:

@@ -20,6 +20,7 @@ from .metric_core import (
     ETA,
     InputError,
     SampledSpace,
+    format_point,
     format_scalar,
     perimeter,
 )
@@ -52,8 +53,8 @@ class OrbitTrace:
 
     def to_json(self) -> dict:
         return {
-            "x0": _fmt_point(self.x0),
-            "states": [_fmt_point(s) for s in self.states],
+            "x0": format_point(self.x0),
+            "states": [format_point(s) for s in self.states],
             "step_dist": [format_scalar(d) for d in self.step_dist],
             "perimeters": [format_scalar(p) for p in self.perimeters],
             "orbit_bound": format_scalar(self.orbit_bound),
@@ -71,10 +72,6 @@ class OrbitTrace:
             per = format_scalar(self.perimeters[n]) if n < len(self.perimeters) else ""
             writer.writerow([n, _decimal_point(state), step, per])
         return buf.getvalue()
-
-
-def _fmt_point(p):
-    return str(p) if isinstance(p, Fraction) else p
 
 
 def _decimal_point(p):
@@ -236,7 +233,7 @@ def check_distinct_iterates(trace: OrbitTrace):
                 if (trace.halted_by == "fixed-point"
                         and space.eq(states[i], states[-1])):
                     continue
-                return False, (i, j), (f"x_{i} = x_{j} = {_fmt_point(states[i])}")
+                return False, (i, j), (f"x_{i} = x_{j} = {format_point(states[i])}")
     return True, None, "all recorded states are pairwise distinct"
 
 

@@ -102,7 +102,6 @@ class CatalogEntry:
     id: str
     space: object
     map: SelfMap
-    expected: tuple = ()
     params: dict = field(default_factory=dict)
 
 
@@ -202,11 +201,6 @@ def catalog(entry_id: str,
             id=entry_id,
             space=space,
             map=SelfMap(space=space, name="x/(1+x)", func=logistic_ratio),
-            expected=(
-                "pairwise strict contraction with modulus 1/(1+eps)",
-                "no uniform perimeter ratio bounded below 1 on fine grids",
-                "perimeter modulus bounded by 1/(1+eps) on qualifying triples",
-            ),
             params={"grid_step": str(step)},
         )
     if entry_id == "floor_half":
@@ -216,11 +210,6 @@ def catalog(entry_id: str,
             id=entry_id,
             space=space,
             map=SelfMap(space=space, name="floor(n/2)", func=floor_half),
-            expected=(
-                "not a pairwise strict contraction (adjacent odd/even pair)",
-                "uniform perimeter ratio below 1 (exhaustive)",
-                "unique fixed point 0",
-            ),
             params={"integer_max": top},
         )
     if entry_id == "period2_counterexample":
@@ -229,10 +218,6 @@ def catalog(entry_id: str,
             id=entry_id,
             space=space,
             map=SelfMap(space=space, name="0->1,1->0,2->1", table=(1, 0, 1)),
-            expected=(
-                "uniform perimeter ratio exactly 1/2",
-                "no fixed points; prime period-2 points {0, 1}",
-            ),
             params={},
         )
     if entry_id == "composite":
@@ -243,11 +228,6 @@ def catalog(entry_id: str,
             id=entry_id,
             space=space,
             map=SelfMap(space=space, name="composite", func=composite_action),
-            expected=(
-                "pairwise modulus approaches 1 at distance 1 along the tail",
-                "no uniform perimeter ratio bounded below 1 on fine grids",
-                "perimeter modulus 1/(1+eps) below 1, 1/2 above 1 (bounds)",
-            ),
             params={"grid_step": str(step), "index_max": top},
         )
     raise InputError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")

@@ -2,10 +2,10 @@
 
 Two space representations are provided: finite spaces backed by a distance
 table, and sampled one-dimensional spaces whose points are rational
-coordinates under the absolute-difference metric.  A finite space loaded
-from JSON is stored as its lattice (int64 numerators over one scale, or
-float64), parsed straight from the document; its table rows of Fractions
-or floats are built only when read.  All strict-inequality
+coordinates under the absolute-difference metric.  A finite space is
+stored as its lattice (numerators over one scale, or float64), parsed
+straight from the document when loaded; its table rows of Fractions or
+floats are built only when read.  All strict-inequality
 decisions are exact in rational mode; float mode compares with a fixed
 tolerance ETA.
 """
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 ETA = 1e-12  # margin required for strict-inequality verdicts in float mode
 FLOAT_LIMIT = sys.float_info.max / 3   # larger float distances overflow perimeters
 LATTICE_LIMIT = 2 ** 53   # 3 * max |numerator| stays below this on the int64 lattice
-# nonzero |entries| of a float lattice: products and quotients of perimeters stay normal
+# nonzero |entries| of a screenable float lattice: perimeter products and quotients stay normal
 FLOAT_LATTICE_RANGE = (2.0 ** -200, 2.0 ** 200)
 
 Scalar = Union[Fraction, float, int]
@@ -81,6 +82,11 @@ def format_scalar(value: Scalar) -> str:
     return repr(float(value))
 
 
+def format_point(p):
+    """Render a point label for output: a Fraction as "p/q", any other label as it is."""
+    return str(p) if isinstance(p, Fraction) else p
+
+
 def strictly_less(a: Scalar, b: Scalar, exact: bool) -> bool:
     """a < b, requiring an ETA margin in float mode."""
     if exact:
@@ -123,19 +129,17 @@ class FiniteMetricSpace:
 
     In exact mode entries are Fractions and every comparison is decided
     exactly; in float mode entries are floats compared with tolerance ETA.
-    A space built from a table keeps that table as ``dist_table``.  A space
-    loaded by from_json stores its table as its Lattice only: ``dist_table``
-    is then a view whose rows are built from the lattice on first read and
-    cached, and ``distance`` indexes the same cached rows.
+    A space stores its table as its Lattice only (see table_lattice for the
+    entries a table built in code may hold): ``dist_table`` is a view whose
+    rows are built from the lattice on first read and cached, and
+    ``distance`` indexes the same cached rows.
     """
 
     def __init__(self, points, dist_table, mode: str = "exact"):
         self._init_points(points, mode)
-        n = len(self.points)
-        if any(len(row) != n for row in dist_table) or len(dist_table) != n:
+        if len(dist_table) != len(self.points):
             raise InputError("distance table must be square and match the point count")
-        self.dist_table = dist_table
-        self._rows = dist_table
+        self._store(table_lattice(dist_table, self.exact))
 
     def _init_points(self, points, mode):
         if mode not in ("exact", "float"):
@@ -150,13 +154,16 @@ class FiniteMetricSpace:
 
     @classmethod
     def _from_lattice(cls, points, lattice, mode):
-        """A space stored as its n x n lattice; rows are built on read."""
+        """A space stored as its n x n lattice."""
         space = cls.__new__(cls)
         space._init_points(points, mode)
-        space.lattice = lattice
-        space._rows = [None] * len(space.points)
-        space.dist_table = _LatticeRows(space)
+        space._store(lattice)
         return space
+
+    def _store(self, lattice):
+        self.lattice = lattice
+        self._rows = [None] * len(self.points)
+        self.dist_table = _LatticeRows(self)
 
     def _row(self, i):
         """Row i of the table, built from the lattice on its first read."""
@@ -216,27 +223,23 @@ class FiniteMetricSpace:
     def point_set(self) -> tuple:
         return self.points
 
-    @cached_property
-    def lattice(self):
-        """The table's Lattice, or None when the scans must run their loops."""
-        return table_lattice(self.dist_table, self.exact)
-
     def validate(self) -> ValidationReport:
-        return validate_metric(self.dist_table, exact=self.exact, lattice=self.lattice)
+        return validate_metric(self.lattice)
 
     def fingerprint(self) -> str:
         """A sha256 hex digest of the stored form: mode, points and table.
 
-        The table enters as its lattice (scale and values) when it has one,
-        so no row is built; otherwise as its formatted rows.
+        The table enters as its lattice's scale and value bytes when the
+        lattice is screenable, so no row is built; otherwise as its
+        formatted rows (the bytes of an object array are pointers).
         """
         h = hashlib.sha256(json.dumps([self.mode, list(self.points)], default=str).encode())
         lattice = self.lattice
-        if lattice is None:
-            h.update(json.dumps(self.to_json()["dist"]).encode())
-        else:
+        if lattice.screenable:
             h.update(f"{lattice.scale}:".encode())
             h.update(lattice.values.tobytes())
+        else:
+            h.update(json.dumps(self.to_json()["dist"]).encode())
         return h.hexdigest()
 
     def to_json(self) -> dict:
@@ -252,7 +255,7 @@ class FiniteMetricSpace:
 
         An exact table of "p/q" strings and ints, or a float table of JSON
         numbers, is read straight into its Lattice (see _ratio_lattice and
-        _float_lattice).  Any other table, or one without a lattice, is
+        _float_lattice).  Any other table, and any the two decline, is
         parsed entry by entry with parse_scalar.
         """
         try:
@@ -281,16 +284,19 @@ class FiniteMetricSpace:
     def in_mode(self, mode: str) -> "FiniteMetricSpace":
         """This space in the given arithmetic mode, validated as from_json validates.
 
-        An exact table with a lattice becomes float64 by dividing the lattice
-        by its scale: both are below 2**53, so each quotient is the correctly
-        rounded float of the exact distance, as parsing its "p/q" string
-        gives.  Any other table goes through its JSON document.
+        An exact lattice becomes float64 by dividing each value by the scale
+        as Python ints, which gives the correctly rounded float of the exact
+        distance, as parsing its "p/q" string does.  A float table goes
+        through its JSON document.
         """
         lattice = self.lattice
-        if mode == "float" and lattice is not None and lattice.exact:
-            floats = _float_array_lattice(lattice.values / lattice.scale)
-            if floats is not None:
-                return FiniteMetricSpace._from_lattice(self.points, floats, mode)._validated()
+        if mode == "float" and lattice.exact:
+            try:
+                floats = (lattice.values.astype(object) / lattice.scale).astype(np.float64)
+            except OverflowError:
+                raise InputError("a distance is too large for a float") from None
+            return FiniteMetricSpace._from_lattice(
+                self.points, Lattice(floats, 1, False), mode)._validated()
         doc = self.to_json()
         doc["mode"] = mode
         return FiniteMetricSpace.from_json(doc)
@@ -392,10 +398,12 @@ class SampledSpace:
 class Lattice:
     """A distance table as one numpy array.
 
-    Exact tables become int64 numerators over the lcm ``scale`` of their
-    denominators, so sums and comparisons are exact integer operations; float
-    tables stay float64 with ``scale`` 1, and numpy's IEEE arithmetic gives
-    the same bits as Python's for each sum taken in the same order.
+    Exact tables become integer numerators over the lcm ``scale`` of their
+    denominators, so sums and comparisons are exact integer operations: int64
+    when 3 * max |numerator| < LATTICE_LIMIT, so that perimeters fit, and an
+    object array of Python ints otherwise.  Float tables stay float64 with
+    ``scale`` 1, and numpy's IEEE arithmetic gives the same bits as Python's
+    for each sum taken in the same order.
     """
 
     values: np.ndarray
@@ -406,44 +414,58 @@ class Lattice:
         """The table scalar for one lattice value."""
         return Fraction(int(v), self.scale) if self.exact else float(v)
 
+    @cached_property
+    def screenable(self) -> bool:
+        """True when float quotients of perimeters order items soundly.
 
-def table_lattice(dist_table, exact: bool):
-    """Convert a square table to its Lattice, or None when loops must run.
+        That holds for an int64 lattice, where both perimeters lie below
+        2**53 and their float quotient is correctly rounded, and for a float
+        lattice whose nonzero |entries| lie in FLOAT_LATTICE_RANGE, where
+        perimeter products and quotients stay normal.  The scans screen
+        candidates by float ratio only on such a lattice.
+        """
+        if self.exact:
+            return self.values.dtype != object
+        size = np.abs(self.values)
+        lo, hi = FLOAT_LATTICE_RANGE
+        return bool(((size == 0) | ((size >= lo) & (size <= hi))).all())
 
-    None is returned for entries of any other type than the mode's own
-    (Fraction, or float), for exact tables whose perimeters would reach 2**53
-    (3 * max |numerator| >= LATTICE_LIMIT, beyond which int64 sums and float64
-    ratios stop being exact), and for float tables with NaN, inf, or a nonzero
-    entry outside FLOAT_LATTICE_RANGE, where perimeter products could
-    overflow or lose precision.
+
+def table_lattice(dist_table, exact: bool) -> Lattice:
+    """Convert a square table of the mode's scalars to its Lattice.
+
+    Exact tables hold ints and Fractions; float tables hold real numbers,
+    converted with float().  Any other entry, a bool included, or a ragged
+    table raises InputError, which names the first bad entry.
     """
     n = len(dist_table)
+    if any(len(row) != n for row in dist_table):
+        raise InputError("distance table must be square")
     entries = [v for row in dist_table for v in row]
+
+    def refused(t, why):
+        mode = "exact" if exact else "float"
+        return InputError(f"distance table entry {divmod(t, n)} is {entries[t]!r}: {why} "
+                          f"in {mode} mode")
+
+    kinds, wanted = ((int, Fraction), "an int or a Fraction") if exact else (Real, "a real number")
+    for t, v in enumerate(entries):
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise refused(t, f"not {wanted}")
     if exact:
-        if not all(type(v) is Fraction for v in entries):
-            return None
         scale = math.lcm(*{v.denominator for v in entries})
-        try:
-            values = np.fromiter((v.numerator * (scale // v.denominator) for v in entries),
-                                 dtype=np.int64, count=len(entries))
-        except OverflowError:
-            return None
-        if len(entries) and 3 * max(int(values.max()), -int(values.min())) >= LATTICE_LIMIT:
-            return None
-        return Lattice(values=values.reshape(n, n), scale=scale, exact=True)
-    if not all(type(v) is float for v in entries):
-        return None
-    return _float_array_lattice(np.array(entries, dtype=np.float64).reshape(n, n))
-
-
-def _float_array_lattice(values):
-    """The Lattice of a float64 table, or None when a nonzero |entry| lies
-    outside FLOAT_LATTICE_RANGE (NaN and inf included)."""
-    size = np.abs(values)
-    lo, hi = FLOAT_LATTICE_RANGE
-    if not ((size == 0) | ((size >= lo) & (size <= hi))).all():
-        return None
-    return Lattice(values=values, scale=1, exact=False)
+        nums = [v.numerator * (scale // v.denominator) for v in entries]
+        wide = 3 * max(map(abs, nums), default=0) >= LATTICE_LIMIT
+        values = np.array(nums, dtype=object if wide else np.int64)
+    else:
+        scale, floats = 1, []
+        for t, v in enumerate(entries):
+            try:
+                floats.append(float(v))
+            except OverflowError:
+                raise refused(t, "beyond the float range") from None
+        values = np.array(floats, dtype=np.float64)
+    return Lattice(values=values.reshape(n, n), scale=scale, exact=exact)
 
 
 _RATIO_CHARS = "0123456789+-/"
@@ -462,7 +484,7 @@ def _ratio_lattice(rows):
     3 * max |value| of at least LATTICE_LIMIT (an unreduced numerator that
     large also gives None, which keeps the int64 steps exact).  The caller
     then parses the table with parse_scalar, which raises its errors, and
-    table_lattice decides.
+    table_lattice builds the Lattice.
     """
     nums = []
     dens = []
@@ -504,12 +526,11 @@ def _ratio_lattice(rows):
 
 
 def _float_lattice(rows):
-    """The float Lattice of a square table of JSON numbers, or None.
+    """The float Lattice of a square table of JSON numbers, as one float64 array.
 
-    The numbers go to one float64 array; the FLOAT_LATTICE_RANGE check runs
-    on it, and since that range excludes NaN, inf and values beyond
-    FLOAT_LIMIT, a table that passes has no non-finite entry either.  None
-    for any other entry type (strings, bools) or a value outside the range.
+    None for any other entry type (strings, bools) or an int beyond the
+    float range; NaN, inf and values beyond FLOAT_LIMIT are left to
+    validation.
     """
     if any(not set(map(type, row)) <= _FLOAT_TYPES for row in rows):
         return None
@@ -517,7 +538,7 @@ def _float_lattice(rows):
         values = np.array(rows, dtype=np.float64)
     except OverflowError:
         return None
-    return _float_array_lattice(values)
+    return Lattice(values=values, scale=1, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -536,99 +557,53 @@ def max_side(space, a, b, c) -> Scalar:
     return max(space.distance(a, b), space.distance(b, c), space.distance(a, c))
 
 
-def validate_metric(dist_table: Sequence[Sequence[Scalar]], exact: bool = True,
-                    lattice=None) -> ValidationReport:
+def validate_metric(table, exact: bool = True) -> ValidationReport:
     """List every violated metric axiom with a concrete witness.
 
-    The report is empty exactly when the table is a metric.  Float tables
-    only report violations exceeding the ETA margin, and report every NaN,
-    infinite or overflowing (beyond FLOAT_LIMIT) entry.  ``lattice`` is the
-    table's precomputed Lattice, square by construction; without one it is
-    computed here.  Tables without a lattice are checked by the reference
-    loops.  With a lattice, table entries are read only as witnesses of
-    violations.
+    ``table`` is a square table of the mode's scalars (see table_lattice),
+    or a Lattice, as a space passes its own.  The report is empty exactly
+    when the table is a metric.  Float tables only report violations
+    exceeding the ETA margin, and report every NaN, infinite or overflowing
+    (beyond FLOAT_LIMIT) entry.  The axioms are checked by numpy masks over
+    the lattice; they locate the violations in the order of direct
+    enumeration (i, then j, then k), and witnesses are lattice values read
+    back as table scalars, sums taken in the same order.
     """
-    n = len(dist_table)
-    if lattice is None:
-        if any(len(row) != n for row in dist_table):
-            raise InputError("distance table must be square")
-        lattice = table_lattice(dist_table, exact)
-    finite = ()
-    if lattice is None:
-        if not exact:
-            finite = tuple((i, j, v) for i, row in enumerate(dist_table)
-                           for j, v in enumerate(row) if not abs(v) <= FLOAT_LIMIT)
-        axioms = _metric_violations_loops(dist_table, exact)
-    else:
-        # FLOAT_LATTICE_RANGE excludes NaN, inf and |v| > FLOAT_LIMIT: no finite entries
-        axioms = _metric_violations_lattice(dist_table, lattice)
-    return ValidationReport(size=n, finite=finite, **axioms)
-
-
-def _metric_violations_loops(dist_table, exact):
-    """Per-axiom violation lists by direct enumeration (the reference)."""
-    n = len(dist_table)
-    slack = 0 if exact else ETA
-    diagonal = []
-    positivity = []
-    symmetry = []
-    triangle = []
-    for i in range(n):
-        if abs(dist_table[i][i]) > slack:
-            diagonal.append((i, dist_table[i][i]))
-    for i, j in combinations(range(n), 2):
-        if dist_table[i][j] <= slack:
-            positivity.append((i, j, dist_table[i][j]))
-        if abs(dist_table[i][j] - dist_table[j][i]) > slack:
-            symmetry.append((i, j, dist_table[i][j], dist_table[j][i]))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            dij = dist_table[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dist_table[i][k] > dij + dist_table[j][k] + slack:
-                    triangle.append((i, j, k, dist_table[i][k], dij + dist_table[j][k]))
-    return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
-            "symmetry": tuple(symmetry), "triangle": tuple(triangle)}
-
-
-def _metric_violations_lattice(dist_table, lattice):
-    """The same lists as the reference loops, found by numpy masks.
-
-    Masks locate the violations in the reference order; each witness is then
-    read from the table itself, so entries match the loops exactly.
-    """
+    lattice = table if isinstance(table, Lattice) else table_lattice(table, exact)
     d = lattice.values
     n = len(d)
+    scalar = lattice.scalar
+    finite = ()
+    if not lattice.exact:
+        finite = tuple((i, j, scalar(d[i, j]))
+                       for i, j in np.argwhere(~(np.abs(d) <= FLOAT_LIMIT)).tolist())
     slack = 0 if lattice.exact else ETA
-    diagonal = [(i, dist_table[i][i])
-                for i in np.flatnonzero(np.abs(np.diagonal(d)) > slack).tolist()]
-    rows, cols = np.triu_indices(n, 1)
-    upper = d[rows, cols]
-    lower = d[cols, rows]
-    hits = upper <= slack
-    positivity = [(i, j, dist_table[i][j])
-                  for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
-    hits = np.abs(upper - lower) > slack
-    symmetry = [(i, j, dist_table[i][j], dist_table[j][i])
-                for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
-    triangle = []
-    off_diagonal = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        # bad[j, k]: d_ik > d_ij + d_jk (+ slack), for j, k distinct from i and each other
-        bad = d[i][None, :] > d[i][:, None] + d + slack
-        bad &= off_diagonal
-        bad[i, :] = False
-        bad[:, i] = False
-        js, ks = np.nonzero(bad)
-        for j, k in zip(js.tolist(), ks.tolist()):
-            row = dist_table[i]
-            triangle.append((i, j, k, row[k], row[j] + dist_table[j][k]))
-    return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
-            "symmetry": tuple(symmetry), "triangle": tuple(triangle)}
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
+        diagonal = [(i, scalar(d[i, i]))
+                    for i in np.flatnonzero(np.abs(np.diagonal(d)) > slack).tolist()]
+        rows, cols = np.triu_indices(n, 1)
+        upper = d[rows, cols]
+        lower = d[cols, rows]
+        hits = upper <= slack
+        positivity = [(i, j, scalar(d[i, j]))
+                      for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
+        hits = np.abs(upper - lower) > slack
+        symmetry = [(i, j, scalar(d[i, j]), scalar(d[j, i]))
+                    for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
+        triangle = []
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for i in range(n):
+            # bad[j, k]: d_ik > d_ij + d_jk (+ slack), for j, k distinct from i and each other
+            bad = d[i][None, :] > d[i][:, None] + d + slack
+            bad &= off_diagonal
+            bad[i, :] = False
+            bad[:, i] = False
+            js, ks = np.nonzero(bad)
+            triangle.extend((i, j, k, scalar(d[i, k]), scalar(d[i, j] + d[j, k]))
+                            for j, k in zip(js.tolist(), ks.tolist()))
+    return ValidationReport(size=n, finite=finite, diagonal=tuple(diagonal),
+                            positivity=tuple(positivity), symmetry=tuple(symmetry),
+                            triangle=tuple(triangle))
 
 
 def metric_repair(table: Sequence[Sequence[Scalar]], points=None, mode: str = "exact") -> FiniteMetricSpace:

@@ -3,19 +3,17 @@
 Two engines back the classifiers:
 
 * a table engine for finite spaces.  It reads the space's lattice
-  (metric_core.Lattice): int64 numerators over the lcm of the table's
-  denominators for exact tables, float64 for float tables.  A space loaded
-  from JSON is stored as its lattice; one built from a table of scalars
-  converts it once (metric_core.table_lattice).  Pairs, and triples in
-  blocks of whole outer indices, are scanned as numpy passes in
-  lexicographic order: perimeters are summed in the reference
-  order, eps buckets are found by searchsorted against lattice thresholds,
-  and each bucket's supremum is settled among the few items tied with its
-  float maximum (see _LatticeReduction).  Every value, witness and count
-  equals that of the pure-Python reference loops (_table_loops), which run
-  instead when a table has no lattice (numerators too large for int64
-  perimeters, non-finite or extreme floats, other scalar types), and which
-  the tests compare against.  Both refuse a pair of points at distance <= 0.
+  (metric_core.Lattice), the one stored form of every finite space:
+  integer numerators over the lcm of the table's denominators for exact
+  tables, float64 for float tables.  Pairs, and triples in blocks of whole
+  outer indices, are scanned as numpy passes in lexicographic order:
+  perimeters are summed in the order of direct enumeration, eps buckets are
+  found by searchsorted against lattice thresholds, and on a screenable
+  lattice each bucket's supremum is settled among the few items tied with
+  its float maximum (see _LatticeReduction).  Every value, witness and
+  count equals that of a pure-Python enumeration in the table's scalars
+  (the oracle the tests compare against).  A pair of points at distance
+  <= 0 is refused.
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
@@ -39,14 +37,13 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .metric_core import ETA, LATTICE_LIMIT, InputError, table_lattice
+from .metric_core import ETA, LATTICE_LIMIT, InputError
 
 FLOAT_SLACK = 1e-9       # line engine: relative width of the float screen
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
@@ -76,29 +73,6 @@ class EnumAnalysis:
     total: int
 
 
-class _Partial:
-    """Reduction state of one enumeration pass."""
-
-    __slots__ = ("best", "counts", "strict", "total")
-
-    def __init__(self, n_buckets):
-        self.best = [None] * n_buckets   # (num, den, witness_indices)
-        self.counts = [0] * n_buckets
-        self.strict = None               # (witness_indices, measure, image_measure)
-        self.total = 0
-
-    def add(self, image_measure, measure, longest, wit, eps, slack):
-        """Fold in one item, after every item lexicographically before it."""
-        b = bisect_right(eps, longest)
-        self.counts[b] += 1
-        self.total += 1
-        cur = self.best[b]
-        if cur is None or _better(image_measure, measure, wit, *cur):
-            self.best[b] = (image_measure, measure, wit)
-        if self.strict is None and image_measure >= measure - slack:
-            self.strict = (wit, measure, image_measure)
-
-
 def _better(num_a, den_a, wit_a, num_b, den_b, wit_b):
     """True when ratio a beats ratio b (ties go to the smaller witness)."""
     lhs = num_a * den_b
@@ -125,14 +99,15 @@ def _checked_eps(kind, eps, n_points):
     return eps
 
 
-def _ceil_thresholds(eps, scale, cap):
+def _ceil_thresholds(eps, scale, cap, dtype=np.int64):
     """Per eps value, the least integer m with m/scale >= eps, capped at cap.
 
     cap lies above every measure the thresholds are compared with, so an
-    eps above all of them leaves its bucket empty (a vacuous entry).
+    eps above all of them leaves its bucket empty (a vacuous entry).  With
+    cap math.inf and dtype object the thresholds are uncapped Python ints.
     """
     return np.array([min(-(-f.numerator * scale // f.denominator), cap)
-                     for f in map(Fraction, eps)], dtype=np.int64)
+                     for f in map(Fraction, eps)], dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -143,36 +118,17 @@ def _nonpositive(points, a, b):
                       f"positive; pair and perimeter ratios need a metric table")
 
 
-def _table_loops(kind, dist, nodes, images, eps, points, exact):
-    """The reference table enumeration: one pure-Python pass in the table's scalars."""
-    for a, b in combinations(range(len(nodes)), 2):
-        if not dist[nodes[a]][nodes[b]] > 0:
-            raise _nonpositive(points, a, b)
-    part = _Partial(len(eps) + 1)
-    slack = 0 if exact else ETA
-    for wit in combinations(range(len(nodes)), 2 if kind == "pairwise" else 3):
-        ix = [nodes[w] for w in wit]
-        tx = [images[i] for i in ix]
-        if kind == "pairwise":
-            d = dist[ix[0]][ix[1]]
-            part.add(dist[tx[0]][tx[1]], d, d, wit, eps, slack)
-        else:
-            (i, j, k), (ti, tj, tk) = ix, tx
-            dij, djk, dik = dist[i][j], dist[j][k], dist[i][k]
-            part.add(dist[ti][tj] + dist[tj][tk] + dist[ti][tk], dij + djk + dik,
-                     max(dij, djk, dik), wit, eps, slack)
-    return _finalize(kind, eps, part.best, part.counts, part.strict, part.total,
-                     points, exact)
-
-
 def _lattice_thresholds(eps, lattice):
     """Per eps value, the least lattice value v with scalar(v) >= eps.
 
     searchsorted(thresholds, v, "right") then equals bisect_right(eps,
-    scalar(v)) for every lattice value v.  Exact thresholds are capped at
-    LATTICE_LIMIT, above every lattice value.
+    scalar(v)) for every lattice value v.  Thresholds of an int64 lattice
+    are capped at LATTICE_LIMIT, above every value; those of an object
+    lattice are uncapped Python ints.
     """
     if lattice.exact:
+        if lattice.values.dtype == object:
+            return _ceil_thresholds(eps, lattice.scale, math.inf, object)
         return _ceil_thresholds(eps, lattice.scale, LATTICE_LIMIT)
     out = []
     for f in map(Fraction, eps):
@@ -187,27 +143,34 @@ class _LatticeReduction:
     """Bucket counts, per-bucket suprema and the strict violation over lattice items.
 
     Items arrive in lexicographic witness order, a block of arrays at a time,
-    and the result equals the reference loops' sequential reduction:
+    and the result equals the sequential reduction of direct enumeration,
+    which keeps the first item of each bucket's greatest ratio (_better).
+    On a lattice that is not screenable every item of a bucket is a
+    candidate, and the folds below are that reduction itself.  On a
+    screenable one (Lattice.screenable) a float screen narrows them:
 
     * Exact mode: a float64 quotient of two ints below 2**53 is correctly
       rounded, hence monotone in the exact ratio, so the exact bucket maximum
       is among the items whose float ratio equals the bucket's float maximum.
       Those are compared exactly; the lex-first one wins ties.
-    * Float mode: the loops compare float cross products.  Rounding is
-      monotone, so an item whose float quotient is below the running entry's
-      never replaces it, and the bucket maximum replaces every entry more
-      than a few ulps below it.  Items below the band, a relative FLOAT_BAND
-      under the maximum (seven orders above rounding), therefore cannot
-      change the result; the items in it are folded into the running entry
-      with the loops' own cross-multiplication.  FLOAT_LATTICE_RANGE keeps
+    * Float mode: the enumeration compares float cross products.  Rounding
+      is monotone, so an item whose float quotient is below the running
+      entry's never replaces it, and the bucket maximum replaces every entry
+      more than a few ulps below it.  Items below the band, a relative
+      FLOAT_BAND under the maximum (seven orders above rounding), therefore
+      cannot change the result; the items in it are folded into the running
+      entry with the same cross-multiplication.  FLOAT_LATTICE_RANGE keeps
       those products and quotients normal.
     """
 
     def __init__(self, lattice, eps):
         self.lattice = lattice
         self.thresholds = _lattice_thresholds(eps, lattice)
-        self.part = _Partial(len(eps) + 1)
         self.slack = 0 if lattice.exact else ETA
+        self.best = [None] * (len(eps) + 1)   # (num, den, witness indices)
+        self.counts = [0] * (len(eps) + 1)
+        self.strict = None                    # (witness indices, measure, image measure)
+        self.total = 0
 
     def feed(self, num, den, longest, witness):
         """Add items: image measure num, measure den > 0, qualification measure longest.
@@ -215,63 +178,66 @@ class _LatticeReduction:
         longest is the pair distance, or the triple's longest side; witness(t)
         gives item t's witness indices.
         """
-        part = self.part
-        nb = len(part.counts)
         bucket = np.searchsorted(self.thresholds, longest, side="right")
-        part.total += len(bucket)
-        if part.strict is None:
+        self.total += len(bucket)
+        if self.strict is None:
             hits = np.flatnonzero(num >= den - self.slack)
             if len(hits):
                 t = hits[0]
-                part.strict = (witness(t), den[t].item(), num[t].item())
-        ratio = num / den
-        counts = np.bincount(bucket, minlength=nb).tolist()
+                self.strict = (witness(t), den[t], num[t])
+        exact, screen = self.lattice.exact, self.lattice.screenable
+        if screen:
+            ratio = num / den
+        counts = np.bincount(bucket, minlength=len(self.counts)).tolist()
         for b, count in enumerate(counts):
             if not count:
                 continue
-            part.counts[b] += count
+            self.counts[b] += count
             items = np.flatnonzero(bucket == b)
-            r = ratio[items]
-            top = r.max()
-            if self.lattice.exact:
-                entry = _exact_best(num, den, items[r == top], witness)
-                cur = part.best[b]
+            if screen:          # keep the items that can hold the bucket maximum
+                r = ratio[items]
+                top = r.max()
+                if exact:
+                    items = items[r == top]
+                else:
+                    items = items[r >= (top * (1 - FLOAT_BAND) if top > 0
+                                        else top * (1 + FLOAT_BAND))]
+            if exact:
+                entry = _exact_best(num, den, items, witness)
+                cur = self.best[b]
                 if cur is None or _better(*entry, *cur):
-                    part.best[b] = entry
+                    self.best[b] = entry
             else:
-                floor = top * (1 - FLOAT_BAND) if top > 0 else top * (1 + FLOAT_BAND)
-                part.best[b] = _float_fold(num, den, items[r >= floor], witness,
-                                           part.best[b])
+                self.best[b] = _float_fold(num, den, items, witness, self.best[b])
 
     def result(self, kind, eps, points):
         scalar = self.lattice.scalar
-        part = self.part
-        best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2]) for e in part.best]
-        strict = part.strict
+        best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2]) for e in self.best]
+        strict = self.strict
         if strict is not None:
             strict = (strict[0], scalar(strict[1]), scalar(strict[2]))
-        return _finalize(kind, eps, best, part.counts, strict, part.total, points,
+        return _finalize(kind, eps, best, self.counts, strict, self.total, points,
                          self.lattice.exact)
 
 
 def _exact_best(num, den, cands, witness):
-    """Exact maximum over float-tied candidates (in lex order), lex-first on ties."""
+    """Exact maximum over candidates (in lex order), lex-first on ties."""
     cn, cd = num[cands], den[cands]
     g = np.gcd(cn, cd)
     rn, rd = cn // g, cd // g
     if (rn == rn[0]).all() and (rd == rd[0]).all():
         t = cands[0]
-        return num[t].item(), den[t].item(), witness(t)
+        return int(num[t]), int(den[t]), witness(t)
     best = None
-    for t in cands.tolist():   # distinct ratios that round to one float
-        entry = (num[t].item(), den[t].item(), witness(t))
+    for t in cands.tolist():   # distinct ratios
+        entry = (int(num[t]), int(den[t]), witness(t))
         if best is None or _better(*entry, *best):
             best = entry
     return best
 
 
 def _float_fold(num, den, cands, witness, cur):
-    """Fold candidates (in lex order) into the running entry as the loops do.
+    """Fold candidates (in lex order) into the running entry as enumeration does.
 
     Every candidate follows cur in lex order, so a tie never replaces it:
     the next replacement is the first candidate whose cross product wins.
@@ -279,14 +245,14 @@ def _float_fold(num, den, cands, witness, cur):
     cn, cd = num[cands], den[cands]
     start = 0
     if cur is None:
-        cur = (cn[0].item(), cd[0].item(), witness(cands[0]))
+        cur = (float(cn[0]), float(cd[0]), witness(cands[0]))
         start = 1
     while start < len(cands):
         wins = np.flatnonzero(cn[start:] * cur[1] > cur[0] * cd[start:])
         if not len(wins):
             break
         t = start + int(wins[0])
-        cur = (cn[t].item(), cd[t].item(), witness(cands[t]))
+        cur = (float(cn[t]), float(cd[t]), witness(cands[t]))
         start = t + 1
     return cur
 
@@ -317,8 +283,9 @@ def _triple_blocks(m, rows):
         a0 = a1
 
 
-def _lattice_scan(kind, lattice, nodes, images, eps, points):
+def _table_analysis(kind, lattice, nodes, images, eps, points):
     """The table enumeration as numpy passes over the lattice."""
+    eps = _checked_eps(kind, eps, len(nodes))
     nodes = np.asarray(nodes, dtype=np.intp)
     img = np.asarray(images, dtype=np.intp)[nodes]
     d = lattice.values[np.ix_(nodes, nodes)]
@@ -330,28 +297,20 @@ def _lattice_scan(kind, lattice, nodes, images, eps, points):
         raise _nonpositive(points, rows[first], cols[first])
     t_pair = t[rows, cols]
     red = _LatticeReduction(lattice, eps)
-    if kind == "pairwise":
-        red.feed(t_pair, d_pair, d_pair, lambda i: (int(rows[i]), int(cols[i])))
-    else:
-        for a, pair in _triple_blocks(len(nodes), rows):
-            j, k = rows[pair], cols[pair]
-            dij, djk, dik = d[a, j], d_pair[pair], d[a, k]
-            # sums in the loops' order keep float mode bit-identical
-            p = dij + djk + dik
-            pt = t[a, j] + t_pair[pair] + t[a, k]
-            longest = np.maximum(np.maximum(dij, djk), dik)
-            red.feed(pt, p, longest,
-                     lambda i, a=a, j=j, k=k: (int(a[i]), int(j[i]), int(k[i])))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
+        if kind == "pairwise":
+            red.feed(t_pair, d_pair, d_pair, lambda i: (int(rows[i]), int(cols[i])))
+        else:
+            for a, pair in _triple_blocks(len(nodes), rows):
+                j, k = rows[pair], cols[pair]
+                dij, djk, dik = d[a, j], d_pair[pair], d[a, k]
+                # sums in enumeration order keep float mode bit-identical
+                p = dij + djk + dik
+                pt = t[a, j] + t_pair[pair] + t[a, k]
+                longest = np.maximum(np.maximum(dij, djk), dik)
+                red.feed(pt, p, longest,
+                         lambda i, a=a, j=j, k=k: (int(a[i]), int(j[i]), int(k[i])))
     return red.result(kind, eps, points)
-
-
-def _table_analysis(kind, dist, nodes, images, eps, points, exact, lattice):
-    eps = _checked_eps(kind, eps, len(nodes))
-    if lattice is None:
-        lattice = table_lattice(dist, exact)
-    if lattice is not None:
-        return _lattice_scan(kind, lattice, nodes, images, eps, points)
-    return _table_loops(kind, dist, nodes, images, eps, points, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -736,18 +695,18 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
 # ---------------------------------------------------------------------------
 # public entry points
 
-def table_pair_analysis(dist, nodes, images, eps, points, exact=True, lattice=None):
-    """Pairwise enumeration of a finite table over the positions ``nodes``.
+def table_pair_analysis(lattice, nodes, images, eps, points):
+    """Pairwise enumeration of a finite table, given as its Lattice, over the positions ``nodes``.
 
-    ``lattice`` is the table's precomputed Lattice; without one it is
-    computed here.
+    images[i] is the position of the image of position i; points[a] labels
+    nodes[a] in witnesses.
     """
-    return _table_analysis("pairwise", dist, nodes, images, eps, points, exact, lattice)
+    return _table_analysis("pairwise", lattice, nodes, images, eps, points)
 
 
-def table_triple_analysis(dist, nodes, images, eps, points, exact=True, lattice=None):
+def table_triple_analysis(lattice, nodes, images, eps, points):
     """Triple (perimeter) enumeration; see table_pair_analysis."""
-    return _table_analysis("triple", dist, nodes, images, eps, points, exact, lattice)
+    return _table_analysis("triple", lattice, nodes, images, eps, points)
 
 
 def line_pair_analysis(numerators, den, points, images, eps):

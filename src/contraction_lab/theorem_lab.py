@@ -34,6 +34,7 @@ from .metric_core import (
     InputError,
     InternalConsistencyError,
     SampledSpace,
+    format_point,
     format_scalar,
     metric_repair,
 )
@@ -80,7 +81,7 @@ class TheoremVerdict:
             "hypotheses": [h.to_json() for h in self.hypotheses],
             "conclusion": {
                 "fixed_points": None if self.fixed_points is None
-                else [_fmt_point(p) for p in self.fixed_points],
+                else [format_point(p) for p in self.fixed_points],
                 "fixed_point_exists": self.fixed_point_exists,
                 "count_le_two": self.count_le_two,
                 "unique": self.unique,
@@ -89,10 +90,6 @@ class TheoremVerdict:
             "scope_qualified": self.scope_qualified,
             "notes": list(self.notes),
         }
-
-
-def _fmt_point(p):
-    return str(p) if isinstance(p, Fraction) else p
 
 
 _CLAIMS = {
@@ -127,7 +124,7 @@ def _hypothesis_no_period2(space, mapping) -> HypothesisResult:
             name="no_period2",
             status="fail",
             detail=f"{len(hits)} point(s) of prime period 2 on the scope",
-            witness=[_fmt_point(p) for p in hits],
+            witness=[format_point(p) for p in hits],
         )
     return HypothesisResult(name="no_period2", status="pass",
                             detail="no prime period-2 point on the scope")
@@ -211,7 +208,7 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
             exists = "pass"
             notes.append(
                 f"existence certified by a Picard limit at tolerance "
-                f"{format_scalar(CERTIFY_TOL)} (state {_fmt_point(trace.final_state)})")
+                f"{format_scalar(CERTIFY_TOL)} (state {format_point(trace.final_state)})")
         else:
             notes.append("Picard orbit from x0 did not certify a fixed point within budget")
 
@@ -327,7 +324,7 @@ def random_instance(config: SearchConfig, trial_index: int):
         raw[i][j] = raw[j][i] = k
     repaired = metric_repair(raw)  # integer shortest-path closure
     den = config.denominator
-    table = tuple(tuple(Fraction(v, den) for v in row) for row in repaired.dist_table)
+    table = tuple(tuple(Fraction(v, den) for v in row) for row in repaired.lattice.values.tolist())
     space = FiniteMetricSpace(points=tuple(range(n)), dist_table=table, mode="exact")
     mapping = SelfMap(space=space, name=f"random[{config.seed}:{trial_index}]",
                       table=tuple(images))
@@ -558,13 +555,13 @@ def _sweep_batch(out, trials, dist, images, den):
     (point i is label i).  Counters are added to out, and violation entries
     appended in (trial, x0, m, n) order, from Python ints.
 
-    The verdict flags follow classify.full_report's exact-scope rules.  With
-    every triple perimeter positive (true of every closed table; an
-    InputError otherwise) an item's ratio reaches 1 exactly when the item
-    fails the strict test, and a bucket's delta reaches 1 exactly when an item
-    of its suffix of buckets does.  The suffixes are nested, so each large
-    verdict needs only the items of the first grid bucket.  Pairs below the
-    first eps never enter a modulus, so pair distances may have any sign.
+    The verdict flags follow classify.full_report's exact-scope rules.  Pair
+    distances d(i, j), i < j, must be positive, as full_report requires (an
+    InputError naming the pair otherwise), so every triple perimeter is
+    positive too: an item's ratio reaches 1 exactly when the item fails the
+    strict test, and a bucket's delta reaches 1 exactly when an item of its
+    suffix of buckets does.  The suffixes are nested, so each large verdict
+    needs only the items of the first grid bucket.
 
     Returns the first instance's record for the audit: its
     (large_contraction, large_tpc, uniform_tpc) flags, fixed points, period-2
@@ -611,6 +608,9 @@ def _sweep_batch(out, trials, dist, images, den):
     large_tpc = triple_strict & ~qualified_fails
     alpha_below_one = ~triple_fails       # no triple's ratio reaches 1
     uniform_tpc = alpha_below_one & triple_strict
+    if not (d_pair > 0).all():      # full_report's refusal, for the first such instance
+        _, first = np.argwhere(d_pair <= 0)[0]
+        raise scan._nonpositive(range(n), rows[first], cols[first])
     if (large_contraction & ~pair_strict).any():
         raise InternalConsistencyError(
             "large-contraction verdict passed while the pairwise strict check failed")

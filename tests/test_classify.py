@@ -22,12 +22,12 @@ from contraction_lab.map_catalog import SelfMap, apply, catalog, composite_actio
 from contraction_lab.metric_core import (
     FiniteMetricSpace,
     InputError,
-    _metric_violations_loops,
     perimeter,
     table_lattice,
     validate_metric,
 )
 from contraction_lab.theorem_lab import SearchConfig, random_instance
+from oracles import metric_violations_loops, table_loops
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +87,22 @@ def random_finite_instances(n_instances, seed=9):
 
 SMALL_EPS = (F(1, 16), F(1, 4), F(1, 2), F(1), F(2))
 
-# exact numerators whose perimeters pass 2**53, or floats beyond 2**200: the loops run
-FALLBACK_MAGNITUDE = 2 ** 250
+# exact numerators whose perimeters pass 2**53, or floats beyond 2**200: the
+# lattice is not screenable, and every item of a bucket is a candidate
+WIDE_MAGNITUDE = 2 ** 250
+# exact denominators den * p whose lcm passes 2**53: an object lattice again
+WIDE_PRIMES = (1_000_000_007, 1_000_000_009, 1_000_000_021)
 
 
-def random_table(rng, n, den, magnitude=1, offsets=False, exact=True):
+def random_table(rng, n, den, magnitude=1, offsets=False, exact=True, primes=False):
     """A random table of n points, (k * magnitude + r) / den with k in 1..den.
 
     The k are closed under shortest paths, so without offsets r the table is
     a metric; den = 3 makes ties abound.  Offsets r < 2**20 (symmetric) break
     the common factor, turning exact ties into near-ties between numerators
-    of up to 2**51 (3 * 2**51 is still below the 2**53 lattice limit).
+    of up to 2**51 (3 * 2**51 is still below the 2**53 lattice limit).  With
+    primes, entry (i, j) is divided by one more prime, WIDE_PRIMES[(i + j) %
+    3]: the pairs of points 0, 1 and 2 use all three.
     """
     k = [[0] * n for _ in range(n)]
     r = [[0] * n for _ in range(n)]
@@ -110,8 +115,9 @@ def random_table(rng, n, den, magnitude=1, offsets=False, exact=True):
         for i in range(n):
             for j in range(n):
                 k[i][j] = min(k[i][j], k[i][m] + k[m][j])
-    cell = (lambda v: F(v, den)) if exact else (lambda v: v / den)
-    return [[cell(k[i][j] * magnitude + r[i][j]) for j in range(n)] for i in range(n)]
+    cell = (lambda v, q: F(v, q)) if exact else (lambda v, q: v / q)
+    return [[cell(k[i][j] * magnitude + r[i][j], den * (WIDE_PRIMES[(i + j) % 3] if primes else 1))
+             for j in range(n)] for i in range(n)]
 
 
 @st.composite
@@ -120,10 +126,12 @@ def table_scans(draw):
     n = draw(st.integers(min_value=3, max_value=30))
     den = draw(st.sampled_from((3, 96)))
     exact = draw(st.booleans())
-    magnitude, offsets = draw(st.sampled_from(
-        ((1, False), (2 ** 44, True), (FALLBACK_MAGNITUDE, False))))
+    magnitude, offsets, primes = draw(st.sampled_from(
+        ((1, False, False), (2 ** 44, True, False), (WIDE_MAGNITUDE, False, False),
+         (1, False, True))))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
-    table = tuple(tuple(row) for row in random_table(rng, n, den, magnitude, offsets, exact))
+    table = tuple(tuple(row) for row in random_table(rng, n, den, magnitude, offsets, exact,
+                                                     primes))
     kind = rng.choice(("uniform", "pool", "constant"))
     if kind == "uniform":
         images = [rng.randrange(n) for _ in range(n)]
@@ -138,7 +146,7 @@ def table_scans(draw):
     values = sorted({F(v) for row in table for v in row if v > 0})
     eps = tuple(sorted(set(rng.sample(values, min(len(values), rng.randint(1, 5))))
                        | {F(rng.randint(1, 3 * den) * magnitude, den)}))
-    return table, nodes, images, eps, exact, magnitude == FALLBACK_MAGNITUDE
+    return table, nodes, images, eps, exact, magnitude == WIDE_MAGNITUDE or (primes and exact)
 
 
 class TestEngineAgainstNaiveOracle:
@@ -162,13 +170,14 @@ class TestEngineAgainstNaiveOracle:
 
     @given(table_scans())
     def test_lattice_engine_matches_reference_loops(self, case):
-        table, nodes, images, eps, exact, fallback = case
-        assert (table_lattice(table, exact) is None) == fallback
+        table, nodes, images, eps, exact, wide = case
+        lattice = table_lattice(table, exact)
+        assert lattice.screenable != wide
         points = tuple(nodes)
         for kind, engine in (("pairwise", scan.table_pair_analysis),
                              ("triple", scan.table_triple_analysis)):
-            got = engine(table, nodes, images, eps, points, exact)
-            want = scan._table_loops(kind, table, nodes, images, eps, points, exact)
+            got = engine(lattice, nodes, images, eps, points)
+            want = table_loops(kind, table, nodes, images, eps, points, exact)
             assert got == want
             assert repr(got) == repr(want)    # same scalar types, not just equal values
 
@@ -185,9 +194,9 @@ class TestEngineAgainstNaiveOracle:
         table = tuple(tuple(row) for row in table)
         images = [4, 5, 6, 7, 0, 0, 0, 0]
         nodes = list(range(8))
-        got = scan.table_pair_analysis(table, nodes, images, (F(1),), tuple(nodes), exact)
-        want = scan._table_loops("pairwise", table, nodes, images, (F(1),),
-                                 tuple(nodes), exact)
+        got = scan.table_pair_analysis(table_lattice(table, exact), nodes, images, (F(1),),
+                                       tuple(nodes))
+        want = table_loops("pairwise", table, nodes, images, (F(1),), tuple(nodes), exact)
         assert table_lattice(table, exact) is not None
         assert got == want
         return got
@@ -218,17 +227,20 @@ class TestEngineAgainstNaiveOracle:
         assert got.sup_witness[0] == (0, 1)
 
     @given(st.integers(min_value=3, max_value=30), st.sampled_from((3, 96)), st.booleans(),
-           st.integers(min_value=0, max_value=2 ** 32))
-    def test_validate_metric_matches_reference_loops(self, n, den, exact, seed):
+           st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(("plain", "wide")))
+    def test_validate_metric_matches_reference_loops(self, n, den, exact, seed, scale):
+        # wide: exact denominators whose lcm passes 2**53, or floats beyond 2**200
         rng = random.Random(seed)
-        table = random_table(rng, n, den, exact=exact)
+        wide = scale == "wide"
+        table = random_table(rng, n, den, WIDE_MAGNITUDE if wide and not exact else 1,
+                             exact=exact, primes=wide and exact)
         top = max(max(row) for row in table)
         x, y, z = rng.sample(range(n), 3)
         table[x][x] = table[x][y]                          # diagonal
         table[min(y, z)][max(y, z)] = table[y][y]          # positivity and symmetry
         table[x][z] = 3 * top                              # triangle, via y
         table = tuple(tuple(row) for row in table)
-        want = _metric_violations_loops(table, exact)
+        want = metric_violations_loops(table, exact)
         assert all(want[axiom] for axiom in ("diagonal", "positivity", "symmetry",
                                              "triangle"))
         assert table_lattice(table, exact) is not None
@@ -788,7 +800,7 @@ class TestFullReport:
         rows = ((0, distance, 2), (distance, 0, 2), (2, 2, 0))
         space = FiniteMetricSpace(points=(0, 1, 2),
                                   dist_table=tuple(tuple(scalar(v) for v in r) for r in rows))
-        assert (space.lattice is None) == (scalar is int)
+        assert type(space.dist_table[0][1]) is F      # int tables read back as Fractions
         mapping = SelfMap(space=space, name="cycle", table=(2, 0, 1))
         for scan_of in (full_report, estimate_tpc_alpha):
             with pytest.raises(InputError, match="between points 0 and 1 is not positive"):

@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from contraction_lab import scan
 from contraction_lab.cli import main
 from contraction_lab.map_catalog import catalog
 from contraction_lab.metric_core import FiniteMetricSpace, metric_repair
 from contraction_lab.map_catalog import SelfMap
+from oracles import table_loops
 
 
 def run(args):
@@ -28,6 +30,35 @@ def instance_file(tmp_path):
     mapping = SelfMap(space=space, name="toy", table=(0, 0, 0, 1))
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(mapping.to_json()))
+    return path
+
+
+def wide_instance(path, kind, n=40, seed=3):
+    """An n-point instance whose lattice is not screenable.
+
+    exact: d(i, j) = m / p with p the ((i + j) mod n)-th prime above 10**6 and
+    p <= m < 2p, so the lcm of the denominators passes 2**53; float: d(i, j)
+    = m * 2**210 with 96 <= m < 192, beyond 2**200.  Every distance lies in
+    [a, 2a) for one a, so the table is a metric.
+    """
+    rng = random.Random(seed)
+    primes = []
+    q = 10 ** 6
+    while len(primes) < n:
+        q += 1
+        if all(q % f for f in range(2, int(q ** 0.5) + 1)):
+            primes.append(q)
+    zero = "0" if kind == "exact" else 0.0
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = primes[(i + j) % n]
+            rows[i][j] = rows[j][i] = (str(F(rng.randrange(p, 2 * p), p)) if kind == "exact"
+                                       else rng.randrange(96, 192) * 2.0 ** 210)
+    pool = rng.sample(range(n), 3)
+    doc = {"space": {"points": list(range(n)), "dist": rows, "mode": kind},
+           "map": [rng.choice(pool) for _ in range(n)]}
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -219,6 +250,33 @@ class TestClassify:
         assert run(["classify", "--catalog", "period2_counterexample",
                     "--mode", "float", "--out", str(tmp_path)]) == 1
 
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_wide_instances_match_the_loop_oracle(self, tmp_path, monkeypatch, kind):
+        # the same file loaded twice in one process, scanned by the engine
+        # and then by the loops, gives the same output names and bytes
+        path = wide_instance(tmp_path / "wide.json", kind)
+        commands = (["classify"], ["verify", "--theorem", "corrected_main"],
+                    ["classify", "--mode", "float"])
+
+        def outputs(name):
+            out = tmp_path / name
+            for command in commands:
+                assert run([*command, "--instance", str(path), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def oracle(kind):
+            def analysis(lattice, nodes, images, eps, points):
+                table = [[lattice.scalar(v) for v in row] for row in lattice.values]
+                return table_loops(kind, table, nodes, images, eps, points, lattice.exact)
+            return analysis
+
+        engine = outputs("engine")
+        monkeypatch.setattr(scan, "table_pair_analysis", oracle("pairwise"))
+        monkeypatch.setattr(scan, "table_triple_analysis", oracle("triple"))
+        assert outputs("oracle") == engine
+        # --mode float converts the exact file and leaves the float one as it is
+        assert len(engine) == (3 if kind == "exact" else 2)
 
     def test_eps_above_every_distance_is_vacuous(self, tmp_path):
         assert run(["classify", "--catalog", "floor_half", "--max-n", "16",

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -240,6 +241,28 @@ class TestFiniteMetricSpace:
         with pytest.raises(InputError):
             FiniteMetricSpace(points=(0, 1), dist_table=((F(0), F(1)), (F(1), F(0))))
 
+    @pytest.mark.parametrize("mode, entry", [
+        ("exact", 0.5), ("exact", True), ("exact", "1/2"),
+        ("float", True), ("float", "0.5"), ("float", None), ("float", 10 ** 400),
+    ], ids=["exact-float", "exact-bool", "exact-str", "float-bool", "float-str", "float-none",
+            "float-huge-int"])
+    def test_table_entries_must_be_the_modes_scalars(self, mode, entry):
+        # an exact table of floats used to end in a TypeError inside the scans
+        table = [[F(0), F(1), F(1)], [F(1), F(0), F(1)], [F(1), F(1), F(0)]]
+        table[1][2] = entry
+        with pytest.raises(InputError, match=rf"entry \(1, 2\) is {re.escape(repr(entry))}"):
+            FiniteMetricSpace(points=(0, 1, 2), dist_table=table, mode=mode)
+
+    def test_table_entries_read_back_in_the_modes_scalars(self):
+        ints = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+        exact = FiniteMetricSpace(points=(0, 1, 2), dist_table=ints)
+        assert [type(v) for v in exact.dist_table[0]] == [F, F, F]
+        assert exact.dist_table == ints
+        mixed = ((0, F(1, 3), 2.5), (F(1, 3), 0, 1), (2.5, 1, 0))
+        floats = FiniteMetricSpace(points=(0, 1, 2), dist_table=mixed, mode="float")
+        assert floats.dist_table[0] == (0.0, 1 / 3, 2.5)
+        assert [type(v) for v in floats.dist_table[0]] == [float, float, float]
+
 
 class TestSampledSpace:
     def test_points_are_reduced_fractions(self):
@@ -418,7 +441,7 @@ class TestLatticeLoad:
         doc = {"points": [0, 1, 2, 3],
                "dist": [[f"{q + 1}/{q}" if q else "0" for q in row] for row in near_one]}
         space = FiniteMetricSpace.from_json(doc)
-        assert space.lattice is None
+        assert space.lattice.values.dtype == object
         assert space == reference_from_json(doc)
 
     @pytest.mark.parametrize("mode, cell, expected", [

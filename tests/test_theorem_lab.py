@@ -443,6 +443,18 @@ class TestValidationSweep:
             theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
                                      np.array([[0, 0, 0]], dtype=np.intp), 1)
 
+    def test_batch_refuses_a_zero_pair_as_full_report_does(self):
+        # every triple perimeter is positive, but the pair (0, 1) is at distance 0
+        rows, images = [[0, 0, 2], [0, 0, 2], [2, 2, 0]], [2, 0, 1]
+        space, mapping = table_instance(rows, images, 1)
+        with pytest.raises(InputError) as want:
+            classify.full_report(space, mapping)
+        with pytest.raises(InputError) as got:
+            theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
+                                     np.array([images], dtype=np.intp), 1)
+        assert str(got.value) == str(want.value)
+        assert "between points 0 and 1 is not positive" in str(got.value)
+
     def test_audit_catches_a_batch_that_drifts(self, monkeypatch):
         batch = theorem_lab._sweep_batch
 
