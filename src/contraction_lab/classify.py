@@ -329,91 +329,104 @@ def _uniform_verdict(alpha, witness, scope, strict: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 # public operations
 
+@dataclass(frozen=True)
+class PairVerdicts:
+    """The pair scan's part of a ContractionReport."""
+
+    pairwise_strict: Verdict
+    large_contraction: Verdict
+    pairwise_moduli: ModulusTable
+    pairs_enumerated: int
+
+
+@dataclass(frozen=True)
+class TripleVerdicts:
+    """The triple scan's part of a ContractionReport."""
+
+    tpc_alpha: object
+    tpc_alpha_witness: dict
+    uniform_tpc: Verdict
+    triple_strict: Verdict
+    large_tpc: Verdict
+    triple_moduli: ModulusTable
+    triples_enumerated: int
+
+
+def _grid(eps_grid):
+    return tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
+
+
+def _pair_verdicts(space, prepared, eps_grid) -> PairVerdicts:
+    scope = _scope_of(space)
+    pair = _analysis("pairwise", space, prepared, eps_grid)
+    strict = _strict_verdict(pair, scope, "distance")
+    table = _modulus_table(pair, _pair_witness)
+    large = _modulus_verdict(pair, table, scope, strict, "distance")
+    if large.passed and not strict.passed:
+        raise InternalConsistencyError(
+            "large-contraction verdict passed while the pairwise strict check failed")
+    return PairVerdicts(strict, large, table, pair.total)
+
+
+def _triple_verdicts(space, prepared, eps_grid) -> TripleVerdicts:
+    scope = _scope_of(space)
+    triple = _analysis("triple", space, prepared, eps_grid)
+    strict = _strict_verdict(triple, scope, "perimeter")
+    table = _modulus_table(triple, _triple_witness)
+    large = _modulus_verdict(triple, table, scope, strict, "perimeter")
+    alpha_witness = _triple_witness(triple.sup_witness)
+    uniform = _uniform_verdict(triple.sup_ratio, alpha_witness, scope, strict)
+    if large.passed and not strict.passed:
+        raise InternalConsistencyError(
+            "large perimeter-contraction verdict passed while the strict triple check failed")
+    if uniform.passed and not large.passed:
+        raise InternalConsistencyError(
+            "uniform perimeter verdict passed while the large perimeter verdict failed")
+    return TripleVerdicts(triple.sup_ratio, alpha_witness, uniform, strict, large, table,
+                          triple.total)
+
+
+def pair_verdicts(space, mapping: SelfMap, point_set=None, eps_grid=None) -> PairVerdicts:
+    """The pair scan alone: pairwise strictness, large contraction and its moduli."""
+    return _pair_verdicts(space, _prepare(space, mapping, point_set), _grid(eps_grid))
+
+
+def triple_verdicts(space, mapping: SelfMap, point_set=None, eps_grid=None) -> TripleVerdicts:
+    """The triple scan alone: perimeter strictness, the uniform and large perimeter verdicts."""
+    return _triple_verdicts(space, _prepare(space, mapping, point_set), _grid(eps_grid))
+
+
 def check_pairwise_strict(space, mapping: SelfMap, point_set=None) -> Verdict:
     """Does every distinct pair move strictly closer under the map?"""
-    analysis = _analysis("pairwise", space, _prepare(space, mapping, point_set),
-                         DEFAULT_EPS_GRID)
-    return _strict_verdict(analysis, _scope_of(space), "distance")
+    return pair_verdicts(space, mapping, point_set).pairwise_strict
 
 
 def estimate_large_contraction_modulus(space, mapping: SelfMap, point_set=None,
                                        eps_grid=None):
     """Pairwise modulus table delta(eps) plus the large-contraction verdict."""
-    eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    analysis = _analysis("pairwise", space, _prepare(space, mapping, point_set), eps_grid)
-    scope = _scope_of(space)
-    table = _modulus_table(analysis, _pair_witness)
-    strict = _strict_verdict(analysis, scope, "distance")
-    verdict = _modulus_verdict(analysis, table, scope, strict, "distance")
-    return table, verdict
+    found = pair_verdicts(space, mapping, point_set, eps_grid)
+    return found.pairwise_moduli, found.large_contraction
 
 
 def estimate_tpc_alpha(space, mapping: SelfMap, point_set=None):
     """Supremum of image-to-original perimeter ratios with attaining witness."""
-    analysis = _analysis("triple", space, _prepare(space, mapping, point_set), DEFAULT_EPS_GRID)
-    scope = _scope_of(space)
-    witness = _triple_witness(analysis.sup_witness)
-    strict = _strict_verdict(analysis, scope, "perimeter")
-    verdict = _uniform_verdict(analysis.sup_ratio, witness, scope, strict)
-    return analysis.sup_ratio, witness, verdict
+    found = triple_verdicts(space, mapping, point_set)
+    return found.tpc_alpha, found.tpc_alpha_witness, found.uniform_tpc
 
 
 def estimate_large_tpc_modulus(space, mapping: SelfMap, point_set=None,
                                eps_grid=None):
     """Triple modulus table delta(eps) plus the large perimeter-contraction verdict."""
-    eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    analysis = _analysis("triple", space, _prepare(space, mapping, point_set), eps_grid)
-    scope = _scope_of(space)
-    table = _modulus_table(analysis, _triple_witness)
-    strict = _strict_verdict(analysis, scope, "perimeter")
-    verdict = _modulus_verdict(analysis, table, scope, strict, "perimeter")
-    return table, verdict
+    found = triple_verdicts(space, mapping, point_set, eps_grid)
+    return found.triple_moduli, found.large_tpc
 
 
 def full_report(space, mapping: SelfMap, point_set=None,
                 eps_grid=None) -> ContractionReport:
-    """Run all classifiers on one prepared point set and cross-check implications."""
-    eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    scope = _scope_of(space)
+    """Both scans of one prepared point set, each with its cross-checks, as one report."""
+    eps_grid = _grid(eps_grid)
     prepared = _prepare(space, mapping, point_set)
-    pair = _analysis("pairwise", space, prepared, eps_grid)
-    triple = _analysis("triple", space, prepared, eps_grid)
-
-    pairwise_strict = _strict_verdict(pair, scope, "distance")
-    pair_table = _modulus_table(pair, _pair_witness)
-    large_contraction = _modulus_verdict(pair, pair_table, scope, pairwise_strict,
-                                         "distance")
-
-    triple_strict = _strict_verdict(triple, scope, "perimeter")
-    triple_table = _modulus_table(triple, _triple_witness)
-    large_tpc = _modulus_verdict(triple, triple_table, scope, triple_strict,
-                                 "perimeter")
-    alpha_witness = _triple_witness(triple.sup_witness)
-    uniform_tpc = _uniform_verdict(triple.sup_ratio, alpha_witness, scope, triple_strict)
-
-    if large_contraction.passed and not pairwise_strict.passed:
-        raise InternalConsistencyError(
-            "large-contraction verdict passed while the pairwise strict check failed")
-    if large_tpc.passed and not triple_strict.passed:
-        raise InternalConsistencyError(
-            "large perimeter-contraction verdict passed while the strict triple check failed")
-    if uniform_tpc.passed and not large_tpc.passed:
-        raise InternalConsistencyError(
-            "uniform perimeter verdict passed while the large perimeter verdict failed")
-
-    return ContractionReport(
-        scope=scope,
-        n_points=len(prepared[0]),
-        eps_grid=eps_grid,
-        pairwise_strict=pairwise_strict,
-        large_contraction=large_contraction,
-        pairwise_moduli=pair_table,
-        tpc_alpha=triple.sup_ratio,
-        tpc_alpha_witness=alpha_witness,
-        uniform_tpc=uniform_tpc,
-        triple_strict=triple_strict,
-        large_tpc=large_tpc,
-        triple_moduli=triple_table,
-        pairs_enumerated=pair.total,
-        triples_enumerated=triple.total,
-    )
+    return ContractionReport(scope=_scope_of(space), n_points=len(prepared[0]),
+                             eps_grid=eps_grid,
+                             **vars(_pair_verdicts(space, prepared, eps_grid)),
+                             **vars(_triple_verdicts(space, prepared, eps_grid)))

@@ -132,7 +132,7 @@ class FiniteMetricSpace:
     A space stores its table as its Lattice only (see table_lattice for the
     entries a table built in code may hold): ``dist_table`` is a view whose
     rows are built from the lattice on first read and cached, and
-    ``distance`` indexes the same cached rows.
+    ``distance`` converts the one lattice value it reads.
     """
 
     def __init__(self, points, dist_table, mode: str = "exact"):
@@ -205,17 +205,14 @@ class FiniteMetricSpace:
             raise InputError(f"unknown point identifier {label!r}") from None
 
     def distance(self, a, b) -> Scalar:
-        # the hot path of orbit and sweep checks: two dict lookups, one row index
+        # the hot path of orbit and sweep checks: two dict lookups, one lattice value
         index = self._index
         try:
             i = index[a]
             j = index[b]
         except KeyError:
             i, j = self.index(a), self.index(b)     # raises InputError for the unknown label
-        row = self._rows[i]
-        if row is None:
-            row = self._row(i)
-        return row[j]
+        return self.lattice.scalar(self.lattice.values.item(i, j))
 
     def eq(self, a, b) -> bool:
         return self.index(a) == self.index(b)
@@ -416,13 +413,15 @@ class Lattice:
 
     @cached_property
     def screenable(self) -> bool:
-        """True when float quotients of perimeters order items soundly.
+        """True for an int64 lattice and for a float lattice in FLOAT_LATTICE_RANGE.
 
-        That holds for an int64 lattice, where both perimeters lie below
-        2**53 and their float quotient is correctly rounded, and for a float
-        lattice whose nonzero |entries| lie in FLOAT_LATTICE_RANGE, where
-        perimeter products and quotients stay normal.  The scans screen
-        candidates by float ratio only on such a lattice.
+        On a float lattice whose nonzero |entries| lie in FLOAT_LATTICE_RANGE,
+        perimeter products and quotients stay normal, and the scans screen
+        candidates by float ratio only there.  They screen every exact lattice,
+        since a quotient of ints is correctly rounded at any size, so in exact
+        mode this only chooses the form in which fingerprint() hashes the
+        table: the value bytes of an int64 lattice, the formatted rows of an
+        object one.
         """
         if self.exact:
             return self.values.dtype != object

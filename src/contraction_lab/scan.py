@@ -8,12 +8,12 @@ Two engines back the classifiers:
   tables, float64 for float tables.  Pairs, and triples in blocks of whole
   outer indices, are scanned as numpy passes in lexicographic order:
   perimeters are summed in the order of direct enumeration, eps buckets are
-  found by searchsorted against lattice thresholds, and on a screenable
-  lattice each bucket's supremum is settled among the few items tied with
-  its float maximum (see _LatticeReduction).  Every value, witness and
-  count equals that of a pure-Python enumeration in the table's scalars
-  (the oracle the tests compare against).  A pair of points at distance
-  <= 0 is refused.
+  found by searchsorted against lattice thresholds, and each bucket's
+  supremum is settled among the few items tied with its float maximum, on
+  every exact lattice and on a screenable float one (_LatticeReduction).
+  Every value, witness and count equals that of a pure-Python enumeration
+  in the table's scalars (the oracle the tests compare against).  A pair of
+  points at distance <= 0 is refused.
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
@@ -25,10 +25,11 @@ Two engines back the classifiers:
   ratio maximum per eps bucket, in one (rows, buckets) array; an exact pass
   tiles only the rows that reach some bucket's floor, a proven float error
   bound below its maximum (_LineData.screen_floors), and there re-evaluates
-  every item at or above its floor exactly, checking strictness alike, in
-  row order.  Qualification thresholds (distance >= eps) are decided in
-  integer arithmetic, so bucket membership never suffers float boundary
-  errors.
+  every item at or above its floor, checking strictness alike, in row order,
+  by cross products of the images' int numerators and denominators; only a
+  bucket's winner and the strict witness become Fractions.  Qualification
+  thresholds (distance >= eps) are decided in integer arithmetic, so bucket
+  membership never suffers float boundary errors.
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -145,14 +146,14 @@ class _LatticeReduction:
     Items arrive in lexicographic witness order, a block of arrays at a time,
     and the result equals the sequential reduction of direct enumeration,
     which keeps the first item of each bucket's greatest ratio (_better).
-    On a lattice that is not screenable every item of a bucket is a
-    candidate, and the folds below are that reduction itself.  On a
-    screenable one (Lattice.screenable) a float screen narrows them:
+    On every exact lattice, and on a screenable float one, a float screen
+    narrows the candidates; on any other float lattice every item of a
+    bucket is one, and _fold is that reduction itself.
 
-    * Exact mode: a float64 quotient of two ints below 2**53 is correctly
-      rounded, hence monotone in the exact ratio, so the exact bucket maximum
-      is among the items whose float ratio equals the bucket's float maximum.
-      Those are compared exactly; the lex-first one wins ties.
+    * Exact mode: the float quotient of two ints is correctly rounded
+      (_float_ratios), hence monotone in the exact ratio, so the exact bucket
+      maximum is among the items whose float ratio equals the bucket's float
+      maximum.  Those are compared exactly; the lex-first one wins ties.
     * Float mode: the enumeration compares float cross products.  Rounding
       is monotone, so an item whose float quotient is below the running
       entry's never replaces it, and the bucket maximum replaces every entry
@@ -185,30 +186,20 @@ class _LatticeReduction:
             if len(hits):
                 t = hits[0]
                 self.strict = (witness(t), den[t], num[t])
-        exact, screen = self.lattice.exact, self.lattice.screenable
-        if screen:
-            ratio = num / den
+        exact = self.lattice.exact
+        ratio = _float_ratios(num, den) if exact or self.lattice.screenable else None
         counts = np.bincount(bucket, minlength=len(self.counts)).tolist()
         for b, count in enumerate(counts):
             if not count:
                 continue
             self.counts[b] += count
             items = np.flatnonzero(bucket == b)
-            if screen:          # keep the items that can hold the bucket maximum
+            if ratio is not None:          # keep the items that can hold the bucket maximum
                 r = ratio[items]
                 top = r.max()
-                if exact:
-                    items = items[r == top]
-                else:
-                    items = items[r >= (top * (1 - FLOAT_BAND) if top > 0
-                                        else top * (1 + FLOAT_BAND))]
-            if exact:
-                entry = _exact_best(num, den, items, witness)
-                cur = self.best[b]
-                if cur is None or _better(*entry, *cur):
-                    self.best[b] = entry
-            else:
-                self.best[b] = _float_fold(num, den, items, witness, self.best[b])
+                items = items[r == top if exact else
+                              r >= (top * (1 - FLOAT_BAND) if top > 0 else top * (1 + FLOAT_BAND))]
+            self.best[b] = _fold(num, den, items, witness, self.best[b])
 
     def result(self, kind, eps, points):
         scalar = self.lattice.scalar
@@ -220,39 +211,42 @@ class _LatticeReduction:
                          self.lattice.exact)
 
 
-def _exact_best(num, den, cands, witness):
-    """Exact maximum over candidates (in lex order), lex-first on ties."""
-    cn, cd = num[cands], den[cands]
-    g = np.gcd(cn, cd)
-    rn, rd = cn // g, cd // g
-    if (rn == rn[0]).all() and (rd == rd[0]).all():
-        t = cands[0]
-        return int(num[t]), int(den[t]), witness(t)
-    best = None
-    for t in cands.tolist():   # distinct ratios
-        entry = (int(num[t]), int(den[t]), witness(t))
-        if best is None or _better(*entry, *best):
-            best = entry
-    return best
+def _quotient(a, b):
+    """a / b for ints, b > 0, correctly rounded; beyond the float range +-inf keeps the order."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
 
 
-def _float_fold(num, den, cands, witness, cur):
+def _float_ratios(num, den):
+    """Correctly rounded float quotients num / den, monotone in the exact ratio (_quotient)."""
+    if num.dtype != object:
+        return num / den
+    return np.frompyfunc(_quotient, 2, 1)(num, den).astype(np.float64)
+
+
+def _fold(num, den, cands, witness, cur):
     """Fold candidates (in lex order) into the running entry as enumeration does.
 
     Every candidate follows cur in lex order, so a tie never replaces it:
     the next replacement is the first candidate whose cross product wins.
     """
     cn, cd = num[cands], den[cands]
+    if cn.dtype != np.float64:      # exact: Python-int products; one item stands for one ratio
+        g = np.gcd(cn, cd)
+        if (cn // g == cn[0] // g[0]).all() and (cd // g == cd[0] // g[0]).all():
+            cands, cn, cd = cands[:1], cn[:1], cd[:1]
+        cn, cd = cn.astype(object), cd.astype(object)
     start = 0
     if cur is None:
-        cur = (float(cn[0]), float(cd[0]), witness(cands[0]))
-        start = 1
+        cur, start = (cn[0], cd[0], witness(cands[0])), 1
     while start < len(cands):
         wins = np.flatnonzero(cn[start:] * cur[1] > cur[0] * cd[start:])
         if not len(wins):
             break
         t = start + int(wins[0])
-        cur = (float(cn[t]), float(cd[t]), witness(cands[t]))
+        cur = (cn[t], cd[t], witness(cands[t]))
         start = t + 1
     return cur
 
@@ -331,6 +325,8 @@ class _LineData:
         self.den = den
         self.points = tuple(points)    # Fractions, ascending
         self.images = tuple(images)    # Fractions
+        # the exact pass's images: int numerators and positive denominators
+        self.inums, self.idens = [v.numerator for v in images], [v.denominator for v in images]
         self.nums = np.asarray(numerators, dtype=np.int64)
         self.tvals = np.array([float(v) for v in images], dtype=np.float64)
         self.n = len(self.points)
@@ -431,10 +427,11 @@ class _LinePairs(_LineData):
 
 
 class _PairRow:
-    """Exact evaluation of the pairs (i, i+1+h) of one row.
+    """Exact evaluation of the pairs (i, i+1+h) of one row, in Python ints.
 
-    An entry's ratio is the image distance over the span in 1/den units,
-    as two ints, which order items like their exact ratios.
+    With images a/b, an entry's ratio is the image distance over the span
+    in 1/den units as the unreduced ints |a_j*b_i - a_i*b_j| and
+    b_i*b_j*span, which order items like their exact ratios (_better).
     """
 
     def __init__(self, data, i):
@@ -443,9 +440,8 @@ class _PairRow:
     def entry(self, h):
         """(image distance numerator, its denominator times the span, witness)."""
         i, j = self.i, self.i + 1 + h
-        images, nums = self.data.images, self.data.numerators
-        dt = abs(images[j] - images[i])
-        return dt.numerator, dt.denominator * (nums[j] - nums[i]), (i, j)
+        a, b, nums = self.data.inums, self.data.idens, self.data.numerators
+        return abs(a[j] * b[i] - a[i] * b[j]), b[i] * b[j] * (nums[j] - nums[i]), (i, j)
 
     def strict_witness(self, h):
         num, den_span, wit = self.entry(h)
@@ -498,65 +494,68 @@ class _LineTriples(_LineData):
 
 
 class _TripleRow:
-    """Exact evaluation of the triples (i, j, i+2+h) of one row, h <= reach.
+    """Exact evaluation of the triples (i, j, i+2+h) of one row, h <= reach, in Python ints.
 
-    The running maximum and minimum of the middle images j = i+1..i+1+h,
-    each with its first index, are computed once, so each (i, k) is settled
-    in O(1): its best middle point, and its lex-first strict violation by
-    bisection of the monotone running extrema.  A sorted triple's perimeter
-    is twice its span and its image perimeter twice its image spread;
-    entries are ints as in _PairRow.
+    The running maximum and minimum of the middle images j = i+1..i+1+h, as
+    (numerator, denominator, first index), are computed once, so each (i, k)
+    is settled in O(1) by cross products: its best middle point, and its
+    lex-first strict violation by bisection of the monotone running extrema.
+    Entries are unreduced ints as in _PairRow (perimeters are twice spans).
     """
 
     def __init__(self, data, i, reach):
         self.data, self.i = data, i
-        images = data.images
-        top = bottom = images[i + 1]
-        top_j = bottom_j = i + 1
-        runs = []
+        a, b = data.inums, data.idens
+        ta, tb, top_j = ba, bb, bottom_j = a[i + 1], b[i + 1], i + 1
+        self.tops, self.bottoms = tops, bottoms = [], []
         for j in range(i + 1, i + 2 + reach):
-            v = images[j]
-            if v > top:
-                top, top_j = v, j
-            elif v < bottom:
-                bottom, bottom_j = v, j
-            runs.append((top, top_j, -bottom, bottom_j))
-        # running maximum, the first index reaching it; running minimum negated, its index
-        self.top, self.top_at, self.neg_bottom, self.bottom_at = zip(*runs)
+            aj, bj = a[j], b[j]
+            if aj * tb > ta * bj:
+                ta, tb, top_j = aj, bj, j
+            elif aj * bb < ba * bj:
+                ba, bb, bottom_j = aj, bj, j
+            tops.append((ta, tb, top_j))
+            bottoms.append((ba, bb, bottom_j))
 
     def _ends(self, h):
-        """k = i+2+h, the lower and higher image of i and k, and the span."""
+        """k = i+2+h, the lower and the higher image of i and k as (num, den), and the span."""
         i, k = self.i, self.i + 2 + h
-        images, nums = self.data.images, self.data.numerators
-        return k, min(images[i], images[k]), max(images[i], images[k]), nums[k] - nums[i]
+        a, b = self.data.inums, self.data.idens
+        lo, hi = (a[i], b[i]), (a[k], b[k])
+        if lo[0] * hi[1] > hi[0] * lo[1]:
+            lo, hi = hi, lo
+        return k, lo, hi, self.data.numerators[k] - self.data.numerators[i]
 
     def entry(self, h):
         """(image spread numerator, its denominator times the span, witness).
 
-        The middle point is the best one, the smallest on ties.
+        The spread is the greatest of hi - lo, top - lo and hi - bottom; the
+        middle point is the best one, the smallest on ties.
         """
-        k, lo, hi, span = self._ends(h)
-        ends = hi - lo
-        up = self.top[h] - lo
-        down = hi + self.neg_bottom[h]
-        best = max(ends, up, down)
-        if best == ends:
-            j = self.i + 1
-        elif up != down:
-            j = self.top_at[h] if up > down else self.bottom_at[h]
-        else:
-            j = min(self.top_at[h], self.bottom_at[h])
-        return best.numerator, best.denominator * span, (self.i, j, k)
+        k, (la, lb), (ha, hb), span = self._ends(h)
+        (ta, tb, top_j), (ba, bb, bottom_j) = self.tops[h], self.bottoms[h]
+        ends = (ha * lb - la * hb, hb * lb)
+        up = (ta * lb - la * tb, tb * lb)
+        down = (ha * bb - ba * hb, hb * bb)
+        sign = up[0] * down[1] - down[0] * up[1]
+        far = up if sign >= 0 else down
+        if ends[0] * far[1] >= far[0] * ends[1]:
+            return ends[0], ends[1] * span, (self.i, self.i + 1, k)
+        j = top_j if sign > 0 else bottom_j if sign < 0 else min(top_j, bottom_j)
+        return far[0], far[1] * span, (self.i, j, k)
 
     def strict_witness(self, h):
         """Lex-first triple (i, j, i+2+h) whose perimeter does not decrease, or None."""
-        k, lo, hi, span = self._ends(h)
-        half = Fraction(span, self.data.den)
-        if hi - lo >= half:
+        k, (la, lb), (ha, hb), span = self._ends(h)
+        den = self.data.den
+        if (ha * lb - la * hb) * den >= span * hb * lb:      # hi - lo >= span / den
             return (self.i, self.i + 1, k)
-        # a middle image at or above lo + half, or at or below hi - half, violates
-        t = min(bisect_left(self.top, lo + half, 0, h + 1),
-                bisect_left(self.neg_bottom, half - hi, 0, h + 1))
+        # a middle image at or above lo + span/den, or at or below hi - span/den, violates
+        up_n, up_d = la * den + span * lb, lb * den
+        down_n, down_d = ha * den - span * hb, hb * den
+        t = min(bisect_left(self.tops, 0, 0, h + 1, key=lambda r: r[0] * up_d - up_n * r[1]),
+                bisect_left(self.bottoms, 0, 0, h + 1,
+                            key=lambda r: down_n * r[1] - r[0] * down_d))
         return (self.i, self.i + 1 + t, k) if t <= h else None
 
 
@@ -617,7 +616,7 @@ def _line_exact_pass(data, row_max, floors, strict_floors):
                 continue
         ratio, off = data.tile(rows)
         cands = _select(ratio, off, data.before[rows], np.tile(floor_of, (len(rows), 1)))
-        if strict is None:
+        if strict is None and suspect[rows].any():
             suspects = _select(ratio, off, data.before[rows],
                                np.where(suspect[rows, None], strict_floor_of, np.inf))
         for r, i in enumerate(rows.tolist()):

@@ -159,14 +159,21 @@ def _enumerable(space, mapping) -> bool:
 
 def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
             report: classify.ContractionReport = None) -> TheoremVerdict:
-    """Evaluate one theorem's hypotheses and conclusion on an instance."""
+    """Evaluate one theorem's hypotheses and conclusion on an instance.
+
+    The hypotheses read the verdicts of report, a full_report of the
+    instance, when one is given; otherwise only the scan they need runs:
+    the pair scan for burton, the triple scan for the other theorems.
+    """
     if theorem_id not in THEOREM_IDS:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     scope_qualified = isinstance(space, SampledSpace)
     notes = []
 
     if report is None:
-        report = classify.full_report(space, mapping, eps_grid=eps_grid)
+        scan_verdicts = (classify.pair_verdicts if theorem_id == "burton"
+                         else classify.triple_verdicts)
+        report = scan_verdicts(space, mapping, eps_grid=eps_grid)
 
     hypotheses = []
     trace = None

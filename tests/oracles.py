@@ -1,11 +1,14 @@
-"""Reference loops for the finite-table engine: direct enumeration in the table's scalars.
+"""Reference code for the scans: direct enumeration in the table's scalars, and Fraction rows.
 
 scan.table_pair_analysis, scan.table_triple_analysis and
 metric_core.validate_metric must give the same values, witnesses and
-counts as these loops, with the same scalar types.
+counts as these loops, with the same scalar types.  The line engine's int
+rows (scan._PairRow, scan._TripleRow) must give the same witnesses and
+ratios as FractionPairRow and FractionTripleRow.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import combinations
 
 from contraction_lab import scan
@@ -71,3 +74,75 @@ def metric_violations_loops(dist_table, exact):
                     triangle.append((i, j, k, dist_table[i][k], dij + dist_table[j][k]))
     return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
             "symmetry": tuple(symmetry), "triangle": tuple(triangle)}
+
+
+class FractionPairRow:
+    """The pairs (i, i+1+h) of one line-engine row, evaluated in Fractions."""
+
+    def __init__(self, data, i, reach=None):
+        self.data, self.i = data, i
+
+    def entry(self, h):
+        """(image distance numerator, its denominator times the span, witness)."""
+        i, j = self.i, self.i + 1 + h
+        images, nums = self.data.images, self.data.numerators
+        dt = abs(images[j] - images[i])
+        return dt.numerator, dt.denominator * (nums[j] - nums[i]), (i, j)
+
+    def strict_witness(self, h):
+        num, den_span, wit = self.entry(h)
+        return wit if num * self.data.den >= den_span else None
+
+
+class FractionTripleRow:
+    """The triples (i, j, i+2+h) of one line-engine row, h <= reach, in Fractions.
+
+    Running Fraction extrema of the middle images, each with its first
+    index; the best middle point, smallest on ties; the lex-first strict
+    violation by bisection of the running extrema.
+    """
+
+    def __init__(self, data, i, reach):
+        self.data, self.i = data, i
+        images = data.images
+        top = bottom = images[i + 1]
+        top_j = bottom_j = i + 1
+        runs = []
+        for j in range(i + 1, i + 2 + reach):
+            v = images[j]
+            if v > top:
+                top, top_j = v, j
+            elif v < bottom:
+                bottom, bottom_j = v, j
+            runs.append((top, top_j, -bottom, bottom_j))
+        self.top, self.top_at, self.neg_bottom, self.bottom_at = zip(*runs)
+
+    def _ends(self, h):
+        i, k = self.i, self.i + 2 + h
+        images, nums = self.data.images, self.data.numerators
+        return k, min(images[i], images[k]), max(images[i], images[k]), nums[k] - nums[i]
+
+    def entry(self, h):
+        """(image spread numerator, its denominator times the span, witness)."""
+        k, lo, hi, span = self._ends(h)
+        ends = hi - lo
+        up = self.top[h] - lo
+        down = hi + self.neg_bottom[h]
+        best = max(ends, up, down)
+        if best == ends:
+            j = self.i + 1
+        elif up != down:
+            j = self.top_at[h] if up > down else self.bottom_at[h]
+        else:
+            j = min(self.top_at[h], self.bottom_at[h])
+        return best.numerator, best.denominator * span, (self.i, j, k)
+
+    def strict_witness(self, h):
+        """Lex-first triple (i, j, i+2+h) whose perimeter does not decrease, or None."""
+        k, lo, hi, span = self._ends(h)
+        half = Fraction(span, self.data.den)
+        if hi - lo >= half:
+            return (self.i, self.i + 1, k)
+        t = min(bisect_left(self.top, lo + half, 0, h + 1),
+                bisect_left(self.neg_bottom, half - hi, 0, h + 1))
+        return (self.i, self.i + 1 + t, k) if t <= h else None

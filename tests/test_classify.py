@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
 from unittest import mock
@@ -27,7 +29,7 @@ from contraction_lab.metric_core import (
     validate_metric,
 )
 from contraction_lab.theorem_lab import SearchConfig, random_instance
-from oracles import metric_violations_loops, table_loops
+from oracles import FractionPairRow, FractionTripleRow, metric_violations_loops, table_loops
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,32 @@ def random_table(rng, n, den, magnitude=1, offsets=False, exact=True, primes=Fal
     cell = (lambda v, q: F(v, q)) if exact else (lambda v, q: v / q)
     return [[cell(k[i][j] * magnitude + r[i][j], den * (WIDE_PRIMES[(i + j) % 3] if primes else 1))
              for j in range(n)] for i in range(n)]
+
+
+def overflow_table(rng, n):
+    """An exact table of n >= 6 points whose image-to-measure ratios reach past 2**1024.
+
+    Entries are k * s / p with k in 1..4, s in {1, 2**1000, 2**1100} and p
+    one of WIDE_PRIMES.  Points 0, 1 and 4 lie 1/p apart and points 2 and 3
+    at 2**1100 / p, so a map sending 0, 1 and 4 to 2, 3 and 5 divides to
+    +inf, for the pair (0, 1) and the triple (0, 1, 4) alike.
+    """
+    table = [[F(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = table[j][i] = F(rng.randint(1, 4) * rng.choice((1, 2 ** 1000, 2 ** 1100)),
+                                      rng.choice(WIDE_PRIMES))
+    for i, j in ((0, 1), (0, 4), (1, 4)):
+        table[i][j] = table[j][i] = F(1, WIDE_PRIMES[0])
+    table[2][3] = table[3][2] = F(2 ** 1100, WIDE_PRIMES[1])
+    return tuple(tuple(row) for row in table)
+
+
+def float_ratio(num, den):
+    """The correctly rounded float of num / den, +inf beyond the float range."""
+    try:
+        return float(F(num) / F(den))
+    except OverflowError:
+        return math.inf
 
 
 @st.composite
@@ -216,6 +244,83 @@ class TestEngineAgainstNaiveOracle:
         got = self.two_pair_scan(*pairs, other=f74, exact=True)
         assert got.sup_ratio == f73 / f72
         assert got.sup_witness[0] == exact_winner
+
+    @pytest.mark.parametrize("exact_winner", [(0, 1), (2, 3)])
+    def test_distinct_ratios_on_one_float_on_an_object_lattice(self, exact_winner):
+        # the Fibonacci ratios again, each pair over its own prime: the lcm
+        # passes 2**53, so the float screen divides Python ints
+        fib = [0, 1]
+        while len(fib) < 75:
+            fib.append(fib[-1] + fib[-2])
+        f72, f73, f74 = (F(v) for v in fib[72:75])
+        p1, p2, p3 = WIDE_PRIMES
+        pairs = ((f72 / p1, f73 / p1), (f73 / p2, f74 / p2))
+        # a table over the same denominators has the same object lattice
+        assert table_lattice(((f72 / p1, f73 / p2), (f74 / p3, 0)), True).values.dtype == object
+        if exact_winner == (2, 3):
+            pairs = pairs[::-1]
+        got = self.two_pair_scan(*pairs, other=f74 / p3, exact=True)
+        assert got.sup_ratio == f73 / f72
+        assert got.sup_witness[0] == exact_winner
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ratios_beyond_the_float_range(self, seed):
+        # quotients past 2**1024 count as +inf, so the items tied there are
+        # compared exactly, as the loops compare them
+        rng = random.Random(seed)
+        n = rng.randint(6, 9)
+        table = overflow_table(rng, n)
+        images = [rng.randrange(n) for _ in range(n)]
+        images[:2], images[4] = [2, 3], 5
+        lattice = table_lattice(table, True)
+        assert lattice.values.dtype == object
+        nodes = list(range(n))
+        points = tuple(nodes)
+        eps = (F(1, 2), F(2 ** 1000))
+        for kind, engine in (("pairwise", scan.table_pair_analysis),
+                             ("triple", scan.table_triple_analysis)):
+            got = engine(lattice, nodes, images, eps, points)
+            want = table_loops(kind, table, nodes, images, eps, points, True)
+            assert repr(got) == repr(want), kind
+            assert float_ratio(got.sup_ratio, 1) == math.inf, kind
+
+    @pytest.mark.parametrize("shape", ["int64", "primes", "overflow"])
+    def test_exact_fold_sees_only_float_tied_items(self, monkeypatch, shape):
+        # each bucket's exact fold receives the items whose correctly rounded
+        # float ratio equals the bucket's float maximum, and no others
+        rng = random.Random(17)
+        n = 12
+        if shape == "overflow":
+            table = overflow_table(rng, n)
+        else:
+            table = tuple(tuple(row) for row in random_table(rng, n, 3, primes=shape == "primes"))
+        lattice = table_lattice(table, True)
+        assert (lattice.values.dtype == object) == (shape != "int64")
+        images = [rng.randrange(n) for _ in range(n)]
+        images[:2], images[4] = [2, 3], 5
+        nodes = list(range(n))
+        eps = tuple(sorted({table[0][1], table[2][5], table[4][7]}))
+        seen = []
+        fold = scan._fold
+
+        def recording(num, den, cands, witness, cur):
+            seen.append(sorted(witness(t) for t in cands.tolist()))
+            return fold(num, den, cands, witness, cur)
+
+        monkeypatch.setattr(scan, "_fold", recording)
+        got = scan.table_pair_analysis(lattice, nodes, images, eps, tuple(nodes))
+        assert got == table_loops("pairwise", table, nodes, images, eps, tuple(nodes), True)
+        buckets = {}
+        for i, j in combinations(nodes, 2):
+            ratio = float_ratio(table[images[i]][images[j]], table[i][j])
+            buckets.setdefault(bisect_right(eps, table[i][j]), {})[(i, j)] = ratio
+        want = []
+        for b in sorted(buckets):
+            top = max(buckets[b].values())
+            want.append(sorted(w for w, r in buckets[b].items() if r == top))
+        assert seen == want
+        if shape != "primes":       # den 3 makes exact ties, and overflows tie at +inf
+            assert any(len(items) > 1 for items in want)
 
     def test_float_cross_product_tie_keeps_first(self):
         # 1512/700 = 2106/975 exactly; in floats the first quotient is one
@@ -370,6 +475,48 @@ def line_scans(draw):
     return nums, den, points, images, tuple(sorted(eps))
 
 
+def primes_above(q, count):
+    """The count least primes above q."""
+    primes = []
+    while len(primes) < count:
+        q += 1
+        if all(q % f for f in range(2, int(q ** 0.5) + 1)):
+            primes.append(q)
+    return primes
+
+
+PRIMES_NEAR_MILLION = primes_above(10 ** 6, 24)
+
+
+@st.composite
+def int_row_inputs(draw):
+    """A line scan's inputs for the exact rows, in one of four image shapes.
+
+    Shapes: each image over its own prime denominator near 10**6 (products
+    of distinct primes in every cross product), images near 10**12 whose
+    floats cancel, all images tied, and ints of either sign, some negative.
+    With jumps, a few images lie exactly a span above their predecessor, so
+    strict violations sit on the boundary.
+    """
+    n = draw(st.integers(min_value=3, max_value=24))
+    den = draw(st.sampled_from((1, 3, 10)))
+    shape = draw(st.sampled_from(("primes", "cancelling", "tied", "ints")))
+    jumps = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    nums = sorted(rng.sample(range(4 * n), n))
+    points = [F(k, den) for k in nums]
+    images = {"primes": [F(rng.randrange(8 * p), p) for p in PRIMES_NEAR_MILLION[:n]],
+              "cancelling": [10 ** 12 + F(rng.randint(0, 1000), 10 ** 6) for _ in nums],
+              "tied": [F(7, 3)] * n,
+              "ints": [rng.randint(-50, 50) for _ in nums]}[shape]
+    if jumps:
+        for r in rng.sample(range(1, n), rng.randint(1, min(3, n - 1))):
+            images[r] = images[r - 1] + rng.choice((1, -1)) * (points[r] - points[r - 1])
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    eps = tuple(sorted(set(rng.sample(spans, min(len(spans), 3)))))
+    return nums, den, points, images, eps
+
+
 class TestLineEngineFuzz:
     def test_random_off_grid_images_match_naive_oracle(self):
         # non-monotone images, many off the sample grid, exercising the
@@ -479,6 +626,23 @@ class TestLineEngineFuzz:
                 # the int entry is the exact ratio over den (spans in 1/den units)
                 assert F(num, span_den) * den == entry[0] / entry[1]
                 assert row.strict_witness(k - i - 2) == strict
+
+    @given(int_row_inputs())
+    def test_int_rows_match_the_fraction_rows(self, case):
+        # every position of every row: the same witness, the same exact ratio
+        # (entries are unreduced), and the same strict witness
+        nums, den, points, images, eps = case
+        for kind, oracle in (("pairwise", FractionPairRow), ("triple", FractionTripleRow)):
+            data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+            for i in range(data.n - data.gap):
+                reach = data.n - data.gap - 1 - i
+                row, want_row = data.row(i, reach), oracle(data, i, reach)
+                for h in range(reach + 1):
+                    num, den_span, wit = row.entry(h)
+                    want_num, want_den_span, want_wit = want_row.entry(h)
+                    assert wit == want_wit, (kind, i, h)
+                    assert num * want_den_span == want_num * den_span, (kind, i, h)
+                    assert row.strict_witness(h) == want_row.strict_witness(h), (kind, i, h)
 
     def test_many_float_tied_triples_settle_per_row(self):
         # x/2 on 0..159 with the last image raised by 1e-12: every (i, k) is

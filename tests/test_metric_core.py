@@ -455,6 +455,9 @@ class TestLatticeLoad:
              "dist": [[cell(v) for v in row] for row in raw]})
         assert all(row is None for row in space._rows)
         assert space.distance(0, 3) == expected
+        assert type(space.distance(0, 3)) is type(expected)
+        assert all(row is None for row in space._rows)    # distance reads one lattice value
+        assert space.dist_table[0][3] == expected
         assert [row is None for row in space._rows] == [False, True, True, True]
 
     def test_clean_instance_builds_no_rows(self):

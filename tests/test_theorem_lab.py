@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ class TestVerdicts:
         v = verdict("burton", space, mapping, x0=2)
         assert v.status == "confirmed"
         assert v.unique == "pass"
+
+    @pytest.mark.parametrize("theorem", theorem_lab.THEOREM_IDS)
+    def test_one_scan_verdicts_match_the_full_report(self, theorem):
+        # verdict runs only the scan its hypotheses read; fed a full_report,
+        # it reads that report instead, and both give the same verdict
+        instances = [seeded_counterexample(), line_instance([0, 1, 3], [0, 1, 0])]
+        instances += [random_instance(SearchConfig(seed=4, trials=6), t) for t in range(6)]
+        for entry in (catalog("floor_half", integer_max=40),
+                      catalog("burton_logistic", grid_step=F(1, 16)),
+                      catalog("composite", grid_step=F(1, 8), index_max=3)):
+            instances.append((entry.space, entry.map))
+        unused = "_triple_verdicts" if theorem == "burton" else "_pair_verdicts"
+        for space, mapping in instances:
+            x0 = space.point_set()[0]
+            want = verdict(theorem, space, mapping, x0=x0,
+                           report=classify.full_report(space, mapping))
+            with mock.patch.object(classify, unused, side_effect=AssertionError(unused)):
+                got = verdict(theorem, space, mapping, x0=x0)
+            assert got.to_json() == want.to_json()
 
     def test_two_fixed_points_refute_uniqueness_claims(self):
         # 0 and 1 fixed, 3 -> 0: strict perimeter contraction, no 2-cycles
