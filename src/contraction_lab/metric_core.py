@@ -7,7 +7,8 @@ stored as its lattice (numerators over one scale, or float64), parsed
 straight from the document when loaded; its table rows of Fractions or
 floats are built only when read.  All strict-inequality
 decisions are exact in rational mode; float mode compares with a fixed
-tolerance ETA.
+tolerance ETA.  shortest_path_closure is the one shortest-path closure, run
+by metric_repair and by theorem_lab's validation sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from numbers import Real
 from typing import Union
 
@@ -87,13 +87,6 @@ def format_point(p):
     return str(p) if isinstance(p, Fraction) else p
 
 
-def strictly_less(a: Scalar, b: Scalar, exact: bool) -> bool:
-    """a < b, requiring an ETA margin in float mode."""
-    if exact:
-        return a < b
-    return a < b - ETA
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -137,8 +130,6 @@ class FiniteMetricSpace:
 
     def __init__(self, points, dist_table, mode: str = "exact"):
         self._init_points(points, mode)
-        if len(dist_table) != len(self.points):
-            raise InputError("distance table must be square and match the point count")
         self._store(table_lattice(dist_table, self.exact))
 
     def _init_points(self, points, mode):
@@ -161,6 +152,8 @@ class FiniteMetricSpace:
         return space
 
     def _store(self, lattice):
+        if len(lattice.values) != len(self.points):
+            raise InputError("distance table must be square and match the point count")
         self.lattice = lattice
         self._rows = [None] * len(self.points)
         self.dist_table = _LatticeRows(self)
@@ -374,11 +367,6 @@ class SampledSpace:
     def eq(self, a, b) -> bool:
         return Fraction(a) == Fraction(b)
 
-    def as_finite(self) -> FiniteMetricSpace:
-        pts = self.point_set()
-        table = tuple(tuple(abs(p - q) for q in pts) for p in pts)
-        return FiniteMetricSpace(points=pts, dist_table=table, mode="exact")
-
     def to_json(self) -> dict:
         return {
             "sampled": self.description,
@@ -410,6 +398,12 @@ class Lattice:
     def scalar(self, v):
         """The table scalar for one lattice value."""
         return Fraction(int(v), self.scale) if self.exact else float(v)
+
+    def with_values(self, values: np.ndarray) -> "Lattice":
+        """The Lattice of a square array in this lattice's units, reduced by exact_lattice when exact."""
+        if self.exact:
+            return exact_lattice(values, self.scale)
+        return Lattice(values=values, scale=1, exact=False)
 
     @cached_property
     def screenable(self) -> bool:
@@ -454,17 +448,29 @@ def table_lattice(dist_table, exact: bool) -> Lattice:
     if exact:
         scale = math.lcm(*{v.denominator for v in entries})
         nums = [v.numerator * (scale // v.denominator) for v in entries]
-        wide = 3 * max(map(abs, nums), default=0) >= LATTICE_LIMIT
-        values = np.array(nums, dtype=object if wide else np.int64)
-    else:
-        scale, floats = 1, []
-        for t, v in enumerate(entries):
-            try:
-                floats.append(float(v))
-            except OverflowError:
-                raise refused(t, "beyond the float range") from None
-        values = np.array(floats, dtype=np.float64)
-    return Lattice(values=values.reshape(n, n), scale=scale, exact=exact)
+        return exact_lattice(np.array(nums, dtype=object).reshape(n, n), scale)
+    floats = []
+    for t, v in enumerate(entries):
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise refused(t, "beyond the float range") from None
+    return Lattice(values=np.array(floats, dtype=np.float64).reshape(n, n), scale=1, exact=False)
+
+
+def exact_lattice(values: np.ndarray, scale: int) -> Lattice:
+    """The canonical exact Lattice of a square int array over scale.
+
+    Values and scale are divided by their gcd (a closed or restricted table
+    can have a smaller lcm: 3/4 closes to 2/3 next to 1/3), then stored as
+    int64 when 3 * max |value| < LATTICE_LIMIT, as Python ints otherwise.
+    """
+    nums = values.ravel().tolist()
+    g = math.gcd(scale, *nums)
+    nums = [v // g for v in nums]
+    wide = 3 * max(map(abs, nums), default=0) >= LATTICE_LIMIT
+    values = np.array(nums, dtype=object if wide else np.int64).reshape(values.shape)
+    return Lattice(values=values, scale=scale // g, exact=True)
 
 
 _RATIO_CHARS = "0123456789+-/"
@@ -605,40 +611,49 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
                             triangle=tuple(triangle))
 
 
+def shortest_path_closure(tables: np.ndarray) -> np.ndarray:
+    """The shortest-path closure of a (B, n, n) stack of lattice tables, as a new array.
+
+    The stack holds int64, Python ints or float64 (checked with the ETA
+    margin).  Each diagonal must lie in [0, margin], each table be symmetric
+    and positive off it; else InputError names the first bad entry of the
+    first bad table in loop order: the diagonal, then each pair i < j,
+    symmetry first.  With no negative diagonal, Floyd-Warshall step k keeps
+    row and column k, so one numpy pass gives the in-place loop's sums.
+    """
+    dist = np.array(tables)
+    n = dist.shape[-1]
+    slack = ETA if dist.dtype.kind == "f" else 0
+    on_diagonal = np.diagonal(dist, 0, 1, 2)
+    bad_diagonal = ~((on_diagonal >= 0) & (on_diagonal <= slack))
+    pts = np.arange(n)
+    asymmetric = dist != dist.transpose(0, 2, 1)
+    bad_pair = (asymmetric | (dist <= slack)) & (pts[:, None] < pts)    # i < j
+    bad = bad_diagonal.any(1) | bad_pair.any((1, 2))
+    if bad.any():
+        b = int(bad.argmax())
+        if bad_diagonal[b].any():
+            i = int(bad_diagonal[b].argmax())
+            raise InputError(f"diagonal entry ({i},{i}) must be zero")
+        i, j = divmod(int(bad_pair[b].argmax()), n)
+        if asymmetric[b, i, j]:
+            raise InputError(f"table must be symmetric; entries ({i},{j}) differ")
+        raise InputError(f"off-diagonal entry ({i},{j}) must be positive (points are distinct)")
+    for k in range(n):
+        np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :], out=dist)
+    return dist
+
+
 def metric_repair(table: Sequence[Sequence[Scalar]], points=None, mode: str = "exact") -> FiniteMetricSpace:
     """Shortest-path closure of a symmetric positive table.
 
-    The result satisfies all metric axioms, never exceeds the input
-    entrywise, and is the input itself when that is already a metric.
+    The table's lattice (see table_lattice) is closed by
+    shortest_path_closure as a batch of one, and an exact result is reduced
+    to its canonical lattice (Lattice.with_values).  The result satisfies all
+    metric axioms, never exceeds the input entrywise, and is the input
+    itself when that is already a metric.
     """
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise InputError("distance table must be square")
-    exact = mode == "exact"
-    slack = 0 if exact else ETA
-    for i in range(n):
-        if abs(table[i][i]) > slack:
-            raise InputError(f"diagonal entry ({i},{i}) must be zero")
-    for i, j in combinations(range(n), 2):
-        if table[i][j] != table[j][i]:
-            raise InputError(f"table must be symmetric; entries ({i},{j}) differ")
-        if table[i][j] <= slack:
-            raise InputError(f"off-diagonal entry ({i},{j}) must be positive (points are distinct)")
-
-    dist = [list(row) for row in table]
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            di = dist[i]
-            for j in range(n):
-                via = dik + dk[j]
-                if via < di[j]:
-                    di[j] = via
-    if points is None:
-        points = tuple(range(n))
-    return FiniteMetricSpace(
-        points=tuple(points),
-        dist_table=tuple(tuple(row) for row in dist),
-        mode=mode,
-    )
+    lattice = table_lattice(table, mode == "exact")
+    closed = shortest_path_closure(lattice.values[None])[0]
+    points = tuple(range(len(closed))) if points is None else tuple(points)
+    return FiniteMetricSpace._from_lattice(points, lattice.with_values(closed), mode)

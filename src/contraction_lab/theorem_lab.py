@@ -14,7 +14,8 @@ one int64 array over the configured denominator, and the verdict flags,
 fixed points, orbits and orbit checks are computed for the whole stack at
 once.  Each call recomputes trial 0 through the per-trial path (the
 classifiers, the fixed-point and period-2 scans and Picard orbits) and fails
-if the batch disagrees with it.
+if the batch disagrees with it.  Both close their tables with
+metric_core.shortest_path_closure (random_instance through metric_repair).
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .metric_core import (
     InputError,
     InternalConsistencyError,
     SampledSpace,
+    exact_lattice,
     format_point,
     format_scalar,
     metric_repair,
+    shortest_path_closure,
 )
 
 THEOREM_IDS = ("burton", "petrov", "mesmouli_uncorrected", "corrected_main")
@@ -322,17 +325,16 @@ def _draw(config: SearchConfig, trial_index: int):
 
 
 def random_instance(config: SearchConfig, trial_index: int):
-    """Deterministic (seed, trial) -> (space, map); the table is repaired to a metric."""
+    """Deterministic (seed, trial) -> (space, map): the drawn int table, closed, over the denominator."""
     if trial_index >= config.trials:
         raise InputError("trial index exceeds the configured trial count")
     n, ks, images = _draw(config, trial_index)
     raw = [[0] * n for _ in range(n)]
     for (i, j), k in zip(combinations(range(n), 2), ks):
         raw[i][j] = raw[j][i] = k
-    repaired = metric_repair(raw)  # integer shortest-path closure
-    den = config.denominator
-    table = tuple(tuple(Fraction(v, den) for v in row) for row in repaired.lattice.values.tolist())
-    space = FiniteMetricSpace(points=tuple(range(n)), dist_table=table, mode="exact")
+    closed = metric_repair(raw).lattice.values      # over scale 1: the closed ints
+    space = FiniteMetricSpace._from_lattice(
+        tuple(range(n)), exact_lattice(closed, config.denominator), "exact")
     mapping = SelfMap(space=space, name=f"random[{config.seed}:{trial_index}]",
                       table=tuple(images))
     return space, mapping
@@ -420,8 +422,8 @@ def search_refutations(theorem_id: str, config: SearchConfig) -> SearchFindings:
 def _restrict(space: FiniteMetricSpace, mapping: SelfMap, keep):
     keep = tuple(keep)
     idx = [space.index(p) for p in keep]
-    table = tuple(tuple(space.dist_table[i][j] for j in idx) for i in idx)
-    sub_space = FiniteMetricSpace(points=keep, dist_table=table, mode=space.mode)
+    sub_space = FiniteMetricSpace._from_lattice(
+        keep, space.lattice.with_values(space.lattice.values[np.ix_(idx, idx)]), space.mode)
     sub_map = SelfMap(space=sub_space, name=mapping.name + "|restricted",
                       table=tuple(mapping.table[space.index(p)] for p in keep))
     return sub_space, sub_map
@@ -514,9 +516,12 @@ def run_validation(config: SearchConfig) -> dict:
     first = None
     for n, (trials, ks, images) in groups.items():
         size = max(1, SWEEP_ITEMS // n ** 3)
+        rows, cols = np.triu_indices(n, 1)
         for s in range(0, len(trials), size):
-            dist = _closed_tables(n, np.array(ks[s:s + size], dtype=np.int64))
-            found = _sweep_batch(out, trials[s:s + size], dist,
+            batch = np.array(ks[s:s + size], dtype=np.int64)
+            raw = np.zeros((len(batch), n, n), dtype=np.int64)
+            raw[:, rows, cols] = raw[:, cols, rows] = batch
+            found = _sweep_batch(out, trials[s:s + size], shortest_path_closure(raw),
                                  np.array(images[s:s + size], dtype=np.intp),
                                  config.denominator)
             if trials[s] == 0:
@@ -529,29 +534,6 @@ def run_validation(config: SearchConfig) -> dict:
     if first is not None:
         _audit_first_trial(config, first)
     return out
-
-
-def _closed_tables(n, ks):
-    """metric_repair on a stack of tables given by their upper-triangle ks.
-
-    Its input checks (zero diagonal, symmetric, positive off the diagonal),
-    then its shortest-path closure in Floyd-Warshall order, on (B, n, n)
-    int64 arrays.
-    """
-    rows, cols = np.triu_indices(n, 1)
-    raw = np.zeros((len(ks), n, n), dtype=np.int64)
-    raw[:, rows, cols] = ks
-    raw[:, cols, rows] = ks
-    diagonal = np.arange(n)
-    if raw[:, diagonal, diagonal].any():
-        raise InputError("diagonal entries must be zero")
-    if (raw[:, rows, cols] != raw[:, cols, rows]).any():
-        raise InputError("table must be symmetric")
-    if not (raw[:, rows, cols] > 0).all():
-        raise InputError("off-diagonal entries must be positive (points are distinct)")
-    for k in range(n):
-        np.minimum(raw, raw[:, :, k, None] + raw[:, None, k, :], out=raw)
-    return raw
 
 
 def _sweep_batch(out, trials, dist, images, den):

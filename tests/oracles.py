@@ -2,9 +2,10 @@
 
 scan.table_pair_analysis, scan.table_triple_analysis and
 metric_core.validate_metric must give the same values, witnesses and
-counts as these loops, with the same scalar types.  The line engine's int
-rows (scan._PairRow, scan._TripleRow) must give the same witnesses and
-ratios as FractionPairRow and FractionTripleRow.
+counts as these loops, with the same scalar types; metric_core.metric_repair
+the same checks, messages and closed table as closure_loops.  The line
+engine's int rows (scan._PairRow, scan._TripleRow) must give the same
+witnesses and ratios as FractionPairRow and FractionTripleRow.
 """
 
 from bisect import bisect_left, bisect_right
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from contraction_lab import scan
-from contraction_lab.metric_core import ETA
+from contraction_lab.metric_core import ETA, InputError
 
 
 def table_loops(kind, dist, nodes, images, eps, points, exact):
@@ -74,6 +75,31 @@ def metric_violations_loops(dist_table, exact):
                     triangle.append((i, j, k, dist_table[i][k], dij + dist_table[j][k]))
     return {"diagonal": tuple(diagonal), "positivity": tuple(positivity),
             "symmetry": tuple(symmetry), "triangle": tuple(triangle)}
+
+
+def closure_loops(table, exact):
+    """metric_repair's input checks and in-place Floyd-Warshall closure: the closed rows."""
+    n = len(table)
+    slack = 0 if exact else ETA
+    for i in range(n):
+        if not 0 <= table[i][i] <= slack:
+            raise InputError(f"diagonal entry ({i},{i}) must be zero")
+    for i, j in combinations(range(n), 2):
+        if table[i][j] != table[j][i]:
+            raise InputError(f"table must be symmetric; entries ({i},{j}) differ")
+        if table[i][j] <= slack:
+            raise InputError(f"off-diagonal entry ({i},{j}) must be positive (points are distinct)")
+    dist = [list(row) for row in table]
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            di = dist[i]
+            for j in range(n):
+                via = dik + dk[j]
+                if via < di[j]:
+                    di[j] = via
+    return dist
 
 
 class FractionPairRow:

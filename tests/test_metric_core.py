@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import closure_loops
 
 from contraction_lab.classify import full_report
 from contraction_lab.map_catalog import SelfMap
@@ -20,7 +21,8 @@ from contraction_lab.metric_core import (
     metric_repair,
     parse_scalar,
     perimeter,
-    strictly_less,
+    shortest_path_closure,
+    table_lattice,
     validate_metric,
 )
 
@@ -76,11 +78,6 @@ class TestScalars:
     def test_format_roundtrip(self):
         assert format_scalar(F(3, 4)) == "3/4"
         assert parse_scalar(format_scalar(F(-7, 3))) == F(-7, 3)
-
-    def test_strict_less_needs_margin_in_float_mode(self):
-        assert strictly_less(F(1, 3), F(1, 2), exact=True)
-        assert not strictly_less(0.5, 0.5 + ETA / 2, exact=False)
-        assert strictly_less(0.5, 0.5 + 2 * ETA, exact=False)
 
 
 class TestPerimeter:
@@ -209,6 +206,129 @@ class TestMetricRepair:
         with pytest.raises(InputError):
             metric_repair(table)
 
+    def test_negative_diagonal_is_refused_in_float_mode(self):
+        # within ETA of zero, but a closure over it used to return
+        # d(0, 1) = 0.9999999999999 and d(1, 0) = 0.9999999999998
+        table = [[-1e-13, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]
+        with pytest.raises(InputError, match=r"^diagonal entry \(0,0\) must be zero$"):
+            metric_repair(table, mode="float")
+
+    @pytest.mark.parametrize("mode, entries, message", [
+        ("exact", {(1, 1): F(-1, 2)}, r"diagonal entry \(1,1\) must be zero"),
+        ("exact", {(2, 2): F(1, 9)}, r"diagonal entry \(2,2\) must be zero"),
+        ("float", {(0, 0): -ETA / 4}, r"diagonal entry \(0,0\) must be zero"),
+        ("float", {(1, 1): 2 * ETA}, r"diagonal entry \(1,1\) must be zero"),
+        ("float", {(2, 2): float("nan")}, r"diagonal entry \(2,2\) must be zero"),
+        ("exact", {(2, 2): F(1), (0, 1): F(5)}, r"diagonal entry \(2,2\) must be zero"),
+        ("exact", {(1, 2): F(3, 4)}, r"table must be symmetric; entries \(1,2\) differ"),
+        ("exact", {(1, 2): F(0)}, r"table must be symmetric; entries \(1,2\) differ"),
+        ("float", {(0, 2): 1.5 + 1e-15}, r"table must be symmetric; entries \(0,2\) differ"),
+        ("exact", {(0, 2): F(0), (2, 0): F(0), (1, 2): F(7)},
+         r"off-diagonal entry \(0,2\) must be positive \(points are distinct\)"),
+        ("float", {(1, 2): ETA / 2, (2, 1): ETA / 2},
+         r"off-diagonal entry \(1,2\) must be positive \(points are distinct\)"),
+        ("exact", {(0, 1): F(-1), (1, 0): F(-1), (0, 2): F(2)},
+         r"off-diagonal entry \(0,1\) must be positive \(points are distinct\)"),
+    ])
+    def test_input_errors_name_the_first_bad_entry(self, mode, entries, message):
+        # loop order: every diagonal entry, then each pair i < j, symmetry first
+        scalar = F if mode == "exact" else float
+        table = [[scalar(v) for v in row] for row in ((0, 1, 1.5), (1, 0, 1), (1.5, 1, 0))]
+        for (i, j), v in entries.items():
+            table[i][j] = v
+        with pytest.raises(InputError, match=f"^{message}$"):
+            closure_loops(table, mode == "exact")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            metric_repair(table, mode=mode)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "wide", "float"])
+    @given(data=st.data())
+    def test_matches_the_loop_oracle(self, kind, data):
+        table = data.draw(repair_tables(kind))
+        exact = kind != "float"
+        mode = "exact" if exact else "float"
+        try:
+            rows = closure_loops(table, exact)
+        except InputError as exc:
+            with pytest.raises(InputError) as caught:
+                metric_repair(table, mode=mode)
+            assert str(caught.value) == str(exc)
+            return
+        expected = table_lattice(rows, exact)
+        lattice = metric_repair(table, mode=mode).lattice
+        assert lattice.exact == exact and lattice.scale == expected.scale
+        assert lattice.values.dtype == expected.values.dtype
+        assert repr(lattice.values.tolist()) == repr(expected.values.tolist())
+
+    def test_a_stack_names_the_first_bad_table(self):
+        good = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        asymmetric, zero_pair = good.copy(), good.copy()
+        asymmetric[2, 1] = 2
+        zero_pair[0, 2] = zero_pair[2, 0] = 0
+        with pytest.raises(InputError, match=r"entries \(1,2\) differ"):
+            shortest_path_closure(np.array([good, asymmetric, zero_pair]))
+        with pytest.raises(InputError, match=r"entry \(0,2\) must be positive"):
+            shortest_path_closure(np.array([good, zero_pair, asymmetric]))
+
+    def test_points_must_match_the_table(self):
+        with pytest.raises(InputError, match="match the point count"):
+            metric_repair([[0, 1, 1], [1, 0, 1], [1, 1, 0]], points=("a", "b", "c", "d"))
+
+    def test_closing_can_shrink_the_scale(self):
+        # 3/4 closes to 2/3 through two sides of 1/3: the lattice drops from 1/12 to 1/3
+        table = [[0, F(3, 4), F(1, 3)], [F(3, 4), 0, F(1, 3)], [F(1, 3), F(1, 3), 0]]
+        lattice = metric_repair(table).lattice
+        assert lattice.scale == 3 and lattice.values.tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+        # a denominator past 2**53 closed away leaves an int64 lattice
+        big = F(2 ** 60, 2 ** 61 - 1)
+        table = [[0, big, F(1, 4)], [big, 0, F(1, 4)], [F(1, 4), F(1, 4), 0]]
+        assert table_lattice(table, True).values.dtype == object
+        lattice = metric_repair(table).lattice
+        assert lattice.values.dtype == np.int64 and lattice.scale == 4
+
+
+_WIDE = 2 ** 53
+_BIG_DENOMINATORS = (2 ** 31 - 1, 2 ** 61 - 1)    # a lcm past 2**53 gives an object lattice
+
+
+@st.composite
+def repair_tables(draw, kind):
+    """A symmetric table for metric_repair, sometimes with one bad entry.
+
+    int: entries 1..64.  fraction: small denominators, and now and then a
+    huge one, which the closure may remove.  wide: ints of at least 2**53,
+    so the lattice is an object array.  float: entries in [2**-10, 64] with
+    diagonal entries in [0, ETA].
+    """
+    n = draw(st.integers(3, 6))
+    if kind == "int":
+        entry = st.integers(1, 64)
+    elif kind == "fraction":
+        entry = st.one_of(
+            st.fractions(F(1, 12), 4, max_denominator=12),
+            st.builds(F, st.integers(1, 2 ** 62), st.sampled_from(_BIG_DENOMINATORS)))
+    elif kind == "wide":
+        entry = st.integers(_WIDE, 8 * _WIDE)
+    else:
+        entry = st.floats(2 ** -10, 64)
+    zero = st.floats(0, ETA) if kind == "float" else st.just(0)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = draw(zero)
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(entry)
+    fault = draw(st.sampled_from((None, None, None, "diagonal", "asymmetric", "nonpositive")))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    if fault == "diagonal":
+        bad = (-ETA / 2, -1.0, 2 * ETA) if kind == "float" else (-1, 1)
+        table[i][i] = draw(st.sampled_from(bad))
+    elif fault == "asymmetric":
+        table[i][j] = draw(st.one_of(entry, st.just(0)))
+    elif fault == "nonpositive":
+        table[i][j] = table[j][i] = draw(st.sampled_from((0, -1) if kind != "float"
+                                                         else (0.0, ETA / 2, -1.0)))
+    return table
+
 
 class TestFiniteMetricSpace:
     def test_json_roundtrip_exact(self):
@@ -278,10 +398,6 @@ class TestSampledSpace:
             SampledSpace("bad", denominator=2, numerators=(1, 0))
         with pytest.raises(InputError):
             SampledSpace("bad", denominator=2, numerators=(0, 0))
-
-    def test_finite_view_is_a_metric(self):
-        space = SampledSpace("grid", denominator=8, numerators=(0, 1, 5, 8))
-        assert space.as_finite().validate().ok
 
 
 # ---------------------------------------------------------------------------

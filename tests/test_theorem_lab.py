@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import closure_loops
 
 from contraction_lab import classify, dynamics, theorem_lab
 from contraction_lab.map_catalog import SelfMap, apply, catalog
@@ -14,6 +15,7 @@ from contraction_lab.metric_core import (
     InternalConsistencyError,
     max_side,
     perimeter,
+    shortest_path_closure,
 )
 from contraction_lab.theorem_lab import (
     SearchConfig,
@@ -31,6 +33,26 @@ def line_instance(coords, images):
     table = tuple(tuple(abs(a - b) for b in coords) for a in coords)
     space = FiniteMetricSpace(points=tuple(range(len(coords))), dist_table=table)
     return space, SelfMap(space=space, name="test", table=tuple(images))
+
+
+def fraction_instance(config, trial):
+    """random_instance from Fraction rows closed by the loop oracle."""
+    n, ks, images = theorem_lab._draw(config, trial)
+    table = [[F(0)] * n for _ in range(n)]
+    for (i, j), k in zip(combinations(range(n), 2), ks):
+        table[i][j] = table[j][i] = F(k, config.denominator)
+    space = FiniteMetricSpace(points=tuple(range(n)), dist_table=closure_loops(table, True))
+    return space, SelfMap(space=space, name=f"random[{config.seed}:{trial}]",
+                          table=tuple(images))
+
+
+def fraction_restrict(space, mapping, keep):
+    """theorem_lab._restrict from the space's Fraction rows."""
+    idx = [space.index(p) for p in keep]
+    table = [[space.dist_table[i][j] for j in idx] for i in idx]
+    sub_space = FiniteMetricSpace(points=tuple(keep), dist_table=table, mode=space.mode)
+    return sub_space, SelfMap(space=sub_space, name=mapping.name + "|restricted",
+                              table=tuple(mapping.table[i] for i in idx))
 
 
 class TestVerdicts:
@@ -184,17 +206,32 @@ class TestRandomInstances:
 
     @pytest.mark.parametrize("bias", ["uniform", "period2"])
     def test_draws_and_closure_match_random_instance(self, bias):
-        # run_validation's draw and numpy closure against random_instance's
+        # run_validation's draw and closure of a stack against random_instance's
         # metric_repair, table and map
         cfg = SearchConfig(seed=41, trials=500, map_bias=bias)
         for t in range(cfg.trials):
             space, mapping = random_instance(cfg, t)
             n, ks, images = theorem_lab._draw(cfg, t)
-            dist = theorem_lab._closed_tables(n, np.array([ks], dtype=np.int64))[0]
+            raw = np.zeros((1, n, n), dtype=np.int64)
+            raw[0][np.triu_indices(n, 1)] = ks
+            dist = shortest_path_closure(raw + raw.transpose(0, 2, 1))[0]
             assert n == space.size
             assert space.dist_table == tuple(tuple(F(v, cfg.denominator) for v in row)
                                              for row in dist.tolist())
             assert mapping.table == tuple(images)
+
+    @pytest.mark.parametrize("seed, bias", [(3, "uniform"), (7, "period2")])
+    def test_instances_match_fraction_row_instances(self, seed, bias):
+        # the lattice, its scale and dtype, the fingerprint and the document
+        # of every instance equal those built from closed Fraction rows
+        cfg = SearchConfig(seed=seed, trials=300, map_bias=bias)
+        for t in range(cfg.trials):
+            (space, mapping), (ref_space, ref_map) = random_instance(cfg, t), fraction_instance(cfg, t)
+            assert space == ref_space and space.lattice.scale == ref_space.lattice.scale
+            assert space.lattice.values.dtype == ref_space.lattice.values.dtype
+            assert space.lattice.values.tolist() == ref_space.lattice.values.tolist()
+            assert space.fingerprint() == ref_space.fingerprint()
+            assert mapping.to_json() == ref_map.to_json()
 
     def test_biased_maps_contain_a_two_cycle(self):
         cfg = SearchConfig(seed=11, trials=30, map_bias="period2")
@@ -224,6 +261,26 @@ class TestSearch:
         cfg = SearchConfig(seed=7, trials=60, map_bias="period2")
         findings = search_refutations("mesmouli_uncorrected", cfg)
         assert any(r.trial >= 0 for r in findings.refutations)
+
+    @pytest.mark.parametrize("theorem", ["mesmouli_uncorrected", "corrected_main"])
+    @pytest.mark.parametrize("bias", ["uniform", "period2"])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_search_matches_fraction_row_instances(self, monkeypatch, theorem, bias, seed):
+        # findings and minimized instances against instances and restrictions
+        # built from Fraction rows, closed by the loop oracle
+        cfg = SearchConfig(seed=seed, trials=200, map_bias=bias)
+
+        def run():
+            findings = search_refutations(theorem, cfg)
+            minimized = [minimize_refutation(r.space, r.map, theorem)
+                         for r in findings.refutations]
+            return (findings.to_json(), [r.space.fingerprint() for r in findings.refutations],
+                    [(s.fingerprint(), m.to_json()) for s, m in minimized])
+
+        lattice_run = run()
+        monkeypatch.setattr(theorem_lab, "random_instance", fraction_instance)
+        monkeypatch.setattr(theorem_lab, "_restrict", fraction_restrict)
+        assert run() == lattice_run
 
     def test_search_restricted_to_refutable_statements(self):
         cfg = SearchConfig(seed=1, trials=1)
@@ -262,6 +319,18 @@ class TestMinimize:
         again = verdict("mesmouli_uncorrected", m_space, m_map,
                         x0=m_space.points[0])
         assert again.status == "refuted"
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_restriction_is_the_canonical_lattice(self, mode):
+        # dropping the point at 1/2 leaves whole distances: the scale goes from 2 to 1
+        space, mapping = line_instance([0, F(1, 2), 1, 3, 7], [0, 0, 0, 2, 2])
+        space = space.in_mode(mode)
+        sub_space, sub_map = theorem_lab._restrict(space, mapping, (0, 2, 3, 4))
+        ref_space, ref_map = fraction_restrict(space, mapping, (0, 2, 3, 4))
+        assert sub_space.lattice.scale == ref_space.lattice.scale == 1
+        assert sub_space.lattice.values.dtype == ref_space.lattice.values.dtype
+        assert sub_space.fingerprint() == ref_space.fingerprint()
+        assert sub_map.to_json() == ref_map.to_json()
 
     def test_non_refuting_input_rejected(self):
         space, mapping = line_instance([0, 1, 3], [0, 0, 0])
