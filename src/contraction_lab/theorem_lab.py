@@ -95,13 +95,9 @@ class TheoremVerdict:
         }
 
 
-_CLAIMS = {
-    # theorem_id -> (claims_existence, claims_count_le_two, claims_unique)
-    "burton": (True, True, True),
-    "petrov": (True, True, False),
-    "mesmouli_uncorrected": (True, True, True),
-    "corrected_main": (True, True, False),
-}
+# Every theorem claims that a fixed point exists and that there are at most
+# two; these also claim that it is unique.
+_CLAIMS_UNIQUE = frozenset({"burton", "mesmouli_uncorrected"})
 
 
 def _fmt_witness(witness):
@@ -141,16 +137,13 @@ def _hypothesis_bounded_orbit(space, mapping, x0) -> tuple:
         budget = SAMPLED_ORBIT_BUDGET
     trace = dynamics.picard_orbit(mapping, x0, max_steps=budget,
                                   residual_tol=CERTIFY_TOL)
-    L = trace.orbit_bound
+    L = format_scalar(trace.orbit_bound)
     if isinstance(space, FiniteMetricSpace):
-        detail = (f"finite space: orbit cycles within {space.size} steps; "
-                  f"L = {format_scalar(L)}")
-        return HypothesisResult("bounded_orbit", "pass", detail,
-                                witness={"L": format_scalar(L)}), trace
-    detail = (f"recorded orbit of {len(trace.states) - 1} steps stays within "
-              f"L = {format_scalar(L)} (scope evidence)")
-    return HypothesisResult("bounded_orbit", "pass", detail,
-                            witness={"L": format_scalar(L)}), trace
+        detail = f"finite space: orbit cycles within {space.size} steps; L = {L}"
+    else:
+        detail = (f"recorded orbit of {len(trace.states) - 1} steps stays within "
+                  f"L = {L} (scope evidence)")
+    return HypothesisResult("bounded_orbit", "pass", detail, witness={"L": L}), trace
 
 
 def _enumerable(space, mapping) -> bool:
@@ -222,11 +215,7 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
         else:
             notes.append("Picard orbit from x0 did not certify a fixed point within budget")
 
-    claims_exist, claims_le_two, claims_unique = _CLAIMS[theorem_id]
-    if not claims_unique:
-        unique_out = "not-claimed"
-    else:
-        unique_out = unique
+    claims_unique = theorem_id in _CLAIMS_UNIQUE
 
     if not complete:
         status = "inapplicable"
@@ -235,13 +224,7 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
     elif not hypotheses_pass:
         status = "inapplicable"
     else:
-        checked = []
-        if claims_exist:
-            checked.append(exists)
-        if claims_le_two:
-            checked.append(count_le_two)
-        if claims_unique:
-            checked.append(unique)
+        checked = [exists, count_le_two] + ([unique] if claims_unique else [])
         if any(c == "fail" for c in checked):
             status = "refuted"
         elif all(c == "pass" for c in checked):
@@ -260,7 +243,7 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
         fixed_points=fixed_points,
         fixed_point_exists=exists,
         count_le_two=count_le_two,
-        unique=unique_out,
+        unique=unique if claims_unique else "not-claimed",
         status=status,
         scope_qualified=scope_qualified,
         notes=tuple(notes),

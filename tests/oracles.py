@@ -6,11 +6,14 @@ counts as these loops, with the same scalar types; metric_core.metric_repair
 the same checks, messages and closed table as closure_loops.  The line
 engine's int rows (scan._PairRow, scan._TripleRow) must give the same
 witnesses and ratios as FractionPairRow and FractionTripleRow.
+cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from contraction_lab import scan
 from contraction_lab.metric_core import ETA, InputError
@@ -172,3 +175,29 @@ class FractionTripleRow:
         t = min(bisect_left(self.top, lo + half, 0, h + 1),
                 bisect_left(self.neg_bottom, half - hi, 0, h + 1))
         return (self.i, self.i + 1 + t, k) if t <= h else None
+
+
+def parity_case_violations(images):
+    """The halving map's parity cases, one per-i loop each: the (min parity, max parity) violated.
+
+    images[n] is the image of n.  A case bounds (images[k] - images[i]) / (k - i)
+    over k - i >= 2: by 3/4 for odd i and even k, by 1/2 in the other cases.
+    """
+    coords = np.arange(len(images))
+    violated = []
+    for lo_par, hi_par, num_mul, den_mul in (
+            (0, 0, 1, 2), (1, 1, 1, 2), (0, 1, 1, 2), (1, 0, 3, 4)):
+        # (spread)/(span) <= num_mul/den_mul  <=>  den_mul*spread <= num_mul*span
+        for i in range(len(coords) - 2):
+            if coords[i] % 2 != lo_par:
+                continue
+            ks = coords[i + 2:]
+            sel = ks % 2 == hi_par
+            if not sel.any():
+                continue
+            spread = images[i + 2:][sel] - images[i]
+            span = ks[sel] - coords[i]
+            if (den_mul * spread > num_mul * span).any():
+                violated.append((lo_par, hi_par))
+                break
+    return violated

@@ -1,15 +1,18 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from contraction_lab import scan
-from contraction_lab.cli import main
-from contraction_lab.map_catalog import catalog
+from contraction_lab.cli import _parity_cases_hold, main
+from contraction_lab.map_catalog import apply, catalog
 from contraction_lab.metric_core import FiniteMetricSpace, metric_repair
 from contraction_lab.map_catalog import SelfMap
-from oracles import table_loops
+from oracles import parity_case_violations, table_loops
 
 
 def run(args):
@@ -62,6 +65,19 @@ def wide_instance(path, kind, n=40, seed=3):
     return path
 
 
+# the reproduce document is pinned: its bytes, and its check ids in order
+REPRODUCE_SHA256 = "682b58c9f3194cc3a29dcbd1ab574f954d6140006e28b2193792c9323026d197"
+REPRODUCE_CHECK_IDS = [
+    "p2-alpha", "p2-large-tpc", "p2-large-contraction", "p2-fixed-points",
+    "p2-period2-points", "p2-uncorrected-refuted", "p2-corrected-inapplicable", "p2-orbit",
+    "b-large-contraction", "b-delta-1/8", "b-delta-1/4", "b-delta-1/2", "b-alpha",
+    "b-large-tpc", "b-picard",
+    "f-pairwise-witness", "f-alpha-bound", "f-parity-cases", "f-corrected", "f-orbit",
+    "c-large-contraction", "c-pairwise-delta1", "c-alpha", "c-large-tpc",
+    "c-triple-delta-half", "c-triple-delta-two", "c-triple-modulus-shape",
+]
+
+
 class TestReproduce:
     def test_full_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "a"
@@ -77,6 +93,36 @@ class TestReproduce:
         assert by_id["c-triple-delta-two"]["pass"] is True
         out = capsys.readouterr().out
         assert "[PASS] p2-alpha" in out
+
+    def test_document_is_pinned(self, tmp_path, capsys):
+        assert run(["reproduce", "--out", str(tmp_path)]) == 0
+        doc, path = read_only_json(tmp_path, "reproduce")
+        assert path.name == "reproduce-376d80927983.json"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REPRODUCE_SHA256
+        assert [c["id"] for c in doc["checks"]] == REPRODUCE_CHECK_IDS
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"[PASS] {c['id']}: {c['description']}" for c in doc["checks"]]
+        assert lines[-1] == f"report: {path}"
+
+
+class TestParityCases:
+    @pytest.mark.parametrize("max_n", [2, 3, 4, 7, 64, 256, 1000])
+    def test_floor_half_matches_the_loop_oracle(self, max_n):
+        entry = catalog("floor_half", integer_max=max_n)
+        images = np.array([int(apply(entry.map, x)) for x in entry.space.point_set()])
+        assert parity_case_violations(images) == []
+        assert _parity_cases_hold(images) is True
+
+    def test_one_broken_case_is_violated_by_both(self):
+        images = np.arange(17) // 2
+        images[2] += 1      # (0, 2) now has ratio 1, over the even/even bound 1/2
+        assert parity_case_violations(images) == [(0, 0)]
+        assert _parity_cases_hold(images) is False
+
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=16))
+    def test_arbitrary_images_match_the_loop_oracle(self, values):
+        images = np.array(values, dtype=np.int64)
+        assert _parity_cases_hold(images) == (parity_case_violations(images) == [])
 
 
 class TestClassify:
@@ -112,9 +158,24 @@ class TestClassify:
         bad.write_text("{not json")
         assert run(["classify", "--instance", str(bad), "--out", str(tmp_path)]) == 1
 
-    def test_empty_eps_grid_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("grid", ["", ",", "1/8,,1/4", "1/2,"],
+                             ids=["empty", "comma", "empty-middle", "trailing-comma"])
+    def test_empty_eps_grid_exits_1(self, tmp_path, capsys, grid):
         assert run(["classify", "--catalog", "period2_counterexample",
-                    "--eps-grid", "", "--out", str(tmp_path)]) == 1
+                    "--eps-grid", grid, "--out", str(tmp_path)]) == 1
+        assert "no empty entry" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_directory_as_instance_exits_1(self, tmp_path, capsys):
+        assert run(["classify", "--instance", str(tmp_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_file_as_output_directory_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(["classify", "--catalog", "period2_counterexample",
+                    "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_target_exits_1(self, tmp_path):
         assert run(["classify", "--out", str(tmp_path)]) == 1

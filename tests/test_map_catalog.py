@@ -1,8 +1,10 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from contraction_lab.classify import full_report
 from contraction_lab.map_catalog import (
     CATALOG_IDS,
     SelfMap,
@@ -67,7 +69,34 @@ class TestIterate:
             iterate(entry.map, F(1), -1)
 
 
+def readme_catalog_table():
+    """The README table of catalog verdicts: {catalog id: its four verdict cells}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## What the catalog instances classify to", 1)[1]
+    rows = {}
+    for line in section.splitlines()[1:]:
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            rows[cells[0].split("`")[1]] = cells[1:]
+        elif rows:
+            break
+    return rows
+
+
 class TestCatalog:
+    @pytest.mark.parametrize("entry_id", CATALOG_IDS)
+    def test_readme_table_matches_the_default_reports(self, entry_id):
+        cells = readme_catalog_table()[entry_id]
+        entry = catalog(entry_id)
+        report = full_report(entry.space, entry.map)
+        verdicts = (report.pairwise_strict, report.large_contraction, report.uniform_tpc,
+                    report.large_tpc)
+        assert [cell.split()[0].rstrip(",") for cell in cells] == [
+            "pass" if v.passed else "fail" for v in verdicts]
+
+    def test_readme_table_has_one_row_per_catalog_instance(self):
+        assert sorted(readme_catalog_table()) == sorted(CATALOG_IDS)
+
     def test_known_ids(self):
         for entry_id in CATALOG_IDS:
             entry = catalog(entry_id)
