@@ -101,30 +101,29 @@ def _load_target(args):
     one instance gets one name under any path, and two instances written in
     turn to one path get two.
     """
-    target = getattr(args, "catalog", None)
-    instance = getattr(args, "instance", None)
+    target, instance = args.catalog, args.instance
     if target and instance:
         raise InputError("give either --catalog or --instance, not both")
     if not (target or instance):
         raise InputError("one of --catalog or --instance is required")
     for flag in ("grid_step", "max_n"):
-        if getattr(args, flag, None) is not None and flag not in _TRUNCATIONS.get(target, ()):
+        if getattr(args, flag) is not None and flag not in _TRUNCATIONS.get(target, ()):
             where = f"catalog {target}" if target else "--instance files"
             raise InputError(f"--{flag.replace('_', '-')} does not apply to {where}")
     if target:
-        if getattr(args, "mode", None) == "float":
+        if args.mode == "float":
             raise InputError("catalog instances are exact; --mode float applies to "
                              "--instance files only")
         entry = catalog(
             target,
-            grid_step=getattr(args, "grid_step", None),
-            integer_max=getattr(args, "max_n", None),
-            index_max=getattr(args, "max_n", None),
+            grid_step=args.grid_step,
+            integer_max=args.max_n,
+            index_max=args.max_n,
         )
         origin = {"catalog": entry.id, "params": entry.params}
         return entry.space, entry.map, origin, origin
     space, mapping = load_instance(instance)
-    if getattr(args, "mode", None) and args.mode != space.mode:
+    if args.mode and args.mode != space.mode:
         space = space.in_mode(args.mode)
         mapping = SelfMap(space=space, name=mapping.name, table=mapping.table)
     images = [space.index(img) for img in mapping.table]
@@ -438,16 +437,15 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_target_args(p, with_mode=True):
+def _add_target_args(p):
     p.add_argument("--catalog", choices=CATALOG_IDS, help="catalog instance id")
     p.add_argument("--instance", help="path to a JSON instance file")
     p.add_argument("--grid-step", type=_rational_arg,
                    help="grid step for sampled catalog spaces (e.g. 1/512)")
     p.add_argument("--max-n", type=int,
                    help="truncation for integer-backed catalog spaces")
-    if with_mode:
-        p.add_argument("--mode", choices=("exact", "float"),
-                       help="arithmetic mode override for instance files")
+    p.add_argument("--mode", choices=("exact", "float"),
+                   help="arithmetic mode override for instance files")
 
 
 def _add_common_output(p):

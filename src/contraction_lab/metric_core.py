@@ -424,6 +424,11 @@ class Lattice:
         return bool(((size == 0) | ((size >= lo) & (size <= hi))).all())
 
 
+# The entry types every table of the mode accepts (exact, float), tested in
+# one pass; a table holding any other type runs the per-entry check.
+_PLAIN_TYPES = {True: {int, Fraction}, False: {int, float, Fraction}}
+
+
 def table_lattice(dist_table, exact: bool) -> Lattice:
     """Convert a square table of the mode's scalars to its Lattice.
 
@@ -442,9 +447,10 @@ def table_lattice(dist_table, exact: bool) -> Lattice:
                           f"in {mode} mode")
 
     kinds, wanted = ((int, Fraction), "an int or a Fraction") if exact else (Real, "a real number")
-    for t, v in enumerate(entries):
-        if isinstance(v, bool) or not isinstance(v, kinds):
-            raise refused(t, f"not {wanted}")
+    if not set(map(type, entries)) <= _PLAIN_TYPES[exact]:
+        for t, v in enumerate(entries):
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise refused(t, f"not {wanted}")
     if exact:
         scale = math.lcm(*{v.denominator for v in entries})
         nums = [v.numerator * (scale // v.denominator) for v in entries]

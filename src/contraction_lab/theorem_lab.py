@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, repeat
 
 import numpy as np
 
@@ -285,21 +285,34 @@ class SearchConfig:
         }
 
 
+def _below(bits, m, count):
+    """count draws of rng.randrange(m), made as CPython makes them.
+
+    bits is the generator's getrandbits.  Each draw takes m.bit_length() bits
+    and redraws until the value is below m (so m = 1 still takes a bit per
+    try), which is the rule randrange and randint follow on random.Random.
+    """
+    return islice(filter(m.__gt__, map(bits, repeat(m.bit_length()))), count)
+
+
 def _draw(config: SearchConfig, trial_index: int):
     """One trial's random draws: (n, ks, images).
 
     ks holds the raw distances k/den of the pairs i < j in row-major order.
-    random_instance and run_validation both draw through here, so their
-    streams agree call for call.
+    The draws are those of random.Random(f"{seed}:{trial}") making, in
+    order, randint(size_min, size_max) for n, randint(1, den) per pair,
+    randrange(n) per image and, under the period2 bias, randrange(n) and
+    randrange(n - 1) for the 2-cycle; _below makes them from getrandbits
+    directly.  random_instance and run_validation both draw through here,
+    so their streams agree call for call.
     """
-    rng = random.Random(f"{config.seed}:{trial_index}")
-    n = rng.randint(config.size_min, config.size_max)
-    den = config.denominator
-    ks = [rng.randint(1, den) for _ in range(n * (n - 1) // 2)]
-    images = [rng.randrange(n) for _ in range(n)]
+    bits = random.Random(f"{config.seed}:{trial_index}").getrandbits
+    n = config.size_min + next(_below(bits, config.size_max - config.size_min + 1, 1))
+    ks = [k + 1 for k in _below(bits, config.denominator, n * (n - 1) // 2)]
+    images = list(_below(bits, n, n))
     if config.map_bias == "period2":
-        a = rng.randrange(n)
-        b = rng.randrange(n - 1)
+        a = next(_below(bits, n, 1))
+        b = next(_below(bits, n - 1, 1))
         if b >= a:
             b += 1
         images[a] = b
@@ -535,6 +548,10 @@ def _sweep_batch(out, trials, dist, images, den):
     suffix of buckets does.  The suffixes are nested, so each large verdict
     needs only the items of the first grid bucket.
 
+    The orbit checks read (B, n) tables of d(p, Tp) <= 0, T(Tp) = p and
+    P(p, Tp, T(Tp)), and a (B, n, n) pair-domination table, each computed
+    once per point and gathered along the orbits.
+
     Returns the first instance's record for the audit: its
     (large_contraction, large_tpc, uniform_tpc) flags, fixed points, period-2
     points, and (halted_by, number of states) per start point.
@@ -593,8 +610,10 @@ def _sweep_batch(out, trials, dist, images, den):
         raise InternalConsistencyError(
             "uniform perimeter verdict passed while the large perimeter verdict failed")
 
+    image2 = np.take_along_axis(images, images, 1)      # T(Tp)
     fixed = images == pts
-    period2 = (np.take_along_axis(images, images, 1) == pts) & ~fixed
+    returns = image2 == pts
+    period2 = returns & ~fixed
     no_period2 = ~period2.any(1)
     corrected = large_tpc & no_period2
 
@@ -604,16 +623,18 @@ def _sweep_batch(out, trials, dist, images, den):
     # (period 2: Tx, x, Tx are recorded next, which are the following states
     # of the orbit), else at state n + 2 (budget).  An orbit on n points is
     # in its cycle by state n - 1, so a period-2 halt keeps within the n + 3
-    # states of a budget halt.
+    # states of a budget halt.  Each orbit check reads only a state and its
+    # successors, so it is computed once per point p of an instance and
+    # gathered along the orbits.
     steps = n + 3
     orbit = np.empty((count, n, steps + 1), dtype=np.intp)
     orbit[:, :, 0] = pts
     for i in range(steps):
         orbit[:, :, i + 1] = images[b2, orbit[:, :, i]]
     x = orbit[:, :, :steps]
-    tx = orbit[:, :, 1:]
-    at_fixed = dist[b3, x, tx] <= 0
-    at_period2 = images[b3, tx] == x
+    step_dist = dist[b2, pts, images]                   # d(p, Tp)
+    at_fixed = (step_dist <= 0)[b3, x]
+    at_period2 = returns[b3, x]
     halts = at_fixed | at_period2
     halts[:, :, -1] = True
     halt = halts.argmax(2)[:, :, None]
@@ -626,18 +647,20 @@ def _sweep_batch(out, trials, dist, images, den):
     membership = by_fixed & ~fixed[b2, final]
     orbit_halt = corrected[:, None] & (~by_fixed | (length > n + 1))
 
-    # d(x_m, x_n) <= P(x_{m+1}, x_m, x_n) for n < m, m + 1 < length
+    # d(x_m, x_n) <= P(x_{m+1}, x_m, x_n) for n < m, m + 1 < length.  Since
+    # x_{m+1} = T x_m, a pair fails where dominated[b, x_m, x_n] holds, with
+    # dominated[b, p, q] = d(p, q) > d(Tp, p) + d(p, q) + d(Tp, q); only the
+    # instances with a failing pair (p, q) are gathered along their orbits.
     m_idx, n_idx = np.tril_indices(steps - 1, -1)
-    s_m = orbit[:, :, m_idx]
-    s_n = orbit[:, :, n_idx]
-    s_next = orbit[:, :, m_idx + 1]
-    lhs = dist[b3, s_m, s_n]
-    rhs = dist[b3, s_next, s_m] + dist[b3, s_m, s_n] + dist[b3, s_next, s_n]
-    domination = (lhs > rhs) & (m_idx + 1 < length[:, :, None])
+    dominated = dist > (dist[b2, images, pts][:, :, None] + dist
+                        + np.take_along_axis(dist, images[:, :, None], 1))
+    hit = np.flatnonzero(dominated.any((1, 2)))
+    orbit_hit = orbit[hit]
+    domination = (dominated[hit[:, None, None], orbit_hit[:, :, m_idx], orbit_hit[:, :, n_idx]]
+                  & (m_idx + 1 < length[hit][:, :, None]))
 
     # check_perimeter_decrease on P_i = P(x_i, x_{i+1}, x_{i+2}), i < length - 2
-    s0, s1, s2 = orbit[:, :, :steps - 2], orbit[:, :, 1:steps - 1], orbit[:, :, 2:steps]
-    per = dist[b3, s0, s1] + dist[b3, s1, s2] + dist[b3, s0, s2]
+    per = (step_dist + dist[b2, images, image2] + dist[b2, pts, image2])[b3, x[:, :, :-2]]
     n_per = (length - 2)[:, :, None]
     recorded = np.arange(steps - 2) < n_per
     no_drop = (per[:, :, 1:] >= per[:, :, :-1]) & recorded[:, :, 1:]
@@ -646,7 +669,9 @@ def _sweep_batch(out, trials, dist, images, den):
     first_no_drop = no_drop.argmax(2)
 
     trials = list(trials)
-    fixed_points = [tuple(np.flatnonzero(row).tolist()) for row in fixed]
+    flat = np.nonzero(fixed)[1].tolist()
+    ends = np.cumsum(fixed.sum(1)).tolist()
+    fixed_points = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
     for b, (trial, fps, burton, petrov, main) in enumerate(zip(
             trials, fixed_points, large_contraction.tolist(),
             (uniform_tpc & no_period2).tolist(), corrected.tolist())):
@@ -674,7 +699,7 @@ def _sweep_batch(out, trials, dist, images, den):
         out["halt_membership_violations"].append({"trial": trials[b], "x0": int(x0)})
     for b, x0, q in zip(*np.nonzero(domination)):
         out["pair_domination_violations"].append(
-            {"trial": trials[b], "x0": int(x0), "m": int(m_idx[q]), "n": int(n_idx[q])})
+            {"trial": trials[hit[b]], "x0": int(x0), "m": int(m_idx[q]), "n": int(n_idx[q])})
     for b, x0 in zip(*np.nonzero(orbit_halt)):
         out["orbit_halt_violations"].append(
             {"trial": trials[b], "x0": int(x0), "halted_by": HALTS[halted_by[b, x0]]})

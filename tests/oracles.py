@@ -7,8 +7,11 @@ the same checks, messages and closed table as closure_loops.  The line
 engine's int rows (scan._PairRow, scan._TripleRow) must give the same
 witnesses and ratios as FractionPairRow and FractionTripleRow.
 cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
+theorem_lab._draw must draw what stdlib_draw draws through random.Random's
+own randint and randrange.
 """
 
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
@@ -201,3 +204,20 @@ def parity_case_violations(images):
                 violated.append((lo_par, hi_par))
                 break
     return violated
+
+
+def stdlib_draw(config, trial_index):
+    """One trial's (n, ks, images), drawn by random.Random's randint and randrange calls."""
+    rng = random.Random(f"{config.seed}:{trial_index}")
+    n = rng.randint(config.size_min, config.size_max)
+    den = config.denominator
+    ks = [rng.randint(1, den) for _ in range(n * (n - 1) // 2)]
+    images = [rng.randrange(n) for _ in range(n)]
+    if config.map_bias == "period2":
+        a = rng.randrange(n)
+        b = rng.randrange(n - 1)
+        if b >= a:
+            b += 1
+        images[a] = b
+        images[b] = a
+    return n, ks, images

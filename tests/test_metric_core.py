@@ -382,6 +382,10 @@ class TestFiniteMetricSpace:
         floats = FiniteMetricSpace(points=(0, 1, 2), dist_table=mixed, mode="float")
         assert floats.dist_table[0] == (0.0, 1 / 3, 2.5)
         assert [type(v) for v in floats.dist_table[0]] == [float, float, float]
+        # real numbers of other types pass the per-entry check
+        numpy_reals = ((0, np.float64(0.5), 2), (np.float64(0.5), 0, np.int32(1)), (2, 1, 0))
+        floats = FiniteMetricSpace(points=(0, 1, 2), dist_table=numpy_reals, mode="float")
+        assert floats.dist_table[1] == (0.5, 0.0, 1.0)
 
 
 class TestSampledSpace:

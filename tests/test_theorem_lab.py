@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import closure_loops
+from oracles import closure_loops, stdlib_draw
 
 from contraction_lab import classify, dynamics, theorem_lab
 from contraction_lab.map_catalog import SelfMap, apply, catalog
@@ -203,6 +203,17 @@ class TestRandomInstances:
         for denominator in (0, -3):
             with pytest.raises(InputError, match="denominator"):
                 SearchConfig(seed=1, trials=1, denominator=denominator)
+
+    @pytest.mark.parametrize("bias", ["uniform", "period2"])
+    @pytest.mark.parametrize("size_min, size_max", [(3, 3), (3, 12), (5, 40)])
+    def test_draws_match_the_stdlib_calls(self, bias, size_min, size_max):
+        # _draw's getrandbits rejection rule against randint and randrange;
+        # a range of 1 and powers of two are the rule's edge cases
+        for den in (1, 2, 3, 64, 96, 2 ** 40):
+            cfg = SearchConfig(seed=den, trials=60, size_min=size_min, size_max=size_max,
+                               denominator=den, map_bias=bias)
+            for t in range(cfg.trials):
+                assert theorem_lab._draw(cfg, t) == stdlib_draw(cfg, t)
 
     @pytest.mark.parametrize("bias", ["uniform", "period2"])
     def test_draws_and_closure_match_random_instance(self, bias):
@@ -503,7 +514,7 @@ class TestValidationSweep:
         rng = random.Random(8)
         den = 3
         totals = {}
-        for n in (3, 4, 5, 6):
+        for n in range(3, 13):      # every size the sweep draws: orbits of up to 15 states
             batch, expected = [], empty_sweep(0)
             extra = [ZERO_PERIMETER_ORBIT] if n == 4 else []
             for rows, images in extra + non_metric_instances(rng, n, 60):
