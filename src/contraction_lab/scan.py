@@ -19,17 +19,15 @@ Two engines back the classifiers:
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
   through the running extrema of the image values.  That collapses the triple
   scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Items sharing
-  a first index i form a row, and both passes compute the float ratios of a
-  block of rows as one (rows, columns) tile of at most LINE_TILE items
-  (_LineData.tile).  A float pass keeps the counts and each row's float
-  ratio maximum per eps bucket, in one (rows, buckets) array; an exact pass
-  tiles only the rows that reach some bucket's floor, a proven float error
-  bound below its maximum (_LineData.screen_floors), and there re-evaluates
-  every item at or above its floor, checking strictness alike, in row order,
-  by cross products of the images' int numerators and denominators; only a
-  bucket's winner and the strict witness become Fractions.  Qualification
-  thresholds (distance >= eps) are decided in integer arithmetic, so bucket
-  membership never suffers float boundary errors.
+  a first index i form a row.  One pass computes the float ratios of each
+  block of rows once, as a (rows, columns) tile of at most LINE_TILE items
+  (_LineData.tile), keeps the items at or above a proven float error bound
+  below their bucket's running maximum (_LineData.screen_floors), checks
+  strict suspects within their tile, and at the end re-evaluates the items
+  at or above the final bounds exactly, by cross products of the images' int
+  numerators and denominators; only a bucket's winner and the strict witness
+  become Fractions.  Qualification thresholds (distance >= eps) are decided
+  in integer arithmetic, so bucket membership never suffers float errors.
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -325,10 +323,11 @@ class _LineData:
         self.den = den
         self.points = tuple(points)    # Fractions, ascending
         self.images = tuple(images)    # Fractions
-        # the exact pass's images: int numerators and positive denominators
+        # the exact evaluations' images: int numerators and positive denominators
         self.inums, self.idens = [v.numerator for v in images], [v.denominator for v in images]
         self.nums = np.asarray(numerators, dtype=np.int64)
-        self.tvals = np.array([float(v) for v in images], dtype=np.float64)
+        self.tvals = np.array([_quotient(a, b) for a, b in zip(self.inums, self.idens)])
+        self.finite = bool(np.isfinite(self.tvals).all())
         self.n = len(self.points)
         longest = int(self.nums[-1]) - int(self.nums[0])
         thresholds = _ceil_thresholds(eps, den, longest + 1)
@@ -337,9 +336,13 @@ class _LineData:
         rows = self.n - self.gap
         self.before = np.maximum(np.searchsorted(self.nums, self.nums[:rows, None] + edges)
                                  - np.arange(self.gap, self.n)[:, None], 0)
-        # least span in each bucket, for the float screen's bound
+        self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
+                               for e in range(len(edges))]).tolist()
+        # the float screen's absolute bound, over each bucket's least span (screen_floors)
         shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
-        self.min_span = np.maximum(shortest, np.concatenate(([0], thresholds)))
+        self.absolute = (8 * 2.0 ** -53 * float(np.abs(self.tvals).max()) * float(den)
+                         / np.maximum(shortest, np.concatenate(([0], thresholds))))
+        self.strict_floors = 1.0 - FLOAT_SLACK - self.absolute
         self.numerators = self.nums.tolist()
         # tile buffers for the largest tile of blocks(): fresh ones would be faulted in per tile
         self.work = np.empty((4, min(max(LINE_TILE, rows), rows * rows)))
@@ -350,29 +353,29 @@ class _LineData:
         return image_measure, measure, wit
 
     def screen_floors(self, best):
-        """Per-bucket float floors, given the bucket float maxima F.
+        """Per-bucket float floors, given float ratios F of an item of each bucket.
 
         An item below floors[b] is not bucket b's exact maximum, and one
         below strict_floors[b] does not break strictness.  A float ratio r
         and its exact ratio R obey |r - R| <= 2u*M*den/span + 5u*R, with
         u = 2**-53 and M = max |image|: float images and their running extrema
         are within u*M of exact, an image difference adds one rounding, and
-        den, span, the division and the scaling four more.  So the exact
-        maximum's float ratio is at least F - 4u*M*den/s - 10u*R, s being the
-        bucket's least span, and an item with R >= 1 has r >= 1 - 5u -
-        2u*M*den/s.  The floors take off FLOAT_SLACK * max(1, |F|) and
-        8u*M*den/s, which cover both with room for their own rounding; a
-        bound that overflows turns the screen off.  A relative slack alone
-        fails on large, close images: near 10**12, floats are 2**-13 apart.
+        den, span, the division and the scaling four more.  The exact maximum
+        is at least the exact ratio of the item with float ratio F, so its
+        float ratio is at least F - 4u*M*den/s - 10u*R, s being the bucket's
+        least span, and an item with R >= 1 has r >= 1 - 5u - 2u*M*den/s.
+        The floors take off FLOAT_SLACK * max(1, |F|) and 8u*M*den/s, which
+        cover both with room for their own rounding; a bound that overflows,
+        as an image beyond the float range makes it, turns the screen off.  A
+        relative slack alone fails on large, close images: near 10**12,
+        floats are 2**-13 apart.  F may thus be a running maximum over the
+        rows seen so far; as F rises the floors never fall.
         """
-        absolute = (8 * 2.0 ** -53 * float(np.abs(self.tvals).max()) * float(self.den)
-                    / self.min_span)
         with np.errstate(invalid="ignore"):
-            floors = best - (FLOAT_SLACK * np.maximum(1.0, np.abs(best)) + absolute)
+            floors = best - (FLOAT_SLACK * np.maximum(1.0, np.abs(best)) + self.absolute)
         floors[np.isnan(floors)] = -np.inf
         floors[best == -np.inf] = np.inf            # empty bucket
-        strict_floors = 1.0 - FLOAT_SLACK - absolute
-        return floors, strict_floors
+        return floors
 
     def blocks(self, rows):
         """Runs of the ascending rows, each as many as fit in LINE_TILE items (at least one)."""
@@ -395,9 +398,11 @@ class _LineData:
         off = rows - rows[0]
         shape = (len(rows), self.n - k0)
         ratio, factor, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in self.work)
-        self.spreads(rows, k0, ratio, factor, *scratch)
-        np.subtract(self.nums[k0:], self.nums[rows, None], out=factor)   # int spans, as floats
-        with np.errstate(divide="ignore", invalid="ignore"):   # span <= 0 before off
+        with np.errstate(divide="ignore", invalid="ignore"):   # span <= 0 before off; inf - inf
+            self.spreads(rows, k0, ratio, factor, *scratch)
+            spans = scratch[0].view(np.int64)       # free once the spreads are in ratio
+            np.subtract(self.nums[k0:], self.nums[rows, None], out=spans)
+            np.copyto(factor, spans)
             np.divide(float(self.den), factor, out=factor)
             np.multiply(ratio, factor, out=ratio)
         ratio[:, :off[-1]][np.arange(off[-1]) < off[:, None]] = -np.inf
@@ -562,89 +567,86 @@ class _TripleRow:
 _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 
-def _line_float_pass(data):
-    """Per row and bucket the float ratio maximum (-inf when empty); bucket item counts."""
-    before = data.before
-    counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(before.shape[1])])
-    row_max = np.full((len(before), before.shape[1] - 1), -np.inf)
-    for rows in data.blocks(np.arange(len(before))):
+def _line_tiles(data):
+    """Each row once, in blocks: (rows, their tile, off, per-row bucket float maxima)."""
+    for rows in data.blocks(np.arange(len(data.before))):
         ratio, off = data.tile(rows)
-        lo = before[rows, :-1]
-        filled = before[rows, 1:] > lo
+        if not data.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
+            ratio[np.isnan(ratio)] = np.inf
+        lo = data.before[rows, :-1]
+        filled = data.before[rows, 1:] > lo
         # filled buckets' starts in the flat tile; each reduction runs on into -inf columns
         starts = lo + (np.arange(len(rows)) * ratio.shape[1] + off)[:, None]
-        row_max[rows[0]:rows[-1] + 1][filled] = np.maximum.reduceat(ratio.ravel(),
-                                                                    starts[filled])
-    return row_max, counts.tolist()
+        row_max = np.full(filled.shape, -np.inf)
+        row_max[filled] = np.maximum.reduceat(ratio.ravel(), starts[filled])
+        yield rows, ratio, off, row_max
 
 
-def _select(ratio, off, before, floor_of):
-    """Per tile row, the row positions and buckets of the items at or above their floor.
-
-    A tile row's segments are the columns before the row, then its buckets
-    (their bounds in before); floor_of[r] holds the floors of row r's segments.
-    """
-    lengths = np.concatenate((off[:, None], np.diff(before, axis=1)), axis=1)
+def _select(data, rows, ratio, off, pick, floors):
+    """(row, position, bucket, float ratio) arrays, in (row, position) order, of the picked tile
+    rows' items at or above their bucket's floor; a row's first segment is the columns before it."""
+    first, last = np.flatnonzero(pick)[[0, -1]]     # search the run of rows that holds the picks
+    rows, ratio, off, pick = (a[first:last + 1] for a in (rows, ratio, off, pick))
+    lengths = np.concatenate((off[:, None], np.diff(data.before[rows], axis=1)), axis=1)
+    floor_of = np.where(pick[:, None], np.concatenate(([np.inf], floors)), np.inf)
     flat = np.flatnonzero(ratio.ravel() >= np.repeat(floor_of.ravel(), lengths.ravel()))
     r, c = np.divmod(flat, ratio.shape[1])
     segment = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
-    h, bucket = (c - off[r]).tolist(), (segment - 1).tolist()
-    at = np.searchsorted(r, np.arange(len(off) + 1)).tolist()
-    return [(h[a:b], bucket[a:b]) for a, b in zip(at, at[1:])]
+    return rows[r], c - off[r], segment - 1, ratio.ravel()[flat]
 
 
-def _line_exact_pass(data, row_max, floors, strict_floors):
-    """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
+def _at_floors(kept, floors):
+    """The kept item arrays joined, less the items below their bucket's floor."""
+    items = [np.concatenate(column) for column in zip(*kept)]
+    keep = items[3] >= floors[items[2]]
+    return [column[keep] for column in items]
 
-    Only rows whose float maximum reaches some bucket's floor, or the strict
-    floor while no violation is known, are visited, once each and in row
-    order; there every item at or above its bucket's floor is re-evaluated
-    exactly, and the items at or above the strict floor are checked for
-    strictness.  The visited rows are tiled, and their items' buckets read
-    from data.before.
-    """
-    best = [None] * len(floors)
-    strict = None
-    wanted = (row_max >= floors).any(axis=1)
-    suspect = (row_max >= strict_floors).any(axis=1)
-    floor_of = np.concatenate(([np.inf], floors))
-    strict_floor_of = np.concatenate(([np.inf], strict_floors))
-    for rows in data.blocks(np.flatnonzero(wanted | suspect)):
-        if strict is not None:
-            rows = rows[wanted[rows]]
-            if not len(rows):
-                continue
-        ratio, off = data.tile(rows)
-        cands = _select(ratio, off, data.before[rows], np.tile(floor_of, (len(rows), 1)))
-        if strict is None and suspect[rows].any():
-            suspects = _select(ratio, off, data.before[rows],
-                               np.where(suspect[rows, None], strict_floor_of, np.inf))
-        for r, i in enumerate(rows.tolist()):
-            look = strict is None and suspect[i]
-            if not (look or wanted[i]):
-                continue
-            hs, buckets = cands[r]
-            sus = suspects[r][0] if look else []
-            row = data.row(i, max(hs + sus, default=0))
-            for h, b in zip(hs, buckets):
-                entry = row.entry(h)
-                if best[b] is None or _better(*entry, *best[b]):
-                    best[b] = entry
-            found = [w for w in map(row.strict_witness, sus) if w is not None]
-            if found:
-                wit = min(found)
-                strict = (wit, *data.sides(wit))
-    return [None if e is None else data.entry(e[2]) for e in best], strict
+
+def _by_row(rows, *columns):
+    """Per row of row-sorted item arrays: the row, then each column's items as a list."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    rows, columns = rows.tolist(), [column.tolist() for column in columns]
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        yield rows[a], *(column[a:b] for column in columns)
 
 
 def _line_analysis(kind, numerators, den, points, images, eps):
+    """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
+
+    One pass tiles each row once.  Per tile, the items at or above the floors
+    of the running bucket maxima are kept, and pruned whenever the floors
+    rise; until a violation is found, the items at or above the strict floors
+    are checked exactly in row order.  The items kept at the end, the float
+    screen's candidates, are re-evaluated exactly in (row, position) order.
+    """
     eps = _checked_eps(kind, eps, len(numerators))
     data = _LINE_KINDS[kind](numerators, den, points, images, eps)
-    row_max, counts = _line_float_pass(data)
-    floors, strict_floors = data.screen_floors(row_max.max(axis=0))
-    bucket_entries, strict = _line_exact_pass(data, row_max, floors, strict_floors)
-    return _finalize(kind, eps, bucket_entries, counts, strict, sum(counts),
-                     data.points, exact=True)
+    top = np.full(len(data.counts), -np.inf)      # running float maxima per bucket
+    floors = data.screen_floors(top)
+    kept, strict = [], None         # the items seen so far at or above the floors
+    for rows, ratio, off, row_max in _line_tiles(data):
+        if (row_max > top).any():
+            top = np.maximum(top, row_max.max(axis=0))
+            floors = data.screen_floors(top)
+            kept = [_at_floors(kept, floors)] if kept else []
+        if (reach := (row_max >= floors).any(axis=1)).any():
+            kept.append(_select(data, rows, ratio, off, reach, floors))
+        if strict is None and (suspect := (row_max >= data.strict_floors).any(axis=1)).any():
+            for i, hs in _by_row(*_select(data, rows, ratio, off, suspect, data.strict_floors)[:2]):
+                row = data.row(i, hs[-1])
+                found = [w for w in map(row.strict_witness, hs) if w is not None]
+                if found:
+                    strict = (min(found), *data.sides(min(found)))
+                    break
+    best = [None] * len(top)
+    for i, hs, buckets in _by_row(*_at_floors(kept, floors)[:3]):
+        row = data.row(i, hs[-1])
+        for h, b in zip(hs, buckets):
+            entry = row.entry(h)
+            if best[b] is None or _better(*entry, *best[b]):
+                best[b] = entry
+    return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in best],
+                     data.counts, strict, sum(data.counts), data.points, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +676,8 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
     for entry in bucket_entries:
         sup = pick(entry, sup)
     sup_ratio, sup_witness = pack(sup)
-    strict_out = None
-    if strict is not None:
-        wit, measure, image_measure = strict
-        strict_out = (tuple(points[w] for w in wit), measure, image_measure)
+    if strict is not None:      # (witness, measure, image measure)
+        strict = (tuple(points[w] for w in strict[0]), *strict[1:])
     return EnumAnalysis(
         kind=kind,
         eps=tuple(eps),
@@ -686,7 +686,7 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
         counts=tuple(reversed(counts)),
         sup_ratio=sup_ratio,
         sup_witness=sup_witness,
-        strict_violation=strict_out,
+        strict_violation=strict,
         total=total,
     )
 

@@ -512,14 +512,13 @@ def run_validation(config: SearchConfig) -> dict:
     first = None
     for n, (trials, ks, images) in groups.items():
         size = max(1, SWEEP_ITEMS // n ** 3)
-        rows, cols = np.triu_indices(n, 1)
+        grid = _SweepGrid(n, config.denominator)
         for s in range(0, len(trials), size):
             batch = np.array(ks[s:s + size], dtype=np.int64)
             raw = np.zeros((len(batch), n, n), dtype=np.int64)
-            raw[:, rows, cols] = raw[:, cols, rows] = batch
+            raw[:, grid.rows, grid.cols] = raw[:, grid.cols, grid.rows] = batch
             found = _sweep_batch(out, trials[s:s + size], shortest_path_closure(raw),
-                                 np.array(images[s:s + size], dtype=np.intp),
-                                 config.denominator)
+                                 np.array(images[s:s + size], dtype=np.intp), grid)
             if trials[s] == 0:
                 first = found
     for key, value in out.items():
@@ -532,13 +531,29 @@ def run_validation(config: SearchConfig) -> dict:
     return out
 
 
-def _sweep_batch(out, trials, dist, images, den):
+class _SweepGrid:
+    """The index arrays and the threshold that every batch of one size n reads.
+
+    rows, cols: the pairs i < j, row-major; m_idx, n_idx: the orbit state
+    pairs n < m below state n + 2; least: the least distance, in units of
+    1/den, at or above the first grid eps.
+    """
+
+    def __init__(self, n, den):
+        self.rows, self.cols = np.triu_indices(n, 1)
+        self.m_idx, self.n_idx = np.tril_indices(n + 2, -1)
+        self.least = int(scan._ceil_thresholds(classify.DEFAULT_EPS_GRID[:1], den,
+                                               LATTICE_LIMIT)[0])
+
+
+def _sweep_batch(out, trials, dist, images, grid):
     """run_validation's checks on a stack of B instances of one size n.
 
     trials lists the instances' trial numbers in order, dist holds their
-    (B, n, n) int64 tables in units of 1/den, and images their (B, n) maps
-    (point i is label i).  Counters are added to out, and violation entries
-    appended in (trial, x0, m, n) order, from Python ints.
+    (B, n, n) int64 tables in units of 1/den, images their (B, n) maps
+    (point i is label i), and grid the _SweepGrid of n and den.  Counters are
+    added to out, and violation entries appended in (trial, x0, m, n) order,
+    from Python ints.
 
     The verdict flags follow classify.full_report's exact-scope rules.  Pair
     distances d(i, j), i < j, must be positive, as full_report requires (an
@@ -561,17 +576,12 @@ def _sweep_batch(out, trials, dist, images, den):
     b2 = np.arange(count)[:, None]
     b3 = b2[:, :, None]
     image_dist = dist[b3, images[:, :, None], images[:, None, :]]   # d(Tx, Ty)
-    first_eps = scan._ceil_thresholds(classify.DEFAULT_EPS_GRID, den, LATTICE_LIMIT)
-
-    def qualifies(measure):     # measure >= the first grid eps
-        return np.searchsorted(first_eps, measure, side="right") >= 1
-
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = grid.rows, grid.cols
     d_pair = dist[:, rows, cols]
     t_pair = image_dist[:, rows, cols]
     fails = t_pair >= d_pair
     pair_strict = ~fails.any(1)
-    large_contraction = pair_strict & ~(fails & qualifies(d_pair)).any(1)
+    large_contraction = pair_strict & ~(fails & (d_pair >= grid.least)).any(1)
 
     triple_fails = np.zeros(count, dtype=bool)
     qualified_fails = np.zeros(count, dtype=bool)
@@ -589,7 +599,7 @@ def _sweep_batch(out, trials, dist, images, den):
         longest = np.maximum(np.maximum(dij, djk), dik)
         fails = pt >= p
         triple_fails |= fails.any(1)
-        qualified_fails |= (fails & qualifies(longest)).any(1)
+        qualified_fails |= (fails & (longest >= grid.least)).any(1)
         over = p > 3 * longest
         for b, t in zip(*np.nonzero(over)):
             third.setdefault(int(b), (int(a[t]), int(j[t]), int(k[t])))
@@ -651,7 +661,7 @@ def _sweep_batch(out, trials, dist, images, den):
     # x_{m+1} = T x_m, a pair fails where dominated[b, x_m, x_n] holds, with
     # dominated[b, p, q] = d(p, q) > d(Tp, p) + d(p, q) + d(Tp, q); only the
     # instances with a failing pair (p, q) are gathered along their orbits.
-    m_idx, n_idx = np.tril_indices(steps - 1, -1)
+    m_idx, n_idx = grid.m_idx, grid.n_idx
     dominated = dist > (dist[b2, images, pts][:, :, None] + dist
                         + np.take_along_axis(dist, images[:, :, None], 1))
     hit = np.flatnonzero(dominated.any((1, 2)))

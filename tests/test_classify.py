@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
@@ -692,6 +693,14 @@ def float_pass_oracle(data, eps):
     return row_max, counts.tolist()
 
 
+def tiled_row_maxima(data):
+    """Per-row bucket maxima as the line pass reads them, tile by tile (scan._line_tiles)."""
+    row_max = np.full((data.n - data.gap, len(data.counts)), -np.inf)
+    for rows, _, _, tile_max in scan._line_tiles(data):
+        row_max[rows] = tile_max
+    return row_max
+
+
 @st.composite
 def tile_inputs(draw, max_n):
     """A line scan's inputs, shaped for the tile kernel, and a tile size.
@@ -729,6 +738,37 @@ def tile_inputs(draw, max_n):
     return nums, den, points, images, tuple(sorted(eps)), tile
 
 
+@st.composite
+def rising_inputs(draw):
+    """A line scan whose bucket maxima rise from row to row, and a tile size.
+
+    Shapes: images x**2 (each later row holds steeper pairs); x/2 with one
+    late image raised (floors jump late); and slope 3 on an early and on a
+    late run of points, with slopes rising from 1 to 2 between them, so that
+    a bucket's maximum is tied in an early and a late row.
+    """
+    n = draw(st.integers(min_value=3, max_value=30))
+    shape = draw(st.sampled_from(("square", "spike", "ends")))
+    tile = draw(st.sampled_from((1, 5, 37, scan.LINE_TILE)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    den = rng.choice((1, 3, 10))
+    nums = sorted(rng.sample(range(4 * n), n))
+    points = [F(k, den) for k in nums]
+    if shape == "square":
+        images = [p * p for p in points]
+    elif shape == "spike":
+        images = [p / 2 for p in points]
+        images[rng.randrange(n // 2, n)] += rng.choice((F(1, 10 ** 12), 1, 10 ** 6))
+    else:
+        images = [F(0)]
+        for g in range(1, n):
+            slope = 3 if g <= max(1, n // 5) or g >= n - max(1, n // 5) else 1 + F(g, n)
+            images.append(images[-1] + slope * (points[g] - points[g - 1]))
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    eps = set(rng.sample(spans, min(len(spans), rng.randint(1, 4))))
+    return nums, den, points, images, tuple(sorted(eps)), tile
+
+
 class TestLineTiles:
     @given(tile_inputs(max_n=200))
     def test_tiles_equal_the_row_oracle_bit_for_bit(self, case):
@@ -737,8 +777,8 @@ class TestLineTiles:
         for kind in ("pairwise", "triple"):
             with mock.patch.object(scan, "LINE_TILE", tile):
                 data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
-                row_max, counts = scan._line_float_pass(data)
-                # the exact pass tiles runs of rows with gaps between them
+                row_max, counts = tiled_row_maxima(data), data.counts
+                # tile() also takes runs of rows with gaps between them
                 rows = np.arange(data.n - data.gap)
                 some = np.array(sorted(rng.sample(range(len(rows)), (len(rows) + 1) // 2)))
                 for subset in (rows, some):
@@ -769,6 +809,102 @@ class TestLineTiles:
         want = [full_report(e.space, e.map).to_json() for e in entries]
         monkeypatch.setattr(scan, "LINE_TILE", tile)
         assert [full_report(e.space, e.map).to_json() for e in entries] == want
+
+    @pytest.mark.parametrize("tile", (1, 5, 37, scan.LINE_TILE))
+    def test_every_row_is_tiled_once_per_scan(self, monkeypatch, tile):
+        monkeypatch.setattr(scan, "LINE_TILE", tile)
+        tiled, tile_of = {}, scan._LineData.tile
+
+        def spy(data, rows):
+            tiled.setdefault(data, []).append(rows.tolist())
+            return tile_of(data, rows)
+
+        monkeypatch.setattr(scan._LineData, "tile", spy)
+        for entry in (catalog("floor_half", integer_max=70),
+                      catalog("composite", grid_step=F(1, 16), index_max=12)):
+            tiled.clear()
+            full_report(entry.space, entry.map)
+            assert sorted(data.gap for data in tiled) == [1, 2]     # one scan of each kind
+            for data, blocks in tiled.items():
+                rows = np.arange(data.n - data.gap)
+                assert blocks == [block.tolist() for block in data.blocks(rows)]
+                assert sum(blocks, []) == rows.tolist()
+
+    @pytest.mark.parametrize("tile", (1, 37, scan.LINE_TILE))
+    def test_exact_evaluations_are_the_items_at_or_above_the_final_floors(self, monkeypatch,
+                                                                          tile):
+        # floor_half is tie-heavy: thousands of candidates; a running floor
+        # may keep more items than the final one, but none is evaluated early
+        monkeypatch.setattr(scan, "LINE_TILE", tile)
+        entry = catalog("floor_half", integer_max=300)
+        points = sorted(entry.space.point_set())
+        images = [apply(entry.map, p) for p in points]
+        nums = [int(p) for p in points]
+        evaluated, checking = [0], [False]
+
+        def spy_entry(real):
+            def entry(row, h):
+                evaluated[0] += not checking[0]
+                return real(row, h)
+            return entry
+
+        def spy_strict(real):
+            def strict_witness(row, h):
+                checking[0] = True
+                try:
+                    return real(row, h)
+                finally:
+                    checking[0] = False
+            return strict_witness
+
+        for row_kind in (scan._PairRow, scan._TripleRow):
+            monkeypatch.setattr(row_kind, "entry", spy_entry(row_kind.entry))
+            monkeypatch.setattr(row_kind, "strict_witness", spy_strict(row_kind.strict_witness))
+        for kind in ("pairwise", "triple"):
+            data = scan._LINE_KINDS[kind](nums, 1, points, images, DEFAULT_EPS_GRID)
+            floors = data.screen_floors(float_pass_oracle(data, DEFAULT_EPS_GRID)[0].max(axis=0))
+            want = sum(int((row_oracle(data, i)
+                            >= np.repeat(floors, np.diff(data.before[i]))).sum())
+                       for i in range(data.n - data.gap))
+            evaluated[0] = 0
+            scan._line_analysis(kind, nums, 1, points, images, DEFAULT_EPS_GRID)
+            assert evaluated[0] == want > 250, kind
+
+    @given(rising_inputs())
+    def test_running_floors_keep_the_fraction_oracle(self, case):
+        nums, den, points, images, eps, tile = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            with mock.patch.object(scan, "LINE_TILE", tile):
+                got = engine(nums, den, points, images, eps)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+
+    @pytest.mark.parametrize("tile", (1, 5, 37))
+    def test_images_beyond_the_float_range_match_the_oracle(self, monkeypatch, tile):
+        # their floats are +-inf: the screen is off, every item is a candidate
+        # and a strict suspect, and a pair of equal-signed ones reads inf - inf
+        monkeypatch.setattr(scan, "LINE_TILE", tile)
+        rng = random.Random(400)
+        huge = (10 ** 400, -10 ** 400, 10 ** 400 + F(1, 3), -10 ** 400 - 7)
+        cases = [([0, 1, 2], 1, [0, 10 ** 400, 1])]
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            nums = sorted(rng.sample(range(4 * n), n))
+            images = [F(rng.randint(-20, 20), 4) for _ in nums]
+            for r in rng.sample(range(n), rng.randint(1, min(3, n))):
+                images[r] = rng.choice(huge)
+            cases.append((nums, rng.choice((1, 3)), images))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nums, den, images in cases:
+                points = [F(k, den) for k in nums]
+                eps = (F(nums[1] - nums[0], den), F(nums[-1] - nums[0], den))
+                for kind, engine in (("pairwise", scan.line_pair_analysis),
+                                     ("triple", scan.line_triple_analysis)):
+                    got = engine(nums, den, points, images, eps)
+                    want = naive_line_analysis(kind, points, images, eps)
+                    assert repr(got) == repr(want), (kind, nums, den, images)
 
 
 class TestWitnesses:

@@ -524,7 +524,8 @@ class TestValidationSweep:
             got = empty_sweep(0)
             theorem_lab._sweep_batch(got, list(range(len(batch))),
                                      np.array([r for r, _ in batch], dtype=np.int64),
-                                     np.array([m for _, m in batch], dtype=np.intp), den)
+                                     np.array([m for _, m in batch], dtype=np.intp),
+                                     theorem_lab._SweepGrid(n, den))
             assert got == expected
             for key, value in got.items():
                 totals[key] = totals.get(key, 0) + (len(value) if isinstance(value, list)
@@ -541,7 +542,8 @@ class TestValidationSweep:
         rows = [[0, 1, -2], [1, 0, 1], [-2, 1, 0]]
         with pytest.raises(InputError, match="positive triple perimeters"):
             theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
-                                     np.array([[0, 0, 0]], dtype=np.intp), 1)
+                                     np.array([[0, 0, 0]], dtype=np.intp),
+                                     theorem_lab._SweepGrid(3, 1))
 
     def test_batch_refuses_a_zero_pair_as_full_report_does(self):
         # every triple perimeter is positive, but the pair (0, 1) is at distance 0
@@ -551,15 +553,16 @@ class TestValidationSweep:
             classify.full_report(space, mapping)
         with pytest.raises(InputError) as got:
             theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
-                                     np.array([images], dtype=np.intp), 1)
+                                     np.array([images], dtype=np.intp),
+                                     theorem_lab._SweepGrid(3, 1))
         assert str(got.value) == str(want.value)
         assert "between points 0 and 1 is not positive" in str(got.value)
 
     def test_audit_catches_a_batch_that_drifts(self, monkeypatch):
         batch = theorem_lab._sweep_batch
 
-        def drifting(out, trials, dist, images, den):
-            flags, fps, period2, runs = batch(out, trials, dist, images, den)
+        def drifting(out, trials, dist, images, grid):
+            flags, fps, period2, runs = batch(out, trials, dist, images, grid)
             return (not flags[0], *flags[1:]), fps, period2, runs
 
         monkeypatch.setattr(theorem_lab, "_sweep_batch", drifting)
