@@ -197,7 +197,8 @@ def _prepare(space, mapping, point_set):
     pts = _subset_points(space, point_set)
     if isinstance(space, SampledSpace):
         den = space.denominator
-        return pts, ([int(p * den) for p in pts], den, pts, [apply(mapping, p) for p in pts])
+        nums = space.numerators if point_set is None else [int(p * den) for p in pts]
+        return pts, (nums, den, pts, [apply(mapping, p) for p in pts])
     nodes = [space.index(p) for p in pts]
     return pts, (nodes, [space.index(apply(mapping, q)) for q in space.points])
 

@@ -28,6 +28,19 @@ Two engines back the classifiers:
   numerators and denominators; only a bucket's winner and the strict witness
   become Fractions.  Qualification thresholds (distance >= eps) are decided
   in integer arithmetic, so bucket membership never suffers float errors.
+  Only the top bucket's minimal windows are tiled.  For sorted i < m < k,
+  |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
+  ratio of (i, k) is at most the greater of its halves', and equal only if
+  both halves equal it; the same holds for triples' best-middle spreads when
+  m >= i+2 and k >= m+2, and on a tie the half (i, j', m) has j' <= j*, so
+  its witness comes before (i, j*, k).  By induction on span, an item of the
+  top bucket (span >= its threshold) that splits at a point into two such
+  items never sets that bucket's maximum or lex-first witness, so row i is
+  tiled up to its cut only (_LineData.cut); counts still cover every item.
+  The lex-first strict violator may lie past a cut, but a violator there has
+  a violating half, so with no violator before the cuts there is none, and
+  with the first one in row r the lex-first one lies in a row <= r: rows
+  0..r are then tiled again in full (a late r costs up to the whole scan).
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -338,6 +351,10 @@ class _LineData:
                                  - np.arange(self.gap, self.n)[:, None], 0)
         self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
                                for e in range(len(edges))]).tolist()
+        # row i's items with last index cut[i] or more split at j0 into two top-bucket items
+        j0 = self.before[:, -2] + np.arange(self.gap, self.n)
+        self.cut = np.minimum(np.maximum(j0 + self.gap, np.searchsorted(
+            self.nums, self.nums[np.minimum(j0, self.n - 1)] + thresholds[-1])), self.n)
         # the float screen's absolute bound, over each bucket's least span (screen_floors)
         shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
         self.absolute = (8 * 2.0 ** -53 * float(np.abs(self.tvals).max()) * float(den)
@@ -377,44 +394,49 @@ class _LineData:
         floors[best == -np.inf] = np.inf            # empty bucket
         return floors
 
-    def blocks(self, rows):
-        """Runs of the ascending rows, each as many as fit in LINE_TILE items (at least one)."""
+    def blocks(self, rows, stop):
+        """Runs of the ascending rows, each as many as fit in LINE_TILE items (at least one)
+        of the rectangle tile() computes for them; stop, per row, is nondecreasing."""
         pos = 0
         while pos < len(rows):
-            step = max(1, LINE_TILE // (self.n - self.gap - int(rows[pos])))
+            ahead = rows[pos:pos + LINE_TILE]
+            area = (stop[ahead] - (ahead[0] + self.gap)) * np.arange(1, len(ahead) + 1)
+            step = max(1, int(np.searchsorted(area, LINE_TILE, side="right")))
             yield rows[pos:pos + step]
             pos += step
 
-    def tile(self, rows):
+    def tile(self, rows, stop):
         """Float ratios of the items of some ascending rows, as one (rows, columns) array.
 
         Column c stands for the last index rows[0] + gap + c, so position h
         of row r sits at column off[r] + h, off = rows - rows[0]; the columns
-        before it hold -inf.  Each ratio is the float that the row-at-a-time
-        formula gives, bit for bit.  The tile is a view of a buffer that the
-        next call overwrites.  Returns (ratios, off).
+        before it, and those of last indices at or past the row's stop, hold
+        -inf.  Each ratio is the float that the row-at-a-time formula gives,
+        bit for bit.  The tile is a view of a buffer that the next call
+        overwrites.  Returns (ratios, off).
         """
-        k0 = int(rows[0]) + self.gap
-        off = rows - rows[0]
-        shape = (len(rows), self.n - k0)
+        k0, k1 = int(rows[0]) + self.gap, int(stop[rows[-1]])
+        off, ends = rows - rows[0], stop[rows] - k0
+        shape = (len(rows), k1 - k0)
         ratio, factor, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in self.work)
         with np.errstate(divide="ignore", invalid="ignore"):   # span <= 0 before off; inf - inf
-            self.spreads(rows, k0, ratio, factor, *scratch)
+            self.spreads(rows, k0, k1, ratio, factor, *scratch)
             spans = scratch[0].view(np.int64)       # free once the spreads are in ratio
-            np.subtract(self.nums[k0:], self.nums[rows, None], out=spans)
+            np.subtract(self.nums[k0:k1], self.nums[rows, None], out=spans)
             np.copyto(factor, spans)
             np.divide(float(self.den), factor, out=factor)
             np.multiply(ratio, factor, out=ratio)
         ratio[:, :off[-1]][np.arange(off[-1]) < off[:, None]] = -np.inf
+        ratio[:, ends[0]:][np.arange(ends[0], shape[1]) >= ends[:, None]] = -np.inf
         return ratio, off
 
 
 class _LinePairs(_LineData):
     gap = 1
 
-    def spreads(self, rows, k0, out, *scratch):
-        """Float image distances |tv[k] - tv[i]| of the rows i and the last indices k >= k0."""
-        np.subtract(self.tvals[k0:], self.tvals[rows, None], out=out)
+    def spreads(self, rows, k0, k1, out, *scratch):
+        """Float image distances |tv[k] - tv[i]| of the rows i and the last indices k0 <= k < k1."""
+        np.subtract(self.tvals[k0:k1], self.tvals[rows, None], out=out)
         np.abs(out, out=out)
 
     @staticmethod
@@ -458,8 +480,8 @@ class _LineTriples(_LineData):
 
     gap = 2
 
-    def spreads(self, rows, k0, out, low, high, bottom):
-        """Float image spreads of the rows i and the last indices k >= k0, best middle point.
+    def spreads(self, rows, k0, k1, out, low, high, bottom):
+        """Float image spreads of the rows i and the last indices k0 <= k < k1, best middle point.
 
         The row-at-a-time formula, max(hi - lo, top - lo, hi - bottom) with
         lo, hi the images of i and k and top, bottom the running extrema of
@@ -476,9 +498,9 @@ class _LineTriples(_LineData):
         for ufunc, pad, run in ((np.maximum, -np.inf, out), (np.minimum, np.inf, bottom)):
             head = ufunc.accumulate(np.where(inside, tv[i0:h1], pad), axis=1)
             run[:, :h1 - k0] = head[:, 2:]
-            ufunc(head[:, -1:], ufunc.accumulate(tv[h1:]), out=run[:, h1 - k0:])
-        np.minimum(tv[rows, None], tv[k0:], out=low)
-        np.maximum(tv[rows, None], tv[k0:], out=high)
+            ufunc(head[:, -1:], ufunc.accumulate(tv[h1:k1]), out=run[:, h1 - k0:])
+        np.minimum(tv[rows, None], tv[k0:k1], out=low)
+        np.maximum(tv[rows, None], tv[k0:k1], out=high)
         np.subtract(out, low, out=out)
         np.subtract(high, bottom, out=bottom)
         np.maximum(out, bottom, out=out)
@@ -567,28 +589,31 @@ class _TripleRow:
 _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 
-def _line_tiles(data):
-    """Each row once, in blocks: (rows, their tile, off, per-row bucket float maxima)."""
-    for rows in data.blocks(np.arange(len(data.before))):
-        ratio, off = data.tile(rows)
+def _line_tiles(data, rows, stop):
+    """Blocks of the rows, each tiled once up to their stops: (rows, tile, off, row maxima)."""
+    for rows in data.blocks(rows, stop):
+        ratio, off = data.tile(rows, stop)
         if not data.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
             ratio[np.isnan(ratio)] = np.inf
         lo = data.before[rows, :-1]
         filled = data.before[rows, 1:] > lo
-        # filled buckets' starts in the flat tile; each reduction runs on into -inf columns
+        # filled buckets' starts in the flat tile, before the stops; reductions run into -inf
         starts = lo + (np.arange(len(rows)) * ratio.shape[1] + off)[:, None]
         row_max = np.full(filled.shape, -np.inf)
         row_max[filled] = np.maximum.reduceat(ratio.ravel(), starts[filled])
         yield rows, ratio, off, row_max
 
 
-def _select(data, rows, ratio, off, pick, floors):
+def _select(data, stop, rows, ratio, off, pick, floors):
     """(row, position, bucket, float ratio) arrays, in (row, position) order, of the picked tile
-    rows' items at or above their bucket's floor; a row's first segment is the columns before it."""
+    rows' items at or above their bucket's floor; a row's first segment is the columns before
+    it, and its last those at or past its stop."""
     first, last = np.flatnonzero(pick)[[0, -1]]     # search the run of rows that holds the picks
     rows, ratio, off, pick = (a[first:last + 1] for a in (rows, ratio, off, pick))
-    lengths = np.concatenate((off[:, None], np.diff(data.before[rows], axis=1)), axis=1)
-    floor_of = np.where(pick[:, None], np.concatenate(([np.inf], floors)), np.inf)
+    live = stop[rows] - rows - data.gap
+    lengths = np.concatenate((off[:, None], np.diff(np.minimum(data.before[rows], live[:, None])),
+                              (ratio.shape[1] - off - live)[:, None]), axis=1)
+    floor_of = np.where(pick[:, None], np.concatenate(([np.inf], floors, [np.inf])), np.inf)
     flat = np.flatnonzero(ratio.ravel() >= np.repeat(floor_of.ravel(), lengths.ravel()))
     r, c = np.divmod(flat, ratio.shape[1])
     segment = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
@@ -610,34 +635,49 @@ def _by_row(rows, *columns):
         yield rows[a], *(column[a:b] for column in columns)
 
 
+def _violation(data, stop, tiles):
+    """The lex-first strict violation among the tiled items, or None.  Suspects, the items at
+    or above the strict floors, are checked exactly in row order up to the first violating row."""
+    for rows, ratio, off, row_max in tiles:
+        if (suspect := (row_max >= data.strict_floors).any(axis=1)).any():
+            picked = _select(data, stop, rows, ratio, off, suspect, data.strict_floors)
+            for i, hs in _by_row(*picked[:2]):
+                row = data.row(i, hs[-1])
+                found = [w for w in map(row.strict_witness, hs) if w is not None]
+                if found:
+                    return min(found)
+    return None
+
+
 def _line_analysis(kind, numerators, den, points, images, eps):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
-    One pass tiles each row once.  Per tile, the items at or above the floors
-    of the running bucket maxima are kept, and pruned whenever the floors
-    rise; until a violation is found, the items at or above the strict floors
-    are checked exactly in row order.  The items kept at the end, the float
-    screen's candidates, are re-evaluated exactly in (row, position) order.
+    One pass tiles each row once, up to its cut.  Per tile, the items at or
+    above the floors of the running bucket maxima are kept, and pruned
+    whenever the floors rise; until a violation is found, the items at or
+    above the strict floors are checked exactly in row order, and the rows up
+    to the first violating one are then tiled again in full.  The items kept
+    at the end, the float screen's candidates, are re-evaluated exactly in
+    (row, position) order.
     """
     eps = _checked_eps(kind, eps, len(numerators))
     data = _LINE_KINDS[kind](numerators, den, points, images, eps)
     top = np.full(len(data.counts), -np.inf)      # running float maxima per bucket
     floors = data.screen_floors(top)
     kept, strict = [], None         # the items seen so far at or above the floors
-    for rows, ratio, off, row_max in _line_tiles(data):
+    for tiled in _line_tiles(data, np.arange(len(data.cut)), data.cut):
+        rows, ratio, off, row_max = tiled
         if (row_max > top).any():
             top = np.maximum(top, row_max.max(axis=0))
             floors = data.screen_floors(top)
             kept = [_at_floors(kept, floors)] if kept else []
         if (reach := (row_max >= floors).any(axis=1)).any():
-            kept.append(_select(data, rows, ratio, off, reach, floors))
-        if strict is None and (suspect := (row_max >= data.strict_floors).any(axis=1)).any():
-            for i, hs in _by_row(*_select(data, rows, ratio, off, suspect, data.strict_floors)[:2]):
-                row = data.row(i, hs[-1])
-                found = [w for w in map(row.strict_witness, hs) if w is not None]
-                if found:
-                    strict = (min(found), *data.sides(min(found)))
-                    break
+            kept.append(_select(data, data.cut, rows, ratio, off, reach, floors))
+        # last: tiling again overwrites this tile's buffers
+        if strict is None and (first := _violation(data, data.cut, [tiled])) is not None:
+            full = np.full(first[0] + 1, data.n)
+            strict = _violation(data, full, _line_tiles(data, np.arange(first[0] + 1), full))
+            strict = (strict, *data.sides(strict))
     best = [None] * len(top)
     for i, hs, buckets in _by_row(*_at_floors(kept, floors)[:3]):
         row = data.row(i, hs[-1])

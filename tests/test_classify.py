@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 import warnings
@@ -674,8 +676,9 @@ def row_oracle(data, i):
     return spread * (den / (nums[i + 2:] - nums[i]))
 
 
-def float_pass_oracle(data, eps):
-    """Per-row bucket maxima and bucket counts, one row at a time, from row_oracle."""
+def float_pass_oracle(data, eps, cut=None):
+    """Per-row bucket maxima and bucket counts, one row at a time, from row_oracle; with a
+    cut, the maxima range over the items of row i whose last index is below cut[i]."""
     rows = data.n - data.gap
     longest = int(data.nums[-1]) - int(data.nums[0])
     edges = [0, *scan._ceil_thresholds(eps, data.den, longest + 1).tolist(), longest + 1]
@@ -689,16 +692,41 @@ def float_pass_oracle(data, eps):
     for i in range(rows):
         lo = before[i, :-1]
         filled = before[i, 1:] > lo
-        row_max[i, filled] = np.maximum.reduceat(row_oracle(data, i), lo[filled])
+        ratios = row_oracle(data, i)
+        if cut is not None:
+            ratios = ratios[:cut[i] - i - data.gap]
+        row_max[i, filled] = np.maximum.reduceat(ratios, lo[filled])
     return row_max, counts.tolist()
 
 
-def tiled_row_maxima(data):
+def tiled_row_maxima(data, stop):
     """Per-row bucket maxima as the line pass reads them, tile by tile (scan._line_tiles)."""
     row_max = np.full((data.n - data.gap, len(data.counts)), -np.inf)
-    for rows, _, _, tile_max in scan._line_tiles(data):
+    for rows, _, _, tile_max in scan._line_tiles(data, np.arange(data.n - data.gap), stop):
         row_max[rows] = tile_max
     return row_max
+
+
+def brute_cut(data, threshold):
+    """Per row i, the least last index k from which some point m splits (i, k) into two items
+    of span >= threshold (in 1/den units), or n; the loop the cut formula stands for."""
+    nums, gap, n = data.numerators, data.gap, data.n
+    cut = []
+    for i in range(n - gap):
+        splits = [k for k in range(i + gap, n)
+                  if any(min(nums[m] - nums[i], nums[k] - nums[m]) >= threshold
+                         for m in range(i + gap, k - gap + 1))]
+        cut.append(splits[0] if splits else n)
+    return cut
+
+
+def first_kept_violation_row(data, rows_of):
+    """The first row holding a strict violator below its cut, from the Fraction rows, or None."""
+    for i in range(data.n - data.gap):
+        row = rows_of(data, i, data.n - data.gap - 1 - i)
+        if any(row.strict_witness(h) for h in range(data.cut[i] - i - data.gap)):
+            return i
+    return None
 
 
 @st.composite
@@ -769,6 +797,52 @@ def rising_inputs(draw):
     return nums, den, points, images, tuple(sorted(eps)), tile
 
 
+@st.composite
+def pruned_inputs(draw):
+    """A line scan whose top eps bucket leaves most of its items untiled, and a tile size.
+
+    The last eps value is among the shortest spans, so most items of the top
+    bucket split into two of its items and lie past their row's cut.  Shapes:
+    composite's gapped tail {4m, 4m + 1}, where an item of span 2 eps or more
+    can have no split point; x/2, where every untiled item ties with its
+    bucket maximum; x/2 with steps, where the lex-first strict violator can be
+    a long item of an early row, past its cut; small random images; and x/2
+    with a few images beyond the float range, which turn the screen off.
+    """
+    n = draw(st.integers(min_value=3, max_value=30))
+    shape = draw(st.sampled_from(("gapped", "half", "steps", "random", "huge")))
+    tile = draw(st.sampled_from((1, 5, 37, scan.LINE_TILE)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    if shape == "gapped":
+        den = rng.choice((2, 4, 8))
+        nums = list(range(min(den + 1, n - n // 3)))
+        m = 1
+        while len(nums) < n:
+            nums += [4 * m * den, (4 * m + 1) * den][:n - len(nums)]
+            m += 1
+    else:
+        den = rng.choice((1, 3, 10))
+        nums = sorted(rng.sample(range(2 * n), n))
+    points = [F(k, den) for k in nums]
+    if shape == "gapped":
+        images = rng.choice(([composite_action(p) for p in points],
+                             [F(rng.randint(-20, 20), 4) for _ in points]))
+    elif shape == "random":
+        images = [F(rng.randint(0, 24), 8) for _ in points]
+    else:
+        images = [p / 2 for p in points]
+        steps = rng.sample(range(1, n), rng.randint(1, min(2, n - 1))) if shape == "steps" else ()
+        for r in steps:
+            step = rng.choice((F(1, 2), 1)) * (points[r] - points[0])
+            images[r:] = [v + step for v in images[r:]]
+        for r in rng.sample(range(n), rng.randint(1, min(3, n))) if shape == "huge" else ():
+            images[r] = rng.choice((10 ** 400, -10 ** 400, 10 ** 400 + F(1, 3)))
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    short = spans[:max(1, len(spans) // 4)]
+    eps = set(rng.sample(short, min(len(short), rng.randint(1, 3))))
+    return nums, den, points, images, tuple(sorted(eps)), tile
+
+
 class TestLineTiles:
     @given(tile_inputs(max_n=200))
     def test_tiles_equal_the_row_oracle_bit_for_bit(self, case):
@@ -777,20 +851,26 @@ class TestLineTiles:
         for kind in ("pairwise", "triple"):
             with mock.patch.object(scan, "LINE_TILE", tile):
                 data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
-                row_max, counts = tiled_row_maxima(data), data.counts
-                # tile() also takes runs of rows with gaps between them
                 rows = np.arange(data.n - data.gap)
+                full = np.full(len(rows), data.n)
+                row_max = {"full": tiled_row_maxima(data, full),
+                           "cut": tiled_row_maxima(data, data.cut)}
+                # tile() also takes runs of rows with gaps between them, up to either stop
                 some = np.array(sorted(rng.sample(range(len(rows)), (len(rows) + 1) // 2)))
-                for subset in (rows, some):
-                    for block in data.blocks(subset):
-                        ratio, off = data.tile(block)
+                for subset, stop in itertools.product((rows, some), (full, data.cut)):
+                    for block in data.blocks(subset, stop):
+                        ratio, off = data.tile(block, stop)
+                        assert ratio.shape == (len(block), stop[block[-1]] - block[0] - data.gap)
                         for r, i in enumerate(block.tolist()):
-                            assert (ratio[r, off[r]:].tobytes()
-                                    == row_oracle(data, i).tobytes()), (kind, i)
+                            end = off[r] + stop[i] - i - data.gap
+                            assert (ratio[r, off[r]:end].tobytes()
+                                    == row_oracle(data, i)[:end - off[r]].tobytes()), (kind, i)
                             assert (ratio[r, :off[r]] == -np.inf).all()
-            want_max, want_counts = float_pass_oracle(data, eps)
-            assert row_max.tobytes() == want_max.tobytes(), kind
-            assert counts == want_counts, kind
+                            assert (ratio[r, end:] == -np.inf).all()
+            for stop, cut in (("full", None), ("cut", data.cut)):
+                want_max, want_counts = float_pass_oracle(data, eps, cut)
+                assert row_max[stop].tobytes() == want_max.tobytes(), (kind, stop)
+            assert data.counts == want_counts, kind
 
     @given(tile_inputs(max_n=30))
     def test_tiled_scans_match_fraction_oracle(self, case):
@@ -812,23 +892,37 @@ class TestLineTiles:
 
     @pytest.mark.parametrize("tile", (1, 5, 37, scan.LINE_TILE))
     def test_every_row_is_tiled_once_per_scan(self, monkeypatch, tile):
+        # each row once up to its cut; a strict violator below the cut in row r then
+        # tiles rows 0..r once more in full, and nothing else is tiled
         monkeypatch.setattr(scan, "LINE_TILE", tile)
         tiled, tile_of = {}, scan._LineData.tile
 
-        def spy(data, rows):
-            tiled.setdefault(data, []).append(rows.tolist())
-            return tile_of(data, rows)
+        def spy(data, rows, stop):
+            cut = stop is data.cut
+            assert cut or (stop == data.n).all()
+            tiled.setdefault(data, []).append((cut, rows.tolist()))
+            return tile_of(data, rows, stop)
 
         monkeypatch.setattr(scan._LineData, "tile", spy)
+        retiled = []
         for entry in (catalog("floor_half", integer_max=70),
                       catalog("composite", grid_step=F(1, 16), index_max=12)):
             tiled.clear()
             full_report(entry.space, entry.map)
             assert sorted(data.gap for data in tiled) == [1, 2]     # one scan of each kind
-            for data, blocks in tiled.items():
+            for data, calls in tiled.items():
                 rows = np.arange(data.n - data.gap)
-                assert blocks == [block.tolist() for block in data.blocks(rows)]
+                assert (data.cut < data.n).any()
+                blocks = [block for cut, block in calls if cut]
+                assert blocks == [block.tolist() for block in data.blocks(rows, data.cut)]
                 assert sum(blocks, []) == rows.tolist()
+                rows_of = FractionPairRow if data.gap == 1 else FractionTripleRow
+                r = first_kept_violation_row(data, rows_of)
+                full = np.full(len(rows), data.n)
+                again = [] if r is None else data.blocks(rows[:r + 1], full)
+                assert [block for cut, block in calls if not cut] == [b.tolist() for b in again]
+                retiled.append(r)
+        assert retiled.count(None) < len(retiled)      # some scan tiles again
 
     @pytest.mark.parametrize("tile", (1, 37, scan.LINE_TILE))
     def test_exact_evaluations_are_the_items_at_or_above_the_final_floors(self, monkeypatch,
@@ -861,10 +955,14 @@ class TestLineTiles:
             monkeypatch.setattr(row_kind, "entry", spy_entry(row_kind.entry))
             monkeypatch.setattr(row_kind, "strict_witness", spy_strict(row_kind.strict_witness))
         for kind in ("pairwise", "triple"):
+            # the items below each row's cut, with floors of their float maxima
             data = scan._LINE_KINDS[kind](nums, 1, points, images, DEFAULT_EPS_GRID)
-            floors = data.screen_floors(float_pass_oracle(data, DEFAULT_EPS_GRID)[0].max(axis=0))
-            want = sum(int((row_oracle(data, i)
-                            >= np.repeat(floors, np.diff(data.before[i]))).sum())
+            cut = data.cut
+            floors = data.screen_floors(
+                float_pass_oracle(data, DEFAULT_EPS_GRID, cut)[0].max(axis=0))
+            want = sum(int((row_oracle(data, i)[:cut[i] - i - data.gap]
+                            >= np.repeat(floors, np.diff(data.before[i]))[:cut[i] - i - data.gap])
+                           .sum())
                        for i in range(data.n - data.gap))
             evaluated[0] = 0
             scan._line_analysis(kind, nums, 1, points, images, DEFAULT_EPS_GRID)
@@ -879,6 +977,41 @@ class TestLineTiles:
                 got = engine(nums, den, points, images, eps)
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
+
+    @given(st.one_of(pruned_inputs(), tile_inputs(max_n=30)))
+    def test_cut_matches_the_split_loop(self, case):
+        nums, den, points, images, eps, _ = case
+        threshold = scan._ceil_thresholds(eps, den, math.inf, object)[-1]
+        for kind in ("pairwise", "triple"):
+            data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+            assert data.cut.tolist() == brute_cut(data, threshold), kind
+
+    @given(pruned_inputs())
+    def test_pruned_scans_match_fraction_oracle(self, case):
+        nums, den, points, images, eps, tile = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            with mock.patch.object(scan, "LINE_TILE", tile):
+                got = engine(nums, den, points, images, eps)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+
+    def test_floor_half_report_tiles_few_live_items(self, monkeypatch):
+        # live items: those before each tiled row's stop, not the masked rest of the rectangle
+        tiled, items, tile_of = [0], [0], scan._LineData.tile
+
+        def spy(data, rows, stop):
+            tiled[0] += int((stop[rows] - rows - data.gap).sum())
+            if stop is data.cut:
+                items[0] += int((data.n - rows - data.gap).sum())
+            return tile_of(data, rows, stop)
+
+        monkeypatch.setattr(scan._LineData, "tile", spy)
+        entry = catalog("floor_half", integer_max=4096)
+        report = full_report(entry.space, entry.map)
+        assert items[0] == 4097 * 4096 // 2 + 4096 * 4095 // 2 == 4096 ** 2
+        assert tiled[0] <= 0.015 * items[0]
+        assert report.tpc_alpha == F(2, 3)
 
     @pytest.mark.parametrize("tile", (1, 5, 37))
     def test_images_beyond_the_float_range_match_the_oracle(self, monkeypatch, tile):
@@ -1086,6 +1219,16 @@ class TestFullReport:
         alpha_sub, _, _ = estimate_tpc_alpha(entry.space, entry.map,
                                              point_set=[F(0), F(1), F(2), F(3)])
         assert alpha_sub == F(1, 2) <= alpha_all
+
+    @pytest.mark.parametrize("entry", (("floor_half", {"integer_max": 40}),
+                                       ("composite", {"grid_step": F(1, 8), "index_max": 9}),
+                                       ("burton_logistic", {"grid_step": F(1, 32)})))
+    def test_full_point_set_given_explicitly_keeps_the_report(self, entry):
+        # the default scans SampledSpace.numerators; an explicit set converts its points
+        e = catalog(entry[0], **entry[1])
+        given_set = full_report(e.space, e.map, point_set=list(reversed(e.space.point_set())))
+        assert (json.dumps(given_set.to_json(), sort_keys=True)
+                == json.dumps(full_report(e.space, e.map).to_json(), sort_keys=True))
 
     def test_subset_membership_checked(self):
         entry = catalog("floor_half", integer_max=16)

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,17 @@ class TestReproduce:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:-1] == [f"[PASS] {c['id']}: {c['description']}" for c in doc["checks"]]
         assert lines[-1] == f"report: {path}"
+
+    def test_gated_outputs_tool_writes_the_pinned_reproduce_file(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "gated_outputs", Path(__file__).resolve().parents[1] / "tools" / "gated_outputs.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        runs = dict(tool.RUNS)
+        assert tool.write_outputs(tmp_path, [("reproduce", runs["reproduce"])]) == {"reproduce": 0}
+        _, path = read_only_json(tmp_path / "reproduce", "reproduce")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REPRODUCE_SHA256
+        assert (tmp_path / "exit-codes.txt").read_text() == "reproduce 0\n"
 
 
 class TestParityCases:

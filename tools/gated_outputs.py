@@ -1,0 +1,90 @@
+"""Write every gated output of the program into one directory, for a byte-identity check.
+
+Usage (from the repository root):
+
+    python3 tools/gated_outputs.py OUT_DIR
+
+The program is imported from ``src/`` of the checkout this script sits in.
+Each run writes its files into ``OUT_DIR/<label>/`` and its exit code into
+``OUT_DIR/exit-codes.txt``; no file holds a path or a timing.  A change keeps
+its gated outputs when, with this script copied into a checkout of the
+parent as well,
+
+    diff -r PARENT_OUT CHANGE_OUT
+
+prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
+``tests/test_cli.py``), ``classify`` on the catalog scopes the line engine is
+measured at, one with a small last eps where almost every item of the top
+bucket lies past its row's cut, a CSV run with an ``--eps-grid``, two
+``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
+both biases.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from contraction_lab import cli  # noqa: E402
+
+SEARCH_TRIALS = 2000
+
+RUNS = (
+    ("reproduce", ["reproduce"]),
+    ("classify-burton-2048", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/2048"]),
+    ("classify-burton-2051", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/2051"]),
+    ("classify-floor-1024", ["classify", "--catalog", "floor_half", "--max-n", "1024"]),
+    ("classify-floor-4096", ["classify", "--catalog", "floor_half", "--max-n", "4096"]),
+    ("classify-floor-4097", ["classify", "--catalog", "floor_half", "--max-n", "4097"]),
+    ("classify-floor-4097-small-eps", ["classify", "--catalog", "floor_half", "--max-n", "4097",
+                                       "--eps-grid", "1/512,1/2,1"]),
+    ("classify-composite-1024", ["classify", "--catalog", "composite", "--grid-step", "1/1024"]),
+    ("classify-composite-256-90", ["classify", "--catalog", "composite", "--grid-step", "1/256",
+                                   "--max-n", "90"]),
+    ("classify-period2", ["classify", "--catalog", "period2_counterexample"]),
+    ("classify-csv", ["classify", "--catalog", "composite", "--grid-step", "1/256",
+                      "--format", "csv", "--eps-grid", "1/8,1/2,1,2"]),
+    ("verify-corrected-floor", ["verify", "--theorem", "corrected_main", "--catalog",
+                                "floor_half", "--max-n", "256"]),
+    ("verify-burton-logistic", ["verify", "--theorem", "burton", "--catalog", "burton_logistic",
+                                "--grid-step", "1/256"]),
+) + tuple(
+    (f"search-{theorem}-{bias}-{seed}",
+     ["search", "--theorem", theorem, "--seed", str(seed), "--trials", str(SEARCH_TRIALS),
+      "--bias", bias])
+    for theorem in ("mesmouli_uncorrected", "corrected_main")
+    for bias in ("uniform", "period2")
+    for seed in (3, 7)
+)
+
+
+def write_outputs(out_dir, runs=RUNS):
+    """Run each (label, argv) through the CLI into out_dir/label; returns {label: exit code}."""
+    out_dir = Path(out_dir)
+    codes = {}
+    for label, argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[label] = cli.main([*argv, "--out", str(out_dir / label)])
+    (out_dir / "exit-codes.txt").write_text(
+        "".join(f"{label} {code}\n" for label, code in codes.items()), encoding="utf-8")
+    return codes
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/gated_outputs.py OUT_DIR", file=sys.stderr)
+        return 1
+    codes = write_outputs(args[0])
+    failed = [label for label, code in codes.items() if code == 1]
+    for label in failed:
+        print(f"error: run {label} exited with code 1", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
