@@ -15,6 +15,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import scan
 from .map_catalog import SelfMap, apply
 from .metric_core import (
     ETA,
@@ -75,8 +76,9 @@ class OrbitTrace:
 
 
 def _decimal_point(p):
+    """A state as a float string; beyond the float range, +-inf (scan._quotient)."""
     if isinstance(p, Fraction):
-        return repr(float(p))
+        return repr(scan._quotient(p.numerator, p.denominator))
     return p
 
 

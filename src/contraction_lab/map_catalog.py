@@ -168,6 +168,8 @@ def period2_space() -> FiniteMetricSpace:
 
 def logistic_ratio(x):
     x = Fraction(x)
+    if x == -1:
+        raise InputError(f"{x} is not a point of the map x/(1+x): 1 + x is zero")
     return x / (1 + x)
 
 

@@ -19,15 +19,22 @@ Two engines back the classifiers:
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
   through the running extrema of the image values.  That collapses the triple
   scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Items sharing
-  a first index i form a row.  One pass computes the float ratios of each
-  block of rows once, as a (rows, columns) tile of at most LINE_TILE items
-  (_LineData.tile), keeps the items at or above a proven float error bound
-  below their bucket's running maximum (_LineData.screen_floors), checks
-  strict suspects within their tile, and at the end re-evaluates the items
-  at or above the final bounds exactly, by cross products of the images' int
-  numerators and denominators; only a bucket's winner and the strict witness
-  become Fractions.  Qualification thresholds (distance >= eps) are decided
-  in integer arithmetic, so bucket membership never suffers float errors.
+  a first index i form a row, and column c of row i stands for the last
+  index i + gap + c.  One pass computes the float ratios of each run of rows
+  once, as a (rows, columns) tile of at most LINE_TILE entries, its rows
+  times their widest live width (_LineData.tile; images and spans are read
+  through strided window views), keeps the items at or above a proven float
+  error bound below their bucket's running maximum
+  (_LineData.screen_floors), and checks strict suspects within their tile.
+  At the end the items at or above the final bounds are settled exactly as
+  array passes (_settle): their ratios as unreduced ints from the images'
+  int numerators and denominators (int64, or object arrays of Python ints
+  where a product could pass 2**63), a triple's best middle point from a
+  range-extremum table over exact image ranks, and per bucket the table
+  engine's exact step (_exact_step); only a bucket's winner and the strict
+  witness become Fractions.  Qualification thresholds (distance >= eps) are
+  decided in integer arithmetic, so bucket membership never suffers float
+  errors.
   Only the top bucket's minimal windows are tiled.  For sorted i < m < k,
   |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
   ratio of (i, k) is at most the greater of its halves', and equal only if
@@ -205,11 +212,13 @@ class _LatticeReduction:
                 continue
             self.counts[b] += count
             items = np.flatnonzero(bucket == b)
-            if ratio is not None:          # keep the items that can hold the bucket maximum
+            if exact:
+                self.best[b] = _exact_step(num, den, ratio, items, witness, self.best[b])
+                continue
+            if ratio is not None:          # keep the items in the band below the bucket maximum
                 r = ratio[items]
                 top = r.max()
-                items = items[r == top if exact else
-                              r >= (top * (1 - FLOAT_BAND) if top > 0 else top * (1 + FLOAT_BAND))]
+                items = items[r >= (top * (1 - FLOAT_BAND) if top > 0 else top * (1 + FLOAT_BAND))]
             self.best[b] = _fold(num, den, items, witness, self.best[b])
 
     def result(self, kind, eps, points):
@@ -235,6 +244,22 @@ def _float_ratios(num, den):
     if num.dtype != object:
         return num / den
     return np.frompyfunc(_quotient, 2, 1)(num, den).astype(np.float64)
+
+
+def _exact_step(num, den, ratio, items, witness, cur, order=None):
+    """Fold one bucket's items, of exact ints num / den > 0, into the running entry cur.
+
+    ratio holds the correctly rounded float quotients (_float_ratios), which
+    are monotone in the exact ratio, so the bucket's exact maximum is among
+    the items whose float equals the bucket's float maximum; only those reach
+    _fold, in witness order.  Items are in it already, or order holds the
+    witness columns to sort them by.
+    """
+    r = ratio[items]
+    items = items[r == r.max()]
+    if order is not None:
+        items = items[np.lexsort([column[items] for column in reversed(order)])]
+    return _fold(num, den, items, witness, cur)
 
 
 def _fold(num, den, cands, witness, cur):
@@ -321,6 +346,30 @@ def _table_analysis(kind, lattice, nodes, images, eps, points):
 # ---------------------------------------------------------------------------
 # line engine (sampled one-dimensional spaces)
 
+def _windows(values, start, shape):
+    """(rows, width) view of a contiguous 1-D array: row r holds values[start + r:][:width]."""
+    step = values.strides[0]
+    return np.ndarray(shape, values.dtype, values, start * step, (step, step))
+
+
+def _extrema_table(keys, ufunc, longest):
+    """Range-extremum table for ranges of up to longest keys: row p, column x holds ufunc over
+    keys[x:x + 2**p] (_range_extremum)."""
+    table = np.empty((longest.bit_length(), len(keys)), dtype=keys.dtype)
+    table[0] = keys
+    for p in range(1, len(table)):
+        half = 1 << (p - 1)
+        ufunc(table[p - 1, :-half], table[p - 1, half:], out=table[p, :-half])
+        table[p, -half:] = table[p - 1, -half:]
+    return table
+
+
+def _range_extremum(table, ufunc, lo, hi):
+    """Per query, ufunc over keys[lo..hi] (inclusive, lo <= hi): two overlapping table windows."""
+    p = np.frexp(hi - lo + 1.0)[1] - 1             # floor(log2(length))
+    return ufunc(table[p, lo], table[p, hi + 1 - np.left_shift(1, p)])
+
+
 class _LineData:
     """Shared arrays for one sampled-space enumeration of one kind.
 
@@ -336,31 +385,40 @@ class _LineData:
         self.den = den
         self.points = tuple(points)    # Fractions, ascending
         self.images = tuple(images)    # Fractions
-        # the exact evaluations' images: int numerators and positive denominators
-        self.inums, self.idens = [v.numerator for v in images], [v.denominator for v in images]
+        self.n = n = len(self.points)
         self.nums = np.asarray(numerators, dtype=np.int64)
-        self.tvals = np.array([_quotient(a, b) for a, b in zip(self.inums, self.idens)])
+        self.numerators = self.nums.tolist()
+        longest = self.numerators[-1] - self.numerators[0]
+        # the images' int numerators and positive denominators, as Python ints for the
+        # strict check, and as arrays for exact(): int64 while its quotients' operands stay
+        # below 2**53 and its products below 2**63, object arrays of Python ints otherwise
+        self.inums, self.idens = [v.numerator for v in images], [v.denominator for v in images]
+        a, b = max(map(abs, self.inums)), max(self.idens)
+        wide = max(2 * a * b, b * b * longest) > 2 ** 53 or 4 * a * b ** 3 >= 2 ** 63
+        self.inum, self.iden = (np.array(v, dtype=object if wide else np.int64)
+                                for v in (self.inums, self.idens))
+        self.tvals = _float_ratios(self.inum, self.iden)
         self.finite = bool(np.isfinite(self.tvals).all())
-        self.n = len(self.points)
-        longest = int(self.nums[-1]) - int(self.nums[0])
+        # padded past the last point, so that every tile column has a window entry
+        self.tpad = np.concatenate((self.tvals, np.zeros(n)))
+        self.npad = np.concatenate((self.nums, np.zeros(n, dtype=np.int64)))
         thresholds = _ceil_thresholds(eps, den, longest + 1)
         # bucket edges in 1/den units: 0, the thresholds, one past the longest span
         edges = np.concatenate(([0], thresholds, [longest + 1]))
-        rows = self.n - self.gap
+        rows = n - self.gap
         self.before = np.maximum(np.searchsorted(self.nums, self.nums[:rows, None] + edges)
-                                 - np.arange(self.gap, self.n)[:, None], 0)
+                                 - np.arange(self.gap, n)[:, None], 0)
         self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
                                for e in range(len(edges))]).tolist()
         # row i's items with last index cut[i] or more split at j0 into two top-bucket items
-        j0 = self.before[:, -2] + np.arange(self.gap, self.n)
+        j0 = self.before[:, -2] + np.arange(self.gap, n)
         self.cut = np.minimum(np.maximum(j0 + self.gap, np.searchsorted(
-            self.nums, self.nums[np.minimum(j0, self.n - 1)] + thresholds[-1])), self.n)
+            self.nums, self.nums[np.minimum(j0, n - 1)] + thresholds[-1])), n)
         # the float screen's absolute bound, over each bucket's least span (screen_floors)
         shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
         self.absolute = (8 * 2.0 ** -53 * float(np.abs(self.tvals).max()) * float(den)
                          / np.maximum(shortest, np.concatenate(([0], thresholds))))
         self.strict_floors = 1.0 - FLOAT_SLACK - self.absolute
-        self.numerators = self.nums.tolist()
         # tile buffers for the largest tile of blocks(): fresh ones would be faulted in per tile
         self.work = np.empty((4, min(max(LINE_TILE, rows), rows * rows)))
 
@@ -395,48 +453,49 @@ class _LineData:
         return floors
 
     def blocks(self, rows, stop):
-        """Runs of the ascending rows, each as many as fit in LINE_TILE items (at least one)
-        of the rectangle tile() computes for them; stop, per row, is nondecreasing."""
+        """Runs of the consecutive rows, each as many as fit in LINE_TILE entries (at least one)
+        of the tile that tile() computes for them, its rows times their widest live width, and
+        of their bucket bounds, a row of before per row."""
+        footprint = stop[rows] - rows - self.gap + self.before.shape[1]
         pos = 0
         while pos < len(rows):
-            ahead = rows[pos:pos + LINE_TILE]
-            area = (stop[ahead] - (ahead[0] + self.gap)) * np.arange(1, len(ahead) + 1)
+            widest = np.maximum.accumulate(footprint[pos:pos + LINE_TILE])
+            area = widest * np.arange(1, len(widest) + 1)
             step = max(1, int(np.searchsorted(area, LINE_TILE, side="right")))
             yield rows[pos:pos + step]
             pos += step
 
     def tile(self, rows, stop):
-        """Float ratios of the items of some ascending rows, as one (rows, columns) array.
+        """Float ratios of the items of a run of consecutive rows, as one (rows, columns) array.
 
-        Column c stands for the last index rows[0] + gap + c, so position h
-        of row r sits at column off[r] + h, off = rows - rows[0]; the columns
-        before it, and those of last indices at or past the row's stop, hold
-        -inf.  Each ratio is the float that the row-at-a-time formula gives,
-        bit for bit.  The tile is a view of a buffer that the next call
-        overwrites.  Returns (ratios, off).
+        Column c of row i stands for the last index i + gap + c; the columns
+        at or past the row's stop hold -inf.  Each ratio is the float that
+        the row-at-a-time formula gives, bit for bit.  The tile is a view of
+        a buffer that the next call overwrites.
         """
-        k0, k1 = int(rows[0]) + self.gap, int(stop[rows[-1]])
-        off, ends = rows - rows[0], stop[rows] - k0
-        shape = (len(rows), k1 - k0)
+        i0, live = int(rows[0]), stop[rows] - rows - self.gap
+        shape = (len(rows), int(live.max()))
         ratio, factor, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in self.work)
-        with np.errstate(divide="ignore", invalid="ignore"):   # span <= 0 before off; inf - inf
-            self.spreads(rows, k0, k1, ratio, factor, *scratch)
+        with np.errstate(divide="ignore", invalid="ignore"):   # past the stops; inf - inf
+            self.spreads(i0, ratio, factor, *scratch)
             spans = scratch[0].view(np.int64)       # free once the spreads are in ratio
-            np.subtract(self.nums[k0:k1], self.nums[rows, None], out=spans)
+            np.subtract(_windows(self.npad, i0 + self.gap, shape), self.nums[rows, None],
+                        out=spans)
             np.copyto(factor, spans)
             np.divide(float(self.den), factor, out=factor)
             np.multiply(ratio, factor, out=ratio)
-        ratio[:, :off[-1]][np.arange(off[-1]) < off[:, None]] = -np.inf
-        ratio[:, ends[0]:][np.arange(ends[0], shape[1]) >= ends[:, None]] = -np.inf
-        return ratio, off
+        narrow = int(live.min())
+        ratio[:, narrow:][np.arange(narrow, shape[1]) >= live[:, None]] = -np.inf
+        return ratio
 
 
 class _LinePairs(_LineData):
     gap = 1
 
-    def spreads(self, rows, k0, k1, out, *scratch):
-        """Float image distances |tv[k] - tv[i]| of the rows i and the last indices k0 <= k < k1."""
-        np.subtract(self.tvals[k0:k1], self.tvals[rows, None], out=out)
+    def spreads(self, i0, out, *scratch):
+        """Float image distances |tv[k] - tv[i]| of a tile's rows i and columns k = i + 1 + c."""
+        np.subtract(_windows(self.tpad, i0 + 1, out.shape), self.tvals[i0:i0 + len(out), None],
+                    out=out)
         np.abs(out, out=out)
 
     @staticmethod
@@ -449,30 +508,29 @@ class _LinePairs(_LineData):
         i, j = wit
         return self.points[j] - self.points[i], abs(self.images[j] - self.images[i])
 
+    def exact(self, rows, hs):
+        """(image distance numerators, their denominators times the spans, witness columns) of
+        the pairs (rows, rows + 1 + hs): unreduced ints that order items like their ratios."""
+        i, j = rows, rows + 1 + hs
+        a, b = self.inum, self.iden
+        span = self.nums[j] - self.nums[i]
+        return np.abs(a[j] * b[i] - a[i] * b[j]), b[i] * b[j] * span, (i, j)
+
     def row(self, i, reach):
         return _PairRow(self, i)
 
 
 class _PairRow:
-    """Exact evaluation of the pairs (i, i+1+h) of one row, in Python ints.
-
-    With images a/b, an entry's ratio is the image distance over the span
-    in 1/den units as the unreduced ints |a_j*b_i - a_i*b_j| and
-    b_i*b_j*span, which order items like their exact ratios (_better).
-    """
+    """The strict check of the pairs (i, i+1+h) of one row, in Python ints."""
 
     def __init__(self, data, i):
         self.data, self.i = data, i
 
-    def entry(self, h):
-        """(image distance numerator, its denominator times the span, witness)."""
+    def strict_witness(self, h):
         i, j = self.i, self.i + 1 + h
         a, b, nums = self.data.inums, self.data.idens, self.data.numerators
-        return abs(a[j] * b[i] - a[i] * b[j]), b[i] * b[j] * (nums[j] - nums[i]), (i, j)
-
-    def strict_witness(self, h):
-        num, den_span, wit = self.entry(h)
-        return wit if num * self.data.den >= den_span else None
+        image_distance, span = abs(a[j] * b[i] - a[i] * b[j]), nums[j] - nums[i]
+        return (i, j) if image_distance * self.data.den >= b[i] * b[j] * span else None
 
 
 class _LineTriples(_LineData):
@@ -480,27 +538,53 @@ class _LineTriples(_LineData):
 
     gap = 2
 
-    def spreads(self, rows, k0, k1, out, low, high, bottom):
-        """Float image spreads of the rows i and the last indices k0 <= k < k1, best middle point.
+    def ranks(self):
+        """Dense ranks of the images in exact order: float order, refined exactly within runs
+        of equal floats (reduced fractions: equal images have equal ints)."""
+        a, b = self.inum, self.iden
+        order = np.argsort(self.tvals, kind="stable")
+        tied = self.tvals[order][1:] == self.tvals[order][:-1]
+
+        def differ(order):
+            return (a[order][1:] != a[order][:-1]) | (b[order][1:] != b[order][:-1])
+
+        if (mixed := tied & differ(order)).any():   # distinct images share a float
+            runs = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])))).reshape(-1, 2)
+            order = order.tolist()
+            for s, e in runs[np.logical_or.reduceat(mixed, runs[:, 0])].tolist():
+                order[s:e + 1] = sorted(order[s:e + 1], key=self.images.__getitem__)
+            order = np.array(order)
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(differ(order))))
+        return rank
+
+    def spreads(self, i0, out, low, high, bottom):
+        """Float image spreads of a tile's rows i and columns k = i + 2 + c, best middle point.
 
         The row-at-a-time formula, max(hi - lo, top - lo, hi - bottom) with
         lo, hi the images of i and k and top, bottom the running extrema of
         the middle images, equals max(Top - lo, hi - Bottom) bit for bit,
         where Top and Bottom run over tv[i .. k]: max and min are exact and
-        rounding is monotone.  Top and Bottom are split at h1 = max(rows[-1]
-        + 1, k0): each row runs its own over tv[i .. h1-1], and one
-        accumulation over tv[h1 ..] serves every row.
+        rounding is monotone.  Top and Bottom are split at h1 = i0 + max(rows,
+        2): each row accumulates its own window tv[i .. i + head - 1], head =
+        min(h1 - i0, width + 2), which reaches past h1 - 1 unless the row's
+        columns end before h1, and one accumulation over tv[h1 ..] serves every
+        row beyond its window through a window view (max and min are
+        idempotent, so the overlap changes nothing).
         """
-        tv = self.tvals
-        i0 = int(rows[0])
-        h1 = max(int(rows[-1]) + 1, k0)
-        inside = np.arange(i0, h1) >= rows[:, None]
-        for ufunc, pad, run in ((np.maximum, -np.inf, out), (np.minimum, np.inf, bottom)):
-            head = ufunc.accumulate(np.where(inside, tv[i0:h1], pad), axis=1)
-            run[:, :h1 - k0] = head[:, 2:]
-            ufunc(head[:, -1:], ufunc.accumulate(tv[h1:k1]), out=run[:, h1 - k0:])
-        np.minimum(tv[rows, None], tv[k0:k1], out=low)
-        np.maximum(tv[rows, None], tv[k0:k1], out=high)
+        rows, width = out.shape
+        tv = self.tpad
+        h1 = i0 + max(rows, 2)
+        head = min(h1 - i0, width + 2)
+        for ufunc, run in ((np.maximum, out), (np.minimum, bottom)):
+            own = ufunc.accumulate(_windows(tv, i0, (rows, head)), axis=1)
+            run[:, :head - 2] = own[:, 2:]
+            shared = ufunc.accumulate(tv[h1:i0 + rows + width + 1])
+            ufunc(own[:, -1:], _windows(shared, 0, (rows, width + 2 - head)),
+                  out=run[:, head - 2:])
+        ends, starts = _windows(tv, i0 + 2, out.shape), self.tvals[i0:i0 + rows, None]
+        np.minimum(starts, ends, out=low)
+        np.maximum(starts, ends, out=high)
         np.subtract(out, low, out=out)
         np.subtract(high, bottom, out=bottom)
         np.maximum(out, bottom, out=out)
@@ -516,65 +600,77 @@ class _LineTriples(_LineData):
         ims = (self.images[i], self.images[j], self.images[k])
         return 2 * (self.points[k] - self.points[i]), 2 * (max(ims) - min(ims))
 
+    def exact(self, rows, hs):
+        """(image spread numerators, their denominators times the spans, witness columns) of
+        the pairs (rows, rows + 2 + hs) at their best middle points, the smallest on ties.
+
+        The spread is the greatest of hi - lo, top - lo and hi - bottom, lo and
+        hi being the images of i and k, and top and bottom the extreme middle
+        images, at their first indices (the range-extremum tables).  Ranks
+        decide which differences beat hi - lo; only when both do are they
+        compared by cross products.  Entries are unreduced as for pairs
+        (perimeters are twice spans).
+        """
+        i, k = rows, rows + 2 + hs
+        n, rank, a, b = self.n, self.ranks(), self.inum, self.iden
+        longest, index = int(hs.max()) + 1, np.arange(n)
+        # the first index of the greatest and of the least image over each range of middle points
+        tops = _extrema_table(rank * n + (n - 1 - index), np.maximum, longest)
+        bottoms = _extrema_table(rank * n + index, np.minimum, longest)
+        top = n - 1 - _range_extremum(tops, np.maximum, i + 1, k - 1) % n
+        bottom = _range_extremum(bottoms, np.minimum, i + 1, k - 1) % n
+        swap = rank[i] > rank[k]
+        lo, hi = np.where(swap, k, i), np.where(swap, i, k)
+
+        def minus(p, q):        # image p - image q, as (numerator, denominator)
+            return a[p] * b[q] - a[q] * b[p], b[p] * b[q]
+
+        ends, up, down = minus(hi, lo), minus(top, lo), minus(hi, bottom)
+        over, under = rank[top] > rank[hi], rank[bottom] < rank[lo]    # beat hi - lo
+        cmp = up[0] * down[1] - down[0] * up[1]
+        use_up = over & ~(under & (cmp < 0))
+        use_down = under & ~(over & (cmp >= 0))
+        j = np.where(use_up, np.where(under & (cmp == 0), np.minimum(top, bottom), top),
+                     np.where(use_down, bottom, i + 1))
+        num, den = (np.where(use_up, u, np.where(use_down, d, e))
+                    for u, d, e in zip(up, down, ends))
+        return num, den * (self.nums[k] - self.nums[i]), (i, j, k)
+
     def row(self, i, reach):
         return _TripleRow(self, i, reach)
 
 
 class _TripleRow:
-    """Exact evaluation of the triples (i, j, i+2+h) of one row, h <= reach, in Python ints.
+    """The strict check of the triples (i, j, i+2+h) of one row, h <= reach, in Python ints.
 
     The running maximum and minimum of the middle images j = i+1..i+1+h, as
-    (numerator, denominator, first index), are computed once, so each (i, k)
-    is settled in O(1) by cross products: its best middle point, and its
-    lex-first strict violation by bisection of the monotone running extrema.
-    Entries are unreduced ints as in _PairRow (perimeters are twice spans).
+    (numerator, denominator), are computed once, so the lex-first strict
+    violation of each (i, k) is found by bisection of the monotone running
+    extrema.
     """
 
     def __init__(self, data, i, reach):
         self.data, self.i = data, i
         a, b = data.inums, data.idens
-        ta, tb, top_j = ba, bb, bottom_j = a[i + 1], b[i + 1], i + 1
+        ta, tb = ba, bb = a[i + 1], b[i + 1]
         self.tops, self.bottoms = tops, bottoms = [], []
         for j in range(i + 1, i + 2 + reach):
             aj, bj = a[j], b[j]
             if aj * tb > ta * bj:
-                ta, tb, top_j = aj, bj, j
+                ta, tb = aj, bj
             elif aj * bb < ba * bj:
-                ba, bb, bottom_j = aj, bj, j
-            tops.append((ta, tb, top_j))
-            bottoms.append((ba, bb, bottom_j))
-
-    def _ends(self, h):
-        """k = i+2+h, the lower and the higher image of i and k as (num, den), and the span."""
-        i, k = self.i, self.i + 2 + h
-        a, b = self.data.inums, self.data.idens
-        lo, hi = (a[i], b[i]), (a[k], b[k])
-        if lo[0] * hi[1] > hi[0] * lo[1]:
-            lo, hi = hi, lo
-        return k, lo, hi, self.data.numerators[k] - self.data.numerators[i]
-
-    def entry(self, h):
-        """(image spread numerator, its denominator times the span, witness).
-
-        The spread is the greatest of hi - lo, top - lo and hi - bottom; the
-        middle point is the best one, the smallest on ties.
-        """
-        k, (la, lb), (ha, hb), span = self._ends(h)
-        (ta, tb, top_j), (ba, bb, bottom_j) = self.tops[h], self.bottoms[h]
-        ends = (ha * lb - la * hb, hb * lb)
-        up = (ta * lb - la * tb, tb * lb)
-        down = (ha * bb - ba * hb, hb * bb)
-        sign = up[0] * down[1] - down[0] * up[1]
-        far = up if sign >= 0 else down
-        if ends[0] * far[1] >= far[0] * ends[1]:
-            return ends[0], ends[1] * span, (self.i, self.i + 1, k)
-        j = top_j if sign > 0 else bottom_j if sign < 0 else min(top_j, bottom_j)
-        return far[0], far[1] * span, (self.i, j, k)
+                ba, bb = aj, bj
+            tops.append((ta, tb))
+            bottoms.append((ba, bb))
 
     def strict_witness(self, h):
         """Lex-first triple (i, j, i+2+h) whose perimeter does not decrease, or None."""
-        k, (la, lb), (ha, hb), span = self._ends(h)
-        den = self.data.den
+        i, k = self.i, self.i + 2 + h
+        a, b = self.data.inums, self.data.idens
+        (la, lb), (ha, hb) = (a[i], b[i]), (a[k], b[k])
+        if la * hb > ha * lb:
+            (la, lb), (ha, hb) = (ha, hb), (la, lb)
+        span, den = self.data.numerators[k] - self.data.numerators[i], self.data.den
         if (ha * lb - la * hb) * den >= span * hb * lb:      # hi - lo >= span / den
             return (self.i, self.i + 1, k)
         # a middle image at or above lo + span/den, or at or below hi - span/den, violates
@@ -590,34 +686,35 @@ _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 
 def _line_tiles(data, rows, stop):
-    """Blocks of the rows, each tiled once up to their stops: (rows, tile, off, row maxima)."""
+    """Blocks of the rows, each tiled once up to their stops: (rows, tile, row maxima)."""
     for rows in data.blocks(rows, stop):
-        ratio, off = data.tile(rows, stop)
+        ratio = data.tile(rows, stop)
         if not data.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
             ratio[np.isnan(ratio)] = np.inf
-        lo = data.before[rows, :-1]
-        filled = data.before[rows, 1:] > lo
+        before = data.before[rows[0]:rows[-1] + 1]
+        lo = before[:, :-1]
+        filled = before[:, 1:] > lo
         # filled buckets' starts in the flat tile, before the stops; reductions run into -inf
-        starts = lo + (np.arange(len(rows)) * ratio.shape[1] + off)[:, None]
+        starts = lo + (np.arange(len(rows)) * ratio.shape[1])[:, None]
         row_max = np.full(filled.shape, -np.inf)
         row_max[filled] = np.maximum.reduceat(ratio.ravel(), starts[filled])
-        yield rows, ratio, off, row_max
+        yield rows, ratio, row_max
 
 
-def _select(data, stop, rows, ratio, off, pick, floors):
+def _select(data, stop, rows, ratio, pick, floors):
     """(row, position, bucket, float ratio) arrays, in (row, position) order, of the picked tile
-    rows' items at or above their bucket's floor; a row's first segment is the columns before
-    it, and its last those at or past its stop."""
+    rows' items at or above their bucket's floor; a row's last segment is the columns at or
+    past its stop."""
     first, last = np.flatnonzero(pick)[[0, -1]]     # search the run of rows that holds the picks
-    rows, ratio, off, pick = (a[first:last + 1] for a in (rows, ratio, off, pick))
+    rows, ratio, pick = (a[first:last + 1] for a in (rows, ratio, pick))
     live = stop[rows] - rows - data.gap
-    lengths = np.concatenate((off[:, None], np.diff(np.minimum(data.before[rows], live[:, None])),
-                              (ratio.shape[1] - off - live)[:, None]), axis=1)
-    floor_of = np.where(pick[:, None], np.concatenate(([np.inf], floors, [np.inf])), np.inf)
+    lengths = np.concatenate((np.diff(np.minimum(data.before[rows], live[:, None])),
+                              (ratio.shape[1] - live)[:, None]), axis=1)
+    floor_of = np.where(pick[:, None], np.append(floors, np.inf), np.inf)
     flat = np.flatnonzero(ratio.ravel() >= np.repeat(floor_of.ravel(), lengths.ravel()))
     r, c = np.divmod(flat, ratio.shape[1])
-    segment = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
-    return rows[r], c - off[r], segment - 1, ratio.ravel()[flat]
+    bucket = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
+    return rows[r], c, bucket, ratio.ravel()[flat]
 
 
 def _at_floors(kept, floors):
@@ -638,15 +735,29 @@ def _by_row(rows, *columns):
 def _violation(data, stop, tiles):
     """The lex-first strict violation among the tiled items, or None.  Suspects, the items at
     or above the strict floors, are checked exactly in row order up to the first violating row."""
-    for rows, ratio, off, row_max in tiles:
+    for rows, ratio, row_max in tiles:
         if (suspect := (row_max >= data.strict_floors).any(axis=1)).any():
-            picked = _select(data, stop, rows, ratio, off, suspect, data.strict_floors)
+            picked = _select(data, stop, rows, ratio, suspect, data.strict_floors)
             for i, hs in _by_row(*picked[:2]):
                 row = data.row(i, hs[-1])
                 found = [w for w in map(row.strict_witness, hs) if w is not None]
                 if found:
                     return min(found)
     return None
+
+
+def _settle(data, rows, hs, buckets, n_buckets):
+    """Per bucket, the exact (image measure, measure, witness) ints of the candidates' maximum,
+    lex-first, or None.  exact() evaluates the candidates as array passes, and each bucket takes
+    the table engine's exact step, sorted by witness: for triples, (row, position) order is not
+    witness order."""
+    num, den, wit = data.exact(rows, hs)
+    ratio = _float_ratios(num, den)
+    best = [None] * n_buckets
+    for b in np.flatnonzero(np.bincount(buckets, minlength=n_buckets)).tolist():
+        best[b] = _exact_step(num, den, ratio, np.flatnonzero(buckets == b),
+                              lambda t: tuple(int(w[t]) for w in wit), None, wit)
+    return best
 
 
 def _line_analysis(kind, numerators, den, points, images, eps):
@@ -657,8 +768,8 @@ def _line_analysis(kind, numerators, den, points, images, eps):
     whenever the floors rise; until a violation is found, the items at or
     above the strict floors are checked exactly in row order, and the rows up
     to the first violating one are then tiled again in full.  The items kept
-    at the end, the float screen's candidates, are re-evaluated exactly in
-    (row, position) order.
+    at the end, the float screen's candidates, are settled exactly as array
+    passes (_settle).
     """
     eps = _checked_eps(kind, eps, len(numerators))
     data = _LINE_KINDS[kind](numerators, den, points, images, eps)
@@ -666,25 +777,19 @@ def _line_analysis(kind, numerators, den, points, images, eps):
     floors = data.screen_floors(top)
     kept, strict = [], None         # the items seen so far at or above the floors
     for tiled in _line_tiles(data, np.arange(len(data.cut)), data.cut):
-        rows, ratio, off, row_max = tiled
+        rows, ratio, row_max = tiled
         if (row_max > top).any():
             top = np.maximum(top, row_max.max(axis=0))
             floors = data.screen_floors(top)
             kept = [_at_floors(kept, floors)] if kept else []
         if (reach := (row_max >= floors).any(axis=1)).any():
-            kept.append(_select(data, data.cut, rows, ratio, off, reach, floors))
+            kept.append(_select(data, data.cut, rows, ratio, reach, floors))
         # last: tiling again overwrites this tile's buffers
         if strict is None and (first := _violation(data, data.cut, [tiled])) is not None:
             full = np.full(first[0] + 1, data.n)
             strict = _violation(data, full, _line_tiles(data, np.arange(first[0] + 1), full))
             strict = (strict, *data.sides(strict))
-    best = [None] * len(top)
-    for i, hs, buckets in _by_row(*_at_floors(kept, floors)[:3]):
-        row = data.row(i, hs[-1])
-        for h, b in zip(hs, buckets):
-            entry = row.entry(h)
-            if best[b] is None or _better(*entry, *best[b]):
-                best[b] = entry
+    best = _settle(data, *_at_floors(kept, floors)[:3], len(top))
     return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in best],
                      data.counts, strict, sum(data.counts), data.points, exact=True)
 

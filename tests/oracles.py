@@ -4,8 +4,10 @@ scan.table_pair_analysis, scan.table_triple_analysis and
 metric_core.validate_metric must give the same values, witnesses and
 counts as these loops, with the same scalar types; metric_core.metric_repair
 the same checks, messages and closed table as closure_loops.  The line
-engine's int rows (scan._PairRow, scan._TripleRow) must give the same
-witnesses and ratios as FractionPairRow and FractionTripleRow.
+engine's exact stage (scan._LineData.exact, scan._settle) must give the same
+witnesses and ratios as FractionPairRow and FractionTripleRow, and the same
+bucket maxima as candidate_fold, their per-item fold; its strict rows
+(scan._PairRow, scan._TripleRow) the same strict witnesses.
 cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
 theorem_lab._draw must draw what stdlib_draw draws through random.Random's
 own randint and randrange.
@@ -178,6 +180,22 @@ class FractionTripleRow:
         t = min(bisect_left(self.top, lo + half, 0, h + 1),
                 bisect_left(self.neg_bottom, half - hi, 0, h + 1))
         return (self.i, self.i + 1 + t, k) if t <= h else None
+
+
+def candidate_fold(data, rows, positions, buckets, n_buckets):
+    """Per bucket, the best of some line-scan items (None if it has none), one item at a time.
+
+    Each item (row i, position h) is evaluated by its Fraction row and kept
+    when it beats the bucket's running entry (scan._better: ties go to the
+    smaller witness).
+    """
+    row_of = FractionPairRow if data.gap == 1 else FractionTripleRow
+    best = [None] * n_buckets
+    for i, h, b in zip(rows.tolist(), positions.tolist(), buckets.tolist()):
+        entry = row_of(data, i, h).entry(h)
+        if best[b] is None or scan._better(*entry, *best[b]):
+            best[b] = entry
+    return best
 
 
 def parity_case_violations(images):

@@ -32,7 +32,13 @@ from contraction_lab.metric_core import (
     validate_metric,
 )
 from contraction_lab.theorem_lab import SearchConfig, random_instance
-from oracles import FractionPairRow, FractionTripleRow, metric_violations_loops, table_loops
+from oracles import (
+    FractionPairRow,
+    FractionTripleRow,
+    candidate_fold,
+    metric_violations_loops,
+    table_loops,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +526,43 @@ def int_row_inputs(draw):
     return nums, den, points, images, eps
 
 
+@st.composite
+def exact_stage_inputs(draw):
+    """A line scan's inputs for the exact stage, in one of four image shapes.
+
+    Shapes: numerators and denominators of 2**32 or more, which put the
+    stage on object arrays; distinct rationals near 10**12 that share a float
+    (floats there are 2**-13 apart); x/2, tie-heavy, with or without one
+    image raised by 1e-12; and small ints on uneven points, where a bucket's
+    tied triples can meet a later witness first in (row, position) order.
+    """
+    n = draw(st.integers(min_value=3, max_value=12))
+    shape = draw(st.sampled_from(("wide", "shared", "half", "crossing")))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    den = rng.choice((1, 3, 10))
+    nums = sorted(rng.sample(range(3 * n), n))
+    points = [F(k, den) for k in nums]
+    if shape == "wide":
+        images = [F(rng.randint(-2 ** 40, 2 ** 40), rng.randint(2 ** 32, 2 ** 33)) for _ in nums]
+    elif shape == "shared":
+        images = [10 ** 12 + F(rng.randint(0, 50), 10 ** 7) for _ in nums]
+    elif shape == "half":
+        images = [p / 2 for p in points]
+        images[rng.randrange(n)] += rng.choice((0, F(1, 10 ** 12)))
+    else:
+        images = [F(rng.randint(-4, 6)) for _ in nums]
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    eps = tuple(sorted(rng.sample(spans, min(len(spans), rng.randint(1, 3)))))
+    return nums, den, points, images, eps
+
+
+def all_items(data):
+    """(rows, positions) arrays of every item of a line scan, in (row, position) order."""
+    positions = [np.arange(data.n - data.gap - i) for i in range(data.n - data.gap)]
+    rows = np.repeat(np.arange(len(positions)), list(map(len, positions)))
+    return rows, np.concatenate(positions)
+
+
 class TestLineEngineFuzz:
     def test_random_off_grid_images_match_naive_oracle(self):
         # non-monotone images, many off the sample grid, exercising the
@@ -617,35 +660,90 @@ class TestLineEngineFuzz:
 
     @given(line_scans())
     def test_triple_rows_match_middle_point_loop(self, case):
+        # the exact stage's arrays at every (i, k), and the strict rows at every position
         nums, den, points, images, eps = case
         data = scan._LineTriples(nums, den, points, images, eps)
         n = len(points)
-        for i in range(n - 2):
-            row = data.row(i, n - 3 - i)
-            for k in range(i + 2, n):
-                entry, strict = middle_point_loop(points, images, i, k)
-                num, span_den, wit = row.entry(k - i - 2)
-                assert data.entry(wit) == entry
-                # the int entry is the exact ratio over den (spans in 1/den units)
-                assert F(num, span_den) * den == entry[0] / entry[1]
-                assert row.strict_witness(k - i - 2) == strict
+        rows, ks = np.triu_indices(n, 2)
+        num, span_den, wit = data.exact(rows, ks - rows - 2)
+        for t, (i, k) in enumerate(zip(rows.tolist(), ks.tolist())):
+            entry, strict = middle_point_loop(points, images, i, k)
+            assert data.entry(tuple(int(column[t]) for column in wit)) == entry
+            # the int entry is the exact ratio over den (spans in 1/den units)
+            assert F(int(num[t]), int(span_den[t])) * den == entry[0] / entry[1]
+            assert data.row(i, n - 3 - i).strict_witness(k - i - 2) == strict
 
     @given(int_row_inputs())
     def test_int_rows_match_the_fraction_rows(self, case):
-        # every position of every row: the same witness, the same exact ratio
-        # (entries are unreduced), and the same strict witness
+        # every item of every row: the exact stage gives the same witness and the same
+        # exact ratio (entries are unreduced), and the strict rows the same strict witness
         nums, den, points, images, eps = case
         for kind, oracle in (("pairwise", FractionPairRow), ("triple", FractionTripleRow)):
             data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
-            for i in range(data.n - data.gap):
+            rows, hs = all_items(data)
+            got = data.exact(rows, hs)
+            for t, (i, h) in enumerate(zip(rows.tolist(), hs.tolist())):
                 reach = data.n - data.gap - 1 - i
-                row, want_row = data.row(i, reach), oracle(data, i, reach)
-                for h in range(reach + 1):
-                    num, den_span, wit = row.entry(h)
-                    want_num, want_den_span, want_wit = want_row.entry(h)
-                    assert wit == want_wit, (kind, i, h)
-                    assert num * want_den_span == want_num * den_span, (kind, i, h)
-                    assert row.strict_witness(h) == want_row.strict_witness(h), (kind, i, h)
+                num, den_span, wit = (int(got[0][t]), int(got[1][t]),
+                                      tuple(int(column[t]) for column in got[2]))
+                want_row = oracle(data, i, reach)
+                want_num, want_den_span, want_wit = want_row.entry(h)
+                assert wit == want_wit, (kind, i, h)
+                assert num * want_den_span == want_num * den_span, (kind, i, h)
+                assert (data.row(i, reach).strict_witness(h)
+                        == want_row.strict_witness(h)), (kind, i, h)
+
+    @given(exact_stage_inputs())
+    def test_exact_stage_matches_fraction_oracle(self, case):
+        nums, den, points, images, eps = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            got = engine(nums, den, points, images, eps)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+
+    @given(exact_stage_inputs(), st.randoms(use_true_random=False))
+    def test_settled_candidates_match_the_per_item_fold(self, case, rnd):
+        # any candidate set, in its real buckets: the array stage keeps each bucket's
+        # exact maximum and lex-first witness, as the per-item fold does
+        nums, den, points, images, eps = case
+        wide = max(max(abs(v.numerator), v.denominator) for v in images) >= 2 ** 32
+        for kind in ("pairwise", "triple"):
+            data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+            assert data.inum.dtype == data.iden.dtype == (object if wide else data.inum.dtype)
+            rows, hs = all_items(data)
+            buckets = (hs[:, None] >= data.before[rows, 1:-1]).sum(axis=1)
+            pick = np.array(sorted(rnd.sample(range(len(rows)), rnd.randint(1, len(rows)))))
+            columns = rows[pick], hs[pick], buckets[pick], len(data.counts)
+            got, want = scan._settle(data, *columns), candidate_fold(data, *columns)
+            assert [None if e is None else (F(int(e[0]), int(e[1])), e[2]) for e in got] == \
+                [None if e is None else (F(e[0], e[1]), e[2]) for e in want], kind
+
+    @given(exact_stage_inputs())
+    def test_image_ranks_follow_the_exact_order(self, case):
+        nums, den, points, images, eps = case
+        rank = scan._LineTriples(nums, den, points, images, eps).ranks().tolist()
+        for a, b in combinations(range(len(images)), 2):
+            assert ((rank[a] > rank[b]) - (rank[a] < rank[b])
+                    == (images[a] > images[b]) - (images[a] < images[b])), (a, b)
+
+    def test_triple_ties_settle_in_witness_order(self):
+        # spans >= 9: (0, 5) and (0, 6) tie at ratio 1 with best middle points 3 and 1, so
+        # (row, position) order meets (0, 3, 5) first, and witness order (0, 1, 6)
+        nums = [0, 2, 3, 4, 5, 9, 10]
+        points = [F(k) for k in nums]
+        images = [F(v) for v in (-4, 4, 4, 5, -1, -2, 6)]
+        eps = (F(2), F(9))
+        got = scan.line_triple_analysis(nums, 1, points, images, eps)
+        assert got.deltas[1] == 1 and got.delta_witnesses[1][0] == (0, 2, 10)
+        assert repr(got) == repr(naive_line_analysis("triple", points, images, eps))
+
+    def test_distinct_images_sharing_a_float_rank_apart(self):
+        images = [10 ** 12 + F(r, 10 ** 7) for r in (3, 1, 2, 1, 0)]
+        nums = list(range(len(images)))
+        data = scan._LineTriples(nums, 1, [F(k) for k in nums], images, (F(1),))
+        assert len(set(data.tvals.tolist())) == 1
+        assert data.ranks().tolist() == [3, 1, 2, 1, 0]
 
     def test_many_float_tied_triples_settle_per_row(self):
         # x/2 on 0..159 with the last image raised by 1e-12: every (i, k) is
@@ -702,7 +800,7 @@ def float_pass_oracle(data, eps, cut=None):
 def tiled_row_maxima(data, stop):
     """Per-row bucket maxima as the line pass reads them, tile by tile (scan._line_tiles)."""
     row_max = np.full((data.n - data.gap, len(data.counts)), -np.inf)
-    for rows, _, _, tile_max in scan._line_tiles(data, np.arange(data.n - data.gap), stop):
+    for rows, _, tile_max in scan._line_tiles(data, np.arange(data.n - data.gap), stop):
         row_max[rows] = tile_max
     return row_max
 
@@ -855,18 +953,19 @@ class TestLineTiles:
                 full = np.full(len(rows), data.n)
                 row_max = {"full": tiled_row_maxima(data, full),
                            "cut": tiled_row_maxima(data, data.cut)}
-                # tile() also takes runs of rows with gaps between them, up to either stop
-                some = np.array(sorted(rng.sample(range(len(rows)), (len(rows) + 1) // 2)))
+                # tile() also takes a run of rows that starts and ends inside the scan
+                a = rng.randrange(len(rows))
+                some = rows[a:rng.randint(a + 1, len(rows))]
                 for subset, stop in itertools.product((rows, some), (full, data.cut)):
                     for block in data.blocks(subset, stop):
-                        ratio, off = data.tile(block, stop)
-                        assert ratio.shape == (len(block), stop[block[-1]] - block[0] - data.gap)
+                        ratio = data.tile(block, stop)
+                        live = stop[block] - block - data.gap
+                        assert ratio.shape == (len(block), live.max())
                         for r, i in enumerate(block.tolist()):
-                            end = off[r] + stop[i] - i - data.gap
-                            assert (ratio[r, off[r]:end].tobytes()
-                                    == row_oracle(data, i)[:end - off[r]].tobytes()), (kind, i)
-                            assert (ratio[r, :off[r]] == -np.inf).all()
-                            assert (ratio[r, end:] == -np.inf).all()
+                            # column c of row i is the last index i + gap + c
+                            assert (ratio[r, :live[r]].tobytes()
+                                    == row_oracle(data, i)[:live[r]].tobytes()), (kind, i)
+                            assert (ratio[r, live[r]:] == -np.inf).all()
             for stop, cut in (("full", None), ("cut", data.cut)):
                 want_max, want_counts = float_pass_oracle(data, eps, cut)
                 assert row_max[stop].tobytes() == want_max.tobytes(), (kind, stop)
@@ -934,26 +1033,16 @@ class TestLineTiles:
         points = sorted(entry.space.point_set())
         images = [apply(entry.map, p) for p in points]
         nums = [int(p) for p in points]
-        evaluated, checking = [0], [False]
+        evaluated = [0]
 
-        def spy_entry(real):
-            def entry(row, h):
-                evaluated[0] += not checking[0]
-                return real(row, h)
-            return entry
+        def spy_exact(real):
+            def exact(data, rows, hs):
+                evaluated[0] += len(rows)
+                return real(data, rows, hs)
+            return exact
 
-        def spy_strict(real):
-            def strict_witness(row, h):
-                checking[0] = True
-                try:
-                    return real(row, h)
-                finally:
-                    checking[0] = False
-            return strict_witness
-
-        for row_kind in (scan._PairRow, scan._TripleRow):
-            monkeypatch.setattr(row_kind, "entry", spy_entry(row_kind.entry))
-            monkeypatch.setattr(row_kind, "strict_witness", spy_strict(row_kind.strict_witness))
+        for kind in (scan._LinePairs, scan._LineTriples):
+            monkeypatch.setattr(kind, "exact", spy_exact(kind.exact))
         for kind in ("pairwise", "triple"):
             # the items below each row's cut, with floors of their float maxima
             data = scan._LINE_KINDS[kind](nums, 1, points, images, DEFAULT_EPS_GRID)
@@ -1012,6 +1101,29 @@ class TestLineTiles:
         assert items[0] == 4097 * 4096 // 2 + 4096 * 4095 // 2 == 4096 ** 2
         assert tiled[0] <= 0.015 * items[0]
         assert report.tpc_alpha == F(2, 3)
+
+    @pytest.mark.parametrize("cid, params, most", [
+        ("floor_half", {"integer_max": 4097}, None),
+        # bounds: the entries of tiles spanning from their first row's first column
+        ("burton_logistic", {"grid_step": F(1, 2049)}, {1: 2147994, 2: 2145785}),
+        ("composite", {"grid_step": F(1, 1025)}, {1: 584621, 2: 583740})])
+    def test_tiles_fill_little_beyond_their_live_items(self, monkeypatch, cid, params, most):
+        # per scan, the entries of its tiles (ratio.size): at most 1.5 times its live items
+        # on the band of floor_half, and within the bounds on the full-width maps
+        filled, live, tile_of = {}, {}, scan._LineData.tile
+
+        def spy(data, rows, stop):
+            ratio = tile_of(data, rows, stop)
+            filled[data.gap] = filled.get(data.gap, 0) + ratio.size
+            live[data.gap] = live.get(data.gap, 0) + int((stop[rows] - rows - data.gap).sum())
+            return ratio
+
+        monkeypatch.setattr(scan._LineData, "tile", spy)
+        entry = catalog(cid, **params)
+        full_report(entry.space, entry.map)
+        assert sorted(filled) == [1, 2]
+        for gap, entries in filled.items():
+            assert entries <= (1.5 * live[gap] if most is None else most[gap]), gap
 
     @pytest.mark.parametrize("tile", (1, 5, 37))
     def test_images_beyond_the_float_range_match_the_oracle(self, monkeypatch, tile):

@@ -116,6 +116,11 @@ class TestReproduce:
         _, path = read_only_json(tmp_path / "reproduce", "reproduce")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == REPRODUCE_SHA256
         assert (tmp_path / "exit-codes.txt").read_text() == "reproduce 0\n"
+        tool.write_scans(tmp_path)
+        for label, *_ in tool._scan_inputs():
+            pair, triple = (tmp_path / "scans" / f"{label}.txt").read_text().splitlines()
+            assert pair.startswith("EnumAnalysis(kind='pairwise'")
+            assert triple.startswith("EnumAnalysis(kind='triple'")
 
 
 class TestParityCases:
@@ -430,6 +435,26 @@ class TestIterate:
     def test_unknown_start_point_exits_1(self, tmp_path):
         assert run(["iterate", "--catalog", "period2_counterexample", "--x0", "9",
                     "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("cat, last", [("floor_half", "inf"), ("burton_logistic", "0.5")])
+    def test_state_beyond_the_float_range_renders_inf(self, tmp_path, cat, last):
+        # 1e400 is an exact Fraction whose float overflows: the CSV shows inf
+        assert run(["iterate", "--catalog", cat, "--x0", "1e400", "--steps", "2",
+                    "--out", str(tmp_path)]) == 0
+        doc, path = read_only_json(tmp_path, "iterate")
+        rows = path.with_suffix(".csv").read_text().splitlines()
+        assert rows[1].split(",")[1] == "inf"
+        assert rows[-1].split(",")[1] == last
+        assert len(doc["trace"]["states"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--catalog", "burton_logistic", "--x0", "-1", "--steps", "3"],
+        ["iterate", "--catalog", "burton_logistic", "--x0=-1/3", "--steps", "3"],
+        ["verify", "--theorem", "corrected_main", "--catalog", "burton_logistic", "--x0", "-1"],
+    ], ids=["iterate-at-minus-one", "iterate-reaching-minus-one", "verify-at-minus-one"])
+    def test_logistic_pole_exits_1(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: -1 is not a point of the map x/(1+x)")
 
 
 class TestVerify:

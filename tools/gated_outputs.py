@@ -17,19 +17,24 @@ prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
 measured at, one with a small last eps where almost every item of the top
 bucket lies past its row's cut, a CSV run with an ``--eps-grid``, two
 ``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
-both biases.
+both biases.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of two
+inputs that no CLI run reaches: x/2 on the points 0..159 with the last image
+raised by 1e-12, where every item is an exact candidate, and images near
+10**12, whose distinct values share floats and whose exact ints pass 2**63.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from contraction_lab import cli  # noqa: E402
+from contraction_lab import cli, scan  # noqa: E402
 
 SEARCH_TRIALS = 2000
 
@@ -62,6 +67,30 @@ RUNS = (
 )
 
 
+
+def _scan_inputs():
+    """(label, numerators, den, images, eps) of the line scans written as reprs."""
+    half = [Fraction(k, 2) for k in range(160)]
+    half[-1] += Fraction(1, 10 ** 12)
+    rng = random.Random(12)
+    near = [10 ** 12 + Fraction(rng.randrange(1000), 10 ** 7) for _ in range(64)]
+    # the last eps lies above every span: no row is cut, so every item is a candidate
+    return (("half-160", list(range(160)), 1, half, (Fraction(1, 2), Fraction(2), Fraction(160))),
+            ("near-1e12", list(range(64)), 8, near, (Fraction(1, 8), Fraction(1), Fraction(4))))
+
+
+def write_scans(out_dir):
+    """Write the repr of both line scans of each _scan_inputs() line into out_dir/scans."""
+    scans = Path(out_dir) / "scans"
+    scans.mkdir(parents=True, exist_ok=True)
+    for label, nums, den, images, eps in _scan_inputs():
+        points = [Fraction(k, den) for k in nums]
+        (scans / f"{label}.txt").write_text(
+            "".join(f"{repr(engine(nums, den, points, images, eps))}\n"
+                    for engine in (scan.line_pair_analysis, scan.line_triple_analysis)),
+            encoding="utf-8")
+
+
 def write_outputs(out_dir, runs=RUNS):
     """Run each (label, argv) through the CLI into out_dir/label; returns {label: exit code}."""
     out_dir = Path(out_dir)
@@ -80,6 +109,7 @@ def main(argv=None) -> int:
         print("usage: python3 tools/gated_outputs.py OUT_DIR", file=sys.stderr)
         return 1
     codes = write_outputs(args[0])
+    write_scans(args[0])
     failed = [label for label, code in codes.items() if code == 1]
     for label in failed:
         print(f"error: run {label} exited with code 1", file=sys.stderr)
