@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -453,7 +454,15 @@ def _add_common_output(p):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports usage errors as InputError: exit 1, since 2 means a refutation."""
+    """Reports usage errors as InputError: exit 1, since 2 means a refutation.
+
+    A negative rational such as -2/3 is read as a value, as argparse reads
+    -2 and -0.5, not as an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -3,25 +3,25 @@
 A verdict evaluates a theorem's hypotheses through the classifiers and
 dynamics, then checks its conclusion against the exact fixed-point set
 (enumerable spaces) or a certified Picard limit (sampled spaces whose maps
-leave the sample).  Refutation search runs verdicts over a deterministic
-stream of random finite instances; the three-point 2-cycle instance is always
-prepended so the search against the uncorrected statement is guaranteed a
-hit.
+leave the sample).
 
-The validation sweep (run_validation) checks the same statements on that
-stream in grouped numpy passes: the instances of one size are stacked into
-one int64 array over the configured denominator, and the verdict flags,
-fixed points, orbits and orbit checks are computed for the whole stack at
-once.  Each call recomputes trial 0 through the per-trial path (the
-classifiers, the fixed-point and period-2 scans and Picard orbits) and fails
-if the batch disagrees with it.  Both close their tables with
-metric_core.shortest_path_closure (random_instance through metric_repair).
+One deterministic stream of random finite instances feeds both the
+validation sweep (run_validation) and refutation search
+(search_refutations).  It runs in grouped numpy passes: the instances of one
+size are stacked into one int64 array over the configured denominator, and
+the verdict flags, fixed points, orbits and orbit checks are computed for
+the whole stack at once.  Each call recomputes trial 0 through the per-trial
+path (random_instance, the classifiers, the fixed-point and period-2 scans
+and Picard orbits) and fails if the batch disagrees with it.  The search
+gives a full verdict only to its refuted trials and to the three-point
+2-cycle instance, prepended as trial -1 so the search against the
+uncorrected statement is guaranteed a hit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, islice, repeat
 
@@ -42,7 +42,14 @@ from .metric_core import (
     shortest_path_closure,
 )
 
-THEOREM_IDS = ("burton", "petrov", "mesmouli_uncorrected", "corrected_main")
+# Each theorem's hypotheses, in the order its verdict lists them.
+_HYPOTHESES = {
+    "burton": ("large_contraction", "bounded_orbit"),
+    "petrov": ("uniform_tpc", "no_period2"),
+    "mesmouli_uncorrected": ("large_tpc", "bounded_orbit"),
+    "corrected_main": ("large_tpc", "no_period2", "bounded_orbit"),
+}
+THEOREM_IDS = tuple(_HYPOTHESES)
 
 SAMPLED_ORBIT_BUDGET = 4096
 CERTIFY_TOL = Fraction(1, 10 ** 10)   # certification tolerance for sampled limits
@@ -98,6 +105,11 @@ class TheoremVerdict:
 # Every theorem claims that a fixed point exists and that there are at most
 # two; these also claim that it is unique.
 _CLAIMS_UNIQUE = frozenset({"burton", "mesmouli_uncorrected"})
+
+
+def _refuted(theorem_id, count):
+    """Whether count fixed points (an int, or elementwise an int array) refute the theorem."""
+    return (count < 1) | (count > (1 if theorem_id in _CLAIMS_UNIQUE else 2))
 
 
 def _fmt_witness(witness):
@@ -173,23 +185,14 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
 
     hypotheses = []
     trace = None
-    if theorem_id == "burton":
-        hypotheses.append(_hypothesis_from_verdict("large_contraction",
-                                                   report.large_contraction))
-        bounded, trace = _hypothesis_bounded_orbit(space, mapping, x0)
-        hypotheses.append(bounded)
-    elif theorem_id == "petrov":
-        hypotheses.append(_hypothesis_from_verdict("uniform_tpc", report.uniform_tpc))
-        hypotheses.append(_hypothesis_no_period2(space, mapping))
-    elif theorem_id == "mesmouli_uncorrected":
-        hypotheses.append(_hypothesis_from_verdict("large_tpc", report.large_tpc))
-        bounded, trace = _hypothesis_bounded_orbit(space, mapping, x0)
-        hypotheses.append(bounded)
-    else:  # corrected_main
-        hypotheses.append(_hypothesis_from_verdict("large_tpc", report.large_tpc))
-        hypotheses.append(_hypothesis_no_period2(space, mapping))
-        bounded, trace = _hypothesis_bounded_orbit(space, mapping, x0)
-        hypotheses.append(bounded)
+    for name in _HYPOTHESES[theorem_id]:
+        if name == "no_period2":
+            hypotheses.append(_hypothesis_no_period2(space, mapping))
+        elif name == "bounded_orbit":
+            bounded, trace = _hypothesis_bounded_orbit(space, mapping, x0)
+            hypotheses.append(bounded)
+        else:
+            hypotheses.append(_hypothesis_from_verdict(name, getattr(report, name)))
 
     complete = getattr(space, "complete", True)
     hypotheses_pass = all(h.status == "pass" for h in hypotheses)
@@ -215,24 +218,18 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
         else:
             notes.append("Picard orbit from x0 did not certify a fixed point within budget")
 
-    claims_unique = theorem_id in _CLAIMS_UNIQUE
-
     if not complete:
         status = "inapplicable"
         notes.append("space is not complete (catalog assertion); the theorem's "
                      "conclusion is not asserted")
     elif not hypotheses_pass:
         status = "inapplicable"
+    elif fixed_points is None:      # a certified limit never settles the count
+        status = "undetermined"
+        notes.append("hypotheses hold on scope but the conclusion could not be "
+                     "decided at desk scale")
     else:
-        checked = [exists, count_le_two] + ([unique] if claims_unique else [])
-        if any(c == "fail" for c in checked):
-            status = "refuted"
-        elif all(c == "pass" for c in checked):
-            status = "confirmed"
-        else:
-            status = "undetermined"
-            notes.append("hypotheses hold on scope but the conclusion could not be "
-                         "decided at desk scale")
+        status = "refuted" if _refuted(theorem_id, len(fixed_points)) else "confirmed"
     if scope_qualified and status == "refuted":
         notes.append("refutation is scope-qualified: hypotheses were checked on a "
                      "sampled truncation, not the full space")
@@ -243,7 +240,7 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
         fixed_points=fixed_points,
         fixed_point_exists=exists,
         count_le_two=count_le_two,
-        unique=unique if claims_unique else "not-claimed",
+        unique=unique if theorem_id in _CLAIMS_UNIQUE else "not-claimed",
         status=status,
         scope_qualified=scope_qualified,
         notes=tuple(notes),
@@ -271,18 +268,14 @@ class SearchConfig:
             raise InputError("trial count must be nonnegative")
         if self.denominator < 1:
             raise InputError("denominator must be a positive integer")
+        if 3 * self.denominator > np.iinfo(np.int64).max:
+            raise InputError("the trial stream sums three distances in int64: "
+                             "the denominator must be below 2**63 / 3")
         if self.map_bias not in ("uniform", "period2"):
             raise InputError(f"unknown map bias {self.map_bias!r}")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "size_min": self.size_min,
-            "size_max": self.size_max,
-            "denominator": self.denominator,
-            "map_bias": self.map_bias,
-        }
+        return asdict(self)
 
 
 def _below(bits, m, count):
@@ -303,7 +296,7 @@ def _draw(config: SearchConfig, trial_index: int):
     order, randint(size_min, size_max) for n, randint(1, den) per pair,
     randrange(n) per image and, under the period2 bias, randrange(n) and
     randrange(n - 1) for the 2-cycle; _below makes them from getrandbits
-    directly.  random_instance and run_validation both draw through here,
+    directly.  random_instance and _stream both draw through here,
     so their streams agree call for call.
     """
     bits = random.Random(f"{config.seed}:{trial_index}").getrandbits
@@ -382,36 +375,37 @@ class SearchFindings:
 
 
 def search_refutations(theorem_id: str, config: SearchConfig) -> SearchFindings:
-    """Verdict sweep over the trial stream, collecting refuted instances.
+    """Judge the trial stream, collecting refuted instances.
 
-    Trial -1 is the seeded three-point counterexample.  Instances whose
-    hypotheses pass with exactly two fixed points are logged (not asserted
-    either way: uniqueness under these hypotheses is an open edge).
+    Trial -1, the seeded counterexample, gets a verdict; the random trials are
+    judged from the stream's flags and fixed-point counts, and only refuted
+    ones are rebuilt for a verdict.  Trials whose hypotheses pass with two
+    fixed points are logged (not asserted: uniqueness under them is open).
     """
     if theorem_id not in ("mesmouli_uncorrected", "corrected_main"):
         raise InputError("refutation search targets mesmouli_uncorrected or corrected_main")
+    _, flags, counts = _stream(config)
+    space, mapping = seeded_counterexample()
+    v = verdict(theorem_id, space, mapping, x0=space.points[0])
+    held = np.append(v.hypotheses_pass, np.logical_and.reduce(   # finite orbits are bounded
+        [flags[name] for name in _HYPOTHESES[theorem_id] if name != "bounded_orbit"]))
+    counts = np.append(len(v.fixed_points), counts)[held]
+    passed = np.arange(-1, config.trials)[held]
     refutations = []
-    two_fp = []
-    pass_count = 0
-    for trial in range(-1, config.trials):
-        if trial == -1:
-            space, mapping = seeded_counterexample()
-        else:
+    for trial in passed[_refuted(theorem_id, counts)].tolist():
+        if trial >= 0:      # trial -1's instance and verdict are at hand
             space, mapping = random_instance(config, trial)
-        v = verdict(theorem_id, space, mapping, x0=space.points[0])
-        if v.hypotheses_pass:
-            pass_count += 1
-            if v.fixed_points is not None and len(v.fixed_points) == 2:
-                two_fp.append(trial)
-        if v.status == "refuted":
-            refutations.append(Refutation(trial=trial, space=space, map=mapping,
-                                          verdict=v))
+            v = verdict(theorem_id, space, mapping, x0=space.points[0])
+        if v.status != "refuted":
+            raise InternalConsistencyError(
+                f"the batched stream refutes trial {trial} but its verdict is {v.status}")
+        refutations.append(Refutation(trial=trial, space=space, map=mapping, verdict=v))
     return SearchFindings(
         theorem_id=theorem_id,
         config=config,
         refutations=tuple(refutations),
-        two_fixed_point_trials=tuple(two_fp),
-        hypothesis_pass_trials=pass_count,
+        two_fixed_point_trials=tuple(passed[counts == 2].tolist()),
+        hypothesis_pass_trials=len(passed),
     )
 
 
@@ -441,8 +435,6 @@ def minimize_refutation(space: FiniteMetricSpace, mapping: SelfMap,
     while changed and cur_space.size > 3:
         changed = False
         for p in cur_space.points:
-            if cur_space.size <= 3:
-                break
             targeted = any(cur_map.table[cur_space.index(q)] == p
                            for q in cur_space.points if q != p)
             if targeted:
@@ -458,10 +450,11 @@ def minimize_refutation(space: FiniteMetricSpace, mapping: SelfMap,
 
 
 # ---------------------------------------------------------------------------
-# randomized theorem validation (the empirical main-result check)
+# the trial stream: randomized theorem validation, and the search's trials
 
-SWEEP_ITEMS = 1 << 18    # instances x n**3 per batch of run_validation
+SWEEP_ITEMS = 1 << 18    # instances x n**3 per batch of the trial stream
 HALTS = ("fixed-point", "period-2", "budget")
+_SWEPT = ("large_contraction", "large_tpc", "uniform_tpc", "no_period2")   # the flags per trial
 
 
 def run_validation(config: SearchConfig) -> dict:
@@ -473,16 +466,25 @@ def run_validation(config: SearchConfig) -> dict:
     contractions, Picard halting behaviour against the enumerated fixed-point
     set, strict perimeter decrease along orbits, the pair-vs-perimeter
     domination, and the perimeter/3 bound on every triple.
+    """
+    return _stream(config)[0]
+
+
+def _stream(config: SearchConfig):
+    """The trial stream's validation counters, and per trial its flags and fixed-point count.
 
     The instances are drawn in trial order and grouped by size; each group
-    runs through _sweep_batch in batches of at most SWEEP_ITEMS // n**3
-    instances, and the violation lists are put back in trial order.  Trial 0
-    is then recomputed through the per-trial path (random_instance,
-    classify.full_report, the fixed-point and period-2 scans, and a Picard
-    orbit from every start point), and InternalConsistencyError is raised if
-    its verdict flags, fixed points, period-2 points or orbit halts differ
-    from the batch's.
+    is closed by shortest_path_closure and runs through _sweep_batch in
+    batches of at most SWEEP_ITEMS // n**3 instances.  The violation lists
+    are put back in trial order; the flags (a bool array over the trials per
+    name in _SWEPT) and the counts (an int array) are indexed by trial.
+    Trial 0, the first instance of its batch, is recomputed through the
+    per-trial path (random_instance, classify.full_report, the fixed-point
+    and period-2 scans, and a Picard orbit from every start point), and
+    InternalConsistencyError is raised if it differs from the batch's.
     """
+    flags = {name: np.zeros(config.trials, dtype=bool) for name in _SWEPT}
+    counts = np.zeros(config.trials, dtype=np.intp)
     out = {
         "trials": config.trials,
         "corrected_hypotheses_pass": 0,
@@ -499,9 +501,6 @@ def run_validation(config: SearchConfig) -> dict:
         "perimeter_third_violations": [],
         "orbits_checked": 0,
     }
-    if 3 * config.denominator > np.iinfo(np.int64).max:
-        raise InputError("the validation sweep sums three distances in int64: "
-                         "the denominator must be below 2**63 / 3")
     groups = {}
     for trial in range(config.trials):
         n, ks, images = _draw(config, trial)
@@ -509,7 +508,6 @@ def run_validation(config: SearchConfig) -> dict:
         group[0].append(trial)
         group[1].append(ks)
         group[2].append(images)
-    first = None
     for n, (trials, ks, images) in groups.items():
         size = max(1, SWEEP_ITEMS // n ** 3)
         grid = _SweepGrid(n, config.denominator)
@@ -517,18 +515,20 @@ def run_validation(config: SearchConfig) -> dict:
             batch = np.array(ks[s:s + size], dtype=np.int64)
             raw = np.zeros((len(batch), n, n), dtype=np.int64)
             raw[:, grid.rows, grid.cols] = raw[:, grid.cols, grid.rows] = batch
-            found = _sweep_batch(out, trials[s:s + size], shortest_path_closure(raw),
+            at = trials[s:s + size]
+            found = _sweep_batch(out, at, shortest_path_closure(raw),
                                  np.array(images[s:s + size], dtype=np.intp), grid)
-            if trials[s] == 0:
-                first = found
+            for name, values in found[0].items():
+                flags[name][at] = values
+            counts[at] = found[1].sum(1)
+            if at[0] == 0:
+                _audit_first_trial(config, found)
     for key, value in out.items():
         if key == "two_fixed_point_trials":
             value.sort()
         elif isinstance(value, list):
             value.sort(key=lambda entry: entry["trial"])   # stable: keeps (x0, m, n) order
-    if first is not None:
-        _audit_first_trial(config, first)
-    return out
+    return out, flags, counts
 
 
 class _SweepGrid:
@@ -547,7 +547,7 @@ class _SweepGrid:
 
 
 def _sweep_batch(out, trials, dist, images, grid):
-    """run_validation's checks on a stack of B instances of one size n.
+    """The trial stream's checks on a stack of B instances of one size n.
 
     trials lists the instances' trial numbers in order, dist holds their
     (B, n, n) int64 tables in units of 1/den, images their (B, n) maps
@@ -567,9 +567,9 @@ def _sweep_batch(out, trials, dist, images, grid):
     P(p, Tp, T(Tp)), and a (B, n, n) pair-domination table, each computed
     once per point and gathered along the orbits.
 
-    Returns the first instance's record for the audit: its
-    (large_contraction, large_tpc, uniform_tpc) flags, fixed points, period-2
-    points, and (halted_by, number of states) per start point.
+    Returns the instances' verdict flags, as a bool array per name of
+    _SWEPT, their (B, n) fixed-point and period-2 masks, and the (B, n)
+    arrays of orbit halts (indices into HALTS) and numbers of states.
     """
     count, n = images.shape
     pts = np.arange(n)
@@ -605,8 +605,7 @@ def _sweep_batch(out, trials, dist, images, grid):
             third.setdefault(int(b), (int(a[t]), int(j[t]), int(k[t])))
     triple_strict = ~triple_fails
     large_tpc = triple_strict & ~qualified_fails
-    alpha_below_one = ~triple_fails       # no triple's ratio reaches 1
-    uniform_tpc = alpha_below_one & triple_strict
+    uniform_tpc = triple_strict     # a finite maximum of ratios below 1 is below 1
     if not (d_pair > 0).all():      # full_report's refusal, for the first such instance
         _, first = np.argwhere(d_pair <= 0)[0]
         raise scan._nonpositive(range(n), rows[first], cols[first])
@@ -678,7 +677,6 @@ def _sweep_batch(out, trials, dist, images, grid):
                 & ((per != 0) & recorded).any(2) & no_drop.any(2))
     first_no_drop = no_drop.argmax(2)
 
-    trials = list(trials)
     flat = np.nonzero(fixed)[1].tolist()
     ends = np.cumsum(fixed.sum(1)).tolist()
     fixed_points = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
@@ -687,17 +685,17 @@ def _sweep_batch(out, trials, dist, images, grid):
             (uniform_tpc & no_period2).tolist(), corrected.tolist())):
         if burton:
             out["large_contraction_pass"] += 1
-            if len(fps) != 1:
+            if _refuted("burton", len(fps)):
                 out["burton_uniqueness_violations"].append(
                     {"trial": trial, "fixed_points": list(fps)})
         if petrov:
             out["uniform_tpc_pass"] += 1
-            if not 1 <= len(fps) <= 2:
+            if _refuted("petrov", len(fps)):
                 out["petrov_count_violations"].append(
                     {"trial": trial, "fixed_points": list(fps)})
         if main:
             out["corrected_hypotheses_pass"] += 1
-            if not 1 <= len(fps) <= 2:
+            if _refuted("corrected_main", len(fps)):
                 out["corrected_conclusion_violations"].append(
                     {"trial": trial, "fixed_points": list(fps)})
             if len(fps) == 2:
@@ -717,24 +715,25 @@ def _sweep_batch(out, trials, dist, images, grid):
         out["perimeter_decrease_violations"].append(
             {"trial": trials[b], "x0": int(x0), "index": int(first_no_drop[b, x0])})
 
-    flags = (bool(large_contraction[0]), bool(large_tpc[0]), bool(uniform_tpc[0]))
-    runs = tuple((HALTS[h], s) for h, s in zip(halted_by[0].tolist(), length[0].tolist()))
-    return flags, fixed_points[0], tuple(np.flatnonzero(period2[0]).tolist()), runs
+    flags = dict(zip(_SWEPT, (large_contraction, large_tpc, uniform_tpc, no_period2)))
+    return flags, fixed, period2, (halted_by, length)
 
 
-def _audit_first_trial(config, batch):
-    """Recompute trial 0 through the per-trial path and compare it with the batch's record."""
+def _audit_first_trial(config, found):
+    """Recompute trial 0 through the per-trial path; compare it with the batch's instance 0."""
+    flags, fixed, period2, (halted_by, length) = found
+    batch = ({name: bool(values[0]) for name, values in flags.items()},
+             tuple(np.flatnonzero(fixed[0]).tolist()), tuple(np.flatnonzero(period2[0]).tolist()),
+             tuple(zip(map(HALTS.__getitem__, halted_by[0].tolist()), length[0].tolist())))
     space, mapping = random_instance(config, 0)
     report = classify.full_report(space, mapping)
-    flags = (report.large_contraction.passed, report.large_tpc.passed,
-             report.uniform_tpc.passed)
-    runs = []
-    for x0 in space.points:
-        trace = dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
-                                      residual_tol=Fraction(0))
-        runs.append((trace.halted_by, len(trace.states)))
-    per_trial = (flags, dynamics.enumerate_fixed_points(space, mapping),
-                 dynamics.detect_period2(space, mapping), tuple(runs))
+    cycle = dynamics.detect_period2(space, mapping)
+    traces = [dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
+                                    residual_tol=Fraction(0)) for x0 in space.points]
+    per_trial = ({name: getattr(report, name).passed for name in _SWEPT[:3]}
+                 | {"no_period2": not cycle},
+                 dynamics.enumerate_fixed_points(space, mapping), cycle,
+                 tuple((t.halted_by, len(t.states)) for t in traces))
     if per_trial != batch:
         raise InternalConsistencyError(
             f"the batched sweep disagrees with the per-trial path on trial 0: "

@@ -10,7 +10,9 @@ bucket maxima as candidate_fold, their per-item fold; its strict rows
 (scan._PairRow, scan._TripleRow) the same strict witnesses.
 cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
 theorem_lab._draw must draw what stdlib_draw draws through random.Random's
-own randint and randrange.
+own randint and randrange.  theorem_lab.search_refutations, which judges its
+random trials from the batched stream's flags and counts, must find what
+search_loops finds by a full verdict of every trial.
 """
 
 import random
@@ -20,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from contraction_lab import scan
+from contraction_lab import classify, scan, theorem_lab
 from contraction_lab.metric_core import ETA, InputError
 
 
@@ -239,3 +241,32 @@ def stdlib_draw(config, trial_index):
         images[a] = b
         images[b] = a
     return n, ks, images
+
+
+def search_loops(config, theorem_ids):
+    """The per-trial search: {theorem id: SearchFindings} from a verdict of every trial.
+
+    Trial -1 is the seeded counterexample.  Each instance is built once and
+    scanned once; every theorem in theorem_ids reads that triple scan.
+    """
+    found = {theorem_id: ([], [], []) for theorem_id in theorem_ids}
+    for trial in range(-1, config.trials):
+        if trial == -1:
+            space, mapping = theorem_lab.seeded_counterexample()
+        else:
+            space, mapping = theorem_lab.random_instance(config, trial)
+        report = classify.triple_verdicts(space, mapping)
+        for theorem_id, (refutations, two_fp, passed) in found.items():
+            v = theorem_lab.verdict(theorem_id, space, mapping, x0=space.points[0],
+                                    report=report)
+            if v.hypotheses_pass:
+                passed.append(trial)
+                if len(v.fixed_points) == 2:
+                    two_fp.append(trial)
+            if v.status == "refuted":
+                refutations.append(theorem_lab.Refutation(trial=trial, space=space,
+                                                          map=mapping, verdict=v))
+    return {theorem_id: theorem_lab.SearchFindings(
+        theorem_id=theorem_id, config=config, refutations=tuple(refutations),
+        two_fixed_point_trials=tuple(two_fp), hypothesis_pass_trials=len(passed))
+        for theorem_id, (refutations, two_fp, passed) in found.items()}

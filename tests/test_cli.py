@@ -456,6 +456,17 @@ class TestIterate:
         assert run(argv + ["--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: -1 is not a point of the map x/(1+x)")
 
+    @pytest.mark.parametrize("command", [["iterate"], ["verify", "--theorem", "burton"]])
+    def test_negative_rational_start_point_is_a_value(self, tmp_path, command):
+        # "--x0 -2/3" is read as "--x0=-2/3", not as an option -2/3
+        codes = [run(command + ["--catalog", "burton_logistic", *x0,
+                                "--out", str(tmp_path / label)])
+                 for label, x0 in (("spaced", ["--x0", "-2/3"]), ("joined", ["--x0=-2/3"]))]
+        assert codes == [0, 0]
+        spaced, joined = (sorted((tmp_path / label).iterdir()) for label in ("spaced", "joined"))
+        assert [p.name for p in spaced] == [p.name for p in joined] != []
+        assert [p.read_bytes() for p in spaced] == [p.read_bytes() for p in joined]
+
 
 class TestVerify:
     def test_refuted_exits_2(self, tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import closure_loops, stdlib_draw
+from oracles import closure_loops, search_loops, stdlib_draw
 
 from contraction_lab import classify, dynamics, theorem_lab
 from contraction_lab.map_catalog import SelfMap, apply, catalog
@@ -293,6 +293,40 @@ class TestSearch:
         monkeypatch.setattr(theorem_lab, "_restrict", fraction_restrict)
         assert run() == lattice_run
 
+    @pytest.mark.parametrize("bias", ["uniform", "period2"])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_search_matches_the_per_trial_loop(self, seed, bias):
+        # the batched flags and counts, judged by the hypothesis table and _refuted,
+        # against a full verdict of every trial
+        cfg = SearchConfig(seed=seed, trials=2000, map_bias=bias)
+        theorems = ("mesmouli_uncorrected", "corrected_main")
+        want = search_loops(cfg, theorems)
+        for theorem in theorems:
+            assert search_refutations(theorem, cfg).to_json() == want[theorem].to_json()
+        assert want["mesmouli_uncorrected"].hits > 1     # random trials refute it too
+
+    @pytest.mark.parametrize("theorem", ["mesmouli_uncorrected", "corrected_main"])
+    def test_search_builds_only_refuted_trials(self, theorem):
+        # one verdict for trial -1 and one per refuted random trial; besides
+        # those, random_instance builds only trial 0, for the stream's audit
+        cfg = SearchConfig(seed=7, trials=300, map_bias="period2")
+        with mock.patch.object(theorem_lab, "verdict", wraps=verdict) as verdicts, \
+                mock.patch.object(theorem_lab, "random_instance",
+                                  wraps=random_instance) as instances:
+            findings = search_refutations(theorem, cfg)
+        refuted = [r.trial for r in findings.refutations if r.trial >= 0]
+        assert verdicts.call_count == 1 + len(refuted)
+        assert [c.args[1] for c in instances.call_args_list] == [0] + refuted
+        assert (len(refuted) > 0) == (theorem == "mesmouli_uncorrected")
+
+    def test_search_refuses_a_denominator_past_int64_sums(self):
+        with pytest.raises(InputError, match="denominator"):
+            search_refutations("corrected_main",
+                               SearchConfig(seed=1, trials=1, denominator=2 ** 62))
+        SearchConfig(seed=1, trials=1, denominator=(2 ** 63 - 1) // 3)   # 3 x den fits
+        with pytest.raises(InputError, match="denominator"):
+            SearchConfig(seed=1, trials=1, denominator=(2 ** 63 - 1) // 3 + 1)
+
     def test_search_restricted_to_refutable_statements(self):
         cfg = SearchConfig(seed=1, trials=1)
         with pytest.raises(InputError):
@@ -559,12 +593,24 @@ class TestValidationSweep:
         assert "between points 0 and 1 is not positive" in str(got.value)
 
     def test_audit_catches_a_batch_that_drifts(self, monkeypatch):
-        batch = theorem_lab._sweep_batch
-
-        def drifting(out, trials, dist, images, grid):
-            flags, fps, period2, runs = batch(out, trials, dist, images, grid)
-            return (not flags[0], *flags[1:]), fps, period2, runs
-
-        monkeypatch.setattr(theorem_lab, "_sweep_batch", drifting)
+        drift_first_instances(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="trial 0"):
             run_validation(SearchConfig(seed=505, trials=20))
+
+    def test_search_audit_catches_a_batch_that_drifts(self, monkeypatch):
+        drift_first_instances(monkeypatch)
+        with pytest.raises(InternalConsistencyError, match="trial 0"):
+            search_refutations("corrected_main", SearchConfig(seed=505, trials=20))
+
+
+def drift_first_instances(monkeypatch):
+    """Make _sweep_batch flip the large_tpc flag of each batch's first instance."""
+    batch = theorem_lab._sweep_batch
+
+    def drifting(out, trials, dist, images, grid):
+        flags, *rest = batch(out, trials, dist, images, grid)
+        large_tpc = flags["large_tpc"].copy()
+        large_tpc[0] = not large_tpc[0]
+        return ({**flags, "large_tpc": large_tpc}, *rest)
+
+    monkeypatch.setattr(theorem_lab, "_sweep_batch", drifting)

@@ -17,7 +17,9 @@ prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
 measured at, one with a small last eps where almost every item of the top
 bucket lies past its row's cut, a CSV run with an ``--eps-grid``, two
 ``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
-both biases.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of two
+both biases, each over 10**4 trials.  ``OUT_DIR/validation/`` holds the
+``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
+JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of two
 inputs that no CLI run reaches: x/2 on the points 0..159 with the last image
 raised by 1e-12, where every item is an exact candidate, and images near
 10**12, whose distinct values share floats and whose exact ints pass 2**63.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -34,9 +37,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from contraction_lab import cli, scan  # noqa: E402
+from contraction_lab import cli, scan, theorem_lab  # noqa: E402
 
-SEARCH_TRIALS = 2000
+SEARCH_TRIALS = 10_000
+VALIDATION_TRIALS = 500
 
 RUNS = (
     ("reproduce", ["reproduce"]),
@@ -91,6 +95,18 @@ def write_scans(out_dir):
             encoding="utf-8")
 
 
+def write_validation(out_dir):
+    """Write the run_validation dict of each seed 0..19 and bias into out_dir/validation."""
+    validation = Path(out_dir) / "validation"
+    validation.mkdir(parents=True, exist_ok=True)
+    for bias in ("uniform", "period2"):
+        for seed in range(20):
+            doc = theorem_lab.run_validation(theorem_lab.SearchConfig(
+                seed=seed, trials=VALIDATION_TRIALS, map_bias=bias))
+            (validation / f"seed-{seed}-{bias}.json").write_text(
+                json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def write_outputs(out_dir, runs=RUNS):
     """Run each (label, argv) through the CLI into out_dir/label; returns {label: exit code}."""
     out_dir = Path(out_dir)
@@ -110,6 +126,7 @@ def main(argv=None) -> int:
         return 1
     codes = write_outputs(args[0])
     write_scans(args[0])
+    write_validation(args[0])
     failed = [label for label, code in codes.items() if code == 1]
     for label in failed:
         print(f"error: run {label} exited with code 1", file=sys.stderr)
