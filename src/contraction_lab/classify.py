@@ -21,6 +21,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import scan
 from .map_catalog import SelfMap, apply
 from .metric_core import (
@@ -174,44 +176,67 @@ def _fmt(value):
 # enumeration plumbing
 
 def _subset_points(space, point_set):
+    """A finite space's chosen points, in the space's order."""
     if point_set is None:
         return space.point_set()
-    pts = list(point_set)
-    if isinstance(space, SampledSpace):
-        sample = set(space.point_set())
-        out = []
-        for p in pts:
-            q = Fraction(p)
-            if q not in sample:
-                raise InputError(f"point {p!r} is not in the sampled point set")
-            out.append(q)
-        return tuple(sorted(set(out)))
     order = {}
-    for p in pts:
+    for p in point_set:
         order[space.index(p)] = p
     return tuple(order[i] for i in sorted(order))
 
 
+def _sample_numerators(space, point_set):
+    """The sorted int64 numerators over the space's denominator of a sampled space's chosen
+    points."""
+    if point_set is None:
+        return space.numerator_array
+    den, sample, chosen = space.denominator, set(space.numerators), set()
+    for p in point_set:
+        k = Fraction(p) * den
+        if k.denominator != 1 or k.numerator not in sample:
+            raise InputError(f"point {p!r} is not in the sampled point set")
+        chosen.add(k.numerator)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+def _images_by_point(mapping, nums, den):
+    """The images of the points k/den under a formula map with no array form, one func call
+    per point, split into numerator and denominator lists."""
+    images = [mapping.func(Fraction(k, den)) for k in nums.tolist()]
+    return [v.numerator for v in images], [v.denominator for v in images]
+
+
 def _prepare(space, mapping, point_set):
-    """The chosen points and the map's images: the inputs both scans share."""
-    pts = _subset_points(space, point_set)
+    """The number of chosen points and the scans' inputs of them: both scans share them.
+
+    On a sampled space these are the numerators, the denominator and the
+    images as numerator and denominator arrays, from the map's array form
+    when it has one; on a finite space, the chosen positions, each
+    position's image position and the chosen points.
+    """
     if isinstance(space, SampledSpace):
         den = space.denominator
-        nums = space.numerators if point_set is None else [int(p * den) for p in pts]
-        return pts, (nums, den, pts, [apply(mapping, p) for p in pts])
+        nums = _sample_numerators(space, point_set)
+        if mapping.array_func is not None:
+            images = mapping.array_func(nums, den)
+        else:
+            images = _images_by_point(mapping, nums, den)
+        return len(nums), (nums, den, *images)
+    pts = _subset_points(space, point_set)
     nodes = [space.index(p) for p in pts]
-    return pts, (nodes, [space.index(apply(mapping, q)) for q in space.points])
+    return len(pts), (nodes, [space.index(apply(mapping, q)) for q in space.points], pts)
 
 
 def _analysis(kind, space, prepared, eps_grid):
     """The pairwise or triple enumeration of a prepared point set and its images."""
-    pts, args = prepared
+    args = prepared[1]
     pairwise = kind == "pairwise"
     if isinstance(space, SampledSpace):
         engine = scan.line_pair_analysis if pairwise else scan.line_triple_analysis
         return engine(*args, eps_grid)
     engine = scan.table_pair_analysis if pairwise else scan.table_triple_analysis
-    return engine(space.lattice, *args, eps_grid, pts)
+    nodes, images, pts = args
+    return engine(space.lattice, nodes, images, eps_grid, pts)
 
 
 def _scope_of(space) -> str:
@@ -427,7 +452,7 @@ def full_report(space, mapping: SelfMap, point_set=None,
     """Both scans of one prepared point set, each with its cross-checks, as one report."""
     eps_grid = _grid(eps_grid)
     prepared = _prepare(space, mapping, point_set)
-    return ContractionReport(scope=_scope_of(space), n_points=len(prepared[0]),
+    return ContractionReport(scope=_scope_of(space), n_points=prepared[0],
                              eps_grid=eps_grid,
                              **vars(_pair_verdicts(space, prepared, eps_grid)),
                              **vars(_triple_verdicts(space, prepared, eps_grid)))

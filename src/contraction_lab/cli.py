@@ -418,7 +418,8 @@ def cmd_search(args) -> int:
     minimized = []
     for ref in findings.refutations:
         m_space, m_map = theorem_lab.minimize_refutation(ref.space, ref.map,
-                                                         theorem_id=args.theorem)
+                                                         theorem_id=args.theorem,
+                                                         known_verdict=ref.verdict)
         minimized.append({"trial": ref.trial, "instance": m_map.to_json(),
                           "size": m_space.size})
     doc = findings.to_json()

@@ -4,7 +4,10 @@ Maps are total and deterministic: table-backed on finite spaces,
 formula-backed on sampled spaces.  Formula maps evaluate exactly on rational
 inputs, and their images may fall off the sample grid; distances to off-grid
 images stay computable because sampled spaces use the absolute-difference
-metric.
+metric.  Each catalog formula also has an array form, which maps the int64
+sample numerators k of the points k/den to the reduced images as numerator
+and positive denominator arrays, with no Fraction per point; the line scans
+read it.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .metric_core import (
     FiniteMetricSpace,
     InputError,
     SampledSpace,
+    check_line_range,
     parse_scalar,
 )
 
@@ -36,10 +42,13 @@ class SelfMap:
     name: str
     table: tuple = None        # image label per point index (finite spaces)
     func: object = None        # point -> point (sampled spaces)
+    array_func: object = None  # (int64 numerators k, den) -> images of k/den (func's array form)
 
     def __post_init__(self):
         if (self.table is None) == (self.func is None):
             raise InputError("a self-map is either table-backed or formula-backed")
+        if self.array_func is not None and self.func is None:
+            raise InputError("only a formula-backed map has an array form")
         if self.table is not None:
             if len(self.table) != self.space.size:
                 raise InputError("map table must cover every point")
@@ -108,22 +117,22 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 # catalog spaces
 
-def unit_interval_grid(step: Fraction, include_one: bool) -> tuple:
+def _grid_denominator(step: Fraction) -> int:
+    """den for a grid step 1/den of the unit interval."""
     step = Fraction(step)
     if step <= 0 or 1 % step != 0:
         raise InputError("grid step must divide 1")
-    den = int(1 / step)
-    top = den if include_one else den - 1
-    return den, tuple(range(top + 1))
+    return int(1 / step)
 
 
 def burton_space(step: Fraction = DEFAULT_UNIT_GRID_STEP) -> SampledSpace:
     """[0, 1) sampled on a uniform grid (not complete: sup point missing)."""
-    den, nums = unit_interval_grid(step, include_one=False)
+    den = _grid_denominator(step)
+    check_line_range(0, den - 1)
     return SampledSpace(
         description=f"[0,1) grid step 1/{den}",
         denominator=den,
-        numerators=nums,
+        numerators=tuple(range(den)),
         complete=False,
     )
 
@@ -131,6 +140,7 @@ def burton_space(step: Fraction = DEFAULT_UNIT_GRID_STEP) -> SampledSpace:
 def integer_space(max_n: int = DEFAULT_INTEGER_MAX) -> SampledSpace:
     if max_n < 2:
         raise InputError("integer range must contain at least {0,1,2}")
+    check_line_range(0, max_n)
     return SampledSpace(
         description=f"{{0,...,{max_n}}}",
         denominator=1,
@@ -144,15 +154,13 @@ def composite_space(step: Fraction = DEFAULT_UNIT_GRID_STEP,
     """[0,1] grid plus the integer tail {4n, 4n+1 : 1 <= n <= index_max}."""
     if index_max < 1:
         raise InputError("index_max must be at least 1")
-    den, nums = unit_interval_grid(step, include_one=True)
-    tail = []
-    for n in range(1, index_max + 1):
-        tail.append(4 * n * den)
-        tail.append((4 * n + 1) * den)
+    den = _grid_denominator(step)
+    check_line_range(0, (4 * index_max + 1) * den)
+    tail = (4 * np.arange(1, index_max + 1)[:, None] + [0, 1]) * den    # rows 4n, 4n + 1
     return SampledSpace(
         description=f"[0,1] grid step 1/{den} + {{4n,4n+1 : n<={index_max}}}",
         denominator=den,
-        numerators=nums + tuple(tail),
+        numerators=tuple(range(den + 1)) + tuple(tail.ravel().tolist()),
         complete=True,
     )
 
@@ -191,6 +199,38 @@ def composite_action(x):
     raise InputError(f"{x} is not a point of the composite space")
 
 
+# their array forms: int64 numerators k of the points k/den -> (image numerators, image
+# denominators), reduced, denominators positive; equal to the formulas at every point
+
+def logistic_ratio_array(k, den):
+    """x/(1+x) at x = k/den: k/(den + k)."""
+    num, d = k, den + k
+    if not d.all():
+        raise InputError("-1 is not a point of the map x/(1+x): 1 + x is zero")
+    g = np.gcd(num, d) * np.sign(d)
+    return num // g, d // g
+
+
+def floor_half_array(k, den):
+    """floor_half at k/den: the truncated quotient, halved, over 1."""
+    whole = np.abs(k) // den * np.sign(k)
+    return whole // 2, np.ones_like(k)
+
+
+def composite_action_array(k, den):
+    """composite_action at k/den: x/(1+x) on [0, 1], 4n -> 0 and 4n+1 -> (n-1)/n on the tail."""
+    grid = (k >= 0) & (k <= den)
+    whole, rem = np.divmod(k, den)
+    n, r = np.divmod(whole, 4)
+    tail = (rem == 0) & (whole >= 4) & (r <= 1)
+    if not (grid | tail).all():
+        bad = int(k[~(grid | tail)][0])
+        raise InputError(f"{Fraction(bad, den)} is not a point of the composite space")
+    num, d = logistic_ratio_array(k, den)
+    num = np.where(grid, num, np.where(r == 0, 0, n - 1))
+    return num, np.where(grid, d, np.where(r == 0, 1, n))
+
+
 def catalog(entry_id: str,
             grid_step: Fraction = None,
             integer_max: int = None,
@@ -202,7 +242,8 @@ def catalog(entry_id: str,
         return CatalogEntry(
             id=entry_id,
             space=space,
-            map=SelfMap(space=space, name="x/(1+x)", func=logistic_ratio),
+            map=SelfMap(space=space, name="x/(1+x)", func=logistic_ratio,
+                        array_func=logistic_ratio_array),
             params={"grid_step": str(step)},
         )
     if entry_id == "floor_half":
@@ -211,7 +252,8 @@ def catalog(entry_id: str,
         return CatalogEntry(
             id=entry_id,
             space=space,
-            map=SelfMap(space=space, name="floor(n/2)", func=floor_half),
+            map=SelfMap(space=space, name="floor(n/2)", func=floor_half,
+                        array_func=floor_half_array),
             params={"integer_max": top},
         )
     if entry_id == "period2_counterexample":
@@ -229,7 +271,8 @@ def catalog(entry_id: str,
         return CatalogEntry(
             id=entry_id,
             space=space,
-            map=SelfMap(space=space, name="composite", func=composite_action),
+            map=SelfMap(space=space, name="composite", func=composite_action,
+                        array_func=composite_action_array),
             params={"grid_step": str(step), "index_max": top},
         )
     raise InputError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")

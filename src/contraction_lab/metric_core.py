@@ -29,6 +29,7 @@ import numpy as np
 ETA = 1e-12  # margin required for strict-inequality verdicts in float mode
 FLOAT_LIMIT = sys.float_info.max / 3   # larger float distances overflow perimeters
 LATTICE_LIMIT = 2 ** 53   # 3 * max |numerator| stays below this on the int64 lattice
+INT64_MAX = 2 ** 63 - 1
 # nonzero |entries| of a screenable float lattice: perimeter products and quotients stay normal
 FLOAT_LATTICE_RANGE = (2.0 ** -200, 2.0 ** 200)
 
@@ -320,6 +321,18 @@ class _LatticeRows(Sequence):
     __hash__ = None
 
 
+def check_line_range(lo: int, hi: int):
+    """Refuse sample numerators lo <= ... <= hi that the line engine cannot hold.
+
+    It stores the numerators, their spans and one past the longest span as
+    int64, so all three must fit.  Catalog spaces check their largest
+    numerator here before they build anything.
+    """
+    if lo < -INT64_MAX - 1 or hi >= INT64_MAX or hi - lo >= INT64_MAX:
+        raise InputError(f"sample numerators {lo}..{hi} do not fit int64, the line engine's "
+                         f"bound: choose a smaller truncation")
+
+
 @dataclass(frozen=True)
 class SampledSpace:
     """A deterministic rational sample of a subset of the real line.
@@ -343,10 +356,20 @@ class SampledSpace:
             raise InputError("sample coordinates must be distinct")
         if list(nums) != sorted(nums):
             raise InputError("sample coordinates must be sorted ascending")
+        if nums:
+            check_line_range(nums[0], nums[-1])
         object.__setattr__(self, "numerators", nums)
-        object.__setattr__(
-            self, "_points", tuple(Fraction(k, self.denominator) for k in nums)
-        )
+
+    @cached_property
+    def numerator_array(self) -> np.ndarray:
+        """The numerators as a read-only int64 array."""
+        nums = np.array(self.numerators, dtype=np.int64)
+        nums.flags.writeable = False
+        return nums
+
+    @cached_property
+    def _points(self) -> tuple:
+        return tuple(Fraction(k, self.denominator) for k in self.numerators)
 
     mode = "exact"
 

@@ -227,7 +227,7 @@ class _LatticeReduction:
         strict = self.strict
         if strict is not None:
             strict = (strict[0], scalar(strict[1]), scalar(strict[2]))
-        return _finalize(kind, eps, best, self.counts, strict, self.total, points,
+        return _finalize(kind, eps, best, self.counts, strict, self.total, points.__getitem__,
                          self.lattice.exact)
 
 
@@ -346,6 +346,16 @@ def _table_analysis(kind, lattice, nodes, images, eps, points):
 # ---------------------------------------------------------------------------
 # line engine (sampled one-dimensional spaces)
 
+def _int_array(values):
+    """Ints as an int64 array, or an object array of Python ints when one does not fit int64."""
+    if isinstance(values, np.ndarray) and values.dtype in (np.int64, object):
+        return values
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _windows(values, start, shape):
     """(rows, width) view of a contiguous 1-D array: row r holds values[start + r:][:width]."""
     step = values.strides[0]
@@ -381,22 +391,21 @@ class _LineData:
 
     gap = None
 
-    def __init__(self, numerators, den, points, images, eps):
+    def __init__(self, numerators, den, image_nums, image_dens, eps):
         self.den = den
-        self.points = tuple(points)    # Fractions, ascending
-        self.images = tuple(images)    # Fractions
-        self.n = n = len(self.points)
         self.nums = np.asarray(numerators, dtype=np.int64)
         self.numerators = self.nums.tolist()
+        self.n = n = len(self.numerators)
         longest = self.numerators[-1] - self.numerators[0]
         # the images' int numerators and positive denominators, as Python ints for the
         # strict check, and as arrays for exact(): int64 while its quotients' operands stay
         # below 2**53 and its products below 2**63, object arrays of Python ints otherwise
-        self.inums, self.idens = [v.numerator for v in images], [v.denominator for v in images]
-        a, b = max(map(abs, self.inums)), max(self.idens)
+        inum, iden = _int_array(image_nums), _int_array(image_dens)
+        self.inums, self.idens = inum.tolist(), iden.tolist()
+        a, b = max(-int(inum.min()), int(inum.max())), int(iden.max())
         wide = max(2 * a * b, b * b * longest) > 2 ** 53 or 4 * a * b ** 3 >= 2 ** 63
-        self.inum, self.iden = (np.array(v, dtype=object if wide else np.int64)
-                                for v in (self.inums, self.idens))
+        self.inum, self.iden = (v.astype(object if wide else np.int64, copy=False)
+                                for v in (inum, iden))
         self.tvals = _float_ratios(self.inum, self.iden)
         self.finite = bool(np.isfinite(self.tvals).all())
         # padded past the last point, so that every tile column has a window entry
@@ -421,6 +430,14 @@ class _LineData:
         self.strict_floors = 1.0 - FLOAT_SLACK - self.absolute
         # tile buffers for the largest tile of blocks(): fresh ones would be faulted in per tile
         self.work = np.empty((4, min(max(LINE_TILE, rows), rows * rows)))
+
+    def point(self, i):
+        """Point i as a Fraction."""
+        return Fraction(self.numerators[i], self.den)
+
+    def image(self, i):
+        """The image of point i as a Fraction."""
+        return Fraction(self.inums[i], self.idens[i])
 
     def entry(self, wit):
         """Exact (image measure, measure, witness) at a witness."""
@@ -506,7 +523,7 @@ class _LinePairs(_LineData):
     def sides(self, wit):
         """Exact (distance, image distance) at a pair witness."""
         i, j = wit
-        return self.points[j] - self.points[i], abs(self.images[j] - self.images[i])
+        return self.point(j) - self.point(i), abs(self.image(j) - self.image(i))
 
     def exact(self, rows, hs):
         """(image distance numerators, their denominators times the spans, witness columns) of
@@ -552,7 +569,7 @@ class _LineTriples(_LineData):
             runs = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])))).reshape(-1, 2)
             order = order.tolist()
             for s, e in runs[np.logical_or.reduceat(mixed, runs[:, 0])].tolist():
-                order[s:e + 1] = sorted(order[s:e + 1], key=self.images.__getitem__)
+                order[s:e + 1] = sorted(order[s:e + 1], key=self.image)
             order = np.array(order)
         rank = np.empty(self.n, dtype=np.int64)
         rank[order] = np.concatenate(([0], np.cumsum(differ(order))))
@@ -597,8 +614,8 @@ class _LineTriples(_LineData):
     def sides(self, wit):
         """Exact (perimeter, image perimeter) at a triple witness."""
         i, j, k = wit
-        ims = (self.images[i], self.images[j], self.images[k])
-        return 2 * (self.points[k] - self.points[i]), 2 * (max(ims) - min(ims))
+        ims = (self.image(i), self.image(j), self.image(k))
+        return 2 * (self.point(k) - self.point(i)), 2 * (max(ims) - min(ims))
 
     def exact(self, rows, hs):
         """(image spread numerators, their denominators times the spans, witness columns) of
@@ -760,7 +777,7 @@ def _settle(data, rows, hs, buckets, n_buckets):
     return best
 
 
-def _line_analysis(kind, numerators, den, points, images, eps):
+def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
     One pass tiles each row once, up to its cut.  Per tile, the items at or
@@ -772,7 +789,7 @@ def _line_analysis(kind, numerators, den, points, images, eps):
     passes (_settle).
     """
     eps = _checked_eps(kind, eps, len(numerators))
-    data = _LINE_KINDS[kind](numerators, den, points, images, eps)
+    data = _LINE_KINDS[kind](numerators, den, image_nums, image_dens, eps)
     top = np.full(len(data.counts), -np.inf)      # running float maxima per bucket
     floors = data.screen_floors(top)
     kept, strict = [], None         # the items seen so far at or above the floors
@@ -791,14 +808,17 @@ def _line_analysis(kind, numerators, den, points, images, eps):
             strict = (strict, *data.sides(strict))
     best = _settle(data, *_at_floors(kept, floors)[:3], len(top))
     return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in best],
-                     data.counts, strict, sum(data.counts), data.points, exact=True)
+                     data.counts, strict, sum(data.counts), data.point, exact=True)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, exact):
-    """The EnumAnalysis of per-bucket entries; bucket b + 1 holds measures from eps[b]."""
+def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, point, exact):
+    """The EnumAnalysis of per-bucket entries; bucket b + 1 holds measures from eps[b].
+
+    point(w) is the point at witness index w.
+    """
     def pick(entry, running):
         better = running is None or (entry is not None and _better(*entry, *running))
         return entry if better else running
@@ -808,7 +828,7 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
             return None, None
         num, den, wit = entry
         ratio = Fraction(num, den) if exact else num / den
-        return ratio, (tuple(points[w] for w in wit), num, den)
+        return ratio, (tuple(map(point, wit)), num, den)
 
     # delta(eps[b]) is the best over buckets b+1..; vacuous when none qualify
     suffix, counts, running, count = [], [], None, 0
@@ -822,7 +842,7 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, points, e
         sup = pick(entry, sup)
     sup_ratio, sup_witness = pack(sup)
     if strict is not None:      # (witness, measure, image measure)
-        strict = (tuple(points[w] for w in strict[0]), *strict[1:])
+        strict = (tuple(map(point, strict[0])), *strict[1:])
     return EnumAnalysis(
         kind=kind,
         eps=tuple(eps),
@@ -853,14 +873,17 @@ def table_triple_analysis(lattice, nodes, images, eps, points):
     return _table_analysis("triple", lattice, nodes, images, eps, points)
 
 
-def line_pair_analysis(numerators, den, points, images, eps):
+def line_pair_analysis(numerators, den, image_nums, image_dens, eps):
     """Pairwise enumeration of a sampled space: points numerators[i]/den, ascending.
 
-    images[i] is the image of point i, a Fraction or an int.
+    The image of point i is image_nums[i]/image_dens[i], reduced, with a
+    positive denominator.  The three are int arrays (int64, or object arrays
+    of Python ints) or sequences of ints; witnesses and their measures come
+    out as Fractions.
     """
-    return _line_analysis("pairwise", numerators, den, points, images, eps)
+    return _line_analysis("pairwise", numerators, den, image_nums, image_dens, eps)
 
 
-def line_triple_analysis(numerators, den, points, images, eps):
+def line_triple_analysis(numerators, den, image_nums, image_dens, eps):
     """Triple (perimeter) enumeration; see line_pair_analysis."""
-    return _line_analysis("triple", numerators, den, points, images, eps)
+    return _line_analysis("triple", numerators, den, image_nums, image_dens, eps)

@@ -420,14 +420,19 @@ def _restrict(space: FiniteMetricSpace, mapping: SelfMap, keep):
 
 
 def minimize_refutation(space: FiniteMetricSpace, mapping: SelfMap,
-                        theorem_id: str = "mesmouli_uncorrected"):
+                        theorem_id: str = "mesmouli_uncorrected", known_verdict=None):
     """Greedy point deletion while the instance keeps refuting the theorem.
 
     A point is deletable when nothing else maps onto it (so the restricted
     map stays total) and at least three points remain.  The result is locally
     minimal: no single further deletion preserves the refutation.
+    known_verdict, when given, is the instance's verdict under theorem_id
+    with x0 its first point (a search's Refutation.verdict), and is not
+    computed again.
     """
-    v = verdict(theorem_id, space, mapping, x0=space.points[0])
+    v = known_verdict
+    if v is None:
+        v = verdict(theorem_id, space, mapping, x0=space.points[0])
     if v.status != "refuted":
         raise InputError("instance does not refute the theorem; nothing to minimize")
     cur_space, cur_map = space, mapping

@@ -54,7 +54,7 @@ def table_loops(kind, dist, nodes, images, eps, points, exact):
             best[b] = (image_measure, measure, wit)
         if strict is None and image_measure >= measure - slack:
             strict = (wit, measure, image_measure)
-    return scan._finalize(kind, eps, best, counts, strict, total, points, exact)
+    return scan._finalize(kind, eps, best, counts, strict, total, points.__getitem__, exact)
 
 
 def metric_violations_loops(dist_table, exact):
@@ -112,6 +112,14 @@ def closure_loops(table, exact):
     return dist
 
 
+def split_images(images):
+    """Rational images as the line scans take them: (numerators, positive denominators) int
+    arrays, int64 or object arrays of Python ints (scan._int_array)."""
+    images = [Fraction(v) for v in images]
+    return (scan._int_array([v.numerator for v in images]),
+            scan._int_array([v.denominator for v in images]))
+
+
 class FractionPairRow:
     """The pairs (i, i+1+h) of one line-engine row, evaluated in Fractions."""
 
@@ -121,8 +129,8 @@ class FractionPairRow:
     def entry(self, h):
         """(image distance numerator, its denominator times the span, witness)."""
         i, j = self.i, self.i + 1 + h
-        images, nums = self.data.images, self.data.numerators
-        dt = abs(images[j] - images[i])
+        image, nums = self.data.image, self.data.numerators
+        dt = abs(image(j) - image(i))
         return dt.numerator, dt.denominator * (nums[j] - nums[i]), (i, j)
 
     def strict_witness(self, h):
@@ -140,12 +148,11 @@ class FractionTripleRow:
 
     def __init__(self, data, i, reach):
         self.data, self.i = data, i
-        images = data.images
-        top = bottom = images[i + 1]
+        top = bottom = data.image(i + 1)
         top_j = bottom_j = i + 1
         runs = []
         for j in range(i + 1, i + 2 + reach):
-            v = images[j]
+            v = data.image(j)
             if v > top:
                 top, top_j = v, j
             elif v < bottom:
@@ -155,8 +162,8 @@ class FractionTripleRow:
 
     def _ends(self, h):
         i, k = self.i, self.i + 2 + h
-        images, nums = self.data.images, self.data.numerators
-        return k, min(images[i], images[k]), max(images[i], images[k]), nums[k] - nums[i]
+        lo, hi = sorted((self.data.image(i), self.data.image(k)))
+        return k, lo, hi, self.data.numerators[k] - self.data.numerators[i]
 
     def entry(self, h):
         """(image spread numerator, its denominator times the span, witness)."""

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import warnings
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from contraction_lab import scan
+from contraction_lab import map_catalog, scan
 from contraction_lab.classify import (
     DEFAULT_EPS_GRID,
     NEAR_ONE_RATIO,
@@ -27,6 +28,7 @@ from contraction_lab.map_catalog import SelfMap, apply, catalog, composite_actio
 from contraction_lab.metric_core import (
     FiniteMetricSpace,
     InputError,
+    SampledSpace,
     perimeter,
     table_lattice,
     validate_metric,
@@ -37,6 +39,7 @@ from oracles import (
     FractionTripleRow,
     candidate_fold,
     metric_violations_loops,
+    split_images,
     table_loops,
 )
 
@@ -406,6 +409,7 @@ class _DictFormula:
 
 def naive_line_analysis(kind, points, images, eps):
     """The line engine's EnumAnalysis, from every item in lex order in Fractions."""
+    images = [F(v) for v in images]      # the scans report image measures as Fractions
     size = 2 if kind == "pairwise" else 3
     scale = 1 if kind == "pairwise" else 2     # distance, or perimeter of sorted points
     best = [None] * len(eps)
@@ -568,7 +572,6 @@ class TestLineEngineFuzz:
         # non-monotone images, many off the sample grid, exercising the
         # middle-point reduction, exact re-evaluation, and strictness scan
         rng = random.Random(2026)
-        from contraction_lab.metric_core import SampledSpace
 
         for trial in range(40):
             den = rng.choice((2, 4, 5))
@@ -608,7 +611,7 @@ class TestLineEngineFuzz:
         images = [F(i, 2) for i in range(n)]
         images[-1] += F(1, 10 ** 12)
         eps = (F(1, 2),)
-        got = scan.line_pair_analysis(list(range(n)), 1, points, images, eps)
+        got = scan.line_pair_analysis(list(range(n)), 1, *split_images(images), eps)
         want, want_wit = None, None
         for i, j in combinations(range(n), 2):
             r = abs(images[j] - images[i]) / (points[j] - points[i])
@@ -628,7 +631,7 @@ class TestLineEngineFuzz:
             nums = sorted(rng.sample(range(40), 6))
             images = [10 ** 12 + F(rng.randint(0, 1000), scale) for _ in nums]
             points = [F(k, 8) for k in nums]
-            got = scan.line_pair_analysis(nums, 8, points, images, eps)
+            got = scan.line_pair_analysis(nums, 8, *split_images(images), eps)
             want = naive_line_analysis("pairwise", points, images, eps)
             assert repr(got) == repr(want), (scale, trial)
 
@@ -645,7 +648,7 @@ class TestLineEngineFuzz:
                 images[r] = images[r - 1] + points[r] - points[r - 1]
             for kind, engine in (("pairwise", scan.line_pair_analysis),
                                  ("triple", scan.line_triple_analysis)):
-                got = engine(nums, 3, points, images, eps)
+                got = engine(nums, 3, *split_images(images), eps)
                 want = naive_line_analysis(kind, points, images, eps)
                 assert repr(got) == repr(want), (kind, trial)
 
@@ -654,7 +657,7 @@ class TestLineEngineFuzz:
         nums, den, points, images, eps = case
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
-            got = engine(nums, den, points, images, eps)
+            got = engine(nums, den, *split_images(images), eps)
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -662,7 +665,7 @@ class TestLineEngineFuzz:
     def test_triple_rows_match_middle_point_loop(self, case):
         # the exact stage's arrays at every (i, k), and the strict rows at every position
         nums, den, points, images, eps = case
-        data = scan._LineTriples(nums, den, points, images, eps)
+        data = scan._LineTriples(nums, den, *split_images(images), eps)
         n = len(points)
         rows, ks = np.triu_indices(n, 2)
         num, span_den, wit = data.exact(rows, ks - rows - 2)
@@ -679,7 +682,7 @@ class TestLineEngineFuzz:
         # exact ratio (entries are unreduced), and the strict rows the same strict witness
         nums, den, points, images, eps = case
         for kind, oracle in (("pairwise", FractionPairRow), ("triple", FractionTripleRow)):
-            data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
             rows, hs = all_items(data)
             got = data.exact(rows, hs)
             for t, (i, h) in enumerate(zip(rows.tolist(), hs.tolist())):
@@ -698,7 +701,7 @@ class TestLineEngineFuzz:
         nums, den, points, images, eps = case
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
-            got = engine(nums, den, points, images, eps)
+            got = engine(nums, den, *split_images(images), eps)
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -709,7 +712,7 @@ class TestLineEngineFuzz:
         nums, den, points, images, eps = case
         wide = max(max(abs(v.numerator), v.denominator) for v in images) >= 2 ** 32
         for kind in ("pairwise", "triple"):
-            data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
             assert data.inum.dtype == data.iden.dtype == (object if wide else data.inum.dtype)
             rows, hs = all_items(data)
             buckets = (hs[:, None] >= data.before[rows, 1:-1]).sum(axis=1)
@@ -722,7 +725,7 @@ class TestLineEngineFuzz:
     @given(exact_stage_inputs())
     def test_image_ranks_follow_the_exact_order(self, case):
         nums, den, points, images, eps = case
-        rank = scan._LineTriples(nums, den, points, images, eps).ranks().tolist()
+        rank = scan._LineTriples(nums, den, *split_images(images), eps).ranks().tolist()
         for a, b in combinations(range(len(images)), 2):
             assert ((rank[a] > rank[b]) - (rank[a] < rank[b])
                     == (images[a] > images[b]) - (images[a] < images[b])), (a, b)
@@ -734,14 +737,14 @@ class TestLineEngineFuzz:
         points = [F(k) for k in nums]
         images = [F(v) for v in (-4, 4, 4, 5, -1, -2, 6)]
         eps = (F(2), F(9))
-        got = scan.line_triple_analysis(nums, 1, points, images, eps)
+        got = scan.line_triple_analysis(nums, 1, *split_images(images), eps)
         assert got.deltas[1] == 1 and got.delta_witnesses[1][0] == (0, 2, 10)
         assert repr(got) == repr(naive_line_analysis("triple", points, images, eps))
 
     def test_distinct_images_sharing_a_float_rank_apart(self):
         images = [10 ** 12 + F(r, 10 ** 7) for r in (3, 1, 2, 1, 0)]
         nums = list(range(len(images)))
-        data = scan._LineTriples(nums, 1, [F(k) for k in nums], images, (F(1),))
+        data = scan._LineTriples(nums, 1, *split_images(images), (F(1),))
         assert len(set(data.tvals.tolist())) == 1
         assert data.ranks().tolist() == [3, 1, 2, 1, 0]
 
@@ -752,7 +755,7 @@ class TestLineEngineFuzz:
         points = [F(i) for i in range(n)]
         images = [F(i, 2) for i in range(n)]
         images[-1] += F(1, 10 ** 12)
-        got = scan.line_triple_analysis(list(range(n)), 1, points, images, (F(2),))
+        got = scan.line_triple_analysis(list(range(n)), 1, *split_images(images), (F(2),))
         want = F(1000000000001, 2000000000000)
         assert got.sup_ratio == got.deltas[0] == want
         assert got.sup_witness[0] == got.delta_witnesses[0][0] == (F(157), F(158), F(159))
@@ -948,7 +951,7 @@ class TestLineTiles:
         rng = random.Random(len(nums))
         for kind in ("pairwise", "triple"):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+                data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
                 rows = np.arange(data.n - data.gap)
                 full = np.full(len(rows), data.n)
                 row_max = {"full": tiled_row_maxima(data, full),
@@ -977,7 +980,7 @@ class TestLineTiles:
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                got = engine(nums, den, points, images, eps)
+                got = engine(nums, den, *split_images(images), eps)
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1045,7 +1048,7 @@ class TestLineTiles:
             monkeypatch.setattr(kind, "exact", spy_exact(kind.exact))
         for kind in ("pairwise", "triple"):
             # the items below each row's cut, with floors of their float maxima
-            data = scan._LINE_KINDS[kind](nums, 1, points, images, DEFAULT_EPS_GRID)
+            data = scan._LINE_KINDS[kind](nums, 1, *split_images(images), DEFAULT_EPS_GRID)
             cut = data.cut
             floors = data.screen_floors(
                 float_pass_oracle(data, DEFAULT_EPS_GRID, cut)[0].max(axis=0))
@@ -1054,7 +1057,7 @@ class TestLineTiles:
                            .sum())
                        for i in range(data.n - data.gap))
             evaluated[0] = 0
-            scan._line_analysis(kind, nums, 1, points, images, DEFAULT_EPS_GRID)
+            scan._line_analysis(kind, nums, 1, *split_images(images), DEFAULT_EPS_GRID)
             assert evaluated[0] == want > 250, kind
 
     @given(rising_inputs())
@@ -1063,7 +1066,7 @@ class TestLineTiles:
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                got = engine(nums, den, points, images, eps)
+                got = engine(nums, den, *split_images(images), eps)
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1072,7 +1075,7 @@ class TestLineTiles:
         nums, den, points, images, eps, _ = case
         threshold = scan._ceil_thresholds(eps, den, math.inf, object)[-1]
         for kind in ("pairwise", "triple"):
-            data = scan._LINE_KINDS[kind](nums, den, points, images, eps)
+            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
             assert data.cut.tolist() == brute_cut(data, threshold), kind
 
     @given(pruned_inputs())
@@ -1081,7 +1084,7 @@ class TestLineTiles:
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                got = engine(nums, den, points, images, eps)
+                got = engine(nums, den, *split_images(images), eps)
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1147,7 +1150,7 @@ class TestLineTiles:
                 eps = (F(nums[1] - nums[0], den), F(nums[-1] - nums[0], den))
                 for kind, engine in (("pairwise", scan.line_pair_analysis),
                                      ("triple", scan.line_triple_analysis)):
-                    got = engine(nums, den, points, images, eps)
+                    got = engine(nums, den, *split_images(images), eps)
                     want = naive_line_analysis(kind, points, images, eps)
                     assert repr(got) == repr(want), (kind, nums, den, images)
 
@@ -1346,6 +1349,46 @@ class TestFullReport:
         entry = catalog("floor_half", integer_max=16)
         with pytest.raises(InputError):
             estimate_tpc_alpha(entry.space, entry.map, point_set=[F(0), F(1), F(99)])
+        with pytest.raises(InputError):
+            estimate_tpc_alpha(entry.space, entry.map, point_set=[F(0), F(1), F(5, 2)])
+
+    @pytest.mark.parametrize("cid, params", [
+        ("burton_logistic", {"grid_step": F(1, 96)}),
+        ("floor_half", {"integer_max": 96}),
+        ("composite", {"grid_step": F(1, 24), "index_max": 12})])
+    def test_sampled_reports_evaluate_no_point_fraction(self, monkeypatch, cid, params):
+        # the array form gives every image: no apply, func or point_set call, and the
+        # report equals the one of the same map evaluated point by point
+        entry = catalog(cid, **params)
+        by_point = SelfMap(space=entry.space, name=entry.map.name, func=entry.map.func)
+        want = full_report(entry.space, by_point).to_json()
+        calls = []
+
+        def refuse(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return spy
+
+        monkeypatch.setattr(map_catalog, "apply", refuse("apply"))
+        monkeypatch.setattr(SampledSpace, "point_set", refuse("point_set"))
+        space = catalog(cid, **params).space
+        mapping = SelfMap(space=space, name=entry.map.name, func=refuse("func"),
+                          array_func=entry.map.array_func)
+        got = full_report(space, mapping).to_json()
+        assert calls == [] and "_points" not in vars(space)
+        assert got == want
+        # witness points and their image measures are still p/q strings
+        witnesses = [got["tpc_alpha_witness"]] + [
+            doc["witness"] for doc in got.values() if isinstance(doc, dict) and "witness" in doc
+        ] + [e["witness"] for kind in ("pairwise_moduli", "triple_moduli")
+             for e in got[kind]["entries"] if "witness" in e]
+        assert len(witnesses) > 10
+        for witness in witnesses:
+            for key in ("x", "y", "z", "distance", "image_distance", "perimeter",
+                        "image_perimeter"):
+                if key in witness:
+                    assert re.fullmatch(r"-?\d+(/\d+)?", witness[key]), (key, witness)
 
     @pytest.mark.parametrize("scalar", (int, F), ids=["loops", "lattice"])
     @pytest.mark.parametrize("distance", (0, -1), ids=["zero", "negative"])

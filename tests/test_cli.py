@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from contraction_lab import scan
+from contraction_lab import scan, theorem_lab
 from contraction_lab.cli import _parity_cases_hold, main
 from contraction_lab.map_catalog import apply, catalog
 from contraction_lab.metric_core import FiniteMetricSpace, metric_repair
@@ -197,6 +197,17 @@ class TestClassify:
 
     def test_missing_target_exits_1(self, tmp_path):
         assert run(["classify", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("cid, flag, value", [
+        ("floor_half", "--max-n", "99999999999999999999"),
+        ("burton_logistic", "--grid-step", "1/99999999999999999999"),
+        ("composite", "--max-n", "99999999999999999999"),
+    ], ids=["floor-half", "burton-logistic", "composite-tail"])
+    def test_truncation_past_int64_exits_1(self, tmp_path, capsys, cid, flag, value):
+        # refused before any point is built: the line engine's arrays are int64
+        assert run(["classify", "--catalog", cid, flag, value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: sample numerators 0..")
+        assert not list(tmp_path.iterdir())
 
     def test_float_mode_on_rational_instance(self, tmp_path):
         # k/96 distances are not dyadic, so every float entry is rounded
@@ -506,6 +517,28 @@ class TestSearch:
         assert doc["hits"] >= 1
         assert doc["refutations"][0]["trial"] == -1
         assert all(m["size"] >= 3 for m in doc["minimized"])
+
+    def test_minimizing_reuses_the_search_verdicts(self, tmp_path, monkeypatch):
+        # each refuted instance is judged once, by the search; its minimization starts
+        # from that verdict
+        judged, minimized = [], []
+        real_verdict, real_minimize = theorem_lab.verdict, theorem_lab.minimize_refutation
+
+        def verdict_spy(theorem_id, space, mapping, **kwargs):
+            judged.append(space)
+            return real_verdict(theorem_id, space, mapping, **kwargs)
+
+        def minimize_spy(space, mapping, **kwargs):
+            minimized.append(space)
+            return real_minimize(space, mapping, **kwargs)
+
+        monkeypatch.setattr(theorem_lab, "verdict", verdict_spy)
+        monkeypatch.setattr(theorem_lab, "minimize_refutation", minimize_spy)
+        assert run(["search", "--theorem", "mesmouli_uncorrected", "--seed", "3",
+                    "--trials", "60", "--bias", "period2", "--out", str(tmp_path)]) == 0
+        doc, _ = read_only_json(tmp_path, "search")
+        assert len(minimized) == doc["hits"] >= 3
+        assert [sum(s is space for s in judged) for space in minimized] == [1] * len(minimized)
 
     def test_corrected_statement_finds_nothing(self, tmp_path):
         assert run(["search", "--theorem", "corrected_main", "--seed", "42",

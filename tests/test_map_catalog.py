@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from contraction_lab import classify
 from contraction_lab.classify import full_report
 from contraction_lab.map_catalog import (
     CATALOG_IDS,
@@ -11,7 +13,12 @@ from contraction_lab.map_catalog import (
     apply,
     catalog,
     composite_action,
+    composite_action_array,
+    floor_half,
+    floor_half_array,
     iterate,
+    logistic_ratio,
+    logistic_ratio_array,
     resolve_point,
 )
 from contraction_lab.metric_core import InputError
@@ -166,6 +173,83 @@ class TestClosure:
         entry = catalog("floor_half", integer_max=100)
         fixed = [x for x in entry.space.point_set() if apply(entry.map, x) == x]
         assert fixed == [F(0)]
+
+
+@st.composite
+def sampled_scopes(draw):
+    """A sampled catalog entry at a random truncation: grid steps 1/den, integer_max, and
+    composite's index_max, whose tail points 4n and 4n + 1 lie far above its grid."""
+    cid = draw(st.sampled_from(("burton_logistic", "floor_half", "composite")))
+    if cid == "burton_logistic":
+        return catalog(cid, grid_step=F(1, draw(st.integers(1, 700))))
+    if cid == "floor_half":
+        return catalog(cid, integer_max=draw(st.integers(2, 700)))
+    return catalog(cid, grid_step=F(1, draw(st.integers(1, 300))),
+                   index_max=draw(st.integers(1, 80)))
+
+
+def split_by_point(mapping, nums, den):
+    """The map's func at each point nums[i]/den, as (numerators, denominators) lists."""
+    images = [mapping.func(F(k, den)) for k in nums]
+    return [v.numerator for v in images], [v.denominator for v in images]
+
+
+class TestArrayForms:
+    @given(sampled_scopes())
+    def test_array_form_equals_func_at_every_sample_point(self, entry):
+        space, mapping = entry.space, entry.map
+        nums, dens = mapping.array_func(space.numerator_array, space.denominator)
+        assert nums.dtype == dens.dtype == np.int64 and (dens > 0).all()
+        assert (nums.tolist(), dens.tolist()) == split_by_point(
+            mapping, space.numerators, space.denominator)
+
+    @given(sampled_scopes(), st.data())
+    def test_array_form_equals_func_on_point_subsets(self, entry, data):
+        # an explicit point set, in any order and with repeats, is scanned through the array form
+        space, mapping = entry.space, entry.map
+        picks = data.draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=60))
+        point_set = [F(space.numerators[i], space.denominator) for i in picks]
+        size, (nums, den, image_nums, image_dens) = classify._prepare(space, mapping, point_set)
+        assert nums.tolist() == sorted({space.numerators[i] for i in picks}) and size == len(nums)
+        assert (image_nums.tolist(), image_dens.tolist()) == split_by_point(mapping, nums.tolist(),
+                                                                          den)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=40),
+           st.integers(1, 1000))
+    def test_array_forms_equal_the_formulas_off_the_catalog_points(self, ks, den):
+        # negative and off-grid numerators too: the array forms are the formulas
+        k = np.array(ks, dtype=np.int64)
+        for func, array_func in ((floor_half, floor_half_array),
+                                 (logistic_ratio, logistic_ratio_array)):
+            mapping = SelfMap(space=None, name="formula", func=func)
+            if array_func is logistic_ratio_array and -den in ks:
+                with pytest.raises(InputError, match="1 \\+ x is zero"):
+                    array_func(k, den)
+                continue
+            nums, dens = array_func(k, den)
+            assert (nums.tolist(), dens.tolist()) == split_by_point(mapping, ks, den)
+            assert (dens > 0).all() and (np.gcd(nums, dens) == 1).all()
+
+    @pytest.mark.parametrize("x", [F(2), F(3), F(6), F(17, 4), F(-1, 8), F(3, 2)])
+    def test_composite_array_form_refuses_what_the_formula_refuses(self, x):
+        den = 8
+        k = np.array([0, 4 * den, int(x * den)], dtype=np.int64)
+        with pytest.raises(InputError) as want:
+            composite_action(x)
+        with pytest.raises(InputError) as got:
+            composite_action_array(k, den)
+        assert str(got.value) == str(want.value)
+
+    def test_composite_tail_images(self):
+        entry = catalog("composite", grid_step=F(1, 4), index_max=3)
+        nums, dens = entry.map.array_func(entry.space.numerator_array, 4)
+        tail = [F(a, b) for a, b in zip(nums.tolist()[5:], dens.tolist()[5:])]
+        assert tail == [0, 0, 0, F(1, 2), 0, F(2, 3)]
+
+    def test_only_formula_maps_take_an_array_form(self):
+        entry = catalog("period2_counterexample")
+        with pytest.raises(InputError):
+            SelfMap(space=entry.space, name="t", table=(1, 0, 1), array_func=floor_half_array)
 
 
 class TestSelfMapTable:

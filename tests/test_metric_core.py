@@ -403,6 +403,17 @@ class TestSampledSpace:
         with pytest.raises(InputError):
             SampledSpace("bad", denominator=2, numerators=(0, 0))
 
+    @pytest.mark.parametrize("nums", [(0, 2 ** 63 - 1), (-2 ** 63 - 1, 0), (-2, 2 ** 63 - 2),
+                                      (10 ** 20,)])
+    def test_refuses_numerators_past_int64(self, nums):
+        # the line engine holds numerators, spans and one past the longest span as int64
+        with pytest.raises(InputError, match="do not fit int64"):
+            SampledSpace("wide", denominator=1, numerators=nums)
+
+    def test_numerators_at_the_int64_bound_pass(self):
+        space = SampledSpace("edge", denominator=1, numerators=(-2 ** 62, 2 ** 62 - 2))
+        assert space.numerator_array.tolist() == [-2 ** 62, 2 ** 62 - 2]
+
 
 # ---------------------------------------------------------------------------
 # loading a table straight to its lattice, against the parse_scalar path

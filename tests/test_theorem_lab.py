@@ -382,6 +382,30 @@ class TestMinimize:
         with pytest.raises(InputError):
             minimize_refutation(space, mapping)
 
+    def test_known_verdict_is_not_computed_again(self, monkeypatch):
+        findings = search_refutations("mesmouli_uncorrected",
+                                      SearchConfig(seed=3, trials=60, map_bias="period2"))
+        assert findings.hits >= 3
+        want = [minimize_refutation(r.space, r.map) for r in findings.refutations]
+        judged, real = [], theorem_lab.verdict
+
+        def spy(theorem_id, space, mapping, **kwargs):
+            judged.append(space)
+            return real(theorem_id, space, mapping, **kwargs)
+
+        monkeypatch.setattr(theorem_lab, "verdict", spy)
+        got = [minimize_refutation(r.space, r.map, known_verdict=r.verdict)
+               for r in findings.refutations]
+        assert [(m.to_json(), s.size) for s, m in got] == [(m.to_json(), s.size) for s, m in want]
+        assert not any(space is r.space for space in judged for r in findings.refutations)
+
+    def test_known_verdict_that_does_not_refute_is_rejected(self):
+        space, mapping = line_instance([0, 1, 3], [0, 0, 0])
+        held = verdict("mesmouli_uncorrected", space, mapping, x0=0)
+        assert held.status != "refuted"
+        with pytest.raises(InputError):
+            minimize_refutation(space, mapping, known_verdict=held)
+
 
 def empty_sweep(trials):
     return {

@@ -7,8 +7,8 @@ Usage (from the repository root):
 The program is imported from ``src/`` of the checkout this script sits in.
 Each run writes its files into ``OUT_DIR/<label>/`` and its exit code into
 ``OUT_DIR/exit-codes.txt``; no file holds a path or a timing.  A change keeps
-its gated outputs when, with this script copied into a checkout of the
-parent as well,
+its gated outputs when, with each output directory written by its own
+checkout's copy of this script,
 
     diff -r PARENT_OUT CHANGE_OUT
 
@@ -88,9 +88,9 @@ def write_scans(out_dir):
     scans = Path(out_dir) / "scans"
     scans.mkdir(parents=True, exist_ok=True)
     for label, nums, den, images, eps in _scan_inputs():
-        points = [Fraction(k, den) for k in nums]
+        image_nums, image_dens = [v.numerator for v in images], [v.denominator for v in images]
         (scans / f"{label}.txt").write_text(
-            "".join(f"{repr(engine(nums, den, points, images, eps))}\n"
+            "".join(f"{repr(engine(nums, den, image_nums, image_dens, eps))}\n"
                     for engine in (scan.line_pair_analysis, scan.line_triple_analysis)),
             encoding="utf-8")
 
