@@ -27,7 +27,7 @@ from .map_catalog import (
     load_instance,
     resolve_point,
 )
-from .metric_core import InputError, format_point, format_scalar, parse_scalar
+from .metric_core import InputError, SampledSpace, format_point, format_scalar, parse_scalar
 
 
 def _config_hash(doc: dict) -> str:
@@ -382,7 +382,12 @@ def cmd_iterate(args) -> int:
 
 def cmd_verify(args) -> int:
     space, mapping, origin, key = _load_target(args)
-    x0 = space.point_set()[0] if args.x0 is None else resolve_point(space, args.x0)
+    if args.x0 is not None:
+        x0 = resolve_point(space, args.x0)
+    elif isinstance(space, SampledSpace):       # its first point, without building the rest
+        x0 = Fraction(space.numerators[0], space.denominator)
+    else:
+        x0 = space.point_set()[0]
     v = theorem_lab.verdict(args.theorem, space, mapping, x0=x0,
                             eps_grid=_parse_eps_grid(args.eps_grid))
     config = {

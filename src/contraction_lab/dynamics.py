@@ -15,7 +15,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import scan
+import numpy as np
+
+from . import classify, scan
 from .map_catalog import SelfMap, apply
 from .metric_core import (
     ETA,
@@ -239,8 +241,38 @@ def check_distinct_iterates(trace: OrbitTrace):
     return True, None, "all recorded states are pairwise distinct"
 
 
+def sampled_images(space, mapping: SelfMap):
+    """On a sampled space whose map has an array form: the points' numerators, the reduced
+    image numerators and denominators (classify._prepare), and per point the index of its
+    image among the points, or -1 when the image lies off the sample; None otherwise."""
+    if not isinstance(space, SampledSpace) or mapping.array_func is None:
+        return None
+    nums, den, inum, iden = classify._prepare(space, mapping, None)[1]
+    # an image p/q is the point k/den when q divides den and k = p * (den / q) is a numerator;
+    # |p| beyond the numerators' range over den / q is no point, and its product is not formed
+    scale = np.where(den % iden == 0, den // iden, 0)
+    reach = max(abs(int(nums[0])), abs(int(nums[-1])))
+    near = (scale > 0) & (np.abs(inum) <= reach // np.maximum(scale, 1))
+    k = inum * np.where(near, scale, 0)
+    index = np.minimum(np.searchsorted(nums, k), len(nums) - 1)
+    return nums, den, inum, iden, np.where(near & (nums[index] == k), index, -1)
+
+
 def detect_period2(space, mapping: SelfMap, point_set=None) -> tuple:
-    """Every x in the scope with T^2 x = x but Tx != x."""
+    """Every x in the scope with T^2 x = x but Tx != x.
+
+    Over a whole sampled space whose map has an array form, this is one
+    array pass: the map's array form also takes each image's own
+    denominator, so T^2 x comes without a Fraction per point.
+    """
+    sampled = sampled_images(space, mapping) if point_set is None else None
+    if sampled is not None:
+        nums, den, inum, iden, _ = sampled
+        g = np.gcd(nums, den)
+        fixed = (inum == nums // g) & (iden == den // g)
+        again_num, again_den = mapping.array_func(inum, iden)
+        hits = ~fixed & (again_num == nums // g) & (again_den == den // g)
+        return tuple(Fraction(int(k), den) for k in nums[hits])
     pts = space.point_set() if point_set is None else tuple(point_set)
     hits = []
     for x in pts:
@@ -268,8 +300,18 @@ def enumerate_fixed_points(space, mapping: SelfMap) -> tuple:
 
     Finite table spaces are always enumerable; a sampled space is accepted
     when the map closes over its sample (otherwise the scan would miss
-    off-sample behaviour and the result would not be exact).
+    off-sample behaviour and the result would not be exact).  A map with an
+    array form is read from its images' sample indices (sampled_images).
     """
+    sampled = sampled_images(space, mapping)
+    if sampled is not None:
+        nums, den, _, _, index = sampled
+        if (index < 0).any():
+            raise InputError(
+                "map does not close over the sample; fixed points cannot be "
+                "enumerated exhaustively")
+        fixed = np.flatnonzero(index == np.arange(len(nums)))
+        return tuple(Fraction(int(k), den) for k in nums[fixed])
     pts = space.point_set()
     if isinstance(space, SampledSpace):
         sample = set(pts)

@@ -199,8 +199,9 @@ def composite_action(x):
     raise InputError(f"{x} is not a point of the composite space")
 
 
-# their array forms: int64 numerators k of the points k/den -> (image numerators, image
-# denominators), reduced, denominators positive; equal to the formulas at every point
+# their array forms: int64 numerators k of the points k/den, den one positive int or an array
+# of them like k -> (image numerators, image denominators), reduced, denominators positive;
+# equal to the formulas at every point
 
 def logistic_ratio_array(k, den):
     """x/(1+x) at x = k/den: k/(den + k)."""
@@ -224,8 +225,9 @@ def composite_action_array(k, den):
     n, r = np.divmod(whole, 4)
     tail = (rem == 0) & (whole >= 4) & (r <= 1)
     if not (grid | tail).all():
-        bad = int(k[~(grid | tail)][0])
-        raise InputError(f"{Fraction(bad, den)} is not a point of the composite space")
+        bad = ~(grid | tail)
+        point = Fraction(int(k[bad][0]), int(np.broadcast_to(den, k.shape)[bad][0]))
+        raise InputError(f"{point} is not a point of the composite space")
     num, d = logistic_ratio_array(k, den)
     num = np.where(grid, num, np.where(r == 0, 0, n - 1))
     return num, np.where(grid, d, np.where(r == 0, 1, n))

@@ -19,10 +19,11 @@ Two engines back the classifiers:
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
   through the running extrema of the image values.  That collapses the triple
   scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Items sharing
-  a first index i form a row, and column c of row i stands for the last
-  index i + gap + c.  One pass computes the float ratios of each run of rows
+  a first index i form a row, and position h of row i stands for the last
+  index i + gap + h.  One pass computes the float ratios of each run of rows
   once, as a (rows, columns) tile of at most LINE_TILE entries, its rows
-  times their widest live width (_LineData.tile; images and spans are read
+  times the width of their live positions, aligned by position or by last
+  index, whichever fits more rows (_LineData.tile; images and spans are read
   through strided window views), keeps the items at or above a proven float
   error bound below their bucket's running maximum
   (_LineData.screen_floors), and checks strict suspects within their tile.
@@ -48,6 +49,30 @@ Two engines back the classifiers:
   a violating half, so with no violator before the cuts there is none, and
   with the first one in row r the lex-first one lies in a row <= r: rows
   0..r are then tiled again in full (a late r costs up to the whole scan).
+  Items that a step-ratio bound keeps below their floors are not tiled
+  either.  For i < k the image range over i..k is at most the total
+  variation of the sampled map there, which is at most L(i, k) times the
+  span, L(i, k) being the largest adjacent step ratio |T_{j+1} - T_j| /
+  (x_{j+1} - x_j) for i <= j < k.  So the ratio of the pair (i, k), and the
+  best-middle ratio of every triple (i, j, k), is at most L(i, k), which
+  never falls as k grows: over a bucket's columns in row i it is greatest at
+  the last one.  The adjacent float ratios obey the screen's error bound, so
+  an item's float ratio is at most a + 4u*M*den/s1 + 10u*a, a being the
+  largest adjacent float ratio over its steps and s1 the least adjacent step
+  (u, M as in _LineData.screen_floors); _LineData.bounds adds twice that
+  margin, 8u*M*den/s1 + 32u*a, which covers its own rounding, to a from a
+  range-maximum table over the n - 1 adjacent float ratios.
+  Before each run of rows, a row drops each bucket whose bound lies strictly
+  below the bucket's floor in force; while no strict violator is found, the
+  floor in force is the lesser of the bucket's floor and its strict floor.
+  A dropped item's float ratio thus lies below every floor it is compared
+  with: it is never kept, never raises a maximum and is never a strict
+  suspect, and the floors lie below the exact maxima, so it is never a
+  maximum or a tied lex-first witness.  A row's tile spans its first to its
+  last kept bucket, and a row that keeps none is not tiled.  When the images'
+  floats overflow, nothing is dropped.  Neither pruning subsumes the other:
+  on floor_half every L is 1 and the cut does the work, while on
+  burton_logistic the top bucket is empty and the bound drops most items.
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -59,6 +84,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -356,10 +382,10 @@ def _int_array(values):
         return np.array(values, dtype=object)
 
 
-def _windows(values, start, shape):
-    """(rows, width) view of a contiguous 1-D array: row r holds values[start + r:][:width]."""
-    step = values.strides[0]
-    return np.ndarray(shape, values.dtype, values, start * step, (step, step))
+def _windows(values, start, shape, step=1):
+    """(rows, width) view of a contiguous 1-D array: row r holds values[start + step*r:][:width]."""
+    size = values.strides[0]
+    return np.ndarray(shape, values.dtype, values, start * size, (step * size, size))
 
 
 def _extrema_table(keys, ufunc, longest):
@@ -377,7 +403,18 @@ def _extrema_table(keys, ufunc, longest):
 def _range_extremum(table, ufunc, lo, hi):
     """Per query, ufunc over keys[lo..hi] (inclusive, lo <= hi): two overlapping table windows."""
     p = np.frexp(hi - lo + 1.0)[1] - 1             # floor(log2(length))
-    return ufunc(table[p, lo], table[p, hi + 1 - np.left_shift(1, p)])
+    row, flat = p * table.shape[1], table.ravel()   # flat indices gather faster than pairs
+    return ufunc(flat[row + lo], flat[row + hi + 1 - np.left_shift(1, p)])
+
+
+def _sliding(values, width, ufunc):
+    """ufunc over each window values[j:j + width], as blocks of width and their prefix and
+    suffix runs: a window is the suffix of one block and the prefix of the next."""
+    count = len(values) - width + 1
+    blocks = np.resize(values, (-(-len(values) // width), width))
+    prefix = ufunc.accumulate(blocks, axis=1).ravel()
+    suffix = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return ufunc(suffix[:count], prefix[width - 1:width - 1 + count])
 
 
 class _LineData:
@@ -386,7 +423,8 @@ class _LineData:
     Items are grouped in rows by their first index i.  Position h of row i
     stands for the items whose last index is i + gap + h; spans ascend with
     h.  Eps bucket b of row i holds positions before[i, b] to before[i, b+1]
-    (bucket 0 lies below eps[0]).
+    (bucket 0 lies below eps[0]); narrow holds the edges of the nonempty
+    buckets, filled, only.
     """
 
     gap = None
@@ -419,16 +457,22 @@ class _LineData:
                                  - np.arange(self.gap, n)[:, None], 0)
         self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
                                for e in range(len(edges))]).tolist()
+        # the edges of the nonempty buckets: an empty one is empty in every row
+        self.filled = np.flatnonzero(self.counts)
+        self.narrow = self.before[:, np.append(self.filled, len(self.counts))]
         # row i's items with last index cut[i] or more split at j0 into two top-bucket items
         j0 = self.before[:, -2] + np.arange(self.gap, n)
         self.cut = np.minimum(np.maximum(j0 + self.gap, np.searchsorted(
             self.nums, self.nums[np.minimum(j0, n - 1)] + thresholds[-1])), n)
         # the float screen's absolute bound, over each bucket's least span (screen_floors)
         shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
-        self.absolute = (8 * 2.0 ** -53 * float(np.abs(self.tvals).max()) * float(den)
+        largest = float(np.abs(self.tvals).max())
+        self.absolute = (8 * 2.0 ** -53 * largest * float(den)
                          / np.maximum(shortest, np.concatenate(([0], thresholds))))
         self.strict_floors = 1.0 - FLOAT_SLACK - self.absolute
-        # tile buffers for the largest tile of blocks(): fresh ones would be faulted in per tile
+        # the absolute part of the step-ratio bound's margin (bounds())
+        self.step_margin = 8 * 2.0 ** -53 * largest * float(den) / int(np.diff(self.nums).min())
+        # tile buffers for the largest tile of fit(): fresh ones would be faulted in per tile
         self.work = np.empty((4, min(max(LINE_TILE, rows), rows * rows)))
 
     def point(self, i):
@@ -469,50 +513,102 @@ class _LineData:
         floors[best == -np.inf] = np.inf            # empty bucket
         return floors
 
-    def blocks(self, rows, stop):
-        """Runs of the consecutive rows, each as many as fit in LINE_TILE entries (at least one)
-        of the tile that tile() computes for them, its rows times their widest live width, and
-        of their bucket bounds, a row of before per row."""
-        footprint = stop[rows] - rows - self.gap + self.before.shape[1]
-        pos = 0
-        while pos < len(rows):
-            widest = np.maximum.accumulate(footprint[pos:pos + LINE_TILE])
-            area = widest * np.arange(1, len(widest) + 1)
-            step = max(1, int(np.searchsorted(area, LINE_TILE, side="right")))
-            yield rows[pos:pos + step]
-            pos += step
+    def bounds(self, stop):
+        """Per row i below len(stop) and nonempty bucket, a float above the float ratio of every
+        item of the bucket whose last index is below stop[i] (the step-ratio lemma), or -inf when
+        there is none; +inf when the images' floats overflow (nothing may be skipped).  Buckets
+        go one at a time, which keeps each temporary to one bucket's rows."""
+        bound = np.full((len(stop), len(self.filled)), -np.inf)
+        if self.finite:
+            with np.errstate(over="ignore"):        # adjacent float step ratios
+                steps = np.abs(np.diff(self.tvals)) * (float(self.den) / np.diff(self.nums))
+            table = _extrema_table(steps, np.maximum, self.n - 1)
+        live = stop - np.arange(len(stop)) - self.gap
+        for b in range(bound.shape[1]):
+            ends = np.minimum(self.narrow[:len(stop), b + 1], live)
+            i = np.flatnonzero(ends > self.narrow[:len(stop), b])
+            if not self.finite:
+                bound[i, b] = np.inf
+                continue
+            # the steps of an item run from its first index to its last index less one
+            steepest = _range_extremum(table, np.maximum, i, i + self.gap - 2 + ends[i])
+            bound[i, b] = steepest * (1 + 2.0 ** -48) + self.step_margin
+        return bound
 
-    def tile(self, rows, stop):
-        """Float ratios of the items of a run of consecutive rows, as one (rows, columns) array.
+    def live(self, first, bound, floors, stop):
+        """Per row from first on, its live positions [start, end): from its first bucket whose
+        bound reaches the bucket's floor to the end of its last one, before the row's stop;
+        start == end when no bucket does.  Ratios are >= 0, so a floor below 0 counts as 0."""
+        keep = bound >= np.maximum(floors[self.filled], 0.0)
+        r, lo = np.arange(len(keep)), np.argmax(keep, axis=1)
+        before = self.narrow[first:len(stop)]
+        start = before[r, lo]
+        end = np.minimum(before[r, keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)],
+                         stop[first:] - (r + first + self.gap))
+        return start, np.where(keep[r, lo], end, start)
 
-        Column c of row i stands for the last index i + gap + c; the columns
-        at or past the row's stop hold -inf.  Each ratio is the float that
-        the row-at-a-time formula gives, bit for bit.  The tile is a view of
-        a buffer that the next call overwrites.
+    def fit(self, i, start, end):
+        """(count, step) of the tile of the leading rows of a run of consecutive live rows from
+        row i, with their positions [start, end): as many rows as fit in LINE_TILE entries (at
+        least one) of the tile that tile() computes for them with that step, its rows times its
+        width, and of their bucket edges, a row of narrow per row.  Step 0 is taken where it
+        fits more rows, and only while the rows' least first live index is at or past the last
+        row's index (tile())."""
+        # a row is at least as wide as the first, so no more rows than these can fit
+        most = LINE_TILE // (int(end[0] - start[0]) + self.narrow.shape[1]) + 1
+        start, end = start[:most], end[:most]
+        r = np.arange(len(start))
+        best = (1, 1)
+        for step in (1, 0):
+            least = np.minimum.accumulate(start + (1 - step) * r)
+            area = (np.maximum.accumulate(end + (1 - step) * r) - least
+                    + self.narrow.shape[1]) * (r + 1)
+            if step == 0:
+                area[least + self.gap < r] = LINE_TILE + 1
+            best = max(best, (int(np.searchsorted(area, LINE_TILE, side="right")), step))
+        return best
+
+    def tile(self, rows, start, end, step=1):
+        """Float ratios of the items at positions [start, end) of a run of consecutive rows, as
+        one (rows, columns) array, and per row the position of its column 0.
+
+        Column c of row r stands for the last index first + step*r + c, first
+        being the least over the rows of their first live index less step*r:
+        step 1 aligns positions (items of like span), step 0 last indices,
+        which needs first at or past every row's index.  The columns before a
+        row's start and at or past its end hold -inf.  Each ratio is the float
+        that the row-at-a-time formula gives, bit for bit.  The tile is a view
+        of a buffer that the next call overwrites.
         """
-        i0, live = int(rows[0]), stop[rows] - rows - self.gap
-        shape = (len(rows), int(live.max()))
+        i0, r = int(rows[0]), np.arange(len(rows))
+        lead = rows + self.gap - step * r      # the last index at row r's position 0, less step*r
+        first = int((lead + start).min())
+        shape = (len(rows), int((lead + end).max()) - first)
+        shift = first - lead                          # row r's position at column 0
         ratio, factor, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in self.work)
-        with np.errstate(divide="ignore", invalid="ignore"):   # past the stops; inf - inf
-            self.spreads(i0, ratio, factor, *scratch)
+        with np.errstate(divide="ignore", invalid="ignore"):   # past the ends; inf - inf
+            self.spreads(i0, first, step, ratio, factor, *scratch)
             spans = scratch[0].view(np.int64)       # free once the spreads are in ratio
-            np.subtract(_windows(self.npad, i0 + self.gap, shape), self.nums[rows, None],
+            np.subtract(_windows(self.npad, first, shape, step), self.nums[rows, None],
                         out=spans)
             np.copyto(factor, spans)
             np.divide(float(self.den), factor, out=factor)
             np.multiply(ratio, factor, out=ratio)
-        narrow = int(live.min())
-        ratio[:, narrow:][np.arange(narrow, shape[1]) >= live[:, None]] = -np.inf
-        return ratio
+        lo, hi = start - shift, end - shift
+        narrow, wide = int(hi.min()), int(lo.max())
+        ratio[:, narrow:][np.arange(narrow, shape[1]) >= hi[:, None]] = -np.inf
+        ratio[:, :wide][np.arange(wide) < lo[:, None]] = -np.inf
+        return ratio, shift
 
 
 class _LinePairs(_LineData):
     gap = 1
 
-    def spreads(self, i0, out, *scratch):
-        """Float image distances |tv[k] - tv[i]| of a tile's rows i and columns k = i + 1 + c."""
-        np.subtract(_windows(self.tpad, i0 + 1, out.shape), self.tvals[i0:i0 + len(out), None],
-                    out=out)
+    def spreads(self, i0, first, step, out, *scratch):
+        """Float image distances |tv[k] - tv[i]| of a tile's rows i = i0 + r and columns
+        k = first + step*r + c."""
+        np.subtract(_windows(self.tpad, first, out.shape, step),
+                    self.tvals[i0:i0 + len(out), None], out=out)
         np.abs(out, out=out)
 
     @staticmethod
@@ -575,31 +671,40 @@ class _LineTriples(_LineData):
         rank[order] = np.concatenate(([0], np.cumsum(differ(order))))
         return rank
 
-    def spreads(self, i0, out, low, high, bottom):
-        """Float image spreads of a tile's rows i and columns k = i + 2 + c, best middle point.
+    def spreads(self, i0, first, step, out, low, high, bottom):
+        """Float image spreads of a tile's rows i = i0 + r and columns k = first + step*r + c, at
+        the best middle point.
 
         The row-at-a-time formula, max(hi - lo, top - lo, hi - bottom) with
         lo, hi the images of i and k and top, bottom the running extrema of
         the middle images, equals max(Top - lo, hi - Bottom) bit for bit,
         where Top and Bottom run over tv[i .. k]: max and min are exact and
-        rounding is monotone.  Top and Bottom are split at h1 = i0 + max(rows,
-        2): each row accumulates its own window tv[i .. i + head - 1], head =
-        min(h1 - i0, width + 2), which reaches past h1 - 1 unless the row's
-        columns end before h1, and one accumulation over tv[h1 ..] serves every
-        row beyond its window through a window view (max and min are
-        idempotent, so the overlap changes nothing).
+        rounding is monotone.  Row r's column 0 stands for k0 = first +
+        step*r; the extrema over tv[i .. k0] are windows of one width for
+        step 1 (_sliding), and suffixes of tv[i0 .. first] for step 0, whose
+        first lies at or past every i.  Top and Bottom are split at h1 =
+        first + head: each row accumulates its own first head columns, head =
+        max(last row - first, 1) unless the rows are narrower, and one
+        accumulation over tv[h1 ..] serves every row beyond its own columns
+        through a window view.  h1 lies past every row's i, and each row's own
+        columns reach h1 - 1; max and min are idempotent, so the overlap
+        changes nothing.
         """
         rows, width = out.shape
         tv = self.tpad
-        h1 = i0 + max(rows, 2)
-        head = min(h1 - i0, width + 2)
+        head = min(max(i0 + rows - 1 - first, 1), width)
         for ufunc, run in ((np.maximum, out), (np.minimum, bottom)):
-            own = ufunc.accumulate(_windows(tv, i0, (rows, head)), axis=1)
-            run[:, :head - 2] = own[:, 2:]
-            shared = ufunc.accumulate(tv[h1:i0 + rows + width + 1])
-            ufunc(own[:, -1:], _windows(shared, 0, (rows, width + 2 - head)),
-                  out=run[:, head - 2:])
-        ends, starts = _windows(tv, i0 + 2, out.shape), self.tvals[i0:i0 + rows, None]
+            if step:        # tv[i .. k0] are windows of one width
+                init = _sliding(tv[i0:first + rows], first - i0 + 1, ufunc)
+            else:           # tv[i .. first] are suffixes, first at or past every i
+                init = ufunc.accumulate(tv[i0:first + 1][::-1])[::-1][:rows]
+            ufunc.accumulate(_windows(tv, first, (rows, head), step), axis=1, out=run[:, :head])
+            ufunc(run[:, :head], init[:, None], out=run[:, :head])
+            if head < width:
+                shared = ufunc.accumulate(tv[first + head:first + step * (rows - 1) + width])
+                ufunc(run[:, head - 1:head], _windows(shared, 0, (rows, width - head), step),
+                      out=run[:, head:])
+        ends, starts = _windows(tv, first, out.shape, step), self.tvals[i0:i0 + rows, None]
         np.minimum(starts, ends, out=low)
         np.maximum(starts, ends, out=high)
         np.subtract(out, low, out=out)
@@ -702,36 +807,67 @@ class _TripleRow:
 _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 
-def _line_tiles(data, rows, stop):
-    """Blocks of the rows, each tiled once up to their stops: (rows, tile, row maxima)."""
-    for rows in data.blocks(rows, stop):
-        ratio = data.tile(rows, stop)
+class _Tile(NamedTuple):
+    """One tile of _line_tiles: its rows, each row's position at column 0 (_LineData.tile), the
+    nonempty buckets' edges in each row as columns (the first and the last are the row's live
+    columns' start and end), the float ratios and the row maxima per nonempty bucket."""
+
+    rows: np.ndarray
+    shift: np.ndarray
+    edges: np.ndarray
+    ratio: np.ndarray
+    row_max: np.ndarray
+
+
+def _line_tiles(data, stop, floors):
+    """Runs of consecutive live rows below len(stop), each tiled once over its live positions.
+
+    Before each run, floors() gives the floors in force, and a row keeps the
+    buckets whose bound (_LineData.bounds) reaches them (_LineData.live);
+    rows that keep none are not tiled.
+    """
+    bound, i, seen = data.bounds(stop), 0, None
+    while True:
+        if seen is None or (floors() != seen).any():       # the rows left, at the new floors
+            seen = floors()
+            start, end = (np.concatenate((np.zeros(i, dtype=np.int64), a))
+                          for a in data.live(i, bound[i:], seen, stop))
+            alive = start < end
+        if not alive[i:].any():
+            return
+        i += int(np.argmax(alive[i:]))
+        run = i + (int(np.argmin(alive[i:])) or len(stop) - i)
+        count, step = data.fit(i, start[i:run], end[i:run])
+        rows = np.arange(i, i + count)
+        ratio, shift = data.tile(rows, start[rows], end[rows], step)
         if not data.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
             ratio[np.isnan(ratio)] = np.inf
-        before = data.before[rows[0]:rows[-1] + 1]
-        lo = before[:, :-1]
-        filled = before[:, 1:] > lo
-        # filled buckets' starts in the flat tile, before the stops; reductions run into -inf
+        # the nonempty buckets' edges, clipped to the live positions, as columns; the filled
+        # buckets' starts in the flat tile, whose reductions run into -inf
+        edges = (np.minimum(np.maximum(data.narrow[rows], start[rows, None]), end[rows, None])
+                 - shift[:, None])
+        lo, filled = edges[:, :-1], edges[:, 1:] > edges[:, :-1]
         starts = lo + (np.arange(len(rows)) * ratio.shape[1])[:, None]
         row_max = np.full(filled.shape, -np.inf)
         row_max[filled] = np.maximum.reduceat(ratio.ravel(), starts[filled])
-        yield rows, ratio, row_max
+        yield _Tile(rows, shift, edges, ratio, row_max)
+        i += count
 
 
-def _select(data, stop, rows, ratio, pick, floors):
+def _select(data, tile, pick, floors):
     """(row, position, bucket, float ratio) arrays, in (row, position) order, of the picked tile
-    rows' items at or above their bucket's floor; a row's last segment is the columns at or
-    past its stop."""
+    rows' items at or above their bucket's floor; a row's first and last segments are the
+    columns before its start and at or past its end."""
     first, last = np.flatnonzero(pick)[[0, -1]]     # search the run of rows that holds the picks
-    rows, ratio, pick = (a[first:last + 1] for a in (rows, ratio, pick))
-    live = stop[rows] - rows - data.gap
-    lengths = np.concatenate((np.diff(np.minimum(data.before[rows], live[:, None])),
-                              (ratio.shape[1] - live)[:, None]), axis=1)
-    floor_of = np.where(pick[:, None], np.append(floors, np.inf), np.inf)
+    rows, shift, edges, ratio, pick = (a[first:last + 1] for a in (*tile[:4], pick))
+    width = ratio.shape[1]
+    lengths = np.concatenate((edges[:, :1], np.diff(edges), width - edges[:, -1:]), axis=1)
+    floor_of = np.where(pick[:, None], np.concatenate(([np.inf], floors[data.filled], [np.inf])),
+                        np.inf)
     flat = np.flatnonzero(ratio.ravel() >= np.repeat(floor_of.ravel(), lengths.ravel()))
-    r, c = np.divmod(flat, ratio.shape[1])
-    bucket = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
-    return rows[r], c, bucket, ratio.ravel()[flat]
+    r, c = np.divmod(flat, width)
+    segment = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
+    return rows[r], shift[r] + c, data.filled[segment - 1], ratio.ravel()[flat]
 
 
 def _at_floors(kept, floors):
@@ -749,12 +885,12 @@ def _by_row(rows, *columns):
         yield rows[a], *(column[a:b] for column in columns)
 
 
-def _violation(data, stop, tiles):
+def _violation(data, tiles):
     """The lex-first strict violation among the tiled items, or None.  Suspects, the items at
     or above the strict floors, are checked exactly in row order up to the first violating row."""
-    for rows, ratio, row_max in tiles:
-        if (suspect := (row_max >= data.strict_floors).any(axis=1)).any():
-            picked = _select(data, stop, rows, ratio, suspect, data.strict_floors)
+    for tile in tiles:
+        if (suspect := (tile.row_max >= data.strict_floors[data.filled]).any(axis=1)).any():
+            picked = _select(data, tile, suspect, data.strict_floors)
             for i, hs in _by_row(*picked[:2]):
                 row = data.row(i, hs[-1])
                 found = [w for w in map(row.strict_witness, hs) if w is not None]
@@ -780,11 +916,13 @@ def _settle(data, rows, hs, buckets, n_buckets):
 def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
-    One pass tiles each row once, up to its cut.  Per tile, the items at or
-    above the floors of the running bucket maxima are kept, and pruned
-    whenever the floors rise; until a violation is found, the items at or
-    above the strict floors are checked exactly in row order, and the rows up
-    to the first violating one are then tiled again in full.  The items kept
+    One pass tiles each row at most once, over its buckets below its cut
+    whose step-ratio bound reaches the floors in force (skip_floors).  Per
+    tile, the items at or above the floors of the running bucket maxima are
+    kept, and pruned whenever the floors rise; until a violation is found, the
+    items at or above the strict floors are checked exactly in row order, and
+    the rows up to the first violating one are then tiled again in full, less
+    the buckets whose bound lies below the strict floors.  The items kept
     at the end, the float screen's candidates, are settled exactly as array
     passes (_settle).
     """
@@ -793,18 +931,23 @@ def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     top = np.full(len(data.counts), -np.inf)      # running float maxima per bucket
     floors = data.screen_floors(top)
     kept, strict = [], None         # the items seen so far at or above the floors
-    for tiled in _line_tiles(data, np.arange(len(data.cut)), data.cut):
-        rows, ratio, row_max = tiled
-        if (row_max > top).any():
-            top = np.maximum(top, row_max.max(axis=0))
+
+    def skip_floors():              # a bucket not yet seen has none
+        seen = np.where(top > -np.inf, floors, -np.inf)
+        return seen if strict is not None else np.minimum(seen, data.strict_floors)
+
+    for tile in _line_tiles(data, data.cut, skip_floors):
+        row_max = tile.row_max
+        if (row_max > top[data.filled]).any():
+            top[data.filled] = np.maximum(top[data.filled], row_max.max(axis=0))
             floors = data.screen_floors(top)
             kept = [_at_floors(kept, floors)] if kept else []
-        if (reach := (row_max >= floors).any(axis=1)).any():
-            kept.append(_select(data, data.cut, rows, ratio, reach, floors))
+        if (reach := (row_max >= floors[data.filled]).any(axis=1)).any():
+            kept.append(_select(data, tile, reach, floors))
         # last: tiling again overwrites this tile's buffers
-        if strict is None and (first := _violation(data, data.cut, [tiled])) is not None:
+        if strict is None and (first := _violation(data, [tile])) is not None:
             full = np.full(first[0] + 1, data.n)
-            strict = _violation(data, full, _line_tiles(data, np.arange(first[0] + 1), full))
+            strict = _violation(data, _line_tiles(data, full, lambda: data.strict_floors))
             strict = (strict, *data.sides(strict))
     best = _settle(data, *_at_floors(kept, floors)[:3], len(top))
     return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in best],

@@ -161,6 +161,8 @@ def _hypothesis_bounded_orbit(space, mapping, x0) -> tuple:
 def _enumerable(space, mapping) -> bool:
     if isinstance(space, FiniteMetricSpace):
         return True
+    if (sampled := dynamics.sampled_images(space, mapping)) is not None:
+        return bool((sampled[-1] >= 0).all())
     sample = set(space.point_set())
     return all(apply(mapping, x) in sample for x in space.point_set())
 

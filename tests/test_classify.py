@@ -800,12 +800,32 @@ def float_pass_oracle(data, eps, cut=None):
     return row_max, counts.tolist()
 
 
+def open_floors(data):
+    """Floors that drop nothing: every row is tiled from position 0 to its stop."""
+    return lambda: np.full(len(data.counts), -np.inf)
+
+
 def tiled_row_maxima(data, stop):
-    """Per-row bucket maxima as the line pass reads them, tile by tile (scan._line_tiles)."""
-    row_max = np.full((data.n - data.gap, len(data.counts)), -np.inf)
-    for rows, _, tile_max in scan._line_tiles(data, np.arange(data.n - data.gap), stop):
-        row_max[rows] = tile_max
+    """Per-row bucket maxima as the line pass reads them, tile by tile (scan._line_tiles), with
+    nothing dropped."""
+    row_max = np.full((len(stop), len(data.counts)), -np.inf)
+    for tile in scan._line_tiles(data, stop, open_floors(data)):
+        row_max[np.ix_(tile.rows, data.filled)] = tile.row_max
     return row_max
+
+
+def random_positions(data, rows, stop, rng):
+    """Random live positions [start, end) of a run of rows below their stops: anywhere in each
+    row, or around one last index at or past the last row's index (a tile of step 0)."""
+    length = stop[rows] - rows - data.gap
+    beyond = int((rows + data.gap + length).min())      # past some row's last index
+    if rng.random() < 0.5 or beyond <= rows[-1] + data.gap:
+        start = np.array([rng.randrange(h) for h in length.tolist()])
+    else:
+        last = rng.randint(int(rows[-1]) + data.gap, beyond - 1)
+        start = np.array([max(0, last - i - data.gap - rng.randrange(3)) for i in rows.tolist()])
+    end = np.array([rng.randint(s + 1, h) for s, h in zip(start.tolist(), length.tolist())])
+    return start, end
 
 
 def brute_cut(data, threshold):
@@ -944,6 +964,47 @@ def pruned_inputs(draw):
     return nums, den, points, images, tuple(sorted(eps)), tile
 
 
+@st.composite
+def bound_inputs(draw):
+    """A line scan that the step-ratio bound prunes, and a tile size.
+
+    Shapes: x/2 with one steep adjacent step late in the rows, where the
+    bound of a row rises only at its last buckets; linear maps, where every
+    adjacent ratio equals every item's ratio, so that nothing may be dropped
+    and ties stay lex-first; non-monotone small ints, where a triple's best
+    middle point matters; images near 10**12 whose distinct values share
+    floats; and x/2 with a few images beyond the float range, which turn the
+    screen off.  Short first eps values fill many buckets per row.
+    """
+    n = draw(st.integers(min_value=3, max_value=40))
+    shape = draw(st.sampled_from(("late", "linear", "wavy", "near", "huge")))
+    tile = draw(st.sampled_from((1, 5, 37, scan.LINE_TILE)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    den = rng.choice((1, 3, 10))
+    nums = sorted(rng.sample(range(3 * n), n))
+    points = [F(k, den) for k in nums]
+    if shape == "late":
+        images = [p / 2 for p in points]
+        r = rng.randrange(max(1, 3 * n // 4), n)
+        jump = rng.choice((1, 2, 1000)) * (points[r] - points[r - 1])
+        images[r:] = [v + jump for v in images[r:]]
+    elif shape == "linear":
+        slope, offset = F(rng.randint(-9, 9), rng.randint(1, 7)), F(rng.randint(-5, 5), 3)
+        images = [slope * p + offset for p in points]
+    elif shape == "wavy":
+        images = [F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in points]
+    elif shape == "near":
+        images = [10 ** 12 + F(rng.randint(0, 50), 10 ** 7) for _ in points]
+    else:
+        images = [p / 2 for p in points]
+        for r in rng.sample(range(n), rng.randint(1, min(2, n))):
+            images[r] = rng.choice((10 ** 400, -10 ** 400, 10 ** 400 + F(1, 3)))
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    eps = set(rng.sample(spans, min(len(spans), rng.randint(1, 5))))
+    eps |= {spans[0], F(rng.randint(1, 16), 16)}
+    return nums, den, points, images, tuple(sorted(eps)), tile
+
+
 class TestLineTiles:
     @given(tile_inputs(max_n=200))
     def test_tiles_equal_the_row_oracle_bit_for_bit(self, case):
@@ -956,19 +1017,28 @@ class TestLineTiles:
                 full = np.full(len(rows), data.n)
                 row_max = {"full": tiled_row_maxima(data, full),
                            "cut": tiled_row_maxima(data, data.cut)}
-                # tile() also takes a run of rows that starts and ends inside the scan
+                # tile() also takes a run of rows that starts and ends inside the scan, with
+                # any live positions, aligned by position (step 1) or, when the run's first live
+                # index lies at or past its last row, by last index (step 0)
                 a = rng.randrange(len(rows))
                 some = rows[a:rng.randint(a + 1, len(rows))]
+                data.work = np.empty((4, len(rows) * data.n))   # room for any such tile
                 for subset, stop in itertools.product((rows, some), (full, data.cut)):
-                    for block in data.blocks(subset, stop):
-                        ratio = data.tile(block, stop)
-                        live = stop[block] - block - data.gap
-                        assert ratio.shape == (len(block), live.max())
-                        for r, i in enumerate(block.tolist()):
-                            # column c of row i is the last index i + gap + c
-                            assert (ratio[r, :live[r]].tobytes()
-                                    == row_oracle(data, i)[:live[r]].tobytes()), (kind, i)
-                            assert (ratio[r, live[r]:] == -np.inf).all()
+                    start, end = random_positions(data, subset, stop, rng)
+                    steps = (1, 0) if (subset + data.gap + start).min() >= subset[-1] else (1,)
+                    for step in steps:
+                        ratio, shift = data.tile(subset, start, end, step)
+                        # column c of row r is the last index first + step*r + c
+                        lead = subset + data.gap - step * np.arange(len(subset))
+                        first = int((lead + start).min())
+                        assert (lead + shift == first).all()
+                        assert ratio.shape == (len(subset), int((lead + end).max()) - first)
+                        for r, i in enumerate(subset.tolist()):
+                            lo, hi = start[r] - shift[r], end[r] - shift[r]
+                            assert (ratio[r, lo:hi].tobytes()
+                                    == row_oracle(data, i)[start[r]:end[r]].tobytes()), (kind, i)
+                            assert (ratio[r, :lo] == -np.inf).all()
+                            assert (ratio[r, hi:] == -np.inf).all()
             for stop, cut in (("full", None), ("cut", data.cut)):
                 want_max, want_counts = float_pass_oracle(data, eps, cut)
                 assert row_max[stop].tobytes() == want_max.tobytes(), (kind, stop)
@@ -994,37 +1064,71 @@ class TestLineTiles:
 
     @pytest.mark.parametrize("tile", (1, 5, 37, scan.LINE_TILE))
     def test_every_row_is_tiled_once_per_scan(self, monkeypatch, tile):
-        # each row once up to its cut; a strict violator below the cut in row r then
-        # tiles rows 0..r once more in full, and nothing else is tiled
+        # the first pass tiles each row at most once, in order, below its cut, and leaves out
+        # only items whose float ratio and step-ratio bound lie below their final floors; a
+        # strict violator below the cut in row r then tiles rows 0..r once more in full,
+        # leaving out only items whose bound lies below the strict floors; nothing else is tiled
         monkeypatch.setattr(scan, "LINE_TILE", tile)
-        tiled, tile_of = {}, scan._LineData.tile
+        tiled, tiles_of = {}, scan._line_tiles
 
-        def spy(data, rows, stop):
+        def spy(data, stop, floors):
             cut = stop is data.cut
             assert cut or (stop == data.n).all()
-            tiled.setdefault(data, []).append((cut, rows.tolist()))
-            return tile_of(data, rows, stop)
+            for t in tiles_of(data, stop, floors):
+                tiled.setdefault(data, []).append((cut, t.rows.tolist(), t.edges[:, 0] + t.shift,
+                                                   t.edges[:, -1] + t.shift))
+                yield t
 
-        monkeypatch.setattr(scan._LineData, "tile", spy)
-        retiled = []
+        def left_out(data, calls, stop, floors, bound):
+            """The number of positions below the rows' stops that no tile covered, after checking
+            that each one's float ratio lies below its floor and its bound below max(floor, 0)
+            (floors None: the float ratio is not checked)."""
+            out = [np.ones(int(stop[i]) - i - data.gap, dtype=bool) for i in range(len(stop))]
+            for _, block, start, end in calls:
+                for i, a, b in zip(block, start.tolist(), end.tolist()):
+                    assert 0 <= a < b <= len(out[i])
+                    out[i][a:b] = False
+            for i, mask in enumerate(out):
+                widths = np.diff(data.before[i])
+                per_bucket = np.full(len(data.counts), -np.inf)
+                per_bucket[data.filled] = bound[i]
+                at = np.repeat(per_bucket, widths)[:len(mask)][mask]
+                limit = np.repeat(floors if floors is not None else data.strict_floors,
+                                  widths)[:len(mask)][mask]
+                assert (at < np.maximum(limit, 0)).all(), i
+                if floors is not None:
+                    assert (row_oracle(data, i)[:len(mask)][mask] < limit).all(), i
+            return sum(int(mask.sum()) for mask in out)
+
+        monkeypatch.setattr(scan, "_line_tiles", spy)
+        retiled, dropped = [], 0
         for entry in (catalog("floor_half", integer_max=70),
-                      catalog("composite", grid_step=F(1, 16), index_max=12)):
+                      catalog("composite", grid_step=F(1, 16), index_max=12),
+                      catalog("burton_logistic", grid_step=F(1, 300))):
             tiled.clear()
             full_report(entry.space, entry.map)
             assert sorted(data.gap for data in tiled) == [1, 2]     # one scan of each kind
             for data, calls in tiled.items():
-                rows = np.arange(data.n - data.gap)
-                assert (data.cut < data.n).any()
-                blocks = [block for cut, block in calls if cut]
-                assert blocks == [block.tolist() for block in data.blocks(rows, data.cut)]
-                assert sum(blocks, []) == rows.tolist()
+                first = [c for c in calls if c[0]]
+                order = sum((block for _, block, _, _ in first), [])
+                assert order == sorted(set(order))
+                # the final floors: of the float maxima below the cuts
+                floors = data.screen_floors(
+                    float_pass_oracle(data, DEFAULT_EPS_GRID, data.cut)[0].max(axis=0))
+                dropped += left_out(data, first, data.cut, floors, data.bounds(data.cut))
                 rows_of = FractionPairRow if data.gap == 1 else FractionTripleRow
                 r = first_kept_violation_row(data, rows_of)
-                full = np.full(len(rows), data.n)
-                again = [] if r is None else data.blocks(rows[:r + 1], full)
-                assert [block for cut, block in calls if not cut] == [b.tolist() for b in again]
+                again = [c for c in calls if not c[0]]
                 retiled.append(r)
+                if r is None:
+                    assert not again
+                    continue
+                order = sum((block for _, block, _, _ in again), [])
+                assert order == sorted(set(order)) and r in order and order[-1] <= r
+                full = np.full(r + 1, data.n)
+                left_out(data, again, full, None, data.bounds(full))
         assert retiled.count(None) < len(retiled)      # some scan tiles again
+        assert dropped                                  # and some items are left out
 
     @pytest.mark.parametrize("tile", (1, 37, scan.LINE_TILE))
     def test_exact_evaluations_are_the_items_at_or_above_the_final_floors(self, monkeypatch,
@@ -1088,38 +1192,77 @@ class TestLineTiles:
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
+    @given(bound_inputs())
+    def test_step_bounds_keep_the_fraction_oracle(self, case):
+        nums, den, points, images, eps, tile = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            with mock.patch.object(scan, "LINE_TILE", tile), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = engine(nums, den, *split_images(images), eps)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+
+    @given(st.one_of(bound_inputs(), tile_inputs(max_n=30)))
+    def test_bounds_lie_above_every_item_of_their_bucket(self, case):
+        # above each item's float ratio and its exact ratio, below the row's stop; -inf where
+        # a bucket has no item there, +inf everywhere else when the screen is off
+        nums, den, points, images, eps, _ = case
+        for kind in ("pairwise", "triple"):
+            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
+            rows = data.n - data.gap
+            for stop in (data.cut, np.full(rows, data.n)):
+                bound = data.bounds(stop)
+                assert bound.shape == (rows, len(data.filled))
+                for i in range(rows):
+                    live = int(stop[i]) - i - data.gap
+                    ratios = row_oracle(data, i) if data.finite else None
+                    for j, b in enumerate(data.filled.tolist()):
+                        lo, hi = int(data.before[i, b]), min(int(data.before[i, b + 1]), live)
+                        if hi <= lo:
+                            assert bound[i, j] == -np.inf
+                        elif not data.finite:
+                            assert bound[i, j] == np.inf
+                        else:
+                            assert (ratios[lo:hi] <= bound[i, j]).all(), (kind, i, b)
+                            for k in range(i + data.gap + lo, i + data.gap + hi):
+                                spread = (abs(images[k] - images[i]) if data.gap == 1 else
+                                          max(images[i:k + 1]) - min(images[i:k + 1]))
+                                assert spread / (points[k] - points[i]) <= F(bound[i, j])
+
     def test_floor_half_report_tiles_few_live_items(self, monkeypatch):
-        # live items: those before each tiled row's stop, not the masked rest of the rectangle
-        tiled, items, tile_of = [0], [0], scan._LineData.tile
+        # live items: those of each tiled row's live positions, not the masked rest of the tile
+        tiled, items, tiles_of = [0], {}, scan._line_tiles
 
-        def spy(data, rows, stop):
-            tiled[0] += int((stop[rows] - rows - data.gap).sum())
-            if stop is data.cut:
-                items[0] += int((data.n - rows - data.gap).sum())
-            return tile_of(data, rows, stop)
+        def spy(data, stop, floors):
+            items[data] = int(data.before[:, -1].sum())     # row positions
+            for t in tiles_of(data, stop, floors):
+                tiled[0] += int((t.edges[:, -1] - t.edges[:, 0]).sum())
+                yield t
 
-        monkeypatch.setattr(scan._LineData, "tile", spy)
+        monkeypatch.setattr(scan, "_line_tiles", spy)
         entry = catalog("floor_half", integer_max=4096)
         report = full_report(entry.space, entry.map)
-        assert items[0] == 4097 * 4096 // 2 + 4096 * 4095 // 2 == 4096 ** 2
-        assert tiled[0] <= 0.015 * items[0]
+        assert sum(items.values()) == 4097 * 4096 // 2 + 4096 * 4095 // 2 == 4096 ** 2
+        assert tiled[0] <= 0.015 * 4096 ** 2
         assert report.tpc_alpha == F(2, 3)
 
     @pytest.mark.parametrize("cid, params, most", [
         ("floor_half", {"integer_max": 4097}, None),
-        # bounds: the entries of tiles spanning from their first row's first column
-        ("burton_logistic", {"grid_step": F(1, 2049)}, {1: 2147994, 2: 2145785}),
-        ("composite", {"grid_step": F(1, 1025)}, {1: 584621, 2: 583740})])
+        # bounds: fractions of the entries the tiles held when every row was tiled from its
+        # first position, 2 145 789 and 2 143 151, and 569 911 and 568 951
+        ("burton_logistic", {"grid_step": F(1, 2049)}, {1: 0.4 * 2145789, 2: 0.4 * 2143151}),
+        ("composite", {"grid_step": F(1, 1025)}, {1: 0.35 * 569911, 2: 0.35 * 568951})])
     def test_tiles_fill_little_beyond_their_live_items(self, monkeypatch, cid, params, most):
         # per scan, the entries of its tiles (ratio.size): at most 1.5 times its live items
         # on the band of floor_half, and within the bounds on the full-width maps
         filled, live, tile_of = {}, {}, scan._LineData.tile
 
-        def spy(data, rows, stop):
-            ratio = tile_of(data, rows, stop)
+        def spy(data, rows, start, end, step=1):
+            ratio, shift = tile_of(data, rows, start, end, step)
             filled[data.gap] = filled.get(data.gap, 0) + ratio.size
-            live[data.gap] = live.get(data.gap, 0) + int((stop[rows] - rows - data.gap).sum())
-            return ratio
+            live[data.gap] = live.get(data.gap, 0) + int((end - start).sum())
+            return ratio, shift
 
         monkeypatch.setattr(scan._LineData, "tile", spy)
         entry = catalog(cid, **params)

@@ -1,7 +1,11 @@
+import dataclasses
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from contraction_lab import classify, dynamics, theorem_lab
 from contraction_lab.dynamics import (
     certify_fixed_point,
     check_distinct_iterates,
@@ -13,7 +17,7 @@ from contraction_lab.dynamics import (
 )
 from contraction_lab.classify import estimate_large_tpc_modulus
 from contraction_lab.map_catalog import SelfMap, apply, catalog
-from contraction_lab.metric_core import FiniteMetricSpace, InputError, perimeter
+from contraction_lab.metric_core import FiniteMetricSpace, InputError, SampledSpace, perimeter
 
 
 def line_space(coords):
@@ -148,6 +152,98 @@ class TestDetectPeriod2:
     def test_logistic_map_has_none(self):
         entry = catalog("burton_logistic", grid_step=F(1, 64))
         assert detect_period2(entry.space, entry.map) == ()
+
+
+def reflection(c):
+    """The map x -> c - x and its array form (map_catalog's array-form contract)."""
+    def func(x):
+        return c - F(x)
+
+    def array_func(k, den):
+        num, d = c.numerator * den - k * c.denominator, c.denominator * den + 0 * k
+        g = np.gcd(num, d)
+        return num // g, d // g
+
+    return func, array_func
+
+
+@st.composite
+def sampled_maps(draw):
+    """A sampled space and a map with an array form.
+
+    The three sampled catalog maps at random truncations (floor_half closes
+    over its sample, the others do not), and reflections x -> c - x of random
+    samples, with c on the sample's grid or halfway between: every point but
+    c/2 has period 2, and its image may lie on or off the sample.
+    """
+    kind = draw(st.sampled_from(("burton_logistic", "floor_half", "composite", "reflection")))
+    if kind == "burton_logistic":
+        return catalog(kind, grid_step=F(1, draw(st.integers(1, 300)))).map
+    if kind == "floor_half":
+        return catalog(kind, integer_max=draw(st.integers(2, 300))).map
+    if kind == "composite":
+        return catalog(kind, grid_step=F(1, draw(st.integers(1, 60))),
+                       index_max=draw(st.integers(1, 30))).map
+    den = draw(st.integers(1, 12))
+    nums = sorted(draw(st.sets(st.integers(-40, 40), min_size=1, max_size=40)))
+    c = F(draw(st.integers(-80, 80)), draw(st.sampled_from((den, 2 * den))))
+    func, array_func = reflection(c)
+    space = SampledSpace("reflection", denominator=den, numerators=tuple(nums))
+    return SelfMap(space=space, name="reflection", func=func, array_func=array_func)
+
+
+def outcome(call, *args):
+    """A call's result, or the message of the InputError it raised."""
+    try:
+        return call(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestSampledArrayPath:
+    @given(sampled_maps())
+    def test_array_path_equals_the_per_point_path(self, mapping):
+        space, plain = mapping.space, dataclasses.replace(mapping, array_func=None)
+        for call in (detect_period2, enumerate_fixed_points, theorem_lab._enumerable):
+            assert outcome(call, space, mapping) == outcome(call, space, plain), call.__name__
+
+    def test_reflections_find_their_two_cycles_on_and_off_the_sample(self):
+        space = SampledSpace("reflection", denominator=2, numerators=(0, 1, 2, 3, 4))
+        for c, closed in ((F(2), True), (F(9, 4), False)):
+            mapping = SelfMap(space=space, name="reflection", func=reflection(c)[0],
+                              array_func=reflection(c)[1])
+            want = tuple(x for x in space.point_set() if x != c / 2)
+            assert detect_period2(space, mapping) == want
+            assert theorem_lab._enumerable(space, mapping) is closed
+
+    @pytest.mark.parametrize("cid, params", [
+        ("floor_half", {"integer_max": 64}),
+        ("burton_logistic", {"grid_step": F(1, 32)}),
+        ("composite", {"grid_step": F(1, 8), "index_max": 6})])
+    def test_sampled_verdicts_apply_the_map_only_along_orbits(self, monkeypatch, cid, params):
+        # membership, fixed points and period-2 points come from the array form
+        calls, in_orbit = {"orbit": 0, "other": 0}, [False]
+        real_apply, real_orbit = apply, dynamics.picard_orbit
+
+        def spy_apply(mapping, x):
+            calls["orbit" if in_orbit[0] else "other"] += 1
+            return real_apply(mapping, x)
+
+        def spy_orbit(*args, **kwargs):
+            in_orbit[0] = True
+            try:
+                return real_orbit(*args, **kwargs)
+            finally:
+                in_orbit[0] = False
+
+        for module in (dynamics, theorem_lab, classify):
+            monkeypatch.setattr(module, "apply", spy_apply)
+        monkeypatch.setattr(dynamics, "picard_orbit", spy_orbit)
+        entry = catalog(cid, **params)
+        x0 = F(entry.space.numerators[-1], entry.space.denominator)
+        for theorem in theorem_lab.THEOREM_IDS:
+            theorem_lab.verdict(theorem, entry.space, entry.map, x0=x0)
+        assert calls["other"] == 0 and calls["orbit"] > 0
 
 
 class TestCertifyFixedPoint:

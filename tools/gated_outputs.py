@@ -15,14 +15,16 @@ checkout's copy of this script,
 prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
 ``tests/test_cli.py``), ``classify`` on the catalog scopes the line engine is
 measured at, one with a small last eps where almost every item of the top
-bucket lies past its row's cut, a CSV run with an ``--eps-grid``, two
+bucket lies past its row's cut, a CSV run with an ``--eps-grid``, three
 ``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
 both biases, each over 10**4 trials.  ``OUT_DIR/validation/`` holds the
 ``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
-JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of two
+JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of three
 inputs that no CLI run reaches: x/2 on the points 0..159 with the last image
-raised by 1e-12, where every item is an exact candidate, and images near
-10**12, whose distinct values share floats and whose exact ints pass 2**63.
+raised by 1e-12, where every item is an exact candidate; images near 10**12,
+whose distinct values share floats and whose exact ints pass 2**63; and x/2
+on the points 0..199 with one steep adjacent step near the end, where the
+step-ratio bound of every row rises only at its last items.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ RUNS = (
                                 "floor_half", "--max-n", "256"]),
     ("verify-burton-logistic", ["verify", "--theorem", "burton", "--catalog", "burton_logistic",
                                 "--grid-step", "1/256"]),
+    ("verify-corrected-floor-4096", ["verify", "--theorem", "corrected_main", "--catalog",
+                                     "floor_half", "--max-n", "4096"]),
 ) + tuple(
     (f"search-{theorem}-{bias}-{seed}",
      ["search", "--theorem", theorem, "--seed", str(seed), "--trials", str(SEARCH_TRIALS),
@@ -78,9 +82,12 @@ def _scan_inputs():
     half[-1] += Fraction(1, 10 ** 12)
     rng = random.Random(12)
     near = [10 ** 12 + Fraction(rng.randrange(1000), 10 ** 7) for _ in range(64)]
+    late = [Fraction(k, 2) + (40 if k >= 190 else 0) for k in range(200)]
     # the last eps lies above every span: no row is cut, so every item is a candidate
     return (("half-160", list(range(160)), 1, half, (Fraction(1, 2), Fraction(2), Fraction(160))),
-            ("near-1e12", list(range(64)), 8, near, (Fraction(1, 8), Fraction(1), Fraction(4))))
+            ("near-1e12", list(range(64)), 8, near, (Fraction(1, 8), Fraction(1), Fraction(4))),
+            ("half-late-step", list(range(200)), 1, late,
+             (Fraction(1, 2), Fraction(4), Fraction(64))))
 
 
 def write_scans(out_dir):
