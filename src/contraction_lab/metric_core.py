@@ -4,8 +4,9 @@ Two space representations are provided: finite spaces backed by a distance
 table, and sampled one-dimensional spaces whose points are rational
 coordinates under the absolute-difference metric.  A finite space is
 stored as its lattice (numerators over one scale, or float64), parsed
-straight from the document when loaded; its table rows of Fractions or
-floats are built only when read.  All strict-inequality
+straight from the document when loaded (an exact table's cells are checked
+as bytes and read by one np.fromstring, see _ratio_parts); its table rows
+of Fractions or floats are built only when read.  All strict-inequality
 decisions are exact in rational mode; float mode compares with a fixed
 tolerance ETA.  shortest_path_closure is the one shortest-path closure, run
 by metric_repair and by theorem_lab's validation sweep.
@@ -14,6 +15,7 @@ by metric_repair and by theorem_lab's validation sweep.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -32,6 +34,7 @@ LATTICE_LIMIT = 2 ** 53   # 3 * max |numerator| stays below this on the int64 la
 INT64_MAX = 2 ** 63 - 1
 # nonzero |entries| of a screenable float lattice: perimeter products and quotients stay normal
 FLOAT_LATTICE_RANGE = (2.0 ** -200, 2.0 ** 200)
+TRIANGLE_BLOCK = 1 << 16   # (i, j, k) entries per numpy pass of validate_metric's triangle check
 
 Scalar = Union[Fraction, float, int]
 
@@ -502,61 +505,91 @@ def exact_lattice(values: np.ndarray, scale: int) -> Lattice:
     return Lattice(values=values, scale=scale // g, exact=True)
 
 
-_RATIO_CHARS = "0123456789+-/"
 _RATIO_TYPES = {str, int}
 _FLOAT_TYPES = {float, int}
+_RATIO_DIGITS = 18          # 10**18 - 1 < 2**63: a part of at most this many digits fits int64
+# each byte of a ratio table's text as its class: a digit, a sign, "," or "/"; else "x"
+_DIGIT, _SIGN, _COMMA, _SLASH = b"ds,/"
+_BYTE_CLASSES = bytes(_DIGIT if c in b"0123456789" else _SIGN if c in b"+-"
+                      else c if c in b",/" else ord("x") for c in range(256))
+
+
+def _ratio_parts(rows):
+    """The int64 numerators and denominators of a table of "[+-]digits[/digits]" strings and ints.
+
+    The cells are joined by commas, and the bytes of ",text," are checked
+    once, as their classes (_BYTE_CLASSES).  The marks (the bytes other than
+    digits) must come in cells of a comma, an optional sign and at most one
+    slash; digits must lie between every two marks but a comma and the
+    sign after it, and no digit run be longer than _RATIO_DIGITS, so that
+    no part overflows int64 (np.fromstring would saturate without an
+    error); and there must be one comma per cell and one more, so a comma
+    inside a string cell is seen.  Then one np.fromstring reads every part.
+    None when a cell fails the check.
+    """
+    try:
+        text = ",".join(map(",".join, rows))
+    except TypeError:               # a cell that is not a string
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= _RATIO_TYPES:
+            return None
+        text = ",".join(",".join(map(str, row)) for row in rows)
+    if not text.isascii():
+        return None
+    classes = f",{text},".encode("ascii").translate(_BYTE_CLASSES)
+    if b"x" in classes:
+        return None
+    cls = np.frombuffer(classes, dtype=np.uint8)
+    at = np.flatnonzero(cls != _DIGIT)
+    marks = cls[at]
+    gap = np.diff(at) - 1                   # the digits between two marks
+    sign = marks[1:] == _SIGN
+    slash = marks == _SLASH
+    count = len(rows) ** 2
+    if (((gap == 0) != sign).any() or (sign & (marks[:-1] != _COMMA)).any()
+            or (slash[:-1] & slash[1:]).any() or gap.max() > _RATIO_DIGITS
+            or np.count_nonzero(marks == _COMMA) != count + 1):
+        return None
+    denominator = np.append(marks[:-1][gap > 0] == _SLASH, False)    # per part, then a pad
+    parts = np.fromstring(text.replace("/", ","), dtype=np.int64, sep=",")
+    first = np.flatnonzero(~denominator[:-1])      # each cell's numerator
+    has_slash = denominator[first + 1]
+    den = np.ones(count, dtype=np.int64)
+    den[has_slash] = parts[first[has_slash] + 1]
+    return parts[first], den
 
 
 def _ratio_lattice(rows):
     """The exact Lattice of a square table of "[+-]digits[/digits]" strings and ints.
 
-    Entries are split into int numerators and denominators without building
-    Fractions, reduced by their gcd, and put over the lcm of the
-    denominators: the same Lattice that table_lattice gives for the parsed
-    table.  None when an entry has any other form or a zero denominator,
-    and whenever the lattice would not exist: int64 overflow, or a scale or
-    3 * max |value| of at least LATTICE_LIMIT (an unreduced numerator that
-    large also gives None, which keeps the int64 steps exact).  The caller
-    then parses the table with parse_scalar, which raises its errors, and
-    table_lattice builds the Lattice.
+    The parts are read as int64 arrays (_ratio_parts) and put over the lcm
+    of the denominators, with no Fraction built, then divided by the gcd of
+    the values and that scale: the same Lattice that table_lattice gives for
+    the parsed table.  When the scale or 3 * max |value| reaches
+    LATTICE_LIMIT, the values are Python-int products reduced by
+    exact_lattice, which picks int64 or an object lattice as table_lattice
+    does.  None when an entry has any other form or a part longer than 18
+    digits, or a denominator is zero; the caller then parses the table with
+    parse_scalar, which raises its errors, and table_lattice builds the
+    Lattice.
     """
-    nums = []
-    dens = []
-    try:
-        for row in rows:
-            types = set(map(type, row))
-            if not types <= _RATIO_TYPES:
-                return None
-            cells = row if types == {str} else [str(v) for v in row]
-            text = "".join(cells)
-            # only digits, signs and slashes, and no sign after a slash: the
-            # cells int() then splits are exactly "[+-]digits[/digits]"
-            if text.strip(_RATIO_CHARS) or "/+" in text or "/-" in text:
-                return None
-            for cell in cells:
-                num, slash, den = cell.partition("/")
-                nums.append(int(num))
-                dens.append(int(den) if slash else 1)
-        num = np.array(nums, dtype=np.int64)
-        den = np.array(dens, dtype=np.int64)
-    except (ValueError, OverflowError):
+    parts = _ratio_parts(rows)
+    if parts is None:
         return None
-    limit = (LATTICE_LIMIT - 1) // 3       # 3 * |value| < LATTICE_LIMIT
-    if not den.all() or num.min() < -limit or num.max() > limit:
-        return None
-    g = np.gcd(num, den)                   # gcd(0, q) = q: zero becomes 0/1, as in Fraction
-    num //= g
-    den //= g
-    scale = 1
-    for q in np.unique(den).tolist():
-        scale = math.lcm(scale, q)
-        if scale >= LATTICE_LIMIT:
-            return None
-    mult = scale // den
-    if (np.abs(num) > limit // mult).any():
+    num, den = parts
+    if not den.all():
         return None
     n = len(rows)
-    return Lattice(values=(num * mult).reshape(n, n), scale=scale, exact=True)
+    dens, where = np.unique(den, return_inverse=True)
+    scale = math.lcm(*dens.tolist())
+    limit = (LATTICE_LIMIT - 1) // 3       # 3 * |value| < LATTICE_LIMIT
+    if scale < LATTICE_LIMIT:
+        mult = scale // den
+        if not (np.abs(num) > limit // mult).any():
+            values = num * mult
+            g = math.gcd(scale, int(np.gcd.reduce(values)))
+            return Lattice(values=(values // g).reshape(n, n), scale=scale // g, exact=True)
+    mult = np.array([scale // q for q in dens.tolist()], dtype=object)[where]
+    return exact_lattice((num.astype(object) * mult).reshape(n, n), scale)
 
 
 def _float_lattice(rows):
@@ -601,7 +634,11 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
     (beyond FLOAT_LIMIT) entry.  The axioms are checked by numpy masks over
     the lattice; they locate the violations in the order of direct
     enumeration (i, then j, then k), and witnesses are lattice values read
-    back as table scalars, sums taken in the same order.
+    back as table scalars, sums taken in the same order.  The triangle check
+    runs over blocks of outer rows I, one pass each: d[I, None, :] >
+    d[I, :, None] + d (+ ETA), with as many rows as keep each temporary
+    within TRIANGLE_BLOCK entries (one row on an object lattice); only a
+    block that holds a violation is masked and searched for witnesses.
     """
     lattice = table if isinstance(table, Lattice) else table_lattice(table, exact)
     d = lattice.values
@@ -625,16 +662,27 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
         symmetry = [(i, j, scalar(d[i, j]), scalar(d[j, i]))
                     for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
         triangle = []
-        off_diagonal = ~np.eye(n, dtype=bool)
-        for i in range(n):
-            # bad[j, k]: d_ik > d_ij + d_jk (+ slack), for j, k distinct from i and each other
-            bad = d[i][None, :] > d[i][:, None] + d + slack
-            bad &= off_diagonal
-            bad[i, :] = False
-            bad[:, i] = False
-            js, ks = np.nonzero(bad)
-            triangle.extend((i, j, k, scalar(d[i, k]), scalar(d[i, j] + d[j, k]))
-                            for j, k in zip(js.tolist(), ks.tolist()))
+        # rows per pass: as many as keep each temporary within TRIANGLE_BLOCK entries, or one
+        # on an object lattice, whose entries are Python ints of any size
+        height = 1 if d.dtype == object else max(1, TRIANGLE_BLOCK // (n * n))
+        for i0 in range(0, n, height):
+            block = d[i0:i0 + height]
+            # bad[r, j, k]: d_ik > d_ij + d_jk (+ slack) for i = i0 + r
+            sums = block[:, :, None] + d
+            if slack:
+                sums += slack
+            bad = block[:, None, :] > sums
+            if not bad.any():
+                continue
+            r = np.arange(len(block))
+            bad[:, np.arange(n), np.arange(n)] = False      # j, k distinct from i and each other
+            bad[r, r + i0, :] = False
+            bad[r, :, r + i0] = False
+            i, j, k = np.nonzero(bad)
+            i += i0
+            triangle.extend(zip(i.tolist(), j.tolist(), k.tolist(),
+                                map(scalar, d[i, k].tolist()),
+                                map(scalar, (d[i, j] + d[j, k]).tolist())))
     return ValidationReport(size=n, finite=finite, diagonal=tuple(diagonal),
                             positivity=tuple(positivity), symmetry=tuple(symmetry),
                             triangle=tuple(triangle))

@@ -7,10 +7,13 @@ Two engines back the classifiers:
   integer numerators over the lcm of the table's denominators for exact
   tables, float64 for float tables.  Pairs, and triples in blocks of whole
   outer indices, are scanned as numpy passes in lexicographic order:
-  perimeters are summed in the order of direct enumeration, eps buckets are
-  found by searchsorted against lattice thresholds, and each bucket's
-  supremum is settled among the few items tied with its float maximum, on
-  every exact lattice and on a screenable float one (_LatticeReduction).
+  perimeters are summed in the order of direct enumeration from one gather
+  of the distances and their images per side, eps buckets are found by
+  searchsorted against lattice thresholds once per pair (a triple's bucket
+  is the greatest of its three pairs'), and on every exact lattice and on a
+  screenable float one each bucket's supremum is settled among the few
+  items at its running float maximum, kept across blocks and folded
+  exactly at the end (_LatticeReduction).
   Every value, witness and count equals that of a pure-Python enumeration
   in the table's scalars (the oracle the tests compare against).  A pair of
   points at distance <= 0 is refused.
@@ -31,11 +34,11 @@ Two engines back the classifiers:
   array passes (_settle): their ratios as unreduced ints from the images'
   int numerators and denominators (int64, or object arrays of Python ints
   where a product could pass 2**63), a triple's best middle point from a
-  range-extremum table over exact image ranks, and per bucket the table
-  engine's exact step (_exact_step); only a bucket's winner and the strict
-  witness become Fractions.  Qualification thresholds (distance >= eps) are
-  decided in integer arithmetic, so bucket membership never suffers float
-  errors.
+  range-extremum table over exact image ranks, and per bucket an exact
+  step over the items at its float maximum (_exact_step); only a bucket's
+  winner and the strict witness become Fractions.  Qualification
+  thresholds (distance >= eps) are decided in integer arithmetic, so bucket
+  membership never suffers float errors.
   Only the top bucket's minimal windows are tiled.  For sorted i < m < k,
   |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
   ratio of (i, k) is at most the greater of its halves', and equal only if
@@ -93,6 +96,7 @@ from .metric_core import ETA, LATTICE_LIMIT, InputError
 FLOAT_SLACK = 1e-9       # line engine: relative width of the float screen
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
+SURVIVORS = 1 << 12      # table engine: kept screen candidates before they are folded early
 LINE_TILE = 1 << 15      # float ratios per tile of the line engine
 _FLOAT_MAX = Fraction(sys.float_info.max)
 
@@ -191,70 +195,117 @@ class _LatticeReduction:
     and the result equals the sequential reduction of direct enumeration,
     which keeps the first item of each bucket's greatest ratio (_better).
     On every exact lattice, and on a screenable float one, a float screen
-    narrows the candidates; on any other float lattice every item of a
-    bucket is one, and _fold is that reduction itself.
+    narrows the candidates: each block raises the running float maximum of
+    each bucket (one np.maximum.at), keeps its items at or above their
+    bucket's floor, and prunes the items kept before whenever a floor rises.
+    The items kept at the end are folded once, in witness order (_fold);
+    past SURVIVORS kept items they are folded into the running entries
+    early, which bounds the memory on tie-heavy tables.  On any other float
+    lattice every item of a bucket is a candidate, and each block is folded
+    into the running entries as it arrives.
 
     * Exact mode: the float quotient of two ints is correctly rounded
       (_float_ratios), hence monotone in the exact ratio, so the exact bucket
       maximum is among the items whose float ratio equals the bucket's float
-      maximum.  Those are compared exactly; the lex-first one wins ties.
+      maximum, the floor.  Those are compared exactly; the lex-first one wins
+      ties.  An entry folded early is at most that maximum, and a tie keeps
+      the earlier item, so folding it first changes nothing.
     * Float mode: the enumeration compares float cross products.  Rounding
       is monotone, so an item whose float quotient is below the running
       entry's never replaces it, and the bucket maximum replaces every entry
       more than a few ulps below it.  Items below the band, a relative
       FLOAT_BAND under the maximum (seven orders above rounding), therefore
-      cannot change the result; the items in it are folded into the running
-      entry with the same cross-multiplication.  FLOAT_LATTICE_RANGE keeps
-      those products and quotients normal.
+      cannot change the result, and a fold over any superset of the band, in
+      witness order, reaches the same entry from the bucket's first item near
+      its maximum on; the items in the band are folded into the running entry
+      with the same cross-multiplication.  FLOAT_LATTICE_RANGE keeps those
+      products and quotients normal.
     """
 
     def __init__(self, lattice, eps):
         self.lattice = lattice
         self.thresholds = _lattice_thresholds(eps, lattice)
         self.slack = 0 if lattice.exact else ETA
-        self.best = [None] * (len(eps) + 1)   # (num, den, witness indices)
-        self.counts = [0] * (len(eps) + 1)
+        self.screened = lattice.exact or lattice.screenable
+        n_buckets = len(eps) + 1
+        self.best = [None] * n_buckets        # (num, den, witness indices)
+        self.counts = np.zeros(n_buckets, dtype=np.int64)
+        self.top = np.full(n_buckets, -np.inf)    # running float maxima
+        self.floors = self.top
+        self.kept = []      # per block: (num, den, bucket, ratio, *witness columns) at the floors,
+                            # pruned whenever a floor rises
         self.strict = None                    # (witness indices, measure, image measure)
         self.total = 0
 
-    def feed(self, num, den, longest, witness):
-        """Add items: image measure num, measure den > 0, qualification measure longest.
-
-        longest is the pair distance, or the triple's longest side; witness(t)
-        gives item t's witness indices.
-        """
+    def bucket(self, longest):
+        """The eps bucket of each qualification measure (pair distance or longest side), in the
+        least unsigned int type that holds every bucket."""
         bucket = np.searchsorted(self.thresholds, longest, side="right")
+        return bucket.astype(np.min_scalar_type(len(self.thresholds)))
+
+    def feed(self, num, den, bucket, wit):
+        """Add items: image measure num, measure den > 0, eps bucket (see bucket()).
+
+        wit holds the witness index columns: item t's witness is
+        tuple(w[t] for w in wit).
+        """
         self.total += len(bucket)
+        self.counts += np.bincount(bucket, minlength=len(self.counts))
         if self.strict is None:
             hits = np.flatnonzero(num >= den - self.slack)
             if len(hits):
                 t = hits[0]
-                self.strict = (witness(t), den[t], num[t])
-        exact = self.lattice.exact
-        ratio = _float_ratios(num, den) if exact or self.lattice.screenable else None
-        counts = np.bincount(bucket, minlength=len(self.counts)).tolist()
-        for b, count in enumerate(counts):
-            if not count:
-                continue
-            self.counts[b] += count
-            items = np.flatnonzero(bucket == b)
-            if exact:
-                self.best[b] = _exact_step(num, den, ratio, items, witness, self.best[b])
-                continue
-            if ratio is not None:          # keep the items in the band below the bucket maximum
-                r = ratio[items]
-                top = r.max()
-                items = items[r >= (top * (1 - FLOAT_BAND) if top > 0 else top * (1 + FLOAT_BAND))]
-            self.best[b] = _fold(num, den, items, witness, self.best[b])
+                self.strict = (_witness(wit)(t), den[t], num[t])
+        if not self.screened:
+            self._fold_buckets(num, den, bucket, wit)
+            return
+        ratio = _float_ratios(num, den)
+        reach = ratio >= self.floors[bucket]
+        if not reach.any():             # an item that raises a maximum is at or above its floor
+            return
+        top = self.top.copy()
+        np.maximum.at(top, bucket, ratio)
+        if (top > self.top).any():
+            self.top = top
+            if self.lattice.exact:
+                self.floors = top
+            else:
+                self.floors = np.where(top > 0, top * (1 - FLOAT_BAND), top * (1 + FLOAT_BAND))
+            if self.kept:
+                self.kept = [_at_floors(self.kept, self.floors)]
+            reach = ratio >= self.floors[bucket]
+        keep = np.flatnonzero(reach)
+        self.kept.append([column[keep] for column in (num, den, bucket, ratio, *wit)])
+        if sum(len(items[0]) for items in self.kept) > SURVIVORS:
+            self._fold_kept()
+
+    def _fold_buckets(self, num, den, bucket, wit):
+        """Fold items, in witness order, into the running entries, bucket by bucket."""
+        for b in np.flatnonzero(np.bincount(bucket)).tolist():
+            self.best[b] = _fold(num, den, np.flatnonzero(bucket == b), _witness(wit),
+                                 self.best[b])
+
+    def _fold_kept(self):
+        num, den, bucket, _, *wit = (self.kept[0] if len(self.kept) == 1 else
+                                     [np.concatenate(column) for column in zip(*self.kept)])
+        self._fold_buckets(num, den, bucket, wit)
+        self.kept = []
 
     def result(self, kind, eps, points):
+        if self.kept:
+            self._fold_kept()
         scalar = self.lattice.scalar
         best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2]) for e in self.best]
         strict = self.strict
         if strict is not None:
             strict = (strict[0], scalar(strict[1]), scalar(strict[2]))
-        return _finalize(kind, eps, best, self.counts, strict, self.total, points.__getitem__,
-                         self.lattice.exact)
+        return _finalize(kind, eps, best, self.counts.tolist(), strict, self.total,
+                         points.__getitem__, self.lattice.exact)
+
+
+def _witness(wit):
+    """Item t's witness indices, from the witness index columns wit."""
+    return lambda t: tuple(int(w[t]) for w in wit)
 
 
 def _quotient(a, b):
@@ -272,20 +323,19 @@ def _float_ratios(num, den):
     return np.frompyfunc(_quotient, 2, 1)(num, den).astype(np.float64)
 
 
-def _exact_step(num, den, ratio, items, witness, cur, order=None):
-    """Fold one bucket's items, of exact ints num / den > 0, into the running entry cur.
+def _exact_step(num, den, ratio, items, witness, order):
+    """The lex-first exact maximum (num, den, witness) of one bucket's items, of exact ints
+    num / den > 0.
 
     ratio holds the correctly rounded float quotients (_float_ratios), which
     are monotone in the exact ratio, so the bucket's exact maximum is among
     the items whose float equals the bucket's float maximum; only those reach
-    _fold, in witness order.  Items are in it already, or order holds the
-    witness columns to sort them by.
+    _fold, sorted by the witness columns order.
     """
     r = ratio[items]
     items = items[r == r.max()]
-    if order is not None:
-        items = items[np.lexsort([column[items] for column in reversed(order)])]
-    return _fold(num, den, items, witness, cur)
+    items = items[np.lexsort([column[items] for column in reversed(order)])]
+    return _fold(num, den, items, witness, None)
 
 
 def _fold(num, den, cands, witness, cur):
@@ -322,8 +372,9 @@ def _triple_blocks(m, rows):
     and amortizes numpy's per-call overhead on small tables.
     """
     n_pairs = len(rows)
-    starts = np.searchsorted(rows, np.arange(m - 2), side="right")  # first pair with j > a
-    sizes = (n_pairs - starts).tolist()
+    starts = np.searchsorted(rows, np.arange(m - 2), side="right").tolist()  # first j > a
+    sizes = [n_pairs - s for s in starts]
+    pairs = np.arange(n_pairs)
     a0 = 0
     while a0 < m - 2:
         a1 = a0 + 1
@@ -331,10 +382,8 @@ def _triple_blocks(m, rows):
         while a1 < m - 2 and total + sizes[a1] <= TRIPLE_BLOCK:
             total += sizes[a1]
             a1 += 1
-        counts = np.asarray(sizes[a0:a1])
-        a = np.repeat(np.arange(a0, a1), counts)
-        pair = np.arange(total) + np.repeat(starts[a0:a1] - (np.cumsum(counts) - counts),
-                                            counts)
+        a = np.repeat(np.arange(a0, a1), sizes[a0:a1])
+        pair = np.concatenate([pairs[s:] for s in starts[a0:a1]])
         yield a, pair
         a0 = a1
 
@@ -342,30 +391,36 @@ def _triple_blocks(m, rows):
 def _table_analysis(kind, lattice, nodes, images, eps, points):
     """The table enumeration as numpy passes over the lattice."""
     eps = _checked_eps(kind, eps, len(nodes))
+    m = len(nodes)
     nodes = np.asarray(nodes, dtype=np.intp)
-    img = np.asarray(images, dtype=np.intp)[nodes]
-    d = lattice.values[np.ix_(nodes, nodes)]
-    t = lattice.values[np.ix_(img, img)]
-    rows, cols = np.triu_indices(len(nodes), 1)
-    d_pair = d[rows, cols]
+    # the distances (row 0) and the distances of the images (row 1), so one take gathers both
+    ends = (nodes, np.asarray(images, dtype=np.intp)[nodes])
+    both = np.stack([lattice.values[np.ix_(e, e)] for e in ends]).reshape(2, m * m)
+    rows, cols = np.triu_indices(m, 1)
+    flat = rows * m + cols
+    both_pair = both.take(flat, axis=1)
+    d_pair, t_pair = both_pair
     if not (d_pair > 0).all():
         first = int(np.argmin(d_pair > 0))
         raise _nonpositive(points, rows[first], cols[first])
-    t_pair = t[rows, cols]
     red = _LatticeReduction(lattice, eps)
     with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
+        b_pair = red.bucket(d_pair)
         if kind == "pairwise":
-            red.feed(t_pair, d_pair, d_pair, lambda i: (int(rows[i]), int(cols[i])))
+            red.feed(t_pair, d_pair, b_pair, (rows, cols))
         else:
-            for a, pair in _triple_blocks(len(nodes), rows):
+            # a triple's bucket, that of its longest side, is the greatest of its pairs' buckets
+            b_flat = np.zeros(m * m, dtype=b_pair.dtype)
+            b_flat[flat] = b_pair
+            for a, pair in _triple_blocks(m, rows):
                 j, k = rows[pair], cols[pair]
-                dij, djk, dik = d[a, j], d_pair[pair], d[a, k]
+                aj, ak = a * m + j, a * m + k
                 # sums in enumeration order keep float mode bit-identical
-                p = dij + djk + dik
-                pt = t[a, j] + t_pair[pair] + t[a, k]
-                longest = np.maximum(np.maximum(dij, djk), dik)
-                red.feed(pt, p, longest,
-                         lambda i, a=a, j=j, k=k: (int(a[i]), int(j[i]), int(k[i])))
+                p, pt = (both.take(aj, axis=1) + both_pair.take(pair, axis=1)
+                         + both.take(ak, axis=1))
+                bucket = np.maximum(np.maximum(b_flat.take(aj), b_pair.take(pair)),
+                                    b_flat.take(ak))
+                red.feed(pt, p, bucket, (a, j, k))
     return red.result(kind, eps, points)
 
 
@@ -902,14 +957,13 @@ def _violation(data, tiles):
 def _settle(data, rows, hs, buckets, n_buckets):
     """Per bucket, the exact (image measure, measure, witness) ints of the candidates' maximum,
     lex-first, or None.  exact() evaluates the candidates as array passes, and each bucket takes
-    the table engine's exact step, sorted by witness: for triples, (row, position) order is not
-    witness order."""
+    an exact step, sorted by witness: for triples, (row, position) order is not witness
+    order."""
     num, den, wit = data.exact(rows, hs)
     ratio = _float_ratios(num, den)
     best = [None] * n_buckets
     for b in np.flatnonzero(np.bincount(buckets, minlength=n_buckets)).tolist():
-        best[b] = _exact_step(num, den, ratio, np.flatnonzero(buckets == b),
-                              lambda t: tuple(int(w[t]) for w in wit), None, wit)
+        best[b] = _exact_step(num, den, ratio, np.flatnonzero(buckets == b), _witness(wit), wit)
     return best
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from contraction_lab import map_catalog, scan
+from contraction_lab import map_catalog, metric_core, scan
 from contraction_lab.classify import (
     DEFAULT_EPS_GRID,
     NEAR_ONE_RATIO,
@@ -26,9 +27,11 @@ from contraction_lab.classify import (
 )
 from contraction_lab.map_catalog import SelfMap, apply, catalog, composite_action
 from contraction_lab.metric_core import (
+    ETA,
     FiniteMetricSpace,
     InputError,
     SampledSpace,
+    ValidationReport,
     perimeter,
     table_lattice,
     validate_metric,
@@ -365,6 +368,41 @@ class TestEngineAgainstNaiveOracle:
         got = {axiom: getattr(report, axiom) for axiom in want}
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("n, shape", [(45, "int64"), (70, "int64"), (45, "object"),
+                                          (45, "float"), (70, "float")])
+    def test_validate_metric_matches_reference_loops_across_blocks(self, n, shape):
+        # n above one block height of the triangle pass: violations planted in
+        # rows of several blocks, and in float mode just above and below ETA
+        rng = random.Random(n)
+        exact = shape != "float"
+        table = random_table(rng, n, 96, exact=exact, primes=shape == "object")
+        top = max(max(row) for row in table)
+        rows = (3, n // 3, n // 2 + 1, n - 2)
+        for i in rows:
+            k = (i + 7) % n
+            table[i][k] = table[k][i] = 3 * top
+        x, y = rows[1], rows[2]
+        table[x][x] = table[x][y]                          # diagonal
+        table[y][y + 1] = table[y][y]                      # positivity and symmetry
+        near = {}
+        if not exact:       # d_ik - (d_ij + d_jk) of 2 ETA (reported) and ETA / 2 (not)
+            for (i, j, k), gap in (((rows[0], rows[0] + 1, rows[0] + 2), 2e-12),
+                                   ((rows[3], rows[3] - 2, rows[3] - 1), 5e-13)):
+                table[i][k] = table[k][i] = table[i][j] + table[j][k] + gap
+                near[(i, j, k)] = gap > ETA
+        table = tuple(tuple(row) for row in table)
+        lattice = table_lattice(table, exact)
+        assert (lattice.values.dtype == object) == (shape == "object")
+        want = ValidationReport(size=n, **metric_violations_loops(table, exact))
+        height = 1 if shape == "object" else metric_core.TRIANGLE_BLOCK // (n * n)
+        assert len({i // height for i, *_ in want.triangle}) > 1
+        assert len({i for i, *_ in want.triangle}) >= len(rows)
+        for triple, reported in near.items():
+            assert (triple in {tuple(v[:3]) for v in want.triangle}) == reported
+        got = validate_metric(lattice)
+        assert got == want
+        assert repr(got) == repr(want)
+
     def test_halving_map_small_scope(self):
         entry = catalog("floor_half", integer_max=40)
         want = naive_triple_summary(entry.space, entry.map, SMALL_EPS)
@@ -395,6 +433,47 @@ class TestEngineAgainstNaiveOracle:
         assert [e for e in table.entries if e.eps == 2][0].delta == F(5, 24)
         alpha, _, _ = estimate_tpc_alpha(entry.space, entry.map)
         assert alpha == want["sup"] == F(4, 5)
+
+
+def traced_peak(f):
+    """The peak traced allocation, in bytes, of a second call of f (the first warms caches)."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableEngineMemory:
+    # the passes over an n-point table hold O(n^2) arrays and blocks of bounded
+    # size; one O(n^3) temporary would take n = 160 tables at n = 160
+    N = 160
+    VALIDATE_TABLES = 8
+    TRIPLE_TABLES = 24
+
+    @pytest.mark.parametrize("shape", ["random", "ties"])
+    def test_peak_allocation_is_a_few_tables(self, shape):
+        n = self.N
+        rng = np.random.default_rng(160)
+        if shape == "random":
+            raw = rng.integers(1, 97, size=(n, n))
+            raw = np.minimum(raw, raw.T)
+            np.fill_diagonal(raw, 0)
+            for k in range(n):
+                raw = np.minimum(raw, raw[:, k, None] + raw[None, k, :])
+            images = rng.integers(0, n, size=n).tolist()
+        else:       # every triple ties at ratio 1: each one stays a candidate
+            raw = 1 - np.eye(n, dtype=np.int64)
+            images = list(range(n))[::-1]
+        lattice = metric_core.exact_lattice(raw, 96)
+        assert lattice.values.dtype == np.int64
+        table = lattice.values.nbytes
+        nodes = list(range(n))
+        assert traced_peak(lambda: validate_metric(lattice)) <= self.VALIDATE_TABLES * table
+        assert traced_peak(lambda: scan.table_triple_analysis(
+            lattice, nodes, images, DEFAULT_EPS_GRID, tuple(nodes))) <= self.TRIPLE_TABLES * table
 
 
 class _DictFormula:

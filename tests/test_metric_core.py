@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import closure_loops
 
+from contraction_lab import metric_core
 from contraction_lab.classify import full_report
 from contraction_lab.map_catalog import SelfMap
 from contraction_lab.metric_core import (
@@ -441,7 +442,10 @@ _ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 _BIG_PRIMES = (134217689, 134217649, 134217617, 134217613)   # lcm of two >= 2**53
 _EXACT_CELLS = ("unreduced", "signed", "signed_den", "zeros", "spaces",
                 "underscore", "arabic", "int", "float", "zero_den", "minus_zero",
-                "big_num", "big_unreduced", "big_prime", "junk", "bool", "null")
+                "big_num", "big_unreduced", "big_prime", "junk", "bool", "null",
+                "digits18", "digits19", "comma", "odd", "big_json_int")
+# cells at the edges of the byte check: a sign or slash out of place, an empty part
+_ODD_CELLS = ("+0/7", "-0/3", "1//2", "/3", "3/", "+", "", "1/+2")
 _FLOAT_CELLS = ("int", "string", "ratio", "nan", "inf", "huge",
                 "tiny", "minus_zero", "big_int", "junk", "bool")
 
@@ -483,6 +487,18 @@ def cell(draw, num, den, exact, kind):
     if kind == "big_prime":
         p = _BIG_PRIMES[num % len(_BIG_PRIMES)]        # several per table
         return f"{num * p // den}/{p}"
+    if kind in ("digits18", "digits19"):       # parts of exactly 18 or 19 digits
+        width = int(kind[-2:])
+        if draw(st.booleans()):
+            return f"{value.numerator:0{width}d}/{value.denominator:0{width}d}"
+        k = 10 ** (width - len(str(den)))
+        return f"{num * k}/{den * k}"
+    if kind == "comma":                         # one string cell, not two cells
+        return f"{value.numerator},{value.denominator}"
+    if kind == "odd":
+        return draw(st.sampled_from(_ODD_CELLS))
+    if kind == "big_json_int":                  # an int of 19 or more digits among strings
+        return draw(st.sampled_from((10 ** 18, 2 ** 63, 2 ** 64 + 1))) + num // den
     if kind == "junk":
         return draw(st.text(max_size=4))
     if kind == "bool":
@@ -564,8 +580,42 @@ class TestLatticeLoad:
         a, b = space.points[0], space.points[-1]
         assert space.distance(a, b) == expected.distance(a, b)
 
+    @pytest.mark.parametrize("cell, read", [
+        ("+0/7", True), ("-0/3", True), ("-12/5", True), ("9" * 18, True),
+        ("1/" + "9" * 18, True), ("-" + "0" * 17 + "1/" + "0" * 17 + "2", True),
+        ("9" * 19, False), ("1/" + "0" * 18 + "1", False), ("1//2", False), ("/3", False),
+        ("3/", False), ("+", False), ("", False), ("1/+2", False), ("+-1", False),
+        ("1/2/3", False), ("1-2", False), ("1,2", False), (" 1", False), ("١", False),
+    ])
+    def test_byte_check_reads_only_plain_cells(self, cell, read):
+        # a cell the byte check refuses goes to parse_scalar, which judges it
+        rows = [["0", cell, "1"], [cell, "0", "1"], ["1", "1", "0"]]
+        assert (metric_core._ratio_lattice(rows) is not None) == read
+        if read:
+            table = [[parse_scalar(v) for v in row] for row in rows]
+            assert same_lattice(metric_core._ratio_lattice(rows), table_lattice(table, True))
+
+    def test_wide_scales_are_read_without_parse_scalar(self, monkeypatch):
+        # 24 primes near 10**6: every part fits the byte check, the lcm passes 2**53
+        n = 24
+        primes = [q for q in range(10 ** 6, 10 ** 6 + 400)
+                  if all(q % f for f in range(2, int(q ** 0.5) + 1))][:n]
+        rng = random.Random(5)
+        rows = [["0"] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            p = primes[(i + j) % n]
+            rows[i][j] = rows[j][i] = f"{rng.randrange(p, 2 * p)}/{p}"
+        doc = {"points": list(range(n)), "dist": rows}
+        expected = reference_from_json(doc)
+        monkeypatch.setattr(metric_core, "parse_scalar", None)     # any call would fail
+        space = FiniteMetricSpace.from_json(doc)
+        assert space.lattice.values.dtype == object
+        assert same_lattice(space.lattice, expected.lattice)
+        assert space == expected
+
     def test_scale_beyond_int64_falls_back(self):
-        # distances 1 + 1/p over three primes near 2**27: the lcm is ~2**81
+        # distances 1 + 1/p over three primes near 2**27: the lcm is ~2**81, so the
+        # parts read by the byte check go on an object lattice
         p = _BIG_PRIMES
         near_one = [[None, p[0], p[1], p[2]], [p[0], None, p[2], p[1]],
                     [p[1], p[2], None, p[0]], [p[2], p[1], p[0], None]]

@@ -17,7 +17,15 @@ prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
 measured at, one with a small last eps where almost every item of the top
 bucket lies past its row's cut, a CSV run with an ``--eps-grid``, three
 ``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
-both biases, each over 10**4 trials.  ``OUT_DIR/validation/`` holds the
+both biases, each over 10**4 trials.  The ``instance-*`` runs read instance
+files that this script writes into ``OUT_DIR/instances/`` (_instance_docs):
+``classify`` and ``verify --theorem corrected_main`` on exact and float twins
+at n = 40, 64 and 88 and on a table over 24 primes near 10**6 (an object
+lattice); ``classify --mode float`` on an exact file; and ``classify`` on a
+non-metric table with triangle violations in several row blocks of the
+metric check, which must exit 1 with its message.  Every run works from
+``OUT_DIR``, so an output records its instance by a relative path, and what
+a run prints on stderr goes into ``OUT_DIR/stderr.txt``.  ``OUT_DIR/validation/`` holds the
 ``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
 JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of three
 inputs that no CLI run reaches: x/2 on the points 0..159 with the last image
@@ -32,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -75,6 +84,100 @@ RUNS = (
 )
 
 
+INSTANCE_SIZES = (40, 64, 88)
+INSTANCE_DEN = 96
+INSTANCE_RUNS = tuple(
+    (f"instance-{command}-n{n}-{mode}", argv + ["--instance", f"instances/n{n}-{mode}.json"])
+    for n in INSTANCE_SIZES
+    for mode in ("exact", "float")
+    for command, argv in (("classify", ["classify"]),
+                          ("verify", ["verify", "--theorem", "corrected_main"]))
+) + tuple(
+    (f"instance-{command}-wide", argv + ["--instance", "instances/wide.json"])
+    for command, argv in (("classify", ["classify"]),
+                          ("verify", ["verify", "--theorem", "corrected_main"]))
+) + (
+    ("instance-classify-n64-exact-as-float",
+     ["classify", "--instance", "instances/n64-exact.json", "--mode", "float"]),
+    ("instance-classify-non-metric", ["classify", "--instance", "instances/non-metric.json"]),
+)
+EXPECTED_FAILURES = {"instance-classify-non-metric"}     # these must exit 1
+
+
+def _closed_table(rng, n):
+    """Integer distances k in 1..INSTANCE_DEN, closed under shortest paths: a metric."""
+    raw = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            raw[i][j] = raw[j][i] = rng.randint(1, INSTANCE_DEN)
+    for k in range(n):
+        row_k = raw[k]
+        for row in raw:
+            via = row[k]
+            for j, d in enumerate(row_k):
+                if via + d < row[j]:
+                    row[j] = via + d
+    return raw
+
+
+def _primes_above(q, count):
+    primes = []
+    while len(primes) < count:
+        q += 1
+        if all(q % f for f in range(2, int(q ** 0.5) + 1)):
+            primes.append(q)
+    return primes
+
+
+def _instance_docs():
+    """{file name: instance document} of the files the instance-* runs read."""
+    rng = random.Random(21)
+    docs = {}
+    for n, kind in zip(INSTANCE_SIZES, ("uniform", "pool", "constant")):
+        raw = _closed_table(rng, n)
+        if kind == "uniform":
+            images = [rng.randrange(n) for _ in range(n)]
+        elif kind == "pool":
+            pool = rng.sample(range(n), 3)
+            images = [rng.choice(pool) for _ in range(n)]
+        else:
+            images = [rng.randrange(n)] * n
+            images[rng.randrange(n)] = rng.randrange(n)
+        for mode, cell in (("exact", lambda v: str(Fraction(v, INSTANCE_DEN))),
+                           ("float", lambda v: v / INSTANCE_DEN)):
+            docs[f"n{n}-{mode}.json"] = {
+                "space": {"points": list(range(n)), "mode": mode,
+                          "dist": [[cell(v) for v in row] for row in raw]},
+                "map": images}
+    # rows 5, 30 and 60 of 64 lie in three blocks of 16 rows of the triangle check
+    raw = _closed_table(rng, 64)
+    for i in (5, 30, 60):
+        raw[i][(i + 9) % 64] = raw[(i + 9) % 64][i] = 3 * INSTANCE_DEN
+    docs["non-metric.json"] = {
+        "space": {"points": list(range(64)),
+                  "dist": [[str(Fraction(v, INSTANCE_DEN)) for v in row] for row in raw]},
+        "map": [rng.randrange(64) for _ in range(64)]}
+    # d(i, j) = m / p, p <= m < 2p, with p the ((i + j) mod 24)-th prime above 10**6: a
+    # metric whose lcm passes 2**53
+    primes = _primes_above(10 ** 6, 24)
+    rows = [["0"] * 24 for _ in range(24)]
+    for i in range(24):
+        for j in range(i + 1, 24):
+            p = primes[(i + j) % 24]
+            rows[i][j] = rows[j][i] = f"{rng.randrange(p, 2 * p)}/{p}"
+    pool = rng.sample(range(24), 3)
+    docs["wide.json"] = {"space": {"points": list(range(24)), "dist": rows},
+                         "map": [rng.choice(pool) for _ in range(24)]}
+    return docs
+
+
+def write_instances(out_dir):
+    """Write the _instance_docs() files into out_dir/instances."""
+    instances = Path(out_dir) / "instances"
+    instances.mkdir(parents=True, exist_ok=True)
+    for name, doc in _instance_docs().items():
+        (instances / name).write_text(json.dumps(doc), encoding="utf-8")
+
 
 def _scan_inputs():
     """(label, numerators, den, images, eps) of the line scans written as reprs."""
@@ -114,15 +217,27 @@ def write_validation(out_dir):
                 json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def write_outputs(out_dir, runs=RUNS):
-    """Run each (label, argv) through the CLI into out_dir/label; returns {label: exit code}."""
+def write_outputs(out_dir, runs=RUNS + INSTANCE_RUNS):
+    """Run each (label, argv) through the CLI into out_dir/label, from out_dir, after writing
+    the instance files; returns {label: exit code}."""
     out_dir = Path(out_dir)
-    codes = {}
-    for label, argv in runs:
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes[label] = cli.main([*argv, "--out", str(out_dir / label)])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_instances(out_dir)
+    codes, errors = {}, []
+    home = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for label, argv in runs:
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                codes[label] = cli.main([*argv, "--out", label])
+            if stderr.getvalue():
+                errors.append(f"{label}: {stderr.getvalue()}")
+    finally:
+        os.chdir(home)
     (out_dir / "exit-codes.txt").write_text(
         "".join(f"{label} {code}\n" for label, code in codes.items()), encoding="utf-8")
+    (out_dir / "stderr.txt").write_text("".join(errors), encoding="utf-8")
     return codes
 
 
@@ -134,9 +249,10 @@ def main(argv=None) -> int:
     codes = write_outputs(args[0])
     write_scans(args[0])
     write_validation(args[0])
-    failed = [label for label, code in codes.items() if code == 1]
+    failed = [label for label, code in codes.items()
+              if code != (1 if label in EXPECTED_FAILURES else 0)]
     for label in failed:
-        print(f"error: run {label} exited with code 1", file=sys.stderr)
+        print(f"error: run {label} exited with code {codes[label]}", file=sys.stderr)
     return 1 if failed else 0
 
 
