@@ -20,26 +20,24 @@ Two engines back the classifiers:
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
-  through the running extrema of the image values.  That collapses the triple
-  scan to O(n^2) pairs (i, k) with prefix cumulative max/min.  Items sharing
-  a first index i form a row, and position h of row i stands for the last
-  index i + gap + h.  One pass computes the float ratios of each run of rows
-  once, as a (rows, columns) tile of at most LINE_TILE entries, its rows
-  times the width of their live positions, aligned by position or by last
-  index, whichever fits more rows (_LineData.tile; images and spans are read
-  through strided window views), keeps the items at or above a proven float
-  error bound below their bucket's running maximum
-  (_LineData.screen_floors), and checks strict suspects within their tile.
-  At the end the items at or above the final bounds are settled exactly as
-  array passes (_settle): their ratios as unreduced ints from the images'
-  int numerators and denominators (int64, or object arrays of Python ints
-  where a product could pass 2**63), a triple's best middle point from a
-  range-extremum table over exact image ranks, and per bucket an exact
-  step over the items at its float maximum (_exact_step); only a bucket's
-  winner and the strict witness become Fractions.  Qualification
-  thresholds (distance >= eps) are decided in integer arithmetic, so bucket
-  membership never suffers float errors.
-  Only the top bucket's minimal windows are tiled.  For sorted i < m < k,
+  through the extrema of the image values over i..k.  That collapses the
+  triple scan to O(n^2) pairs (i, k).  Items sharing a first index i form a
+  row, and position h of row i stands for the last index i + gap + h; the
+  positions of one eps bucket in one row form a cell.  One pass computes the
+  float ratios of the items it reads as tiles of flat item arrays, about
+  LINE_TILE items each (_LineData.items: a triple's middle-point extrema
+  come from range-extremum tables over the float images), keeps the items at
+  or above a proven float error bound below their bucket's running maximum
+  (_LineData.screen_floors), and prunes them as the maxima rise.  At the end
+  the items kept are settled exactly as array passes (_settle): their ratios
+  as unreduced ints from the images' int numerators and denominators (int64,
+  or object arrays of Python ints where a product could pass 2**63), a
+  triple's best middle point from a range-extremum table over exact image
+  ranks, and per bucket an exact step over the items at its float maximum
+  (_exact_step); only a bucket's winner and the strict witness become
+  Fractions.  Qualification thresholds (distance >= eps) are decided in
+  integer arithmetic, so bucket membership never suffers float errors.
+  Only the top bucket's minimal windows are read.  For sorted i < m < k,
   |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
   ratio of (i, k) is at most the greater of its halves', and equal only if
   both halves equal it; the same holds for triples' best-middle spreads when
@@ -47,35 +45,54 @@ Two engines back the classifiers:
   its witness comes before (i, j*, k).  By induction on span, an item of the
   top bucket (span >= its threshold) that splits at a point into two such
   items never sets that bucket's maximum or lex-first witness, so row i is
-  tiled up to its cut only (_LineData.cut); counts still cover every item.
-  The lex-first strict violator may lie past a cut, but a violator there has
-  a violating half, so with no violator before the cuts there is none, and
-  with the first one in row r the lex-first one lies in a row <= r: rows
-  0..r are then tiled again in full (a late r costs up to the whole scan).
-  Items that a step-ratio bound keeps below their floors are not tiled
-  either.  For i < k the image range over i..k is at most the total
-  variation of the sampled map there, which is at most L(i, k) times the
-  span, L(i, k) being the largest adjacent step ratio |T_{j+1} - T_j| /
-  (x_{j+1} - x_j) for i <= j < k.  So the ratio of the pair (i, k), and the
-  best-middle ratio of every triple (i, j, k), is at most L(i, k), which
-  never falls as k grows: over a bucket's columns in row i it is greatest at
-  the last one.  The adjacent float ratios obey the screen's error bound, so
-  an item's float ratio is at most a + 4u*M*den/s1 + 10u*a, a being the
-  largest adjacent float ratio over its steps and s1 the least adjacent step
-  (u, M as in _LineData.screen_floors); _LineData.bounds adds twice that
-  margin, 8u*M*den/s1 + 32u*a, which covers its own rounding, to a from a
-  range-maximum table over the n - 1 adjacent float ratios.
-  Before each run of rows, a row drops each bucket whose bound lies strictly
-  below the bucket's floor in force; while no strict violator is found, the
-  floor in force is the lesser of the bucket's floor and its strict floor.
-  A dropped item's float ratio thus lies below every floor it is compared
-  with: it is never kept, never raises a maximum and is never a strict
-  suspect, and the floors lie below the exact maxima, so it is never a
-  maximum or a tied lex-first witness.  A row's tile spans its first to its
-  last kept bucket, and a row that keeps none is not tiled.  When the images'
-  floats overflow, nothing is dropped.  Neither pruning subsumes the other:
-  on floor_half every L is 1 and the cut does the work, while on
-  burton_logistic the top bucket is empty and the bound drops most items.
+  read up to its cut only (_LineData.cut); counts still cover every item.
+  Two bounds keep most other items unread (_line_tiles), each a float above
+  the float ratio and the exact ratio of every item it covers:
+  - the step-ratio bound of a cell.  For i < k the image range over i..k is
+    at most the total variation of the sampled map there, which is at most
+    L(i, k) times the span, L(i, k) being the largest adjacent step ratio
+    |T_{j+1} - T_j| / (x_{j+1} - x_j) for i <= j < k.  So the ratio of the
+    pair (i, k), and the best-middle ratio of every triple (i, j, k), is at
+    most L(i, k), which never falls as k grows: over a cell it is greatest
+    at its last item.  The adjacent float ratios obey the screen's error
+    bound, so an item's float ratio is at most a + 4u*M*den/s1 + 10u*a, a
+    being the largest adjacent float ratio over its steps and s1 the least
+    adjacent step (u, M as in _LineData.screen_floors); the bound adds twice
+    that margin, 8u*M*den/s1 + 32u*a, which covers its own rounding, to a
+    from a range-maximum table over the n - 1 adjacent float ratios.
+  - the range bound of a block of last indices k0 <= k < k1 in a cell of
+    row i.  For pairs, |T_k - T_i| / (x_k - x_i) <= max(max T[k0..k1) - T_i,
+    T_i - min T[k0..k1)) / (x_k0 - x_i); for triples, a best-middle spread
+    is at most max T[i..k1) - min T[i..k1), over the same least span.  The
+    bound D * (den / s0) is computed from the float extrema with the very
+    operations that give an item's float ratio, and every one of them rounds
+    monotonically, so it lies above each item's float ratio as it is.
+    Against the exact ratio, the float extrema and images are within u*M of
+    exact, so D's exact value is at most D(1 + u) + 2u*M, and D * (den / s0)
+    took at most three roundings.  The bound adds 32u of itself, which
+    covers the relative errors, and the bucket's screen error 8u*M*den/s_b
+    (s_b <= s0 its least span), which covers 2u*M*den/s0, each with room for
+    the bound's own rounding.  A
+    cell splits into blocks whose spans grow by less than 2**(1/SPAN_BLOCKS)
+    (_LineData.blocks), so the bound stays within that factor of the ratios
+    where the images vary smoothly.
+  Each nonempty bucket's first cell is read whole first, which sets its
+  floor.  The other cells are read bucket by bucket: a cell whose
+  step-ratio bound lies strictly below max(floor, 0) is dropped; one of more
+  than SPAN_BLOCKS positions is split into blocks bounded by the lesser of
+  the two bounds, and is read over the hull of its blocks whose bound
+  reaches max(floor, 0) at the floors in force before each tile.  A dropped
+  item's float ratio thus lies below every floor it is compared with, so it
+  is never kept or raises a maximum; the floors lie below the exact maxima,
+  so it is never a maximum or a tied lex-first witness.  When the images'
+  floats overflow, every bound is +inf and nothing is dropped.  No bound
+  subsumes another: on floor_half every L is 1 and the cut does most of the
+  work, while on burton_logistic the top bucket is empty and the bounds drop
+  most items.
+  The lex-first strict violation needs no tile (_LinePairs.strict,
+  _LineTriples.strict): it is found from suffix extrema of keys such as
+  T_k - x_k and T_k + x_k, compared exactly over a common denominator or by
+  exact ranks (_comparable), in O(n log n).
 
 Supremum ties break toward the lexicographically smallest witness.
 """
@@ -84,8 +101,8 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -97,7 +114,8 @@ FLOAT_SLACK = 1e-9       # line engine: relative width of the float screen
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
 SURVIVORS = 1 << 12      # table engine: kept screen candidates before they are folded early
-LINE_TILE = 1 << 15      # float ratios per tile of the line engine
+LINE_TILE = 1 << 15      # line engine: items per tile, and blocks per run of cells
+SPAN_BLOCKS = 8          # line engine: range-bound blocks per doubling of span in a row's bucket
 _FLOAT_MAX = Fraction(sys.float_info.max)
 
 
@@ -437,12 +455,6 @@ def _int_array(values):
         return np.array(values, dtype=object)
 
 
-def _windows(values, start, shape, step=1):
-    """(rows, width) view of a contiguous 1-D array: row r holds values[start + step*r:][:width]."""
-    size = values.strides[0]
-    return np.ndarray(shape, values.dtype, values, start * size, (step * size, size))
-
-
 def _extrema_table(keys, ufunc, longest):
     """Range-extremum table for ranges of up to longest keys: row p, column x holds ufunc over
     keys[x:x + 2**p] (_range_extremum)."""
@@ -455,21 +467,88 @@ def _extrema_table(keys, ufunc, longest):
     return table
 
 
-def _range_extremum(table, ufunc, lo, hi):
-    """Per query, ufunc over keys[lo..hi] (inclusive, lo <= hi): two overlapping table windows."""
-    p = np.frexp(hi - lo + 1.0)[1] - 1             # floor(log2(length))
-    row, flat = p * table.shape[1], table.ravel()   # flat indices gather faster than pairs
-    return ufunc(flat[row + lo], flat[row + hi + 1 - np.left_shift(1, p)])
+def _range_windows(width, lo, hi, log2):
+    """Per query keys[lo..hi] (inclusive, lo <= hi), the flat indices in an extremum table of
+    rows of width keys of two overlapping windows that cover it; log2[m] is floor(log2(m))
+    (_LineData.log2)."""
+    p = log2[hi - lo + 1]
+    row = p * width                                 # flat indices gather faster than pairs
+    return row + lo, row + hi + 1 - np.left_shift(1, p)
 
 
-def _sliding(values, width, ufunc):
-    """ufunc over each window values[j:j + width], as blocks of width and their prefix and
-    suffix runs: a window is the suffix of one block and the prefix of the next."""
-    count = len(values) - width + 1
-    blocks = np.resize(values, (-(-len(values) // width), width))
-    prefix = ufunc.accumulate(blocks, axis=1).ravel()
-    suffix = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return ufunc(suffix[:count], prefix[width - 1:width - 1 + count])
+def _range_extremum(table, ufunc, lo, hi, log2):
+    """Per query, ufunc over keys[lo..hi] (inclusive, lo <= hi): two overlapping table windows
+    (_range_windows)."""
+    first, second = _range_windows(table.shape[1], lo, hi, log2)
+    return ufunc(table.take(first), table.take(second))
+
+
+def _ranks(num, den):
+    """Dense ranks of the rationals num / den (den > 0) in exact order.
+
+    num and den are int64 arrays below 2**53 in magnitude, or object arrays
+    of Python ints, so that their float quotients are correctly rounded
+    (_float_ratios) and never reverse the order; neighbours in float order
+    with equal floats are compared exactly (_cross), and runs of equal
+    floats that hold distinct values are sorted exactly.
+    """
+    values = _float_ratios(num, den)
+    order = np.argsort(values)
+    equal = values[order][1:] == values[order][:-1]
+    tied = np.flatnonzero(equal)
+
+    def differ(order):          # where neighbours in order differ, exactly
+        out = np.ones(len(order) - 1, dtype=bool)
+        out[tied] = _cross(num, den, order[tied], order[tied + 1]) != 0
+        return out
+
+    steps = differ(order)
+    if (mixed := steps & equal).any():      # distinct values share a float
+        runs = np.flatnonzero(np.diff(np.concatenate(([0], equal, [0])))).reshape(-1, 2)
+        order = order.tolist()
+        for s, e in runs[np.logical_or.reduceat(mixed, runs[:, 0])].tolist():
+            order[s:e + 1] = sorted(order[s:e + 1], key=lambda t: Fraction(int(num[t]),
+                                                                           int(den[t])))
+        order = np.array(order)
+        steps = differ(order)
+    rank = np.empty(len(num), dtype=np.int64)
+    rank[order] = np.concatenate(([0], np.cumsum(steps)))
+    return rank
+
+
+def _cross(num, den, p, q):
+    """num[p]*den[q] - num[q]*den[p], exactly: in int64 where no product can pass 2**62."""
+    terms = num[p], den[q], num[q], den[p]
+    if num.dtype != object and int(np.abs(num).max()) * int(den.max()) >= 2 ** 62:
+        terms = (t.astype(object) for t in terms)
+    a, d, c, b = terms
+    return a * d - c * b
+
+
+def _suffix(ranks, ufunc):
+    """ufunc over ranks[s:] for each s."""
+    return ufunc.accumulate(ranks[::-1])[::-1]
+
+
+def _comparable(*keys):
+    """Int arrays that compare like the rationals of several (numerators, denominators) key
+    arrays, all in one order, an array per key array: the numerators over a common
+    denominator when each key array has one denominator and the scaled numerators stay within
+    2**62, which needs no sort, and otherwise their joint exact ranks (_ranks)."""
+    dens = [int(den[0]) if (den == den[0]).all() else 0 for _, den in keys]
+    if all(dens):
+        common = math.lcm(*dens)
+        scales = [common // d for d in dens]
+        if all(num.dtype != object and int(np.abs(num).max()) * m < 2 ** 62
+               for (num, _), m in zip(keys, scales)):
+            return [num * m for (num, _), m in zip(keys, scales)]
+    ranks = _ranks(*(np.concatenate(parts) for parts in zip(*keys)))
+    return np.split(ranks, np.cumsum([len(num) for num, _ in keys])[:-1])
+
+
+def _shifted(a, b, x, den, sign):
+    """(numerators, denominators) of the images a/b plus sign times the points x/den."""
+    return a * den + sign * x * b, b * den
 
 
 class _LineData:
@@ -478,8 +557,8 @@ class _LineData:
     Items are grouped in rows by their first index i.  Position h of row i
     stands for the items whose last index is i + gap + h; spans ascend with
     h.  Eps bucket b of row i holds positions before[i, b] to before[i, b+1]
-    (bucket 0 lies below eps[0]); narrow holds the edges of the nonempty
-    buckets, filled, only.
+    (bucket 0 lies below eps[0]); narrow[j, i] is before[i, b] for the
+    nonempty buckets b = filled[j] and, last, the end of row i.
     """
 
     gap = None
@@ -487,34 +566,34 @@ class _LineData:
     def __init__(self, numerators, den, image_nums, image_dens, eps):
         self.den = den
         self.nums = np.asarray(numerators, dtype=np.int64)
-        self.numerators = self.nums.tolist()
-        self.n = n = len(self.numerators)
-        longest = self.numerators[-1] - self.numerators[0]
-        # the images' int numerators and positive denominators, as Python ints for the
-        # strict check, and as arrays for exact(): int64 while its quotients' operands stay
-        # below 2**53 and its products below 2**63, object arrays of Python ints otherwise
+        self.n = n = len(self.nums)
+        longest = int(self.nums[-1]) - int(self.nums[0])
+        # the images' int numerators and positive denominators, as arrays for exact(): int64
+        # while its quotients' operands stay below 2**53 and its products below 2**63, object
+        # arrays of Python ints otherwise
         inum, iden = _int_array(image_nums), _int_array(image_dens)
-        self.inums, self.idens = inum.tolist(), iden.tolist()
         a, b = max(-int(inum.min()), int(inum.max())), int(iden.max())
         wide = max(2 * a * b, b * b * longest) > 2 ** 53 or 4 * a * b ** 3 >= 2 ** 63
         self.inum, self.iden = (v.astype(object if wide else np.int64, copy=False)
                                 for v in (inum, iden))
         self.tvals = _float_ratios(self.inum, self.iden)
         self.finite = bool(np.isfinite(self.tvals).all())
-        # padded past the last point, so that every tile column has a window entry
-        self.tpad = np.concatenate((self.tvals, np.zeros(n)))
-        self.npad = np.concatenate((self.nums, np.zeros(n, dtype=np.int64)))
         thresholds = _ceil_thresholds(eps, den, longest + 1)
         # bucket edges in 1/den units: 0, the thresholds, one past the longest span
         edges = np.concatenate(([0], thresholds, [longest + 1]))
         rows = n - self.gap
-        self.before = np.maximum(np.searchsorted(self.nums, self.nums[:rows, None] + edges)
-                                 - np.arange(self.gap, n)[:, None], 0)
+        # searched once per distinct edge, edge by edge so that the queries ascend, and stored
+        # transposed; edge 0 finds each row's own point and an edge past the longest span none
+        distinct, edge = np.unique(edges, return_inverse=True)
+        found = np.empty((len(distinct), rows), dtype=np.int64)
+        found[0], found[-1] = np.arange(rows), n
+        found[1:-1] = np.searchsorted(self.nums, distinct[1:-1, None] + self.nums[:rows])
+        self.before = np.maximum(found[edge] - np.arange(self.gap, n), 0).T
         self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
                                for e in range(len(edges))]).tolist()
         # the edges of the nonempty buckets: an empty one is empty in every row
         self.filled = np.flatnonzero(self.counts)
-        self.narrow = self.before[:, np.append(self.filled, len(self.counts))]
+        self.narrow = self.before.T[np.append(self.filled, len(self.counts))]
         # row i's items with last index cut[i] or more split at j0 into two top-bucket items
         j0 = self.before[:, -2] + np.arange(self.gap, n)
         self.cut = np.minimum(np.maximum(j0 + self.gap, np.searchsorted(
@@ -524,19 +603,47 @@ class _LineData:
         largest = float(np.abs(self.tvals).max())
         self.absolute = (8 * 2.0 ** -53 * largest * float(den)
                          / np.maximum(shortest, np.concatenate(([0], thresholds))))
-        self.strict_floors = 1.0 - FLOAT_SLACK - self.absolute
-        # the absolute part of the step-ratio bound's margin (bounds())
+        # the absolute part of the step-ratio bound's margin (step_bounds())
         self.step_margin = 8 * 2.0 ** -53 * largest * float(den) / int(np.diff(self.nums).min())
-        # tile buffers for the largest tile of fit(): fresh ones would be faulted in per tile
-        self.work = np.empty((4, min(max(LINE_TILE, rows), rows * rows)))
+
+    @cached_property
+    def log2(self):
+        """floor(log2(m)) at index m, for 0 < m <= n (index 0 holds 0): the range-extremum
+        queries look it up, several times faster than frexp."""
+        bits = self.n.bit_length()
+        return np.concatenate(([0], np.repeat(np.arange(bits), 1 << np.arange(bits))))[:self.n + 1]
+
+    @cached_property
+    def steepest(self):
+        """Range-maximum table of the adjacent float step ratios (step_bounds())."""
+        with np.errstate(over="ignore"):
+            steps = np.abs(np.diff(self.tvals)) * (float(self.den) / np.diff(self.nums))
+        return _extrema_table(steps, np.maximum, self.n - 1)
+
+    @cached_property
+    def highs(self):
+        """Range-maximum table of the float images (extrema())."""
+        return _extrema_table(self.tvals, np.maximum, self.n)
+
+    @cached_property
+    def lows(self):
+        """Range-minimum table of the float images (extrema())."""
+        return _extrema_table(self.tvals, np.minimum, self.n)
+
+    def extrema(self, lo, hi):
+        """The greatest and the least float image over each range of indices lo..hi
+        (inclusive), from one pair of table windows per range."""
+        windows = _range_windows(self.n, lo, hi, self.log2)
+        return (np.maximum(*map(self.highs.take, windows)),
+                np.minimum(*map(self.lows.take, windows)))
 
     def point(self, i):
         """Point i as a Fraction."""
-        return Fraction(self.numerators[i], self.den)
+        return Fraction(int(self.nums[i]), self.den)
 
     def image(self, i):
         """The image of point i as a Fraction."""
-        return Fraction(self.inums[i], self.idens[i])
+        return Fraction(int(self.inum[i]), int(self.iden[i]))
 
     def entry(self, wit):
         """Exact (image measure, measure, witness) at a witness."""
@@ -546,17 +653,16 @@ class _LineData:
     def screen_floors(self, best):
         """Per-bucket float floors, given float ratios F of an item of each bucket.
 
-        An item below floors[b] is not bucket b's exact maximum, and one
-        below strict_floors[b] does not break strictness.  A float ratio r
-        and its exact ratio R obey |r - R| <= 2u*M*den/span + 5u*R, with
-        u = 2**-53 and M = max |image|: float images and their running extrema
-        are within u*M of exact, an image difference adds one rounding, and
-        den, span, the division and the scaling four more.  The exact maximum
-        is at least the exact ratio of the item with float ratio F, so its
-        float ratio is at least F - 4u*M*den/s - 10u*R, s being the bucket's
-        least span, and an item with R >= 1 has r >= 1 - 5u - 2u*M*den/s.
-        The floors take off FLOAT_SLACK * max(1, |F|) and 8u*M*den/s, which
-        cover both with room for their own rounding; a bound that overflows,
+        An item below floors[b] is not bucket b's exact maximum.  A float
+        ratio r and its exact ratio R obey |r - R| <= 2u*M*den/span + 5u*R,
+        with u = 2**-53 and M = max |image|: float images and their running
+        extrema are within u*M of exact, an image difference adds one
+        rounding, and den, span, the division and the scaling four more.  The
+        exact maximum is at least the exact ratio of the item with float ratio
+        F, so its float ratio is at least F - 4u*M*den/s - 10u*R, s being the
+        bucket's least span.  The floors take off FLOAT_SLACK * max(1, |F|)
+        and 8u*M*den/s, which cover that with room for their own rounding;
+        a bound that overflows,
         as an image beyond the float range makes it, turns the screen off.  A
         relative slack alone fails on large, close images: near 10**12,
         floats are 2**-13 apart.  F may thus be a running maximum over the
@@ -568,103 +674,100 @@ class _LineData:
         floors[best == -np.inf] = np.inf            # empty bucket
         return floors
 
-    def bounds(self, stop):
-        """Per row i below len(stop) and nonempty bucket, a float above the float ratio of every
-        item of the bucket whose last index is below stop[i] (the step-ratio lemma), or -inf when
-        there is none; +inf when the images' floats overflow (nothing may be skipped).  Buckets
-        go one at a time, which keeps each temporary to one bucket's rows."""
-        bound = np.full((len(stop), len(self.filled)), -np.inf)
-        if self.finite:
-            with np.errstate(over="ignore"):        # adjacent float step ratios
-                steps = np.abs(np.diff(self.tvals)) * (float(self.den) / np.diff(self.nums))
-            table = _extrema_table(steps, np.maximum, self.n - 1)
-        live = stop - np.arange(len(stop)) - self.gap
-        for b in range(bound.shape[1]):
-            ends = np.minimum(self.narrow[:len(stop), b + 1], live)
-            i = np.flatnonzero(ends > self.narrow[:len(stop), b])
-            if not self.finite:
-                bound[i, b] = np.inf
-                continue
-            # the steps of an item run from its first index to its last index less one
-            steepest = _range_extremum(table, np.maximum, i, i + self.gap - 2 + ends[i])
-            bound[i, b] = steepest * (1 + 2.0 ** -48) + self.step_margin
-        return bound
+    def widened(self, terms):
+        """The images' ints and the points' numerators, as int64 arrays when an image plus a
+        point (terms 2), less another image (terms 3), keeps its ints over their common
+        denominator below 2**53 (_shifted), and as object arrays of Python ints otherwise."""
+        a, b = max(-int(self.inum.min()), int(self.inum.max())), int(self.iden.max())
+        num, den = a * self.den + int(np.abs(self.nums).max()) * b, b * self.den
+        if terms == 3:
+            num, den = num * b + a * den, den * b
+        dtype = np.int64 if max(num, den) < 2 ** 53 else object
+        return (v.astype(dtype) for v in (self.inum, self.iden, self.nums))
 
-    def live(self, first, bound, floors, stop):
-        """Per row from first on, its live positions [start, end): from its first bucket whose
-        bound reaches the bucket's floor to the end of its last one, before the row's stop;
-        start == end when no bucket does.  Ratios are >= 0, so a floor below 0 counts as 0."""
-        keep = bound >= np.maximum(floors[self.filled], 0.0)
-        r, lo = np.arange(len(keep)), np.argmax(keep, axis=1)
-        before = self.narrow[first:len(stop)]
-        start = before[r, lo]
-        end = np.minimum(before[r, keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)],
-                         stop[first:] - (r + first + self.gap))
-        return start, np.where(keep[r, lo], end, start)
+    def step_bounds(self, rows, ends):
+        """Per row i of rows, a float above the float and exact ratios of its items at positions
+        below ends[i] > 0 (the step-ratio lemma): the steepest adjacent float step ratio over
+        their steps plus its margin; +inf when the images' floats overflow."""
+        if not self.finite:
+            return np.full(len(rows), np.inf)
+        # the steps of an item run from its first index to its last index less one
+        steepest = _range_extremum(self.steepest, np.maximum, rows, rows + self.gap - 2 + ends,
+                                   self.log2)
+        return steepest * (1 + 2.0 ** -48) + self.step_margin
 
-    def fit(self, i, start, end):
-        """(count, step) of the tile of the leading rows of a run of consecutive live rows from
-        row i, with their positions [start, end): as many rows as fit in LINE_TILE entries (at
-        least one) of the tile that tile() computes for them with that step, its rows times its
-        width, and of their bucket edges, a row of narrow per row.  Step 0 is taken where it
-        fits more rows, and only while the rows' least first live index is at or past the last
-        row's index (tile())."""
-        # a row is at least as wide as the first, so no more rows than these can fit
-        most = LINE_TILE // (int(end[0] - start[0]) + self.narrow.shape[1]) + 1
-        start, end = start[:most], end[:most]
-        r = np.arange(len(start))
-        best = (1, 1)
-        for step in (1, 0):
-            least = np.minimum.accumulate(start + (1 - step) * r)
-            area = (np.maximum.accumulate(end + (1 - step) * r) - least
-                    + self.narrow.shape[1]) * (r + 1)
-            if step == 0:
-                area[least + self.gap < r] = LINE_TILE + 1
-            best = max(best, (int(np.searchsorted(area, LINE_TILE, side="right")), step))
-        return best
+    def edge_counts(self, rows, starts, ends):
+        """Per cell (row rows[c], positions [starts[c], ends[c])), the number of block edges
+        inside it (blocks()): one per 1/SPAN_BLOCKS octave of its spans past the first, and
+        fewer than its positions."""
+        base = self.nums[rows]
+        ratio = ((self.nums[rows + self.gap - 1 + ends] - base)
+                 / (self.nums[rows + self.gap + starts] - base))
+        return np.minimum(np.ceil(SPAN_BLOCKS * np.log2(ratio)), ends - starts - 1).astype(np.int64)
 
-    def tile(self, rows, start, end, step=1):
-        """Float ratios of the items at positions [start, end) of a run of consecutive rows, as
-        one (rows, columns) array, and per row the position of its column 0.
+    def blocks(self, rows, starts, ends, counts):
+        """The nonempty blocks of cells (row rows[c], positions [starts[c], ends[c])), with
+        counts[c] edges inside cell c: per block, its cell c and its positions [lo, hi), in cell
+        order.  Edge m of a cell with first span s is its first last index at span s *
+        2**(m/SPAN_BLOCKS) or more, so with edge_counts() a block's last span is below
+        2**(1/SPAN_BLOCKS) times its first one, but in a cell that has fewer positions than
+        octave steps."""
+        if not counts.any():
+            return np.arange(len(rows)), starts, ends
+        # the inner edges: each one's cell, its number m from 1 in the cell, its position
+        owner, g = np.repeat(np.arange(len(rows)), counts), np.arange(int(counts.sum()))
+        m = g + 1 - np.repeat(np.cumsum(counts) - counts, counts)
+        first, base = rows + self.gap, self.nums[rows]        # the last index at position 0
+        s0, last = self.nums[first + starts] - base, self.nums[first + ends - 1] - base
+        factor = 2.0 ** (np.arange(1, int(counts.max()) + 1) / SPAN_BLOCKS)
+        step = np.minimum(np.ceil(s0[owner] * factor[m - 1]), last[owner])
+        edge = np.searchsorted(self.nums, base[owner] + step.astype(np.int64)) - first[owner]
+        # a cell's blocks run from its start through its inner edges to its end
+        cell = np.repeat(np.arange(len(rows)), counts + 1)
+        lo, hi = np.empty(len(cell), dtype=np.int64), np.empty(len(cell), dtype=np.int64)
+        offsets = np.cumsum(counts + 1) - counts - 1
+        lo[offsets], hi[offsets + counts] = starts, ends
+        lo[owner + g + 1] = hi[owner + g] = edge
+        return tuple(a[hi > lo] for a in (cell, lo, hi))
 
-        Column c of row r stands for the last index first + step*r + c, first
-        being the least over the rows of their first live index less step*r:
-        step 1 aligns positions (items of like span), step 0 last indices,
-        which needs first at or past every row's index.  The columns before a
-        row's start and at or past its end hold -inf.  Each ratio is the float
-        that the row-at-a-time formula gives, bit for bit.  The tile is a view
-        of a buffer that the next call overwrites.
-        """
-        i0, r = int(rows[0]), np.arange(len(rows))
-        lead = rows + self.gap - step * r      # the last index at row r's position 0, less step*r
-        first = int((lead + start).min())
-        shape = (len(rows), int((lead + end).max()) - first)
-        shift = first - lead                          # row r's position at column 0
-        ratio, factor, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in self.work)
-        with np.errstate(divide="ignore", invalid="ignore"):   # past the ends; inf - inf
-            self.spreads(i0, first, step, ratio, factor, *scratch)
-            spans = scratch[0].view(np.int64)       # free once the spreads are in ratio
-            np.subtract(_windows(self.npad, first, shape, step), self.nums[rows, None],
-                        out=spans)
-            np.copyto(factor, spans)
-            np.divide(float(self.den), factor, out=factor)
-            np.multiply(ratio, factor, out=ratio)
-        lo, hi = start - shift, end - shift
-        narrow, wide = int(hi.min()), int(lo.max())
-        ratio[:, narrow:][np.arange(narrow, shape[1]) >= hi[:, None]] = -np.inf
-        ratio[:, :wide][np.arange(wide) < lo[:, None]] = -np.inf
-        return ratio, shift
+    def range_bounds(self, rows, lo, hi, margin):
+        """Per block (row rows[t], positions [lo[t], hi[t])), a float above the float and exact
+        ratio of each of its items (the range lemma), margin[t] being its bucket's screen error
+        absolute[b]; +inf when the images' floats overflow."""
+        if not self.finite:
+            return np.full(len(rows), np.inf)
+        k0, k1 = rows + self.gap + lo, rows + self.gap + hi - 1
+        if self.gap == 1:       # the images of the block's last indices, about the row's image
+            t, (top, bottom) = self.tvals[rows], self.extrema(k0, k1)
+            spread = np.maximum(top - t, t - bottom)
+        else:                   # the images from the row's first index to the block's last
+            top, bottom = self.extrema(rows, k1)
+            spread = top - bottom
+        factor = float(self.den) / (self.nums[k0] - self.nums[rows]).astype(np.float64)
+        return spread * factor * (1 + 2.0 ** -48) + margin
+
+    def items(self, bucket, rows, start, end):
+        """The tile of the items at positions [start[c], end[c]) of row rows[c], in bucket
+        bucket[c], for each cell c, in cell and position order: their buckets, rows, last
+        indices and float ratios, each the float that the row-at-a-time formula gives, bit for
+        bit."""
+        width = end - start
+        i = np.repeat(rows, width)
+        k = np.arange(len(i)) + np.repeat(rows + self.gap + start - np.cumsum(width) + width, width)
+        with np.errstate(invalid="ignore"):         # inf - inf
+            ratio = self.spreads(i, k) * (float(self.den)
+                                          / (self.nums[k] - self.nums[i]).astype(np.float64))
+        if not self.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
+            ratio[np.isnan(ratio)] = np.inf
+        return _Tile(np.repeat(bucket, width), i, k, ratio)
 
 
 class _LinePairs(_LineData):
     gap = 1
 
-    def spreads(self, i0, first, step, out, *scratch):
-        """Float image distances |tv[k] - tv[i]| of a tile's rows i = i0 + r and columns
-        k = first + step*r + c."""
-        np.subtract(_windows(self.tpad, first, out.shape, step),
-                    self.tvals[i0:i0 + len(out), None], out=out)
-        np.abs(out, out=out)
+    def spreads(self, i, k):
+        """Float image distances |tv[k] - tv[i]|."""
+        return np.abs(self.tvals[k] - self.tvals[i])
 
     @staticmethod
     def items_before(h):
@@ -684,21 +787,23 @@ class _LinePairs(_LineData):
         span = self.nums[j] - self.nums[i]
         return np.abs(a[j] * b[i] - a[i] * b[j]), b[i] * b[j] * span, (i, j)
 
-    def row(self, i, reach):
-        return _PairRow(self, i)
+    def strict(self):
+        """The lex-first pair (i, k) that does not move closer, or None.
 
-
-class _PairRow:
-    """The strict check of the pairs (i, i+1+h) of one row, in Python ints."""
-
-    def __init__(self, data, i):
-        self.data, self.i = data, i
-
-    def strict_witness(self, h):
-        i, j = self.i, self.i + 1 + h
-        a, b, nums = self.data.inums, self.data.idens, self.data.numerators
-        image_distance, span = abs(a[j] * b[i] - a[i] * b[j]), nums[j] - nums[i]
-        return (i, j) if image_distance * self.data.den >= b[i] * b[j] * span else None
+        |T_k - T_i| >= x_k - x_i iff T_k - x_k >= T_i - x_i or T_k + x_k <=
+        T_i + x_i, so the first such row i is the first one where the
+        greatest T - x after it reaches its own, or the least T + x after it
+        reaches down to its own; its first k is one pass over the row.  Both
+        key sets are compared exactly (_comparable).
+        """
+        a, b, x = self.widened(2)
+        (minus,), (plus,) = (_comparable(_shifted(a, b, x, self.den, sign)) for sign in (-1, 1))
+        hits = np.flatnonzero((_suffix(minus, np.maximum)[1:] >= minus[:-1])
+                              | (_suffix(plus, np.minimum)[1:] <= plus[:-1]))
+        if not len(hits):
+            return None
+        i = int(hits[0])
+        return i, i + 1 + int(np.argmax((minus[i + 1:] >= minus[i]) | (plus[i + 1:] <= plus[i])))
 
 
 class _LineTriples(_LineData):
@@ -707,64 +812,20 @@ class _LineTriples(_LineData):
     gap = 2
 
     def ranks(self):
-        """Dense ranks of the images in exact order: float order, refined exactly within runs
-        of equal floats (reduced fractions: equal images have equal ints)."""
-        a, b = self.inum, self.iden
-        order = np.argsort(self.tvals, kind="stable")
-        tied = self.tvals[order][1:] == self.tvals[order][:-1]
+        """Dense ranks of the images in exact order (_ranks)."""
+        return _ranks(self.inum, self.iden)
 
-        def differ(order):
-            return (a[order][1:] != a[order][:-1]) | (b[order][1:] != b[order][:-1])
-
-        if (mixed := tied & differ(order)).any():   # distinct images share a float
-            runs = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])))).reshape(-1, 2)
-            order = order.tolist()
-            for s, e in runs[np.logical_or.reduceat(mixed, runs[:, 0])].tolist():
-                order[s:e + 1] = sorted(order[s:e + 1], key=self.image)
-            order = np.array(order)
-        rank = np.empty(self.n, dtype=np.int64)
-        rank[order] = np.concatenate(([0], np.cumsum(differ(order))))
-        return rank
-
-    def spreads(self, i0, first, step, out, low, high, bottom):
-        """Float image spreads of a tile's rows i = i0 + r and columns k = first + step*r + c, at
-        the best middle point.
+    def spreads(self, i, k):
+        """Float image spreads of the pairs (i, k) at their best middle points.
 
         The row-at-a-time formula, max(hi - lo, top - lo, hi - bottom) with
         lo, hi the images of i and k and top, bottom the running extrema of
         the middle images, equals max(Top - lo, hi - Bottom) bit for bit,
-        where Top and Bottom run over tv[i .. k]: max and min are exact and
-        rounding is monotone.  Row r's column 0 stands for k0 = first +
-        step*r; the extrema over tv[i .. k0] are windows of one width for
-        step 1 (_sliding), and suffixes of tv[i0 .. first] for step 0, whose
-        first lies at or past every i.  Top and Bottom are split at h1 =
-        first + head: each row accumulates its own first head columns, head =
-        max(last row - first, 1) unless the rows are narrower, and one
-        accumulation over tv[h1 ..] serves every row beyond its own columns
-        through a window view.  h1 lies past every row's i, and each row's own
-        columns reach h1 - 1; max and min are idempotent, so the overlap
-        changes nothing.
+        where Top and Bottom run over tv[i .. k] (the range-extremum tables):
+        max and min are exact and rounding is monotone.
         """
-        rows, width = out.shape
-        tv = self.tpad
-        head = min(max(i0 + rows - 1 - first, 1), width)
-        for ufunc, run in ((np.maximum, out), (np.minimum, bottom)):
-            if step:        # tv[i .. k0] are windows of one width
-                init = _sliding(tv[i0:first + rows], first - i0 + 1, ufunc)
-            else:           # tv[i .. first] are suffixes, first at or past every i
-                init = ufunc.accumulate(tv[i0:first + 1][::-1])[::-1][:rows]
-            ufunc.accumulate(_windows(tv, first, (rows, head), step), axis=1, out=run[:, :head])
-            ufunc(run[:, :head], init[:, None], out=run[:, :head])
-            if head < width:
-                shared = ufunc.accumulate(tv[first + head:first + step * (rows - 1) + width])
-                ufunc(run[:, head - 1:head], _windows(shared, 0, (rows, width - head), step),
-                      out=run[:, head:])
-        ends, starts = _windows(tv, first, out.shape, step), self.tvals[i0:i0 + rows, None]
-        np.minimum(starts, ends, out=low)
-        np.maximum(starts, ends, out=high)
-        np.subtract(out, low, out=out)
-        np.subtract(high, bottom, out=bottom)
-        np.maximum(out, bottom, out=out)
+        ends, (top, bottom) = (self.tvals[i], self.tvals[k]), self.extrema(i, k)
+        return np.maximum(top - np.minimum(*ends), np.maximum(*ends) - bottom)
 
     @staticmethod
     def items_before(h):
@@ -794,8 +855,8 @@ class _LineTriples(_LineData):
         # the first index of the greatest and of the least image over each range of middle points
         tops = _extrema_table(rank * n + (n - 1 - index), np.maximum, longest)
         bottoms = _extrema_table(rank * n + index, np.minimum, longest)
-        top = n - 1 - _range_extremum(tops, np.maximum, i + 1, k - 1) % n
-        bottom = _range_extremum(bottoms, np.minimum, i + 1, k - 1) % n
+        top = n - 1 - _range_extremum(tops, np.maximum, i + 1, k - 1, self.log2) % n
+        bottom = _range_extremum(bottoms, np.minimum, i + 1, k - 1, self.log2) % n
         swap = rank[i] > rank[k]
         lo, hi = np.where(swap, k, i), np.where(swap, i, k)
 
@@ -813,116 +874,151 @@ class _LineTriples(_LineData):
                     for u, d, e in zip(up, down, ends))
         return num, den * (self.nums[k] - self.nums[i]), (i, j, k)
 
-    def row(self, i, reach):
-        return _TripleRow(self, i, reach)
+    def strict(self):
+        """The lex-first triple (i, j, k) whose perimeter does not decrease, or None.
 
-
-class _TripleRow:
-    """The strict check of the triples (i, j, i+2+h) of one row, h <= reach, in Python ints.
-
-    The running maximum and minimum of the middle images j = i+1..i+1+h, as
-    (numerator, denominator), are computed once, so the lex-first strict
-    violation of each (i, k) is found by bisection of the monotone running
-    extrema.
-    """
-
-    def __init__(self, data, i, reach):
-        self.data, self.i = data, i
-        a, b = data.inums, data.idens
-        ta, tb = ba, bb = a[i + 1], b[i + 1]
-        self.tops, self.bottoms = tops, bottoms = [], []
-        for j in range(i + 1, i + 2 + reach):
-            aj, bj = a[j], b[j]
-            if aj * tb > ta * bj:
-                ta, tb = aj, bj
-            elif aj * bb < ba * bj:
-                ba, bb = aj, bj
-            tops.append((ta, tb))
-            bottoms.append((ba, bb))
-
-    def strict_witness(self, h):
-        """Lex-first triple (i, j, i+2+h) whose perimeter does not decrease, or None."""
-        i, k = self.i, self.i + 2 + h
-        a, b = self.data.inums, self.data.idens
-        (la, lb), (ha, hb) = (a[i], b[i]), (a[k], b[k])
-        if la * hb > ha * lb:
-            (la, lb), (ha, hb) = (ha, hb), (la, lb)
-        span, den = self.data.numerators[k] - self.data.numerators[i], self.data.den
-        if (ha * lb - la * hb) * den >= span * hb * lb:      # hi - lo >= span / den
-            return (self.i, self.i + 1, k)
-        # a middle image at or above lo + span/den, or at or below hi - span/den, violates
-        up_n, up_d = la * den + span * lb, lb * den
-        down_n, down_d = ha * den - span * hb, hb * den
-        t = min(bisect_left(self.tops, 0, 0, h + 1, key=lambda r: r[0] * up_d - up_n * r[1]),
-                bisect_left(self.bottoms, 0, 0, h + 1,
-                            key=lambda r: down_n * r[1] - r[0] * down_d))
-        return (self.i, self.i + 1 + t, k) if t <= h else None
+        It does not iff one of its three image distances reaches x_k - x_i,
+        and for two of its indices fixed the nearest third one is the best.
+        So row i holds one iff
+        (a) a pair (i, k) with k >= i + 2 does (T - x and T + x, as for pairs);
+        (b) some j > i has |T_j - T_i| >= x_{j+1} - x_i: T_j - x_{j+1} and
+            T_j + x_{j+1} against T_i - x_i and T_i + x_i;
+        (c) some j > i has C_j >= -x_i, C_j being the larger of U_j - T_j and
+            T_j - V_j, where U_j is the greatest T_k - x_k and V_j the least
+            T_k + x_k over k > j.
+        The same three tests at each j > i of the first such row give its
+        first j.  Its first k is then j + 1 under (b), and otherwise the first
+        k > j with T_k - x_k >= min(T_i, T_j) - x_i or T_k + x_k <= max(T_i,
+        T_j) + x_i.  Each set of keys is compared exactly (_comparable).
+        """
+        n, den = self.n, self.den
+        a, b, x = self.widened(3)
+        minus, plus = (_shifted(a, b, x, den, sign) for sign in (-1, 1))
+        ra, rp = _comparable(minus, _shifted(a[:-1], b[:-1], x[1:], den, -1))
+        rb, rq = _comparable(plus, _shifted(a[:-1], b[:-1], x[1:], den, 1))
+        up, down = _suffix(ra, np.maximum), _suffix(rb, np.minimum)
+        # C_j against -x_i: U_j and V_j are the keys at u and v, the first index after j that
+        # holds the greatest (least) key from it on, which holds it from j + 1 on too
+        m, index = np.arange(n - 1), np.arange(n)
+        u = _suffix(np.where(ra == up, index, n), np.minimum)[1:]
+        v = _suffix(np.where(rb == down, index, n), np.minimum)[1:]
+        rise = minus[0][u] * b[m] - a[m] * minus[1][u], minus[1][u] * b[m]
+        fall = a[m] * plus[1][v] - plus[0][v] * b[m], b[m] * plus[1][v]
+        r_rise, r_fall, rx = _comparable(rise, fall, (-x, np.full_like(x, den)))
+        rc = np.maximum(r_rise, r_fall)
+        rows = np.flatnonzero((up[2:] >= ra[:-2]) | (down[2:] <= rb[:-2])
+                              | (_suffix(rp, np.maximum)[1:] >= ra[:-2])
+                              | (_suffix(rq, np.minimum)[1:] <= rb[:-2])
+                              | (_suffix(rc, np.maximum)[1:] >= rx[:-2]))
+        if not len(rows):
+            return None
+        i = int(rows[0])
+        js = np.arange(i + 1, n - 1)
+        near = (rp[js] >= ra[i]) | (rq[js] <= rb[i])
+        j = i + 1 + int(np.argmax(near | (up[js + 1] >= ra[i]) | (down[js + 1] <= rb[i])
+                                  | (rc[js] >= rx[i])))
+        if near[j - i - 1]:
+            return i, j, j + 1
+        lows, low = _comparable(minus, _shifted(a[j:j + 1], b[j:j + 1], x[i:i + 1], den, -1))
+        highs, high = _comparable(plus, _shifted(a[j:j + 1], b[j:j + 1], x[i:i + 1], den, 1))
+        hit = ((lows[j + 1:] >= min(lows[i], low[0])) | (highs[j + 1:] <= max(highs[i], high[0])))
+        return i, j, j + 1 + int(np.argmax(hit))
 
 
 _LINE_KINDS = {"pairwise": _LinePairs, "triple": _LineTriples}
 
 
 class _Tile(NamedTuple):
-    """One tile of _line_tiles: its rows, each row's position at column 0 (_LineData.tile), the
-    nonempty buckets' edges in each row as columns (the first and the last are the row's live
-    columns' start and end), the float ratios and the row maxima per nonempty bucket."""
+    """One tile of _line_tiles: its items as flat arrays, in cell and position order (the cells
+    bucket-major): their buckets, rows (first indices), last indices and float ratios
+    (_LineData.items)."""
 
+    bucket: np.ndarray
     rows: np.ndarray
-    shift: np.ndarray
-    edges: np.ndarray
+    lasts: np.ndarray
     ratio: np.ndarray
-    row_max: np.ndarray
+
+
+def _cells(data, stop):
+    """The nonempty cells of the rows below len(stop), before each row's stop, bucket-major:
+    (bucket, row, lo, hi) arrays, cell t holding positions [lo[t], hi[t]) of its row."""
+    rows = np.arange(len(stop))
+    edges = data.narrow[:, :len(stop)]
+    ends = np.minimum(edges[1:], stop - rows - data.gap)
+    cells = np.flatnonzero(ends > edges[:-1])       # flat indices gather faster than pairs
+    column, row = np.divmod(cells, len(stop))
+    return data.filled[column], row, edges[:-1].ravel().take(cells), ends.ravel().take(cells)
+
+
+def _hull(cell, lo, hi, bound, level, n_cells):
+    """Per cell, the live positions [start, end) from its first block whose bound reaches its
+    level to the end of its last one (blocks in cell order; level per block); start == end
+    when none does."""
+    start, end = np.zeros(n_cells, dtype=np.int64), np.zeros(n_cells, dtype=np.int64)
+    keep = np.flatnonzero(bound >= level)
+    if len(keep):
+        owner = cell[keep]
+        turns = np.flatnonzero(owner[1:] != owner[:-1]) + 1   # where a cell's kept blocks begin
+        first, last = np.concatenate(([0], turns)), np.concatenate((turns, [len(keep)])) - 1
+        start[owner[first]], end[owner[last]] = lo[keep[first]], hi[keep[last]]
+    return start, end
+
+
+def _leading(sizes, budget):
+    """How many leading sizes fit in budget by their sum, at least one."""
+    return max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
 
 
 def _line_tiles(data, stop, floors):
-    """Runs of consecutive live rows below len(stop), each tiled once over its live positions.
+    """Tiles of the items below the rows' stops that the bounds keep at the floors in force,
+    floors(), bucket-major.
 
-    Before each run, floors() gives the floors in force, and a row keeps the
-    buckets whose bound (_LineData.bounds) reaches them (_LineData.live);
-    rows that keep none are not tiled.
+    The first tile holds each nonempty bucket's first cell (_cells), whole,
+    which sets the bucket's floor.  Of the other cells, those whose
+    step-ratio bound reaches max(floor, 0) are kept; the bound of each row
+    over all its cells is read first, since a cell's is at most its row's.
+    A kept cell of more than SPAN_BLOCKS positions is split into blocks
+    (_LineData.blocks) bounded by the lesser of the step-ratio and the range
+    bound, and a narrower one is one block under the step-ratio bound alone
+    (bounding its blocks would cost more than tiling them).  Each cell is
+    then tiled over the hull of its blocks whose bound reaches max(floor, 0),
+    read at the floors in force before each tile, of about LINE_TILE items;
+    blocks are made for runs of cells of about LINE_TILE blocks at a time.
+    Ratios are >= 0, so a floor below 0 counts as 0.
     """
-    bound, i, seen = data.bounds(stop), 0, None
-    while True:
-        if seen is None or (floors() != seen).any():       # the rows left, at the new floors
-            seen = floors()
-            start, end = (np.concatenate((np.zeros(i, dtype=np.int64), a))
-                          for a in data.live(i, bound[i:], seen, stop))
-            alive = start < end
-        if not alive[i:].any():
-            return
-        i += int(np.argmax(alive[i:]))
-        run = i + (int(np.argmin(alive[i:])) or len(stop) - i)
-        count, step = data.fit(i, start[i:run], end[i:run])
-        rows = np.arange(i, i + count)
-        ratio, shift = data.tile(rows, start[rows], end[rows], step)
-        if not data.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
-            ratio[np.isnan(ratio)] = np.inf
-        # the nonempty buckets' edges, clipped to the live positions, as columns; the filled
-        # buckets' starts in the flat tile, whose reductions run into -inf
-        edges = (np.minimum(np.maximum(data.narrow[rows], start[rows, None]), end[rows, None])
-                 - shift[:, None])
-        lo, filled = edges[:, :-1], edges[:, 1:] > edges[:, :-1]
-        starts = lo + (np.arange(len(rows)) * ratio.shape[1])[:, None]
-        row_max = np.full(filled.shape, -np.inf)
-        row_max[filled] = np.maximum.reduceat(ratio.ravel(), starts[filled])
-        yield _Tile(rows, shift, edges, ratio, row_max)
-        i += count
-
-
-def _select(data, tile, pick, floors):
-    """(row, position, bucket, float ratio) arrays, in (row, position) order, of the picked tile
-    rows' items at or above their bucket's floor; a row's first and last segments are the
-    columns before its start and at or past its end."""
-    first, last = np.flatnonzero(pick)[[0, -1]]     # search the run of rows that holds the picks
-    rows, shift, edges, ratio, pick = (a[first:last + 1] for a in (*tile[:4], pick))
-    width = ratio.shape[1]
-    lengths = np.concatenate((edges[:, :1], np.diff(edges), width - edges[:, -1:]), axis=1)
-    floor_of = np.where(pick[:, None], np.concatenate(([np.inf], floors[data.filled], [np.inf])),
-                        np.inf)
-    flat = np.flatnonzero(ratio.ravel() >= np.repeat(floor_of.ravel(), lengths.ravel()))
-    r, c = np.divmod(flat, width)
-    segment = np.searchsorted(np.cumsum(lengths), flat, side="right") % lengths.shape[1]
-    return rows[r], shift[r] + c, data.filled[segment - 1], ratio.ravel()[flat]
+    bucket, row, lo, hi = _cells(data, stop)
+    first = np.diff(bucket, prepend=-1) != 0
+    yield data.items(bucket[first], row[first], lo[first], hi[first])
+    bucket, row, lo, hi = (a[~first] for a in (bucket, row, lo, hi))
+    level, rows = np.maximum(floors()[bucket], 0.0), np.arange(len(stop))
+    keep = data.step_bounds(rows, stop - rows - data.gap)[row] >= level
+    bucket, row, lo, hi, level = (a[keep] for a in (bucket, row, lo, hi, level))
+    steep = data.step_bounds(row, hi)
+    bucket, row, lo, hi, steep = (a[steep >= level] for a in (bucket, row, lo, hi, steep))
+    wide = hi - lo > SPAN_BLOCKS
+    counts = np.zeros(len(row), dtype=np.int64)
+    counts[wide] = data.edge_counts(row[wide], lo[wide], hi[wide])
+    c = 0
+    while c < len(row):
+        part = slice(c, c + _leading(counts[c:] + 1, LINE_TILE))
+        cell, start, end = data.blocks(row[part], lo[part], hi[part], counts[part])
+        bound, split = steep[part][cell], np.flatnonzero(wide[part][cell])
+        if len(split):
+            at = cell[split] + c
+            bound[split] = np.minimum(bound[split], data.range_bounds(
+                row[at], start[split], end[split], data.absolute[bucket[at]]))
+        d, size, seen = 0, part.stop - c, None
+        while d < size:         # the cells' hulls at the floors in force, a tile at a time
+            if seen is None or (floors() != seen).any():
+                seen = floors()
+                level = np.maximum(seen[bucket[part]], 0.0)
+                live = _hull(cell, start, end, bound, level[cell], size)
+            take = slice(d, d + _leading((live[1] - live[0])[d:], LINE_TILE))
+            if (live[1][take] > live[0][take]).any():
+                yield data.items(bucket[part][take], row[part][take], live[0][take],
+                                 live[1][take])
+            d = take.stop
+        c = part.stop
 
 
 def _at_floors(kept, floors):
@@ -930,28 +1026,6 @@ def _at_floors(kept, floors):
     items = [np.concatenate(column) for column in zip(*kept)]
     keep = items[3] >= floors[items[2]]
     return [column[keep] for column in items]
-
-
-def _by_row(rows, *columns):
-    """Per row of row-sorted item arrays: the row, then each column's items as a list."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-    rows, columns = rows.tolist(), [column.tolist() for column in columns]
-    for a, b in zip(starts, starts[1:] + [len(rows)]):
-        yield rows[a], *(column[a:b] for column in columns)
-
-
-def _violation(data, tiles):
-    """The lex-first strict violation among the tiled items, or None.  Suspects, the items at
-    or above the strict floors, are checked exactly in row order up to the first violating row."""
-    for tile in tiles:
-        if (suspect := (tile.row_max >= data.strict_floors[data.filled]).any(axis=1)).any():
-            picked = _select(data, tile, suspect, data.strict_floors)
-            for i, hs in _by_row(*picked[:2]):
-                row = data.row(i, hs[-1])
-                found = [w for w in map(row.strict_witness, hs) if w is not None]
-                if found:
-                    return min(found)
-    return None
 
 
 def _settle(data, rows, hs, buckets, n_buckets):
@@ -970,40 +1044,35 @@ def _settle(data, rows, hs, buckets, n_buckets):
 def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
-    One pass tiles each row at most once, over its buckets below its cut
-    whose step-ratio bound reaches the floors in force (skip_floors).  Per
-    tile, the items at or above the floors of the running bucket maxima are
-    kept, and pruned whenever the floors rise; until a violation is found, the
-    items at or above the strict floors are checked exactly in row order, and
-    the rows up to the first violating one are then tiled again in full, less
-    the buckets whose bound lies below the strict floors.  The items kept
-    at the end, the float screen's candidates, are settled exactly as array
-    passes (_settle).
+    The items below the rows' cuts are tiled bucket by bucket over the
+    positions that the step-ratio and range bounds keep at the floors in
+    force (_line_tiles).  Per tile, the items at or above the floors of the
+    running bucket maxima are kept, and pruned whenever a floor rises.  The
+    items kept at the end, the float screen's candidates, are settled exactly
+    as array passes (_settle).  The strict violation comes from suffix extrema
+    (strict()), with no tile.
     """
     eps = _checked_eps(kind, eps, len(numerators))
     data = _LINE_KINDS[kind](numerators, den, image_nums, image_dens, eps)
     top = np.full(len(data.counts), -np.inf)      # running float maxima per bucket
     floors = data.screen_floors(top)
-    kept, strict = [], None         # the items seen so far at or above the floors
-
-    def skip_floors():              # a bucket not yet seen has none
-        seen = np.where(top > -np.inf, floors, -np.inf)
-        return seen if strict is not None else np.minimum(seen, data.strict_floors)
-
-    for tile in _line_tiles(data, data.cut, skip_floors):
-        row_max = tile.row_max
-        if (row_max > top[data.filled]).any():
-            top[data.filled] = np.maximum(top[data.filled], row_max.max(axis=0))
+    kept = []                       # the items seen so far at or above the floors
+    for tile in _line_tiles(data, data.cut, lambda: floors):
+        starts = np.flatnonzero(np.diff(tile.bucket, prepend=-1))      # its buckets' runs
+        present = tile.bucket[starts]
+        peak = np.maximum.reduceat(tile.ratio, starts)
+        if (peak > top[present]).any():
+            top[present] = np.maximum(top[present], peak)
             floors = data.screen_floors(top)
             kept = [_at_floors(kept, floors)] if kept else []
-        if (reach := (row_max >= floors[data.filled]).any(axis=1)).any():
-            kept.append(_select(data, tile, reach, floors))
-        # last: tiling again overwrites this tile's buffers
-        if strict is None and (first := _violation(data, [tile])) is not None:
-            full = np.full(first[0] + 1, data.n)
-            strict = _violation(data, _line_tiles(data, full, lambda: data.strict_floors))
-            strict = (strict, *data.sides(strict))
+        reach = np.flatnonzero(tile.ratio >= floors[tile.bucket])
+        rows = tile.rows[reach]
+        kept.append([rows, tile.lasts[reach] - rows - data.gap, tile.bucket[reach],
+                     tile.ratio[reach]])
     best = _settle(data, *_at_floors(kept, floors)[:3], len(top))
+    strict = data.strict()
+    if strict is not None:
+        strict = (strict, *data.sides(strict))
     return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in best],
                      data.counts, strict, sum(data.counts), data.point, exact=True)
 

@@ -6,8 +6,8 @@ counts as these loops, with the same scalar types; metric_core.metric_repair
 the same checks, messages and closed table as closure_loops.  The line
 engine's exact stage (scan._LineData.exact, scan._settle) must give the same
 witnesses and ratios as FractionPairRow and FractionTripleRow, and the same
-bucket maxima as candidate_fold, their per-item fold; its strict rows
-(scan._PairRow, scan._TripleRow) the same strict witnesses.
+bucket maxima as candidate_fold, their per-item fold; its strict check
+(strict()) the lex-first of their strict witnesses.
 cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
 theorem_lab._draw must draw what stdlib_draw draws through random.Random's
 own randint and randrange.  theorem_lab.search_refutations, which judges its
@@ -129,7 +129,7 @@ class FractionPairRow:
     def entry(self, h):
         """(image distance numerator, its denominator times the span, witness)."""
         i, j = self.i, self.i + 1 + h
-        image, nums = self.data.image, self.data.numerators
+        image, nums = self.data.image, self.data.nums.tolist()
         dt = abs(image(j) - image(i))
         return dt.numerator, dt.denominator * (nums[j] - nums[i]), (i, j)
 
@@ -163,7 +163,7 @@ class FractionTripleRow:
     def _ends(self, h):
         i, k = self.i, self.i + 2 + h
         lo, hi = sorted((self.data.image(i), self.data.image(k)))
-        return k, lo, hi, self.data.numerators[k] - self.data.numerators[i]
+        return k, lo, hi, int(self.data.nums[k]) - int(self.data.nums[i])
 
     def entry(self, h):
         """(image spread numerator, its denominator times the span, witness)."""

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import random
@@ -639,6 +638,72 @@ def exact_stage_inputs(draw):
     return nums, den, points, images, eps
 
 
+def lex_first_triple(points, images):
+    """The lex-first triple (i, j, k) whose perimeter does not decrease, or None."""
+    for i, j, k in combinations(range(len(points)), 3):
+        ims = (images[i], images[j], images[k])
+        if max(ims) - min(ims) >= points[k] - points[i]:
+            return i, j, k
+    return None
+
+
+def triple_families(points, images, i):
+    """The strict-check families that row i holds a violator of: (a) a pair (i, k), k >= i + 2,
+    whose image distance reaches its span; (b) some j > i with |T_j - T_i| >= x_{j+1} - x_i;
+    (c) some i < j < k with |T_k - T_j| >= x_k - x_i."""
+    n, x, t = len(points), points, images
+    found = set()
+    if any(abs(t[k] - t[i]) >= x[k] - x[i] for k in range(i + 2, n)):
+        found.add("a")
+    if any(abs(t[j] - t[i]) >= x[j + 1] - x[i] for j in range(i + 1, n - 1)):
+        found.add("b")
+    if any(abs(t[k] - t[j]) >= x[k] - x[i] for j in range(i + 1, n - 1) for k in range(j + 1, n)):
+        found.add("c")
+    return found
+
+
+@st.composite
+def family_inputs(draw):
+    """A triple scan whose lex-first strict violator lies in a row that holds violators of one
+    family, (a), (b) or (c), only, and that family.
+
+    Points of three denominators carry images of slope 1/3 to 1/5, plus, for
+    (a), one image exactly a span above or below that of an earlier point
+    two or more indices back; for (b), a jump of at least x_{i+2} - x_i
+    after point i, followed by images halfway back; for (c), a rise of less
+    than x_{j+1} - x_i at point j and a fall of x_{j+1} - x_i right after
+    it.  Draws whose first violating row holds another family are drawn
+    again.
+    """
+    family = draw(st.sampled_from("abc"))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    while True:
+        n = rng.randint(4, 9)
+        den = rng.choice((1, 2, 3))
+        nums = sorted(rng.sample(range(3 * n), n))
+        points = [F(k, den) for k in nums]
+        slope, sign = F(1, rng.choice((3, 4, 5))), rng.choice((1, -1))
+        images = [slope * p for p in points]
+        i = rng.randrange(n - 2)
+        if family == "a":
+            k = rng.randrange(i + 2, n)
+            images[k] = images[i] + sign * (points[k] - points[i])
+        elif family == "b":
+            rise = (points[i + 2] - points[i]) * rng.choice((1, F(5, 4)))
+            images[i + 1] = images[i] + sign * rise
+            for k in range(i + 2, n):
+                images[k] = images[i] + sign * rise / 2 + slope * (points[k] - points[i + 2])
+        else:
+            j = rng.randrange(i + 1, n - 1)
+            span = points[j + 1] - points[i]
+            images[j] = images[i] + sign * span * F(rng.randint(1, 3), 4)
+            images[j + 1] = images[j] - sign * span
+        first = lex_first_triple(points, images)
+        if first is not None and triple_families(points, images, first[0]) == {family}:
+            spans = sorted({points[k] - points[i] for i, k in combinations(range(n), 2)})
+            return nums, den, points, images, (spans[0], spans[-1]), family
+
+
 def all_items(data):
     """(rows, positions) arrays of every item of a line scan, in (row, position) order."""
     positions = [np.arange(data.n - data.gap - i) for i in range(data.n - data.gap)]
@@ -742,23 +807,27 @@ class TestLineEngineFuzz:
 
     @given(line_scans())
     def test_triple_rows_match_middle_point_loop(self, case):
-        # the exact stage's arrays at every (i, k), and the strict rows at every position
+        # the exact stage's arrays at every (i, k), and the strict check the lex-first of the
+        # loop's strict triples
         nums, den, points, images, eps = case
         data = scan._LineTriples(nums, den, *split_images(images), eps)
         n = len(points)
         rows, ks = np.triu_indices(n, 2)
         num, span_den, wit = data.exact(rows, ks - rows - 2)
+        stricts = []
         for t, (i, k) in enumerate(zip(rows.tolist(), ks.tolist())):
             entry, strict = middle_point_loop(points, images, i, k)
             assert data.entry(tuple(int(column[t]) for column in wit)) == entry
             # the int entry is the exact ratio over den (spans in 1/den units)
             assert F(int(num[t]), int(span_den[t])) * den == entry[0] / entry[1]
-            assert data.row(i, n - 3 - i).strict_witness(k - i - 2) == strict
+            stricts += [strict] if strict else []
+        assert data.strict() == min(stricts, default=None)
 
     @given(int_row_inputs())
     def test_int_rows_match_the_fraction_rows(self, case):
         # every item of every row: the exact stage gives the same witness and the same
-        # exact ratio (entries are unreduced), and the strict rows the same strict witness
+        # exact ratio (entries are unreduced), and the strict check the lex-first of the
+        # Fraction rows' strict witnesses
         nums, den, points, images, eps = case
         for kind, oracle in (("pairwise", FractionPairRow), ("triple", FractionTripleRow)):
             data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
@@ -772,8 +841,18 @@ class TestLineEngineFuzz:
                 want_num, want_den_span, want_wit = want_row.entry(h)
                 assert wit == want_wit, (kind, i, h)
                 assert num * want_den_span == want_num * den_span, (kind, i, h)
-                assert (data.row(i, reach).strict_witness(h)
-                        == want_row.strict_witness(h)), (kind, i, h)
+            assert data.strict() == fraction_strict(data), kind
+
+    @given(family_inputs())
+    def test_each_triple_family_alone_gives_the_lex_first_violator(self, case):
+        # the first violating row holds a violator of one of families (a), (b), (c) only
+        nums, den, points, images, eps, family = case
+        data = scan._LineTriples(nums, den, *split_images(images), eps)
+        want = naive_line_analysis("triple", points, images, eps)
+        assert triple_families(points, images, lex_first_triple(points, images)[0]) == {family}
+        assert tuple(points[w] for w in data.strict()) == want.strict_violation[0]
+        got = scan.line_triple_analysis(nums, den, *split_images(images), eps)
+        assert repr(got) == repr(want)
 
     @given(exact_stage_inputs())
     def test_exact_stage_matches_fraction_oracle(self, case):
@@ -880,37 +959,53 @@ def float_pass_oracle(data, eps, cut=None):
 
 
 def open_floors(data):
-    """Floors that drop nothing: every row is tiled from position 0 to its stop."""
+    """Floors that drop nothing: every cell is tiled whole, up to its row's stop."""
     return lambda: np.full(len(data.counts), -np.inf)
 
 
 def tiled_row_maxima(data, stop):
     """Per-row bucket maxima as the line pass reads them, tile by tile (scan._line_tiles), with
-    nothing dropped."""
+    nothing dropped; each item is tiled once."""
     row_max = np.full((len(stop), len(data.counts)), -np.inf)
+    seen = set()
     for tile in scan._line_tiles(data, stop, open_floors(data)):
-        row_max[np.ix_(tile.rows, data.filled)] = tile.row_max
+        items = set(zip(tile.rows.tolist(), tile.lasts.tolist()))
+        assert len(items) == len(tile.rows) and not items & seen
+        seen |= items
+        np.maximum.at(row_max, (tile.rows, tile.bucket), tile.ratio)
     return row_max
 
 
-def random_positions(data, rows, stop, rng):
-    """Random live positions [start, end) of a run of rows below their stops: anywhere in each
-    row, or around one last index at or past the last row's index (a tile of step 0)."""
+def random_cells(data, stop, rng):
+    """Random cells below the rows' stops: (bucket, rows, start, end) of a random subset of the
+    rows, in random order, each with random positions [start, end), and a random bucket."""
+    rows = np.array(rng.sample(range(len(stop)), rng.randint(1, len(stop))))
     length = stop[rows] - rows - data.gap
-    beyond = int((rows + data.gap + length).min())      # past some row's last index
-    if rng.random() < 0.5 or beyond <= rows[-1] + data.gap:
-        start = np.array([rng.randrange(h) for h in length.tolist()])
-    else:
-        last = rng.randint(int(rows[-1]) + data.gap, beyond - 1)
-        start = np.array([max(0, last - i - data.gap - rng.randrange(3)) for i in rows.tolist()])
-    end = np.array([rng.randint(s + 1, h) for s, h in zip(start.tolist(), length.tolist())])
-    return start, end
+    start = np.array([rng.randrange(h) for h in length.tolist()], dtype=np.int64)
+    end = np.array([rng.randint(s + 1, h) for s, h in zip(start.tolist(), length.tolist())],
+                   dtype=np.int64)
+    return rng.choice(data.filled.tolist()) + 0 * rows, rows, start, end
+
+
+def left_out_bounds(data, row, lo, hi):
+    """Per position of the cell (row, positions [lo, hi)) of a bucket, the least bound the line
+    pass may read for it: its step-ratio bound, and where the cell is split, its block's
+    range bound (scan._line_tiles)."""
+    rows, lo_, hi_ = (np.array([v]) for v in (row, lo, hi))
+    bound = np.full(hi - lo, data.step_bounds(rows, hi_)[0])
+    if hi - lo > scan.SPAN_BLOCKS:
+        bucket = int(np.searchsorted(data.before[row], lo, side="right")) - 1
+        cell, start, end = data.blocks(rows, lo_, hi_, data.edge_counts(rows, lo_, hi_))
+        ranged = data.range_bounds(rows[cell], start, end, data.absolute[[bucket] * len(cell)])
+        for a, b, r in zip(start.tolist(), end.tolist(), ranged.tolist()):
+            bound[a - lo:b - lo] = np.minimum(bound[a - lo:b - lo], r)
+    return bound
 
 
 def brute_cut(data, threshold):
     """Per row i, the least last index k from which some point m splits (i, k) into two items
     of span >= threshold (in 1/den units), or n; the loop the cut formula stands for."""
-    nums, gap, n = data.numerators, data.gap, data.n
+    nums, gap, n = data.nums.tolist(), data.gap, data.n
     cut = []
     for i in range(n - gap):
         splits = [k for k in range(i + gap, n)
@@ -920,13 +1015,13 @@ def brute_cut(data, threshold):
     return cut
 
 
-def first_kept_violation_row(data, rows_of):
-    """The first row holding a strict violator below its cut, from the Fraction rows, or None."""
-    for i in range(data.n - data.gap):
-        row = rows_of(data, i, data.n - data.gap - 1 - i)
-        if any(row.strict_witness(h) for h in range(data.cut[i] - i - data.gap)):
-            return i
-    return None
+def fraction_strict(data):
+    """The lex-first strict violator of a line scan, from its Fraction rows, or None."""
+    row_of = FractionPairRow if data.gap == 1 else FractionTripleRow
+    found = [w for i in range(data.n - data.gap)
+             for row in [row_of(data, i, data.n - data.gap - 1 - i)]
+             for w in map(row.strict_witness, range(data.n - data.gap - i)) if w]
+    return min(found, default=None)
 
 
 @st.composite
@@ -1096,28 +1191,20 @@ class TestLineTiles:
                 full = np.full(len(rows), data.n)
                 row_max = {"full": tiled_row_maxima(data, full),
                            "cut": tiled_row_maxima(data, data.cut)}
-                # tile() also takes a run of rows that starts and ends inside the scan, with
-                # any live positions, aligned by position (step 1) or, when the run's first live
-                # index lies at or past its last row, by last index (step 0)
-                a = rng.randrange(len(rows))
-                some = rows[a:rng.randint(a + 1, len(rows))]
-                data.work = np.empty((4, len(rows) * data.n))   # room for any such tile
-                for subset, stop in itertools.product((rows, some), (full, data.cut)):
-                    start, end = random_positions(data, subset, stop, rng)
-                    steps = (1, 0) if (subset + data.gap + start).min() >= subset[-1] else (1,)
-                    for step in steps:
-                        ratio, shift = data.tile(subset, start, end, step)
-                        # column c of row r is the last index first + step*r + c
-                        lead = subset + data.gap - step * np.arange(len(subset))
-                        first = int((lead + start).min())
-                        assert (lead + shift == first).all()
-                        assert ratio.shape == (len(subset), int((lead + end).max()) - first)
-                        for r, i in enumerate(subset.tolist()):
-                            lo, hi = start[r] - shift[r], end[r] - shift[r]
-                            assert (ratio[r, lo:hi].tobytes()
-                                    == row_oracle(data, i)[start[r]:end[r]].tobytes()), (kind, i)
-                            assert (ratio[r, :lo] == -np.inf).all()
-                            assert (ratio[r, hi:] == -np.inf).all()
+                # items() also takes any cells, rows in any order, with any live positions
+                for stop in (full, data.cut):
+                    bucket, subset, start, end = random_cells(data, stop, rng)
+                    got = data.items(bucket, subset, start, end)
+                    width = end - start
+                    assert got.bucket.tolist() == np.repeat(bucket, width).tolist()
+                    assert got.rows.tolist() == np.repeat(subset, width).tolist()
+                    at = 0
+                    for i, a, b in zip(subset.tolist(), start.tolist(), end.tolist()):
+                        assert got.lasts[at:at + b - a].tolist() == list(range(i + data.gap + a,
+                                                                              i + data.gap + b))
+                        assert (got.ratio[at:at + b - a].tobytes()
+                                == row_oracle(data, i)[a:b].tobytes()), (kind, i)
+                        at += b - a
             for stop, cut in (("full", None), ("cut", data.cut)):
                 want_max, want_counts = float_pass_oracle(data, eps, cut)
                 assert row_max[stop].tobytes() == want_max.tobytes(), (kind, stop)
@@ -1143,70 +1230,65 @@ class TestLineTiles:
 
     @pytest.mark.parametrize("tile", (1, 5, 37, scan.LINE_TILE))
     def test_every_row_is_tiled_once_per_scan(self, monkeypatch, tile):
-        # the first pass tiles each row at most once, in order, below its cut, and leaves out
-        # only items whose float ratio and step-ratio bound lie below their final floors; a
-        # strict violator below the cut in row r then tiles rows 0..r once more in full,
-        # leaving out only items whose bound lies below the strict floors; nothing else is tiled
+        # one pass per scan tiles each item at most once, below its row's cut: first each
+        # nonempty bucket's first cell whole, then the other cells bucket by bucket; it leaves
+        # out only items whose float ratio, and whose step-ratio bound or block range bound,
+        # lie below their final floors; the strict check tiles nothing, and finds the lex-first
+        # violator of the Fraction rows
         monkeypatch.setattr(scan, "LINE_TILE", tile)
         tiled, tiles_of = {}, scan._line_tiles
 
         def spy(data, stop, floors):
-            cut = stop is data.cut
-            assert cut or (stop == data.n).all()
+            assert data not in tiled and stop is data.cut      # one pass, below the cuts
+            tiled[data] = []
             for t in tiles_of(data, stop, floors):
-                tiled.setdefault(data, []).append((cut, t.rows.tolist(), t.edges[:, 0] + t.shift,
-                                                   t.edges[:, -1] + t.shift))
+                tiled[data].append(t)
                 yield t
 
-        def left_out(data, calls, stop, floors, bound):
-            """The number of positions below the rows' stops that no tile covered, after checking
-            that each one's float ratio lies below its floor and its bound below max(floor, 0)
-            (floors None: the float ratio is not checked)."""
-            out = [np.ones(int(stop[i]) - i - data.gap, dtype=bool) for i in range(len(stop))]
-            for _, block, start, end in calls:
-                for i, a, b in zip(block, start.tolist(), end.tolist()):
-                    assert 0 <= a < b <= len(out[i])
-                    out[i][a:b] = False
-            for i, mask in enumerate(out):
-                widths = np.diff(data.before[i])
-                per_bucket = np.full(len(data.counts), -np.inf)
-                per_bucket[data.filled] = bound[i]
-                at = np.repeat(per_bucket, widths)[:len(mask)][mask]
-                limit = np.repeat(floors if floors is not None else data.strict_floors,
-                                  widths)[:len(mask)][mask]
-                assert (at < np.maximum(limit, 0)).all(), i
-                if floors is not None:
-                    assert (row_oracle(data, i)[:len(mask)][mask] < limit).all(), i
-            return sum(int(mask.sum()) for mask in out)
-
         monkeypatch.setattr(scan, "_line_tiles", spy)
-        retiled, dropped = [], 0
+        violators, dropped = [], 0
         for entry in (catalog("floor_half", integer_max=70),
                       catalog("composite", grid_step=F(1, 16), index_max=12),
                       catalog("burton_logistic", grid_step=F(1, 300))):
             tiled.clear()
             full_report(entry.space, entry.map)
             assert sorted(data.gap for data in tiled) == [1, 2]     # one scan of each kind
-            for data, calls in tiled.items():
-                first = [c for c in calls if c[0]]
-                order = sum((block for _, block, _, _ in first), [])
-                assert order == sorted(set(order))
+            for data, tiles in tiled.items():
+                items = [(b, i, k) for t in tiles for b, i, k in zip(
+                    t.bucket.tolist(), t.rows.tolist(), t.lasts.tolist())]
+                assert len(set(items)) == len(items)
+                assert all(k < data.cut[i] for _, i, k in items)
+                # the cells below the cuts: (bucket, row) -> its last indices
+                cells = {}
+                for i in range(data.n - data.gap):
+                    for b in data.filled.tolist():
+                        lo, hi = data.before[i, b], min(data.before[i, b + 1],
+                                                        data.cut[i] - i - data.gap)
+                        if hi > lo:
+                            cells[b, i] = range(i + data.gap + lo, i + data.gap + hi)
+                firsts = {b: min(i for c, i in cells if c == b) for b in data.filled.tolist()}
+                assert {(b, i, k) for b, i, k in items[:len(tiles[0].rows)]} == {
+                    (b, i, k) for b, i in firsts.items() for k in cells[b, i]}
+                rest = [(b, i) for b, i, _ in items[len(tiles[0].rows):]]
+                assert rest == sorted(rest)
                 # the final floors: of the float maxima below the cuts
                 floors = data.screen_floors(
                     float_pass_oracle(data, DEFAULT_EPS_GRID, data.cut)[0].max(axis=0))
-                dropped += left_out(data, first, data.cut, floors, data.bounds(data.cut))
-                rows_of = FractionPairRow if data.gap == 1 else FractionTripleRow
-                r = first_kept_violation_row(data, rows_of)
-                again = [c for c in calls if not c[0]]
-                retiled.append(r)
-                if r is None:
-                    assert not again
-                    continue
-                order = sum((block for _, block, _, _ in again), [])
-                assert order == sorted(set(order)) and r in order and order[-1] <= r
-                full = np.full(r + 1, data.n)
-                left_out(data, again, full, None, data.bounds(full))
-        assert retiled.count(None) < len(retiled)      # some scan tiles again
+                seen = {(i, k) for _, i, k in items}
+                for (b, i), lasts in cells.items():
+                    out = np.array([(i, k) not in seen for k in lasts])
+                    if not out.any():
+                        continue
+                    lo = lasts[0] - i - data.gap
+                    ratios = row_oracle(data, i)[lo:lo + len(lasts)]
+                    assert (ratios[out] < floors[b]).all(), (b, i)
+                    bound = left_out_bounds(data, i, lo, lo + len(lasts))
+                    assert (bound[out] < max(floors[b], 0)).all(), (b, i)
+                    dropped += int(out.sum())
+                violators.append(data.strict())
+                if data.n <= 100:
+                    assert violators[-1] == fraction_strict(data)
+        assert any(violators)                           # some scan has a strict violator
         assert dropped                                  # and some items are left out
 
     @pytest.mark.parametrize("tile", (1, 37, scan.LINE_TILE))
@@ -1282,41 +1364,69 @@ class TestLineTiles:
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
+    @given(st.one_of(line_scans(), pruned_inputs(), bound_inputs(), family_inputs()))
+    def test_strict_checks_match_the_fraction_oracle(self, case):
+        # the lex-first strict violator from suffix extrema, against direct enumeration
+        nums, den, points, images, eps = case[:5]
+        for kind in ("pairwise", "triple"):
+            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
+            want = naive_line_analysis(kind, points, images, eps).strict_violation
+            got = data.strict()
+            assert (None if got is None else data.sides(got)[::-1]) == \
+                (None if want is None else want[1:][::-1]), kind
+            assert (None if got is None else tuple(points[w] for w in got)) == \
+                (None if want is None else want[0]), kind
+
     @given(st.one_of(bound_inputs(), tile_inputs(max_n=30)))
     def test_bounds_lie_above_every_item_of_their_bucket(self, case):
-        # above each item's float ratio and its exact ratio, below the row's stop; -inf where
-        # a bucket has no item there, +inf everywhere else when the screen is off
+        # each cell (row, bucket) below the row's stop: its step-ratio bound, and the range
+        # bound of each of its blocks, lie above each item's float ratio and its exact ratio;
+        # +inf when the screen is off.  The blocks tile the cell in order, and where the cell
+        # has positions for every octave step, a block's last span is below 2**(1/8) times its
+        # first
         nums, den, points, images, eps, _ = case
         for kind in ("pairwise", "triple"):
             data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
             rows = data.n - data.gap
             for stop in (data.cut, np.full(rows, data.n)):
-                bound = data.bounds(stop)
-                assert bound.shape == (rows, len(data.filled))
-                for i in range(rows):
-                    live = int(stop[i]) - i - data.gap
-                    ratios = row_oracle(data, i) if data.finite else None
-                    for j, b in enumerate(data.filled.tolist()):
-                        lo, hi = int(data.before[i, b]), min(int(data.before[i, b + 1]), live)
-                        if hi <= lo:
-                            assert bound[i, j] == -np.inf
-                        elif not data.finite:
-                            assert bound[i, j] == np.inf
-                        else:
-                            assert (ratios[lo:hi] <= bound[i, j]).all(), (kind, i, b)
-                            for k in range(i + data.gap + lo, i + data.gap + hi):
-                                spread = (abs(images[k] - images[i]) if data.gap == 1 else
-                                          max(images[i:k + 1]) - min(images[i:k + 1]))
-                                assert spread / (points[k] - points[i]) <= F(bound[i, j])
+                cells = [(i, b, int(data.before[i, b]),
+                          min(int(data.before[i, b + 1]), int(stop[i]) - i - data.gap))
+                         for i in range(rows) for b in data.filled.tolist()]
+                row, bucket, lo, hi = map(np.array, zip(*[c for c in cells if c[3] > c[2]]))
+                steep = data.step_bounds(row, hi)
+                counts = data.edge_counts(row, lo, hi)
+                cell, start, end = data.blocks(row, lo, hi, counts)
+                ranged = data.range_bounds(row[cell], start, end, data.absolute[bucket[cell]])
+                assert (np.diff(cell) >= 0).all()
+                for c in range(len(row)):
+                    mine = np.flatnonzero(cell == c)
+                    assert start[mine[0]] == lo[c] and end[mine[-1]] == hi[c]
+                    assert (start[mine[1:]] == end[mine[:-1]]).all()
+                if not data.finite:
+                    assert (steep == np.inf).all() and (ranged == np.inf).all()
+                    continue
+                for t, c in enumerate(cell.tolist()):
+                    i, a, z = int(row[c]), int(start[t]), int(end[t])
+                    ratios = row_oracle(data, i)[a:z]
+                    assert (ratios <= ranged[t]).all() and (ratios <= steep[c]).all(), (kind, i)
+                    lasts = range(i + data.gap + a, i + data.gap + z)
+                    for k in lasts:
+                        spread = (abs(images[k] - images[i]) if data.gap == 1 else
+                                  max(images[i:k + 1]) - min(images[i:k + 1]))
+                        ratio = spread / (points[k] - points[i])
+                        assert ratio <= F(ranged[t]) and ratio <= F(steep[c]), (kind, i, k)
+                    if counts[c] < hi[c] - lo[c] - 1:
+                        first, last = (points[k] - points[i] for k in (lasts[0], lasts[-1]))
+                        assert last < first * 2 ** (1 / scan.SPAN_BLOCKS) * (1 + 1e-12)
 
     def test_floor_half_report_tiles_few_live_items(self, monkeypatch):
-        # live items: those of each tiled row's live positions, not the masked rest of the tile
+        # the live items of each tile
         tiled, items, tiles_of = [0], {}, scan._line_tiles
 
         def spy(data, stop, floors):
             items[data] = int(data.before[:, -1].sum())     # row positions
             for t in tiles_of(data, stop, floors):
-                tiled[0] += int((t.edges[:, -1] - t.edges[:, 0]).sum())
+                tiled[0] += len(t.ratio)
                 yield t
 
         monkeypatch.setattr(scan, "_line_tiles", spy)
@@ -1333,22 +1443,64 @@ class TestLineTiles:
         ("burton_logistic", {"grid_step": F(1, 2049)}, {1: 0.4 * 2145789, 2: 0.4 * 2143151}),
         ("composite", {"grid_step": F(1, 1025)}, {1: 0.35 * 569911, 2: 0.35 * 568951})])
     def test_tiles_fill_little_beyond_their_live_items(self, monkeypatch, cid, params, most):
-        # per scan, the entries of its tiles (ratio.size): at most 1.5 times its live items
-        # on the band of floor_half, and within the bounds on the full-width maps
-        filled, live, tile_of = {}, {}, scan._LineData.tile
+        # per scan, the entries of its tiles: exactly its live items, the positions of the
+        # cells it was given, and within the bounds on the full-width maps
+        filled, live, items_of = {}, {}, scan._LineData.items
 
-        def spy(data, rows, start, end, step=1):
-            ratio, shift = tile_of(data, rows, start, end, step)
-            filled[data.gap] = filled.get(data.gap, 0) + ratio.size
+        def spy(data, bucket, rows, start, end):
+            tile = items_of(data, bucket, rows, start, end)
+            filled[data.gap] = filled.get(data.gap, 0) + tile.ratio.size
             live[data.gap] = live.get(data.gap, 0) + int((end - start).sum())
-            return ratio, shift
+            return tile
 
-        monkeypatch.setattr(scan._LineData, "tile", spy)
+        monkeypatch.setattr(scan._LineData, "items", spy)
         entry = catalog(cid, **params)
         full_report(entry.space, entry.map)
         assert sorted(filled) == [1, 2]
         for gap, entries in filled.items():
-            assert entries <= (1.5 * live[gap] if most is None else most[gap]), gap
+            assert entries == live[gap] and (most is None or entries <= most[gap]), gap
+
+    @pytest.mark.parametrize("cid, params, most", [
+        # fractions of the live positions the row-major tiles held: 533 170 and 533 155, and
+        # 138 379 and 138 250
+        ("burton_logistic", {"grid_step": F(1, 2049)}, {1: 0.15 * 533170, 2: 0.15 * 533155}),
+        ("composite", {"grid_step": F(1, 1025)}, {1: 0.25 * 138379, 2: 0.25 * 138250})])
+    def test_bucket_tiles_read_few_live_items(self, monkeypatch, cid, params, most):
+        tiled, tiles_of = {}, scan._line_tiles
+
+        def spy(data, stop, floors):
+            for t in tiles_of(data, stop, floors):
+                tiled[data.gap] = tiled.get(data.gap, 0) + len(t.ratio)
+                yield t
+
+        monkeypatch.setattr(scan, "_line_tiles", spy)
+        entry = catalog(cid, **params)
+        full_report(entry.space, entry.map)
+        for gap, count in tiled.items():
+            assert count <= most[gap], gap
+
+    def test_composite_floors_rise_in_few_tiles(self, monkeypatch):
+        # the running bucket maxima of the composite 1/1026 pair scan rose in 21 of 21
+        # row-major tiles; now the first tile, each bucket's first cell, sets them, and the
+        # other cells fill one more tile, which raises some
+        rises, tiles_of, floors_of = [], scan._line_tiles, scan._LineData.screen_floors
+
+        def spy(data, stop, floors):
+            for t in tiles_of(data, stop, floors):
+                if data.gap == 1:
+                    rises.append(0)
+                yield t
+
+        def screen_floors(data, best):
+            if data.gap == 1 and rises:
+                rises[-1] += 1
+            return floors_of(data, best)
+
+        monkeypatch.setattr(scan, "_line_tiles", spy)
+        monkeypatch.setattr(scan._LineData, "screen_floors", screen_floors)
+        entry = catalog("composite", grid_step=F(1, 1026))
+        full_report(entry.space, entry.map)
+        assert rises == [1, 1], rises
 
     @pytest.mark.parametrize("tile", (1, 5, 37))
     def test_images_beyond_the_float_range_match_the_oracle(self, monkeypatch, tile):

@@ -27,12 +27,18 @@ metric check, which must exit 1 with its message.  Every run works from
 ``OUT_DIR``, so an output records its instance by a relative path, and what
 a run prints on stderr goes into ``OUT_DIR/stderr.txt``.  ``OUT_DIR/validation/`` holds the
 ``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
-JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of three
+JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of five
 inputs that no CLI run reaches: x/2 on the points 0..159 with the last image
 raised by 1e-12, where every item is an exact candidate; images near 10**12,
-whose distinct values share floats and whose exact ints pass 2**63; and x/2
+whose distinct values share floats and whose exact ints pass 2**63; x/2
 on the points 0..199 with one steep adjacent step near the end, where the
-step-ratio bound of every row rises only at its last items.
+step-ratio bound of every row rises only at its last items; a sawtooth whose
+teeth grow along the points 0, 1/2, .., 239/2, so that every bucket's
+maximum lies in a late row, not the first one read, and a row's image lies
+above some of its blocks' images and below others; and x/4 on the points
+0..119 with a rise at point 50 and a fall right after it, whose lex-first
+strict triple (40, 50, 51) lies in a row that holds no violating pair and
+no violator with a near middle point (family (c) of the strict check).
 """
 
 from __future__ import annotations
@@ -186,11 +192,17 @@ def _scan_inputs():
     rng = random.Random(12)
     near = [10 ** 12 + Fraction(rng.randrange(1000), 10 ** 7) for _ in range(64)]
     late = [Fraction(k, 2) + (40 if k >= 190 else 0) for k in range(200)]
+    saw = [Fraction((k % 12) * (1 + k // 24), 6) for k in range(240)]
+    fall = [Fraction(k, 4) for k in range(120)]
+    fall[50] = fall[40] + Fraction(3, 4) * 11          # a rise of 3/4 of x_51 - x_40
+    fall[51] = fall[50] - 11                            # and a fall of x_51 - x_40
     # the last eps lies above every span: no row is cut, so every item is a candidate
     return (("half-160", list(range(160)), 1, half, (Fraction(1, 2), Fraction(2), Fraction(160))),
             ("near-1e12", list(range(64)), 8, near, (Fraction(1, 8), Fraction(1), Fraction(4))),
             ("half-late-step", list(range(200)), 1, late,
-             (Fraction(1, 2), Fraction(4), Fraction(64))))
+             (Fraction(1, 2), Fraction(4), Fraction(64))),
+            ("sawtooth-240", list(range(240)), 2, saw, (Fraction(1, 2), Fraction(3), Fraction(20))),
+            ("family-c-120", list(range(120)), 1, fall, (Fraction(1), Fraction(8), Fraction(64))))
 
 
 def write_scans(out_dir):
