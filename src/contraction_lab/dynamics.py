@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import classify, scan
+from . import scan
 from .map_catalog import SelfMap, apply
 from .metric_core import (
     ETA,
@@ -243,11 +243,12 @@ def check_distinct_iterates(trace: OrbitTrace):
 
 def sampled_images(space, mapping: SelfMap):
     """On a sampled space whose map has an array form: the points' numerators, the reduced
-    image numerators and denominators (classify._prepare), and per point the index of its
+    image numerators and denominators (the map's array form), and per point the index of its
     image among the points, or -1 when the image lies off the sample; None otherwise."""
     if not isinstance(space, SampledSpace) or mapping.array_func is None:
         return None
-    nums, den, inum, iden = classify._prepare(space, mapping, None)[1]
+    nums, den = space.numerator_array, space.denominator
+    inum, iden = mapping.array_func(nums, den)
     # an image p/q is the point k/den when q divides den and k = p * (den / q) is a numerator;
     # |p| beyond the numerators' range over den / q is no point, and its product is not formed
     scale = np.where(den % iden == 0, den // iden, 0)

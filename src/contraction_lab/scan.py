@@ -48,15 +48,16 @@ Two engines back the classifiers:
   read up to its cut only (_LineData.cut); counts still cover every item.
   Two bounds keep most other items unread (_line_tiles), each a float above
   the float ratio and the exact ratio of every item it covers:
-  - the step-ratio bound of a cell.  For i < k the image range over i..k is
+  - the step-ratio bound of a row.  For i < k the image range over i..k is
     at most the total variation of the sampled map there, which is at most
     L(i, k) times the span, L(i, k) being the largest adjacent step ratio
     |T_{j+1} - T_j| / (x_{j+1} - x_j) for i <= j < k.  So the ratio of the
     pair (i, k), and the best-middle ratio of every triple (i, j, k), is at
-    most L(i, k), which never falls as k grows: over a cell it is greatest
-    at its last item.  The adjacent float ratios obey the screen's error
-    bound, so an item's float ratio is at most a + 4u*M*den/s1 + 10u*a, a
-    being the largest adjacent float ratio over its steps and s1 the least
+    most L(i, k), which never falls as k grows: over a row it is greatest
+    at its last item below the cut, and that one bound serves each of the
+    row's cells.  The adjacent float ratios obey the screen's error bound,
+    so an item's float ratio is at most a + 4u*M*den/s1 + 10u*a, a being
+    the largest adjacent float ratio over its steps and s1 the least
     adjacent step (u, M as in _LineData.screen_floors); the bound adds twice
     that margin, 8u*M*den/s1 + 32u*a, which covers its own rounding, to a
     from a range-maximum table over the n - 1 adjacent float ratios.
@@ -77,11 +78,11 @@ Two engines back the classifiers:
     (_LineData.blocks), so the bound stays within that factor of the ratios
     where the images vary smoothly.
   Each nonempty bucket's first cell is read whole first, which sets its
-  floor.  The other cells are read bucket by bucket: a cell whose
+  floor.  The other cells are read bucket by bucket: a cell whose row's
   step-ratio bound lies strictly below max(floor, 0) is dropped; one of more
   than SPAN_BLOCKS positions is split into blocks bounded by the lesser of
-  the two bounds, and is read over the hull of its blocks whose bound
-  reaches max(floor, 0) at the floors in force before each tile.  A dropped
+  the two bounds, and is read as its blocks whose bound reaches
+  max(floor, 0) at the floors in force before each tile.  A dropped
   item's float ratio thus lies below every floor it is compared with, so it
   is never kept or raises a maximum; the floors lie below the exact maxima,
   so it is never a maximum or a tied lex-first witness.  When the images'
@@ -110,7 +111,6 @@ import numpy as np
 
 from .metric_core import ETA, LATTICE_LIMIT, InputError
 
-FLOAT_SLACK = 1e-9       # line engine: relative width of the float screen
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
 SURVIVORS = 1 << 12      # table engine: kept screen candidates before they are folded early
@@ -660,18 +660,18 @@ class _LineData:
         rounding, and den, span, the division and the scaling four more.  The
         exact maximum is at least the exact ratio of the item with float ratio
         F, so its float ratio is at least F - 4u*M*den/s - 10u*R, s being the
-        bucket's least span.  The floors take off FLOAT_SLACK * max(1, |F|)
-        and 8u*M*den/s, which cover that with room for their own rounding;
-        a bound that overflows,
-        as an image beyond the float range makes it, turns the screen off.  A
+        bucket's least span.  The floors take off 2**-48 * |F| = 32u*|F| and
+        8u*M*den/s, which cover that with room for their own rounding; a
+        bound that overflows, as an image beyond the float range makes it,
+        turns the screen off.  An empty bucket's floor is -inf: the first
+        tile fills every nonempty bucket before a floor is read.  A
         relative slack alone fails on large, close images: near 10**12,
         floats are 2**-13 apart.  F may thus be a running maximum over the
         rows seen so far; as F rises the floors never fall.
         """
         with np.errstate(invalid="ignore"):
-            floors = best - (FLOAT_SLACK * np.maximum(1.0, np.abs(best)) + self.absolute)
+            floors = best - (2.0 ** -48 * np.abs(best) + self.absolute)
         floors[np.isnan(floors)] = -np.inf
-        floors[best == -np.inf] = np.inf            # empty bucket
         return floors
 
     def widened(self, terms):
@@ -748,9 +748,9 @@ class _LineData:
 
     def items(self, bucket, rows, start, end):
         """The tile of the items at positions [start[c], end[c]) of row rows[c], in bucket
-        bucket[c], for each cell c, in cell and position order: their buckets, rows, last
-        indices and float ratios, each the float that the row-at-a-time formula gives, bit for
-        bit."""
+        bucket[c], for each segment c (a cell, or a block of one), in segment and position
+        order: their buckets, rows, last indices and float ratios, each the float that the
+        row-at-a-time formula gives, bit for bit."""
         width = end - start
         i = np.repeat(rows, width)
         k = np.arange(len(i)) + np.repeat(rows + self.gap + start - np.cumsum(width) + width, width)
@@ -950,20 +950,6 @@ def _cells(data, stop):
     return data.filled[column], row, edges[:-1].ravel().take(cells), ends.ravel().take(cells)
 
 
-def _hull(cell, lo, hi, bound, level, n_cells):
-    """Per cell, the live positions [start, end) from its first block whose bound reaches its
-    level to the end of its last one (blocks in cell order; level per block); start == end
-    when none does."""
-    start, end = np.zeros(n_cells, dtype=np.int64), np.zeros(n_cells, dtype=np.int64)
-    keep = np.flatnonzero(bound >= level)
-    if len(keep):
-        owner = cell[keep]
-        turns = np.flatnonzero(owner[1:] != owner[:-1]) + 1   # where a cell's kept blocks begin
-        first, last = np.concatenate(([0], turns)), np.concatenate((turns, [len(keep)])) - 1
-        start[owner[first]], end[owner[last]] = lo[keep[first]], hi[keep[last]]
-    return start, end
-
-
 def _leading(sizes, budget):
     """How many leading sizes fit in budget by their sum, at least one."""
     return max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
@@ -974,27 +960,27 @@ def _line_tiles(data, stop, floors):
     floors(), bucket-major.
 
     The first tile holds each nonempty bucket's first cell (_cells), whole,
-    which sets the bucket's floor.  Of the other cells, those whose
-    step-ratio bound reaches max(floor, 0) are kept; the bound of each row
-    over all its cells is read first, since a cell's is at most its row's.
-    A kept cell of more than SPAN_BLOCKS positions is split into blocks
-    (_LineData.blocks) bounded by the lesser of the step-ratio and the range
-    bound, and a narrower one is one block under the step-ratio bound alone
-    (bounding its blocks would cost more than tiling them).  Each cell is
-    then tiled over the hull of its blocks whose bound reaches max(floor, 0),
-    read at the floors in force before each tile, of about LINE_TILE items;
-    blocks are made for runs of cells of about LINE_TILE blocks at a time.
-    Ratios are >= 0, so a floor below 0 counts as 0.
+    which sets the bucket's floor.  Each other cell is bounded by its row's
+    step-ratio bound over the row's positions below its stop, which is at
+    least that of any of its cells, and is kept when that bound reaches
+    max(floor, 0).  A kept cell of more than SPAN_BLOCKS positions is split
+    into blocks (_LineData.blocks) bounded by the lesser of the step-ratio
+    and the range bound, and a narrower one is one block under the
+    step-ratio bound alone (bounding its blocks would cost more than tiling
+    them).  Each cell is then read as its blocks whose bound reaches
+    max(floor, 0) at the floors in force before each tile, in tiles of whole
+    cells of about LINE_TILE items; blocks are made for runs of cells of
+    about LINE_TILE blocks at a time.  Ratios are >= 0, so a floor below 0
+    counts as 0.
     """
     bucket, row, lo, hi = _cells(data, stop)
     first = np.diff(bucket, prepend=-1) != 0
     yield data.items(bucket[first], row[first], lo[first], hi[first])
     bucket, row, lo, hi = (a[~first] for a in (bucket, row, lo, hi))
-    level, rows = np.maximum(floors()[bucket], 0.0), np.arange(len(stop))
-    keep = data.step_bounds(rows, stop - rows - data.gap)[row] >= level
-    bucket, row, lo, hi, level = (a[keep] for a in (bucket, row, lo, hi, level))
-    steep = data.step_bounds(row, hi)
-    bucket, row, lo, hi, steep = (a[steep >= level] for a in (bucket, row, lo, hi, steep))
+    rows = np.arange(len(stop))
+    steep = data.step_bounds(rows, stop - rows - data.gap)[row]
+    keep = steep >= np.maximum(floors()[bucket], 0.0)
+    bucket, row, lo, hi, steep = (a[keep] for a in (bucket, row, lo, hi, steep))
     wide = hi - lo > SPAN_BLOCKS
     counts = np.zeros(len(row), dtype=np.int64)
     counts[wide] = data.edge_counts(row[wide], lo[wide], hi[wide])
@@ -1008,16 +994,18 @@ def _line_tiles(data, stop, floors):
             bound[split] = np.minimum(bound[split], data.range_bounds(
                 row[at], start[split], end[split], data.absolute[bucket[at]]))
         d, size, seen = 0, part.stop - c, None
-        while d < size:         # the cells' hulls at the floors in force, a tile at a time
+        while d < size:         # the cells' kept blocks at the floors in force, a tile at a time
             if seen is None or (floors() != seen).any():
                 seen = floors()
-                level = np.maximum(seen[bucket[part]], 0.0)
-                live = _hull(cell, start, end, bound, level[cell], size)
-            take = slice(d, d + _leading((live[1] - live[0])[d:], LINE_TILE))
-            if (live[1][take] > live[0][take]).any():
-                yield data.items(bucket[part][take], row[part][take], live[0][take],
-                                 live[1][take])
-            d = take.stop
+                live = np.flatnonzero(bound >= np.maximum(seen[bucket[part]], 0.0)[cell])
+                owner = cell[live]
+                width = np.bincount(owner, weights=end[live] - start[live], minlength=size)
+            take = d + _leading(width[d:], LINE_TILE)
+            blocks = live[np.searchsorted(owner, d):np.searchsorted(owner, take)]
+            if len(blocks):
+                at = cell[blocks] + c
+                yield data.items(bucket[at], row[at], start[blocks], end[blocks])
+            d = take
         c = part.stop
 
 

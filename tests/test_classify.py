@@ -987,12 +987,12 @@ def random_cells(data, stop, rng):
     return rng.choice(data.filled.tolist()) + 0 * rows, rows, start, end
 
 
-def left_out_bounds(data, row, lo, hi):
-    """Per position of the cell (row, positions [lo, hi)) of a bucket, the least bound the line
-    pass may read for it: its step-ratio bound, and where the cell is split, its block's
-    range bound (scan._line_tiles)."""
+def left_out_bounds(data, stop, row, lo, hi):
+    """Per position of the cell (row, positions [lo, hi)) of a bucket, below the rows' stops, the
+    bound the line pass reads for it: its row's step-ratio bound up to the row's stop, and where
+    the cell is split, the lesser of that and its block's range bound (scan._line_tiles)."""
     rows, lo_, hi_ = (np.array([v]) for v in (row, lo, hi))
-    bound = np.full(hi - lo, data.step_bounds(rows, hi_)[0])
+    bound = np.full(hi - lo, data.step_bounds(rows, stop[rows] - rows - data.gap)[0])
     if hi - lo > scan.SPAN_BLOCKS:
         bucket = int(np.searchsorted(data.before[row], lo, side="right")) - 1
         cell, start, end = data.blocks(rows, lo_, hi_, data.edge_counts(rows, lo_, hi_))
@@ -1000,6 +1000,18 @@ def left_out_bounds(data, row, lo, hi):
         for a, b, r in zip(start.tolist(), end.tolist(), ranged.tolist()):
             bound[a - lo:b - lo] = np.minimum(bound[a - lo:b - lo], r)
     return bound
+
+
+def cells_below(data, stop):
+    """The nonempty cells below the rows' stops: (bucket, row) -> its positions [lo, hi)."""
+    cells = {}
+    for i in range(data.n - data.gap):
+        for b in data.filled.tolist():
+            lo, hi = int(data.before[i, b]), min(int(data.before[i, b + 1]),
+                                                 int(stop[i]) - i - data.gap)
+            if hi > lo:
+                cells[b, i] = lo, hi
+    return cells
 
 
 def brute_cut(data, threshold):
@@ -1232,9 +1244,9 @@ class TestLineTiles:
     def test_every_row_is_tiled_once_per_scan(self, monkeypatch, tile):
         # one pass per scan tiles each item at most once, below its row's cut: first each
         # nonempty bucket's first cell whole, then the other cells bucket by bucket; it leaves
-        # out only items whose float ratio, and whose step-ratio bound or block range bound,
-        # lie below their final floors; the strict check tiles nothing, and finds the lex-first
-        # violator of the Fraction rows
+        # out only items whose float ratio, and whose row's step-ratio bound or the lesser of
+        # that and their block's range bound, lie below their final floors; the strict check
+        # tiles nothing, and finds the lex-first violator of the Fraction rows
         monkeypatch.setattr(scan, "LINE_TILE", tile)
         tiled, tiles_of = {}, scan._line_tiles
 
@@ -1259,13 +1271,8 @@ class TestLineTiles:
                 assert len(set(items)) == len(items)
                 assert all(k < data.cut[i] for _, i, k in items)
                 # the cells below the cuts: (bucket, row) -> its last indices
-                cells = {}
-                for i in range(data.n - data.gap):
-                    for b in data.filled.tolist():
-                        lo, hi = data.before[i, b], min(data.before[i, b + 1],
-                                                        data.cut[i] - i - data.gap)
-                        if hi > lo:
-                            cells[b, i] = range(i + data.gap + lo, i + data.gap + hi)
+                cells = {(b, i): range(i + data.gap + lo, i + data.gap + hi)
+                         for (b, i), (lo, hi) in cells_below(data, data.cut).items()}
                 firsts = {b: min(i for c, i in cells if c == b) for b in data.filled.tolist()}
                 assert {(b, i, k) for b, i, k in items[:len(tiles[0].rows)]} == {
                     (b, i, k) for b, i in firsts.items() for k in cells[b, i]}
@@ -1282,7 +1289,7 @@ class TestLineTiles:
                     lo = lasts[0] - i - data.gap
                     ratios = row_oracle(data, i)[lo:lo + len(lasts)]
                     assert (ratios[out] < floors[b]).all(), (b, i)
-                    bound = left_out_bounds(data, i, lo, lo + len(lasts))
+                    bound = left_out_bounds(data, data.cut, i, lo, lo + len(lasts))
                     assert (bound[out] < max(floors[b], 0)).all(), (b, i)
                     dropped += int(out.sum())
                 violators.append(data.strict())
@@ -1290,6 +1297,59 @@ class TestLineTiles:
                     assert violators[-1] == fraction_strict(data)
         assert any(violators)                           # some scan has a strict violator
         assert dropped                                  # and some items are left out
+
+    @pytest.mark.parametrize("tile", (1, 37, scan.LINE_TILE))
+    def test_tiles_read_only_blocks_whose_bound_reaches_the_floors(self, monkeypatch, tile):
+        # after the first tile, each item read lies in a block whose bound (left_out_bounds)
+        # reaches max(floor, 0) at the floors in force when its tile is read: no item of a
+        # dropped block is read, not even one between two kept blocks of its cell
+        monkeypatch.setattr(scan, "LINE_TILE", tile)
+        reads, tiles_of = {}, scan._line_tiles
+
+        def spy(data, stop, floors):
+            reads[data] = []
+            for t in tiles_of(data, stop, floors):
+                reads[data].append((t, floors().copy()))
+                yield t
+
+        monkeypatch.setattr(scan, "_line_tiles", spy)
+        read = {}
+        for entry in (catalog("floor_half", integer_max=70),
+                      catalog("composite", grid_step=F(1, 16), index_max=12),
+                      catalog("burton_logistic", grid_step=F(1, 300))):
+            reads.clear()
+            full_report(entry.space, entry.map)
+            for data, tiles in reads.items():
+                cells = cells_below(data, data.cut)
+                for t, floors in tiles[1:]:
+                    for b, i, k in zip(t.bucket.tolist(), t.rows.tolist(), t.lasts.tolist()):
+                        lo, hi = cells[b, i]
+                        bound = left_out_bounds(data, data.cut, i, lo, hi)[k - i - data.gap - lo]
+                        assert bound >= max(floors[b], 0), (entry.id, data.gap, b, i, k)
+                read[entry.id, data.gap] = sum(len(t.ratio) for t, _ in tiles)
+        # reading each cell from its first kept block to its last would read 831 and 830 here
+        assert read["burton_logistic", 1] == 813 and read["burton_logistic", 2] == 812
+
+    def test_screen_floors_take_off_the_derived_error(self, monkeypatch):
+        # the runner-up (0, 3) of the top bucket lies 1e-12 (relative) below its maximum (0, 2),
+        # both in the first cell read: far outside the floor's 2**-48 relative and 8u*M*den/s
+        # absolute room (M = 3/2, den = 1, s = 2), so only the maximum is settled exactly
+        settled, settle_of = {}, scan._settle
+
+        def spy(data, rows, hs, buckets, n_buckets):
+            top = buckets == n_buckets - 1
+            settled[data.gap] = list(zip(rows[top].tolist(), (rows + data.gap + hs)[top].tolist()))
+            return settle_of(data, rows, hs, buckets, n_buckets)
+
+        monkeypatch.setattr(scan, "_settle", spy)
+        nums, eps = [0, 1, 2, 3, 4], (F(2),)
+        points = [F(k) for k in nums]
+        images = [F(0), F(1), F(1), F(3, 2) * (1 - F(1, 10 ** 12)), F(1)]
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            got = engine(nums, 1, *split_images(images), eps)
+            assert repr(got) == repr(naive_line_analysis(kind, points, images, eps)), kind
+        assert settled == {1: [(0, 2)], 2: [(0, 2)]}
 
     @pytest.mark.parametrize("tile", (1, 37, scan.LINE_TILE))
     def test_exact_evaluations_are_the_items_at_or_above_the_final_floors(self, monkeypatch,

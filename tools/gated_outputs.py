@@ -14,7 +14,9 @@ checkout's copy of this script,
 
 prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
 ``tests/test_cli.py``), ``classify`` on the catalog scopes the line engine is
-measured at, one with a small last eps where almost every item of the top
+measured at and on two fine ones, ``burton_logistic`` at grid 1/16384 and
+``composite`` at 1/8192, whose scans hold tens of thousands of range-bound
+blocks, one with a small last eps where almost every item of the top
 bucket lies past its row's cut, a CSV run with an ``--eps-grid``, three
 ``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
 both biases, each over 10**4 trials.  The ``instance-*`` runs read instance
@@ -63,12 +65,15 @@ RUNS = (
     ("reproduce", ["reproduce"]),
     ("classify-burton-2048", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/2048"]),
     ("classify-burton-2051", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/2051"]),
+    ("classify-burton-16384", ["classify", "--catalog", "burton_logistic",
+                               "--grid-step", "1/16384"]),
     ("classify-floor-1024", ["classify", "--catalog", "floor_half", "--max-n", "1024"]),
     ("classify-floor-4096", ["classify", "--catalog", "floor_half", "--max-n", "4096"]),
     ("classify-floor-4097", ["classify", "--catalog", "floor_half", "--max-n", "4097"]),
     ("classify-floor-4097-small-eps", ["classify", "--catalog", "floor_half", "--max-n", "4097",
                                        "--eps-grid", "1/512,1/2,1"]),
     ("classify-composite-1024", ["classify", "--catalog", "composite", "--grid-step", "1/1024"]),
+    ("classify-composite-8192", ["classify", "--catalog", "composite", "--grid-step", "1/8192"]),
     ("classify-composite-256-90", ["classify", "--catalog", "composite", "--grid-step", "1/256",
                                    "--max-n", "90"]),
     ("classify-period2", ["classify", "--catalog", "period2_counterexample"]),
