@@ -1,6 +1,14 @@
 """Exhaustive pair/triple enumeration with deterministic supremum reduction.
 
-Two engines back the classifiers:
+Two engines back the classifiers.  Both narrow each eps bucket's
+candidates for the exact comparison by one float screen (_Screen): items
+arrive in batches with their buckets and float ratios, each batch raises
+its buckets' running float maxima, and the items at or above their
+bucket's floor, which an engine's rule derives from the maximum, are kept
+and pruned whenever a maximum rises.  The kept items are settled exactly
+into per-bucket entries by the engine's settle step: early, whenever more
+than SURVIVORS are kept, which bounds the memory of tie-heavy scans, and
+once at the end.
 
 * a table engine for finite spaces.  It reads the space's lattice
   (metric_core.Lattice), the one stored form of every finite space:
@@ -10,10 +18,11 @@ Two engines back the classifiers:
   perimeters are summed in the order of direct enumeration from one gather
   of the distances and their images per side, eps buckets are found by
   searchsorted against lattice thresholds once per pair (a triple's bucket
-  is the greatest of its three pairs'), and on every exact lattice and on a
-  screenable float one each bucket's supremum is settled among the few
-  items at its running float maximum, kept across blocks and folded
-  exactly at the end (_LatticeReduction).
+  is the greatest of its three pairs'), and the screen's floors are each
+  bucket's float maximum on an exact lattice, a relative FLOAT_BAND below
+  it on a screenable float one, and -inf on any other float lattice; its
+  kept items are folded in witness order into the running entries
+  (_LatticeReduction, _fold).
   Every value, witness and count equals that of a pure-Python enumeration
   in the table's scalars (the oracle the tests compare against).  A pair of
   points at distance <= 0 is refused.
@@ -26,17 +35,19 @@ Two engines back the classifiers:
   positions of one eps bucket in one row form a cell.  One pass computes the
   float ratios of the items it reads as tiles of flat item arrays, about
   LINE_TILE items each (_LineData.items: a triple's middle-point extrema
-  come from range-extremum tables over the float images), keeps the items at
-  or above a proven float error bound below their bucket's running maximum
-  (_LineData.screen_floors), and prunes them as the maxima rise.  At the end
-  the items kept are settled exactly as array passes (_settle): their ratios
+  come from range-extremum tables over the float images), and feeds each
+  tile to the screen, whose floors lie a proven float error bound below
+  their bucket's running maximum (_LineData.screen_floors).  Each batch of
+  kept items is settled exactly as array passes (_settle): their ratios
   as unreduced ints from the images' int numerators and denominators (int64,
   or object arrays of Python ints where a product could pass 2**63), a
   triple's best middle point from a range-extremum table over exact image
   ranks, and per bucket an exact step over the items at its float maximum
-  (_exact_step); only a bucket's winner and the strict witness become
-  Fractions.  Qualification thresholds (distance >= eps) are decided in
-  integer arithmetic, so bucket membership never suffers float errors.
+  (_exact_step), whose result is merged into the running entries by
+  _better, so ties still go to the lex-first witness; only a bucket's
+  winner and the strict witness become Fractions.  Qualification thresholds
+  (distance >= eps) are decided in integer arithmetic, so bucket
+  membership never suffers float errors.
   Only the top bucket's minimal windows are read.  For sorted i < m < k,
   |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
   ratio of (i, k) is at most the greater of its halves', and equal only if
@@ -113,7 +124,7 @@ from .metric_core import ETA, LATTICE_LIMIT, InputError
 
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
-SURVIVORS = 1 << 12      # table engine: kept screen candidates before they are folded early
+SURVIVORS = 1 << 12      # both engines: kept screen candidates before they are settled early
 LINE_TILE = 1 << 15      # line engine: items per tile, and blocks per run of cells
 SPAN_BLOCKS = 8          # line engine: range-bound blocks per doubling of span in a row's bucket
 _FLOAT_MAX = Fraction(sys.float_info.max)
@@ -206,21 +217,67 @@ def _lattice_thresholds(eps, lattice):
     return np.array(out, dtype=np.float64)
 
 
+class _Screen:
+    """The float candidate screen of both engines: per eps bucket, the items at or above a
+    floor under the bucket's running float maximum, settled into exact per-bucket entries.
+
+    feed() takes a batch of items: their buckets, float ratios and other
+    columns.  It raises each bucket's running maximum (one np.maximum.at),
+    takes the floors from the engine's rule(maxima), keeps the batch's items
+    at or above their bucket's floor, and prunes the items kept before
+    whenever a maximum rises.  A rule never lowers a floor as a maximum
+    rises, so an item pruned lies below its bucket's final floor.  The kept
+    items are settled by settle(entries, bucket, *columns), which returns the
+    new per-bucket entries: early, whenever more than SURVIVORS are kept,
+    which bounds the memory on tie-heavy scans, and once at the end
+    (result()).  The items settled thus hold every item at or above the
+    final floors; a NaN ratio is below no floor.
+    """
+
+    def __init__(self, n_buckets, rule, settle):
+        self.rule, self.settle = rule, settle
+        self.top = np.full(n_buckets, -np.inf)      # running float maxima
+        self.floors = rule(self.top)
+        self.entries = [None] * n_buckets
+        self.kept = []          # per batch: (bucket, ratio, *columns) at or above the floors
+
+    def feed(self, bucket, ratio, *columns):
+        reach = ~(ratio < self.floors[bucket])
+        if not reach.any():             # an item that raises a maximum is at or above its floor
+            return
+        top = self.top.copy()
+        np.maximum.at(top, bucket, ratio)
+        if (top > self.top).any():
+            self.top, self.floors = top, self.rule(top)
+            if self.kept:
+                items = list(map(np.concatenate, zip(*self.kept)))
+                keep = np.flatnonzero(~(items[1] < self.floors[items[0]]))
+                self.kept = [[column[keep] for column in items]]
+            reach = ~(ratio < self.floors[bucket])
+        keep = np.flatnonzero(reach)
+        self.kept.append([column[keep] for column in (bucket, ratio, *columns)])
+        if sum(len(batch[0]) for batch in self.kept) > SURVIVORS:
+            self.result()
+
+    def result(self):
+        """The per-bucket entries, after settling the items kept."""
+        if self.kept:
+            bucket, _, *columns = map(np.concatenate, zip(*self.kept))
+            self.entries, self.kept = self.settle(self.entries, bucket, *columns), []
+        return self.entries
+
+
 class _LatticeReduction:
     """Bucket counts, per-bucket suprema and the strict violation over lattice items.
 
     Items arrive in lexicographic witness order, a block of arrays at a time,
     and the result equals the sequential reduction of direct enumeration,
     which keeps the first item of each bucket's greatest ratio (_better).
-    On every exact lattice, and on a screenable float one, a float screen
-    narrows the candidates: each block raises the running float maximum of
-    each bucket (one np.maximum.at), keeps its items at or above their
-    bucket's floor, and prunes the items kept before whenever a floor rises.
-    The items kept at the end are folded once, in witness order (_fold);
-    past SURVIVORS kept items they are folded into the running entries
-    early, which bounds the memory on tie-heavy tables.  On any other float
-    lattice every item of a bucket is a candidate, and each block is folded
-    into the running entries as it arrives.
+    The float screen (_Screen) narrows the candidates, and settles them by
+    folding them in witness order into the running entries (_fold).  Its
+    floors are the bucket maxima on an exact lattice, the band below them on
+    a screenable float one, and -inf on any other float lattice, where every
+    item is a candidate.
 
     * Exact mode: the float quotient of two ints is correctly rounded
       (_float_ratios), hence monotone in the exact ratio, so the exact bucket
@@ -244,16 +301,24 @@ class _LatticeReduction:
         self.lattice = lattice
         self.thresholds = _lattice_thresholds(eps, lattice)
         self.slack = 0 if lattice.exact else ETA
-        self.screened = lattice.exact or lattice.screenable
         n_buckets = len(eps) + 1
-        self.best = [None] * n_buckets        # (num, den, witness indices)
         self.counts = np.zeros(n_buckets, dtype=np.int64)
-        self.top = np.full(n_buckets, -np.inf)    # running float maxima
-        self.floors = self.top
-        self.kept = []      # per block: (num, den, bucket, ratio, *witness columns) at the floors,
-                            # pruned whenever a floor rises
         self.strict = None                    # (witness indices, measure, image measure)
-        self.total = 0
+        if lattice.exact or lattice.screenable:
+            band = 0 if lattice.exact else FLOAT_BAND
+            def rule(top):
+                return np.where(top > 0, top * (1 - band), top * (1 + band))
+        else:
+            def rule(top):
+                return np.full_like(top, -np.inf)
+        self.screen = _Screen(n_buckets, rule, self.settle)
+
+    @staticmethod
+    def settle(entries, bucket, num, den, *wit):
+        """Fold items, in witness order, into the running entries (_fold), bucket by bucket."""
+        for b in np.flatnonzero(np.bincount(bucket)).tolist():
+            entries[b] = _fold(num, den, np.flatnonzero(bucket == b), _witness(wit), entries[b])
+        return entries
 
     def bucket(self, longest):
         """The eps bucket of each qualification measure (pair distance or longest side), in the
@@ -267,58 +332,23 @@ class _LatticeReduction:
         wit holds the witness index columns: item t's witness is
         tuple(w[t] for w in wit).
         """
-        self.total += len(bucket)
         self.counts += np.bincount(bucket, minlength=len(self.counts))
         if self.strict is None:
             hits = np.flatnonzero(num >= den - self.slack)
             if len(hits):
                 t = hits[0]
                 self.strict = (_witness(wit)(t), den[t], num[t])
-        if not self.screened:
-            self._fold_buckets(num, den, bucket, wit)
-            return
-        ratio = _float_ratios(num, den)
-        reach = ratio >= self.floors[bucket]
-        if not reach.any():             # an item that raises a maximum is at or above its floor
-            return
-        top = self.top.copy()
-        np.maximum.at(top, bucket, ratio)
-        if (top > self.top).any():
-            self.top = top
-            if self.lattice.exact:
-                self.floors = top
-            else:
-                self.floors = np.where(top > 0, top * (1 - FLOAT_BAND), top * (1 + FLOAT_BAND))
-            if self.kept:
-                self.kept = [_at_floors(self.kept, self.floors)]
-            reach = ratio >= self.floors[bucket]
-        keep = np.flatnonzero(reach)
-        self.kept.append([column[keep] for column in (num, den, bucket, ratio, *wit)])
-        if sum(len(items[0]) for items in self.kept) > SURVIVORS:
-            self._fold_kept()
-
-    def _fold_buckets(self, num, den, bucket, wit):
-        """Fold items, in witness order, into the running entries, bucket by bucket."""
-        for b in np.flatnonzero(np.bincount(bucket)).tolist():
-            self.best[b] = _fold(num, den, np.flatnonzero(bucket == b), _witness(wit),
-                                 self.best[b])
-
-    def _fold_kept(self):
-        num, den, bucket, _, *wit = (self.kept[0] if len(self.kept) == 1 else
-                                     [np.concatenate(column) for column in zip(*self.kept)])
-        self._fold_buckets(num, den, bucket, wit)
-        self.kept = []
+        self.screen.feed(bucket, _float_ratios(num, den), num, den, *wit)
 
     def result(self, kind, eps, points):
-        if self.kept:
-            self._fold_kept()
         scalar = self.lattice.scalar
-        best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2]) for e in self.best]
+        best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2])
+                for e in self.screen.result()]
         strict = self.strict
         if strict is not None:
             strict = (strict[0], scalar(strict[1]), scalar(strict[2]))
-        return _finalize(kind, eps, best, self.counts.tolist(), strict, self.total,
-                         points.__getitem__, self.lattice.exact)
+        return _finalize(kind, eps, best, self.counts.tolist(), strict, points.__getitem__,
+                         self.lattice.exact)
 
 
 def _witness(wit):
@@ -439,7 +469,7 @@ def _table_analysis(kind, lattice, nodes, images, eps, points):
                 bucket = np.maximum(np.maximum(b_flat.take(aj), b_pair.take(pair)),
                                     b_flat.take(ak))
                 red.feed(pt, p, bucket, (a, j, k))
-    return red.result(kind, eps, points)
+        return red.result(kind, eps, points)
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +594,23 @@ class _LineData:
     gap = None
 
     def __init__(self, numerators, den, image_nums, image_dens, eps):
+        if den <= 0:
+            raise InputError(f"the points' denominator must be positive, not {den}")
         self.den = den
         self.nums = np.asarray(numerators, dtype=np.int64)
-        self.n = n = len(self.nums)
-        longest = int(self.nums[-1]) - int(self.nums[0])
+        if not (ascending := np.diff(self.nums) > 0).all():
+            t = int(np.argmin(ascending))
+            raise InputError(f"sample numerators must be strictly ascending: {self.nums[t]} at "
+                             f"index {t} is followed by {self.nums[t + 1]}")
         # the images' int numerators and positive denominators, as arrays for exact(): int64
         # while its quotients' operands stay below 2**53 and its products below 2**63, object
         # arrays of Python ints otherwise
         inum, iden = _int_array(image_nums), _int_array(image_dens)
+        if not (positive := iden > 0).all():
+            t = int(np.argmin(positive))
+            raise InputError(f"image denominators must be positive: {iden[t]} at index {t}")
+        self.n = n = len(self.nums)
+        longest = int(self.nums[-1]) - int(self.nums[0])
         a, b = max(-int(inum.min()), int(inum.max())), int(iden.max())
         wide = max(2 * a * b, b * b * longest) > 2 ** 53 or 4 * a * b ** 3 >= 2 ** 63
         self.inum, self.iden = (v.astype(object if wide else np.int64, copy=False)
@@ -1009,13 +1048,6 @@ def _line_tiles(data, stop, floors):
         c = part.stop
 
 
-def _at_floors(kept, floors):
-    """The kept item arrays joined, less the items below their bucket's floor."""
-    items = [np.concatenate(column) for column in zip(*kept)]
-    keep = items[3] >= floors[items[2]]
-    return [column[keep] for column in items]
-
-
 def _settle(data, rows, hs, buckets, n_buckets):
     """Per bucket, the exact (image measure, measure, witness) ints of the candidates' maximum,
     lex-first, or None.  exact() evaluates the candidates as array passes, and each bucket takes
@@ -1033,50 +1065,45 @@ def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
     The items below the rows' cuts are tiled bucket by bucket over the
-    positions that the step-ratio and range bounds keep at the floors in
-    force (_line_tiles).  Per tile, the items at or above the floors of the
-    running bucket maxima are kept, and pruned whenever a floor rises.  The
-    items kept at the end, the float screen's candidates, are settled exactly
-    as array passes (_settle).  The strict violation comes from suffix extrema
-    (strict()), with no tile.
+    positions that the step-ratio and range bounds keep at the screen's
+    floors in force (_line_tiles), and each tile is fed to the float screen
+    (_Screen) with the floors of _LineData.screen_floors.  Each batch of
+    candidates it settles, early past SURVIVORS kept items and once at the
+    end, is evaluated exactly as array passes (_settle) and merged with the
+    running entries (_pick), so that ties keep the lex-first witness.  The
+    strict violation comes from suffix extrema (strict()), with no tile.
     """
     eps = _checked_eps(kind, eps, len(numerators))
     data = _LINE_KINDS[kind](numerators, den, image_nums, image_dens, eps)
-    top = np.full(len(data.counts), -np.inf)      # running float maxima per bucket
-    floors = data.screen_floors(top)
-    kept = []                       # the items seen so far at or above the floors
-    for tile in _line_tiles(data, data.cut, lambda: floors):
-        starts = np.flatnonzero(np.diff(tile.bucket, prepend=-1))      # its buckets' runs
-        present = tile.bucket[starts]
-        peak = np.maximum.reduceat(tile.ratio, starts)
-        if (peak > top[present]).any():
-            top[present] = np.maximum(top[present], peak)
-            floors = data.screen_floors(top)
-            kept = [_at_floors(kept, floors)] if kept else []
-        reach = np.flatnonzero(tile.ratio >= floors[tile.bucket])
-        rows = tile.rows[reach]
-        kept.append([rows, tile.lasts[reach] - rows - data.gap, tile.bucket[reach],
-                     tile.ratio[reach]])
-    best = _settle(data, *_at_floors(kept, floors)[:3], len(top))
+
+    def settle(entries, bucket, rows, lasts):
+        return list(map(_pick, _settle(data, rows, lasts - rows - data.gap, bucket, len(entries)),
+                        entries))
+
+    screen = _Screen(len(data.counts), data.screen_floors, settle)
+    for tile in _line_tiles(data, data.cut, lambda: screen.floors):
+        screen.feed(tile.bucket, tile.ratio, tile.rows, tile.lasts)
     strict = data.strict()
     if strict is not None:
         strict = (strict, *data.sides(strict))
-    return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in best],
-                     data.counts, strict, sum(data.counts), data.point, exact=True)
+    return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in screen.result()],
+                     data.counts, strict, data.point, exact=True)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, point, exact):
+def _pick(entry, running):
+    """The better of two entries (num, den, witness), either of which may be None (_better)."""
+    better = running is None or (entry is not None and _better(*entry, *running))
+    return entry if better else running
+
+
+def _finalize(kind, eps, bucket_entries, bucket_counts, strict, point, exact):
     """The EnumAnalysis of per-bucket entries; bucket b + 1 holds measures from eps[b].
 
     point(w) is the point at witness index w.
     """
-    def pick(entry, running):
-        better = running is None or (entry is not None and _better(*entry, *running))
-        return entry if better else running
-
     def pack(entry):
         if entry is None:
             return None, None
@@ -1087,13 +1114,13 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, point, ex
     # delta(eps[b]) is the best over buckets b+1..; vacuous when none qualify
     suffix, counts, running, count = [], [], None, 0
     for entry, n_items in zip(bucket_entries[:0:-1], bucket_counts[:0:-1]):
-        running = pick(entry, running)
+        running = _pick(entry, running)
         count += n_items
         suffix.append(pack(running))
         counts.append(count)
     sup = None
     for entry in bucket_entries:
-        sup = pick(entry, sup)
+        sup = _pick(entry, sup)
     sup_ratio, sup_witness = pack(sup)
     if strict is not None:      # (witness, measure, image measure)
         strict = (tuple(map(point, strict[0])), *strict[1:])
@@ -1106,7 +1133,7 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, total, point, ex
         sup_ratio=sup_ratio,
         sup_witness=sup_witness,
         strict_violation=strict,
-        total=total,
+        total=sum(bucket_counts),
     )
 
 

@@ -34,7 +34,6 @@ def table_loops(kind, dist, nodes, images, eps, points, exact):
     best = [None] * (len(eps) + 1)
     counts = [0] * (len(eps) + 1)
     strict = None
-    total = 0
     slack = 0 if exact else ETA
     for wit in combinations(range(len(nodes)), 2 if kind == "pairwise" else 3):
         ix = [nodes[w] for w in wit]
@@ -49,12 +48,11 @@ def table_loops(kind, dist, nodes, images, eps, points, exact):
             image_measure = dist[ti][tj] + dist[tj][tk] + dist[ti][tk]
         b = bisect_right(eps, longest)
         counts[b] += 1
-        total += 1
         if best[b] is None or scan._better(image_measure, measure, wit, *best[b]):
             best[b] = (image_measure, measure, wit)
         if strict is None and image_measure >= measure - slack:
             strict = (wit, measure, image_measure)
-    return scan._finalize(kind, eps, best, counts, strict, total, points.__getitem__, exact)
+    return scan._finalize(kind, eps, best, counts, strict, points.__getitem__, exact)
 
 
 def metric_violations_loops(dist_table, exact):

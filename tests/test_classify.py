@@ -1191,6 +1191,135 @@ def bound_inputs(draw):
     return nums, den, points, images, tuple(sorted(eps)), tile
 
 
+@st.composite
+def tied_line_inputs(draw):
+    """A line scan whose images take one to three values, a tile size and an early-fold bound.
+
+    Most items tie with their bucket's maximum, so the screen keeps them and,
+    past the bound, settles them early.  Half the inputs sort the images into
+    a step map.
+    """
+    n = draw(st.integers(min_value=3, max_value=40))
+    tile = draw(st.sampled_from((1, 5, 2 ** 15)))
+    survivors = draw(st.sampled_from((0, 1, 3)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    den = rng.choice((1, 3, 10))
+    nums = sorted(rng.sample(range(3 * n), n))
+    points = [F(k, den) for k in nums]
+    values = [F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(rng.randint(1, 3))]
+    images = [rng.choice(values) for _ in points]
+    if rng.random() < 0.5:
+        images.sort()
+    spans = sorted({points[j] - points[i] for i, j in combinations(range(n), 2)})
+    eps = set(rng.sample(spans, min(len(spans), rng.randint(1, 4))))
+    return nums, den, points, images, tuple(sorted(eps)), tile, survivors
+
+
+@st.composite
+def tied_table_inputs(draw):
+    """A table with tied distances, its mode, a node subset, a self-map, an eps grid, an
+    early-fold bound and a triple block size.
+
+    Distances are k/3 with k in 1..3: exact, float, or float scaled by
+    1e250, which is not screenable, so every item is a candidate.  Blocks
+    of one outer index or a few make the triple scan feed the screen many
+    times.
+    """
+    n = draw(st.integers(min_value=3, max_value=16))
+    mode = draw(st.sampled_from(("exact", "float", "scaled")))
+    survivors = draw(st.sampled_from((0, 1, 3)))
+    block = draw(st.sampled_from((1, 50, scan.TRIPLE_BLOCK)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    table = random_table(rng, n, 3, exact=mode == "exact")
+    if mode == "scaled":
+        table = [[v * 1e250 for v in row] for row in table]
+    pool = rng.sample(range(n), rng.randint(1, 3))
+    images = [rng.choice(pool) for _ in range(n)]
+    nodes = sorted(rng.sample(range(n), rng.randint(3, n)))
+    values = sorted({F(v) for row in table for v in row if v > 0})
+    eps = tuple(sorted(set(rng.sample(values, min(len(values), rng.randint(1, 3))))))
+    return tuple(tuple(row) for row in table), mode, nodes, images, eps, survivors, block
+
+
+class TestEarlyFolds:
+    @given(tied_line_inputs())
+    def test_early_folds_keep_the_line_oracle(self, case):
+        nums, den, points, images, eps, tile, survivors = case
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            with mock.patch.object(scan, "LINE_TILE", tile), \
+                    mock.patch.object(scan, "SURVIVORS", survivors):
+                got = engine(nums, den, *split_images(images), eps)
+            assert repr(got) == repr(naive_line_analysis(kind, points, images, eps)), kind
+
+    @given(tied_table_inputs())
+    def test_early_folds_keep_the_table_loops(self, case):
+        table, mode, nodes, images, eps, survivors, block = case
+        exact = mode == "exact"
+        lattice = table_lattice(table, exact)
+        assert lattice.exact or lattice.screenable == (mode == "float")
+        points = tuple(nodes)
+        for kind, engine in (("pairwise", scan.table_pair_analysis),
+                             ("triple", scan.table_triple_analysis)):
+            with mock.patch.object(scan, "SURVIVORS", survivors), \
+                    mock.patch.object(scan, "TRIPLE_BLOCK", block), warnings.catch_warnings():
+                warnings.simplefilter("error")      # products past the float range stay silent
+                got = engine(lattice, nodes, images, eps, points)
+            assert repr(got) == repr(table_loops(kind, table, nodes, images, eps, points, exact))
+
+    def test_tied_line_scans_settle_bounded_batches(self, monkeypatch):
+        # constant images on the points k/300: all spans are below 1, so no row is cut, and
+        # each of the 44 850 pairs and 44 551 triple items ties at 0 with its bucket maximum;
+        # the screen settles them in batches of at most SURVIVORS + LINE_TILE items
+        sizes, settle_of = {1: [], 2: []}, scan._settle
+
+        def spy(data, rows, hs, buckets, n_buckets):
+            sizes[data.gap].append(len(rows))
+            return settle_of(data, rows, hs, buckets, n_buckets)
+
+        monkeypatch.setattr(scan, "_settle", spy)
+        n = 300
+        points = [F(k, n) for k in range(n)]
+        for kind, engine, gap, items in (("pairwise", scan.line_pair_analysis, 1, 44_850),
+                                         ("triple", scan.line_triple_analysis, 2, 44_551)):
+            got = engine(list(range(n)), n, [0] * n, [1] * n, DEFAULT_EPS_GRID)
+            assert sum(sizes[gap]) == items, kind
+            assert max(sizes[gap]) <= scan.SURVIVORS + scan.LINE_TILE, kind
+            first = (points[0], points[1]) if gap == 1 else (points[0], points[1], points[2])
+            assert got.sup_ratio == 0 and got.sup_witness[0] == first, kind
+            for e, delta, witness in zip(DEFAULT_EPS_GRID, got.deltas, got.delta_witnesses):
+                if e >= 1:
+                    assert delta is None and witness is None, kind
+                    continue
+                last = next(p for p in points[gap:] if p >= e)
+                assert delta == 0 and witness[0] == first[:-1] + (last,), kind
+            assert got.strict_violation is None, kind
+
+
+class TestLinePreconditions:
+    ENGINES = (scan.line_pair_analysis, scan.line_triple_analysis)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unsorted_numerators_are_refused(self, engine):
+        with pytest.raises(InputError, match="strictly ascending: 2 at index 1"):
+            engine([0, 2, 1], 1, [0, 0, 0], [1, 1, 1], (F(1),))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_duplicate_numerators_are_refused(self, engine):
+        with pytest.raises(InputError, match="strictly ascending: 1 at index 1"):
+            engine([0, 1, 1], 1, [0, 1, 2], [1, 1, 1], (F(1),))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_zero_image_denominator_is_refused(self, engine):
+        with pytest.raises(InputError, match="image denominators must be positive: 0 at index 2"):
+            engine([0, 1, 2], 1, [0, 1, 1], [1, 1, 0], (F(1),))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_zero_point_denominator_is_refused(self, engine):
+        with pytest.raises(InputError, match="denominator must be positive, not 0"):
+            engine([0, 1, 2], 0, [0, 1, 2], [1, 1, 1], (F(1),))
+
+
 class TestLineTiles:
     @given(tile_inputs(max_n=200))
     def test_tiles_equal_the_row_oracle_bit_for_bit(self, case):

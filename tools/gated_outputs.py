@@ -22,14 +22,16 @@ bucket lies past its row's cut, a CSV run with an ``--eps-grid``, three
 both biases, each over 10**4 trials.  The ``instance-*`` runs read instance
 files that this script writes into ``OUT_DIR/instances/`` (_instance_docs):
 ``classify`` and ``verify --theorem corrected_main`` on exact and float twins
-at n = 40, 64 and 88 and on a table over 24 primes near 10**6 (an object
-lattice); ``classify --mode float`` on an exact file; and ``classify`` on a
-non-metric table with triangle violations in several row blocks of the
+at n = 40, 64 and 88, on a table over 24 primes near 10**6 (an object
+lattice) and on a float table of distances near 1e250 (outside the float
+screen's range, so every item is a candidate and the exact folds' cross
+products overflow); ``classify --mode float`` on an exact file; and
+``classify`` on a non-metric table with triangle violations in several row blocks of the
 metric check, which must exit 1 with its message.  Every run works from
 ``OUT_DIR``, so an output records its instance by a relative path, and what
 a run prints on stderr goes into ``OUT_DIR/stderr.txt``.  ``OUT_DIR/validation/`` holds the
 ``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
-JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of five
+JSON.  ``OUT_DIR/scans/`` holds the ``repr`` of both line scans of seven
 inputs that no CLI run reaches: x/2 on the points 0..159 with the last image
 raised by 1e-12, where every item is an exact candidate; images near 10**12,
 whose distinct values share floats and whose exact ints pass 2**63; x/2
@@ -37,10 +39,16 @@ on the points 0..199 with one steep adjacent step near the end, where the
 step-ratio bound of every row rises only at its last items; a sawtooth whose
 teeth grow along the points 0, 1/2, .., 239/2, so that every bucket's
 maximum lies in a late row, not the first one read, and a row's image lies
-above some of its blocks' images and below others; and x/4 on the points
+above some of its blocks' images and below others; x/4 on the points
 0..119 with a rise at point 50 and a fall right after it, whose lex-first
 strict triple (40, 50, 51) lies in a row that holds no violating pair and
-no violator with a near middle point (family (c) of the strict check).
+no violator with a near middle point (family (c) of the strict check); and
+two tie-heavy maps on the points k/300, whose spans are all below the last
+eps, so no row is cut: the constant map, where every item ties at 0, and
+a map of three steps of 10**-6 on 10**12, whose images share one float, so
+that every item is a float-screen candidate.  The screen keeps all 44 850
+pair and 44 551 triple items of each and settles them in batches past
+``scan.SURVIVORS`` kept items.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from contraction_lab import cli, scan, theorem_lab  # noqa: E402
 
 SEARCH_TRIALS = 10_000
+TIED_EPS = (Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(1))
 VALIDATION_TRIALS = 500
 
 RUNS = (
@@ -104,7 +113,8 @@ INSTANCE_RUNS = tuple(
     for command, argv in (("classify", ["classify"]),
                           ("verify", ["verify", "--theorem", "corrected_main"]))
 ) + tuple(
-    (f"instance-{command}-wide", argv + ["--instance", "instances/wide.json"])
+    (f"instance-{command}-{name}", argv + ["--instance", f"instances/{name}.json"])
+    for name in ("wide", "huge")
     for command, argv in (("classify", ["classify"]),
                           ("verify", ["verify", "--theorem", "corrected_main"]))
 ) + (
@@ -179,6 +189,15 @@ def _instance_docs():
     pool = rng.sample(range(24), 3)
     docs["wide.json"] = {"space": {"points": list(range(24)), "dist": rows},
                          "map": [rng.choice(pool) for _ in range(24)]}
+    # float distances in [1e250, 2e250), a metric far outside the screenable float range, so
+    # that every item is a candidate and the exact folds' cross products overflow
+    huge = [[0.0] * 24 for _ in range(24)]
+    for i in range(24):
+        for j in range(i + 1, 24):
+            huge[i][j] = huge[j][i] = (1 + rng.randrange(1000) / 1000) * 1e250
+    pool = rng.sample(range(24), 3)
+    docs["huge.json"] = {"space": {"points": list(range(24)), "mode": "float", "dist": huge},
+                         "map": [rng.choice(pool) for _ in range(24)]}
     return docs
 
 
@@ -201,13 +220,16 @@ def _scan_inputs():
     fall = [Fraction(k, 4) for k in range(120)]
     fall[50] = fall[40] + Fraction(3, 4) * 11          # a rise of 3/4 of x_51 - x_40
     fall[51] = fall[50] - 11                            # and a fall of x_51 - x_40
+    steps = [10 ** 12 + Fraction(k // 100, 10 ** 6) for k in range(300)]  # one float
     # the last eps lies above every span: no row is cut, so every item is a candidate
     return (("half-160", list(range(160)), 1, half, (Fraction(1, 2), Fraction(2), Fraction(160))),
             ("near-1e12", list(range(64)), 8, near, (Fraction(1, 8), Fraction(1), Fraction(4))),
             ("half-late-step", list(range(200)), 1, late,
              (Fraction(1, 2), Fraction(4), Fraction(64))),
             ("sawtooth-240", list(range(240)), 2, saw, (Fraction(1, 2), Fraction(3), Fraction(20))),
-            ("family-c-120", list(range(120)), 1, fall, (Fraction(1), Fraction(8), Fraction(64))))
+            ("family-c-120", list(range(120)), 1, fall, (Fraction(1), Fraction(8), Fraction(64))),
+            ("constant-300", list(range(300)), 300, [0] * 300, TIED_EPS),
+            ("near-1e12-steps-300", list(range(300)), 300, steps, TIED_EPS))
 
 
 def write_scans(out_dir):
