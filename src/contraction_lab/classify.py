@@ -206,13 +206,13 @@ def _images_by_point(mapping, nums, den):
     return [v.numerator for v in images], [v.denominator for v in images]
 
 
-def _prepare(space, mapping, point_set):
-    """The number of chosen points and the scans' inputs of them: both scans share them.
+def _prepare(space, mapping, point_set, eps_grid):
+    """The number of chosen points and the scans' input of them: both scans share it.
 
-    On a sampled space these are the numerators, the denominator and the
-    images as numerator and denominator arrays, from the map's array form
-    when it has one; on a finite space, the chosen positions, each
-    position's image position and the chosen points.
+    On a sampled space this is the points' scan.LineBasis over the eps
+    grid, with the images from the map's array form when it has one; on a
+    finite space, the chosen positions, each position's image position and
+    the chosen points.
     """
     if isinstance(space, SampledSpace):
         den = space.denominator
@@ -221,7 +221,7 @@ def _prepare(space, mapping, point_set):
             images = mapping.array_func(nums, den)
         else:
             images = _images_by_point(mapping, nums, den)
-        return len(nums), (nums, den, *images)
+        return len(nums), scan.LineBasis(nums, den, *images, eps_grid)
     pts = _subset_points(space, point_set)
     nodes = [space.index(p) for p in pts]
     return len(pts), (nodes, [space.index(apply(mapping, q)) for q in space.points], pts)
@@ -229,13 +229,13 @@ def _prepare(space, mapping, point_set):
 
 def _analysis(kind, space, prepared, eps_grid):
     """The pairwise or triple enumeration of a prepared point set and its images."""
-    args = prepared[1]
+    scanned = prepared[1]
     pairwise = kind == "pairwise"
     if isinstance(space, SampledSpace):
         engine = scan.line_pair_analysis if pairwise else scan.line_triple_analysis
-        return engine(*args, eps_grid)
+        return engine(scanned)
     engine = scan.table_pair_analysis if pairwise else scan.table_triple_analysis
-    nodes, images, pts = args
+    nodes, images, pts = scanned
     return engine(space.lattice, nodes, images, eps_grid, pts)
 
 
@@ -414,12 +414,14 @@ def _triple_verdicts(space, prepared, eps_grid) -> TripleVerdicts:
 
 def pair_verdicts(space, mapping: SelfMap, point_set=None, eps_grid=None) -> PairVerdicts:
     """The pair scan alone: pairwise strictness, large contraction and its moduli."""
-    return _pair_verdicts(space, _prepare(space, mapping, point_set), _grid(eps_grid))
+    eps_grid = _grid(eps_grid)
+    return _pair_verdicts(space, _prepare(space, mapping, point_set, eps_grid), eps_grid)
 
 
 def triple_verdicts(space, mapping: SelfMap, point_set=None, eps_grid=None) -> TripleVerdicts:
     """The triple scan alone: perimeter strictness, the uniform and large perimeter verdicts."""
-    return _triple_verdicts(space, _prepare(space, mapping, point_set), _grid(eps_grid))
+    eps_grid = _grid(eps_grid)
+    return _triple_verdicts(space, _prepare(space, mapping, point_set, eps_grid), eps_grid)
 
 
 def check_pairwise_strict(space, mapping: SelfMap, point_set=None) -> Verdict:
@@ -451,7 +453,7 @@ def full_report(space, mapping: SelfMap, point_set=None,
                 eps_grid=None) -> ContractionReport:
     """Both scans of one prepared point set, each with its cross-checks, as one report."""
     eps_grid = _grid(eps_grid)
-    prepared = _prepare(space, mapping, point_set)
+    prepared = _prepare(space, mapping, point_set, eps_grid)
     return ContractionReport(scope=_scope_of(space), n_points=prepared[0],
                              eps_grid=eps_grid,
                              **vars(_pair_verdicts(space, prepared, eps_grid)),

@@ -10,6 +10,7 @@ reproduction mismatch is found, 1 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -485,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the full worked-example suite")
     _add_common_output(p)
-    p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("classify", help="classify an instance into the contraction hierarchy")
     _add_target_args(p)
@@ -493,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv also writes the modulus tables as CSV")
     _add_common_output(p)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("iterate", help="run a Picard orbit with diagnostics")
     _add_target_args(p)
@@ -502,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance_arg, default="1/10000000000",
                    help="residual tolerance (default 1e-10 as a rational)")
     _add_common_output(p)
-    p.set_defaults(fn=cmd_iterate)
 
     p = sub.add_parser("verify", help="evaluate a fixed-point statement on an instance")
     p.add_argument("--theorem", required=True, choices=theorem_lab.THEOREM_IDS)
@@ -510,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="start point for the bounded-orbit hypothesis")
     p.add_argument("--eps-grid")
     _add_common_output(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="randomized counterexample search")
     p.add_argument("--theorem", required=True,
@@ -520,15 +517,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-range", default="3..12")
     p.add_argument("--bias", choices=("uniform", "period2"), default="uniform")
     _add_common_output(p)
-    p.set_defaults(fn=cmd_search)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,13 @@ once at the end.
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
   through the extrema of the image values over i..k.  That collapses the
-  triple scan to O(n^2) pairs (i, k).  Items sharing a first index i form a
+  triple scan to O(n^2) pairs (i, k).  Both scans of a report read one
+  LineBasis, which checks the inputs and holds what the two derive alike,
+  each made once: the images' ints and floats, the bucket edges of every
+  row, the range-extremum tables over the float images and the exact image
+  ranks with their tables.  Each scan reads it through a per-kind view
+  (_LinePairs, _LineTriples), which derives the kind's own row edges,
+  counts, cuts and screen bounds.  Items sharing a first index i form a
   row, and position h of row i stands for the last index i + gap + h; the
   positions of one eps bucket in one row form a cell.  One pass computes the
   float ratios of the items it reads as tiles of flat item arrays, about
@@ -41,13 +47,13 @@ once at the end.
   kept items is settled exactly as array passes (_settle): their ratios
   as unreduced ints from the images' int numerators and denominators (int64,
   or object arrays of Python ints where a product could pass 2**63), a
-  triple's best middle point from a range-extremum table over exact image
-  ranks, and per bucket an exact step over the items at its float maximum
-  (_exact_step), whose result is merged into the running entries by
-  _better, so ties still go to the lex-first witness; only a bucket's
-  winner and the strict witness become Fractions.  Qualification thresholds
-  (distance >= eps) are decided in integer arithmetic, so bucket
-  membership never suffers float errors.
+  triple's best middle point from the basis' range-extremum tables over
+  exact image ranks, and per bucket an exact step over the items at its
+  float maximum (_exact_step), whose result is merged into the running
+  entries by _better, so ties still go to the lex-first witness; only a
+  bucket's winner and the strict witness become Fractions.  Qualification
+  thresholds (distance >= eps) are decided in integer arithmetic, so
+  bucket membership never suffers float errors.
   Only the top bucket's minimal windows are read.  For sorted i < m < k,
   |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
   ratio of (i, k) is at most the greater of its halves', and equal only if
@@ -160,8 +166,8 @@ def _better(num_a, den_a, wit_a, num_b, den_b, wit_b):
     return wit_a < wit_b
 
 
-def _checked_eps(kind, eps, n_points):
-    """The eps grid as a tuple, after checking it and then the point count."""
+def _checked_eps(eps):
+    """The eps grid as a tuple, after checking it."""
     eps = tuple(eps)
     if not eps:
         raise InputError("eps grid must be nonempty")
@@ -171,10 +177,14 @@ def _checked_eps(kind, eps, n_points):
         raise InputError("eps grid must be ascending")
     if len(set(eps)) != len(eps):
         raise InputError("eps grid values must be distinct")
+    return eps
+
+
+def _need_points(kind, n_points):
+    """Refuse fewer points than one item of the kind holds."""
     need = 2 if kind == "pairwise" else 3
     if n_points < need:
         raise InputError(f"need at least {need} points")
-    return eps
 
 
 def _ceil_thresholds(eps, scale, cap, dtype=np.int64):
@@ -438,7 +448,8 @@ def _triple_blocks(m, rows):
 
 def _table_analysis(kind, lattice, nodes, images, eps, points):
     """The table enumeration as numpy passes over the lattice."""
-    eps = _checked_eps(kind, eps, len(nodes))
+    eps = _checked_eps(eps)
+    _need_points(kind, len(nodes))
     m = len(nodes)
     nodes = np.asarray(nodes, dtype=np.intp)
     # the distances (row 0) and the distances of the images (row 1), so one take gathers both
@@ -581,19 +592,29 @@ def _shifted(a, b, x, den, sign):
     return a * den + sign * x * b, b * den
 
 
-class _LineData:
-    """Shared arrays for one sampled-space enumeration of one kind.
+class LineBasis:
+    """The checked inputs of a sampled space's two line scans, and what both derive from them.
 
-    Items are grouped in rows by their first index i.  Position h of row i
-    stands for the items whose last index is i + gap + h; spans ascend with
-    h.  Eps bucket b of row i holds positions before[i, b] to before[i, b+1]
-    (bucket 0 lies below eps[0]); narrow[j, i] is before[i, b] for the
-    nonempty buckets b = filled[j] and, last, the end of row i.
+    Points numerators[i]/den, ascending; the image of point i is
+    image_nums[i]/image_dens[i], reduced, with a positive denominator.  The
+    three are int arrays (int64, or object arrays of Python ints) or
+    sequences of ints; eps is the scans' grid.  A report builds one basis and
+    runs both scans on it, each through its per-kind view (_LinePairs,
+    _LineTriples), so each of these is made once per report:
+    - the checked int arrays: the images' numerators and denominators, int64
+      while exact()'s quotients' operands stay below 2**53 and its products
+      below 2**63, object arrays of Python ints otherwise;
+    - the images' floats and the eps buckets' thresholds in 1/den units;
+    - on first use, the pair rows' bucket edges (before), one searchsorted
+      per distinct edge, of which a triple row's are one less;
+    - on first use, the float range tables (log2, steepest, highs, lows),
+      and the exact image ranks with their two first-index extremum tables
+      (ranks, tops, bottoms), which each settle of a triple scan reads.
+    Each scan checks the point count its kind needs (_need_points).
     """
 
-    gap = None
-
     def __init__(self, numerators, den, image_nums, image_dens, eps):
+        self.eps = _checked_eps(eps)
         if den <= 0:
             raise InputError(f"the points' denominator must be positive, not {den}")
         self.den = den
@@ -602,48 +623,35 @@ class _LineData:
             t = int(np.argmin(ascending))
             raise InputError(f"sample numerators must be strictly ascending: {self.nums[t]} at "
                              f"index {t} is followed by {self.nums[t + 1]}")
-        # the images' int numerators and positive denominators, as arrays for exact(): int64
-        # while its quotients' operands stay below 2**53 and its products below 2**63, object
-        # arrays of Python ints otherwise
         inum, iden = _int_array(image_nums), _int_array(image_dens)
         if not (positive := iden > 0).all():
             t = int(np.argmin(positive))
             raise InputError(f"image denominators must be positive: {iden[t]} at index {t}")
         self.n = n = len(self.nums)
-        longest = int(self.nums[-1]) - int(self.nums[0])
-        a, b = max(-int(inum.min()), int(inum.max())), int(iden.max())
-        wide = max(2 * a * b, b * b * longest) > 2 ** 53 or 4 * a * b ** 3 >= 2 ** 63
+        self.longest = int(self.nums[-1]) - int(self.nums[0]) if n else 0
+        a, b = (max(-int(inum.min()), int(inum.max())), int(iden.max())) if n else (0, 1)
+        wide = max(2 * a * b, b * b * self.longest) > 2 ** 53 or 4 * a * b ** 3 >= 2 ** 63
         self.inum, self.iden = (v.astype(object if wide else np.int64, copy=False)
                                 for v in (inum, iden))
         self.tvals = _float_ratios(self.inum, self.iden)
         self.finite = bool(np.isfinite(self.tvals).all())
-        thresholds = _ceil_thresholds(eps, den, longest + 1)
-        # bucket edges in 1/den units: 0, the thresholds, one past the longest span
-        edges = np.concatenate(([0], thresholds, [longest + 1]))
-        rows = n - self.gap
+        self.largest = float(np.abs(self.tvals).max(initial=0))
+        self.thresholds = _ceil_thresholds(self.eps, den, self.longest + 1)
+
+    @cached_property
+    def before(self):
+        """The pair rows' bucket edges: before[i, e] counts the positions h of row i (last index
+        i + 1 + h) whose span lies below edge e, the edges being 0, the thresholds and one past
+        the longest span (_LineData)."""
+        n, rows = self.n, self.n - 1
+        edges = np.concatenate(([0], self.thresholds, [self.longest + 1]))
         # searched once per distinct edge, edge by edge so that the queries ascend, and stored
         # transposed; edge 0 finds each row's own point and an edge past the longest span none
         distinct, edge = np.unique(edges, return_inverse=True)
         found = np.empty((len(distinct), rows), dtype=np.int64)
         found[0], found[-1] = np.arange(rows), n
         found[1:-1] = np.searchsorted(self.nums, distinct[1:-1, None] + self.nums[:rows])
-        self.before = np.maximum(found[edge] - np.arange(self.gap, n), 0).T
-        self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
-                               for e in range(len(edges))]).tolist()
-        # the edges of the nonempty buckets: an empty one is empty in every row
-        self.filled = np.flatnonzero(self.counts)
-        self.narrow = self.before.T[np.append(self.filled, len(self.counts))]
-        # row i's items with last index cut[i] or more split at j0 into two top-bucket items
-        j0 = self.before[:, -2] + np.arange(self.gap, n)
-        self.cut = np.minimum(np.maximum(j0 + self.gap, np.searchsorted(
-            self.nums, self.nums[np.minimum(j0, n - 1)] + thresholds[-1])), n)
-        # the float screen's absolute bound, over each bucket's least span (screen_floors)
-        shortest = int((self.nums[self.gap:] - self.nums[:-self.gap]).min())
-        largest = float(np.abs(self.tvals).max())
-        self.absolute = (8 * 2.0 ** -53 * largest * float(den)
-                         / np.maximum(shortest, np.concatenate(([0], thresholds))))
-        # the absolute part of the step-ratio bound's margin (step_bounds())
-        self.step_margin = 8 * 2.0 ** -53 * largest * float(den) / int(np.diff(self.nums).min())
+        return np.maximum(found[edge] - np.arange(1, n), 0).T
 
     @cached_property
     def log2(self):
@@ -654,10 +662,15 @@ class _LineData:
 
     @cached_property
     def steepest(self):
-        """Range-maximum table of the adjacent float step ratios (step_bounds())."""
+        """Range-maximum table of the adjacent float step ratios (_LineData.step_bounds)."""
         with np.errstate(over="ignore"):
             steps = np.abs(np.diff(self.tvals)) * (float(self.den) / np.diff(self.nums))
         return _extrema_table(steps, np.maximum, self.n - 1)
+
+    @cached_property
+    def step_margin(self):
+        """The absolute part of the step-ratio bound's margin (_LineData.step_bounds)."""
+        return 8 * 2.0 ** -53 * self.largest * float(self.den) / int(np.diff(self.nums).min())
 
     @cached_property
     def highs(self):
@@ -668,6 +681,24 @@ class _LineData:
     def lows(self):
         """Range-minimum table of the float images (extrema())."""
         return _extrema_table(self.tvals, np.minimum, self.n)
+
+    @cached_property
+    def ranks(self):
+        """Dense ranks of the images in exact order (_ranks)."""
+        return _ranks(self.inum, self.iden)
+
+    @cached_property
+    def tops(self):
+        """Range-maximum table of the keys rank * n + (n - 1 - index): a range's greatest image
+        at its first index (_LineTriples.exact)."""
+        index = np.arange(self.n)
+        return _extrema_table(self.ranks * self.n + (self.n - 1 - index), np.maximum, self.n)
+
+    @cached_property
+    def bottoms(self):
+        """Range-minimum table of the keys rank * n + index: a range's least image at its first
+        index (_LineTriples.exact)."""
+        return _extrema_table(self.ranks * self.n + np.arange(self.n), np.minimum, self.n)
 
     def extrema(self, lo, hi):
         """The greatest and the least float image over each range of indices lo..hi
@@ -683,6 +714,49 @@ class _LineData:
     def image(self, i):
         """The image of point i as a Fraction."""
         return Fraction(int(self.inum[i]), int(self.iden[i]))
+
+    def widened(self, terms):
+        """The images' ints and the points' numerators, as int64 arrays when an image plus a
+        point (terms 2), less another image (terms 3), keeps its ints over their common
+        denominator below 2**53 (_shifted), and as object arrays of Python ints otherwise."""
+        a, b = max(-int(self.inum.min()), int(self.inum.max())), int(self.iden.max())
+        num, den = a * self.den + int(np.abs(self.nums).max()) * b, b * self.den
+        if terms == 3:
+            num, den = num * b + a * den, den * b
+        dtype = np.int64 if max(num, den) < 2 ** 53 else object
+        return (v.astype(dtype) for v in (self.inum, self.iden, self.nums))
+
+
+class _LineData:
+    """One kind's view of a LineBasis (basis): the per-kind arrays of its scan.
+
+    Items are grouped in rows by their first index i.  Position h of row i
+    stands for the items whose last index is i + gap + h; spans ascend with
+    h.  Eps bucket b of row i holds positions before[i, b] to before[i, b+1]
+    (bucket 0 lies below eps[0]); narrow[j, i] is before[i, b] for the
+    nonempty buckets b = filled[j] and, last, the end of row i.
+    """
+
+    gap = None
+
+    def __init__(self, basis):
+        self.basis = basis
+        n, gap, nums, thresholds = basis.n, self.gap, basis.nums, basis.thresholds
+        # a triple row i's last indices are a pair row's less one: its edges are one less
+        self.before = basis.before if gap == 1 else np.maximum(basis.before[:-1] - 1, 0)
+        self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
+                               for e in range(self.before.shape[1])]).tolist()
+        # the edges of the nonempty buckets: an empty one is empty in every row
+        self.filled = np.flatnonzero(self.counts)
+        self.narrow = self.before.T[np.append(self.filled, len(self.counts))]
+        # row i's items with last index cut[i] or more split at j0 into two top-bucket items
+        j0 = self.before[:, -2] + np.arange(gap, n)
+        self.cut = np.minimum(np.maximum(j0 + gap, np.searchsorted(
+            nums, nums[np.minimum(j0, n - 1)] + thresholds[-1])), n)
+        # the float screen's absolute bound, over each bucket's least span (screen_floors)
+        shortest = int((nums[gap:] - nums[:-gap]).min())
+        self.absolute = (8 * 2.0 ** -53 * basis.largest * float(basis.den)
+                         / np.maximum(shortest, np.concatenate(([0], thresholds))))
 
     def entry(self, wit):
         """Exact (image measure, measure, witness) at a witness."""
@@ -713,35 +787,25 @@ class _LineData:
         floors[np.isnan(floors)] = -np.inf
         return floors
 
-    def widened(self, terms):
-        """The images' ints and the points' numerators, as int64 arrays when an image plus a
-        point (terms 2), less another image (terms 3), keeps its ints over their common
-        denominator below 2**53 (_shifted), and as object arrays of Python ints otherwise."""
-        a, b = max(-int(self.inum.min()), int(self.inum.max())), int(self.iden.max())
-        num, den = a * self.den + int(np.abs(self.nums).max()) * b, b * self.den
-        if terms == 3:
-            num, den = num * b + a * den, den * b
-        dtype = np.int64 if max(num, den) < 2 ** 53 else object
-        return (v.astype(dtype) for v in (self.inum, self.iden, self.nums))
-
     def step_bounds(self, rows, ends):
         """Per row i of rows, a float above the float and exact ratios of its items at positions
         below ends[i] > 0 (the step-ratio lemma): the steepest adjacent float step ratio over
         their steps plus its margin; +inf when the images' floats overflow."""
-        if not self.finite:
+        basis = self.basis
+        if not basis.finite:
             return np.full(len(rows), np.inf)
         # the steps of an item run from its first index to its last index less one
-        steepest = _range_extremum(self.steepest, np.maximum, rows, rows + self.gap - 2 + ends,
-                                   self.log2)
-        return steepest * (1 + 2.0 ** -48) + self.step_margin
+        steepest = _range_extremum(basis.steepest, np.maximum, rows, rows + self.gap - 2 + ends,
+                                   basis.log2)
+        return steepest * (1 + 2.0 ** -48) + basis.step_margin
 
     def edge_counts(self, rows, starts, ends):
         """Per cell (row rows[c], positions [starts[c], ends[c])), the number of block edges
         inside it (blocks()): one per 1/SPAN_BLOCKS octave of its spans past the first, and
         fewer than its positions."""
-        base = self.nums[rows]
-        ratio = ((self.nums[rows + self.gap - 1 + ends] - base)
-                 / (self.nums[rows + self.gap + starts] - base))
+        nums = self.basis.nums
+        base = nums[rows]
+        ratio = (nums[rows + self.gap - 1 + ends] - base) / (nums[rows + self.gap + starts] - base)
         return np.minimum(np.ceil(SPAN_BLOCKS * np.log2(ratio)), ends - starts - 1).astype(np.int64)
 
     def blocks(self, rows, starts, ends, counts):
@@ -753,14 +817,15 @@ class _LineData:
         octave steps."""
         if not counts.any():
             return np.arange(len(rows)), starts, ends
+        nums = self.basis.nums
         # the inner edges: each one's cell, its number m from 1 in the cell, its position
         owner, g = np.repeat(np.arange(len(rows)), counts), np.arange(int(counts.sum()))
         m = g + 1 - np.repeat(np.cumsum(counts) - counts, counts)
-        first, base = rows + self.gap, self.nums[rows]        # the last index at position 0
-        s0, last = self.nums[first + starts] - base, self.nums[first + ends - 1] - base
+        first, base = rows + self.gap, nums[rows]        # the last index at position 0
+        s0, last = nums[first + starts] - base, nums[first + ends - 1] - base
         factor = 2.0 ** (np.arange(1, int(counts.max()) + 1) / SPAN_BLOCKS)
         step = np.minimum(np.ceil(s0[owner] * factor[m - 1]), last[owner])
-        edge = np.searchsorted(self.nums, base[owner] + step.astype(np.int64)) - first[owner]
+        edge = np.searchsorted(nums, base[owner] + step.astype(np.int64)) - first[owner]
         # a cell's blocks run from its start through its inner edges to its end
         cell = np.repeat(np.arange(len(rows)), counts + 1)
         lo, hi = np.empty(len(cell), dtype=np.int64), np.empty(len(cell), dtype=np.int64)
@@ -773,16 +838,17 @@ class _LineData:
         """Per block (row rows[t], positions [lo[t], hi[t])), a float above the float and exact
         ratio of each of its items (the range lemma), margin[t] being its bucket's screen error
         absolute[b]; +inf when the images' floats overflow."""
-        if not self.finite:
+        basis = self.basis
+        if not basis.finite:
             return np.full(len(rows), np.inf)
         k0, k1 = rows + self.gap + lo, rows + self.gap + hi - 1
         if self.gap == 1:       # the images of the block's last indices, about the row's image
-            t, (top, bottom) = self.tvals[rows], self.extrema(k0, k1)
+            t, (top, bottom) = basis.tvals[rows], basis.extrema(k0, k1)
             spread = np.maximum(top - t, t - bottom)
         else:                   # the images from the row's first index to the block's last
-            top, bottom = self.extrema(rows, k1)
+            top, bottom = basis.extrema(rows, k1)
             spread = top - bottom
-        factor = float(self.den) / (self.nums[k0] - self.nums[rows]).astype(np.float64)
+        factor = float(basis.den) / (basis.nums[k0] - basis.nums[rows]).astype(np.float64)
         return spread * factor * (1 + 2.0 ** -48) + margin
 
     def items(self, bucket, rows, start, end):
@@ -790,13 +856,14 @@ class _LineData:
         bucket[c], for each segment c (a cell, or a block of one), in segment and position
         order: their buckets, rows, last indices and float ratios, each the float that the
         row-at-a-time formula gives, bit for bit."""
+        basis = self.basis
         width = end - start
         i = np.repeat(rows, width)
         k = np.arange(len(i)) + np.repeat(rows + self.gap + start - np.cumsum(width) + width, width)
         with np.errstate(invalid="ignore"):         # inf - inf
-            ratio = self.spreads(i, k) * (float(self.den)
-                                          / (self.nums[k] - self.nums[i]).astype(np.float64))
-        if not self.finite:     # the screen is off: no floor may drop a NaN (inf - inf)
+            ratio = self.spreads(i, k) * (float(basis.den)
+                                          / (basis.nums[k] - basis.nums[i]).astype(np.float64))
+        if not basis.finite:    # the screen is off: no floor may drop a NaN (inf - inf)
             ratio[np.isnan(ratio)] = np.inf
         return _Tile(np.repeat(bucket, width), i, k, ratio)
 
@@ -806,7 +873,8 @@ class _LinePairs(_LineData):
 
     def spreads(self, i, k):
         """Float image distances |tv[k] - tv[i]|."""
-        return np.abs(self.tvals[k] - self.tvals[i])
+        tvals = self.basis.tvals
+        return np.abs(tvals[k] - tvals[i])
 
     @staticmethod
     def items_before(h):
@@ -816,14 +884,15 @@ class _LinePairs(_LineData):
     def sides(self, wit):
         """Exact (distance, image distance) at a pair witness."""
         i, j = wit
-        return self.point(j) - self.point(i), abs(self.image(j) - self.image(i))
+        point, image = self.basis.point, self.basis.image
+        return point(j) - point(i), abs(image(j) - image(i))
 
     def exact(self, rows, hs):
         """(image distance numerators, their denominators times the spans, witness columns) of
         the pairs (rows, rows + 1 + hs): unreduced ints that order items like their ratios."""
         i, j = rows, rows + 1 + hs
-        a, b = self.inum, self.iden
-        span = self.nums[j] - self.nums[i]
+        a, b, nums = self.basis.inum, self.basis.iden, self.basis.nums
+        span = nums[j] - nums[i]
         return np.abs(a[j] * b[i] - a[i] * b[j]), b[i] * b[j] * span, (i, j)
 
     def strict(self):
@@ -835,8 +904,9 @@ class _LinePairs(_LineData):
         reaches down to its own; its first k is one pass over the row.  Both
         key sets are compared exactly (_comparable).
         """
-        a, b, x = self.widened(2)
-        (minus,), (plus,) = (_comparable(_shifted(a, b, x, self.den, sign)) for sign in (-1, 1))
+        a, b, x = self.basis.widened(2)
+        (minus,), (plus,) = (_comparable(_shifted(a, b, x, self.basis.den, sign))
+                             for sign in (-1, 1))
         hits = np.flatnonzero((_suffix(minus, np.maximum)[1:] >= minus[:-1])
                               | (_suffix(plus, np.minimum)[1:] <= plus[:-1]))
         if not len(hits):
@@ -850,10 +920,6 @@ class _LineTriples(_LineData):
 
     gap = 2
 
-    def ranks(self):
-        """Dense ranks of the images in exact order (_ranks)."""
-        return _ranks(self.inum, self.iden)
-
     def spreads(self, i, k):
         """Float image spreads of the pairs (i, k) at their best middle points.
 
@@ -863,7 +929,8 @@ class _LineTriples(_LineData):
         where Top and Bottom run over tv[i .. k] (the range-extremum tables):
         max and min are exact and rounding is monotone.
         """
-        ends, (top, bottom) = (self.tvals[i], self.tvals[k]), self.extrema(i, k)
+        tvals = self.basis.tvals
+        ends, (top, bottom) = (tvals[i], tvals[k]), self.basis.extrema(i, k)
         return np.maximum(top - np.minimum(*ends), np.maximum(*ends) - bottom)
 
     @staticmethod
@@ -874,8 +941,9 @@ class _LineTriples(_LineData):
     def sides(self, wit):
         """Exact (perimeter, image perimeter) at a triple witness."""
         i, j, k = wit
-        ims = (self.image(i), self.image(j), self.image(k))
-        return 2 * (self.point(k) - self.point(i)), 2 * (max(ims) - min(ims))
+        point, image = self.basis.point, self.basis.image
+        ims = (image(i), image(j), image(k))
+        return 2 * (point(k) - point(i)), 2 * (max(ims) - min(ims))
 
     def exact(self, rows, hs):
         """(image spread numerators, their denominators times the spans, witness columns) of
@@ -883,19 +951,17 @@ class _LineTriples(_LineData):
 
         The spread is the greatest of hi - lo, top - lo and hi - bottom, lo and
         hi being the images of i and k, and top and bottom the extreme middle
-        images, at their first indices (the range-extremum tables).  Ranks
-        decide which differences beat hi - lo; only when both do are they
-        compared by cross products.  Entries are unreduced as for pairs
-        (perimeters are twice spans).
+        images, at their first indices (the basis' tables tops and bottoms,
+        built once per basis).  Ranks decide which differences beat hi - lo;
+        only when both do are they compared by cross products.  Entries are
+        unreduced as for pairs (perimeters are twice spans).
         """
+        basis = self.basis
         i, k = rows, rows + 2 + hs
-        n, rank, a, b = self.n, self.ranks(), self.inum, self.iden
-        longest, index = int(hs.max()) + 1, np.arange(n)
+        n, rank, a, b = basis.n, basis.ranks, basis.inum, basis.iden
         # the first index of the greatest and of the least image over each range of middle points
-        tops = _extrema_table(rank * n + (n - 1 - index), np.maximum, longest)
-        bottoms = _extrema_table(rank * n + index, np.minimum, longest)
-        top = n - 1 - _range_extremum(tops, np.maximum, i + 1, k - 1, self.log2) % n
-        bottom = _range_extremum(bottoms, np.minimum, i + 1, k - 1, self.log2) % n
+        top = n - 1 - _range_extremum(basis.tops, np.maximum, i + 1, k - 1, basis.log2) % n
+        bottom = _range_extremum(basis.bottoms, np.minimum, i + 1, k - 1, basis.log2) % n
         swap = rank[i] > rank[k]
         lo, hi = np.where(swap, k, i), np.where(swap, i, k)
 
@@ -911,7 +977,7 @@ class _LineTriples(_LineData):
                      np.where(use_down, bottom, i + 1))
         num, den = (np.where(use_up, u, np.where(use_down, d, e))
                     for u, d, e in zip(up, down, ends))
-        return num, den * (self.nums[k] - self.nums[i]), (i, j, k)
+        return num, den * (basis.nums[k] - basis.nums[i]), (i, j, k)
 
     def strict(self):
         """The lex-first triple (i, j, k) whose perimeter does not decrease, or None.
@@ -930,8 +996,8 @@ class _LineTriples(_LineData):
         k > j with T_k - x_k >= min(T_i, T_j) - x_i or T_k + x_k <= max(T_i,
         T_j) + x_i.  Each set of keys is compared exactly (_comparable).
         """
-        n, den = self.n, self.den
-        a, b, x = self.widened(3)
+        n, den = self.basis.n, self.basis.den
+        a, b, x = self.basis.widened(3)
         minus, plus = (_shifted(a, b, x, den, sign) for sign in (-1, 1))
         ra, rp = _comparable(minus, _shifted(a[:-1], b[:-1], x[1:], den, -1))
         rb, rq = _comparable(plus, _shifted(a[:-1], b[:-1], x[1:], den, 1))
@@ -1061,7 +1127,7 @@ def _settle(data, rows, hs, buckets, n_buckets):
     return best
 
 
-def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
+def _line_analysis(kind, basis):
     """Exact bucket suprema (lex-first witnesses) and the lex-first strict violation.
 
     The items below the rows' cuts are tiled bucket by bucket over the
@@ -1073,8 +1139,8 @@ def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     running entries (_pick), so that ties keep the lex-first witness.  The
     strict violation comes from suffix extrema (strict()), with no tile.
     """
-    eps = _checked_eps(kind, eps, len(numerators))
-    data = _LINE_KINDS[kind](numerators, den, image_nums, image_dens, eps)
+    _need_points(kind, basis.n)
+    data = _LINE_KINDS[kind](basis)
 
     def settle(entries, bucket, rows, lasts):
         return list(map(_pick, _settle(data, rows, lasts - rows - data.gap, bucket, len(entries)),
@@ -1086,8 +1152,9 @@ def _line_analysis(kind, numerators, den, image_nums, image_dens, eps):
     strict = data.strict()
     if strict is not None:
         strict = (strict, *data.sides(strict))
-    return _finalize(kind, eps, [None if e is None else data.entry(e[2]) for e in screen.result()],
-                     data.counts, strict, data.point, exact=True)
+    return _finalize(kind, basis.eps,
+                     [None if e is None else data.entry(e[2]) for e in screen.result()],
+                     data.counts, strict, basis.point, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,17 +1221,14 @@ def table_triple_analysis(lattice, nodes, images, eps, points):
     return _table_analysis("triple", lattice, nodes, images, eps, points)
 
 
-def line_pair_analysis(numerators, den, image_nums, image_dens, eps):
-    """Pairwise enumeration of a sampled space: points numerators[i]/den, ascending.
+def line_pair_analysis(basis):
+    """Pairwise enumeration of a sampled space, given as its LineBasis.
 
-    The image of point i is image_nums[i]/image_dens[i], reduced, with a
-    positive denominator.  The three are int arrays (int64, or object arrays
-    of Python ints) or sequences of ints; witnesses and their measures come
-    out as Fractions.
+    Witnesses and their measures come out as Fractions.
     """
-    return _line_analysis("pairwise", numerators, den, image_nums, image_dens, eps)
+    return _line_analysis("pairwise", basis)
 
 
-def line_triple_analysis(numerators, den, image_nums, image_dens, eps):
+def line_triple_analysis(basis):
     """Triple (perimeter) enumeration; see line_pair_analysis."""
-    return _line_analysis("triple", numerators, den, image_nums, image_dens, eps)
+    return _line_analysis("triple", basis)

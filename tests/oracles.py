@@ -7,7 +7,8 @@ the same checks, messages and closed table as closure_loops.  The line
 engine's exact stage (scan._LineData.exact, scan._settle) must give the same
 witnesses and ratios as FractionPairRow and FractionTripleRow, and the same
 bucket maxima as candidate_fold, their per-item fold; its strict check
-(strict()) the lex-first of their strict witnesses.
+(strict()) the lex-first of their strict witnesses.  The tests build the
+line scans' input, a scan.LineBasis, with line_basis.
 cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
 theorem_lab._draw must draw what stdlib_draw draws through random.Random's
 own randint and randrange.  theorem_lab.search_refutations, which judges its
@@ -118,6 +119,14 @@ def split_images(images):
             scan._int_array([v.denominator for v in images]))
 
 
+def line_basis(nums, den, images, eps):
+    """The scan.LineBasis of the points nums[i]/den and their images, given as rationals or as
+    a tuple (numerators, denominators) of ints: the tests' one way into the line scans."""
+    if not isinstance(images, tuple):
+        images = split_images(images)
+    return scan.LineBasis(nums, den, *images, eps)
+
+
 class FractionPairRow:
     """The pairs (i, i+1+h) of one line-engine row, evaluated in Fractions."""
 
@@ -127,13 +136,13 @@ class FractionPairRow:
     def entry(self, h):
         """(image distance numerator, its denominator times the span, witness)."""
         i, j = self.i, self.i + 1 + h
-        image, nums = self.data.image, self.data.nums.tolist()
+        image, nums = self.data.basis.image, self.data.basis.nums.tolist()
         dt = abs(image(j) - image(i))
         return dt.numerator, dt.denominator * (nums[j] - nums[i]), (i, j)
 
     def strict_witness(self, h):
         num, den_span, wit = self.entry(h)
-        return wit if num * self.data.den >= den_span else None
+        return wit if num * self.data.basis.den >= den_span else None
 
 
 class FractionTripleRow:
@@ -146,11 +155,11 @@ class FractionTripleRow:
 
     def __init__(self, data, i, reach):
         self.data, self.i = data, i
-        top = bottom = data.image(i + 1)
+        top = bottom = data.basis.image(i + 1)
         top_j = bottom_j = i + 1
         runs = []
         for j in range(i + 1, i + 2 + reach):
-            v = data.image(j)
+            v = data.basis.image(j)
             if v > top:
                 top, top_j = v, j
             elif v < bottom:
@@ -160,8 +169,8 @@ class FractionTripleRow:
 
     def _ends(self, h):
         i, k = self.i, self.i + 2 + h
-        lo, hi = sorted((self.data.image(i), self.data.image(k)))
-        return k, lo, hi, int(self.data.nums[k]) - int(self.data.nums[i])
+        lo, hi = sorted((self.data.basis.image(i), self.data.basis.image(k)))
+        return k, lo, hi, int(self.data.basis.nums[k]) - int(self.data.basis.nums[i])
 
     def entry(self, h):
         """(image spread numerator, its denominator times the span, witness)."""
@@ -181,7 +190,7 @@ class FractionTripleRow:
     def strict_witness(self, h):
         """Lex-first triple (i, j, i+2+h) whose perimeter does not decrease, or None."""
         k, lo, hi, span = self._ends(h)
-        half = Fraction(span, self.data.den)
+        half = Fraction(span, self.data.basis.den)
         if hi - lo >= half:
             return (self.i, self.i + 1, k)
         t = min(bisect_left(self.top, lo + half, 0, h + 1),

@@ -41,7 +41,7 @@ from oracles import (
     FractionTripleRow,
     candidate_fold,
     metric_violations_loops,
-    split_images,
+    line_basis,
     table_loops,
 )
 
@@ -706,7 +706,7 @@ def family_inputs(draw):
 
 def all_items(data):
     """(rows, positions) arrays of every item of a line scan, in (row, position) order."""
-    positions = [np.arange(data.n - data.gap - i) for i in range(data.n - data.gap)]
+    positions = [np.arange(data.basis.n - data.gap - i) for i in range(data.basis.n - data.gap)]
     rows = np.repeat(np.arange(len(positions)), list(map(len, positions)))
     return rows, np.concatenate(positions)
 
@@ -755,7 +755,7 @@ class TestLineEngineFuzz:
         images = [F(i, 2) for i in range(n)]
         images[-1] += F(1, 10 ** 12)
         eps = (F(1, 2),)
-        got = scan.line_pair_analysis(list(range(n)), 1, *split_images(images), eps)
+        got = scan.line_pair_analysis(line_basis(list(range(n)), 1, images, eps))
         want, want_wit = None, None
         for i, j in combinations(range(n), 2):
             r = abs(images[j] - images[i]) / (points[j] - points[i])
@@ -775,7 +775,7 @@ class TestLineEngineFuzz:
             nums = sorted(rng.sample(range(40), 6))
             images = [10 ** 12 + F(rng.randint(0, 1000), scale) for _ in nums]
             points = [F(k, 8) for k in nums]
-            got = scan.line_pair_analysis(nums, 8, *split_images(images), eps)
+            got = scan.line_pair_analysis(line_basis(nums, 8, images, eps))
             want = naive_line_analysis("pairwise", points, images, eps)
             assert repr(got) == repr(want), (scale, trial)
 
@@ -792,7 +792,7 @@ class TestLineEngineFuzz:
                 images[r] = images[r - 1] + points[r] - points[r - 1]
             for kind, engine in (("pairwise", scan.line_pair_analysis),
                                  ("triple", scan.line_triple_analysis)):
-                got = engine(nums, 3, *split_images(images), eps)
+                got = engine(line_basis(nums, 3, images, eps))
                 want = naive_line_analysis(kind, points, images, eps)
                 assert repr(got) == repr(want), (kind, trial)
 
@@ -801,7 +801,7 @@ class TestLineEngineFuzz:
         nums, den, points, images, eps = case
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
-            got = engine(nums, den, *split_images(images), eps)
+            got = engine(line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -810,7 +810,7 @@ class TestLineEngineFuzz:
         # the exact stage's arrays at every (i, k), and the strict check the lex-first of the
         # loop's strict triples
         nums, den, points, images, eps = case
-        data = scan._LineTriples(nums, den, *split_images(images), eps)
+        data = scan._LineTriples(line_basis(nums, den, images, eps))
         n = len(points)
         rows, ks = np.triu_indices(n, 2)
         num, span_den, wit = data.exact(rows, ks - rows - 2)
@@ -830,11 +830,11 @@ class TestLineEngineFuzz:
         # Fraction rows' strict witnesses
         nums, den, points, images, eps = case
         for kind, oracle in (("pairwise", FractionPairRow), ("triple", FractionTripleRow)):
-            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
+            data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
             rows, hs = all_items(data)
             got = data.exact(rows, hs)
             for t, (i, h) in enumerate(zip(rows.tolist(), hs.tolist())):
-                reach = data.n - data.gap - 1 - i
+                reach = data.basis.n - data.gap - 1 - i
                 num, den_span, wit = (int(got[0][t]), int(got[1][t]),
                                       tuple(int(column[t]) for column in got[2]))
                 want_row = oracle(data, i, reach)
@@ -847,11 +847,11 @@ class TestLineEngineFuzz:
     def test_each_triple_family_alone_gives_the_lex_first_violator(self, case):
         # the first violating row holds a violator of one of families (a), (b), (c) only
         nums, den, points, images, eps, family = case
-        data = scan._LineTriples(nums, den, *split_images(images), eps)
+        data = scan._LineTriples(line_basis(nums, den, images, eps))
         want = naive_line_analysis("triple", points, images, eps)
         assert triple_families(points, images, lex_first_triple(points, images)[0]) == {family}
         assert tuple(points[w] for w in data.strict()) == want.strict_violation[0]
-        got = scan.line_triple_analysis(nums, den, *split_images(images), eps)
+        got = scan.line_triple_analysis(line_basis(nums, den, images, eps))
         assert repr(got) == repr(want)
 
     @given(exact_stage_inputs())
@@ -859,7 +859,7 @@ class TestLineEngineFuzz:
         nums, den, points, images, eps = case
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
-            got = engine(nums, den, *split_images(images), eps)
+            got = engine(line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -870,8 +870,9 @@ class TestLineEngineFuzz:
         nums, den, points, images, eps = case
         wide = max(max(abs(v.numerator), v.denominator) for v in images) >= 2 ** 32
         for kind in ("pairwise", "triple"):
-            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
-            assert data.inum.dtype == data.iden.dtype == (object if wide else data.inum.dtype)
+            data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
+            inum, iden = data.basis.inum, data.basis.iden
+            assert inum.dtype == iden.dtype == (object if wide else inum.dtype)
             rows, hs = all_items(data)
             buckets = (hs[:, None] >= data.before[rows, 1:-1]).sum(axis=1)
             pick = np.array(sorted(rnd.sample(range(len(rows)), rnd.randint(1, len(rows)))))
@@ -883,7 +884,7 @@ class TestLineEngineFuzz:
     @given(exact_stage_inputs())
     def test_image_ranks_follow_the_exact_order(self, case):
         nums, den, points, images, eps = case
-        rank = scan._LineTriples(nums, den, *split_images(images), eps).ranks().tolist()
+        rank = line_basis(nums, den, images, eps).ranks.tolist()
         for a, b in combinations(range(len(images)), 2):
             assert ((rank[a] > rank[b]) - (rank[a] < rank[b])
                     == (images[a] > images[b]) - (images[a] < images[b])), (a, b)
@@ -895,16 +896,16 @@ class TestLineEngineFuzz:
         points = [F(k) for k in nums]
         images = [F(v) for v in (-4, 4, 4, 5, -1, -2, 6)]
         eps = (F(2), F(9))
-        got = scan.line_triple_analysis(nums, 1, *split_images(images), eps)
+        got = scan.line_triple_analysis(line_basis(nums, 1, images, eps))
         assert got.deltas[1] == 1 and got.delta_witnesses[1][0] == (0, 2, 10)
         assert repr(got) == repr(naive_line_analysis("triple", points, images, eps))
 
     def test_distinct_images_sharing_a_float_rank_apart(self):
         images = [10 ** 12 + F(r, 10 ** 7) for r in (3, 1, 2, 1, 0)]
         nums = list(range(len(images)))
-        data = scan._LineTriples(nums, 1, *split_images(images), (F(1),))
-        assert len(set(data.tvals.tolist())) == 1
-        assert data.ranks().tolist() == [3, 1, 2, 1, 0]
+        data = scan._LineTriples(line_basis(nums, 1, images, (F(1),)))
+        assert len(set(data.basis.tvals.tolist())) == 1
+        assert data.basis.ranks.tolist() == [3, 1, 2, 1, 0]
 
     def test_many_float_tied_triples_settle_per_row(self):
         # x/2 on 0..159 with the last image raised by 1e-12: every (i, k) is
@@ -913,7 +914,7 @@ class TestLineEngineFuzz:
         points = [F(i) for i in range(n)]
         images = [F(i, 2) for i in range(n)]
         images[-1] += F(1, 10 ** 12)
-        got = scan.line_triple_analysis(list(range(n)), 1, *split_images(images), (F(2),))
+        got = scan.line_triple_analysis(line_basis(list(range(n)), 1, images, (F(2),)))
         want = F(1000000000001, 2000000000000)
         assert got.sup_ratio == got.deltas[0] == want
         assert got.sup_witness[0] == got.delta_witnesses[0][0] == (F(157), F(158), F(159))
@@ -922,11 +923,11 @@ class TestLineEngineFuzz:
 
 def row_oracle(data, i):
     """Row i's float ratios, one row at a time, as the line engine once computed them."""
-    tv, nums, den = data.tvals, data.nums, float(data.den)
+    tv, nums, den = data.basis.tvals, data.basis.nums, float(data.basis.den)
     if data.gap == 1:
         return np.abs(tv[i + 1:] - tv[i]) * (den / (nums[i + 1:] - nums[i]))
     ti, tk = tv[i], tv[i + 2:]
-    interior = tv[i + 1:data.n - 1]
+    interior = tv[i + 1:data.basis.n - 1]
     cmax = np.maximum.accumulate(interior)
     cmin = np.minimum.accumulate(interior)
     lo = np.minimum(ti, tk)
@@ -938,12 +939,12 @@ def row_oracle(data, i):
 def float_pass_oracle(data, eps, cut=None):
     """Per-row bucket maxima and bucket counts, one row at a time, from row_oracle; with a
     cut, the maxima range over the items of row i whose last index is below cut[i]."""
-    rows = data.n - data.gap
-    longest = int(data.nums[-1]) - int(data.nums[0])
-    edges = [0, *scan._ceil_thresholds(eps, data.den, longest + 1).tolist(), longest + 1]
+    rows = data.basis.n - data.gap
+    longest = int(data.basis.nums[-1]) - int(data.basis.nums[0])
+    edges = [0, *scan._ceil_thresholds(eps, data.basis.den, longest + 1).tolist(), longest + 1]
     before = np.empty((rows, len(edges)), dtype=np.int64)
     for e, edge in enumerate(edges):
-        before[:, e] = np.searchsorted(data.nums, data.nums[:rows] + edge) - np.arange(
+        before[:, e] = np.searchsorted(data.basis.nums, data.basis.nums[:rows] + edge) - np.arange(
             data.gap, rows + data.gap)
     np.maximum(before, 0, out=before)
     counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(len(edges))])
@@ -1005,7 +1006,7 @@ def left_out_bounds(data, stop, row, lo, hi):
 def cells_below(data, stop):
     """The nonempty cells below the rows' stops: (bucket, row) -> its positions [lo, hi)."""
     cells = {}
-    for i in range(data.n - data.gap):
+    for i in range(data.basis.n - data.gap):
         for b in data.filled.tolist():
             lo, hi = int(data.before[i, b]), min(int(data.before[i, b + 1]),
                                                  int(stop[i]) - i - data.gap)
@@ -1017,7 +1018,7 @@ def cells_below(data, stop):
 def brute_cut(data, threshold):
     """Per row i, the least last index k from which some point m splits (i, k) into two items
     of span >= threshold (in 1/den units), or n; the loop the cut formula stands for."""
-    nums, gap, n = data.nums.tolist(), data.gap, data.n
+    nums, gap, n = data.basis.nums.tolist(), data.gap, data.basis.n
     cut = []
     for i in range(n - gap):
         splits = [k for k in range(i + gap, n)
@@ -1030,9 +1031,9 @@ def brute_cut(data, threshold):
 def fraction_strict(data):
     """The lex-first strict violator of a line scan, from its Fraction rows, or None."""
     row_of = FractionPairRow if data.gap == 1 else FractionTripleRow
-    found = [w for i in range(data.n - data.gap)
-             for row in [row_of(data, i, data.n - data.gap - 1 - i)]
-             for w in map(row.strict_witness, range(data.n - data.gap - i)) if w]
+    found = [w for i in range(data.basis.n - data.gap)
+             for row in [row_of(data, i, data.basis.n - data.gap - 1 - i)]
+             for w in map(row.strict_witness, range(data.basis.n - data.gap - i)) if w]
     return min(found, default=None)
 
 
@@ -1249,7 +1250,7 @@ class TestEarlyFolds:
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile), \
                     mock.patch.object(scan, "SURVIVORS", survivors):
-                got = engine(nums, den, *split_images(images), eps)
+                got = engine(line_basis(nums, den, images, eps))
             assert repr(got) == repr(naive_line_analysis(kind, points, images, eps)), kind
 
     @given(tied_table_inputs())
@@ -1282,7 +1283,7 @@ class TestEarlyFolds:
         points = [F(k, n) for k in range(n)]
         for kind, engine, gap, items in (("pairwise", scan.line_pair_analysis, 1, 44_850),
                                          ("triple", scan.line_triple_analysis, 2, 44_551)):
-            got = engine(list(range(n)), n, [0] * n, [1] * n, DEFAULT_EPS_GRID)
+            got = engine(line_basis(list(range(n)), n, [0] * n, DEFAULT_EPS_GRID))
             assert sum(sizes[gap]) == items, kind
             assert max(sizes[gap]) <= scan.SURVIVORS + scan.LINE_TILE, kind
             first = (points[0], points[1]) if gap == 1 else (points[0], points[1], points[2])
@@ -1296,28 +1297,115 @@ class TestEarlyFolds:
             assert got.strict_violation is None, kind
 
 
+def beyond_float(case):
+    """A line scan's inputs with one or two images moved beyond the float range."""
+    nums, den, points, images, eps = case
+    rng = random.Random(len(nums) * 31 + den)
+    images = list(images)
+    for r in rng.sample(range(len(images)), rng.randint(1, 2)):
+        images[r] = rng.choice((10 ** 400, -10 ** 400, 10 ** 400 + F(1, 3)))
+    return nums, den, points, images, eps
+
+
+class TestLineBasis:
+    @given(st.one_of(line_scans(), line_scans().map(beyond_float),
+                     pruned_inputs().map(lambda case: case[:5]),
+                     bound_inputs().map(lambda case: case[:5])),
+           st.booleans())
+    def test_both_scans_of_one_basis_match_the_oracle_in_either_order(self, case, pairs_first):
+        # the views share the basis' lazily built tables: whichever scan builds them, both
+        # scans equal the Fraction oracle
+        nums, den, points, images, eps = case
+        basis = line_basis(nums, den, images, eps)
+        kinds = (("pairwise", scan.line_pair_analysis), ("triple", scan.line_triple_analysis))
+        for kind, engine in kinds if pairs_first else kinds[::-1]:
+            assert repr(engine(basis)) == repr(naive_line_analysis(kind, points, images, eps)), \
+                kind
+
+    @pytest.mark.parametrize("entry", [
+        catalog("burton_logistic", grid_step=F(1, 300)),
+        catalog("floor_half", integer_max=300),
+        catalog("composite", grid_step=F(1, 16), index_max=40)], ids=lambda e: e.id)
+    def test_a_sampled_report_builds_one_basis_for_both_scans(self, monkeypatch, entry):
+        # one basis per report, read by one call of each entry point; its range tables (steps,
+        # highs, lows) and the triple scan's two first-index tables are built once each
+        built, scanned, tables = [], [], [0]
+        basis_of, table_of = scan.LineBasis, scan._extrema_table
+
+        class Basis(basis_of):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def spy(name, engine):
+            def scan_spy(basis):
+                scanned.append((name, basis))
+                return engine(basis)
+            return scan_spy
+
+        def table_spy(*args):
+            tables[0] += 1
+            return table_of(*args)
+
+        want = full_report(entry.space, entry.map).to_json()
+        monkeypatch.setattr(scan, "LineBasis", Basis)
+        monkeypatch.setattr(scan, "_extrema_table", table_spy)
+        for name in ("line_pair_analysis", "line_triple_analysis"):
+            monkeypatch.setattr(scan, name, spy(name, getattr(scan, name)))
+        assert full_report(entry.space, entry.map).to_json() == want
+        assert len(built) == 1
+        assert scanned == [("line_pair_analysis", built[0]), ("line_triple_analysis", built[0])]
+        assert tables[0] == 5
+
+    def test_tie_heavy_triple_settles_build_the_exact_tables_once(self, monkeypatch):
+        # constant images on the points k/300: every one of the 44 551 triple items ties at 0,
+        # so with SURVIVORS 1 and tiles of 256 items the screen settles them in many batches;
+        # the exact image ranks are found once per triple scan, and the extremum tables as
+        # often whatever the number of settles
+        calls = {"_ranks": 0, "_extrema_table": 0, "_settle": 0}
+        for name in calls:
+            def counted(*args, real=getattr(scan, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(scan, name, counted)
+        n = 300
+        counts = {}
+        for survivors, tile in ((1, 256), (scan.SURVIVORS, scan.LINE_TILE)):
+            for name in calls:
+                calls[name] = 0
+            with mock.patch.object(scan, "SURVIVORS", survivors), \
+                    mock.patch.object(scan, "LINE_TILE", tile):
+                got = scan.line_triple_analysis(line_basis(list(range(n)), n, [0] * n,
+                                                           DEFAULT_EPS_GRID))
+            assert got.sup_ratio == 0 and got.total == math.comb(n, 3)
+            counts[survivors] = dict(calls)
+        assert counts[1]["_settle"] > 10 * counts[scan.SURVIVORS]["_settle"]
+        assert counts[1]["_ranks"] == counts[scan.SURVIVORS]["_ranks"] == 1
+        assert counts[1]["_extrema_table"] == counts[scan.SURVIVORS]["_extrema_table"] == 5
+
+
 class TestLinePreconditions:
     ENGINES = (scan.line_pair_analysis, scan.line_triple_analysis)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_unsorted_numerators_are_refused(self, engine):
         with pytest.raises(InputError, match="strictly ascending: 2 at index 1"):
-            engine([0, 2, 1], 1, [0, 0, 0], [1, 1, 1], (F(1),))
+            engine(line_basis([0, 2, 1], 1, [0, 0, 0], (F(1),)))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_duplicate_numerators_are_refused(self, engine):
         with pytest.raises(InputError, match="strictly ascending: 1 at index 1"):
-            engine([0, 1, 1], 1, [0, 1, 2], [1, 1, 1], (F(1),))
+            engine(line_basis([0, 1, 1], 1, [0, 1, 2], (F(1),)))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_zero_image_denominator_is_refused(self, engine):
         with pytest.raises(InputError, match="image denominators must be positive: 0 at index 2"):
-            engine([0, 1, 2], 1, [0, 1, 1], [1, 1, 0], (F(1),))
+            engine(line_basis([0, 1, 2], 1, ([0, 1, 1], [1, 1, 0]), (F(1),)))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_zero_point_denominator_is_refused(self, engine):
         with pytest.raises(InputError, match="denominator must be positive, not 0"):
-            engine([0, 1, 2], 0, [0, 1, 2], [1, 1, 1], (F(1),))
+            engine(line_basis([0, 1, 2], 0, [0, 1, 2], (F(1),)))
 
 
 class TestLineTiles:
@@ -1327,9 +1415,9 @@ class TestLineTiles:
         rng = random.Random(len(nums))
         for kind in ("pairwise", "triple"):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
-                rows = np.arange(data.n - data.gap)
-                full = np.full(len(rows), data.n)
+                data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
+                rows = np.arange(data.basis.n - data.gap)
+                full = np.full(len(rows), data.basis.n)
                 row_max = {"full": tiled_row_maxima(data, full),
                            "cut": tiled_row_maxima(data, data.cut)}
                 # items() also takes any cells, rows in any order, with any live positions
@@ -1357,7 +1445,7 @@ class TestLineTiles:
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                got = engine(nums, den, *split_images(images), eps)
+                got = engine(line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1422,7 +1510,7 @@ class TestLineTiles:
                     assert (bound[out] < max(floors[b], 0)).all(), (b, i)
                     dropped += int(out.sum())
                 violators.append(data.strict())
-                if data.n <= 100:
+                if data.basis.n <= 100:
                     assert violators[-1] == fraction_strict(data)
         assert any(violators)                           # some scan has a strict violator
         assert dropped                                  # and some items are left out
@@ -1476,7 +1564,7 @@ class TestLineTiles:
         images = [F(0), F(1), F(1), F(3, 2) * (1 - F(1, 10 ** 12)), F(1)]
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
-            got = engine(nums, 1, *split_images(images), eps)
+            got = engine(line_basis(nums, 1, images, eps))
             assert repr(got) == repr(naive_line_analysis(kind, points, images, eps)), kind
         assert settled == {1: [(0, 2)], 2: [(0, 2)]}
 
@@ -1502,16 +1590,16 @@ class TestLineTiles:
             monkeypatch.setattr(kind, "exact", spy_exact(kind.exact))
         for kind in ("pairwise", "triple"):
             # the items below each row's cut, with floors of their float maxima
-            data = scan._LINE_KINDS[kind](nums, 1, *split_images(images), DEFAULT_EPS_GRID)
+            data = scan._LINE_KINDS[kind](line_basis(nums, 1, images, DEFAULT_EPS_GRID))
             cut = data.cut
             floors = data.screen_floors(
                 float_pass_oracle(data, DEFAULT_EPS_GRID, cut)[0].max(axis=0))
             want = sum(int((row_oracle(data, i)[:cut[i] - i - data.gap]
                             >= np.repeat(floors, np.diff(data.before[i]))[:cut[i] - i - data.gap])
                            .sum())
-                       for i in range(data.n - data.gap))
+                       for i in range(data.basis.n - data.gap))
             evaluated[0] = 0
-            scan._line_analysis(kind, nums, 1, *split_images(images), DEFAULT_EPS_GRID)
+            scan._line_analysis(kind, line_basis(nums, 1, images, DEFAULT_EPS_GRID))
             assert evaluated[0] == want > 250, kind
 
     @given(rising_inputs())
@@ -1520,7 +1608,7 @@ class TestLineTiles:
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                got = engine(nums, den, *split_images(images), eps)
+                got = engine(line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1529,7 +1617,7 @@ class TestLineTiles:
         nums, den, points, images, eps, _ = case
         threshold = scan._ceil_thresholds(eps, den, math.inf, object)[-1]
         for kind in ("pairwise", "triple"):
-            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
+            data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
             assert data.cut.tolist() == brute_cut(data, threshold), kind
 
     @given(pruned_inputs())
@@ -1538,7 +1626,7 @@ class TestLineTiles:
         for kind, engine in (("pairwise", scan.line_pair_analysis),
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile):
-                got = engine(nums, den, *split_images(images), eps)
+                got = engine(line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1549,7 +1637,7 @@ class TestLineTiles:
                              ("triple", scan.line_triple_analysis)):
             with mock.patch.object(scan, "LINE_TILE", tile), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = engine(nums, den, *split_images(images), eps)
+                got = engine(line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps)
             assert repr(got) == repr(want), kind
 
@@ -1558,7 +1646,7 @@ class TestLineTiles:
         # the lex-first strict violator from suffix extrema, against direct enumeration
         nums, den, points, images, eps = case[:5]
         for kind in ("pairwise", "triple"):
-            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
+            data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
             want = naive_line_analysis(kind, points, images, eps).strict_violation
             got = data.strict()
             assert (None if got is None else data.sides(got)[::-1]) == \
@@ -1575,9 +1663,9 @@ class TestLineTiles:
         # first
         nums, den, points, images, eps, _ = case
         for kind in ("pairwise", "triple"):
-            data = scan._LINE_KINDS[kind](nums, den, *split_images(images), eps)
-            rows = data.n - data.gap
-            for stop in (data.cut, np.full(rows, data.n)):
+            data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
+            rows = data.basis.n - data.gap
+            for stop in (data.cut, np.full(rows, data.basis.n)):
                 cells = [(i, b, int(data.before[i, b]),
                           min(int(data.before[i, b + 1]), int(stop[i]) - i - data.gap))
                          for i in range(rows) for b in data.filled.tolist()]
@@ -1591,7 +1679,7 @@ class TestLineTiles:
                     mine = np.flatnonzero(cell == c)
                     assert start[mine[0]] == lo[c] and end[mine[-1]] == hi[c]
                     assert (start[mine[1:]] == end[mine[:-1]]).all()
-                if not data.finite:
+                if not data.basis.finite:
                     assert (steep == np.inf).all() and (ranged == np.inf).all()
                     continue
                 for t, c in enumerate(cell.tolist()):
@@ -1713,7 +1801,7 @@ class TestLineTiles:
                 eps = (F(nums[1] - nums[0], den), F(nums[-1] - nums[0], den))
                 for kind, engine in (("pairwise", scan.line_pair_analysis),
                                      ("triple", scan.line_triple_analysis)):
-                    got = engine(nums, den, *split_images(images), eps)
+                    got = engine(line_basis(nums, den, images, eps))
                     want = naive_line_analysis(kind, points, images, eps)
                     assert repr(got) == repr(want), (kind, nums, den, images)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from contraction_lab import scan, theorem_lab
+from contraction_lab import cli, scan, theorem_lab
 from contraction_lab.cli import _parity_cases_hold, main
 from contraction_lab.map_catalog import apply, catalog
 from contraction_lab.metric_core import FiniteMetricSpace, metric_repair
@@ -411,6 +411,44 @@ class TestUsageErrors:
         assert run(argv + ["--out", str(out)]) == 1
         assert f"error: {flag} does not apply to" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_one_parser_runs_a_sequence_as_fresh_parsers_do(self, tmp_path, capsys, monkeypatch,
+                                                           instance_file):
+        # classify, a usage error, verify, search, --help and classify again, in one process
+        # through its one parser: the exit codes, stdout, stderr and every written file equal
+        # those of the same runs with a parser built for each call
+        argvs = [["classify", "--catalog", "burton_logistic", "--grid-step", "1/64"],
+                 ["classify", "--catalog", "burton_logistic", "--grid-step", "1/0"],
+                 ["verify", "--theorem", "corrected_main", "--instance", str(instance_file)],
+                 ["search", "--theorem", "corrected_main", "--trials", "50"],
+                 ["--help"],
+                 ["classify", "--catalog", "burton_logistic", "--grid-step", "1/64"]]
+
+        def runs(home):
+            home.mkdir()
+            monkeypatch.chdir(home)
+            results = []
+            for step, argv in enumerate(argvs):
+                try:
+                    code = run(argv + (["--out", f"out-{step}"] if argv[0] != "--help" else []))
+                except SystemExit as exc:
+                    code = f"SystemExit({exc.code})"
+                results.append((code, *capsys.readouterr()))
+            files = {str(p.relative_to(home)): p.read_bytes()
+                     for p in sorted(home.rglob("*")) if p.is_file()}
+            return results, files
+
+        assert cli._parser() is cli._parser()
+        reused = runs(tmp_path / "reused")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = runs(tmp_path / "fresh")
+        assert reused == fresh
+        codes = [code for code, _, _ in reused[0]]
+        assert codes == [0, 1, 0, 0, "SystemExit(0)", 0]
+        assert "error: argument --grid-step: not a rational number: '1/0'" in reused[0][1][2]
+        assert len(reused[1]) == 4      # two classify documents, a verdict and a search
 
 
 class TestIterate:

@@ -209,10 +209,11 @@ class TestArrayForms:
         space, mapping = entry.space, entry.map
         picks = data.draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=60))
         point_set = [F(space.numerators[i], space.denominator) for i in picks]
-        size, (nums, den, image_nums, image_dens) = classify._prepare(space, mapping, point_set)
-        assert nums.tolist() == sorted({space.numerators[i] for i in picks}) and size == len(nums)
-        assert (image_nums.tolist(), image_dens.tolist()) == split_by_point(mapping, nums.tolist(),
-                                                                          den)
+        size, basis = classify._prepare(space, mapping, point_set, classify.DEFAULT_EPS_GRID)
+        nums = basis.nums.tolist()
+        assert nums == sorted({space.numerators[i] for i in picks}) and size == len(nums)
+        assert (basis.inum.tolist(), basis.iden.tolist()) == split_by_point(mapping, nums,
+                                                                            basis.den)
 
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=40),
            st.integers(1, 1000))

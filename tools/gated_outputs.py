@@ -17,7 +17,10 @@ prints nothing.  The runs are ``reproduce`` (its sha256 is pinned in
 measured at and on two fine ones, ``burton_logistic`` at grid 1/16384 and
 ``composite`` at 1/8192, whose scans hold tens of thousands of range-bound
 blocks, one with a small last eps where almost every item of the top
-bucket lies past its row's cut, a CSV run with an ``--eps-grid``, three
+bucket lies past its row's cut, a CSV run with an ``--eps-grid``, a
+``classify`` usage error between two ``classify`` runs, which must exit 1
+with its usage and message (the one argument parser of the process reports
+it, and the runs after it read that parser too), three
 ``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
 both biases, each over 10**4 trials.  The ``instance-*`` runs read instance
 files that this script writes into ``OUT_DIR/instances/`` (_instance_docs):
@@ -48,7 +51,8 @@ eps, so no row is cut: the constant map, where every item ties at 0, and
 a map of three steps of 10**-6 on 10**12, whose images share one float, so
 that every item is a float-screen candidate.  The screen keeps all 44 850
 pair and 44 551 triple items of each and settles them in batches past
-``scan.SURVIVORS`` kept items.
+``scan.SURVIVORS`` kept items.  Both scans of an input read one
+``scan.LineBasis``, as a report's do.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ VALIDATION_TRIALS = 500
 RUNS = (
     ("reproduce", ["reproduce"]),
     ("classify-burton-2048", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/2048"]),
+    ("classify-usage-error", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/0"]),
     ("classify-burton-2051", ["classify", "--catalog", "burton_logistic", "--grid-step", "1/2051"]),
     ("classify-burton-16384", ["classify", "--catalog", "burton_logistic",
                                "--grid-step", "1/16384"]),
@@ -122,7 +127,7 @@ INSTANCE_RUNS = tuple(
      ["classify", "--instance", "instances/n64-exact.json", "--mode", "float"]),
     ("instance-classify-non-metric", ["classify", "--instance", "instances/non-metric.json"]),
 )
-EXPECTED_FAILURES = {"instance-classify-non-metric"}     # these must exit 1
+EXPECTED_FAILURES = {"classify-usage-error", "instance-classify-non-metric"}  # these exit 1
 
 
 def _closed_table(rng, n):
@@ -237,9 +242,10 @@ def write_scans(out_dir):
     scans = Path(out_dir) / "scans"
     scans.mkdir(parents=True, exist_ok=True)
     for label, nums, den, images, eps in _scan_inputs():
-        image_nums, image_dens = [v.numerator for v in images], [v.denominator for v in images]
+        basis = scan.LineBasis(nums, den, [v.numerator for v in images],
+                               [v.denominator for v in images], eps)
         (scans / f"{label}.txt").write_text(
-            "".join(f"{repr(engine(nums, den, image_nums, image_dens, eps))}\n"
+            "".join(f"{repr(engine(basis))}\n"
                     for engine in (scan.line_pair_analysis, scan.line_triple_analysis)),
             encoding="utf-8")
 
