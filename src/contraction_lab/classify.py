@@ -266,10 +266,11 @@ def _ratio(num, den):
     return num / den
 
 
-def _strict_witness(analysis):
-    if analysis.strict_violation is None:
+def _strict_witness(violation):
+    """The witness dict of a strict violation (points, measure, image measure), or None."""
+    if violation is None:
         return None
-    points, measure, image_measure = analysis.strict_violation
+    points, measure, image_measure = violation
     if len(points) == 2:
         return {"x": points[0], "y": points[1], "distance": measure,
                 "image_distance": image_measure}
@@ -290,7 +291,7 @@ def _modulus_table(analysis, witness_fn) -> ModulusTable:
 # verdict construction
 
 def _strict_verdict(analysis, scope, what) -> Verdict:
-    witness = _strict_witness(analysis)
+    witness = _strict_witness(analysis.strict_violation)
     if witness is None:
         qualifier = "" if scope == "exact" else " on the enumerated scope"
         return Verdict(True, scope == "exact",
@@ -300,19 +301,30 @@ def _strict_verdict(analysis, scope, what) -> Verdict:
                    witness)
 
 
-def _modulus_verdict(analysis, table, scope, strict: Verdict, what) -> Verdict:
-    if not strict.passed:
+def _strict_large_verdict(witness, what) -> Verdict:
+    """The large verdict that strictness decides, from the strict witness (None when strict
+    decrease holds).
+
+    A strict violation has ratio >= 1, so it fails every modulus below 1, on
+    any scope.  On a fully enumerated space strictness also passes it: each
+    grid modulus is the greatest of finitely many ratios below 1, and
+    _modulus_verdict checks that it is.
+    """
+    if witness is not None:
         return Verdict(False, True,
-                       f"strict {what} decrease fails, so no modulus below 1 exists",
-                       strict.witness)
-    if scope == "exact":
+                       f"strict {what} decrease fails, so no modulus below 1 exists", witness)
+    return Verdict(True, True, "all grid moduli are below 1 on the fully enumerated space")
+
+
+def _modulus_verdict(table, scope, strict: Verdict, what) -> Verdict:
+    if scope == "exact" and strict.passed:
         bad = [e for e in table.entries if not e.vacuous and not e.delta < 1]
-        if bad:  # unreachable once strictness holds on a fully enumerated space
-            return Verdict(False, True,
-                           f"delta({_fmt(bad[0].eps)}) = {_fmt(bad[0].delta)} is not below 1",
-                           bad[0].witness)
-        return Verdict(True, True, "all grid moduli are below 1 on the fully "
-                                   "enumerated space")
+        if bad:
+            raise InternalConsistencyError(
+                f"delta({_fmt(bad[0].eps)}) = {_fmt(bad[0].delta)} is not below 1 while "
+                f"strict {what} decrease holds on the fully enumerated space")
+    if scope == "exact" or not strict.passed:
+        return _strict_large_verdict(strict.witness, what)
     for e in table.entries:
         if e.vacuous:
             continue
@@ -387,7 +399,7 @@ def _pair_verdicts(space, prepared, eps_grid) -> PairVerdicts:
     pair = _analysis("pairwise", space, prepared, eps_grid)
     strict = _strict_verdict(pair, scope, "distance")
     table = _modulus_table(pair, _pair_witness)
-    large = _modulus_verdict(pair, table, scope, strict, "distance")
+    large = _modulus_verdict(table, scope, strict, "distance")
     if large.passed and not strict.passed:
         raise InternalConsistencyError(
             "large-contraction verdict passed while the pairwise strict check failed")
@@ -399,7 +411,7 @@ def _triple_verdicts(space, prepared, eps_grid) -> TripleVerdicts:
     triple = _analysis("triple", space, prepared, eps_grid)
     strict = _strict_verdict(triple, scope, "perimeter")
     table = _modulus_table(triple, _triple_witness)
-    large = _modulus_verdict(triple, table, scope, strict, "perimeter")
+    large = _modulus_verdict(table, scope, strict, "perimeter")
     alpha_witness = _triple_witness(triple.sup_witness)
     uniform = _uniform_verdict(triple.sup_ratio, alpha_witness, scope, strict)
     if large.passed and not strict.passed:
@@ -422,6 +434,30 @@ def triple_verdicts(space, mapping: SelfMap, point_set=None, eps_grid=None) -> T
     """The triple scan alone: perimeter strictness, the uniform and large perimeter verdicts."""
     eps_grid = _grid(eps_grid)
     return _triple_verdicts(space, _prepare(space, mapping, point_set, eps_grid), eps_grid)
+
+
+def large_verdict(space, mapping: SelfMap, name, eps_grid=None) -> Verdict:
+    """One large verdict alone: name is "large_contraction" (pairs) or "large_tpc" (triples).
+
+    On a finite space the large verdict is the strict verdict
+    (_strict_large_verdict), so only the strict search runs
+    (scan.table_strict_violation): it reads the table's items in
+    lexicographic order and stops at the first block that holds a strict
+    violation.  On a sampled space the kind's whole scan runs, as in
+    pair_verdicts and triple_verdicts.
+    """
+    eps_grid = _grid(eps_grid)
+    prepared = _prepare(space, mapping, None, eps_grid)
+    pairwise = name == "large_contraction"
+    if isinstance(space, SampledSpace):
+        if pairwise:
+            return _pair_verdicts(space, prepared, eps_grid).large_contraction
+        return _triple_verdicts(space, prepared, eps_grid).large_tpc
+    nodes, images, pts = prepared[1]
+    kind = "pairwise" if pairwise else "triple"
+    violation = scan.table_strict_violation(kind, space.lattice, nodes, images, eps_grid, pts)
+    return _strict_large_verdict(_strict_witness(violation),
+                                 "distance" if pairwise else "perimeter")
 
 
 def check_pairwise_strict(space, mapping: SelfMap, point_set=None) -> Verdict:

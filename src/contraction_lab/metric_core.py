@@ -634,11 +634,12 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
     (beyond FLOAT_LIMIT) entry.  The axioms are checked by numpy masks over
     the lattice; they locate the violations in the order of direct
     enumeration (i, then j, then k), and witnesses are lattice values read
-    back as table scalars, sums taken in the same order.  The triangle check
-    runs over blocks of outer rows I, one pass each: d[I, None, :] >
-    d[I, :, None] + d (+ ETA), with as many rows as keep each temporary
-    within TRIANGLE_BLOCK entries (one row on an object lattice); only a
-    block that holds a violation is masked and searched for witnesses.
+    back as table scalars, sums taken in the same order.  The triangle
+    check decides an exactly symmetric table (upper == lower, entry by
+    entry) in one pass over its pairs i < k (_symmetric_triangle_holds), in
+    blocks within TRIANGLE_BLOCK entries.  A table that fails there, or is
+    not exactly symmetric, takes the ordered pass over blocks of outer rows
+    (_triangle_violations), the one pass that lists triangle witnesses.
     """
     lattice = table if isinstance(table, Lattice) else table_lattice(table, exact)
     d = lattice.values
@@ -662,30 +663,75 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
         symmetry = [(i, j, scalar(d[i, j]), scalar(d[j, i]))
                     for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
         triangle = []
-        # rows per pass: as many as keep each temporary within TRIANGLE_BLOCK entries, or one
-        # on an object lattice, whose entries are Python ints of any size
-        height = 1 if d.dtype == object else max(1, TRIANGLE_BLOCK // (n * n))
-        for i0 in range(0, n, height):
-            block = d[i0:i0 + height]
-            # bad[r, j, k]: d_ik > d_ij + d_jk (+ slack) for i = i0 + r
-            sums = block[:, :, None] + d
-            if slack:
-                sums += slack
-            bad = block[:, None, :] > sums
-            if not bad.any():
-                continue
-            r = np.arange(len(block))
-            bad[:, np.arange(n), np.arange(n)] = False      # j, k distinct from i and each other
-            bad[r, r + i0, :] = False
-            bad[r, :, r + i0] = False
-            i, j, k = np.nonzero(bad)
-            i += i0
-            triangle.extend(zip(i.tolist(), j.tolist(), k.tolist(),
-                                map(scalar, d[i, k].tolist()),
-                                map(scalar, (d[i, j] + d[j, k]).tolist())))
+        symmetric = np.array_equal(upper, lower)
+        if not (symmetric and _symmetric_triangle_holds(d, rows, cols, upper, slack)):
+            triangle = _triangle_violations(d, slack, scalar)
     return ValidationReport(size=n, finite=finite, diagonal=tuple(diagonal),
                             positivity=tuple(positivity), symmetry=tuple(symmetry),
                             triangle=tuple(triangle))
+
+
+def _symmetric_triangle_holds(d, rows, cols, upper, slack):
+    """Whether every triangle inequality holds on an exactly symmetric lattice d, decided over
+    its pairs i < k (rows, cols), whose distances are upper, alone.
+
+    With d_ki = d_ik and d_kj = d_jk, (i, j, k) and (k, j, i) are one
+    inequality: d_ki > d_kj + d_ji (+ slack) compares the same values, and
+    float addition is commutative (equal entries differ at most in the sign
+    of a zero, which no comparison sees).  Each pass takes a block of pairs,
+    as many as keep each temporary within TRIANGLE_BLOCK entries, and
+    compares d_ik with d_ij + d_kj over every j, from rows i and k of d;
+    j = i and j = k are masked out.
+    """
+    width = max(1, TRIANGLE_BLOCK // len(d))
+    for s in range(0, len(rows), width):
+        i, k = rows[s:s + width], cols[s:s + width]
+        sums = d.take(i, axis=0)            # sums[p, j] = d_ij + d_kj (+ slack)
+        sums += d.take(k, axis=0)
+        if slack:
+            sums += slack
+        bad = upper[s:s + width, None] > sums
+        if bad.any():
+            p = np.arange(len(i))
+            bad[p, i] = False
+            bad[p, k] = False
+            if bad.any():
+                return False
+    return True
+
+
+def _triangle_violations(d, slack, scalar):
+    """Every (i, j, k, d_ik, d_ij + d_jk) with d_ik > d_ij + d_jk (+ slack), for distinct i, j
+    and k, in the order of direct enumeration.
+
+    Each pass takes a block of outer rows I: d[I, None, :] > d[I, :, None] +
+    d (+ slack), with as many rows as keep each temporary within
+    TRIANGLE_BLOCK entries, or one on an object lattice, whose entries are
+    Python ints of any size; only a block that holds a violation is masked
+    and searched for witnesses.
+    """
+    n = len(d)
+    triangle = []
+    height = 1 if d.dtype == object else max(1, TRIANGLE_BLOCK // (n * n))
+    for i0 in range(0, n, height):
+        block = d[i0:i0 + height]
+        # bad[r, j, k]: d_ik > d_ij + d_jk (+ slack) for i = i0 + r
+        sums = block[:, :, None] + d
+        if slack:
+            sums += slack
+        bad = block[:, None, :] > sums
+        if not bad.any():
+            continue
+        r = np.arange(len(block))
+        bad[:, np.arange(n), np.arange(n)] = False      # j, k distinct from i and each other
+        bad[r, r + i0, :] = False
+        bad[r, :, r + i0] = False
+        i, j, k = np.nonzero(bad)
+        i += i0
+        triangle.extend(zip(i.tolist(), j.tolist(), k.tolist(),
+                            map(scalar, d[i, k].tolist()),
+                            map(scalar, (d[i, j] + d[j, k]).tolist())))
+    return triangle
 
 
 def shortest_path_closure(tables: np.ndarray) -> np.ndarray:

@@ -25,7 +25,12 @@ once at the end.
   (_LatticeReduction, _fold).
   Every value, witness and count equals that of a pure-Python enumeration
   in the table's scalars (the oracle the tests compare against).  A pair of
-  points at distance <= 0 is refused.
+  points at distance <= 0 is refused.  One enumeration (_table_blocks)
+  yields the blocks, and one strict test (_strict_item) finds a block's
+  lex-first strict violation, for the reduction and for the strict search
+  (table_strict_violation), which reads the blocks alone, without buckets,
+  and stops at the first that holds a violation: on a finite space that
+  violation decides the large verdicts (classify.large_verdict).
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
@@ -310,7 +315,6 @@ class _LatticeReduction:
     def __init__(self, lattice, eps):
         self.lattice = lattice
         self.thresholds = _lattice_thresholds(eps, lattice)
-        self.slack = 0 if lattice.exact else ETA
         n_buckets = len(eps) + 1
         self.counts = np.zeros(n_buckets, dtype=np.int64)
         self.strict = None                    # (witness indices, measure, image measure)
@@ -344,10 +348,7 @@ class _LatticeReduction:
         """
         self.counts += np.bincount(bucket, minlength=len(self.counts))
         if self.strict is None:
-            hits = np.flatnonzero(num >= den - self.slack)
-            if len(hits):
-                t = hits[0]
-                self.strict = (_witness(wit)(t), den[t], num[t])
+            self.strict = _strict_item(self.lattice, num, den, wit)
         self.screen.feed(bucket, _float_ratios(num, den), num, den, *wit)
 
     def result(self, kind, eps, points):
@@ -364,6 +365,15 @@ class _LatticeReduction:
 def _witness(wit):
     """Item t's witness indices, from the witness index columns wit."""
     return lambda t: tuple(int(w[t]) for w in wit)
+
+
+def _strict_item(lattice, num, den, wit):
+    """The strict test of a block of items: its first item, in witness order, whose image
+    measure num is at least its measure den (less ETA on a float lattice), as (witness
+    indices, measure, image measure); None when every item decreases strictly."""
+    hit = num >= den if lattice.exact else num >= den - ETA
+    t = int(hit.argmax())
+    return (_witness(wit)(t), den[t], num[t]) if hit[t] else None
 
 
 def _quotient(a, b):
@@ -446,9 +456,18 @@ def _triple_blocks(m, rows):
         a0 = a1
 
 
-def _table_analysis(kind, lattice, nodes, images, eps, points):
-    """The table enumeration as numpy passes over the lattice."""
-    eps = _checked_eps(eps)
+def _table_blocks(kind, lattice, nodes, images, points, bucket=None):
+    """The pairs or triples of a table as blocks in lexicographic witness order.
+
+    Yields (image measure, measure, witness index columns, eps buckets)
+    arrays: the pairs as one block, the triples in the blocks of
+    _triple_blocks.  bucket, when given, maps pair distances to their eps
+    buckets (_LatticeReduction.bucket), and a triple's bucket, that of its
+    longest side, is the greatest of its pairs'; without it the buckets are
+    None.  The point count and then the pair distances are checked before the
+    first block.  Callers iterate under np.errstate(over="ignore",
+    invalid="ignore"), for inf and huge float entries.
+    """
     _need_points(kind, len(nodes))
     m = len(nodes)
     nodes = np.asarray(nodes, dtype=np.intp)
@@ -462,24 +481,32 @@ def _table_analysis(kind, lattice, nodes, images, eps, points):
     if not (d_pair > 0).all():
         first = int(np.argmin(d_pair > 0))
         raise _nonpositive(points, rows[first], cols[first])
+    b_pair = None if bucket is None else bucket(d_pair)
+    if kind == "pairwise":
+        yield t_pair, d_pair, (rows, cols), b_pair
+        return
+    if b_pair is not None:
+        b_flat = np.zeros(m * m, dtype=b_pair.dtype)
+        b_flat[flat] = b_pair
+    for a, pair in _triple_blocks(m, rows):
+        j, k = rows[pair], cols[pair]
+        aj, ak = a * m + j, a * m + k
+        # sums in enumeration order keep float mode bit-identical
+        p, pt = both.take(aj, axis=1) + both_pair.take(pair, axis=1) + both.take(ak, axis=1)
+        b = None
+        if b_pair is not None:
+            b = np.maximum(np.maximum(b_flat.take(aj), b_pair.take(pair)), b_flat.take(ak))
+        yield pt, p, (a, j, k), b
+
+
+def _table_analysis(kind, lattice, nodes, images, eps, points):
+    """The table enumeration as numpy passes over the lattice."""
+    eps = _checked_eps(eps)
     red = _LatticeReduction(lattice, eps)
     with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
-        b_pair = red.bucket(d_pair)
-        if kind == "pairwise":
-            red.feed(t_pair, d_pair, b_pair, (rows, cols))
-        else:
-            # a triple's bucket, that of its longest side, is the greatest of its pairs' buckets
-            b_flat = np.zeros(m * m, dtype=b_pair.dtype)
-            b_flat[flat] = b_pair
-            for a, pair in _triple_blocks(m, rows):
-                j, k = rows[pair], cols[pair]
-                aj, ak = a * m + j, a * m + k
-                # sums in enumeration order keep float mode bit-identical
-                p, pt = (both.take(aj, axis=1) + both_pair.take(pair, axis=1)
-                         + both.take(ak, axis=1))
-                bucket = np.maximum(np.maximum(b_flat.take(aj), b_pair.take(pair)),
-                                    b_flat.take(ak))
-                red.feed(pt, p, bucket, (a, j, k))
+        for num, den, wit, bucket in _table_blocks(kind, lattice, nodes, images, points,
+                                                   red.bucket):
+            red.feed(num, den, bucket, wit)
         return red.result(kind, eps, points)
 
 
@@ -1219,6 +1246,27 @@ def table_pair_analysis(lattice, nodes, images, eps, points):
 def table_triple_analysis(lattice, nodes, images, eps, points):
     """Triple (perimeter) enumeration; see table_pair_analysis."""
     return _table_analysis("triple", lattice, nodes, images, eps, points)
+
+
+def table_strict_violation(kind, lattice, nodes, images, eps, points):
+    """The lex-first strict violation alone of a table's pairs or triples: the
+    strict_violation of its enumeration, (points, measure, image measure), or None.
+
+    It reads the enumeration's blocks (_table_blocks) and applies its strict
+    test (_strict_item) until the first block that holds a violation; with
+    none, every block is read.  Inputs and errors are those of
+    table_pair_analysis: the eps grid is checked, then the point count and
+    the pair distances.
+    """
+    _checked_eps(eps)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
+        for num, den, wit, _ in _table_blocks(kind, lattice, nodes, images, points):
+            item = _strict_item(lattice, num, den, wit)
+            if item is not None:
+                wit, measure, image_measure = item
+                return (tuple(points[w] for w in wit), lattice.scalar(measure),
+                        lattice.scalar(image_measure))
+    return None
 
 
 def line_pair_analysis(basis):

@@ -172,18 +172,19 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
     """Evaluate one theorem's hypotheses and conclusion on an instance.
 
     The hypotheses read the verdicts of report, a full_report of the
-    instance, when one is given; otherwise only the scan they need runs:
-    the pair scan for burton, the triple scan for the other theorems.
+    instance, when one is given.  Otherwise petrov runs the triple scan,
+    whose tpc_alpha its uniform_tpc reads, and the other theorems their one
+    large verdict alone (classify.large_verdict): on a finite space only the
+    strict search, which stops at the first strict violation, and on a
+    sampled space the pair scan for burton and the triple scan for the rest.
     """
     if theorem_id not in THEOREM_IDS:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     scope_qualified = isinstance(space, SampledSpace)
     notes = []
 
-    if report is None:
-        scan_verdicts = (classify.pair_verdicts if theorem_id == "burton"
-                         else classify.triple_verdicts)
-        report = scan_verdicts(space, mapping, eps_grid=eps_grid)
+    if report is None and theorem_id == "petrov":
+        report = classify.triple_verdicts(space, mapping, eps_grid=eps_grid)
 
     hypotheses = []
     trace = None
@@ -193,6 +194,9 @@ def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,
         elif name == "bounded_orbit":
             bounded, trace = _hypothesis_bounded_orbit(space, mapping, x0)
             hypotheses.append(bounded)
+        elif report is None:
+            hypotheses.append(_hypothesis_from_verdict(
+                name, classify.large_verdict(space, mapping, name, eps_grid=eps_grid)))
         else:
             hypotheses.append(_hypothesis_from_verdict(name, getattr(report, name)))
 

@@ -367,6 +367,58 @@ class TestEngineAgainstNaiveOracle:
         got = {axiom: getattr(report, axiom) for axiom in want}
         assert repr(got) == repr(want)
 
+    @given(data=st.data())
+    def test_validate_metric_matches_the_loops_on_perturbed_symmetric_tables(self, data):
+        # exactly symmetric tables are decided over i < k first; each perturbation sends a
+        # table down the ordered pass, or tests the symmetric one's masks and ties
+        n = data.draw(st.integers(min_value=3, max_value=12))
+        shape = data.draw(st.sampled_from(("int64", "object", "float")))
+        exact = shape != "float"
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+        den = data.draw(st.sampled_from((3, 96)))
+        # object: numerators past 2**63, with offsets so that no common factor reduces them
+        table = random_table(rng, n, den, 2 ** 64 if shape == "object" else 1,
+                             offsets=shape == "object", exact=exact)
+        assert (table_lattice(table, exact).values.dtype == object) == (shape == "object")
+        top = max(max(row) for row in table)
+        unit = F(1, den) if exact else ETA
+        for change in data.draw(st.lists(st.sampled_from(
+                ("asymmetric", "later-row", "both-rows", "tie", "diagonal")), max_size=3)):
+            i, j, k = rng.sample(range(n), 3)
+            if change == "asymmetric":      # one entry, by a unit or by one ulp
+                table[i][j] += data.draw(st.sampled_from(
+                    (unit, -unit) if exact else (2 * ETA, ETA / 2, math.ulp(table[i][j]))))
+            elif change == "later-row":     # (i, j, k) fails, its mirror (k, j, i) holds
+                i, k = max(i, k), min(i, k)
+                table[i][k] = 3 * top
+            elif change == "both-rows":     # (i, j, k) and its mirror in an earlier row fail
+                table[i][k] = table[k][i] = 3 * top
+            elif change == "tie":           # d_ik at d_ij + d_jk, within or past the margin
+                gap = data.draw(st.sampled_from((0, unit) if exact else (ETA / 2, 2 * ETA)))
+                table[i][k] = table[k][i] = table[i][j] + table[j][k] + gap
+            else:
+                table[i][i] = data.draw(st.sampled_from((unit, -unit, 3 * top)))
+        table = tuple(tuple(row) for row in table)
+        block = data.draw(st.sampled_from((1, 2 * n + 1, metric_core.TRIANGLE_BLOCK)))
+        lattice = table_lattice(table, exact)
+        symmetric = all(lattice.values[a][b] == lattice.values[b][a]
+                        for a, b in combinations(range(n), 2))
+        want = metric_violations_loops(table, exact)
+        with mock.patch.object(metric_core, "TRIANGLE_BLOCK", block), \
+                mock.patch.object(metric_core, "_symmetric_triangle_holds",
+                                  wraps=metric_core._symmetric_triangle_holds) as decide:
+            report = validate_metric(table, exact)
+        assert decide.called == symmetric
+        got = {axiom: getattr(report, axiom) for axiom in want}
+        assert repr(got) == repr(want)
+        if symmetric:       # the decision itself, not only the report it leads to
+            d = lattice.values
+            rows, cols = np.triu_indices(n, 1)
+            with mock.patch.object(metric_core, "TRIANGLE_BLOCK", block):
+                holds = metric_core._symmetric_triangle_holds(d, rows, cols, d[rows, cols],
+                                                              0 if exact else ETA)
+            assert holds == (not want["triangle"])
+
     @pytest.mark.parametrize("n, shape", [(45, "int64"), (70, "int64"), (45, "object"),
                                           (45, "float"), (70, "float")])
     def test_validate_metric_matches_reference_loops_across_blocks(self, n, shape):
@@ -1928,6 +1980,24 @@ class TestScalingInvariance:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("kind", ("pairwise", "triple"))
+    def test_a_modulus_of_one_under_exact_strictness_is_inconsistent(self, kind):
+        # on a fully enumerated space, strict decrease puts every grid modulus below 1;
+        # a scan that reports no strict violation and a bucket delta of 1 is a fault
+        space = FiniteMetricSpace(points=(0, 1, 2), dist_table=(
+            (F(0), F(1), F(2)), (F(1), F(0), F(1)), (F(2), F(1), F(0))))
+        mapping = SelfMap(space=space, name="halving", table=(0, 0, 1))
+        points = (0, 1) if kind == "pairwise" else (0, 1, 2)
+        fabricated = scan.EnumAnalysis(
+            kind=kind, eps=(F(1),), deltas=(F(1),), delta_witnesses=((points, F(2), F(2)),),
+            counts=(1,), sup_ratio=F(1), sup_witness=(points, F(2), F(2)),
+            strict_violation=None, total=1)
+        engine = "table_pair_analysis" if kind == "pairwise" else "table_triple_analysis"
+        with mock.patch.object(scan, engine, return_value=fabricated):
+            with pytest.raises(metric_core.InternalConsistencyError,
+                               match=r"delta\(1\) = 1 is not below 1"):
+                full_report(space, mapping, eps_grid=(F(1),))
+
     def test_two_cycle_report(self):
         entry = catalog("period2_counterexample")
         r = full_report(entry.space, entry.map)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import closure_loops, search_loops, stdlib_draw
 
-from contraction_lab import classify, dynamics, theorem_lab
+from contraction_lab import classify, dynamics, scan, theorem_lab
 from contraction_lab.map_catalog import SelfMap, apply, catalog
 from contraction_lab.metric_core import (
     FiniteMetricSpace,
@@ -53,6 +53,71 @@ def fraction_restrict(space, mapping, keep):
     sub_space = FiniteMetricSpace(points=tuple(keep), dist_table=table, mode=space.mode)
     return sub_space, SelfMap(space=sub_space, name=mapping.name + "|restricted",
                               table=tuple(mapping.table[i] for i in idx))
+
+
+def twin_instances(seed, n):
+    """A random exact instance of n points and its float twin, with the drawn map."""
+    space, mapping = random_instance(SearchConfig(seed=seed, trials=1, size_min=n, size_max=n),
+                                     0)
+    twin = space.in_mode("float")
+    return [(space, mapping), (twin, SelfMap(space=twin, name=mapping.name, table=mapping.table))]
+
+
+def primes_above(q, count):
+    primes = []
+    while len(primes) < count:
+        q += 1
+        if all(q % f for f in range(2, int(q ** 0.5) + 1)):
+            primes.append(q)
+    return primes
+
+
+def wide_instance(rng):
+    """24 points at distances m / p, p <= m < 2p, p the ((i + j) mod 24)-th prime above
+    10**6: a metric whose lattice holds Python ints, mapped into a pool of three points."""
+    primes = primes_above(10 ** 6, 24)
+    table = [[F(0)] * 24 for _ in range(24)]
+    for i, j in combinations(range(24), 2):
+        p = primes[(i + j) % 24]
+        table[i][j] = table[j][i] = F(rng.randrange(p, 2 * p), p)
+    space = FiniteMetricSpace(points=tuple(range(24)), dist_table=table)
+    assert space.lattice.values.dtype == object
+    pool = rng.sample(range(24), 3)
+    return space, SelfMap(space=space, name="wide", table=tuple(rng.choice(pool)
+                                                               for _ in range(24)))
+
+
+def late_violation_instance():
+    """40 points on a line, 0..36 and then 100, 101, 102.  Points below 37 go to 36 and the
+    rest stay, so the lex-first strict violation of pairs is (36, 37) and of triples is
+    (36, 37, 38), past the first block of triples."""
+    space, _ = line_instance(list(range(37)) + [100, 101, 102], [0] * 40)
+    return space, SelfMap(space=space, name="late", table=(36,) * 37 + (37, 38, 39))
+
+
+def float_tie_instance():
+    """A float table whose triple (0, 1, 2) and its image (1, 2, 0) have perimeters 0.1 + 0.2
+    + 0.3 = 0.6000000000000001 and 0.2 + 0.3 + 0.1 = 0.6: below it, but within ETA."""
+    table = [[0.0, 0.1, 0.3, 2.0], [0.1, 0.0, 0.2, 2.0], [0.3, 0.2, 0.0, 2.0],
+             [2.0, 2.0, 2.0, 0.0]]
+    space = FiniteMetricSpace(points=(0, 1, 2, 3), dist_table=table, mode="float")
+    return space, SelfMap(space=space, name="float-tie", table=(1, 2, 0, 0))
+
+
+def constant_instances(n):
+    """A random exact table of n points and its float twin, all mapped to point 0: strict
+    decrease holds."""
+    return [(space, SelfMap(space=space, name="constant", table=(0,) * n))
+            for space, _ in twin_instances(8, n)]
+
+
+def strict_search_instances():
+    """Finite instances whose strict searches stop early, late, or read every block."""
+    instances = twin_instances(5, 40) + twin_instances(6, 88)
+    instances += constant_instances(40)
+    instances += [wide_instance(random.Random(21)), late_violation_instance(),
+                  float_tie_instance()]
+    return instances
 
 
 class TestVerdicts:
@@ -118,6 +183,7 @@ class TestVerdicts:
                       catalog("burton_logistic", grid_step=F(1, 16)),
                       catalog("composite", grid_step=F(1, 8), index_max=3)):
             instances.append((entry.space, entry.map))
+        instances += strict_search_instances()
         unused = "_triple_verdicts" if theorem == "burton" else "_pair_verdicts"
         for space, mapping in instances:
             x0 = space.point_set()[0]
@@ -126,6 +192,46 @@ class TestVerdicts:
             with mock.patch.object(classify, unused, side_effect=AssertionError(unused)):
                 got = verdict(theorem, space, mapping, x0=x0)
             assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("theorem", ("burton", "mesmouli_uncorrected", "corrected_main"))
+    def test_finite_large_verdicts_come_from_the_strict_search(self, theorem):
+        # no reduction of buckets, screen or witnesses: the search reads blocks until the
+        # first strict violation, one block when it lies in row 0, every block when none
+        instances = strict_search_instances()
+        identity = instances[0][0], SelfMap(space=instances[0][0], name="identity",
+                                            table=tuple(range(40)))
+        triple_blocks = len(list(scan._triple_blocks(40, np.triu_indices(40, 1)[0])))
+        assert triple_blocks > 1
+        n_blocks = 1 if theorem == "burton" else triple_blocks     # of 40 points
+        for space, mapping in instances + [identity]:
+            with mock.patch.object(scan, "_LatticeReduction",
+                                   side_effect=AssertionError("_LatticeReduction")), \
+                    mock.patch.object(scan, "_strict_item", wraps=scan._strict_item) as spy:
+                v = verdict(theorem, space, mapping, x0=space.points[0])
+            large = v.hypotheses[0]
+            if mapping.name == "identity":
+                assert large.status == "fail" and spy.call_count == 1
+            elif mapping.name == "constant":
+                assert large.status == "pass" and spy.call_count == n_blocks
+            elif mapping.name == "late":      # in the last block of triples
+                assert large.witness["x"] == 36 and spy.call_count == n_blocks
+            elif mapping.name == "float-tie" and theorem != "burton":
+                assert (large.witness["perimeter"], large.witness["image_perimeter"]) == (
+                    0.6000000000000001, 0.6)
+
+    @pytest.mark.parametrize("theorem", ("burton", "mesmouli_uncorrected", "corrected_main"))
+    @pytest.mark.parametrize("eps_grid", (None, (F(1), F(1, 2))))
+    def test_strict_search_refuses_inputs_as_the_scans_do(self, theorem, eps_grid):
+        # the eps grid is checked first, then the distances: a zero one is refused
+        space = FiniteMetricSpace(points=(0, 1, 2), dist_table=(
+            (F(0), F(0), F(1)), (F(0), F(0), F(1)), (F(1), F(1), F(0))))
+        mapping = SelfMap(space=space, name="zero", table=(0, 0, 0))
+        with pytest.raises(InputError) as want:
+            classify.full_report(space, mapping, eps_grid=eps_grid)
+        with pytest.raises(InputError) as got:
+            verdict(theorem, space, mapping, x0=0, eps_grid=eps_grid)
+        assert str(got.value) == str(want.value)
+        assert ("ascending" if eps_grid else "not positive") in str(got.value)
 
     def test_two_fixed_points_refute_uniqueness_claims(self):
         # 0 and 1 fixed, 3 -> 0: strict perimeter contraction, no 2-cycles

@@ -28,9 +28,12 @@ files that this script writes into ``OUT_DIR/instances/`` (_instance_docs):
 at n = 40, 64 and 88, on a table over 24 primes near 10**6 (an object
 lattice) and on a float table of distances near 1e250 (outside the float
 screen's range, so every item is a candidate and the exact folds' cross
-products overflow); ``classify --mode float`` on an exact file; and
+products overflow); ``classify --mode float`` on an exact file;
 ``classify`` on a non-metric table with triangle violations in several row blocks of the
-metric check, which must exit 1 with its message.  Every run works from
+metric check, which must exit 1 with its message; and ``verify --theorem
+corrected_main`` and ``verify --theorem burton`` on an n = 40 table whose map
+sends every point to one, where strict decrease holds, so that the strict
+search reads every block of pairs and triples.  Every run works from
 ``OUT_DIR``, so an output records its instance by a relative path, and what
 a run prints on stderr goes into ``OUT_DIR/stderr.txt``.  ``OUT_DIR/validation/`` holds the
 ``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
@@ -126,6 +129,10 @@ INSTANCE_RUNS = tuple(
     ("instance-classify-n64-exact-as-float",
      ["classify", "--instance", "instances/n64-exact.json", "--mode", "float"]),
     ("instance-classify-non-metric", ["classify", "--instance", "instances/non-metric.json"]),
+    ("instance-verify-one-point", ["verify", "--theorem", "corrected_main", "--instance",
+                                   "instances/one-point.json"]),
+    ("instance-verify-burton-one-point", ["verify", "--theorem", "burton", "--instance",
+                                          "instances/one-point.json"]),
 )
 EXPECTED_FAILURES = {"classify-usage-error", "instance-classify-non-metric"}  # these exit 1
 
@@ -203,6 +210,12 @@ def _instance_docs():
     pool = rng.sample(range(24), 3)
     docs["huge.json"] = {"space": {"points": list(range(24)), "mode": "float", "dist": huge},
                          "map": [rng.choice(pool) for _ in range(24)]}
+    # every point mapped to one: strict decrease holds, so a strict search reads every block
+    raw = _closed_table(rng, 40)
+    docs["one-point.json"] = {
+        "space": {"points": list(range(40)),
+                  "dist": [[str(Fraction(v, INSTANCE_DEN)) for v in row] for row in raw]},
+        "map": [rng.randrange(40)] * 40}
     return docs
 
 
