@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -37,7 +38,91 @@ def _config_hash(doc: dict) -> str:
 
 
 def _write_json(out_dir: Path, name: str, doc: dict) -> Path:
-    return _write_text(out_dir, f"{name}.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return _write_text(out_dir, f"{name}.json", _json_text(doc) + "\n")
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc) -> str:
+    """The text of json.dumps(doc, sort_keys=True, indent=2), written by one recursive pass.
+
+    json's C encoder ignores indent, so json.dumps with indent runs its
+    pure-Python encoder; this writer follows that encoder's rules in about
+    half its time.  Strings go through
+    json.encoder.encode_basestring_ascii, ints through int.__repr__ and
+    floats through float.__repr__, or NaN, Infinity and -Infinity; tuples
+    are lists, empty containers are [] and {}, and dict keys are sorted
+    before str, float, bool, None and int keys are turned into strings.
+    Any other value or key raises TypeError, as json.dumps does.
+    """
+    parts = []
+    _json_parts(doc, parts, "\n")
+    return "".join(parts)
+
+
+def _json_parts(value, parts, newline):
+    """Append the text of value to parts; newline is a line break and the indent of value's line."""
+    if isinstance(value, str):
+        parts.append(_encode_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            parts.append(head)
+            _json_parts(item, parts, inner)
+            head = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(f"{head}{_encode_string(_key_text(key))}: ")
+            _json_parts(item, parts, inner)
+            head = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(value):
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is None:
+        return "null"
+    if key is True or key is False:
+        return "true" if key else "false"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _write_text(out_dir: Path, name: str, text: str) -> Path:

@@ -34,7 +34,7 @@ LATTICE_LIMIT = 2 ** 53   # 3 * max |numerator| stays below this on the int64 la
 INT64_MAX = 2 ** 63 - 1
 # nonzero |entries| of a screenable float lattice: perimeter products and quotients stay normal
 FLOAT_LATTICE_RANGE = (2.0 ** -200, 2.0 ** 200)
-TRIANGLE_BLOCK = 1 << 16   # (i, j, k) entries per numpy pass of validate_metric's triangle check
+TRIANGLE_BLOCK = 1 << 17   # bytes per temporary of a numpy pass of validate_metric's triangle check
 
 Scalar = Union[Fraction, float, int]
 
@@ -633,13 +633,16 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
     exceeding the ETA margin, and report every NaN, infinite or overflowing
     (beyond FLOAT_LIMIT) entry.  The axioms are checked by numpy masks over
     the lattice; they locate the violations in the order of direct
-    enumeration (i, then j, then k), and witnesses are lattice values read
-    back as table scalars, sums taken in the same order.  The triangle
-    check decides an exactly symmetric table (upper == lower, entry by
-    entry) in one pass over its pairs i < k (_symmetric_triangle_holds), in
-    blocks within TRIANGLE_BLOCK entries.  A table that fails there, or is
-    not exactly symmetric, takes the ordered pass over blocks of outer rows
+    enumeration (i, then j, then k), and witnesses are values of the stored
+    lattice read back as table scalars, sums taken in the same order.  The
+    masks read an int64 lattice on the narrowest dtype that holds its sums
+    (_narrowest): no entry or sum changes, only the width of the passes.
+    The triangle check decides an exactly symmetric table (upper == lower,
+    entry by entry) in one pass over its pairs i < k
+    (_symmetric_triangle_holds).  A table that fails there, or is not
+    exactly symmetric, takes the ordered pass over blocks of outer rows
     (_triangle_violations), the one pass that lists triangle witnesses.
+    Both passes keep each temporary within TRIANGLE_BLOCK bytes.
     """
     lattice = table if isinstance(table, Lattice) else table_lattice(table, exact)
     d = lattice.values
@@ -650,12 +653,13 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
         finite = tuple((i, j, scalar(d[i, j]))
                        for i, j in np.argwhere(~(np.abs(d) <= FLOAT_LIMIT)).tolist())
     slack = 0 if lattice.exact else ETA
+    narrow = _narrowest(d)
     with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
         diagonal = [(i, scalar(d[i, i]))
                     for i in np.flatnonzero(np.abs(np.diagonal(d)) > slack).tolist()]
         rows, cols = np.triu_indices(n, 1)
-        upper = d[rows, cols]
-        lower = d[cols, rows]
+        upper = narrow[rows, cols]
+        lower = narrow[cols, rows]
         hits = upper <= slack
         positivity = [(i, j, scalar(d[i, j]))
                       for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
@@ -664,11 +668,25 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
                     for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]
         triangle = []
         symmetric = np.array_equal(upper, lower)
-        if not (symmetric and _symmetric_triangle_holds(d, rows, cols, upper, slack)):
-            triangle = _triangle_violations(d, slack, scalar)
+        if not (symmetric and _symmetric_triangle_holds(narrow, rows, cols, upper, slack)):
+            triangle = _triangle_violations(narrow, d, slack, scalar)
     return ValidationReport(size=n, finite=finite, diagonal=tuple(diagonal),
                             positivity=tuple(positivity), symmetry=tuple(symmetry),
                             triangle=tuple(triangle))
+
+
+def _narrowest(d):
+    """An int64 lattice d on the narrowest signed dtype of int16, int32 and int64 that holds
+    twice its largest |entry|, so every sum of two entries and their difference; any other
+    lattice as it is.
+    """
+    if d.dtype != np.int64:
+        return d
+    top = 2 * max(int(d.max(initial=0)), -int(d.min(initial=0)))
+    for dtype in (np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return d.astype(dtype)
+    return d
 
 
 def _symmetric_triangle_holds(d, rows, cols, upper, slack):
@@ -679,11 +697,12 @@ def _symmetric_triangle_holds(d, rows, cols, upper, slack):
     inequality: d_ki > d_kj + d_ji (+ slack) compares the same values, and
     float addition is commutative (equal entries differ at most in the sign
     of a zero, which no comparison sees).  Each pass takes a block of pairs,
-    as many as keep each temporary within TRIANGLE_BLOCK entries, and
-    compares d_ik with d_ij + d_kj over every j, from rows i and k of d;
-    j = i and j = k are masked out.
+    as many as keep each temporary within TRIANGLE_BLOCK bytes, so more on
+    an int lattice that _narrowest has narrowed, and compares d_ik with
+    d_ij + d_kj over every j, from rows i and k of d; j = i and j = k are
+    masked out.
     """
-    width = max(1, TRIANGLE_BLOCK // len(d))
+    width = max(1, TRIANGLE_BLOCK // (len(d) * d.itemsize))
     for s in range(0, len(rows), width):
         i, k = rows[s:s + width], cols[s:s + width]
         sums = d.take(i, axis=0)            # sums[p, j] = d_ij + d_kj (+ slack)
@@ -700,19 +719,21 @@ def _symmetric_triangle_holds(d, rows, cols, upper, slack):
     return True
 
 
-def _triangle_violations(d, slack, scalar):
+def _triangle_violations(d, stored, slack, scalar):
     """Every (i, j, k, d_ik, d_ij + d_jk) with d_ik > d_ij + d_jk (+ slack), for distinct i, j
     and k, in the order of direct enumeration.
 
-    Each pass takes a block of outer rows I: d[I, None, :] > d[I, :, None] +
-    d (+ slack), with as many rows as keep each temporary within
-    TRIANGLE_BLOCK entries, or one on an object lattice, whose entries are
+    d is the stored lattice, or the same values on a narrower dtype (see
+    _narrowest); the witness values are read from stored.  Each pass takes
+    a block of outer rows I: d[I, None, :] > d[I, :, None] + d (+ slack),
+    with as many rows as keep each temporary of d's dtype within
+    TRIANGLE_BLOCK bytes, or one on an object lattice, whose entries are
     Python ints of any size; only a block that holds a violation is masked
     and searched for witnesses.
     """
     n = len(d)
     triangle = []
-    height = 1 if d.dtype == object else max(1, TRIANGLE_BLOCK // (n * n))
+    height = 1 if d.dtype == object else max(1, TRIANGLE_BLOCK // (n * n * d.itemsize))
     for i0 in range(0, n, height):
         block = d[i0:i0 + height]
         # bad[r, j, k]: d_ik > d_ij + d_jk (+ slack) for i = i0 + r
@@ -729,8 +750,8 @@ def _triangle_violations(d, slack, scalar):
         i, j, k = np.nonzero(bad)
         i += i0
         triangle.extend(zip(i.tolist(), j.tolist(), k.tolist(),
-                            map(scalar, d[i, k].tolist()),
-                            map(scalar, (d[i, j] + d[j, k]).tolist())))
+                            map(scalar, stored[i, k].tolist()),
+                            map(scalar, (stored[i, j] + stored[j, k]).tolist())))
     return triangle
 
 

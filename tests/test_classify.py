@@ -136,6 +136,25 @@ def random_table(rng, n, den, magnitude=1, offsets=False, exact=True, primes=Fal
              for j in range(n)] for i in range(n)]
 
 
+# largest |lattice entry| of an edge table -> the dtype its triangle check runs on: twice it
+# just below and at 2**15 and 2**31
+EDGE_DTYPES = {2 ** 14 - 1: np.int16, 2 ** 14: np.int32, 2 ** 30 - 1: np.int32, 2 ** 30: np.int64}
+
+
+def edge_table(table, top):
+    """An exact table over 5 whose lattice has largest |entry| top, from a table of Fractions.
+
+    Each lattice value v of table becomes v * (top // m), m being the largest
+    |v|, and each value of |v| = m becomes +-top.  5 divides no top of
+    EDGE_DTYPES, so the lattice of the result keeps these numerators.
+    """
+    values = table_lattice(table, True).values.tolist()
+    m = max(abs(v) for row in values for v in row)
+    scaled = [[(top if v > 0 else -top) if abs(v) == m else v * (top // m) for v in row]
+              for row in values]
+    return [[F(v, 5) for v in row] for row in scaled]
+
+
 def overflow_table(rng, n):
     """An exact table of n >= 6 points whose image-to-measure ratios reach past 2**1024.
 
@@ -370,9 +389,11 @@ class TestEngineAgainstNaiveOracle:
     @given(data=st.data())
     def test_validate_metric_matches_the_loops_on_perturbed_symmetric_tables(self, data):
         # exactly symmetric tables are decided over i < k first; each perturbation sends a
-        # table down the ordered pass, or tests the symmetric one's masks and ties
+        # table down the ordered pass, or tests the symmetric one's masks and ties; the edge
+        # shapes put 2 max |entry| just below or at 2**15 or 2**31, where the check's dtype
+        # changes
         n = data.draw(st.integers(min_value=3, max_value=12))
-        shape = data.draw(st.sampled_from(("int64", "object", "float")))
+        shape = data.draw(st.sampled_from(("int64", "object", "float", "edge")))
         exact = shape != "float"
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
         den = data.draw(st.sampled_from((3, 96)))
@@ -383,7 +404,8 @@ class TestEngineAgainstNaiveOracle:
         top = max(max(row) for row in table)
         unit = F(1, den) if exact else ETA
         for change in data.draw(st.lists(st.sampled_from(
-                ("asymmetric", "later-row", "both-rows", "tie", "diagonal")), max_size=3)):
+                ("asymmetric", "later-row", "both-rows", "tie", "negative", "diagonal")),
+                max_size=3)):
             i, j, k = rng.sample(range(n), 3)
             if change == "asymmetric":      # one entry, by a unit or by one ulp
                 table[i][j] += data.draw(st.sampled_from(
@@ -396,11 +418,22 @@ class TestEngineAgainstNaiveOracle:
             elif change == "tie":           # d_ik at d_ij + d_jk, within or past the margin
                 gap = data.draw(st.sampled_from((0, unit) if exact else (ETA / 2, 2 * ETA)))
                 table[i][k] = table[k][i] = table[i][j] + table[j][k] + gap
+            elif change == "negative":      # a symmetric negative entry still reaches the decision
+                table[i][k] = table[k][i] = -table[i][k]
             else:
                 table[i][i] = data.draw(st.sampled_from((unit, -unit, 3 * top)))
+        if shape == "edge":
+            top = data.draw(st.sampled_from(tuple(EDGE_DTYPES)))
+            table = edge_table(table, top)
         table = tuple(tuple(row) for row in table)
-        block = data.draw(st.sampled_from((1, 2 * n + 1, metric_core.TRIANGLE_BLOCK)))
         lattice = table_lattice(table, exact)
+        narrow = metric_core._narrowest(lattice.values)
+        if shape == "edge":
+            assert max(abs(v) for v in lattice.values.flat) == top
+            assert narrow.dtype == EDGE_DTYPES[top]
+        # budgets of one pair or row per block, two pairs, and the default
+        block = data.draw(st.sampled_from((1, (2 * n + 1) * narrow.itemsize,
+                                           metric_core.TRIANGLE_BLOCK)))
         symmetric = all(lattice.values[a][b] == lattice.values[b][a]
                         for a, b in combinations(range(n), 2))
         want = metric_violations_loops(table, exact)
@@ -412,11 +445,10 @@ class TestEngineAgainstNaiveOracle:
         got = {axiom: getattr(report, axiom) for axiom in want}
         assert repr(got) == repr(want)
         if symmetric:       # the decision itself, not only the report it leads to
-            d = lattice.values
             rows, cols = np.triu_indices(n, 1)
             with mock.patch.object(metric_core, "TRIANGLE_BLOCK", block):
-                holds = metric_core._symmetric_triangle_holds(d, rows, cols, d[rows, cols],
-                                                              0 if exact else ETA)
+                holds = metric_core._symmetric_triangle_holds(
+                    narrow, rows, cols, narrow[rows, cols], 0 if exact else ETA)
             assert holds == (not want["triangle"])
 
     @pytest.mark.parametrize("n, shape", [(45, "int64"), (70, "int64"), (45, "object"),
@@ -445,7 +477,8 @@ class TestEngineAgainstNaiveOracle:
         lattice = table_lattice(table, exact)
         assert (lattice.values.dtype == object) == (shape == "object")
         want = ValidationReport(size=n, **metric_violations_loops(table, exact))
-        height = 1 if shape == "object" else metric_core.TRIANGLE_BLOCK // (n * n)
+        itemsize = metric_core._narrowest(lattice.values).itemsize
+        height = 1 if shape == "object" else metric_core.TRIANGLE_BLOCK // (n * n * itemsize)
         assert len({i // height for i, *_ in want.triangle}) > 1
         assert len({i for i, *_ in want.triangle}) >= len(rows)
         for triple, reported in near.items():
@@ -525,6 +558,20 @@ class TestTableEngineMemory:
         assert traced_peak(lambda: validate_metric(lattice)) <= self.VALIDATE_TABLES * table
         assert traced_peak(lambda: scan.table_triple_analysis(
             lattice, nodes, images, DEFAULT_EPS_GRID, tuple(nodes))) <= self.TRIPLE_TABLES * table
+
+    def test_the_symmetric_decision_runs_on_int16_within_the_byte_budget(self):
+        # a table-load table: numerators up to 96, so its sums fit int16; each temporary of
+        # the decision is within the byte budget, and at most three are live at once (a
+        # block's sums and mask while the next block's rows are gathered)
+        table = random_table(random.Random(88), 88, 96)
+        with mock.patch.object(metric_core, "_symmetric_triangle_holds",
+                               wraps=metric_core._symmetric_triangle_holds) as decide:
+            assert validate_metric(table).ok
+        (d, *rest), _ = decide.call_args
+        assert d.dtype == np.int16
+        assert metric_core._symmetric_triangle_holds(d, *rest)
+        peak = traced_peak(lambda: metric_core._symmetric_triangle_holds(d, *rest))
+        assert peak <= 3 * metric_core.TRIANGLE_BLOCK
 
 
 class _DictFormula:

@@ -21,6 +21,15 @@ def run(args):
     return main(args)
 
 
+def gated_outputs_tool():
+    """tools/gated_outputs.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "gated_outputs", Path(__file__).resolve().parents[1] / "tools" / "gated_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def read_only_json(directory, prefix):
     files = sorted(directory.glob(f"{prefix}-*.json"))
     assert len(files) == 1, f"expected one {prefix} json, found {files}"
@@ -107,10 +116,7 @@ class TestReproduce:
         assert lines[-1] == f"report: {path}"
 
     def test_gated_outputs_tool_writes_the_pinned_reproduce_file(self, tmp_path):
-        spec = importlib.util.spec_from_file_location(
-            "gated_outputs", Path(__file__).resolve().parents[1] / "tools" / "gated_outputs.py")
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
+        tool = gated_outputs_tool()
         runs = dict(tool.RUNS)
         assert tool.write_outputs(tmp_path, [("reproduce", runs["reproduce"])]) == {"reproduce": 0}
         _, path = read_only_json(tmp_path / "reproduce", "reproduce")
@@ -121,6 +127,89 @@ class TestReproduce:
             pair, triple = (tmp_path / "scans" / f"{label}.txt").read_text().splitlines()
             assert pair.startswith("EnumAnalysis(kind='pairwise'")
             assert triple.startswith("EnumAnalysis(kind='triple'")
+
+
+def dumps_or_error(doc):
+    """json.dumps(doc, sort_keys=True, indent=2), or the TypeError it raises, as text."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def written_or_error(doc):
+    """cli._json_text(doc), or the TypeError it raises, as text."""
+    try:
+        return cli._json_text(doc)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda v: v * (-1) ** v)
+               | st.floats() | st.sampled_from((-0.0, 0.0, float("nan"), float("inf"),
+                                                -float("inf"), 1e-320, 5e-324))
+               | st.text() | st.sampled_from(('"\\/\b\f\n\r\t', "\x00\x1f\x7f\u2028\ud800",
+                                              "é€😀")))
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.dictionaries(st.integers(), children, max_size=3)
+                      | st.dictionaries(JSON_KEYS, children, max_size=3)),
+    max_leaves=24)
+
+
+class TestDocumentWriter:
+    # cli writes every document as json.dumps(doc, sort_keys=True, indent=2) would
+    def test_every_gated_document_is_written_as_json_dumps_writes_it(self, tmp_path, monkeypatch):
+        tool = gated_outputs_tool()
+        docs = []
+        write = cli._write_json
+
+        def spy(out_dir, name, doc):
+            docs.append(doc)
+            return write(out_dir, name, doc)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        codes = tool.write_outputs(tmp_path)
+        assert all(code == (1 if label in tool.EXPECTED_FAILURES else 0)
+                   for label, code in codes.items())
+        assert len(docs) == len(codes) - len(tool.EXPECTED_FAILURES)
+        for doc in docs:
+            assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        written = [path for path in tmp_path.glob("*/*.json") if path.parent.name != "instances"]
+        assert len(written) == len(docs)
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    @given(JSON_DOCS)
+    def test_nested_documents_match_json_dumps(self, doc):
+        assert written_or_error(doc) == dumps_or_error(doc)
+
+    @pytest.mark.parametrize("doc", [
+        object(), {1, 2}, b"bytes", np.int64(3), F(1, 2), [1, {"a": complex(1, 2)}],
+        {(1, 2): 0}, {"a": 1, 2: "b"}, {None: 1, "a": 2}, {"a": [np.bool_(True)]}])
+    def test_unwritable_documents_raise_type_error_as_json_dumps_does(self, doc):
+        want = dumps_or_error(doc)
+        assert want.startswith("TypeError: ")
+        assert written_or_error(doc) == want
+
+    def test_subclasses_and_non_finite_floats_print_as_json_dumps_prints_them(self):
+        class Named(int):
+            def __repr__(self):
+                return "Named"
+
+            __str__ = __repr__
+
+        doc = {"f": np.float64(0.1), "b": np.float64(-0.0), "t": (True, 1, 1.0, Named(7)),
+               "n": {1.5: 1, -2.5: 2}, "k": {10: "x", 9: "y", Named(8): "z"},
+               "x": [float("nan"), float("inf"), -float("inf"), -0.0, 2 ** 70],
+               "y": {float("inf"): 1, -float("inf"): 2, float("nan"): 3}}
+        assert written_or_error(doc) == dumps_or_error(doc)
+        assert "Named" not in written_or_error(doc)
 
 
 class TestParityCases:

@@ -33,7 +33,12 @@ products overflow); ``classify --mode float`` on an exact file;
 metric check, which must exit 1 with its message; and ``verify --theorem
 corrected_main`` and ``verify --theorem burton`` on an n = 40 table whose map
 sends every point to one, where strict decrease holds, so that the strict
-search reads every block of pairs and triples.  Every run works from
+search reads every block of pairs and triples; ``classify`` and ``verify
+--theorem corrected_main`` on two n = 40 exact tables of numerators in [b, 2b)
+over 96, b = 2**20 and 2**40, on which the metric check runs on int32 and on
+int64 (on the other exact int64 tables it runs on int16); and ``classify`` on the
+int32 table with triangle violations in three rows, which must exit 1 with
+its message.  Every run works from
 ``OUT_DIR``, so an output records its instance by a relative path, and what
 a run prints on stderr goes into ``OUT_DIR/stderr.txt``.  ``OUT_DIR/validation/`` holds the
 ``run_validation`` dict of seeds 0..19 under both biases, 500 trials each, as
@@ -133,8 +138,17 @@ INSTANCE_RUNS = tuple(
                                    "instances/one-point.json"]),
     ("instance-verify-burton-one-point", ["verify", "--theorem", "burton", "--instance",
                                           "instances/one-point.json"]),
+) + tuple(
+    (f"instance-{command}-{name}", argv + ["--instance", f"instances/{name}.json"])
+    for name in ("int32", "int64")
+    for command, argv in (("classify", ["classify"]),
+                          ("verify", ["verify", "--theorem", "corrected_main"]))
+) + (
+    ("instance-classify-non-metric-int32",
+     ["classify", "--instance", "instances/non-metric-int32.json"]),
 )
-EXPECTED_FAILURES = {"classify-usage-error", "instance-classify-non-metric"}  # these exit 1
+EXPECTED_FAILURES = {"classify-usage-error", "instance-classify-non-metric",
+                     "instance-classify-non-metric-int32"}  # these exit 1
 
 
 def _closed_table(rng, n):
@@ -151,6 +165,11 @@ def _closed_table(rng, n):
                 if via + d < row[j]:
                     row[j] = via + d
     return raw
+
+
+def _exact_rows(raw):
+    """The "p/q" rows of integer distances over INSTANCE_DEN."""
+    return [[str(Fraction(v, INSTANCE_DEN)) for v in row] for row in raw]
 
 
 def _primes_above(q, count):
@@ -187,8 +206,7 @@ def _instance_docs():
     for i in (5, 30, 60):
         raw[i][(i + 9) % 64] = raw[(i + 9) % 64][i] = 3 * INSTANCE_DEN
     docs["non-metric.json"] = {
-        "space": {"points": list(range(64)),
-                  "dist": [[str(Fraction(v, INSTANCE_DEN)) for v in row] for row in raw]},
+        "space": {"points": list(range(64)), "dist": _exact_rows(raw)},
         "map": [rng.randrange(64) for _ in range(64)]}
     # d(i, j) = m / p, p <= m < 2p, with p the ((i + j) mod 24)-th prime above 10**6: a
     # metric whose lcm passes 2**53
@@ -213,9 +231,24 @@ def _instance_docs():
     # every point mapped to one: strict decrease holds, so a strict search reads every block
     raw = _closed_table(rng, 40)
     docs["one-point.json"] = {
-        "space": {"points": list(range(40)),
-                  "dist": [[str(Fraction(v, INSTANCE_DEN)) for v in row] for row in raw]},
+        "space": {"points": list(range(40)), "dist": _exact_rows(raw)},
         "map": [rng.randrange(40)] * 40}
+    # numerators in [b, 2b) with b = 2**20 and 2**40, a metric whose triangle check runs on
+    # int32 and on int64; then the int32 one with d(i, i + 9) = 4b in rows 5, 18 and 30
+    for name, base in (("int32", 2 ** 20), ("int64", 2 ** 40)):
+        raw = [[0] * 40 for _ in range(40)]
+        for i in range(40):
+            for j in range(i + 1, 40):
+                raw[i][j] = raw[j][i] = base + rng.randrange(base)
+        docs[f"{name}.json"] = {
+            "space": {"points": list(range(40)), "dist": _exact_rows(raw)},
+            "map": [rng.randrange(40) for _ in range(40)]}
+        if name == "int32":
+            for i in (5, 18, 30):
+                raw[i][i + 9] = raw[i + 9][i] = 4 * base
+            docs["non-metric-int32.json"] = {
+                "space": {"points": list(range(40)), "dist": _exact_rows(raw)},
+                "map": [rng.randrange(40) for _ in range(40)]}
     return docs
 
 
