@@ -243,27 +243,23 @@ def _scope_of(space) -> str:
     return "sampled" if isinstance(space, SampledSpace) else "exact"
 
 
-def _pair_witness(packed):
+def _pair_witness(packed, ratio):
+    """The witness dict of a pair entry (points, image measure, measure) and its ratio, or
+    None."""
     if packed is None:
         return None
     (x, y), image_measure, measure = packed
     return {"x": x, "y": y, "distance": measure, "image_distance": image_measure,
-            "ratio": _ratio(image_measure, measure)}
+            "ratio": ratio}
 
 
-def _triple_witness(packed):
+def _triple_witness(packed, ratio):
+    """The witness dict of a triple entry and its ratio, or None (see _pair_witness)."""
     if packed is None:
         return None
     (x, y, z), image_measure, measure = packed
     return {"x": x, "y": y, "z": z, "perimeter": measure,
-            "image_perimeter": image_measure, "ratio": _ratio(image_measure, measure)}
-
-
-def _ratio(num, den):
-    if isinstance(num, Fraction) or isinstance(den, Fraction) or (
-            isinstance(num, int) and isinstance(den, int)):
-        return Fraction(num, den)
-    return num / den
+            "image_perimeter": image_measure, "ratio": ratio}
 
 
 def _strict_witness(violation):
@@ -279,11 +275,12 @@ def _strict_witness(violation):
 
 
 def _modulus_table(analysis, witness_fn) -> ModulusTable:
+    """The modulus table of an enumeration; each delta is its witness's ratio."""
     entries = []
     for eps, delta, wit, count in zip(analysis.eps, analysis.deltas,
                                       analysis.delta_witnesses, analysis.counts):
         entries.append(ModulusEntry(eps=eps, delta=delta, count=count,
-                                    witness=witness_fn(wit)))
+                                    witness=witness_fn(wit, delta)))
     return ModulusTable(kind=analysis.kind, entries=tuple(entries))
 
 
@@ -412,7 +409,7 @@ def _triple_verdicts(space, prepared, eps_grid) -> TripleVerdicts:
     strict = _strict_verdict(triple, scope, "perimeter")
     table = _modulus_table(triple, _triple_witness)
     large = _modulus_verdict(table, scope, strict, "perimeter")
-    alpha_witness = _triple_witness(triple.sup_witness)
+    alpha_witness = _triple_witness(triple.sup_witness, triple.sup_ratio)
     uniform = _uniform_verdict(triple.sup_ratio, alpha_witness, scope, strict)
     if large.passed and not strict.passed:
         raise InternalConsistencyError(

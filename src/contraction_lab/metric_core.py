@@ -696,20 +696,27 @@ def _symmetric_triangle_holds(d, rows, cols, upper, slack):
     With d_ki = d_ik and d_kj = d_jk, (i, j, k) and (k, j, i) are one
     inequality: d_ki > d_kj + d_ji (+ slack) compares the same values, and
     float addition is commutative (equal entries differ at most in the sign
-    of a zero, which no comparison sees).  Each pass takes a block of pairs,
-    as many as keep each temporary within TRIANGLE_BLOCK bytes, so more on
-    an int lattice that _narrowest has narrowed, and compares d_ik with
-    d_ij + d_kj over every j, from rows i and k of d; j = i and j = k are
-    masked out.
+    of a zero, which no comparison sees).  Each pass takes a block of pairs
+    and compares d_ik with d_ij + d_kj over every j, from rows i and k of d;
+    j = i and j = k are masked out.  Two buffers serve every block, so at
+    most two temporaries are live: rows i and k are gathered into one,
+    within TRIANGLE_BLOCK bytes, which takes as many pairs as fit (more on
+    an int lattice that _narrowest has narrowed) and then holds their sums,
+    and the comparison writes the other, the block's mask.
     """
-    width = max(1, TRIANGLE_BLOCK // (len(d) * d.itemsize))
+    n = len(d)
+    width = max(1, TRIANGLE_BLOCK // (2 * n * d.itemsize))
+    rows_ik = np.empty((2, min(width, len(rows)), n), dtype=d.dtype)
+    mask = np.empty(rows_ik.shape[1:], dtype=bool)
     for s in range(0, len(rows), width):
         i, k = rows[s:s + width], cols[s:s + width]
-        sums = d.take(i, axis=0)            # sums[p, j] = d_ij + d_kj (+ slack)
-        sums += d.take(k, axis=0)
+        sums, other, bad = rows_ik[0, :len(i)], rows_ik[1, :len(i)], mask[:len(i)]
+        np.take(d, i, axis=0, out=sums, mode="clip")   # "raise" would buffer out
+        np.take(d, k, axis=0, out=other, mode="clip")
+        np.add(sums, other, out=sums)                  # sums[p, j] = d_ij + d_kj (+ slack)
         if slack:
             sums += slack
-        bad = upper[s:s + width, None] > sums
+        np.greater(upper[s:s + width, None], sums, out=bad)
         if bad.any():
             p = np.arange(len(i))
             bad[p, i] = False

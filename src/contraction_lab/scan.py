@@ -49,16 +49,20 @@ once at the end.
   come from range-extremum tables over the float images), and feeds each
   tile to the screen, whose floors lie a proven float error bound below
   their bucket's running maximum (_LineData.screen_floors).  Each batch of
-  kept items is settled exactly as array passes (_settle): their ratios
-  as unreduced ints from the images' int numerators and denominators (int64,
-  or object arrays of Python ints where a product could pass 2**63), a
-  triple's best middle point from the basis' range-extremum tables over
-  exact image ranks, and per bucket an exact step over the items at its
-  float maximum (_exact_step), whose result is merged into the running
-  entries by _better, so ties still go to the lex-first witness; only a
-  bucket's winner and the strict witness become Fractions.  Qualification
-  thresholds (distance >= eps) are decided in integer arithmetic, so
-  bucket membership never suffers float errors.
+  kept items is settled exactly in one pass over all its buckets (_settle):
+  their ratios as unreduced ints from the images' int numerators and
+  denominators (int64, or object arrays of Python ints where a product
+  could pass 2**63), a triple's best middle point from the basis'
+  range-extremum tables over exact image ranks, the bucket float maxima
+  from one np.maximum.at, and the items at them ordered by (bucket,
+  witness) in one lexsort; only a bucket with more than one such item
+  folds them (_fold).  Each bucket's result is merged into the running
+  entries by _better, so ties still go to the lex-first witness.  The
+  entries stay ints until _finalize, which folds them into the eps
+  suffixes and the supremum and makes Fractions once per distinct winner
+  (_LineData.entry).  Qualification thresholds (distance >= eps) are
+  decided in integer arithmetic, so bucket membership never suffers float
+  errors.
   Only the top bucket's minimal windows are read.  For sorted i < m < k,
   |T_k - T_i| <= |T_m - T_i| + |T_k - T_m| and the spans add up, so the
   ratio of (i, k) is at most the greater of its halves', and equal only if
@@ -112,7 +116,9 @@ once at the end.
   subsumes another: on floor_half every L is 1 and the cut does most of the
   work, while on burton_logistic the top bucket is empty and the bounds drop
   most items.
-  The lex-first strict violation needs no tile (_LinePairs.strict,
+  The lex-first strict violation is searched only when the exact supremum
+  reaches 1: a strict violation is an item of ratio >= 1, so below 1 there
+  is none.  The search needs no tile (_LinePairs.strict,
   _LineTriples.strict): it is found from suffix extrema of keys such as
   T_k - x_k and T_k + x_k, compared exactly over a common denominator or by
   exact ranks (_comparable), in O(n log n).
@@ -131,7 +137,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric_core import ETA, LATTICE_LIMIT, InputError
+from .metric_core import ETA, LATTICE_LIMIT, InputError, InternalConsistencyError
 
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
@@ -353,12 +359,11 @@ class _LatticeReduction:
 
     def result(self, kind, eps, points):
         scalar = self.lattice.scalar
-        best = [None if e is None else (scalar(e[0]), scalar(e[1]), e[2])
-                for e in self.screen.result()]
         strict = self.strict
         if strict is not None:
             strict = (strict[0], scalar(strict[1]), scalar(strict[2]))
-        return _finalize(kind, eps, best, self.counts.tolist(), strict, points.__getitem__,
+        return _finalize(kind, eps, self.screen.result(), self.counts.tolist(), strict,
+                         points.__getitem__, lambda e: (scalar(e[0]), scalar(e[1]), e[2]),
                          self.lattice.exact)
 
 
@@ -389,21 +394,6 @@ def _float_ratios(num, den):
     if num.dtype != object:
         return num / den
     return np.frompyfunc(_quotient, 2, 1)(num, den).astype(np.float64)
-
-
-def _exact_step(num, den, ratio, items, witness, order):
-    """The lex-first exact maximum (num, den, witness) of one bucket's items, of exact ints
-    num / den > 0.
-
-    ratio holds the correctly rounded float quotients (_float_ratios), which
-    are monotone in the exact ratio, so the bucket's exact maximum is among
-    the items whose float equals the bucket's float maximum; only those reach
-    _fold, sorted by the witness columns order.
-    """
-    r = ratio[items]
-    items = items[r == r.max()]
-    items = items[np.lexsort([column[items] for column in reversed(order)])]
-    return _fold(num, den, items, witness, None)
 
 
 def _fold(num, den, cands, witness, cur):
@@ -771,8 +761,7 @@ class _LineData:
         n, gap, nums, thresholds = basis.n, self.gap, basis.nums, basis.thresholds
         # a triple row i's last indices are a pair row's less one: its edges are one less
         self.before = basis.before if gap == 1 else np.maximum(basis.before[:-1] - 1, 0)
-        self.counts = np.diff([int(self.items_before(self.before[:, e]).sum())
-                               for e in range(self.before.shape[1])]).tolist()
+        self.counts = np.diff(self.items_before(self.before)).tolist()
         # the edges of the nonempty buckets: an empty one is empty in every row
         self.filled = np.flatnonzero(self.counts)
         self.narrow = self.before.T[np.append(self.filled, len(self.counts))]
@@ -904,9 +893,9 @@ class _LinePairs(_LineData):
         return np.abs(tvals[k] - tvals[i])
 
     @staticmethod
-    def items_before(h):
-        """Pairs at row positions below h."""
-        return h
+    def items_before(before):
+        """Per edge e, the pairs of all rows at positions below before[:, e]."""
+        return before.sum(axis=0)
 
     def sides(self, wit):
         """Exact (distance, image distance) at a pair witness."""
@@ -961,9 +950,11 @@ class _LineTriples(_LineData):
         return np.maximum(top - np.minimum(*ends), np.maximum(*ends) - bottom)
 
     @staticmethod
-    def items_before(h):
-        """Triples at row positions below h: position p has p + 1 middle points."""
-        return h * (h + 1) // 2
+    def items_before(before):
+        """Per edge e, the triples of all rows at positions below before[:, e]: position p has
+        p + 1 middle points, so h positions hold h(h + 1)/2; einsum sums the squares with no
+        temporary the size of before."""
+        return (np.einsum("ij,ij->j", before, before) + before.sum(axis=0)) // 2
 
     def sides(self, wit):
         """Exact (perimeter, image perimeter) at a triple witness."""
@@ -1143,14 +1134,29 @@ def _line_tiles(data, stop, floors):
 
 def _settle(data, rows, hs, buckets, n_buckets):
     """Per bucket, the exact (image measure, measure, witness) ints of the candidates' maximum,
-    lex-first, or None.  exact() evaluates the candidates as array passes, and each bucket takes
-    an exact step, sorted by witness: for triples, (row, position) order is not witness
-    order."""
+    lex-first, or None, settled in one pass over every bucket.
+
+    exact() evaluates the candidates as array passes.  Their correctly
+    rounded float quotients (_float_ratios) are monotone in the exact
+    ratios, so a bucket's exact maximum is among its items at the bucket's
+    float maximum (one np.maximum.at).  Those are sorted by (bucket, witness)
+    in one lexsort, since for triples (row, position) order is not witness
+    order; a bucket with one of them takes it, and only a bucket with more
+    folds them (_fold).
+    """
     num, den, wit = data.exact(rows, hs)
     ratio = _float_ratios(num, den)
+    top = np.full(n_buckets, -np.inf)
+    np.maximum.at(top, buckets, ratio)
+    at = np.flatnonzero(ratio == top[buckets])
+    at = at[np.lexsort([column[at] for column in reversed(wit)] + [buckets[at]])]
+    bucket = buckets[at]
+    first = np.flatnonzero(np.concatenate(([True], bucket[1:] != bucket[:-1])))
+    size, head = np.diff(first, append=len(at)), at[first]
+    heads = zip(num[head].tolist(), den[head].tolist(), zip(*(w[head].tolist() for w in wit)))
     best = [None] * n_buckets
-    for b in np.flatnonzero(np.bincount(buckets, minlength=n_buckets)).tolist():
-        best[b] = _exact_step(num, den, ratio, np.flatnonzero(buckets == b), _witness(wit), wit)
+    for b, s, count, entry in zip(bucket[first].tolist(), first.tolist(), size.tolist(), heads):
+        best[b] = entry if count == 1 else _fold(num, den, at[s:s + count], _witness(wit), None)
     return best
 
 
@@ -1163,8 +1169,11 @@ def _line_analysis(kind, basis):
     (_Screen) with the floors of _LineData.screen_floors.  Each batch of
     candidates it settles, early past SURVIVORS kept items and once at the
     end, is evaluated exactly as array passes (_settle) and merged with the
-    running entries (_pick), so that ties keep the lex-first witness.  The
-    strict violation comes from suffix extrema (strict()), with no tile.
+    running entries (_pick), so that ties keep the lex-first witness.  A
+    strict violation is an item of ratio >= 1, so there is none when the
+    exact supremum, the best entry, lies below 1; only when it reaches 1 is
+    the violation searched, from suffix extrema (strict()), with no tile,
+    and a search that finds none there is an internal inconsistency.
     """
     _need_points(kind, basis.n)
     data = _LINE_KINDS[kind](basis)
@@ -1176,12 +1185,17 @@ def _line_analysis(kind, basis):
     screen = _Screen(len(data.counts), data.screen_floors, settle)
     for tile in _line_tiles(data, data.cut, lambda: screen.floors):
         screen.feed(tile.bucket, tile.ratio, tile.rows, tile.lasts)
-    strict = data.strict()
-    if strict is not None:
+    entries = screen.result()
+    strict, (num, den, _) = None, _supremum(entries)
+    if num * basis.den >= den:      # the supremum reaches 1: entries are ratios over den
+        strict = data.strict()
+        if strict is None:
+            raise InternalConsistencyError(
+                f"the {kind} ratio supremum {Fraction(num * basis.den, den)} reaches 1, but the "
+                f"strict search found no item that does not decrease")
         strict = (strict, *data.sides(strict))
-    return _finalize(kind, basis.eps,
-                     [None if e is None else data.entry(e[2]) for e in screen.result()],
-                     data.counts, strict, basis.point, exact=True)
+    return _finalize(kind, basis.eps, entries, data.counts, strict, basis.point,
+                     lambda entry: data.entry(entry[2]), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1193,17 +1207,34 @@ def _pick(entry, running):
     return entry if better else running
 
 
-def _finalize(kind, eps, bucket_entries, bucket_counts, strict, point, exact):
+def _supremum(entries):
+    """The best of the per-bucket entries (_pick), None when every bucket is empty."""
+    sup = None
+    for entry in entries:
+        sup = _pick(entry, sup)
+    return sup
+
+
+def _finalize(kind, eps, bucket_entries, bucket_counts, strict, point, convert, exact):
     """The EnumAnalysis of per-bucket entries; bucket b + 1 holds measures from eps[b].
 
-    point(w) is the point at witness index w.
+    The entries are an engine's own (num, den, witness) values, which order
+    items like their ratios (_better): the line engine's unreduced ints, or
+    lattice values.  convert(entry) gives an entry's (image measure, measure,
+    witness) in the space's scalars; it is called once per distinct winner
+    of the suffixes and the supremum.  point(w) is the point at witness
+    index w.
     """
+    packed = {}
+
     def pack(entry):
         if entry is None:
             return None, None
-        num, den, wit = entry
-        ratio = Fraction(num, den) if exact else num / den
-        return ratio, (tuple(map(point, wit)), num, den)
+        if entry[2] not in packed:      # a witness is one item, so one entry
+            num, den, wit = convert(entry)
+            ratio = Fraction(num, den) if exact else num / den
+            packed[wit] = ratio, (tuple(map(point, wit)), num, den)
+        return packed[entry[2]]
 
     # delta(eps[b]) is the best over buckets b+1..; vacuous when none qualify
     suffix, counts, running, count = [], [], None, 0
@@ -1212,10 +1243,7 @@ def _finalize(kind, eps, bucket_entries, bucket_counts, strict, point, exact):
         count += n_items
         suffix.append(pack(running))
         counts.append(count)
-    sup = None
-    for entry in bucket_entries:
-        sup = _pick(entry, sup)
-    sup_ratio, sup_witness = pack(sup)
+    sup_ratio, sup_witness = pack(_supremum(bucket_entries))
     if strict is not None:      # (witness, measure, image measure)
         strict = (tuple(map(point, strict[0])), *strict[1:])
     return EnumAnalysis(

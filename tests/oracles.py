@@ -53,7 +53,8 @@ def table_loops(kind, dist, nodes, images, eps, points, exact):
             best[b] = (image_measure, measure, wit)
         if strict is None and image_measure >= measure - slack:
             strict = (wit, measure, image_measure)
-    return scan._finalize(kind, eps, best, counts, strict, points.__getitem__, exact)
+    return scan._finalize(kind, eps, best, counts, strict, points.__getitem__,
+                          lambda entry: entry, exact)
 
 
 def metric_violations_loops(dist_table, exact):

@@ -431,8 +431,8 @@ class TestEngineAgainstNaiveOracle:
         if shape == "edge":
             assert max(abs(v) for v in lattice.values.flat) == top
             assert narrow.dtype == EDGE_DTYPES[top]
-        # budgets of one pair or row per block, two pairs, and the default
-        block = data.draw(st.sampled_from((1, (2 * n + 1) * narrow.itemsize,
+        # budgets of one pair or row per block, two pairs (both rows of each), and the default
+        block = data.draw(st.sampled_from((1, (4 * n + 1) * narrow.itemsize,
                                            metric_core.TRIANGLE_BLOCK)))
         symmetric = all(lattice.values[a][b] == lattice.values[b][a]
                         for a, b in combinations(range(n), 2))
@@ -561,8 +561,8 @@ class TestTableEngineMemory:
 
     def test_the_symmetric_decision_runs_on_int16_within_the_byte_budget(self):
         # a table-load table: numerators up to 96, so its sums fit int16; each temporary of
-        # the decision is within the byte budget, and at most three are live at once (a
-        # block's sums and mask while the next block's rows are gathered)
+        # the decision is within the byte budget, and at most two are live at once (a
+        # block's gathered rows, which then hold their sums, and its mask)
         table = random_table(random.Random(88), 88, 96)
         with mock.patch.object(metric_core, "_symmetric_triangle_holds",
                                wraps=metric_core._symmetric_triangle_holds) as decide:
@@ -571,7 +571,7 @@ class TestTableEngineMemory:
         assert d.dtype == np.int16
         assert metric_core._symmetric_triangle_holds(d, *rest)
         peak = traced_peak(lambda: metric_core._symmetric_triangle_holds(d, *rest))
-        assert peak <= 3 * metric_core.TRIANGLE_BLOCK
+        assert peak <= 2 * metric_core.TRIANGLE_BLOCK
 
 
 class _DictFormula:
@@ -1046,7 +1046,9 @@ def float_pass_oracle(data, eps, cut=None):
         before[:, e] = np.searchsorted(data.basis.nums, data.basis.nums[:rows] + edge) - np.arange(
             data.gap, rows + data.gap)
     np.maximum(before, 0, out=before)
-    counts = np.diff([int(data.items_before(before[:, e]).sum()) for e in range(len(edges))])
+    # row position p holds one pair, or p + 1 triples
+    items = before if data.gap == 1 else before * (before + 1) // 2
+    counts = np.diff(items.sum(axis=0))
     row_max = np.full((rows, len(edges) - 1), -np.inf)
     for i in range(rows):
         lo = before[i, :-1]
@@ -1404,6 +1406,142 @@ def beyond_float(case):
     for r in rng.sample(range(len(images)), rng.randint(1, 2)):
         images[r] = rng.choice((10 ** 400, -10 ** 400, 10 ** 400 + F(1, 3)))
     return nums, den, points, images, eps
+
+
+@st.composite
+def gate_inputs(draw):
+    """A line scan whose ratio supremum is exactly 1, just below 1 or above 1, and which level.
+
+    The images run at slope s, rising (x + c) or falling (c - x), over a run
+    of at least three points, and stay at the run's end images outside it,
+    so every pair's and triple's ratio is at most s and the run's items
+    reach s: s is 1, 1 less 10**-12 or 10**-3, or 1 plus one of those.  With
+    wide, c has a numerator near 2**40 over a denominator of 2**32 or more,
+    which puts the images on object arrays; otherwise it is k/8 (a slope off
+    1 by 10**-12 can put them there too).
+    """
+    level = draw(st.sampled_from(("exact", "below", "above")))
+    wide = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    n = rng.randint(3, 12)
+    den = rng.choice((1, 3, 10))
+    nums = sorted(rng.sample(range(3 * n), n))
+    points = [F(k, den) for k in nums]
+    a = rng.randrange(n - 2)
+    b = rng.randrange(a + 2, n)
+    tiny = F(1, 10 ** rng.choice((3, 12)))
+    slope = {"exact": 1, "below": 1 - tiny, "above": 1 + tiny}[level] * rng.choice((1, -1))
+    c = F(rng.randint(-2 ** 40, 2 ** 40), rng.randint(2 ** 32, 2 ** 33)) if wide \
+        else F(rng.randint(-16, 16), 8)
+    images = [c + slope * points[min(max(t, a), b)] for t in range(n)]
+    spans = sorted({points[k] - points[i] for i, k in combinations(range(n), 2)})
+    eps = tuple(sorted(rng.sample(spans, min(len(spans), rng.randint(1, 3)))))
+    return nums, den, points, images, eps, level, wide
+
+
+class TestStrictGate:
+    # a strict violation is an item of ratio >= 1, so the line scans search one only when
+    # their exact supremum reaches 1
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The gaps of the views whose strict() is called, in call order."""
+        calls = []
+        for view in (scan._LinePairs, scan._LineTriples):
+            def spy(self, real=view.strict):
+                calls.append(self.gap)
+                return real(self)
+            monkeypatch.setattr(view, "strict", spy)
+        return calls
+
+    @pytest.mark.parametrize("entry, searched", [
+        (catalog("burton_logistic", grid_step=F(1, 64)), []),
+        (catalog("composite", grid_step=F(1, 16), index_max=12), []),
+        (catalog("floor_half", integer_max=70), [1])],
+        ids=["burton_logistic", "composite", "floor_half"])
+    def test_the_strict_search_runs_only_where_the_supremum_reaches_one(self, monkeypatch,
+                                                                      entry, searched):
+        # burton_logistic and composite stay below 1 in both scans; floor_half's pairs (1, 2)
+        # reach 1, and its triples stay at 3/4 or less
+        calls = self.spied(monkeypatch)
+        report = full_report(entry.space, entry.map)
+        assert calls == searched
+        assert report.pairwise_strict.passed == (1 not in searched)
+        assert report.triple_strict.passed
+
+    def test_a_supremum_of_one_without_a_strict_violation_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(scan._LinePairs, "strict", lambda self: None)
+        basis = line_basis(list(range(9)), 1, [k // 2 for k in range(9)], (F(1),))
+        with pytest.raises(metric_core.InternalConsistencyError,
+                           match=r"pairwise ratio supremum 1 reaches 1"):
+            scan.line_pair_analysis(basis)
+        assert scan.line_triple_analysis(basis).strict_violation is None
+
+    @given(gate_inputs())
+    def test_the_gate_matches_the_fraction_oracle_at_its_boundary(self, case):
+        nums, den, points, images, eps, level, wide = case
+        basis = line_basis(nums, den, images, eps)
+        assert basis.inum.dtype == object or not wide
+        for kind, engine in (("pairwise", scan.line_pair_analysis),
+                             ("triple", scan.line_triple_analysis)):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                calls = self.spied(monkeypatch)
+                got = engine(basis)
+            want = naive_line_analysis(kind, points, images, eps)
+            assert repr(got) == repr(want), kind
+            reach = {"exact": want.sup_ratio == 1, "below": want.sup_ratio < 1,
+                     "above": want.sup_ratio > 1}
+            assert reach[level], kind
+            assert len(calls) == (want.sup_ratio >= 1), kind
+            assert (want.strict_violation is None) == (want.sup_ratio < 1), kind
+
+
+class TestOnePassSettle:
+    # the one-pass settle against the per-item fold, every item a candidate, in the shapes that
+    # reach its branches: tie-heavy buckets that fold, one candidate per bucket, and wide ints
+
+    @pytest.mark.parametrize("shape", ["constant", "floor_half", "lone", "wide"])
+    def test_the_one_pass_settle_matches_the_per_item_fold(self, monkeypatch, shape):
+        rng = random.Random(28)
+        n, den = 40, rng.choice((1, 3))
+        nums = sorted(rng.sample(range(3 * n), n))
+        images = {"constant": [F(7, 3)] * n,
+                  "floor_half": [k // 2 for k in range(n)],
+                  "lone": [F(k * k, 7) for k in range(n)],
+                  "wide": [F(rng.randint(-2 ** 40, 2 ** 40), rng.randint(2 ** 32, 2 ** 33))
+                           for _ in range(n)]}[shape]
+        if shape == "floor_half":
+            nums, den = list(range(n)), 1
+        spans = sorted({nums[k] - nums[i] for i, k in combinations(range(n), 2)})
+        eps = tuple(F(spans[len(spans) * q // 4], den) for q in (1, 2, 3))
+        folds = []
+
+        def fold(num, den, cands, witness, cur, real=scan._fold):
+            folds.append(len(cands))
+            return real(num, den, cands, witness, cur)
+
+        monkeypatch.setattr(scan, "_fold", fold)
+        for kind in ("pairwise", "triple"):
+            data = scan._LINE_KINDS[kind](line_basis(nums, den, images, eps))
+            assert (data.basis.inum.dtype == object) == (shape == "wide")
+            rows, hs = all_items(data)
+            buckets = (hs[:, None] >= data.before[rows, 1:-1]).sum(axis=1)
+            if shape == "lone":         # one item of each bucket
+                pick = [rng.choice(np.flatnonzero(buckets == b).tolist())
+                        for b in np.unique(buckets).tolist()]
+                rows, hs, buckets = rows[pick], hs[pick], buckets[pick]
+            columns = rows, hs, buckets, len(data.counts)
+            folds.clear()
+            got, want = scan._settle(data, *columns), candidate_fold(data, *columns)
+            assert [None if e is None else (F(e[0], e[1]), e[2]) for e in got] == \
+                [None if e is None else (F(e[0], e[1]), e[2]) for e in want], (shape, kind)
+            assert all(type(v) is int for e in got if e is not None for v in e[:2])
+            if shape in ("constant", "floor_half"):     # tied buckets fold their ties
+                assert max(folds) > 1, kind
+            else:
+                assert all(size > 1 for size in folds), kind
+            if shape == "lone":
+                assert not folds, kind
 
 
 class TestLineBasis:
