@@ -20,6 +20,7 @@ uncorrected statement is guaranteed a hit.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -30,7 +31,6 @@ import numpy as np
 from . import classify, dynamics, scan
 from .map_catalog import SelfMap, apply, catalog
 from .metric_core import (
-    LATTICE_LIMIT,
     FiniteMetricSpace,
     InputError,
     InternalConsistencyError,
@@ -484,15 +484,19 @@ def run_validation(config: SearchConfig) -> dict:
 def _stream(config: SearchConfig):
     """The trial stream's validation counters, and per trial its flags and fixed-point count.
 
-    The instances are drawn in trial order and grouped by size; each group
-    is closed by shortest_path_closure and runs through _sweep_batch in
-    batches of at most SWEEP_ITEMS // n**3 instances.  The violation lists
-    are put back in trial order; the flags (a bool array over the trials per
-    name in _SWEPT) and the counts (an int array) are indexed by trial.
-    Trial 0, the first instance of its batch, is recomputed through the
-    per-trial path (random_instance, classify.full_report, the fixed-point
-    and period-2 scans, and a Picard orbit from every start point), and
+    The instances are drawn in trial order and grouped by size: each size's
+    draws are collected in one flat list per kind and reshaped into arrays
+    once.  Each group is closed by shortest_path_closure and runs through
+    _sweep_batch in batches of at most SWEEP_ITEMS // n**3 instances, all
+    reading the size's one _sweep_grid.  The violation lists are put back in
+    trial order; the flags (a bool array over the trials per name in _SWEPT)
+    and the counts (an int array) are indexed by trial.  Trial 0, the first
+    instance of its batch, is recomputed through the per-trial path
+    (random_instance, classify.full_report, the fixed-point and period-2
+    scans, and a Picard orbit from every start point), and
     InternalConsistencyError is raised if it differs from the batch's.
+    Every table is exact and fully enumerated, so each large flag is the
+    strict one (classify._strict_large_verdict).
     """
     flags = {name: np.zeros(config.trials, dtype=bool) for name in _SWEPT}
     counts = np.zeros(config.trials, dtype=np.intp)
@@ -517,18 +521,19 @@ def _stream(config: SearchConfig):
         n, ks, images = _draw(config, trial)
         group = groups.setdefault(n, ([], [], []))
         group[0].append(trial)
-        group[1].append(ks)
-        group[2].append(images)
+        group[1].extend(ks)
+        group[2].extend(images)
     for n, (trials, ks, images) in groups.items():
+        grid = _sweep_grid(n)
+        ks = np.array(ks, dtype=np.int64).reshape(len(trials), -1)
+        images = np.array(images, dtype=np.intp).reshape(len(trials), n)
         size = max(1, SWEEP_ITEMS // n ** 3)
-        grid = _SweepGrid(n, config.denominator)
         for s in range(0, len(trials), size):
-            batch = np.array(ks[s:s + size], dtype=np.int64)
-            raw = np.zeros((len(batch), n, n), dtype=np.int64)
-            raw[:, grid.rows, grid.cols] = raw[:, grid.cols, grid.rows] = batch
             at = trials[s:s + size]
-            found = _sweep_batch(out, at, shortest_path_closure(raw),
-                                 np.array(images[s:s + size], dtype=np.intp), grid)
+            raw = np.zeros((len(at), n * n), dtype=np.int64)
+            raw[:, grid.upper] = raw[:, grid.lower] = ks[s:s + size]
+            found = _sweep_batch(out, at, shortest_path_closure(raw.reshape(-1, n, n)),
+                                 images[s:s + size], grid)
             for name, values in found[0].items():
                 flags[name][at] = values
             counts[at] = found[1].sum(1)
@@ -543,18 +548,33 @@ def _stream(config: SearchConfig):
 
 
 class _SweepGrid:
-    """The index arrays and the threshold that every batch of one size n reads.
+    """The index arrays that every batch of one size n reads.
 
-    rows, cols: the pairs i < j, row-major; m_idx, n_idx: the orbit state
-    pairs n < m below state n + 2; least: the least distance, in units of
-    1/den, at or above the first grid eps.
+    rows, cols: the pairs i < j, row-major; upper, lower: their offsets
+    i n + j and j n + i in a raveled (n, n) table; m_idx, n_idx: the orbit
+    state pairs n < m below state n + 2.  No eps threshold is kept: the
+    sweep's tables are exact and fully enumerated, where each large verdict
+    is the strict one (classify._strict_large_verdict).
+
+    A process keeps one grid per size drawn (_sweep_grid).  Its arrays take
+    O(n**2) memory, so the kept grids stay small; the O(n**3) triple blocks
+    (scan._triple_blocks) are made per batch instead, so that a wide size
+    range never keeps more of them than one batch reads.
     """
 
-    def __init__(self, n, den):
+    def __init__(self, n):
         self.rows, self.cols = np.triu_indices(n, 1)
+        self.upper = self.rows * n + self.cols
+        self.lower = self.cols * n + self.rows
         self.m_idx, self.n_idx = np.tril_indices(n + 2, -1)
-        self.least = int(scan._ceil_thresholds(classify.DEFAULT_EPS_GRID[:1], den,
-                                               LATTICE_LIMIT)[0])
+        for values in vars(self).values():
+            values.flags.writeable = False      # every batch of the process reads them
+
+
+@functools.cache
+def _sweep_grid(n) -> _SweepGrid:
+    """The process's one _SweepGrid of size n, built on first use."""
+    return _SweepGrid(n)
 
 
 def _sweep_batch(out, trials, dist, images, grid):
@@ -562,149 +582,140 @@ def _sweep_batch(out, trials, dist, images, grid):
 
     trials lists the instances' trial numbers in order, dist holds their
     (B, n, n) int64 tables in units of 1/den, images their (B, n) maps
-    (point i is label i), and grid the _SweepGrid of n and den.  Counters are
+    (point i is label i), and grid the _sweep_grid of n.  Counters are
     added to out, and violation entries appended in (trial, x0, m, n) order,
     from Python ints.
 
     The verdict flags follow classify.full_report's exact-scope rules.  Pair
     distances d(i, j), i < j, must be positive, as full_report requires (an
     InputError naming the pair otherwise), so every triple perimeter is
-    positive too: an item's ratio reaches 1 exactly when the item fails the
-    strict test, and a bucket's delta reaches 1 exactly when an item of its
-    suffix of buckets does.  The suffixes are nested, so each large verdict
-    needs only the items of the first grid bucket.
+    positive too.  On a fully enumerated space a large verdict is the strict
+    one (classify._strict_large_verdict): a strict violation fails every
+    modulus below 1, and without one each grid modulus is a maximum of
+    finitely many ratios below 1.  So the large and strict flags coincide,
+    and so does uniform_tpc: a maximum of finitely many triple ratios is
+    below 1 exactly when each ratio is.
 
-    The orbit checks read (B, n) tables of d(p, Tp) <= 0, T(Tp) = p and
-    P(p, Tp, T(Tp)), and a (B, n, n) pair-domination table, each computed
-    once per point and gathered along the orbits.
+    Every lookup is a take at offsets into the raveled (B n n) table or the
+    raveled (B n) map: point p of instance b is g = b n + p, and d(g, q) is
+    entry g n + q.  The orbit checks read per-point arrays of d(p, Tp) <= 0,
+    T(Tp) = p and P(p, Tp, T(Tp)), and a (B n, n) pair-domination table,
+    each computed once per point and gathered along the orbits.
 
     Returns the instances' verdict flags, as a bool array per name of
     _SWEPT, their (B, n) fixed-point and period-2 masks, and the (B, n)
     arrays of orbit halts (indices into HALTS) and numbers of states.
     """
     count, n = images.shape
+    table = dist.reshape(-1)
     pts = np.arange(n)
-    b2 = np.arange(count)[:, None]
-    b3 = b2[:, :, None]
-    image_dist = dist[b3, images[:, :, None], images[:, None, :]]   # d(Tx, Ty)
+    cells = np.arange(count * n)                        # g = b n + p
+    local = images.reshape(-1)                          # Tp, as a point of its instance
+    image = local + cells - cells % n                   # Tp, as g
+    image2 = local.take(image)                          # T(Tp), as a point of its instance
     rows, cols = grid.rows, grid.cols
-    d_pair = dist[:, rows, cols]
-    t_pair = image_dist[:, rows, cols]
-    fails = t_pair >= d_pair
-    pair_strict = ~fails.any(1)
-    large_contraction = pair_strict & ~(fails & (d_pair >= grid.least)).any(1)
+    both = np.empty((2, count, len(rows)), dtype=table.dtype)
+    d_pair, t_pair = both                               # d(x, y) and d(Tx, Ty), x < y
+    dist.reshape(count, n * n).take(grid.upper, 1, out=d_pair)
+    table.take(image.reshape(count, n).take(rows, 1) * n + images.take(cols, 1),
+               out=t_pair)
+    pair_strict = ~(t_pair >= d_pair).any(1)
 
     triple_fails = np.zeros(count, dtype=bool)
-    qualified_fails = np.zeros(count, dtype=bool)
     third = {}          # instance -> its lex-first triple with perimeter > 3 x longest side
+    base = pts * (2 * n - pts - 3) // 2 - 1             # pair (a, j) is base[a] + j
     for a, pair in scan._triple_blocks(n, rows):
         j = rows[pair]
         k = cols[pair]
-        dij = dist[:, a, j]
-        djk = d_pair[:, pair]
-        dik = dist[:, a, k]
-        p = dij + djk + dik
+        row_a = base[a]
+        sides = both.take(np.concatenate([row_a + j, pair, row_a + k]), 2)
+        sides = sides.reshape(2, count, 3, len(pair))   # (ij, jk, ik) of d, then of T
+        p, pt = sides.sum(2)
         if not (p > 0).all():
             raise InputError("the sweep's verdict rules need positive triple perimeters")
-        pt = image_dist[:, a, j] + t_pair[:, pair] + image_dist[:, a, k]
-        longest = np.maximum(np.maximum(dij, djk), dik)
-        fails = pt >= p
-        triple_fails |= fails.any(1)
-        qualified_fails |= (fails & (longest >= grid.least)).any(1)
-        over = p > 3 * longest
+        triple_fails |= (pt >= p).any(1)
+        over = p > 3 * sides[0].max(1)
         for b, t in zip(*np.nonzero(over)):
             third.setdefault(int(b), (int(a[t]), int(j[t]), int(k[t])))
     triple_strict = ~triple_fails
-    large_tpc = triple_strict & ~qualified_fails
-    uniform_tpc = triple_strict     # a finite maximum of ratios below 1 is below 1
     if not (d_pair > 0).all():      # full_report's refusal, for the first such instance
         _, first = np.argwhere(d_pair <= 0)[0]
         raise scan._nonpositive(range(n), rows[first], cols[first])
-    if (large_contraction & ~pair_strict).any():
-        raise InternalConsistencyError(
-            "large-contraction verdict passed while the pairwise strict check failed")
-    if (large_tpc & ~triple_strict).any():
-        raise InternalConsistencyError(
-            "large perimeter-contraction verdict passed while the strict triple check failed")
-    if (uniform_tpc & ~large_tpc).any():
-        raise InternalConsistencyError(
-            "uniform perimeter verdict passed while the large perimeter verdict failed")
 
-    image2 = np.take_along_axis(images, images, 1)      # T(Tp)
     fixed = images == pts
-    returns = image2 == pts
+    returns = image2.reshape(count, n) == pts
     period2 = returns & ~fixed
     no_period2 = ~period2.any(1)
-    corrected = large_tpc & no_period2
+    corrected = np.repeat(triple_strict & no_period2, n)
 
     # Orbits, as picard_orbit runs them with max_steps = n + 2 and residual
-    # tolerance 0.  orbit[b, x0, i] is state i from x0; a run halts at the
-    # first state with d(x, Tx) <= 0 (fixed point), else with T(Tx) = x
-    # (period 2: Tx, x, Tx are recorded next, which are the following states
-    # of the orbit), else at state n + 2 (budget).  An orbit on n points is
-    # in its cycle by state n - 1, so a period-2 halt keeps within the n + 3
-    # states of a budget halt.  Each orbit check reads only a state and its
-    # successors, so it is computed once per point p of an instance and
+    # tolerance 0.  orbit[i, g] is state i from g; a run halts at the first
+    # state with d(x, Tx) <= 0 (fixed point), else with T(Tx) = x (period
+    # 2: Tx, x, Tx are recorded next, which are the following states of the
+    # orbit), else at state n + 2 (budget).  An orbit on n points is in its
+    # cycle by state n - 1, so a period-2 halt keeps within the n + 3 states
+    # of a budget halt.  Each orbit check reads only a state and its
+    # successors, so it is computed once per point of an instance and
     # gathered along the orbits.
     steps = n + 3
-    orbit = np.empty((count, n, steps + 1), dtype=np.intp)
-    orbit[:, :, 0] = pts
+    orbit = np.empty((steps + 1, count * n), dtype=np.intp)
+    orbit[0] = cells
     for i in range(steps):
-        orbit[:, :, i + 1] = images[b2, orbit[:, :, i]]
-    x = orbit[:, :, :steps]
-    step_dist = dist[b2, pts, images]                   # d(p, Tp)
-    at_fixed = (step_dist <= 0)[b3, x]
-    at_period2 = returns[b3, x]
-    halts = at_fixed | at_period2
-    halts[:, :, -1] = True
-    halt = halts.argmax(2)[:, :, None]
-    by_fixed = np.take_along_axis(at_fixed, halt, 2)[:, :, 0]
-    by_period2 = ~by_fixed & np.take_along_axis(at_period2, halt, 2)[:, :, 0]
-    final = np.take_along_axis(orbit, halt, 2)[:, :, 0]
-    halt = halt[:, :, 0]
+        image.take(orbit[i], out=orbit[i + 1])
+    step_dist = table.take(cells * n + local)           # d(p, Tp)
+    at_fixed = step_dist <= 0
+    at_period2 = returns.reshape(-1)
+    halts = (at_fixed | at_period2).take(orbit[:steps])
+    halts[-1] = True
+    halt = halts.argmax(0)
+    final = orbit.reshape(-1).take(halt * (count * n) + cells)
+    by_fixed = at_fixed.take(final)
+    by_period2 = ~by_fixed & at_period2.take(final)
     length = np.where(by_period2, halt + 4, halt + 1)
     halted_by = np.where(by_fixed, 0, np.where(by_period2, 1, 2))
-    membership = by_fixed & ~fixed[b2, final]
-    orbit_halt = corrected[:, None] & (~by_fixed | (length > n + 1))
+    membership = by_fixed & ~fixed.reshape(-1).take(final)
+    orbit_halt = corrected & (~by_fixed | (length > n + 1))
 
     # d(x_m, x_n) <= P(x_{m+1}, x_m, x_n) for n < m, m + 1 < length.  Since
-    # x_{m+1} = T x_m, a pair fails where dominated[b, x_m, x_n] holds, with
-    # dominated[b, p, q] = d(p, q) > d(Tp, p) + d(p, q) + d(Tp, q); only the
-    # instances with a failing pair (p, q) are gathered along their orbits.
+    # x_{m+1} = T x_m, a pair fails where dominated[x_m, x_n] holds, with
+    # dominated[p, q] = d(p, q) > d(Tp, p) + d(p, q) + d(Tp, q) over the
+    # (B n, n) rows; only the instances with a failing pair (p, q) are
+    # gathered along their orbits.
     m_idx, n_idx = grid.m_idx, grid.n_idx
-    dominated = dist > (dist[b2, images, pts][:, :, None] + dist
-                        + np.take_along_axis(dist, images[:, :, None], 1))
-    hit = np.flatnonzero(dominated.any((1, 2)))
-    orbit_hit = orbit[hit]
-    domination = (dominated[hit[:, None, None], orbit_hit[:, :, m_idx], orbit_hit[:, :, n_idx]]
-                  & (m_idx + 1 < length[hit][:, :, None]))
+    rows_of = table.reshape(count * n, n)
+    dominated = rows_of > (table.take(image * n + cells % n)[:, None] + rows_of
+                           + rows_of.take(image, 0))
+    hit = np.flatnonzero(dominated.reshape(count, n * n).any(1))
+    hit_cells = (hit[:, None] * n + pts).reshape(-1)
+    orbit_hit = orbit.take(hit_cells, 1)
+    domination = (dominated.reshape(-1).take(orbit_hit[m_idx] * n + orbit_hit[n_idx] % n)
+                  & (m_idx[:, None] + 1 < length.take(hit_cells)))
 
     # check_perimeter_decrease on P_i = P(x_i, x_{i+1}, x_{i+2}), i < length - 2
-    per = (step_dist + dist[b2, images, image2] + dist[b2, pts, image2])[b3, x[:, :, :-2]]
-    n_per = (length - 2)[:, :, None]
-    recorded = np.arange(steps - 2) < n_per
-    no_drop = (per[:, :, 1:] >= per[:, :, :-1]) & recorded[:, :, 1:]
-    decrease = (corrected[:, None] & (n_per[:, :, 0] >= 2)
-                & ((per != 0) & recorded).any(2) & no_drop.any(2))
-    first_no_drop = no_drop.argmax(2)
+    per = (step_dist + step_dist.take(image) + table.take(cells * n + image2)).take(
+        orbit[:steps - 2])
+    n_per = length - 2
+    recorded = np.arange(steps - 2)[:, None] < n_per
+    no_drop = (per[1:] >= per[:-1]) & recorded[1:]
+    decrease = (corrected & (n_per >= 2)
+                & ((per != 0) & recorded).any(0) & no_drop.any(0))
+    first_no_drop = no_drop.argmax(0)
 
     flat = np.nonzero(fixed)[1].tolist()
     ends = np.cumsum(fixed.sum(1)).tolist()
     fixed_points = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
-    for b, (trial, fps, burton, petrov, main) in enumerate(zip(
-            trials, fixed_points, large_contraction.tolist(),
-            (uniform_tpc & no_period2).tolist(), corrected.tolist())):
+    for b, (trial, fps, burton, petrov) in enumerate(zip(
+            trials, fixed_points, pair_strict.tolist(), (triple_strict & no_period2).tolist())):
         if burton:
             out["large_contraction_pass"] += 1
             if _refuted("burton", len(fps)):
                 out["burton_uniqueness_violations"].append(
                     {"trial": trial, "fixed_points": list(fps)})
-        if petrov:
+        if petrov:      # the uniform and large perimeter verdicts are both the strict one
             out["uniform_tpc_pass"] += 1
             if _refuted("petrov", len(fps)):
                 out["petrov_count_violations"].append(
                     {"trial": trial, "fixed_points": list(fps)})
-        if main:
             out["corrected_hypotheses_pass"] += 1
             if _refuted("corrected_main", len(fps)):
                 out["corrected_conclusion_violations"].append(
@@ -714,20 +725,21 @@ def _sweep_batch(out, trials, dist, images, grid):
         if b in third:
             out["perimeter_third_violations"].append({"trial": trial, "triple": third[b]})
     out["orbits_checked"] += count * n
-    for b, x0 in zip(*np.nonzero(membership)):
-        out["halt_membership_violations"].append({"trial": trials[b], "x0": int(x0)})
-    for b, x0, q in zip(*np.nonzero(domination)):
+    for g in np.flatnonzero(membership).tolist():
+        out["halt_membership_violations"].append({"trial": trials[g // n], "x0": g % n})
+    for c, q in zip(*np.nonzero(domination.T)):
         out["pair_domination_violations"].append(
-            {"trial": trials[hit[b]], "x0": int(x0), "m": int(m_idx[q]), "n": int(n_idx[q])})
-    for b, x0 in zip(*np.nonzero(orbit_halt)):
+            {"trial": trials[hit[c // n]], "x0": int(c % n), "m": int(m_idx[q]),
+             "n": int(n_idx[q])})
+    for g in np.flatnonzero(orbit_halt).tolist():
         out["orbit_halt_violations"].append(
-            {"trial": trials[b], "x0": int(x0), "halted_by": HALTS[halted_by[b, x0]]})
-    for b, x0 in zip(*np.nonzero(decrease)):
+            {"trial": trials[g // n], "x0": g % n, "halted_by": HALTS[halted_by[g]]})
+    for g in np.flatnonzero(decrease).tolist():
         out["perimeter_decrease_violations"].append(
-            {"trial": trials[b], "x0": int(x0), "index": int(first_no_drop[b, x0])})
+            {"trial": trials[g // n], "x0": g % n, "index": int(first_no_drop[g])})
 
-    flags = dict(zip(_SWEPT, (large_contraction, large_tpc, uniform_tpc, no_period2)))
-    return flags, fixed, period2, (halted_by, length)
+    flags = dict(zip(_SWEPT, (pair_strict, triple_strict, triple_strict, no_period2)))
+    return flags, fixed, period2, (halted_by.reshape(count, n), length.reshape(count, n))
 
 
 def _audit_first_trial(config, found):

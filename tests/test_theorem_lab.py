@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from oracles import closure_loops, search_loops, stdlib_draw
 
 from contraction_lab import classify, dynamics, scan, theorem_lab
@@ -533,7 +534,12 @@ def empty_sweep(trials):
 
 
 def oracle_trial(out, trial, space, mapping):
-    """One trial of the per-trial validation loop: the oracle run_validation batches."""
+    """One trial of the per-trial validation loop: the oracle run_validation batches.
+
+    Returns the trial's facts as _sweep_batch returns them per instance: its
+    flags by name of theorem_lab._SWEPT, its fixed points, its period-2
+    points, and per start point the orbit's halt and number of states.
+    """
     report = classify.full_report(space, mapping)
     fps = dynamics.enumerate_fixed_points(space, mapping)
     period2 = dynamics.detect_period2(space, mapping)
@@ -564,9 +570,11 @@ def oracle_trial(out, trial, space, mapping):
         if len(fps) == 2:
             out["two_fixed_point_trials"].append(trial)
 
+    halts = []
     for x0 in space.points:
         trace = dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
                                       residual_tol=F(0))
+        halts.append((trace.halted_by, len(trace.states)))
         out["orbits_checked"] += 1
         if trace.halted_by == "fixed-point" and trace.final_state not in fps:
             out["halt_membership_violations"].append({"trial": trial, "x0": x0})
@@ -587,6 +595,8 @@ def oracle_trial(out, trial, space, mapping):
                 if not ok:
                     out["perimeter_decrease_violations"].append(
                         {"trial": trial, "x0": x0, "index": idx})
+    flags = {name: getattr(report, name).passed for name in theorem_lab._SWEPT[:3]}
+    return flags | {"no_period2": not period2}, fps, period2, tuple(halts)
 
 
 def oracle_validation(config):
@@ -630,6 +640,61 @@ def non_metric_instances(rng, n, count):
             images[a], images[b], images[c] = b, c, a
         found.append((rows, images))
     return found
+
+
+def batch_facts(found, b):
+    """Instance b's facts from a _sweep_batch result, in oracle_trial's form."""
+    flags, fixed, period2, (halted_by, length) = found
+    return ({name: bool(values[b]) for name, values in flags.items()},
+            tuple(np.flatnonzero(fixed[b]).tolist()), tuple(np.flatnonzero(period2[b]).tolist()),
+            tuple(zip(map(theorem_lab.HALTS.__getitem__, halted_by[b].tolist()),
+                      length[b].tolist())))
+
+
+@st.composite
+def sweep_batches(draw):
+    """(den, tables, maps): 1..6 int tables of one size n in 3..14, in units of 1/den.
+
+    A table is a closed metric, or non-metric as non_metric_instances draws
+    them: positive entries above the diagonal, and below it entries that may
+    be zero, negative or differ from their mirror.  Entries come from a few
+    multiples of den // 4 (ties) or anywhere in [1, den], so that every sum
+    of three fits in int64 up to den = (2**63 - 1) // 3.  Maps may draw from
+    a pool of 1..3 points, and may be forced to hold a fixed point, a
+    2-cycle, both, or a cycle of three.
+    """
+    n = draw(st.integers(3, 14))
+    den = draw(st.sampled_from([1, 3, 64, 2 ** 40 + 15, (2 ** 63 - 1) // 3])
+               | st.integers(1, (2 ** 63 - 1) // 3))
+    rng = draw(st.randoms(use_true_random=False))
+    unit = max(1, den // 4)
+
+    def value():
+        return min(rng.randint(1, 4) * unit, den) if rng.random() < 0.7 else rng.randint(1, den)
+
+    tables, maps = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = [[0] * n for _ in range(n)]
+        metric = draw(st.booleans())
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = value()
+            rows[j][i] = rows[i][j] if metric or rng.random() < 0.3 else rng.choice(
+                (0, -value(), value()))
+        if metric:
+            rows = shortest_path_closure(np.array([rows], dtype=np.int64))[0].tolist()
+        pool = rng.sample(range(n), rng.randint(1, 3)) if draw(st.booleans()) else range(n)
+        images = [rng.choice(pool) for _ in range(n)]
+        a, b, c = rng.sample(range(n), 3)
+        shape = draw(st.sampled_from(("free", "fixed", "2-cycle", "both", "3-cycle")))
+        if shape in ("fixed", "both"):
+            images[a] = a
+        if shape in ("2-cycle", "both"):
+            images[b], images[c] = c, b
+        if shape == "3-cycle":
+            images[a], images[b], images[c] = b, c, a
+        tables.append(rows)
+        maps.append(images)
+    return den, tables, maps
 
 
 # Orbit 3 -> 2 -> 1 -> 0 (fixed) with perimeters P(3, 2, 1) = P(2, 1, 0) = 0:
@@ -689,7 +754,7 @@ class TestValidationSweep:
             theorem_lab._sweep_batch(got, list(range(len(batch))),
                                      np.array([r for r, _ in batch], dtype=np.int64),
                                      np.array([m for _, m in batch], dtype=np.intp),
-                                     theorem_lab._SweepGrid(n, den))
+                                     theorem_lab._sweep_grid(n))
             assert got == expected
             for key, value in got.items():
                 totals[key] = totals.get(key, 0) + (len(value) if isinstance(value, list)
@@ -697,6 +762,39 @@ class TestValidationSweep:
         for key in ("halt_membership_violations", "pair_domination_violations",
                     "orbit_halt_violations", "perimeter_decrease_violations"):
             assert totals[key] > 0, key
+
+    @given(sweep_batches())
+    def test_batch_equals_per_trial_oracle(self, drawn):
+        den, tables, maps = drawn
+        expected, facts = empty_sweep(0), []
+        for b, (rows, images) in enumerate(zip(tables, maps)):
+            space, mapping = table_instance(rows, images, den)
+            facts.append(oracle_trial(expected, b, space, mapping))
+        got = empty_sweep(0)
+        found = theorem_lab._sweep_batch(got, list(range(len(tables))),
+                                         np.array(tables, dtype=np.int64),
+                                         np.array(maps, dtype=np.intp),
+                                         theorem_lab._sweep_grid(len(maps[0])))
+        assert got == expected
+        assert [batch_facts(found, b) for b in range(len(tables))] == facts
+
+    def test_each_size_builds_its_grid_once_per_process(self, monkeypatch):
+        built = []
+        grid = theorem_lab._SweepGrid
+
+        def counting(n):
+            built.append(n)
+            return grid(n)
+
+        monkeypatch.setattr(theorem_lab, "_SweepGrid", counting)
+        theorem_lab._sweep_grid.cache_clear()
+        first = SearchConfig(seed=509, trials=120)
+        whole = run_validation(first)
+        run_validation(SearchConfig(seed=510, trials=120))
+        assert sorted(built) == list(range(3, 13))
+        monkeypatch.setattr(theorem_lab, "SWEEP_ITEMS", 500)   # batches of 1..18 instances
+        assert run_validation(first) == whole
+        assert sorted(built) == list(range(3, 13))
 
     def test_int64_sums_bound_the_denominator(self):
         with pytest.raises(InputError, match="denominator"):
@@ -707,7 +805,7 @@ class TestValidationSweep:
         with pytest.raises(InputError, match="positive triple perimeters"):
             theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
                                      np.array([[0, 0, 0]], dtype=np.intp),
-                                     theorem_lab._SweepGrid(3, 1))
+                                     theorem_lab._sweep_grid(3))
 
     def test_batch_refuses_a_zero_pair_as_full_report_does(self):
         # every triple perimeter is positive, but the pair (0, 1) is at distance 0
@@ -718,7 +816,7 @@ class TestValidationSweep:
         with pytest.raises(InputError) as got:
             theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
                                      np.array([images], dtype=np.intp),
-                                     theorem_lab._SweepGrid(3, 1))
+                                     theorem_lab._sweep_grid(3))
         assert str(got.value) == str(want.value)
         assert "between points 0 and 1 is not positive" in str(got.value)
 
