@@ -9,7 +9,9 @@ as bytes and read by one np.fromstring, see _ratio_parts); its table rows
 of Fractions or floats are built only when read.  All strict-inequality
 decisions are exact in rational mode; float mode compares with a fixed
 tolerance ETA.  shortest_path_closure is the one shortest-path closure, run
-by metric_repair and by theorem_lab's validation sweep.
+by metric_repair and by theorem_lab's validation sweep.  pair_grid(n) is the
+one layout of an n-point table's pairs i < j, read by validate_metric, the
+table engine (scan) and the sweep's table fill.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Real
 from typing import Union
 
@@ -624,6 +626,25 @@ def max_side(space, a, b, c) -> Scalar:
     return max(space.distance(a, b), space.distance(b, c), space.distance(a, c))
 
 
+class PairGrid:
+    """The pairs i < j of n points, row-major (rows, cols), and their offsets upper = i n + j
+    and lower = j n + i in a raveled (n, n) table, read-only: a process shares one (pair_grid)."""
+
+    def __init__(self, n):
+        self.rows, self.cols = np.triu_indices(n, 1)
+        self.upper = self.rows * n + self.cols
+        self.lower = self.cols * n + self.rows
+        for values in vars(self).values():
+            values.flags.writeable = False
+
+
+@cache
+def pair_grid(n) -> PairGrid:
+    """The process's one PairGrid of n points, built on first use.  It keeps about twice the
+    memory of one int64 table of the size, once per size the process reads."""
+    return PairGrid(n)
+
+
 def validate_metric(table, exact: bool = True) -> ValidationReport:
     """List every violated metric axiom with a concrete witness.
 
@@ -657,9 +678,10 @@ def validate_metric(table, exact: bool = True) -> ValidationReport:
     with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
         diagonal = [(i, scalar(d[i, i]))
                     for i in np.flatnonzero(np.abs(np.diagonal(d)) > slack).tolist()]
-        rows, cols = np.triu_indices(n, 1)
-        upper = narrow[rows, cols]
-        lower = narrow[cols, rows]
+        grid = pair_grid(n)
+        rows, cols = grid.rows, grid.cols
+        upper = narrow.take(grid.upper)
+        lower = narrow.take(grid.lower)
         hits = upper <= slack
         positivity = [(i, j, scalar(d[i, j]))
                       for i, j in zip(rows[hits].tolist(), cols[hits].tolist())]

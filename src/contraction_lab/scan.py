@@ -26,11 +26,13 @@ once at the end.
   Every value, witness and count equals that of a pure-Python enumeration
   in the table's scalars (the oracle the tests compare against).  A pair of
   points at distance <= 0 is refused.  One enumeration (_table_blocks)
-  yields the blocks, and one strict test (_strict_item) finds a block's
-  lex-first strict violation, for the reduction and for the strict search
-  (table_strict_violation), which reads the blocks alone, without buckets,
-  and stops at the first that holds a violation: on a finite space that
-  violation decides the large verdicts (classify.large_verdict).
+  yields the blocks of a stack of B tables (one for a report, a batch of
+  random instances for theorem_lab's sweep), and one strict test
+  (_strict_item) finds a block's lex-first strict violation, for the
+  reduction and for the strict search (table_strict_violation), which
+  reads the blocks alone, without buckets, and stops at the first that
+  holds a violation: on a finite space that violation decides the large
+  verdicts (classify.large_verdict).
 * a line engine for sampled one-dimensional spaces.  Points there are sorted
   rationals k/den under the absolute-difference metric, so a sorted triple
   i<j<k has perimeter 2*(c_k - c_i) and its image perimeter depends on j only
@@ -137,7 +139,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric_core import ETA, LATTICE_LIMIT, InputError, InternalConsistencyError
+from .metric_core import ETA, LATTICE_LIMIT, InputError, InternalConsistencyError, pair_grid
 
 FLOAT_BAND = 1e-9        # float table candidates: relative width below a bucket maximum
 TRIPLE_BLOCK = 1 << 12   # triples per numpy pass of the table engine
@@ -211,11 +213,6 @@ def _ceil_thresholds(eps, scale, cap, dtype=np.int64):
 
 # ---------------------------------------------------------------------------
 # table engine (finite spaces)
-
-def _nonpositive(points, a, b):
-    return InputError(f"the distance between points {points[a]!r} and {points[b]!r} is not "
-                      f"positive; pair and perimeter ratios need a metric table")
-
 
 def _lattice_thresholds(eps, lattice):
     """Per eps value, the least lattice value v with scalar(v) >= eps.
@@ -446,46 +443,59 @@ def _triple_blocks(m, rows):
         a0 = a1
 
 
-def _table_blocks(kind, lattice, nodes, images, points, bucket=None):
-    """The pairs or triples of a table as blocks in lexicographic witness order.
-
-    Yields (image measure, measure, witness index columns, eps buckets)
-    arrays: the pairs as one block, the triples in the blocks of
-    _triple_blocks.  bucket, when given, maps pair distances to their eps
-    buckets (_LatticeReduction.bucket), and a triple's bucket, that of its
-    longest side, is the greatest of its pairs'; without it the buckets are
-    None.  The point count and then the pair distances are checked before the
-    first block.  Callers iterate under np.errstate(over="ignore",
-    invalid="ignore"), for inf and huge float entries.
-    """
-    _need_points(kind, len(nodes))
-    m = len(nodes)
+def _table_stack(lattice, nodes, images):
+    """The (2, 1, m, m) stack of one table over the positions nodes: its distances and the
+    distances of their images (images[i] is the position of the image of position i)."""
     nodes = np.asarray(nodes, dtype=np.intp)
-    # the distances (row 0) and the distances of the images (row 1), so one take gathers both
     ends = (nodes, np.asarray(images, dtype=np.intp)[nodes])
-    both = np.stack([lattice.values[np.ix_(e, e)] for e in ends]).reshape(2, m * m)
-    rows, cols = np.triu_indices(m, 1)
-    flat = rows * m + cols
-    both_pair = both.take(flat, axis=1)
+    return np.stack([lattice.values[np.ix_(e, e)] for e in ends])[:, None]
+
+
+def _table_blocks(kind, stack, points, bucket=None):
+    """The pairs or triples of B tables of m points as blocks in lexicographic witness order.
+
+    stack is a (2, B, m, m) array of the tables' distances d(p, q) and
+    image distances d(Tp, Tq).  Yields (image measure, measure, witness
+    index columns, eps buckets): measures and buckets as (B, items) arrays,
+    the witness columns shared by the B rows; the pairs as one block, the
+    triples in the blocks of _triple_blocks.  bucket, when given, maps pair
+    distances to their eps buckets (_LatticeReduction.bucket), and a
+    triple's bucket, that of its longest side, is the greatest of its
+    pairs'; without it the buckets are None.  The point count and then the
+    pair distances are checked before the first block: the first table's
+    first nonpositive pair is refused, points labelling the m points.
+    Callers iterate under np.errstate(over="ignore", invalid="ignore"), for
+    inf and huge float entries.
+    """
+    _, count, m, _ = stack.shape
+    _need_points(kind, m)
+    grid = pair_grid(m)
+    rows, cols = grid.rows, grid.cols
+    # the distances (row 0) and the distances of the images (row 1), so one take gathers both
+    both = stack.reshape(2, count, m * m)
+    both_pair = both.take(grid.upper, axis=2)
     d_pair, t_pair = both_pair
     if not (d_pair > 0).all():
-        first = int(np.argmin(d_pair > 0))
-        raise _nonpositive(points, rows[first], cols[first])
+        _, first = np.argwhere(~(d_pair > 0))[0]
+        raise InputError(f"the distance between points {points[rows[first]]!r} and "
+                         f"{points[cols[first]]!r} is not positive; pair and perimeter "
+                         f"ratios need a metric table")
     b_pair = None if bucket is None else bucket(d_pair)
     if kind == "pairwise":
         yield t_pair, d_pair, (rows, cols), b_pair
         return
     if b_pair is not None:
-        b_flat = np.zeros(m * m, dtype=b_pair.dtype)
-        b_flat[flat] = b_pair
+        b_flat = np.zeros((count, m * m), dtype=b_pair.dtype)
+        b_flat[:, grid.upper] = b_pair
     for a, pair in _triple_blocks(m, rows):
         j, k = rows[pair], cols[pair]
         aj, ak = a * m + j, a * m + k
         # sums in enumeration order keep float mode bit-identical
-        p, pt = both.take(aj, axis=1) + both_pair.take(pair, axis=1) + both.take(ak, axis=1)
+        p, pt = both.take(aj, axis=2) + both_pair.take(pair, axis=2) + both.take(ak, axis=2)
         b = None
         if b_pair is not None:
-            b = np.maximum(np.maximum(b_flat.take(aj), b_pair.take(pair)), b_flat.take(ak))
+            b = np.maximum(np.maximum(b_flat.take(aj, axis=1), b_pair.take(pair, axis=1)),
+                           b_flat.take(ak, axis=1))
         yield pt, p, (a, j, k), b
 
 
@@ -493,15 +503,12 @@ def _table_analysis(kind, lattice, nodes, images, eps, points):
     """The table enumeration as numpy passes over the lattice."""
     eps = _checked_eps(eps)
     red = _LatticeReduction(lattice, eps)
+    stack = _table_stack(lattice, nodes, images)
     with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
-        for num, den, wit, bucket in _table_blocks(kind, lattice, nodes, images, points,
-                                                   red.bucket):
-            red.feed(num, den, bucket, wit)
+        for num, den, wit, bucket in _table_blocks(kind, stack, points, red.bucket):
+            red.feed(num[0], den[0], bucket[0], wit)
         return red.result(kind, eps, points)
 
-
-# ---------------------------------------------------------------------------
-# line engine (sampled one-dimensional spaces)
 
 def _int_array(values):
     """Ints as an int64 array, or an object array of Python ints when one does not fit int64."""
@@ -1287,9 +1294,10 @@ def table_strict_violation(kind, lattice, nodes, images, eps, points):
     the pair distances.
     """
     _checked_eps(eps)
+    stack = _table_stack(lattice, nodes, images)
     with np.errstate(over="ignore", invalid="ignore"):   # inf and huge float entries
-        for num, den, wit, _ in _table_blocks(kind, lattice, nodes, images, points):
-            item = _strict_item(lattice, num, den, wit)
+        for num, den, wit, _ in _table_blocks(kind, stack, points):
+            item = _strict_item(lattice, num[0], den[0], wit)
             if item is not None:
                 wit, measure, image_measure = item
                 return (tuple(points[w] for w in wit), lattice.scalar(measure),

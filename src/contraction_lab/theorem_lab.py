@@ -10,7 +10,8 @@ validation sweep (run_validation) and refutation search
 (search_refutations).  It runs in grouped numpy passes: the instances of one
 size are stacked into one int64 array over the configured denominator, and
 the verdict flags, fixed points, orbits and orbit checks are computed for
-the whole stack at once.  Each call recomputes trial 0 through the per-trial
+the whole stack at once, the flags through the table engine's enumeration
+(scan._table_blocks).  Each call recomputes trial 0 through the per-trial
 path (random_instance, the classifiers, the fixed-point and period-2 scans
 and Picard orbits) and fails if the batch disagrees with it.  The search
 gives a full verdict only to its refuted trials and to the three-point
@@ -39,6 +40,7 @@ from .metric_core import (
     format_point,
     format_scalar,
     metric_repair,
+    pair_grid,
     shortest_path_closure,
 )
 
@@ -475,8 +477,11 @@ def run_validation(config: SearchConfig) -> dict:
     its hypotheses pass), the at-most-two bound for strict perimeter
     contractions without 2-cycles, uniqueness for pairwise strict
     contractions, Picard halting behaviour against the enumerated fixed-point
-    set, strict perimeter decrease along orbits, the pair-vs-perimeter
-    domination, and the perimeter/3 bound on every triple.
+    set, strict perimeter decrease along orbits, and the pair-vs-perimeter
+    domination.  perimeter_third_violations, the triples whose perimeter
+    exceeds three times their longest side, is always empty and not
+    computed: a sum of three sides never exceeds three times the longest,
+    for any ints, metric or not.
     """
     return _stream(config)[0]
 
@@ -486,14 +491,14 @@ def _stream(config: SearchConfig):
 
     The instances are drawn in trial order and grouped by size: each size's
     draws are collected in one flat list per kind and reshaped into arrays
-    once.  Each group is closed by shortest_path_closure and runs through
-    _sweep_batch in batches of at most SWEEP_ITEMS // n**3 instances, all
-    reading the size's one _sweep_grid.  The violation lists are put back in
-    trial order; the flags (a bool array over the trials per name in _SWEPT)
-    and the counts (an int array) are indexed by trial.  Trial 0, the first
-    instance of its batch, is recomputed through the per-trial path
-    (random_instance, classify.full_report, the fixed-point and period-2
-    scans, and a Picard orbit from every start point), and
+    once (the distances at the pairs of metric_core.pair_grid).  Each group
+    is closed by shortest_path_closure and runs through _sweep_batch in
+    batches of at most SWEEP_ITEMS // n**3 instances.  The violation lists
+    are put back in trial order; the flags (a bool array over the trials
+    per name in _SWEPT) and the counts (an int array) are indexed by trial.
+    Trial 0, the first instance of its batch, is recomputed through the
+    per-trial path (random_instance, classify.full_report, the fixed-point
+    and period-2 scans, and a Picard orbit from every start point), and
     InternalConsistencyError is raised if it differs from the batch's.
     Every table is exact and fully enumerated, so each large flag is the
     strict one (classify._strict_large_verdict).
@@ -524,7 +529,7 @@ def _stream(config: SearchConfig):
         group[1].extend(ks)
         group[2].extend(images)
     for n, (trials, ks, images) in groups.items():
-        grid = _sweep_grid(n)
+        grid = pair_grid(n)
         ks = np.array(ks, dtype=np.int64).reshape(len(trials), -1)
         images = np.array(images, dtype=np.intp).reshape(len(trials), n)
         size = max(1, SWEEP_ITEMS // n ** 3)
@@ -533,7 +538,7 @@ def _stream(config: SearchConfig):
             raw = np.zeros((len(at), n * n), dtype=np.int64)
             raw[:, grid.upper] = raw[:, grid.lower] = ks[s:s + size]
             found = _sweep_batch(out, at, shortest_path_closure(raw.reshape(-1, n, n)),
-                                 images[s:s + size], grid)
+                                 images[s:s + size])
             for name, values in found[0].items():
                 flags[name][at] = values
             counts[at] = found[1].sum(1)
@@ -547,60 +552,42 @@ def _stream(config: SearchConfig):
     return out, flags, counts
 
 
-class _SweepGrid:
-    """The index arrays that every batch of one size n reads.
-
-    rows, cols: the pairs i < j, row-major; upper, lower: their offsets
-    i n + j and j n + i in a raveled (n, n) table; m_idx, n_idx: the orbit
-    state pairs n < m below state n + 2.  No eps threshold is kept: the
-    sweep's tables are exact and fully enumerated, where each large verdict
-    is the strict one (classify._strict_large_verdict).
-
-    A process keeps one grid per size drawn (_sweep_grid).  Its arrays take
-    O(n**2) memory, so the kept grids stay small; the O(n**3) triple blocks
-    (scan._triple_blocks) are made per batch instead, so that a wide size
-    range never keeps more of them than one batch reads.
-    """
-
-    def __init__(self, n):
-        self.rows, self.cols = np.triu_indices(n, 1)
-        self.upper = self.rows * n + self.cols
-        self.lower = self.cols * n + self.rows
-        self.m_idx, self.n_idx = np.tril_indices(n + 2, -1)
-        for values in vars(self).values():
-            values.flags.writeable = False      # every batch of the process reads them
-
-
 @functools.cache
-def _sweep_grid(n) -> _SweepGrid:
-    """The process's one _SweepGrid of size n, built on first use."""
-    return _SweepGrid(n)
+def _state_pairs(n):
+    """The orbit state pairs n < m below state n + 2, m-major, as read-only arrays (m, n)."""
+    pairs = np.tril_indices(n + 2, -1)
+    for values in pairs:
+        values.flags.writeable = False      # every batch of the process reads them
+    return pairs
 
 
-def _sweep_batch(out, trials, dist, images, grid):
+def _sweep_batch(out, trials, dist, images):
     """The trial stream's checks on a stack of B instances of one size n.
 
     trials lists the instances' trial numbers in order, dist holds their
-    (B, n, n) int64 tables in units of 1/den, images their (B, n) maps
-    (point i is label i), and grid the _sweep_grid of n.  Counters are
-    added to out, and violation entries appended in (trial, x0, m, n) order,
-    from Python ints.
+    (B, n, n) int64 tables in units of 1/den, and images their (B, n) maps
+    (point i is label i).  Counters are added to out, and violation entries
+    appended in (trial, x0, m, n) order, from Python ints.
 
-    The verdict flags follow classify.full_report's exact-scope rules.  Pair
-    distances d(i, j), i < j, must be positive, as full_report requires (an
-    InputError naming the pair otherwise), so every triple perimeter is
-    positive too.  On a fully enumerated space a large verdict is the strict
-    one (classify._strict_large_verdict): a strict violation fails every
+    The verdict flags follow classify.full_report's exact-scope rules and
+    read the table engine's enumeration (scan._table_blocks) of the (2, B,
+    n, n) stack of the tables and their image tables d(Tp, Tq): an instance
+    fails a strict flag at any pair or triple whose image measure is at
+    least its measure (scan._strict_item's exact test), and the first
+    nonpositive pair d(i, j), i < j, is refused with full_report's message.
+    On a fully enumerated space a large verdict is the strict one
+    (classify._strict_large_verdict): a strict violation fails every
     modulus below 1, and without one each grid modulus is a maximum of
     finitely many ratios below 1.  So the large and strict flags coincide,
     and so does uniform_tpc: a maximum of finitely many triple ratios is
     below 1 exactly when each ratio is.
 
-    Every lookup is a take at offsets into the raveled (B n n) table or the
-    raveled (B n) map: point p of instance b is g = b n + p, and d(g, q) is
-    entry g n + q.  The orbit checks read per-point arrays of d(p, Tp) <= 0,
-    T(Tp) = p and P(p, Tp, T(Tp)), and a (B n, n) pair-domination table,
-    each computed once per point and gathered along the orbits.
+    Every other lookup is a take at offsets into the raveled (B n n) table
+    or the raveled (B n) map: point p of instance b is g = b n + p, and
+    d(g, q) is entry g n + q.  The orbit checks read per-point arrays of
+    d(p, Tp) <= 0, T(Tp) = p and P(p, Tp, T(Tp)), and a (B n, n)
+    pair-domination table, each computed once per point and gathered along
+    the orbits.
 
     Returns the instances' verdict flags, as a bool array per name of
     _SWEPT, their (B, n) fixed-point and period-2 masks, and the (B, n)
@@ -613,34 +600,15 @@ def _sweep_batch(out, trials, dist, images, grid):
     local = images.reshape(-1)                          # Tp, as a point of its instance
     image = local + cells - cells % n                   # Tp, as g
     image2 = local.take(image)                          # T(Tp), as a point of its instance
-    rows, cols = grid.rows, grid.cols
-    both = np.empty((2, count, len(rows)), dtype=table.dtype)
-    d_pair, t_pair = both                               # d(x, y) and d(Tx, Ty), x < y
-    dist.reshape(count, n * n).take(grid.upper, 1, out=d_pair)
-    table.take(image.reshape(count, n).take(rows, 1) * n + images.take(cols, 1),
-               out=t_pair)
-    pair_strict = ~(t_pair >= d_pair).any(1)
-
-    triple_fails = np.zeros(count, dtype=bool)
-    third = {}          # instance -> its lex-first triple with perimeter > 3 x longest side
-    base = pts * (2 * n - pts - 3) // 2 - 1             # pair (a, j) is base[a] + j
-    for a, pair in scan._triple_blocks(n, rows):
-        j = rows[pair]
-        k = cols[pair]
-        row_a = base[a]
-        sides = both.take(np.concatenate([row_a + j, pair, row_a + k]), 2)
-        sides = sides.reshape(2, count, 3, len(pair))   # (ij, jk, ik) of d, then of T
-        p, pt = sides.sum(2)
-        if not (p > 0).all():
-            raise InputError("the sweep's verdict rules need positive triple perimeters")
-        triple_fails |= (pt >= p).any(1)
-        over = p > 3 * sides[0].max(1)
-        for b, t in zip(*np.nonzero(over)):
-            third.setdefault(int(b), (int(a[t]), int(j[t]), int(k[t])))
-    triple_strict = ~triple_fails
-    if not (d_pair > 0).all():      # full_report's refusal, for the first such instance
-        _, first = np.argwhere(d_pair <= 0)[0]
-        raise scan._nonpositive(range(n), rows[first], cols[first])
+    image_cells = (image * n).reshape(count, n, 1) + images.reshape(count, 1, n)
+    stack = np.stack([dist, table.take(image_cells)])  # d(p, q) and d(Tp, Tq)
+    strict = []         # per kind, whether every item of an instance decreases strictly
+    for kind in ("pairwise", "triple"):
+        fails = np.zeros(count, dtype=bool)
+        for num, den, _, _ in scan._table_blocks(kind, stack, range(n)):
+            fails |= (num >= den).any(1)                # scan._strict_item's exact test
+        strict.append(~fails)
+    pair_strict, triple_strict = strict
 
     fixed = images == pts
     returns = image2.reshape(count, n) == pts
@@ -681,7 +649,7 @@ def _sweep_batch(out, trials, dist, images, grid):
     # dominated[p, q] = d(p, q) > d(Tp, p) + d(p, q) + d(Tp, q) over the
     # (B n, n) rows; only the instances with a failing pair (p, q) are
     # gathered along their orbits.
-    m_idx, n_idx = grid.m_idx, grid.n_idx
+    m_idx, n_idx = _state_pairs(n)
     rows_of = table.reshape(count * n, n)
     dominated = rows_of > (table.take(image * n + cells % n)[:, None] + rows_of
                            + rows_of.take(image, 0))
@@ -704,8 +672,8 @@ def _sweep_batch(out, trials, dist, images, grid):
     flat = np.nonzero(fixed)[1].tolist()
     ends = np.cumsum(fixed.sum(1)).tolist()
     fixed_points = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
-    for b, (trial, fps, burton, petrov) in enumerate(zip(
-            trials, fixed_points, pair_strict.tolist(), (triple_strict & no_period2).tolist())):
+    for trial, fps, burton, petrov in zip(
+            trials, fixed_points, pair_strict.tolist(), (triple_strict & no_period2).tolist()):
         if burton:
             out["large_contraction_pass"] += 1
             if _refuted("burton", len(fps)):
@@ -722,8 +690,6 @@ def _sweep_batch(out, trials, dist, images, grid):
                     {"trial": trial, "fixed_points": list(fps)})
             if len(fps) == 2:
                 out["two_fixed_point_trials"].append(trial)
-        if b in third:
-            out["perimeter_third_violations"].append({"trial": trial, "triple": third[b]})
     out["orbits_checked"] += count * n
     for g in np.flatnonzero(membership).tolist():
         out["halt_membership_violations"].append({"trial": trials[g // n], "x0": g % n})

@@ -31,7 +31,8 @@ def table_loops(kind, dist, nodes, images, eps, points, exact):
     """The table enumeration: one pure-Python pass over a table of scalars."""
     for a, b in combinations(range(len(nodes)), 2):
         if not dist[nodes[a]][nodes[b]] > 0:
-            raise scan._nonpositive(points, a, b)
+            raise InputError(f"the distance between points {points[a]!r} and {points[b]!r} is "
+                             f"not positive; pair and perimeter ratios need a metric table")
     best = [None] * (len(eps) + 1)
     counts = [0] * (len(eps) + 1)
     strict = None

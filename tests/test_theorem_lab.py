@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import closure_loops, search_loops, stdlib_draw
 
-from contraction_lab import classify, dynamics, scan, theorem_lab
+from contraction_lab import classify, cli, dynamics, metric_core, scan, theorem_lab
 from contraction_lab.map_catalog import SelfMap, apply, catalog
 from contraction_lab.metric_core import (
     FiniteMetricSpace,
     InputError,
     InternalConsistencyError,
+    Lattice,
+    exact_lattice,
     max_side,
     perimeter,
     shortest_path_closure,
@@ -753,8 +756,7 @@ class TestValidationSweep:
             got = empty_sweep(0)
             theorem_lab._sweep_batch(got, list(range(len(batch))),
                                      np.array([r for r, _ in batch], dtype=np.int64),
-                                     np.array([m for _, m in batch], dtype=np.intp),
-                                     theorem_lab._sweep_grid(n))
+                                     np.array([m for _, m in batch], dtype=np.intp))
             assert got == expected
             for key, value in got.items():
                 totals[key] = totals.get(key, 0) + (len(value) if isinstance(value, list)
@@ -773,52 +775,55 @@ class TestValidationSweep:
         got = empty_sweep(0)
         found = theorem_lab._sweep_batch(got, list(range(len(tables))),
                                          np.array(tables, dtype=np.int64),
-                                         np.array(maps, dtype=np.intp),
-                                         theorem_lab._sweep_grid(len(maps[0])))
+                                         np.array(maps, dtype=np.intp))
         assert got == expected
         assert [batch_facts(found, b) for b in range(len(tables))] == facts
 
-    def test_each_size_builds_its_grid_once_per_process(self, monkeypatch):
+    def test_each_size_builds_its_grid_once_per_process(self, monkeypatch, tmp_path):
+        # the sweep's table fill and scans, the metric check and the table engine share one
+        # pair_grid per size
         built = []
-        grid = theorem_lab._SweepGrid
+        grid = metric_core.PairGrid
 
         def counting(n):
             built.append(n)
             return grid(n)
 
-        monkeypatch.setattr(theorem_lab, "_SweepGrid", counting)
-        theorem_lab._sweep_grid.cache_clear()
+        monkeypatch.setattr(metric_core, "PairGrid", counting)
+        metric_core.pair_grid.cache_clear()
         first = SearchConfig(seed=509, trials=120)
         whole = run_validation(first)
         run_validation(SearchConfig(seed=510, trials=120))
-        assert sorted(built) == list(range(3, 13))
+        coords = range(40)
+        rows = [[abs(a - b) for b in coords] for a in coords]
+        assert metric_core.validate_metric(rows).ok
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"space": {"points": list(coords), "dist": rows},
+                                    "map": [p // 2 for p in coords]}))
+        assert cli.main(["classify", "--instance", str(path), "--out", str(tmp_path)]) == 0
+        assert sorted(built) == [*range(3, 13), 40]
         monkeypatch.setattr(theorem_lab, "SWEEP_ITEMS", 500)   # batches of 1..18 instances
         assert run_validation(first) == whole
-        assert sorted(built) == list(range(3, 13))
+        assert sorted(built) == [*range(3, 13), 40]
 
     def test_int64_sums_bound_the_denominator(self):
         with pytest.raises(InputError, match="denominator"):
             run_validation(SearchConfig(seed=1, trials=1, denominator=2 ** 62))
 
-    def test_batch_needs_positive_triple_perimeters(self):
-        rows = [[0, 1, -2], [1, 0, 1], [-2, 1, 0]]
-        with pytest.raises(InputError, match="positive triple perimeters"):
-            theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
-                                     np.array([[0, 0, 0]], dtype=np.intp),
-                                     theorem_lab._sweep_grid(3))
-
     def test_batch_refuses_a_zero_pair_as_full_report_does(self):
-        # every triple perimeter is positive, but the pair (0, 1) is at distance 0
-        rows, images = [[0, 0, 2], [0, 0, 2], [2, 2, 0]], [2, 0, 1]
-        space, mapping = table_instance(rows, images, 1)
-        with pytest.raises(InputError) as want:
-            classify.full_report(space, mapping)
-        with pytest.raises(InputError) as got:
-            theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
-                                     np.array([images], dtype=np.intp),
-                                     theorem_lab._sweep_grid(3))
-        assert str(got.value) == str(want.value)
-        assert "between points 0 and 1 is not positive" in str(got.value)
+        for rows, images, pair in (
+                # every triple perimeter is positive, but the pair (0, 1) is at distance 0
+                ([[0, 0, 2], [0, 0, 2], [2, 2, 0]], [2, 0, 1], (0, 1)),
+                # the pair (0, 2) is at distance -2, and the perimeter of (0, 1, 2) is 0
+                ([[0, 1, -2], [1, 0, 1], [-2, 1, 0]], [0, 0, 0], (0, 2))):
+            space, mapping = table_instance(rows, images, 1)
+            with pytest.raises(InputError) as want:
+                classify.full_report(space, mapping)
+            with pytest.raises(InputError) as got:
+                theorem_lab._sweep_batch(empty_sweep(0), [0], np.array([rows], dtype=np.int64),
+                                         np.array([images], dtype=np.intp))
+            assert str(got.value) == str(want.value)
+            assert "between points %d and %d is not positive" % pair in str(got.value)
 
     def test_audit_catches_a_batch_that_drifts(self, monkeypatch):
         drift_first_instances(monkeypatch)
@@ -831,12 +836,112 @@ class TestValidationSweep:
             search_refutations("corrected_main", SearchConfig(seed=505, trials=20))
 
 
+STACK_EPS = (F(1, 3), F(1), F(5, 2))
+
+
+def stack_blocks(kind, stack, lattice):
+    """_table_blocks over a (2, B, m, m) stack, with the eps buckets of STACK_EPS on lattice."""
+    bucket = scan._LatticeReduction(lattice, STACK_EPS).bucket
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(scan._table_blocks(kind, stack, range(stack.shape[2]), bucket))
+
+
+def enumerated_items(kind, rows, images):
+    """Per item of direct enumeration, in lex order: (witness, measure, image measure), with
+    a triple's sides summed in the engine's order, d(i, j) + d(j, k) + d(i, k)."""
+    items = []
+    for wit in combinations(range(len(rows)), 2 if kind == "pairwise" else 3):
+        sides = [wit] if len(wit) == 2 else [wit[:2], wit[1:], wit[::2]]
+        items.append((wit, sum(rows[a][b] for a, b in sides),
+                      sum(rows[images[a]][images[b]] for a, b in sides)))
+    return items
+
+
+def check_stack(kind, lattices, maps):
+    """Stack the tables, and check each row of every block against the table alone and against
+    direct enumeration; each table's first strict violation must be table_strict_violation's."""
+    alone = [scan._table_stack(lattice, range(len(images)), images)
+             for lattice, images in zip(lattices, maps)]
+    blocks = stack_blocks(kind, np.concatenate(alone, axis=1), lattices[0])
+    for b, (lattice, images) in enumerate(zip(lattices, maps)):
+        single = stack_blocks(kind, alone[b], lattice)
+        assert len(single) == len(blocks)
+        for (num, den, wit, bucket), (num1, den1, wit1, bucket1) in zip(blocks, single):
+            assert num[b].tolist() == num1[0].tolist() and den[b].tolist() == den1[0].tolist()
+            assert bucket[b].tolist() == bucket1[0].tolist()
+            assert [w.tolist() for w in wit] == [w.tolist() for w in wit1]
+        items = [(tuple(int(w[t]) for w in wit), den[b][t], num[b][t])
+                 for num, den, wit, _ in blocks for t in range(len(wit[0]))]
+        assert items == enumerated_items(kind, lattice.values.tolist(), images)
+        slack = 0 if lattice.exact else metric_core.ETA
+        first = next((item for item in items if item[2] >= item[1] - slack), None)
+        if first is not None:
+            first = (first[0], lattice.scalar(first[1]), lattice.scalar(first[2]))
+        n = len(images)
+        assert scan.table_strict_violation(kind, lattice, range(n), images, STACK_EPS,
+                                           range(n)) == first
+
+
+@st.composite
+def single_tables(draw):
+    """One float or object-lattice table of n in 3..14 points and a map: positive entries above
+    the diagonal, from a few values (ties) or anywhere, mirrored below it or not."""
+    n = draw(st.integers(3, 14))
+    exact = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    top = 2 ** 62 if exact else 8.0
+    unit = top / 4 if not exact else top // 4
+
+    def value():
+        if rng.random() < 0.6:
+            return rng.randint(1, 4) * unit + (rng.randint(0, 1) if exact else 0)
+        return rng.randint(1, top) if exact else rng.uniform(0.5, top)
+
+    rows = [[0 if exact else 0.0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = value()
+        rows[j][i] = rows[i][j] if rng.random() < 0.5 else rng.choice((0, -value(), value()))
+    pool = rng.sample(range(n), rng.randint(1, 3)) if draw(st.booleans()) else range(n)
+    images = [rng.choice(pool) for _ in range(n)]
+    if exact:
+        lattice = exact_lattice(np.array(rows, dtype=object), 3)
+    else:
+        lattice = Lattice(values=np.array(rows, dtype=np.float64), scale=1, exact=False)
+    return lattice, images
+
+
+class TestTableStack:
+    # the validation sweep scans B tables of one size as one (2, B, m, m) stack
+    @given(sweep_batches(), st.sampled_from(("pairwise", "triple")))
+    def test_each_table_of_an_int64_stack_reads_as_alone(self, drawn, kind):
+        den, tables, maps = drawn
+        lattices = [Lattice(values=np.array(rows, dtype=np.int64), scale=den, exact=True)
+                    for rows in tables]
+        check_stack(kind, lattices, maps)
+
+    @given(single_tables(), st.sampled_from(("pairwise", "triple")))
+    def test_float_and_object_tables_read_as_enumerated(self, drawn, kind):
+        lattice, images = drawn
+        assert lattice.values.dtype in (object, np.float64)
+        check_stack(kind, [lattice], [images])
+
+    def test_a_stack_refuses_its_first_nonpositive_pair(self):
+        # tables 1 and 2 hold nonpositive pairs; the refusal names table 1's first, (1, 2)
+        rows = [[0, 2, 2, 2], [2, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]]
+        bad = [[[0, 2, 2, 2], [2, 0, 0, -1], [2, 0, 0, 2], [2, -1, 2, 0]],
+               [[0, 0, 2, 2], [0, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]]]
+        tables = np.array([rows] + bad, dtype=np.int64)
+        for kind in ("pairwise", "triple"):
+            with pytest.raises(InputError, match="points 'b' and 'c' is not positive"):
+                next(scan._table_blocks(kind, np.stack([tables, tables]), "abcd"))
+
+
 def drift_first_instances(monkeypatch):
     """Make _sweep_batch flip the large_tpc flag of each batch's first instance."""
     batch = theorem_lab._sweep_batch
 
-    def drifting(out, trials, dist, images, grid):
-        flags, *rest = batch(out, trials, dist, images, grid)
+    def drifting(out, trials, dist, images):
+        flags, *rest = batch(out, trials, dist, images)
         large_tpc = flags["large_tpc"].copy()
         large_tpc[0] = not large_tpc[0]
         return ({**flags, "large_tpc": large_tpc}, *rest)
