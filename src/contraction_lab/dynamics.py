@@ -21,6 +21,7 @@ from . import scan
 from .map_catalog import SelfMap, apply
 from .metric_core import (
     ETA,
+    FiniteMetricSpace,
     InputError,
     SampledSpace,
     format_point,
@@ -108,6 +109,8 @@ class CauchyDiagnostic:
     delta: object
     orbit_bound: object
     records: tuple
+    stride: int = 1             # every stride-th n and m is checked
+    pairs_left_out: int = 0     # pairs n < m < len(states) - 1 the stride skips
 
     @property
     def vacuous(self) -> bool:
@@ -130,6 +133,8 @@ class CauchyDiagnostic:
             "vacuous": self.vacuous,
             "ok": self.ok,
             "qualifying_pairs": len(self.records),
+            "stride": self.stride,
+            "pairs_left_out": self.pairs_left_out,
             "violations": [
                 {"m": r.m, "n": r.n, "separation": format_scalar(r.separation),
                  "perimeter": format_scalar(r.perimeter), "bound": format_scalar(r.bound)}
@@ -228,17 +233,27 @@ def check_perimeter_decrease(trace: OrbitTrace):
 
 
 def check_distinct_iterates(trace: OrbitTrace):
-    """Verify no two recorded states coincide (fixed-point tails excepted)."""
+    """Verify no two recorded states coincide (fixed-point tails excepted).
+
+    One pass keys each state exactly, by its index on a finite space and by
+    its Fraction on a sampled one, as space.eq compares them.  The witness
+    is the lex-first (i, j) with x_i = x_j: the pair of first and second
+    occurrences of the key whose first occurrence comes first.  When the
+    orbit halted at a fixed point, the repeats of that final state pass.
+    """
     states = trace.states
-    space = trace.space
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if space.eq(states[i], states[j]):
-                if (trace.halted_by == "fixed-point"
-                        and space.eq(states[i], states[-1])):
-                    continue
-                return False, (i, j), (f"x_{i} = x_{j} = {format_point(states[i])}")
-    return True, None, "all recorded states are pairwise distinct"
+    key = trace.space.index if isinstance(trace.space, FiniteMetricSpace) else Fraction
+    keys = [key(s) for s in states]
+    exempt = keys[-1] if trace.halted_by == "fixed-point" else None
+    first, witness = {}, None
+    for j, k in enumerate(keys):
+        i = first.setdefault(k, j)
+        if i < j and k != exempt and (witness is None or i < witness[0]):
+            witness = (i, j)
+    if witness is None:
+        return True, None, "all recorded states are pairwise distinct"
+    i, j = witness
+    return False, witness, f"x_{i} = x_{j} = {format_point(states[i])}"
 
 
 def sampled_images(space, mapping: SelfMap):
@@ -330,7 +345,9 @@ def geometric_decay_check(trace: OrbitTrace, modulus_table, eps0) -> CauchyDiagn
     delta is looked up at the largest grid eps not exceeding eps0/3, which is
     conservative because moduli are non-increasing in eps.  Pairs require
     m > n and d(x_m, x_n) >= eps0; every recorded pair with m+1 in range is
-    checked (strided deterministically beyond PAIR_SCAN_LIMIT states).
+    checked, but past PAIR_SCAN_LIMIT such states only every stride-th n and
+    m = n + 1, n + 1 + stride, ...: the diagnostic records the stride and
+    how many pairs it left out.
     """
     eps0 = Fraction(eps0) if trace.space.exact else float(eps0)
     if eps0 <= 0:
@@ -357,10 +374,13 @@ def geometric_decay_check(trace: OrbitTrace, modulus_table, eps0) -> CauchyDiagn
             bound = bound_cache[n]
             records.append(DecayRecord(m=m, n=n, separation=sep, perimeter=p,
                                        bound=bound, ok=p <= bound))
+    checked = sum(len(range(n + 1, top, stride)) for n in range(0, top, stride))
     return CauchyDiagnostic(
         eps0=eps0,
         delta_eps=entry.eps,
         delta=delta,
         orbit_bound=L,
         records=tuple(records),
+        stride=stride,
+        pairs_left_out=top * (top - 1) // 2 - checked,
     )

@@ -5,18 +5,19 @@ dynamics, then checks its conclusion against the exact fixed-point set
 (enumerable spaces) or a certified Picard limit (sampled spaces whose maps
 leave the sample).
 
-One deterministic stream of random finite instances feeds both the
-validation sweep (run_validation) and refutation search
-(search_refutations).  It runs in grouped numpy passes: the instances of one
-size are stacked into one int64 array over the configured denominator, and
-the verdict flags, fixed points, orbits and orbit checks are computed for
-the whole stack at once, the flags through the table engine's enumeration
-(scan._table_blocks).  Each call recomputes trial 0 through the per-trial
-path (random_instance, the classifiers, the fixed-point and period-2 scans
-and Picard orbits) and fails if the batch disagrees with it.  The search
-gives a full verdict only to its refuted trials and to the three-point
-2-cycle instance, prepended as trial -1 so the search against the
-uncorrected statement is guaranteed a hit.
+The trial stream feeds the validation sweep (run_validation) and refutation
+search (search_refutations).  A source yields finite instances, as int
+distance tables over one denominator with their maps, and builds any trial
+as a (space, map); the seeded draws (_draws) are one.  The sweep stacks the
+instances of one size into one int64 array and computes their verdict flags
+(through scan._table_blocks), fixed points, orbits and orbit checks at once.
+It recomputes its first instance through the per-trial path (the source's
+build, the classifiers, the fixed-point and period-2 scans and Picard
+orbits) and fails if the batch disagrees.  Hypotheses come from one table,
+_HYPOTHESES, read by verdict, the sweep's tallies and the search, which
+judges any theorem and gives a full verdict only to its refuted trials and
+to the three-point 2-cycle instance, prepended as trial -1 so the search
+against the uncorrected statement is guaranteed a hit.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def _draw(config: SearchConfig, trial_index: int):
     order, randint(size_min, size_max) for n, randint(1, den) per pair,
     randrange(n) per image and, under the period2 bias, randrange(n) and
     randrange(n - 1) for the 2-cycle; _below makes them from getrandbits
-    directly.  random_instance and _stream both draw through here,
-    so their streams agree call for call.
+    directly.  random_instance and _draws both draw through here, so
+    their streams agree call for call.
     """
     bits = random.Random(f"{config.seed}:{trial_index}").getrandbits
     n = config.size_min + next(_below(bits, config.size_max - config.size_min + 1, 1))
@@ -383,26 +384,27 @@ class SearchFindings:
 
 
 def search_refutations(theorem_id: str, config: SearchConfig) -> SearchFindings:
-    """Judge the trial stream, collecting refuted instances.
+    """Judge any of the four theorems on the trial stream, collecting refuted instances.
 
-    Trial -1, the seeded counterexample, gets a verdict; the random trials are
-    judged from the stream's flags and fixed-point counts, and only refuted
-    ones are rebuilt for a verdict.  Trials whose hypotheses pass with two
-    fixed points are logged (not asserted: uniqueness under them is open).
+    Trial -1, the seeded counterexample, gets a verdict first, which refuses
+    an unknown id; it stays out of the sweep, since over the stream's
+    denominator its perimeters reach 4 den, past SearchConfig's int64 bound.
+    The draws are judged from the sweep's flags (_held) and fixed-point
+    counts (_refuted); only refuted ones are rebuilt, by the source's build,
+    for a verdict.  Trials whose hypotheses pass with two fixed points are
+    logged (not asserted: uniqueness under them is open).
     """
-    if theorem_id not in ("mesmouli_uncorrected", "corrected_main"):
-        raise InputError("refutation search targets mesmouli_uncorrected or corrected_main")
-    _, flags, counts = _stream(config)
     space, mapping = seeded_counterexample()
     v = verdict(theorem_id, space, mapping, x0=space.points[0])
-    held = np.append(v.hypotheses_pass, np.logical_and.reduce(   # finite orbits are bounded
-        [flags[name] for name in _HYPOTHESES[theorem_id] if name != "bounded_orbit"]))
+    instances, build = _draws(config)
+    _, trials, flags, counts = _sweep(instances, build)
+    held = np.append(v.hypotheses_pass, _held(theorem_id, flags))
     counts = np.append(len(v.fixed_points), counts)[held]
-    passed = np.arange(-1, config.trials)[held]
+    passed = np.array([-1, *trials])[held]
     refutations = []
     for trial in passed[_refuted(theorem_id, counts)].tolist():
         if trial >= 0:      # trial -1's instance and verdict are at hand
-            space, mapping = random_instance(config, trial)
+            space, mapping = build(trial)
             v = verdict(theorem_id, space, mapping, x0=space.points[0])
         if v.status != "refuted":
             raise InternalConsistencyError(
@@ -468,10 +470,22 @@ def minimize_refutation(space: FiniteMetricSpace, mapping: SelfMap,
 SWEEP_ITEMS = 1 << 18    # instances x n**3 per batch of the trial stream
 HALTS = ("fixed-point", "period-2", "budget")
 _SWEPT = ("large_contraction", "large_tpc", "uniform_tpc", "no_period2")   # the flags per trial
+_TALLIES = {        # theorem -> its hypotheses-pass counter and violation list
+    "burton": ("large_contraction_pass", "burton_uniqueness_violations"),
+    "petrov": ("uniform_tpc_pass", "petrov_count_violations"),
+    "corrected_main": ("corrected_hypotheses_pass", "corrected_conclusion_violations"),
+}
+
+
+def _held(theorem_id, flags):
+    """Whether theorem_id's hypotheses hold, elementwise over flags (a bool array per name of
+    _SWEPT): the AND of its _HYPOTHESES but bounded_orbit, which every finite orbit passes."""
+    return functools.reduce(np.logical_and, [
+        flags[name] for name in _HYPOTHESES[theorem_id] if name != "bounded_orbit"])
 
 
 def run_validation(config: SearchConfig) -> dict:
-    """Sweep the trial stream and validate every theorem-backed invariant.
+    """Sweep the trial stream's draws and validate every theorem-backed invariant.
 
     Counters cover: corrected-theorem conclusion (1..2 fixed points whenever
     its hypotheses pass), the at-most-two bound for strict perimeter
@@ -483,73 +497,69 @@ def run_validation(config: SearchConfig) -> dict:
     computed: a sum of three sides never exceeds three times the longest,
     for any ints, metric or not.
     """
-    return _stream(config)[0]
+    return _sweep(*_draws(config))[0]
 
 
-def _stream(config: SearchConfig):
-    """The trial stream's validation counters, and per trial its flags and fixed-point count.
+def _draws(config: SearchConfig):
+    """The seeded source: _draw's instances of trials 0..trials - 1, built by random_instance."""
+    instances = ((trial, *_draw(config, trial)) for trial in range(config.trials))
+    return instances, functools.partial(random_instance, config)
 
-    The instances are drawn in trial order and grouped by size: each size's
-    draws are collected in one flat list per kind and reshaped into arrays
-    once (the distances at the pairs of metric_core.pair_grid).  Each group
-    is closed by shortest_path_closure and runs through _sweep_batch in
-    batches of at most SWEEP_ITEMS // n**3 instances.  The violation lists
-    are put back in trial order; the flags (a bool array over the trials
-    per name in _SWEPT) and the counts (an int array) are indexed by trial.
-    Trial 0, the first instance of its batch, is recomputed through the
-    per-trial path (random_instance, classify.full_report, the fixed-point
-    and period-2 scans, and a Picard orbit from every start point), and
-    InternalConsistencyError is raised if it differs from the batch's.
-    Every table is exact and fully enumerated, so each large flag is the
-    strict one (classify._strict_large_verdict).
+
+def _sweep(instances, build):
+    """Sweep a source: (validation counters, its trial numbers, flags, fixed-point counts).
+
+    instances yields (trial, n, ks, images): a table's int distances at the
+    pairs i < j, row-major, over one denominator that no check reads (three
+    must sum within int64, as SearchConfig's bound keeps the draws'), and
+    its map (point i is label i); build(trial) returns that trial's (space,
+    mapping).  Each size's instances are stacked once, filled in at
+    metric_core.pair_grid's pairs, closed by shortest_path_closure and run
+    through _sweep_batch in batches of at most SWEEP_ITEMS // n**3; the
+    stream's first instance is audited (_audit_first_instance).  Violation
+    lists are put in trial order; the flags (a bool array per name of
+    _SWEPT) and counts are indexed by position in the stream, as the
+    returned trial numbers are.
     """
-    flags = {name: np.zeros(config.trials, dtype=bool) for name in _SWEPT}
-    counts = np.zeros(config.trials, dtype=np.intp)
-    out = {
-        "trials": config.trials,
-        "corrected_hypotheses_pass": 0,
-        "corrected_conclusion_violations": [],
-        "uniform_tpc_pass": 0,
-        "petrov_count_violations": [],
-        "large_contraction_pass": 0,
-        "burton_uniqueness_violations": [],
-        "two_fixed_point_trials": [],
-        "orbit_halt_violations": [],
-        "halt_membership_violations": [],
-        "perimeter_decrease_violations": [],
-        "pair_domination_violations": [],
-        "perimeter_third_violations": [],
-        "orbits_checked": 0,
-    }
-    groups = {}
-    for trial in range(config.trials):
-        n, ks, images = _draw(config, trial)
+    trials, groups = [], {}
+    for trial, n, ks, images in instances:
         group = groups.setdefault(n, ([], [], []))
-        group[0].append(trial)
+        group[0].append(len(trials))
         group[1].extend(ks)
         group[2].extend(images)
-    for n, (trials, ks, images) in groups.items():
+        trials.append(trial)
+    flags = {name: np.zeros(len(trials), dtype=bool) for name in _SWEPT}
+    counts = np.zeros(len(trials), dtype=np.intp)
+    out = {"trials": len(trials),     # each theorem's counter next to its violation list
+           "corrected_hypotheses_pass": 0, "corrected_conclusion_violations": [],
+           "uniform_tpc_pass": 0, "petrov_count_violations": [],
+           "large_contraction_pass": 0, "burton_uniqueness_violations": [],
+           "two_fixed_point_trials": [], "orbit_halt_violations": [],
+           "halt_membership_violations": [], "perimeter_decrease_violations": [],
+           "pair_domination_violations": [], "perimeter_third_violations": [],
+           "orbits_checked": 0}
+    for n, (positions, ks, images) in groups.items():
         grid = pair_grid(n)
-        ks = np.array(ks, dtype=np.int64).reshape(len(trials), -1)
-        images = np.array(images, dtype=np.intp).reshape(len(trials), n)
+        ks = np.array(ks, dtype=np.int64).reshape(len(positions), -1)
+        images = np.array(images, dtype=np.intp).reshape(len(positions), n)
         size = max(1, SWEEP_ITEMS // n ** 3)
-        for s in range(0, len(trials), size):
-            at = trials[s:s + size]
+        for s in range(0, len(positions), size):
+            at = positions[s:s + size]
             raw = np.zeros((len(at), n * n), dtype=np.int64)
             raw[:, grid.upper] = raw[:, grid.lower] = ks[s:s + size]
-            found = _sweep_batch(out, at, shortest_path_closure(raw.reshape(-1, n, n)),
-                                 images[s:s + size])
+            found = _sweep_batch(out, [trials[p] for p in at],
+                                 shortest_path_closure(raw.reshape(-1, n, n)), images[s:s + size])
             for name, values in found[0].items():
                 flags[name][at] = values
             counts[at] = found[1].sum(1)
             if at[0] == 0:
-                _audit_first_trial(config, found)
+                _audit_first_instance(trials[0], build, found)
     for key, value in out.items():
         if key == "two_fixed_point_trials":
             value.sort()
         elif isinstance(value, list):
             value.sort(key=lambda entry: entry["trial"])   # stable: keeps (x0, m, n) order
-    return out, flags, counts
+    return out, trials, flags, counts
 
 
 @functools.cache
@@ -565,9 +575,10 @@ def _sweep_batch(out, trials, dist, images):
     """The trial stream's checks on a stack of B instances of one size n.
 
     trials lists the instances' trial numbers in order, dist holds their
-    (B, n, n) int64 tables in units of 1/den, and images their (B, n) maps
-    (point i is label i).  Counters are added to out, and violation entries
-    appended in (trial, x0, m, n) order, from Python ints.
+    (B, n, n) int64 tables over one denominator, and images their (B, n)
+    maps (point i is label i).  Counters are added to out, each theorem's of
+    _TALLIES where _held passes, and violation entries appended in (trial,
+    x0, m, n) order, from Python ints.
 
     The verdict flags follow classify.full_report's exact-scope rules and
     read the table engine's enumeration (scan._table_blocks) of the (2, B,
@@ -613,8 +624,9 @@ def _sweep_batch(out, trials, dist, images):
     fixed = images == pts
     returns = image2.reshape(count, n) == pts
     period2 = returns & ~fixed
-    no_period2 = ~period2.any(1)
-    corrected = np.repeat(triple_strict & no_period2, n)
+    flags = dict(zip(_SWEPT, (pair_strict, triple_strict, triple_strict, ~period2.any(1))))
+    held = {theorem_id: _held(theorem_id, flags) for theorem_id in _TALLIES}
+    corrected = np.repeat(held["corrected_main"], n)
 
     # Orbits, as picard_orbit runs them with max_steps = n + 2 and residual
     # tolerance 0.  orbit[i, g] is state i from g; a run halts at the first
@@ -669,27 +681,14 @@ def _sweep_batch(out, trials, dist, images):
                 & ((per != 0) & recorded).any(0) & no_drop.any(0))
     first_no_drop = no_drop.argmax(0)
 
-    flat = np.nonzero(fixed)[1].tolist()
-    ends = np.cumsum(fixed.sum(1)).tolist()
-    fixed_points = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
-    for trial, fps, burton, petrov in zip(
-            trials, fixed_points, pair_strict.tolist(), (triple_strict & no_period2).tolist()):
-        if burton:
-            out["large_contraction_pass"] += 1
-            if _refuted("burton", len(fps)):
-                out["burton_uniqueness_violations"].append(
-                    {"trial": trial, "fixed_points": list(fps)})
-        if petrov:      # the uniform and large perimeter verdicts are both the strict one
-            out["uniform_tpc_pass"] += 1
-            if _refuted("petrov", len(fps)):
-                out["petrov_count_violations"].append(
-                    {"trial": trial, "fixed_points": list(fps)})
-            out["corrected_hypotheses_pass"] += 1
-            if _refuted("corrected_main", len(fps)):
-                out["corrected_conclusion_violations"].append(
-                    {"trial": trial, "fixed_points": list(fps)})
-            if len(fps) == 2:
-                out["two_fixed_point_trials"].append(trial)
+    fixed_counts = fixed.sum(1)
+    for theorem_id, (passes, violations) in _TALLIES.items():
+        out[passes] += int(np.count_nonzero(held[theorem_id]))
+        for b in np.flatnonzero(held[theorem_id] & _refuted(theorem_id, fixed_counts)).tolist():
+            out[violations].append(
+                {"trial": trials[b], "fixed_points": np.flatnonzero(fixed[b]).tolist()})
+    two = np.flatnonzero(held["corrected_main"] & (fixed_counts == 2)).tolist()
+    out["two_fixed_point_trials"].extend(trials[b] for b in two)
     out["orbits_checked"] += count * n
     for g in np.flatnonzero(membership).tolist():
         out["halt_membership_violations"].append({"trial": trials[g // n], "x0": g % n})
@@ -704,17 +703,18 @@ def _sweep_batch(out, trials, dist, images):
         out["perimeter_decrease_violations"].append(
             {"trial": trials[g // n], "x0": g % n, "index": int(first_no_drop[g])})
 
-    flags = dict(zip(_SWEPT, (pair_strict, triple_strict, triple_strict, no_period2)))
     return flags, fixed, period2, (halted_by.reshape(count, n), length.reshape(count, n))
 
 
-def _audit_first_trial(config, found):
-    """Recompute trial 0 through the per-trial path; compare it with the batch's instance 0."""
+def _audit_first_instance(trial, build, found):
+    """Recompute the stream's first instance through the per-trial path (build(trial), the
+    classifiers, the fixed-point and period-2 scans, and a Picard orbit from every start point),
+    and raise InternalConsistencyError if it differs from the batch's instance 0."""
     flags, fixed, period2, (halted_by, length) = found
     batch = ({name: bool(values[0]) for name, values in flags.items()},
              tuple(np.flatnonzero(fixed[0]).tolist()), tuple(np.flatnonzero(period2[0]).tolist()),
              tuple(zip(map(HALTS.__getitem__, halted_by[0].tolist()), length[0].tolist())))
-    space, mapping = random_instance(config, 0)
+    space, mapping = build(trial)
     report = classify.full_report(space, mapping)
     cycle = dynamics.detect_period2(space, mapping)
     traces = [dynamics.picard_orbit(mapping, x0, max_steps=space.size + 2,
@@ -725,5 +725,5 @@ def _audit_first_trial(config, found):
                  tuple((t.halted_by, len(t.states)) for t in traces))
     if per_trial != batch:
         raise InternalConsistencyError(
-            f"the batched sweep disagrees with the per-trial path on trial 0: "
+            f"the batched sweep disagrees with the per-trial path on trial {trial}: "
             f"{batch} != {per_trial}")

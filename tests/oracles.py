@@ -12,19 +12,21 @@ line scans' input, a scan.LineBasis, with line_basis.
 cli._parity_cases_hold must hold exactly when parity_case_violations finds none.
 theorem_lab._draw must draw what stdlib_draw draws through random.Random's
 own randint and randrange.  theorem_lab.search_refutations, which judges its
-random trials from the batched stream's flags and counts, must find what
+trials from the batched sweep's flags and counts, must find what
 search_loops finds by a full verdict of every trial.
+dynamics.check_distinct_iterates must return what distinct_iterates_loops,
+which compares every pair of states by space.eq, returns.
 """
 
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from contraction_lab import classify, scan, theorem_lab
-from contraction_lab.metric_core import ETA, InputError
+from contraction_lab.metric_core import ETA, InputError, format_point
 
 
 def table_loops(kind, dist, nodes, images, eps, points, exact):
@@ -259,19 +261,21 @@ def stdlib_draw(config, trial_index):
     return n, ks, images
 
 
-def search_loops(config, theorem_ids):
+def search_loops(config, theorem_ids, instances=None):
     """The per-trial search: {theorem id: SearchFindings} from a verdict of every trial.
 
-    Trial -1 is the seeded counterexample.  Each instance is built once and
-    scanned once; every theorem in theorem_ids reads that triple scan.
+    Trial -1 is the seeded counterexample.  The other trials are instances,
+    (trial, space, mapping) in stream order, by default config's draws.  Each
+    instance is built once and reported on once; every theorem in
+    theorem_ids reads that full_report.
     """
+    if instances is None:
+        instances = ((trial, *theorem_lab.random_instance(config, trial))
+                     for trial in range(config.trials))
     found = {theorem_id: ([], [], []) for theorem_id in theorem_ids}
-    for trial in range(-1, config.trials):
-        if trial == -1:
-            space, mapping = theorem_lab.seeded_counterexample()
-        else:
-            space, mapping = theorem_lab.random_instance(config, trial)
-        report = classify.triple_verdicts(space, mapping)
+    seeded = (-1, *theorem_lab.seeded_counterexample())
+    for trial, space, mapping in chain([seeded], instances):
+        report = classify.full_report(space, mapping)
         for theorem_id, (refutations, two_fp, passed) in found.items():
             v = theorem_lab.verdict(theorem_id, space, mapping, x0=space.points[0],
                                     report=report)
@@ -286,3 +290,17 @@ def search_loops(config, theorem_ids):
         theorem_id=theorem_id, config=config, refutations=tuple(refutations),
         two_fixed_point_trials=tuple(two_fp), hypothesis_pass_trials=len(passed))
         for theorem_id, (refutations, two_fp, passed) in found.items()}
+
+
+def distinct_iterates_loops(trace):
+    """dynamics.check_distinct_iterates by comparing every pair of recorded states."""
+    states = trace.states
+    space = trace.space
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            if space.eq(states[i], states[j]):
+                if (trace.halted_by == "fixed-point"
+                        and space.eq(states[i], states[-1])):
+                    continue
+                return False, (i, j), (f"x_{i} = x_{j} = {format_point(states[i])}")
+    return True, None, "all recorded states are pairwise distinct"

@@ -1,9 +1,11 @@
 import dataclasses
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import distinct_iterates_loops
 
 from contraction_lab import classify, dynamics, theorem_lab
 from contraction_lab.dynamics import (
@@ -17,7 +19,13 @@ from contraction_lab.dynamics import (
 )
 from contraction_lab.classify import estimate_large_tpc_modulus
 from contraction_lab.map_catalog import SelfMap, apply, catalog
-from contraction_lab.metric_core import FiniteMetricSpace, InputError, SampledSpace, perimeter
+from contraction_lab.metric_core import (
+    FiniteMetricSpace,
+    InputError,
+    SampledSpace,
+    exact_lattice,
+    perimeter,
+)
 
 
 def line_space(coords):
@@ -117,6 +125,27 @@ class TestPerimeterDecrease:
             check_perimeter_decrease(trace)
 
 
+@st.composite
+def iterate_traces(draw):
+    """A trace's states, space and halt: states from a small pool, so that they repeat, on a
+    finite or a sampled space (ints and Fractions of one value are one state), ending free,
+    in a fixed-point tail or with a period-2 extension (Tx, x, Tx)."""
+    if draw(st.booleans()):
+        space, pool = line_space(range(6)), list(range(6))
+    else:
+        space = catalog("burton_logistic", grid_step=F(1, 8)).space
+        pool = [F(k, 8) for k in range(8)] + [0]
+    states = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    end = draw(st.sampled_from(("free", "tail", "period-2")))
+    if end == "tail":
+        states += [states[-1]] * draw(st.integers(1, 4))
+    elif end == "period-2":
+        image = draw(st.sampled_from(pool))
+        states += [image, states[-1], image]
+    halted_by = "fixed-point" if end == "tail" else draw(st.sampled_from(theorem_lab.HALTS))
+    return SimpleNamespace(space=space, states=tuple(states), halted_by=halted_by)
+
+
 class TestDistinctIterates:
     def test_logistic_orbit_distinct(self):
         entry = catalog("burton_logistic")
@@ -138,6 +167,29 @@ class TestDistinctIterates:
         assert trace.halted_by == "fixed-point"
         ok, _, _ = check_distinct_iterates(trace)
         assert ok
+
+    @given(iterate_traces())
+    def test_one_pass_equals_the_pair_loop(self, trace):
+        assert check_distinct_iterates(trace) == distinct_iterates_loops(trace)
+
+    def test_each_state_is_keyed_once(self, monkeypatch):
+        # 513 distinct states of a 520-point line: the pair loop makes 131 328 eq calls,
+        # each indexing two labels
+        x = np.arange(520)
+        space = FiniteMetricSpace._from_lattice(
+            tuple(range(520)), exact_lattice(np.abs(x[:, None] - x), 1), "exact")
+        step = SelfMap(space=space, name="step", table=tuple(np.minimum(x + 1, 519).tolist()))
+        trace = picard_orbit(step, 0, max_steps=512)
+        assert len(trace.states) == 513 and trace.halted_by == "budget"
+        keyed, real = [], FiniteMetricSpace.index
+
+        def counting(self, label):
+            keyed.append(label)
+            return real(self, label)
+
+        monkeypatch.setattr(FiniteMetricSpace, "index", counting)
+        assert check_distinct_iterates(trace)[:2] == (True, None)
+        assert len(keyed) <= len(trace.states)
 
 
 class TestDetectPeriod2:
@@ -335,6 +387,15 @@ class TestGeometricDecay:
         assert diag1.ok
         sampled_n = {r.n for r in diag1.records}
         assert all(n % 2 == 0 for n in sampled_n)  # stride 2 at 700 states
+        # the stride and the pairs n < m < 700 it leaves out are reported
+        checked = sum(1 for n in range(0, 700, 2) for m in range(n + 1, 700, 2))
+        assert (diag1.stride, diag1.pairs_left_out) == (2, 700 * 699 // 2 - checked)
+        assert (diag1.to_json()["stride"], diag1.to_json()["pairs_left_out"]) == (
+            2, diag1.pairs_left_out)
+        assert diag1.pairs_left_out > 0
+        short = geometric_decay_check(picard_orbit(entry.map, F(1), max_steps=200), table,
+                                      F(1, 4))
+        assert (short.to_json()["stride"], short.to_json()["pairs_left_out"]) == (1, 0)
 
     def test_delta_lookup_steps_down(self):
         entry = catalog("period2_counterexample")

@@ -406,12 +406,11 @@ class TestSearch:
     @pytest.mark.parametrize("bias", ["uniform", "period2"])
     @pytest.mark.parametrize("seed", [3, 7])
     def test_search_matches_the_per_trial_loop(self, seed, bias):
-        # the batched flags and counts, judged by the hypothesis table and _refuted,
-        # against a full verdict of every trial
+        # the batched flags and counts of every theorem, judged by the hypothesis table and
+        # _refuted, against a full verdict of every trial
         cfg = SearchConfig(seed=seed, trials=2000, map_bias=bias)
-        theorems = ("mesmouli_uncorrected", "corrected_main")
-        want = search_loops(cfg, theorems)
-        for theorem in theorems:
+        want = search_loops(cfg, theorem_lab.THEOREM_IDS)
+        for theorem in theorem_lab.THEOREM_IDS:
             assert search_refutations(theorem, cfg).to_json() == want[theorem].to_json()
         assert want["mesmouli_uncorrected"].hits > 1     # random trials refute it too
 
@@ -437,10 +436,11 @@ class TestSearch:
         with pytest.raises(InputError, match="denominator"):
             SearchConfig(seed=1, trials=1, denominator=(2 ** 63 - 1) // 3 + 1)
 
-    def test_search_restricted_to_refutable_statements(self):
-        cfg = SearchConfig(seed=1, trials=1)
-        with pytest.raises(InputError):
-            search_refutations("burton", cfg)
+    def test_search_refuses_an_unknown_theorem_id(self):
+        # with verdict's message, before any trial is swept
+        with mock.patch.object(theorem_lab, "_sweep", side_effect=AssertionError("_sweep")), \
+                pytest.raises(InputError, match="unknown theorem id 'banach'"):
+            search_refutations("banach", SearchConfig(seed=1, trials=1))
 
     def test_findings_serialize_and_reverify(self):
         cfg = SearchConfig(seed=7, trials=60, map_bias="period2")
@@ -834,6 +834,79 @@ class TestValidationSweep:
         drift_first_instances(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="trial 0"):
             search_refutations("corrected_main", SearchConfig(seed=505, trials=20))
+
+
+# (trial, n, ks, images): the ks are the distances d(i, j), i < j, row-major, over den 1.
+HAND_WRITTEN = [
+    (0, 3, (1, 2, 1), (1, 0, 1)),               # the seeded counterexample: a 2-cycle
+    (5, 4, (1, 3, 4, 2, 3, 1), (0, 0, 1, 1)),   # points 0, 1, 3, 4: a strict contraction
+    (2, 3, (1, 3, 2), (0, 1, 0)),               # points 0, 1, 3: two fixed points
+    (9, 3, (1, 3, 2), (0, 0, 0)),               # points 0, 1, 3: a strict contraction
+    (4, 4, (1, 3, 4, 2, 3, 1), (2, 3, 0, 1)),   # two 2-cycles
+]
+
+
+def hand_written_build(trial):
+    """The (space, mapping) of HAND_WRITTEN's trial, from Fraction rows."""
+    _, n, ks, images = next(entry for entry in HAND_WRITTEN if entry[0] == trial)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), k in zip(combinations(range(n), 2), ks):
+        rows[i][j] = rows[j][i] = k
+    return table_instance(rows, images, 1)
+
+
+class TestInstanceSources:
+    # the sweep takes any source of (trial, n, ks, images) with a build of its trials
+    @pytest.mark.parametrize("trials", [0, 1, 37, 250])
+    def test_a_list_of_the_first_draws_validates_as_run_validation(self, trials):
+        config = SearchConfig(seed=511, trials=trials)
+        source = [(t, *theorem_lab._draw(config, t)) for t in range(trials)]
+        out, numbers, flags, counts = theorem_lab._sweep(
+            source, lambda trial: fraction_instance(config, trial))
+        assert out == run_validation(config)
+        assert out["trials"] == trials and numbers == list(range(trials))
+        want = theorem_lab._sweep(*theorem_lab._draws(config))
+        assert {name: values.tolist() for name, values in flags.items()} == {
+            name: values.tolist() for name, values in want[2].items()}
+        assert counts.tolist() == want[3].tolist()
+
+    def test_a_hand_written_source_is_judged_as_per_trial_verdicts(self, monkeypatch):
+        # the sweep, its audit of trial 0 and the judging of all four theorems, against
+        # oracle_trial and a full verdict of every trial
+        out, numbers, flags, counts = theorem_lab._sweep(iter(HAND_WRITTEN),
+                                                         hand_written_build)
+        expected = empty_sweep(len(HAND_WRITTEN))
+        for trial, *_ in sorted(HAND_WRITTEN):
+            oracle_trial(expected, trial, *hand_written_build(trial))
+        assert out == expected and numbers == [0, 5, 2, 9, 4]
+        assert counts.tolist() == [0, 1, 2, 1, 0]
+        config = SearchConfig(seed=0, trials=len(HAND_WRITTEN))
+        monkeypatch.setattr(theorem_lab, "_draws",
+                            lambda _: (iter(HAND_WRITTEN), hand_written_build))
+        instances = [(trial, *hand_written_build(trial)) for trial, *_ in HAND_WRITTEN]
+        want = search_loops(config, theorem_lab.THEOREM_IDS, instances)
+        for theorem in theorem_lab.THEOREM_IDS:
+            assert search_refutations(theorem, config).to_json() == want[theorem].to_json()
+        refuted = {theorem: [r.trial for r in want[theorem].refutations]
+                   for theorem in theorem_lab.THEOREM_IDS}
+        assert refuted == {"burton": [], "petrov": [], "mesmouli_uncorrected": [-1, 0, 2],
+                           "corrected_main": []}
+        assert want["corrected_main"].two_fixed_point_trials == (2,)
+        assert want["burton"].hypothesis_pass_trials == 2        # trials 5 and 9
+
+    def test_audit_reads_a_list_source_from_its_first_trial(self, monkeypatch):
+        source = HAND_WRITTEN[1:] + HAND_WRITTEN[:1]
+        builds = []
+
+        def build(trial):
+            builds.append(trial)
+            return hand_written_build(trial)
+
+        theorem_lab._sweep(iter(source), build)
+        assert builds == [5]        # the stream's first instance, of size 4 and trial 5
+        drift_first_instances(monkeypatch)
+        with pytest.raises(InternalConsistencyError, match="on trial 5:"):
+            theorem_lab._sweep(iter(source), hand_written_build)
 
 
 STACK_EPS = (F(1, 3), F(1), F(5, 2))

@@ -20,10 +20,13 @@ blocks, one with a small last eps where almost every item of the top
 bucket lies past its row's cut, a CSV run with an ``--eps-grid``, a
 ``classify`` usage error between two ``classify`` runs, which must exit 1
 with its usage and message (the one argument parser of the process reports
-it, and the runs after it read that parser too), three
-``verify`` runs, and ``search`` for seeds 3 and 7 under both theorems and
-both biases, each over 10**4 trials.  The ``instance-*`` runs read instance
-files that this script writes into ``OUT_DIR/instances/`` (_instance_docs):
+it, and the runs after it read that parser too), three ``verify`` runs,
+three ``iterate`` runs (a 4096-step ``burton_logistic`` orbit at grid
+1/65536 whose states are all distinct, a period-2 orbit, and a
+``floor_half`` orbit that halts at its fixed point), and ``search`` for
+seeds 3 and 7 under both theorems and both biases, each over 10**4 trials.
+The ``instance-*`` runs read instance files that this script writes into
+``OUT_DIR/instances/`` (_instance_docs):
 ``classify`` and ``verify --theorem corrected_main`` on exact and float twins
 at n = 40, 64 and 88, on a table over 24 primes near 10**6 (an object
 lattice) and on a float table of distances near 1e250 (outside the float
@@ -107,6 +110,11 @@ RUNS = (
                                 "--grid-step", "1/256"]),
     ("verify-corrected-floor-4096", ["verify", "--theorem", "corrected_main", "--catalog",
                                      "floor_half", "--max-n", "4096"]),
+    ("iterate-burton-4096", ["iterate", "--catalog", "burton_logistic", "--grid-step", "1/65536",
+                             "--steps", "4096", "--x0", "1/2"]),
+    ("iterate-period2", ["iterate", "--catalog", "period2_counterexample", "--x0", "0"]),
+    ("iterate-floor-fixed-point", ["iterate", "--catalog", "floor_half", "--max-n", "256",
+                                   "--x0", "256"]),
 ) + tuple(
     (f"search-{theorem}-{bias}-{seed}",
      ["search", "--theorem", theorem, "--seed", str(seed), "--trials", str(SEARCH_TRIALS),
