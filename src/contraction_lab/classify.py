@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scan
-from .map_catalog import SelfMap, apply
+from .map_catalog import SelfMap, image_arrays, image_index
 from .metric_core import (
     InputError,
     InternalConsistencyError,
@@ -199,32 +199,22 @@ def _sample_numerators(space, point_set):
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def _images_by_point(mapping, nums, den):
-    """The images of the points k/den under a formula map with no array form, one func call
-    per point, split into numerator and denominator lists."""
-    images = [mapping.func(Fraction(k, den)) for k in nums.tolist()]
-    return [v.numerator for v in images], [v.denominator for v in images]
-
-
 def _prepare(space, mapping, point_set, eps_grid):
     """The number of chosen points and the scans' input of them: both scans share it.
 
     On a sampled space this is the points' scan.LineBasis over the eps
-    grid, with the images from the map's array form when it has one; on a
-    finite space, the chosen positions, each position's image position and
-    the chosen points.
+    grid, with their images from map_catalog.image_arrays; on a finite
+    space, the chosen positions, each position's image position
+    (map_catalog.image_index) and the chosen points.
     """
     if isinstance(space, SampledSpace):
         den = space.denominator
         nums = _sample_numerators(space, point_set)
-        if mapping.array_func is not None:
-            images = mapping.array_func(nums, den)
-        else:
-            images = _images_by_point(mapping, nums, den)
+        images = image_arrays(mapping, nums, den)
         return len(nums), scan.LineBasis(nums, den, *images, eps_grid)
     pts = _subset_points(space, point_set)
     nodes = [space.index(p) for p in pts]
-    return len(pts), (nodes, [space.index(apply(mapping, q)) for q in space.points], pts)
+    return len(pts), (nodes, image_index(space, mapping), pts)
 
 
 def _analysis(kind, space, prepared, eps_grid):

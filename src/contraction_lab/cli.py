@@ -26,6 +26,7 @@ from .map_catalog import (
     CATALOG_IDS,
     SelfMap,
     catalog,
+    image_index,
     load_instance,
     resolve_point,
 )
@@ -213,8 +214,7 @@ def _load_target(args):
     if args.mode and args.mode != space.mode:
         space = space.in_mode(args.mode)
         mapping = SelfMap(space=space, name=mapping.name, table=mapping.table)
-    images = [space.index(img) for img in mapping.table]
-    key = {"instance_content": [space.fingerprint(), images]}
+    key = {"instance_content": [space.fingerprint(), image_index(space, mapping).tolist()]}
     return space, mapping, {"instance": str(instance)}, key
 
 

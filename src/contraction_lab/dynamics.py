@@ -6,6 +6,11 @@ fixed point, then prime period 2, then budget: a fixed point also satisfies
 T^2 x = x, so the period-2 test requires Tx != x.  On period-2 detection the
 trace is extended through one extra cycle revolution so the perimeter
 plateau is visible to the diagnostics.
+
+Fixed points and prime period-2 points are found over a whole space by one
+array pass per space kind, from the map's images as map_catalog gives them
+(image_index, image_arrays); the map is applied point by point only along
+orbits and in certify_fixed_point.
 """
 
 from __future__ import annotations
@@ -18,12 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import scan
-from .map_catalog import SelfMap, apply
+from .map_catalog import SelfMap, apply, image_arrays, image_index
 from .metric_core import (
     ETA,
     FiniteMetricSpace,
     InputError,
-    SampledSpace,
     format_point,
     format_scalar,
     perimeter,
@@ -233,22 +237,21 @@ def check_perimeter_decrease(trace: OrbitTrace):
 
 
 def check_distinct_iterates(trace: OrbitTrace):
-    """Verify no two recorded states coincide (fixed-point tails excepted).
+    """Verify no two recorded states coincide.
 
     One pass keys each state exactly, by its index on a finite space and by
     its Fraction on a sampled one, as space.eq compares them.  The witness
     is the lex-first (i, j) with x_i = x_j: the pair of first and second
-    occurrences of the key whose first occurrence comes first.  When the
-    orbit halted at a fixed point, the repeats of that final state pass.
+    occurrences of the key whose first occurrence comes first.  A
+    picard_orbit trace records a fixed point once, since the orbit halts at
+    the first state within the residual tolerance of its image.
     """
     states = trace.states
     key = trace.space.index if isinstance(trace.space, FiniteMetricSpace) else Fraction
-    keys = [key(s) for s in states]
-    exempt = keys[-1] if trace.halted_by == "fixed-point" else None
     first, witness = {}, None
-    for j, k in enumerate(keys):
-        i = first.setdefault(k, j)
-        if i < j and k != exempt and (witness is None or i < witness[0]):
+    for j, state in enumerate(states):
+        i = first.setdefault(key(state), j)
+        if i < j and (witness is None or i < witness[0]):
             witness = (i, j)
     if witness is None:
         return True, None, "all recorded states are pairwise distinct"
@@ -256,48 +259,34 @@ def check_distinct_iterates(trace: OrbitTrace):
     return False, witness, f"x_{i} = x_{j} = {format_point(states[i])}"
 
 
-def sampled_images(space, mapping: SelfMap):
-    """On a sampled space whose map has an array form: the points' numerators, the reduced
-    image numerators and denominators (the map's array form), and per point the index of its
-    image among the points, or -1 when the image lies off the sample; None otherwise."""
-    if not isinstance(space, SampledSpace) or mapping.array_func is None:
-        return None
-    nums, den = space.numerator_array, space.denominator
-    inum, iden = mapping.array_func(nums, den)
-    # an image p/q is the point k/den when q divides den and k = p * (den / q) is a numerator;
-    # |p| beyond the numerators' range over den / q is no point, and its product is not formed
-    scale = np.where(den % iden == 0, den // iden, 0)
-    reach = max(abs(int(nums[0])), abs(int(nums[-1])))
-    near = (scale > 0) & (np.abs(inum) <= reach // np.maximum(scale, 1))
-    k = inum * np.where(near, scale, 0)
-    index = np.minimum(np.searchsorted(nums, k), len(nums) - 1)
-    return nums, den, inum, iden, np.where(near & (nums[index] == k), index, -1)
+def _points_at(space, positions):
+    """The points at the given positions (an int array) of a space's points, in order."""
+    if isinstance(space, FiniteMetricSpace):
+        return tuple(space.points[i] for i in positions.tolist())
+    return tuple(Fraction(k, space.denominator)
+                 for k in space.numerator_array[positions].tolist())
 
 
-def detect_period2(space, mapping: SelfMap, point_set=None) -> tuple:
-    """Every x in the scope with T^2 x = x but Tx != x.
+def detect_period2(space, mapping: SelfMap) -> tuple:
+    """Every point x with T^2 x = x but Tx != x, by one array pass.
 
-    Over a whole sampled space whose map has an array form, this is one
-    array pass: the map's array form also takes each image's own
-    denominator, so T^2 x comes without a Fraction per point.
+    On a finite space T^2 is the image index of the image index
+    (image_index).  On a sampled space an image may lie off the sample, so
+    T^2 x is the image arrays of the images, each over its own denominator
+    (image_arrays): no Fraction is made per point.
     """
-    sampled = sampled_images(space, mapping) if point_set is None else None
-    if sampled is not None:
-        nums, den, inum, iden, _ = sampled
+    if isinstance(space, FiniteMetricSpace):
+        index = image_index(space, mapping)
+        at = np.arange(len(index))
+        hits = (index[index] == at) & (index != at)
+    else:
+        nums, den = space.numerator_array, space.denominator
+        inum, iden = image_arrays(mapping, nums, den)
         g = np.gcd(nums, den)
         fixed = (inum == nums // g) & (iden == den // g)
-        again_num, again_den = mapping.array_func(inum, iden)
+        again_num, again_den = image_arrays(mapping, inum, iden)
         hits = ~fixed & (again_num == nums // g) & (again_den == den // g)
-        return tuple(Fraction(int(k), den) for k in nums[hits])
-    pts = space.point_set() if point_set is None else tuple(point_set)
-    hits = []
-    for x in pts:
-        t1 = apply(mapping, x)
-        if space.eq(t1, x):
-            continue
-        if space.eq(apply(mapping, t1), x):
-            hits.append(x)
-    return tuple(hits)
+    return _points_at(space, np.flatnonzero(hits))
 
 
 def certify_fixed_point(mapping: SelfMap, x, tol=None):
@@ -316,27 +305,15 @@ def enumerate_fixed_points(space, mapping: SelfMap) -> tuple:
 
     Finite table spaces are always enumerable; a sampled space is accepted
     when the map closes over its sample (otherwise the scan would miss
-    off-sample behaviour and the result would not be exact).  A map with an
-    array form is read from its images' sample indices (sampled_images).
+    off-sample behaviour and the result would not be exact).  The fixed
+    points are those whose image index is their own (image_index).
     """
-    sampled = sampled_images(space, mapping)
-    if sampled is not None:
-        nums, den, _, _, index = sampled
-        if (index < 0).any():
-            raise InputError(
-                "map does not close over the sample; fixed points cannot be "
-                "enumerated exhaustively")
-        fixed = np.flatnonzero(index == np.arange(len(nums)))
-        return tuple(Fraction(int(k), den) for k in nums[fixed])
-    pts = space.point_set()
-    if isinstance(space, SampledSpace):
-        sample = set(pts)
-        for x in pts:
-            if apply(mapping, x) not in sample:
-                raise InputError(
-                    "map does not close over the sample; fixed points cannot be "
-                    "enumerated exhaustively")
-    return tuple(x for x in pts if space.eq(apply(mapping, x), x))
+    index = image_index(space, mapping)
+    if (index < 0).any():
+        raise InputError(
+            "map does not close over the sample; fixed points cannot be "
+            "enumerated exhaustively")
+    return _points_at(space, np.flatnonzero(index == np.arange(len(index))))
 
 
 def geometric_decay_check(trace: OrbitTrace, modulus_table, eps0) -> CauchyDiagnostic:

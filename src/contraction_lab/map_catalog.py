@@ -6,8 +6,13 @@ inputs, and their images may fall off the sample grid; distances to off-grid
 images stay computable because sampled spaces use the absolute-difference
 metric.  Each catalog formula also has an array form, which maps the int64
 sample numerators k of the points k/den to the reduced images as numerator
-and positive denominator arrays, with no Fraction per point; the line scans
-read it.
+and positive denominator arrays, with no Fraction per point.
+
+Every module reads a map's images over its space through two functions:
+image_arrays, the reduced images of points k/den as int arrays (the array
+form, or func point by point for a formula map built without one), and
+image_index, each point's image as an index among the points (from a finite
+map's table, or from a sampled map's image arrays by one searchsorted).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import scan
 from .metric_core import (
     FiniteMetricSpace,
     InputError,
@@ -63,10 +69,9 @@ class SelfMap:
     def to_json(self) -> dict:
         if self.table is None:
             raise InputError("only table-backed maps serialize to JSON")
-        idx = self.space._index
         return {
             "space": self.space.to_json(),
-            "map": [idx[img] for img in self.table],
+            "map": image_index(self.space, self).tolist(),
             "name": self.name,
         }
 
@@ -95,6 +100,35 @@ def apply(mapping: SelfMap, x):
     if mapping.table is not None:
         return mapping.table[mapping.space.index(x)]
     return mapping.func(x)
+
+
+def image_arrays(mapping: SelfMap, k, den):
+    """The reduced images of the points k/den (int arrays; den one positive int or an array)
+    as (numerators, positive denominators) int arrays: the map's array form, or, for a formula
+    map without one, func at each point."""
+    if mapping.array_func is not None:
+        return mapping.array_func(k, den)
+    images = [mapping.func(Fraction(a, b))
+              for a, b in zip(k.tolist(), np.broadcast_to(den, k.shape).tolist())]
+    return (scan._int_array([v.numerator for v in images]),
+            scan._int_array([v.denominator for v in images]))
+
+
+def image_index(space, mapping: SelfMap) -> np.ndarray:
+    """Per point of the space, the index of its image among the points, or -1 when the image
+    lies off a sampled space's points."""
+    if isinstance(space, FiniteMetricSpace):
+        return np.array([space.index(img) for img in mapping.table], dtype=np.int64)
+    nums, den = space.numerator_array, space.denominator
+    inum, iden = image_arrays(mapping, nums, den)
+    # an image p/q is the point k/den when q divides den and k = p * (den / q) is a numerator;
+    # |p| beyond the numerators' range over den / q is no point, and its product is not formed
+    scale = np.where(den % iden == 0, den // iden, 0)
+    reach = max(abs(int(nums[0])), abs(int(nums[-1])))
+    near = (scale > 0) & (np.abs(inum) <= reach // np.maximum(scale, 1))
+    k = inum * np.where(near, scale, 0)
+    index = np.minimum(np.searchsorted(nums, k), len(nums) - 1)
+    return np.where(near & (nums[index] == k), index, -1)
 
 
 def iterate(mapping: SelfMap, x, k: int):

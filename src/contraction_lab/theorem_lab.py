@@ -31,7 +31,7 @@ from itertools import combinations, islice, repeat
 import numpy as np
 
 from . import classify, dynamics, scan
-from .map_catalog import SelfMap, apply, catalog
+from .map_catalog import SelfMap, catalog, image_index
 from .metric_core import (
     FiniteMetricSpace,
     InputError,
@@ -162,12 +162,8 @@ def _hypothesis_bounded_orbit(space, mapping, x0) -> tuple:
 
 
 def _enumerable(space, mapping) -> bool:
-    if isinstance(space, FiniteMetricSpace):
-        return True
-    if (sampled := dynamics.sampled_images(space, mapping)) is not None:
-        return bool((sampled[-1] >= 0).all())
-    sample = set(space.point_set())
-    return all(apply(mapping, x) in sample for x in space.point_set())
+    """Whether the map closes over the space's points: always on a finite space."""
+    return bool((image_index(space, mapping) >= 0).all())
 
 
 def verdict(theorem_id: str, space, mapping: SelfMap, x0, *, eps_grid=None,

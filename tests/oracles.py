@@ -16,6 +16,10 @@ trials from the batched sweep's flags and counts, must find what
 search_loops finds by a full verdict of every trial.
 dynamics.check_distinct_iterates must return what distinct_iterates_loops,
 which compares every pair of states by space.eq, returns.
+dynamics.detect_period2, dynamics.enumerate_fixed_points and
+theorem_lab._enumerable, which read the map's images over the whole space from
+map_catalog.image_index and image_arrays, must give what period2_loops,
+fixed_points_loops and closes_loops give by applying the map point by point.
 """
 
 import random
@@ -26,7 +30,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from contraction_lab import classify, scan, theorem_lab
-from contraction_lab.metric_core import ETA, InputError, format_point
+from contraction_lab.map_catalog import apply
+from contraction_lab.metric_core import ETA, FiniteMetricSpace, InputError, format_point
 
 
 def table_loops(kind, dist, nodes, images, eps, points, exact):
@@ -299,8 +304,35 @@ def distinct_iterates_loops(trace):
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             if space.eq(states[i], states[j]):
-                if (trace.halted_by == "fixed-point"
-                        and space.eq(states[i], states[-1])):
-                    continue
                 return False, (i, j), (f"x_{i} = x_{j} = {format_point(states[i])}")
     return True, None, "all recorded states are pairwise distinct"
+
+
+def period2_loops(space, mapping):
+    """dynamics.detect_period2 by applying the map at each point, and again at its image."""
+    hits = []
+    for x in space.point_set():
+        t1 = apply(mapping, x)
+        if space.eq(t1, x):
+            continue
+        if space.eq(apply(mapping, t1), x):
+            hits.append(x)
+    return tuple(hits)
+
+
+def closes_loops(space, mapping):
+    """theorem_lab._enumerable by applying the map at each point: whether every image is one
+    of the points (always on a finite space)."""
+    if isinstance(space, FiniteMetricSpace):
+        return True
+    sample = set(space.point_set())
+    return all(apply(mapping, x) in sample for x in space.point_set())
+
+
+def fixed_points_loops(space, mapping):
+    """dynamics.enumerate_fixed_points by applying the map at each point."""
+    if not closes_loops(space, mapping):
+        raise InputError(
+            "map does not close over the sample; fixed points cannot be "
+            "enumerated exhaustively")
+    return tuple(x for x in space.point_set() if space.eq(apply(mapping, x), x))

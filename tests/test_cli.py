@@ -174,9 +174,8 @@ class TestDocumentWriter:
 
         monkeypatch.setattr(cli, "_write_json", spy)
         codes = tool.write_outputs(tmp_path)
-        assert all(code == (1 if label in tool.EXPECTED_FAILURES else 0)
-                   for label, code in codes.items())
-        assert len(docs) == len(codes) - len(tool.EXPECTED_FAILURES)
+        assert all(code == tool.EXIT_CODES.get(label, 0) for label, code in codes.items())
+        assert len(docs) == len(codes) - list(tool.EXIT_CODES.values()).count(1)
         for doc in docs:
             assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
         written = [path for path in tmp_path.glob("*/*.json") if path.parent.name != "instances"]
@@ -286,6 +285,12 @@ class TestClassify:
 
     def test_missing_target_exits_1(self, tmp_path):
         assert run(["classify", "--out", str(tmp_path)]) == 1
+
+    def test_catalog_and_instance_together_exit_1(self, tmp_path, capsys, instance_file):
+        assert run(["classify", "--catalog", "floor_half", "--instance", str(instance_file),
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: give either --catalog or --instance, not both\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cid, flag, value", [
         ("floor_half", "--max-n", "99999999999999999999"),
@@ -475,8 +480,9 @@ class TestUsageErrors:
         ["classify", "--catalog", "burton_logistic", "--grid-step", "abc"],
         ["classify", "--catalog", "burton_logistic", "--grid-step", "1/0"],
         ["iterate", "--catalog", "floor_half", "--x0", "5", "--tol", "-1"],
+        ["iterate", "--catalog", "floor_half", "--x0", "5", "--tol", "nan"],
     ], ids=["format-on-iterate", "unknown-catalog", "removed-flag", "grid-step-not-a-number",
-            "grid-step-zero-denominator", "negative-tol"])
+            "grid-step-zero-denominator", "negative-tol", "nan-tol"])
     def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
         assert run(argv + ["--out", str(tmp_path)]) == 1
         assert "usage:" in capsys.readouterr().err
@@ -569,6 +575,26 @@ class TestIterate:
         assert doc["trace"]["halted_by"] == "fixed-point"
         assert doc["trace"]["states"][-1] == "0"
         assert doc["converged"] is True
+
+    def test_infinite_tol_is_no_exact_scalar(self, tmp_path, capsys):
+        # "inf" passes the argument check, but an exact space takes no infinite tolerance
+        assert run(["iterate", "--catalog", "floor_half", "--x0", "5", "--tol", "inf",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: cannot parse scalar 'inf'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_tol_on_a_float_instance_halts_at_x0(self, tmp_path, capsys):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({
+            "space": {"points": [0, 1, 2], "mode": "float",
+                      "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+            "map": [1, 2, 2]}))
+        assert run(["iterate", "--instance", str(path), "--x0", "0", "--tol", "inf",
+                    "--out", str(tmp_path / "out")]) == 0
+        doc, _ = read_only_json(tmp_path / "out", "iterate")
+        assert doc["trace"]["halted_by"] == "fixed-point" and doc["trace"]["states"] == [0]
+        assert doc["trace"]["residual"] == "1.0" and doc["converged"] is True
+        assert capsys.readouterr().out.startswith("halted by fixed-point after 0 steps at 0\n")
 
     def test_unknown_start_point_exits_1(self, tmp_path):
         assert run(["iterate", "--catalog", "period2_counterexample", "--x0", "9",

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import distinct_iterates_loops
+from oracles import closes_loops, distinct_iterates_loops, fixed_points_loops, period2_loops
 
-from contraction_lab import classify, dynamics, theorem_lab
+from contraction_lab import classify, dynamics, map_catalog, theorem_lab
 from contraction_lab.dynamics import (
     certify_fixed_point,
     check_distinct_iterates,
@@ -129,7 +129,8 @@ class TestPerimeterDecrease:
 def iterate_traces(draw):
     """A trace's states, space and halt: states from a small pool, so that they repeat, on a
     finite or a sampled space (ints and Fractions of one value are one state), ending free,
-    in a fixed-point tail or with a period-2 extension (Tx, x, Tx)."""
+    in a fixed-point tail or with a period-2 extension (Tx, x, Tx).  picard_orbit records a
+    fixed point once, so a tail's repeats are repeats like any other."""
     if draw(st.booleans()):
         space, pool = line_space(range(6)), list(range(6))
     else:
@@ -160,13 +161,19 @@ class TestDistinctIterates:
         assert not ok and wit == (0, 2)
         assert "x_0" in detail
 
-    def test_constant_map_passes_via_fixed_point_exception(self):
+    def test_constant_map_records_its_fixed_point_once(self):
         space = line_space([0, 1, 5])
         const = SelfMap(space=space, name="const", table=(1, 1, 1))
         trace = picard_orbit(const, 0, max_steps=8)
-        assert trace.halted_by == "fixed-point"
+        assert trace.halted_by == "fixed-point" and trace.states == (0, 1)
         ok, _, _ = check_distinct_iterates(trace)
         assert ok
+
+    def test_a_repeated_fixed_point_is_a_repeat(self):
+        # no trace of picard_orbit holds one; a hand-made trace that does fails like any other
+        trace = SimpleNamespace(space=line_space([0, 1, 5]), states=(0, 1, 1),
+                                halted_by="fixed-point")
+        assert check_distinct_iterates(trace) == (False, (1, 2), "x_1 = x_2 = 1")
 
     @given(iterate_traces())
     def test_one_pass_equals_the_pair_loop(self, trace):
@@ -252,12 +259,43 @@ def outcome(call, *args):
         return str(exc)
 
 
+ORACLES = ((detect_period2, period2_loops), (enumerate_fixed_points, fixed_points_loops),
+           (theorem_lab._enumerable, closes_loops))
+
+
+@st.composite
+def finite_maps(draw):
+    """A table map on a line of n = 3..20 points labelled "p0", "p1", ..: random images, and
+    some points set into planted cycles of lengths 1 (fixed points), 2 and up to 5."""
+    n = draw(st.integers(3, 20))
+    coords = [F(c) for c in range(n)]
+    space = FiniteMetricSpace(points=tuple(f"p{i}" for i in range(n)),
+                              dist_table=tuple(tuple(abs(a - b) for b in coords) for a in coords))
+    images = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    for length in draw(st.lists(st.integers(1, 5), max_size=6)):
+        cycle, order = order[:length], order[length:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return SelfMap(space=space, name="planted", table=tuple(space.points[i] for i in images))
+
+
+class TestPerPointOracles:
+    @given(finite_maps())
+    def test_finite_maps_equal_the_per_point_loops(self, mapping):
+        for call, loops in ORACLES:
+            assert call(mapping.space, mapping) == loops(mapping.space, mapping), call.__name__
+
+
 class TestSampledArrayPath:
     @given(sampled_maps())
     def test_array_path_equals_the_per_point_path(self, mapping):
+        # with and without its array form, the map gives what the per-point loops give
         space, plain = mapping.space, dataclasses.replace(mapping, array_func=None)
-        for call in (detect_period2, enumerate_fixed_points, theorem_lab._enumerable):
-            assert outcome(call, space, mapping) == outcome(call, space, plain), call.__name__
+        for call, loops in ORACLES:
+            want = outcome(loops, space, mapping)
+            assert outcome(call, space, mapping) == outcome(call, space, plain) == want, (
+                call.__name__)
 
     def test_reflections_find_their_two_cycles_on_and_off_the_sample(self):
         space = SampledSpace("reflection", denominator=2, numerators=(0, 1, 2, 3, 4))
@@ -265,8 +303,9 @@ class TestSampledArrayPath:
             mapping = SelfMap(space=space, name="reflection", func=reflection(c)[0],
                               array_func=reflection(c)[1])
             want = tuple(x for x in space.point_set() if x != c / 2)
-            assert detect_period2(space, mapping) == want
-            assert theorem_lab._enumerable(space, mapping) is closed
+            for m in (mapping, dataclasses.replace(mapping, array_func=None)):
+                assert detect_period2(space, m) == period2_loops(space, m) == want
+                assert theorem_lab._enumerable(space, m) is closes_loops(space, m) is closed
 
     @pytest.mark.parametrize("cid, params", [
         ("floor_half", {"integer_max": 64}),
@@ -288,7 +327,9 @@ class TestSampledArrayPath:
             finally:
                 in_orbit[0] = False
 
-        for module in (dynamics, theorem_lab, classify):
+        # apply is imported only where a map is applied at single points
+        assert not hasattr(theorem_lab, "apply") and not hasattr(classify, "apply")
+        for module in (dynamics, map_catalog):
             monkeypatch.setattr(module, "apply", spy_apply)
         monkeypatch.setattr(dynamics, "picard_orbit", spy_orbit)
         entry = catalog(cid, **params)

@@ -16,12 +16,14 @@ from contraction_lab.map_catalog import (
     composite_action_array,
     floor_half,
     floor_half_array,
+    image_arrays,
+    image_index,
     iterate,
     logistic_ratio,
     logistic_ratio_array,
     resolve_point,
 )
-from contraction_lab.metric_core import InputError
+from contraction_lab.metric_core import InputError, SampledSpace
 
 
 class TestApply:
@@ -251,6 +253,36 @@ class TestArrayForms:
         entry = catalog("period2_counterexample")
         with pytest.raises(InputError):
             SelfMap(space=entry.space, name="t", table=(1, 0, 1), array_func=floor_half_array)
+
+
+class TestImages:
+    def test_a_finite_map_s_indices_come_from_its_table(self):
+        entry = catalog("period2_counterexample")
+        assert image_index(entry.space, entry.map).tolist() == [1, 0, 1]
+
+    def test_an_image_over_a_denominator_that_does_not_divide_the_sample_s_is_off_it(self):
+        # x/2 on the points k/6: 3/6 goes to 1/4, which is no point k/6 although 4 < 6
+        space = SampledSpace("sixths", denominator=6, numerators=tuple(range(7)))
+        mapping = SelfMap(space=space, name="x/2", func=lambda x: F(x) / 2)
+        assert image_index(space, mapping).tolist() == [0, -1, 1, -1, 2, -1, 3]
+
+    def test_a_map_without_an_array_form_is_evaluated_point_by_point(self):
+        # one func call per point, over one denominator or a denominator per point; an image
+        # past int64 keeps its Python int
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return F(x) * 10 ** 20 if x > 1 else F(x) / 3
+
+        mapping = SelfMap(space=None, name="formula", func=func)
+        k = np.array([1, 3, -2], dtype=np.int64)
+        nums, dens = image_arrays(mapping, k, 2)
+        assert calls == [F(1, 2), F(3, 2), -1]
+        assert (nums.tolist(), dens.tolist()) == ([1, 15 * 10 ** 19, -1], [6, 1, 3])
+        nums, dens = image_arrays(mapping, k, np.array([1, 1, 4]))
+        assert (nums.tolist(), dens.tolist()) == ([1, 3 * 10 ** 20, -1], [3, 1, 6])
+        assert dens.dtype == np.int64 and nums.dtype == object
 
 
 class TestSelfMapTable:

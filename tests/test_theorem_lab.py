@@ -16,6 +16,7 @@ from contraction_lab.metric_core import (
     InputError,
     InternalConsistencyError,
     Lattice,
+    SampledSpace,
     exact_lattice,
     max_side,
     perimeter,
@@ -256,6 +257,20 @@ class TestVerdicts:
         assert v.status == "confirmed"
         assert v.unique == "not-claimed"
         assert v.count_le_two == "pass"
+
+    def test_sampled_map_without_an_array_form(self):
+        # points 0, 1, 3 with 0 and 1 fixed and 3 -> 0, a formula map built in code: its
+        # images are evaluated point by point, and it closes over its sample
+        space = SampledSpace("0, 1, 3", denominator=1, numerators=(0, 1, 3))
+        mapping = SelfMap(space=space, name="3 -> 0", func=lambda x: F(0) if x == 3 else F(x))
+        found = {theorem: verdict(theorem, space, mapping, x0=F(3))
+                 for theorem in theorem_lab.THEOREM_IDS}
+        assert {theorem: v.status for theorem, v in found.items()} == {
+            "burton": "inapplicable", "petrov": "confirmed",
+            "mesmouli_uncorrected": "refuted", "corrected_main": "confirmed"}
+        refuted = found["mesmouli_uncorrected"]
+        assert refuted.fixed_points == (F(0), F(1)) and refuted.scope_qualified
+        assert any(note.startswith("refutation is scope-qualified") for note in refuted.notes)
 
     def test_incomplete_space_is_inapplicable(self):
         entry = catalog("burton_logistic", grid_step=F(1, 64))

@@ -21,9 +21,17 @@ bucket lies past its row's cut, a CSV run with an ``--eps-grid``, a
 ``classify`` usage error between two ``classify`` runs, which must exit 1
 with its usage and message (the one argument parser of the process reports
 it, and the runs after it read that parser too), three ``verify`` runs,
-three ``iterate`` runs (a 4096-step ``burton_logistic`` orbit at grid
-1/65536 whose states are all distinct, a period-2 orbit, and a
-``floor_half`` orbit that halts at its fixed point), and ``search`` for
+``verify`` on ``period2_counterexample`` under each theorem (a finite map
+with a 2-cycle and no fixed point, which refutes ``mesmouli_uncorrected``:
+that run exits 2, as EXIT_CODES records), ``verify --theorem petrov`` on
+``composite`` at grid 1/64 (a sampled map whose images leave its sample)
+and ``verify --theorem mesmouli_uncorrected`` on ``floor_half --max-n 256``
+(a sampled map that closes over its sample), which read the fixed points,
+period-2 points and closure from the map's images
+(``map_catalog.image_index`` and ``image_arrays``), three ``iterate`` runs
+(a 4096-step ``burton_logistic`` orbit at grid 1/65536 whose states are
+all distinct, a period-2 orbit, and a ``floor_half`` orbit that halts at
+its fixed point), and ``search`` for
 seeds 3 and 7 under both theorems and both biases, each over 10**4 trials.
 The ``instance-*`` runs read instance files that this script writes into
 ``OUT_DIR/instances/`` (_instance_docs):
@@ -110,6 +118,15 @@ RUNS = (
                                 "--grid-step", "1/256"]),
     ("verify-corrected-floor-4096", ["verify", "--theorem", "corrected_main", "--catalog",
                                      "floor_half", "--max-n", "4096"]),
+) + tuple(
+    (f"verify-{theorem}-period2", ["verify", "--theorem", theorem, "--catalog",
+                                   "period2_counterexample"])
+    for theorem in theorem_lab.THEOREM_IDS
+) + (
+    ("verify-petrov-composite-64", ["verify", "--theorem", "petrov", "--catalog", "composite",
+                                    "--grid-step", "1/64"]),
+    ("verify-uncorrected-floor", ["verify", "--theorem", "mesmouli_uncorrected", "--catalog",
+                                  "floor_half", "--max-n", "256"]),
     ("iterate-burton-4096", ["iterate", "--catalog", "burton_logistic", "--grid-step", "1/65536",
                              "--steps", "4096", "--x0", "1/2"]),
     ("iterate-period2", ["iterate", "--catalog", "period2_counterexample", "--x0", "0"]),
@@ -155,8 +172,9 @@ INSTANCE_RUNS = tuple(
     ("instance-classify-non-metric-int32",
      ["classify", "--instance", "instances/non-metric-int32.json"]),
 )
-EXPECTED_FAILURES = {"classify-usage-error", "instance-classify-non-metric",
-                     "instance-classify-non-metric-int32"}  # these exit 1
+# the runs that do not exit 0: an error exits 1 and writes no document, a refuted verdict 2
+EXIT_CODES = {"classify-usage-error": 1, "instance-classify-non-metric": 1,
+              "instance-classify-non-metric-int32": 1, "verify-mesmouli_uncorrected-period2": 2}
 
 
 def _closed_table(rng, n):
@@ -348,8 +366,7 @@ def main(argv=None) -> int:
     codes = write_outputs(args[0])
     write_scans(args[0])
     write_validation(args[0])
-    failed = [label for label, code in codes.items()
-              if code != (1 if label in EXPECTED_FAILURES else 0)]
+    failed = [label for label, code in codes.items() if code != EXIT_CODES.get(label, 0)]
     for label in failed:
         print(f"error: run {label} exited with code {codes[label]}", file=sys.stderr)
     return 1 if failed else 0
